@@ -10,11 +10,10 @@ with the clean fixed region acting as a frozen boundary of offer rows.
 The pass never mutates the python scratch buffers until (and unless) the
 caller asked for the full state: its closure sweep, wave kernel and
 count swap all work on the sweep's numpy baseline snapshot and
-per-delta compressed scratch.  That makes the two hybrid-policy escapes
-nearly free — :class:`~repro.core.routing._DeltaSmall` (region below the
-pure loop's break-even) and :class:`~repro.core.routing._DeltaOversize`
-(region past the dense fall-back's break-even) both just clear the
-dirty flags they set and raise.
+per-delta compressed scratch.  That makes the escape to the dense pass
+nearly free — :class:`~repro.core.routing._DeltaOversize` (cost estimate
+past the dense fall-back's break-even) just clears the dirty flags it
+set and raises.
 
 Dynamic invalidation (a re-fixed route beating — or insecurely tying —
 a clean boundary baseline) is handled by *wave restarts*: the compressed
@@ -39,25 +38,22 @@ from .routing import (
     PACK_SHIFT,
     SecurityModel,
     _DeltaOversize,
-    _DeltaSmall,
     _np_key_fn,
 )
 
 _I64 = np.int64
 
 
-def delta_np(sweep, att_i, extra_resets, res, need_state, budget, small):
+def delta_np(sweep, att_i, extra_resets, res, need_state, budget):
     """One vectorized delta; returns ``(counts, touched)``.
 
-    Raises :class:`_DeltaSmall` when the dirty closure lands below
-    ``small`` (dirty flags cleared, nothing mutated) and
-    :class:`_DeltaOversize` when it outgrows ``budget`` (likewise
-    self-cleaned) — the dispatcher in :meth:`DestinationSweep._delta`
-    turns those into the pure-loop and dense fall-backs.
+    Raises :class:`_DeltaOversize` when the cost estimate outgrows
+    ``budget`` (dirty flags cleared, nothing mutated) —
+    :meth:`DestinationSweep._delta` then runs the dense pass instead.
     """
     ctx = sweep.ctx
     n = ctx.n
-    base = sweep._np_baseline()
+    base = sweep._np_base
     b_fixed = base["fixed"]
     b_key = base["key"]
     b_cls = base["cls"]
@@ -116,6 +112,16 @@ def delta_np(sweep, att_i, extra_resets, res, need_state, budget, small):
             deadcnt[part] = 0
             deadwire[part] = 0
 
+    def check_budget() -> None:
+        """Cede to the dense pass once the estimate of what this kernel
+        will pay crosses ``budget``, the dense pass's cost scale (a
+        small fraction of ``n``): the hard region drives the compressed
+        waves, and pruned/tie nodes only cost the (python) soft phase a
+        heap pop each — roughly a quarter of a re-waved node."""
+        if hard_tot + (tot >> 2) > budget:
+            cleanup()
+            raise _DeltaOversize
+
     def closure(seeds) -> None:
         """Vectorized BFS twin of the pure kernel's ``reset_closure``:
         hard-reset ``seeds`` and every dependent whose record cannot
@@ -137,13 +143,10 @@ def delta_np(sweep, att_i, extra_resets, res, need_state, budget, small):
             dirty[layer] = 1
             hard_parts.append(layer)
             hard_tot += int(layer.size)
-            # Cede to the dense pass the moment the cost estimate
-            # crosses the budget: an oversize region's full closure can
-            # be several times the budget, and walking the rest of it
-            # would just be thrown away.
-            if budget is not None and hard_tot + (tot >> 2) > budget:
-                cleanup()
-                raise _DeltaOversize([], False)
+            # Per layer, not once at the end: an oversize region's full
+            # closure can be several times the budget, and walking the
+            # rest of it would just be thrown away.
+            check_budget()
             s = dep_start[layer]
             cnt = dep_start[layer + 1] - s
             tote = int(cnt.sum())
@@ -181,8 +184,8 @@ def delta_np(sweep, att_i, extra_resets, res, need_state, budget, small):
             layer = cand[hp]
 
     # ------------------------------------------------------------------
-    # Phase A: region discovery (the closures double as the hybrid
-    # policy's size estimate — nothing is mutated beyond dirty flags).
+    # Phase A: region discovery (the closures double as the cost
+    # estimate — nothing is mutated beyond dirty flags).
     tie_w_parts: list = []
     tie_u_parts: list = []
     if not advance:
@@ -222,19 +225,7 @@ def delta_np(sweep, att_i, extra_resets, res, need_state, budget, small):
         if seeds.size:
             closure(seeds)
 
-    if small is not None and tot < small:
-        cleanup()
-        raise _DeltaSmall(tot)
-    # The dense-cede signal is an estimate of what this kernel will
-    # actually pay: the hard region drives the compressed waves, and
-    # pruned/tie nodes only cost the (python) soft phase a heap pop
-    # each — roughly a quarter of a re-waved node.  ``budget`` is the
-    # dense pass's cost scale (a small fraction of ``n``), so ceding
-    # whenever the estimate crosses it keeps the kernel to the regime
-    # where it beats one full ``_run_np`` pass.
-    if budget is not None and hard_tot + (tot >> 2) > budget:
-        cleanup()
-        raise _DeltaOversize([], False)
+    check_budget()
 
     # ------------------------------------------------------------------
     # Phase B: compressed wave kernel over loc = hard resets (minus the
@@ -251,7 +242,7 @@ def delta_np(sweep, att_i, extra_resets, res, need_state, budget, small):
         return lc
 
     wave = _run_waves(
-        n, rebuild_loc, inv, closure, cleanup, budget, lambda: hard_tot + (tot >> 2),
+        n, rebuild_loc, inv, closure, check_budget,
         tie_w_parts, tie_u_parts,
         base, start, node, cls_e, cf_b, rank_i, sign_i,
         key_of, uses_sec, insec_shift, dest_i, dest_signed,
@@ -339,28 +330,21 @@ def delta_np(sweep, att_i, extra_resets, res, need_state, budget, small):
     counts = (int(lo), int(up), int(alo), int(aup), int(sec_n), int(nfx))
 
     # ------------------------------------------------------------------
-    # Epilogue: the count-only path never touched the python scratch —
-    # clear the flags and tell _restore there is nothing to undo.
-    touched = T.tolist()
-    if not need_state:
-        inv[loc] = -1
-        cleanup()
-        sweep._needs_restore = False
-        return counts, touched
-
-    _writeback(
-        sweep, loc, fixed_c, key_c, cls_c, len_c, reach_c, wire_c,
-        sec_c, choice_c, endp_glob, mem_u, mem_v, dirty, T,
-        reach_glob, choice_glob, soft_nh, att_i, att_active, att_wire,
-        res, advance,
-    )
+    # Epilogue: the count-only path never touches the python scratch.
+    if need_state:
+        _writeback(
+            sweep, loc, fixed_c, key_c, cls_c, len_c, reach_c, wire_c,
+            sec_c, choice_c, endp_glob, mem_u, mem_v, dirty, T,
+            reach_glob, choice_glob, soft_nh, att_i, att_active, att_wire,
+            res, advance,
+        )
     inv[loc] = -1
-    deadcnt[T] = 0
-    deadwire[T] = 0
-    return counts, touched
+    cleanup()
+    return counts, T.tolist()
+
 
 def _run_waves(
-    n, rebuild_loc, inv, closure, cleanup, budget, tot_fn,
+    n, rebuild_loc, inv, closure, check_budget,
     tie_w_parts, tie_u_parts, base, start, node, cls_e, cf_b,
     rank_i, sign_i, key_of, uses_sec, insec_shift, dest_i, dest_signed,
     att_i, att_active, att_ln, att_wire, att_exp,
@@ -558,9 +542,7 @@ def _run_waves(
             if viol.any():
                 inv[loc] = -1
                 closure(np.unique(vt[viol]))
-                if budget is not None and tot_fn() > budget:
-                    cleanup()
-                    raise _DeltaOversize([], False)
+                check_budget()
                 loc = rebuild_loc()
                 continue
             tie2 = k2 == cur

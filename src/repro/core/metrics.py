@@ -220,25 +220,23 @@ def batch_happiness(
     deployment: Deployment,
     model: RankModel,
     *,
-    destination_major: bool = True,
     attack: AttackStrategy = DEFAULT_ATTACK,
 ) -> list[AttackHappiness]:
     """Happy-source counts for many ``(m, d)`` pairs in one sweep.
 
     Amortizes deployment-mask construction and scratch-buffer reuse
-    across the whole pair list, and (by default) evaluates the pairs
+    across the whole pair list, and evaluates the pairs
     destination-major through :class:`repro.core.routing.DestinationSweep`
     so every destination's attacker-free state is fixed once and each
     attacker costs only its dirty region (see
     :func:`repro.core.routing.batch_happiness_counts`; results are in
-    input pair order and bit-identical on both paths).  This is what
-    each worker of :mod:`repro.experiments.runner` runs on its share of
-    destination groups.
+    input pair order).  This is what each worker of
+    :mod:`repro.experiments.runner` runs on its share of destination
+    groups.
     """
     pairs = list(pairs)  # consumed twice below; accept one-shot iterables
     counts = batch_happiness_counts(
-        topology, pairs, deployment, model,
-        destination_major=destination_major, attack=attack,
+        topology, pairs, deployment, model, attack=attack
     )
     return [
         AttackHappiness(

@@ -120,47 +120,24 @@ _NP_INF = 1 << 62
 #: (below it, per-round numpy dispatch overhead beats the win).
 VECTORIZED_MIN_N = 10_000
 
-#: Deltas whose dirty closure stays below this many nodes run the pure
-#: heap loop even when numpy is available: the vectorized delta kernel
-#: pays a few dozen numpy dispatches per wave, which beats interpreted
-#: per-node work only once the region amortizes them.
-DELTA_VEC_MIN = 64
-
-#: Hybrid-policy abort budgets, as fractions of ``n``.  A pure-python
-#: delta whose touched region exceeds its budget abandons the delta and
-#: re-fixes with one full vectorized pass instead (the abort costs the
-#: closure walked so far).  The numpy delta kernel aborts almost for
-#: free (its closure never mutates the scratch state) and compares its
-#: *estimated cost* — the hard re-wave region plus a quarter-weight for
-#: the pruned/tie nodes its python soft phase must walk — against this
-#: fraction of ``n``, the dense pass's cost scale.  The fraction is
-#: deliberately small: on mid-size graphs one full ``_run_np`` pass is
-#: so cheap that the compressed kernel only wins while the region is
-#: tiny relative to ``n``; the window widens linearly with graph size
-#: (at internet scale a dense pass costs tens of milliseconds, so
-#: blast-radius-bound deltas win by an order of magnitude).
-DELTA_PURE_BUDGET = 0.125
+#: The one threshold of the numpy delta path, as a fraction of ``n``.
+#: The compressed kernel (:mod:`repro.core._delta_np`) cedes to one
+#: dense :meth:`RoutingContext._run_np` pass when its *estimated cost*
+#: — the hard re-wave region plus a quarter-weight for the pruned/tie
+#: nodes its python soft phase must walk — crosses this fraction of
+#: ``n``, the dense pass's cost scale.  Ceding is almost free (the
+#: closure sweep never mutates the scratch state).  The fraction is
+#: deliberately small: one full ``_run_np`` pass is so cheap that the
+#: compressed kernel only wins while the region is tiny relative to
+#: ``n``; the window widens linearly with graph size (at internet scale
+#: a dense pass costs tens of milliseconds, so blast-radius-bound
+#: deltas win by an order of magnitude).
 DELTA_NP_BUDGET = 0.0625
-
-#: Absolute floors under the fractional budgets, so small graphs do not
-#: abort deltas that would finish faster than any full pass.
-_DELTA_PURE_BUDGET_MIN = 192
-_DELTA_NP_BUDGET_MIN = 512
 
 
 class _DeltaOversize(Exception):
-    """Internal: a delta's touched region blew past its abort budget.
-
-    ``args[0]`` holds the touched list accumulated so far (dirty flags
-    still set), ``args[1]`` whether the scratch buffers were mutated
-    and need a full resynchronization from the snapshot.
-    """
-
-
-class _DeltaSmall(Exception):
-    """Internal: the vectorized delta found a dirty closure below
-    :data:`DELTA_VEC_MIN` and ceded to the pure loop (nothing mutated,
-    dirty flags already cleared)."""
+    """Internal: the numpy delta's cost estimate crossed its budget and
+    it ceded to the dense pass (nothing mutated, dirty flags cleared)."""
 
 #: Classic-LP models whose packed coefficient rows a shared arena
 #: carries (row order is the :data:`rank_coeffs` layout contract).
@@ -417,7 +394,7 @@ class RoutingContext:
             self._share_buffers(shared_key)
         # Hot-loop adjacency for the pure kernel: per-node lists of
         # ``(v << 3)|(class << 1)|cust``.  Derived from the CSR; built
-        # lazily on vectorized contexts, which usually never need it.
+        # lazily on vectorized contexts, whose kernels never read it.
         self._edges_cache: list[list[int]] | None = (
             None if self.vectorized else self._build_edges()
         )
@@ -493,7 +470,7 @@ class RoutingContext:
     @property
     def _edges(self) -> list[list[int]]:
         """Hot-loop adjacency of the pure kernel (lazy on vectorized
-        contexts, which only need it for delta re-fixing sweeps)."""
+        contexts, which only need it for the :attr:`out_edges` view)."""
         edges = self._edges_cache
         if edges is None:
             edges = self._edges_cache = self._build_edges()
@@ -929,7 +906,7 @@ class RoutingContext:
         ``writeback=False`` the pass stops after :attr:`_last_counts`:
         the python scratch buffers (and the sweep ownership they may
         encode) are left untouched — the dense count-only fall-back of
-        the hybrid delta policy relies on exactly that.
+        the numpy delta relies on exactly that.
         """
         np = _np
         if writeback:
@@ -1644,12 +1621,9 @@ class DestinationSweep:
         "_b_counts",
         "_dep",
         "_dirty",
-        "delta_kernel",
         "last_delta_path",
         "_needs_restore",
         "_np_base",
-        "_small_aborts",
-        "_delta_seq",
     )
 
     def __init__(
@@ -1659,7 +1633,6 @@ class DestinationSweep:
         deployment: Deployment | None = None,
         model: RankModel = BASELINE,
         attack: AttackStrategy = DEFAULT_ATTACK,
-        delta_kernel: str = "auto",
     ) -> None:
         ctx = _as_context(topology)
         self.ctx = ctx
@@ -1667,27 +1640,10 @@ class DestinationSweep:
         self.deployment = deployment = deployment or _EMPTY_DEPLOYMENT
         self.model = model
         self.attack = attack
-        if delta_kernel not in ("auto", "pure", "np", "dense"):
-            raise ValueError(
-                f"delta_kernel must be 'auto', 'pure', 'np' or 'dense', "
-                f"got {delta_kernel!r}"
-            )
-        if delta_kernel in ("np", "dense") and _np is None:
-            raise RuntimeError(f"delta_kernel={delta_kernel!r} requires numpy")
-        #: which delta implementation :meth:`_delta` dispatches to:
-        #: ``"auto"`` (the hybrid policy), or forced ``"pure"`` /
-        #: ``"np"`` (vectorized) / ``"dense"`` (full-pass fall-back).
-        self.delta_kernel = delta_kernel
-        #: the path the most recent delta actually ran — ``"pure"``,
-        #: ``"vectorized"`` or ``"dense"`` (None before the first).
+        #: the path the most recent delta ran (None before the first):
+        #: ``"pure"`` on a scalar context, ``"vectorized"`` or
+        #: ``"dense"`` on a numpy one.
         self.last_delta_path: str | None = None
-        #: Adaptive hybrid memory: consecutive small-estimate deltas
-        #: whose pure retry blew its budget.  Attacker avalanches are
-        #: invisible to the closure estimate, but within one sweep they
-        #: repeat — after a few, small regions skip the pure retry and
-        #: let the wave kernel's restart accounting pick dense directly.
-        self._small_aborts = 0
-        self._delta_seq = 0
         self._needs_restore = True
         self._np_base: dict | None = None
         self._last_res = DEFAULT_RESOLVED
@@ -1721,18 +1677,18 @@ class DestinationSweep:
     def _take_baseline(self) -> None:
         """Snapshot the scratch buffers as this sweep's baseline.
 
-        The baselines are mutable (bytearrays/lists) so the rollout
-        advance (:class:`RolloutSweep`) can commit a delta in place;
-        a plain :class:`DestinationSweep` never mutates them.
-
-        On vectorized contexts (with the numpy delta enabled) the
-        snapshot is taken straight from the bucket kernel's int64
-        scratch arrays instead: the per-destination O(n) python
-        list/bytearray copies disappear, and the pure fall-back path
-        reads baseline scalars through the numpy views.  The
-        reverse-dependency lists are built lazily (:meth:`_ensure_dep`)
-        because the numpy delta kernel walks a CSR twin of them
-        (:meth:`_np_finish_base`) and never needs the list form.
+        A sweep holds exactly one snapshot form, chosen by
+        ``ctx.vectorized``.  On a scalar context the baselines are
+        python bytearrays/lists (mutable so the rollout advance,
+        :class:`RolloutSweep`, can commit a delta in place; a plain
+        :class:`DestinationSweep` never mutates them) and the
+        reverse-dependency lists are built on the first delta
+        (:meth:`_ensure_dep`).  On a numpy context the snapshot is taken
+        straight from the bucket kernel's int64 scratch arrays — no
+        per-destination O(n) python list/bytearray copies — together
+        with the dependency CSR the numpy delta kernel walks
+        (:meth:`_np_attach_dep`) and its two reusable per-delta
+        accumulators.
         """
         ctx = self.ctx
         ctx._materialize_nhops()
@@ -1744,11 +1700,7 @@ class DestinationSweep:
         self._b_counts = ctx._last_counts
         self._dep = None
         self._np_base = None
-        if (
-            ctx.vectorized
-            and _np is not None
-            and self.delta_kernel in ("auto", "np")
-        ):
+        if ctx.vectorized:
             st = ctx._np_scratch
             base = {
                 name: st[name].copy()
@@ -1770,7 +1722,9 @@ class DestinationSweep:
             # The pairs stash is fresh here: a vectorized baseline pass
             # always defers next-hops, so the materialize above rebuilt
             # them (and the stash) from this very state.
-            self._np_finish_base(base, ctx._np_pairs)
+            self._np_attach_dep(base, *ctx._np_pairs)
+            base["deadcnt"] = _np.zeros(ctx.n, dtype=_np.int64)
+            base["deadwire"] = _np.zeros(ctx.n, dtype=_np.int64)
             return
         self._b_fixed = bytearray(ctx._fixed)
         self._b_key = list(ctx._key)
@@ -1796,70 +1750,12 @@ class DestinationSweep:
             self._dep = dep
         return dep
 
-    def _np_baseline(self) -> dict:
-        """The numpy view of the baseline snapshot (for the vectorized
-        delta kernel), built from the python baselines when the sweep
-        snapshotted through them (pure contexts)."""
-        base = self._np_base
-        if base is None:
-            np = _np
-            n = self.ctx.n
-            base = {
-                "fixed": np.frombuffer(
-                    bytes(self._b_fixed), dtype=np.uint8
-                ).astype(np.bool_),
-                "key": np.fromiter(
-                    (k if k < _NP_INF else _NP_INF for k in self._b_key),
-                    np.int64,
-                    count=n,
-                ),
-                "cls": np.frombuffer(
-                    bytes(self._b_cls), dtype=np.uint8
-                ).astype(np.int64),
-                "len": np.array(self._b_len, dtype=np.int64),
-                "reach": np.frombuffer(
-                    bytes(self._b_reach), dtype=np.uint8
-                ).astype(np.int64),
-                "wire": np.frombuffer(
-                    bytes(self._b_wire), dtype=np.uint8
-                ).astype(np.int64),
-                "sec": np.frombuffer(
-                    bytes(self._b_sec), dtype=np.uint8
-                ).astype(np.int64),
-                "choice": np.array(self._b_choice, dtype=np.int64),
-                "endp": np.frombuffer(
-                    bytes(self._b_endpoint), dtype=np.uint8
-                ).astype(np.int64),
-            }
-            self._np_base = base
-            self._np_finish_base(base)
-        return base
-
-    def _np_finish_base(self, base: dict, pairs: tuple | None = None) -> None:
-        """Attach the dependency structure the numpy delta kernel walks:
-        the baseline next-hop membership pairs ``(us, vs)``, their
-        reverse CSR (``dep_start``/``dep_v``: u → dependents v), the
-        per-node BPR size ``nhcnt`` and its wire-secure member count
-        ``bwirecnt``, plus two reusable per-delta accumulators."""
-        np = _np
-        n = self.ctx.n
-        if pairs is None:
-            us_l: list[int] = []
-            vs_l: list[int] = []
-            for v, h in enumerate(self._b_nhops):
-                if h:
-                    us_l.extend(h)
-                    vs_l.extend([v] * len(h))
-            pairs = (
-                np.array(us_l, dtype=np.int64),
-                np.array(vs_l, dtype=np.int64),
-            )
-        self._np_attach_dep(base, pairs[0], pairs[1])
-        base["deadcnt"] = np.zeros(n, dtype=np.int64)
-        base["deadwire"] = np.zeros(n, dtype=np.int64)
-
     def _np_attach_dep(self, base: dict, us, vs) -> None:
-        """(Re)build the pair-derived part of :meth:`_np_finish_base`."""
+        """(Re)build the dependency structure the numpy delta kernel
+        walks from the baseline next-hop membership pairs ``(us, vs)``:
+        their reverse CSR (``dep_start``/``dep_v``: u → dependents v),
+        the per-node BPR size ``nhcnt`` and its wire-secure member
+        count ``bwirecnt``."""
         np = _np
         n = self.ctx.n
         base["us"] = us
@@ -1937,12 +1833,12 @@ class DestinationSweep:
         owner = ctx._sweep_owner
         if owner is not None and owner() is self:
             return
-        if self._b_fixed is None:
+        base = self._np_base
+        if base is not None:
             # numpy snapshot: bulk-decode it into the python scratch
             # (the same serialization _run_np's write-back uses, so the
             # values are bit-identical to a pure-kernel pass).
             np = _np
-            base = self._np_base
             ctx._fixed[:] = base["fixed"].tobytes()
             ctx._cls[:] = base["cls"].astype(np.uint8).tobytes()
             ctx._reach[:] = base["reach"].astype(np.uint8).tobytes()
@@ -1973,25 +1869,19 @@ class DestinationSweep:
     def _restore(self, touched: list[int] | None) -> None:
         """Return every touched scratch entry to its baseline value.
 
-        ``touched=None`` is the dense fall-back's sentinel: the whole
-        scratch state is suspect (reconciled in one bulk resync) — or,
-        when the dense pass ran in count-only mode, untouched
-        (``_needs_restore`` False) and there is nothing to do.  The
-        numpy delta's count-only path clears ``_needs_restore`` the same
-        way: it computes on compressed copies and never writes the
-        scratch, so restoring would only waste the win.
+        On a numpy context a count-only delta (compressed or dense)
+        computes on its own arrays and never writes the python scratch
+        (``_needs_restore`` False, set by :meth:`_delta`): nothing to
+        undo.  One that was asked for the full state (:meth:`outcome`)
+        wrote it over the scratch; the sweep just gives the scratch up,
+        and the next :meth:`_ensure_scratch` resyncs it in bulk.
         """
         if not self._needs_restore:
-            self._needs_restore = True
-            return
-        if touched is None:
-            self.ctx._sweep_owner = None
-            self._ensure_scratch()
-            return
-        if self._b_fixed is None:
-            self._restore_np(touched)
             return
         ctx = self.ctx
+        if self._np_base is not None:
+            ctx._sweep_owner = None
+            return
         fixed = ctx._fixed
         key_l = ctx._key
         cls_b = ctx._cls
@@ -2026,46 +1916,6 @@ class DestinationSweep:
             nhops[x] = b_nhops[x]
             dirty[x] = 0
 
-    def _restore_np(self, touched: list[int]) -> None:
-        """:meth:`_restore` against the numpy snapshot (vectorized
-        contexts keep no python baseline copies)."""
-        ctx = self.ctx
-        fixed = ctx._fixed
-        key_l = ctx._key
-        cls_b = ctx._cls
-        len_l = ctx._len
-        reach_b = ctx._reach
-        wire_b = ctx._wire
-        sec_b = ctx._sec
-        choice_l = ctx._choice
-        endp_b = ctx._endpoint
-        nhops = ctx._nhops
-        base = self._np_base
-        b_fixed = base["fixed"]
-        b_key = base["key"]
-        b_cls = base["cls"]
-        b_len = base["len"]
-        b_reach = base["reach"]
-        b_wire = base["wire"]
-        b_sec = base["sec"]
-        b_choice = base["choice"]
-        b_endp = base["endp"]
-        b_nhops = self._b_nhops
-        dirty = self._dirty
-        for x in touched:
-            fixed[x] = 1 if b_fixed[x] else 0
-            k = int(b_key[x])
-            key_l[x] = _INF if k == _NP_INF else k
-            cls_b[x] = b_cls[x]
-            len_l[x] = int(b_len[x])
-            reach_b[x] = b_reach[x]
-            wire_b[x] = b_wire[x]
-            sec_b[x] = b_sec[x]
-            choice_l[x] = int(b_choice[x])
-            endp_b[x] = b_endp[x]
-            nhops[x] = b_nhops[x]
-            dirty[x] = 0
-
     def _resolve_delta(self, att_i: int, advance: bool) -> ResolvedAttack | None:
         """Resolve the attacker strategy for one delta (shared by every
         kernel path).  The snapshot holds the attacker-free state, so
@@ -2080,9 +1930,8 @@ class DestinationSweep:
         attack = self.attack
         baseline = None
         if attack.needs_baseline:
-            bf = self._b_fixed
-            if bf is None:
-                base = self._np_base
+            base = self._np_base
+            if base is not None:
                 baseline = AttackerBaseline(
                     has_route=bool(base["fixed"][att_i]),
                     length=int(base["len"][att_i]),
@@ -2090,7 +1939,7 @@ class DestinationSweep:
                 )
             else:
                 baseline = AttackerBaseline(
-                    has_route=bool(bf[att_i]),
+                    has_route=bool(self._b_fixed[att_i]),
                     length=self._b_len[att_i],
                     wire_secure=bool(self._b_wire[att_i]),
                 )
@@ -2104,138 +1953,64 @@ class DestinationSweep:
         extra_resets: Sequence[int] | None = None,
         need_state: bool = False,
     ) -> tuple[tuple[int, int, int, int, int, int], list[int] | None]:
-        """Delta re-fix for one attacker or advance: kernel dispatch.
+        """Delta re-fix for one attacker or advance.
 
-        Three implementations compute the same bit-identical result:
+        The context selects the implementation, and nothing else does:
 
-        * ``"pure"`` — the interpreted heap loop (:meth:`_delta_pure`),
-          the differential oracle.  Fastest on tiny dirty regions.
-        * ``"vectorized"`` — the compressed numpy bucket kernel
-          (:mod:`repro.core._delta_np`).  Fastest on mid-size regions;
-          its count-only mode never touches the python scratch at all.
-        * ``"dense"`` — one full :meth:`RoutingContext._run_np` pass
-          (:meth:`_delta_dense`), returning ``touched=None``.  Fastest
-          once the dirty region stops being small relative to ``n``.
+        * a scalar context (``ctx.vectorized`` false) runs the
+          interpreted heap loop, :meth:`_delta_pure`;
+        * a numpy context runs the compressed bucket kernel
+          (:mod:`repro.core._delta_np`), whose closure sweep doubles as
+          a cost estimate; past ``n * DELTA_NP_BUDGET`` it cedes, nearly
+          for free, to one dense :meth:`RoutingContext._run_np` pass
+          (:meth:`_delta_dense`, ``touched=None``).
 
-        Under the default ``delta_kernel="auto"`` policy on a
-        vectorized context the numpy kernel runs first — its closure
-        sweep doubles as the region-size estimate — and cedes to the
-        pure loop below
-        :data:`DELTA_VEC_MIN` touched nodes or to the dense pass above
-        ``n * DELTA_NP_BUDGET``; a pure pass that grows past
-        ``n * DELTA_PURE_BUDGET`` likewise aborts to dense.  On a
-        pure-python context ``"auto"`` is simply the pure loop: the
-        numpy estimate and the dense fall-back both need the vectorized
-        state the context does not carry.  Forced
-        kernels (``"pure"``/``"np"``/``"dense"``) never switch paths.
-        The path taken is recorded in :attr:`last_delta_path`.
+        All three compute the same bit-identical result; the one that
+        ran is recorded in :attr:`last_delta_path` (``"pure"``,
+        ``"vectorized"`` or ``"dense"``).
 
         ``need_state=True`` asks for the full re-fixed state in the
         scratch buffers (outcome snapshots, rollout commits); without it
-        count-only paths may skip the write-back entirely.
+        the numpy paths skip the write-back entirely.
         """
-        self._needs_restore = True
-        advance = extra_resets is not None
-        res = self._resolve_delta(att_i, advance)
-        kernel = self.delta_kernel
-        if kernel == "dense":
-            self.last_delta_path = "dense"
-            return self._delta_dense(att_i, res, advance, need_state)
-        n = self.ctx.n
-        budget = None
-        if kernel == "np" or (
-            kernel == "auto" and _np is not None and self.ctx.vectorized
-        ):
-            from . import _delta_np as _dnp
+        # The pure loop works in the python scratch; the numpy paths
+        # write it only when asked for the state.
+        self._needs_restore = need_state or not self.ctx.vectorized
+        res = self._resolve_delta(att_i, extra_resets is not None)
+        if not self.ctx.vectorized:
+            self.last_delta_path = "pure"
+            return self._delta_pure(att_i, extra_resets, res)
+        from ._delta_np import delta_np
 
-            if kernel == "auto" and self._small_aborts >= 4:
-                # Avalanche regime: the last few small-estimate deltas
-                # all blew the pure retry's budget, so this sweep's
-                # attackers rewire far past what the closure can see.
-                # Skip the estimate and retry entirely — one dense pass
-                # IS the likely outcome — but let every 16th delta walk
-                # the normal path so the memory can decay when the
-                # attacker mix changes.
-                self._delta_seq += 1
-                if self._delta_seq & 15:
-                    self.last_delta_path = "dense"
-                    return self._delta_dense(att_i, res, advance, need_state)
-            if kernel == "np":
-                np_budget = small = None
-            else:
-                np_budget = max(_DELTA_NP_BUDGET_MIN, int(n * DELTA_NP_BUDGET))
-                small = DELTA_VEC_MIN
-            try:
-                counts, touched = _dnp.delta_np(
-                    self, att_i, extra_resets, res, need_state,
-                    budget=np_budget, small=small,
-                )
-            except _DeltaSmall:
-                budget = max(
-                    _DELTA_PURE_BUDGET_MIN, int(n * DELTA_PURE_BUDGET)
-                )
-            except _DeltaOversize:
-                # A closure-oversize cede wasted the walked prefix the
-                # same way a blown pure retry does — feed the regime
-                # memory so repeat offenders skip straight to dense.
-                if small is not None and self._small_aborts < 8:
-                    self._small_aborts += 1
-                self.last_delta_path = "dense"
-                return self._delta_dense(att_i, res, advance, need_state)
-            else:
-                if small is not None and self._small_aborts:
-                    self._small_aborts = max(0, self._small_aborts - 2)
-                self.last_delta_path = "vectorized"
-                return counts, touched
         try:
-            counts, touched = self._delta_pure(att_i, extra_resets, res, budget)
-        except _DeltaOversize as oversize:
-            # The pure pass mutated the scratch mid-flight, but it only
-            # ever mutates entries it has appended to its touched list —
-            # the same invariant the normal path's restore relies on.
-            # So the abort undo is the identical O(touched) baseline
-            # copy-back, not a full scratch resync, and the scratch
-            # stays owned and clean for the next delta.
-            self._restore(oversize.args[0])
-            self._needs_restore = True
-            if budget is not None and self._small_aborts < 8:
-                self._small_aborts += 1
+            out = delta_np(
+                self, att_i, extra_resets, res, need_state,
+                budget=int(self.ctx.n * DELTA_NP_BUDGET),
+            )
+        except _DeltaOversize:
             self.last_delta_path = "dense"
-            return self._delta_dense(att_i, res, advance, need_state)
-        if budget is not None and self._small_aborts:
-            # Successes weigh double: a sweep with a mixed attacker
-            # population (some quiet, some avalanching) should keep
-            # trying the cheap pure retry, not lock into dense.
-            self._small_aborts = max(0, self._small_aborts - 2)
-        self.last_delta_path = "pure"
-        return counts, touched
+            return self._delta_dense(att_i, res, need_state)
+        self.last_delta_path = "vectorized"
+        return out
 
     def _delta_dense(
         self,
         att_i: int,
         res: ResolvedAttack | None,
-        advance: bool,
         need_state: bool,
     ) -> tuple[tuple[int, int, int, int, int, int], None]:
-        """Full-pass fall-back of the hybrid policy: recompute the
+        """Full-pass fall-back of the numpy delta: recompute the
         attacked (or advanced) state from scratch in one vectorized
         pass — cheaper than a delta whose dirty region stopped being
-        small.  Returns ``touched=None``; in count-only mode on a numpy
-        build the pass also leaves the python scratch (and the sweep's
-        ownership of it) completely untouched."""
+        small.  Returns ``touched=None``; in count-only mode the pass
+        also leaves the python scratch (and the sweep's ownership of
+        it) completely untouched."""
         ctx = self.ctx
-        run_res = res if res is not None else DEFAULT_RESOLVED
-        if _np is not None:
-            ctx._run_np(
-                self._dest_i, att_i, self._signing, self._ranking,
-                self.model, run_res, writeback=need_state,
-            )
-            self._needs_restore = need_state
-        else:  # pragma: no cover - dense is never selected without numpy
-            ctx._run(
-                self._dest_i, att_i, self._signing, self._ranking,
-                self.model, run_res,
-            )
+        ctx._run_np(
+            self._dest_i, att_i, self._signing, self._ranking, self.model,
+            res if res is not None else DEFAULT_RESOLVED,
+            writeback=need_state,
+        )
         return ctx._last_counts, None
 
     def _delta_pure(
@@ -2243,9 +2018,9 @@ class DestinationSweep:
         att_i: int,
         extra_resets: Sequence[int] | None,
         res: ResolvedAttack | None,
-        budget: int | None = None,
     ) -> tuple[tuple[int, int, int, int, int, int], list[int]]:
-        """Delta re-fix for one attacker, or a deployment advance.
+        """Delta re-fix for one attacker, or a deployment advance (the
+        scalar-context implementation; reads the python snapshot).
 
         Two modes share the pass:
 
@@ -2325,7 +2100,6 @@ class DestinationSweep:
             dep=dep,
             signing=signing,
             soft_prunes=soft_prunes,
-            budget=budget,
         ) -> list[int]:
             """Hard-reset ``w`` and the part of its baseline dependency
             closure whose records cannot survive; returns the newly
@@ -2405,8 +2179,6 @@ class DestinationSweep:
                     # Copy-on-write: the baseline inner list is shared
                     # with the snapshot and must stay pristine.
                     nhops[y] = keep
-            if budget is not None and len(touched) > budget:
-                raise _DeltaOversize(touched, True)
             return resets
 
         def gather(
@@ -2701,8 +2473,6 @@ class DestinationSweep:
             if not dirty[v]:
                 dirty[v] = 1  # first touch of a baseline-unreachable node
                 touched.append(v)
-                if budget is not None and len(touched) > budget:
-                    raise _DeltaOversize(touched, True)
             exports_all = cls_b[v] == 0
             ln = len_l[v] + 1
             wire_v = wire_b[v]
@@ -2841,14 +2611,8 @@ class DestinationSweep:
         # while a chain baseline's rooted attacker never contributed.
         lo, up, alo, aup, sec_n, nfx = self._b_counts
         b_fixed = self._b_fixed
-        if b_fixed is None:
-            base = self._np_base
-            b_fixed = base["fixed"]
-            b_reach = base["reach"]
-            b_sec = base["sec"]
-        else:
-            b_reach = self._b_reach
-            b_sec = self._b_sec
+        b_reach = self._b_reach
+        b_sec = self._b_sec
         root_att = self._root_att
         for x in touched:
             if x != root_att and b_fixed[x]:
@@ -2877,11 +2641,7 @@ class DestinationSweep:
                     aup += 1
                 sec_n += sec_b[x]
                 nfx += 1
-        # int() launders any numpy scalars picked up from an np-sourced
-        # baseline: counts end up in json-serialized stores.
-        return (
-            int(lo), int(up), int(alo), int(aup), int(sec_n), int(nfx)
-        ), touched
+        return (lo, up, alo, aup, sec_n, nfx), touched
 
 
 # ----------------------------------------------------------------------
@@ -2953,11 +2713,8 @@ class RolloutSweep(DestinationSweep):
         deployment: Deployment | None = None,
         model: RankModel = BASELINE,
         attack: AttackStrategy = DEFAULT_ATTACK,
-        delta_kernel: str = "auto",
     ) -> None:
-        super().__init__(
-            topology, destination, deployment, model, attack, delta_kernel
-        )
+        super().__init__(topology, destination, deployment, model, attack)
         # Private mutable masks: the parent's come from the context's
         # per-deployment cache (and may even be its shared zero mask),
         # so advancing in place would poison other computations.
@@ -3054,12 +2811,10 @@ class RolloutSweep(DestinationSweep):
     ) -> None:
         """Adopt the advance's re-fixed state as the new baseline.
 
-        Every snapshot form the sweep currently holds is updated in
-        place: the python baselines (when they exist), the numpy base
-        (eager on vectorized contexts, lazy elsewhere) and whichever
-        dependency structures have been built — python ``dep`` lists
-        get the append-only patch, the numpy dependency CSR is rebuilt
-        from the committed pair set.
+        The sweep's one snapshot form is updated in place from the
+        scratch buffers: the numpy base gets its dependency CSR rebuilt
+        from the committed pair set, the python baselines an
+        append-only patch of the ``dep`` lists.
         """
         ctx = self.ctx
         fixed = ctx._fixed
@@ -3072,34 +2827,14 @@ class RolloutSweep(DestinationSweep):
         choice_l = ctx._choice
         endp_b = ctx._endpoint
         nhops = ctx._nhops
-        b_fixed = self._b_fixed
-        py = b_fixed is not None
-        if py:
-            b_key = self._b_key
-            b_cls = self._b_cls
-            b_len = self._b_len
-            b_reach = self._b_reach
-            b_wire = self._b_wire
-            b_sec = self._b_sec
-            b_choice = self._b_choice
-            b_endp = self._b_endpoint
-        base = self._np_base
         b_nhops = self._b_nhops
-        dep = self._dep
-        dirty = self._dirty
-        appended = 0
-        for x in touched:
-            if py:
-                b_fixed[x] = fixed[x]
-                b_key[x] = key_l[x]
-                b_cls[x] = cls_b[x]
-                b_len[x] = len_l[x]
-                b_reach[x] = reach_b[x]
-                b_wire[x] = wire_b[x]
-                b_sec[x] = sec_b[x]
-                b_choice[x] = choice_l[x]
-                b_endp[x] = endp_b[x]
-            if base is not None:
+        self._b_counts = counts
+        base = self._np_base
+        if base is not None:
+            np = _np
+            new_us: list[int] = []
+            new_vs: list[int] = []
+            for x in touched:
                 k = key_l[x]
                 base["key"][x] = k if k < _NP_INF else _NP_INF
                 base["fixed"][x] = bool(fixed[x])
@@ -3110,38 +2845,16 @@ class RolloutSweep(DestinationSweep):
                 base["sec"][x] = sec_b[x]
                 base["choice"][x] = choice_l[x]
                 base["endp"][x] = endp_b[x]
-            old = b_nhops[x]
-            h = nhops[x]
-            b_nhops[x] = h
-            dirty[x] = 0
-            if dep is not None and h is not None and fixed[x]:
-                # Append-only dependency patch: entries for dropped
-                # memberships go stale, and re-appearing memberships
-                # duplicate — both at worst re-reset a node whose record
-                # would have survived, never incorrect.  Only genuinely
-                # new-vs-the-replaced-record memberships are appended,
-                # and the periodic rebuild below bounds the accumulated
-                # slack on long chains.
-                for u in h:
-                    if old is None or u not in old:
-                        dep[u].append(x)
-                        appended += 1
-        self._b_counts = counts
-        if base is not None:
-            # The numpy dependency CSR has no harmless-staleness story
-            # (the closure counts dead BPR members against exact set
-            # sizes), so rebuild it from the committed pair set.
-            np = _np
-            drop = np.zeros(ctx.n, dtype=np.bool_)
-            drop[touched] = True
-            keep = ~drop[base["vs"]]
-            new_us: list[int] = []
-            new_vs: list[int] = []
-            for x in touched:
-                h = b_nhops[x]
+                h = b_nhops[x] = nhops[x]
                 if h:
                     new_us.extend(h)
                     new_vs.extend([x] * len(h))
+            # The numpy dependency CSR has no harmless-staleness story
+            # (the closure counts dead BPR members against exact set
+            # sizes), so rebuild it from the committed pair set.
+            drop = np.zeros(ctx.n, dtype=np.bool_)
+            drop[touched] = True
+            keep = ~drop[base["vs"]]
             self._np_attach_dep(
                 base,
                 np.concatenate(
@@ -3151,19 +2864,53 @@ class RolloutSweep(DestinationSweep):
                     [base["vs"][keep], np.array(new_vs, dtype=np.int64)]
                 ),
             )
-        if dep is not None:
+        else:
+            b_fixed = self._b_fixed
+            b_key = self._b_key
+            b_cls = self._b_cls
+            b_len = self._b_len
+            b_reach = self._b_reach
+            b_wire = self._b_wire
+            b_sec = self._b_sec
+            b_choice = self._b_choice
+            b_endp = self._b_endpoint
+            dep = self._dep  # built by the pure delta that just ran
+            dirty = self._dirty
+            appended = 0
+            for x in touched:
+                b_fixed[x] = fixed[x]
+                b_key[x] = key_l[x]
+                b_cls[x] = cls_b[x]
+                b_len[x] = len_l[x]
+                b_reach[x] = reach_b[x]
+                b_wire[x] = wire_b[x]
+                b_sec[x] = sec_b[x]
+                b_choice[x] = choice_l[x]
+                b_endp[x] = endp_b[x]
+                old = b_nhops[x]
+                h = nhops[x]
+                b_nhops[x] = h
+                dirty[x] = 0
+                if h is not None and fixed[x]:
+                    # Append-only dependency patch: entries for dropped
+                    # memberships go stale, and re-appearing memberships
+                    # duplicate — both at worst re-reset a node whose
+                    # record would have survived, never incorrect.  Only
+                    # genuinely new-vs-the-replaced-record memberships
+                    # are appended, and the periodic rebuild below bounds
+                    # the accumulated slack on long chains.
+                    for u in h:
+                        if old is None or u not in old:
+                            dep[u].append(x)
+                            appended += 1
             self._dep_slack += appended
             if self._dep_slack > ctx.n:
                 # Stale and duplicated entries only cost harmless extra
                 # resets, but on a long chain they would accumulate; one
                 # linear rebuild per ~n appended entries keeps every dep
                 # list exact at amortized O(1) per commit.
-                fresh: list[list[int]] = [[] for _ in range(ctx.n)]
-                for v, h in enumerate(b_nhops):
-                    if h:
-                        for u in h:
-                            fresh[u].append(v)
-                self._dep = fresh
+                self._dep = None
+                self._ensure_dep()
                 self._dep_slack = 0
         if self._memo:
             changed = set(touched)
@@ -3193,7 +2940,7 @@ class RolloutSweep(DestinationSweep):
         # (``touched is None``) read everything: nothing to memoize.
         if touched is not None and len(touched) <= self.ctx.n >> 3:
             region = set(touched)
-            if _np is not None:
+            if self.ctx.vectorized:
                 np = _np
                 start, node, _cls, _cf, _es = self.ctx._np_adjacency()
                 t = np.asarray(touched, dtype=np.int64)
@@ -3246,7 +2993,6 @@ class _AttackerChain(RolloutSweep):
         deployment: Deployment | None = None,
         model: RankModel = BASELINE,
         attack: AttackStrategy = DEFAULT_ATTACK,
-        delta_kernel: str = "auto",
     ) -> None:
         if attack.needs_baseline:
             raise ValueError(
@@ -3257,9 +3003,7 @@ class _AttackerChain(RolloutSweep):
         ctx = _as_context(topology)
         _, att_i = ctx._check_pair(destination, attacker)
         self._root_att = att_i
-        super().__init__(
-            ctx, destination, deployment, model, attack, delta_kernel
-        )
+        super().__init__(ctx, destination, deployment, model, attack)
 
     def _run_baseline(self) -> None:
         ctx = self.ctx
@@ -3419,40 +3163,25 @@ def batch_happiness_counts(
     deployment: Deployment | None = None,
     model: RankModel = BASELINE,
     *,
-    destination_major: bool = True,
     attack: AttackStrategy = DEFAULT_ATTACK,
 ) -> list[tuple[int, int, int]]:
     """``(happy_lower, happy_upper, num_sources)`` per ``(m, d)`` pair.
 
     The count-only fast path behind :func:`repro.core.metrics.security_metric`:
     no :class:`RoutingOutcome` is materialized and nothing is copied out
-    of the scratch buffers.  With ``destination_major`` (the default)
-    pairs are grouped by destination and each group is evaluated through
-    a :class:`DestinationSweep` — one attacker-free fixing pass per
-    destination plus an ``O(dirty)`` delta per attacker; results are
-    returned in the input pair order either way, so the two paths are
-    interchangeable bit-for-bit.  ``destination_major=False`` forces the
-    PR 1 per-pair path (one full fixing pass per pair), kept for
-    differential testing and benchmarking.
+    of the scratch buffers.  Pairs are grouped by destination and each
+    group is evaluated through a :class:`DestinationSweep` — one
+    attacker-free fixing pass per destination plus an ``O(dirty)`` delta
+    per attacker; results are returned in the input pair order,
+    bit-identical to one full fixing pass per pair
+    (:func:`batch_outcomes`, the per-pair reference the differential
+    tests compare against).
     """
     ctx = _as_context(topology)
     deployment = deployment or _EMPTY_DEPLOYMENT
     signing, ranking = ctx.deployment_masks(deployment)
     n = ctx.n
     pairs = list(pairs)
-    if not destination_major:
-        out: list[tuple[int, int, int]] = []
-        for attacker, destination in pairs:
-            dest_i, att_i = ctx._check_pair(destination, attacker)
-            resolved = ctx._resolve_attack(
-                dest_i, att_i, signing, ranking, model, attack
-            )
-            ctx._run(dest_i, att_i, signing, ranking, model, resolved)
-            counts = ctx._last_counts
-            out.append(
-                (counts[0], counts[1], n - (2 if attacker is not None else 1))
-            )
-        return out
     slots: list[tuple[int, int, int] | None] = [None] * len(pairs)
     groups: dict[int, list[int]] = {}
     for i, (_m, d) in enumerate(pairs):

@@ -24,11 +24,8 @@ repeated runs only evaluate scenarios they have not seen before, and
 run-wide attacker strategy (threat model) — ``hijack`` (the paper's
 Section 3.1 default), ``honest``, ``forged_origin``, or ``khop<k>``.
 Results are stored under strategy-aware scenario hashes, so different
-threat models never collide in the cache.  ``--no-rollout-major``
-forces step-independent evaluation of nested-deployment chains (the
-default walks them on warm engine state; results are bit-identical);
-``--profile PATH`` dumps cProfile stats of the first evaluated
-scenario.
+threat models never collide in the cache.  ``--profile PATH`` dumps
+cProfile stats of the first evaluated scenario.
 
 Failure contract: worker crashes, hangs and store corruption are
 recovered by the supervision layer and reported as an incident summary;
@@ -207,14 +204,6 @@ def _common(parser: argparse.ArgumentParser) -> None:
         type=_attack_token,
         help="attacker strategy: hijack (default), honest, forged_origin, "
         "or khop<k> (see repro.core.attacks)",
-    )
-    parser.add_argument(
-        "--no-rollout-major",
-        action="store_true",
-        help="evaluate every scenario step-independently instead of "
-        "walking nested-deployment chains on warm engine state "
-        "(results are bit-identical; this is the slow path, kept for "
-        "verification and benchmarking)",
     )
     parser.add_argument(
         "--profile",
@@ -456,7 +445,6 @@ def main(argv: list[str] | None = None) -> int:
                 store=store,
                 ixp=args.ixp,
                 attack=args.attack,
-                rollout_major=not args.no_rollout_major,
                 profile_path=args.profile,
                 failure_log=failure_log,
             )
@@ -478,7 +466,6 @@ def main(argv: list[str] | None = None) -> int:
                 trials=args.trials,
                 store=store,
                 attack=args.attack,
-                rollout_major=not args.no_rollout_major,
                 profile_path=args.profile,
                 failure_log=failure_log,
             )

@@ -38,6 +38,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import random
+import signal
 import time
 import traceback
 import weakref
@@ -74,7 +75,7 @@ T = TypeVar("T")
 #: The :class:`ExperimentContext` inherited by pool workers.  Set in the
 #: parent just before the pool forks (so children snapshot it for free
 #: via copy-on-write) and cleared immediately after; workers read their
-#: inherited copy inside :func:`_run_task`.
+#: inherited copy inside :func:`_supervised_worker_main`.
 _WORKER_CTX: "ExperimentContext | None" = None
 
 #: Every context built by :func:`make_context`, weakly held, so an
@@ -93,12 +94,6 @@ def _close_live_contexts() -> None:  # pragma: no cover - atexit path
 
 
 atexit.register(_close_live_contexts)
-
-
-def _run_task(task: tuple) -> object:
-    """Pool-side dispatcher: ``worker(inherited context, item, state)``."""
-    worker, item, state = task
-    return worker(_WORKER_CTX, item, state)
 
 
 # ----------------------------------------------------------------------
@@ -139,6 +134,12 @@ def _supervised_worker_main(conn, slot: int) -> None:
     shard; a crash (SIGKILL, segfault) simply drops the pipe, which the
     supervisor observes as EOF.
     """
+    # The parent may have turned SIGTERM into SystemExit (the CLI does,
+    # so its own teardown unwinds); inherited here, that would turn
+    # :meth:`SupervisedPool.terminate`'s signal into one more error
+    # reply and leave the worker waiting on its pipe for the kill
+    # fallback.  A worker owns nothing to unwind: die on SIGTERM.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     plan = active_plan()
     while True:
         try:
@@ -231,8 +232,9 @@ class SupervisedPool:
     In the fault-free steady state the supervisor adds no polling: it
     sleeps in ``multiprocessing.connection.wait`` until a result
     arrives, exactly like ``Pool.map`` — the deadline only bounds the
-    sleep.  Overhead vs. the unsupervised pool is benchmarked in
-    ``BENCH_pipeline.json`` and floored at ≤ 5 % in CI.
+    sleep.  ``perfbench`` reports what dispatch costs end to end
+    (``sweep_pool_medium``: ``experiments.runner.dispatch_overhead_s``,
+    ``parallel_efficiency``).
     """
 
     def __init__(
@@ -508,8 +510,10 @@ class SupervisedPool:
                 pass
 
     def join(self) -> None:
+        """Reap every worker; one shared deadline, then the kill."""
+        deadline = time.monotonic() + 10
         for worker in self._workers:
-            worker.proc.join(timeout=10)
+            worker.proc.join(timeout=max(0.0, deadline - time.monotonic()))
             if worker.proc.is_alive():  # pragma: no cover - stuck worker
                 worker.proc.kill()
                 worker.proc.join()
@@ -634,18 +638,9 @@ class ExperimentContext:
     #: run-wide attacker strategy: the default threat model for every
     #: request declared without an explicit ``attack`` (CLI ``--attack``).
     attack: AttackStrategy = DEFAULT_ATTACK
-    #: evaluate nested-deployment chains rollout-major (the default);
-    #: False forces the step-independent path for every scenario —
-    #: results are bit-identical either way (differential-tested).
-    rollout_major: bool = True
     #: dump cProfile stats of the first evaluated scenario here (the
     #: CLI's ``--profile``); None disables profiling.
     profile_path: str | None = None
-    #: supervise the fork pool (crash/hang detection, retries, serial
-    #: degradation).  False keeps the plain ``multiprocessing.Pool`` —
-    #: the unsupervised baseline the supervision-overhead benchmark
-    #: compares against.
-    supervised: bool = True
     #: deadlines/retry/backoff policy of the supervised pool.
     supervision: SupervisionPolicy = field(default_factory=SupervisionPolicy)
     #: structured audit trail of every recovered (and fatal) incident.
@@ -655,7 +650,9 @@ class ExperimentContext:
     #: :meth:`metric_chain` (the acceptance counter: a warm-store rerun
     #: must leave this at zero).
     metric_evaluations: int = 0
-    _pool: object | None = field(default=None, repr=False, compare=False)
+    _pool: SupervisedPool | None = field(
+        default=None, repr=False, compare=False
+    )
     _profiled: bool = field(default=False, repr=False, compare=False)
 
     @property
@@ -669,32 +666,12 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     # The persistent worker pool
     # ------------------------------------------------------------------
-    def _ensure_pool(self):
-        """Fork the worker pool once; reuse it for every parallel call.
-
-        With ``supervised`` (the default) this is a
-        :class:`SupervisedPool`; otherwise the plain
-        ``multiprocessing.Pool`` fast path kept as the benchmark
-        baseline (and the behavior of every release before the
-        fault-tolerance layer).
-        """
+    def _ensure_pool(self) -> SupervisedPool:
+        """Fork the worker pool once; reuse it for every parallel call."""
         if self._pool is None:
-            if self.supervised:
-                self._pool = SupervisedPool(
-                    self, policy=self.supervision,
-                    failure_log=self.failure_log,
-                )
-                return self._pool
-            global _WORKER_CTX
-            _WORKER_CTX = self
-            try:
-                self._pool = multiprocessing.get_context("fork").Pool(
-                    self.processes
-                )
-            finally:
-                # Children keep their copy-on-write snapshot; the parent
-                # drops the global so nothing pins the context alive.
-                _WORKER_CTX = None
+            self._pool = SupervisedPool(
+                self, policy=self.supervision, failure_log=self.failure_log
+            )
         return self._pool
 
     def map_tasks(
@@ -721,14 +698,10 @@ class ExperimentContext:
         tasks = [(worker, item, state) for item in items]
         if chunksize is None:
             chunksize = max(1, len(tasks) // (self.processes * 4))
-        if isinstance(pool, SupervisedPool):
-            # Shard deadlines scale with how much work each item holds
-            # (a bin of pairs is len(bin) units, an opaque item one).
-            sizes = [
-                len(item) if isinstance(item, Sized) else 1 for item in items
-            ]
-            return pool.run(tasks, chunksize=chunksize, sizes=sizes)
-        return pool.map(_run_task, tasks, chunksize=chunksize)
+        # Shard deadlines scale with how much work each item holds
+        # (a bin of pairs is len(bin) units, an opaque item one).
+        sizes = [len(item) if isinstance(item, Sized) else 1 for item in items]
+        return pool.run(tasks, chunksize=chunksize, sizes=sizes)
 
     def close(self) -> None:
         """Release owned OS resources (idempotent).
@@ -852,11 +825,9 @@ def make_context(
     ixp: bool = False,
     processes: int = 1,
     attack: AttackStrategy | str = DEFAULT_ATTACK,
-    rollout_major: bool = True,
     profile_path: str | None = None,
     vectorized: bool | None = None,
     shared_memory: bool | None = None,
-    supervised: bool = True,
     supervision: SupervisionPolicy | None = None,
     failure_log: FailureLog | None = None,
 ) -> ExperimentContext:
@@ -871,9 +842,6 @@ def make_context(
         attack: run-wide attacker strategy (instance or token, e.g.
             ``"forged_origin"``) used by every request that does not pin
             its own threat model.
-        rollout_major: evaluate nested-deployment chains with the warm
-            rollout-major engine path (False forces step-independent
-            evaluation; results are bit-identical either way).
         profile_path: dump cProfile stats of the first evaluated
             scenario to this path (the CLI's ``--profile``).
         vectorized: force the numpy bucket kernel on (True) or off
@@ -884,9 +852,6 @@ def make_context(
             enables it automatically for multi-process runs on
             vectorized-sized graphs, where fork workers would otherwise
             duplicate the adjacency via refcount churn.
-        supervised: supervise the fork pool — crash/hang detection,
-            bounded retries with backoff, serial degradation (False
-            keeps the plain unsupervised pool).
         supervision: deadline/retry/backoff policy for the supervised
             pool (defaults are generous; see :class:`SupervisionPolicy`).
         failure_log: the :class:`~repro.experiments.failures.FailureLog`
@@ -937,9 +902,7 @@ def make_context(
         catalog=ScenarioCatalog(graph, tiers),
         processes=processes,
         attack=attack,
-        rollout_major=rollout_major,
         profile_path=profile_path,
-        supervised=supervised,
         supervision=supervision or SupervisionPolicy(),
         failure_log=failure_log,
     )
@@ -1001,15 +964,15 @@ def evaluate_requests(
     recomputed, and fresh evaluations are persisted immediately so an
     interrupted run is resumable.
 
-    With ``ectx.rollout_major`` (the default), the missing scenarios are
-    first partitioned into nested-deployment chains
-    (:func:`repro.experiments.scenarios.detect_chains`): a rollout's
-    steps — same pairs, model and threat model, deployments totally
-    ordered by ⊑ — are evaluated in one warm chain walk
+    The missing scenarios are first partitioned into nested-deployment
+    chains (:func:`repro.experiments.scenarios.detect_chains`): a
+    rollout's steps — same pairs, model and threat model, deployments
+    totally ordered by ⊑ — are evaluated in one warm chain walk
     (:meth:`ExperimentContext.metric_chain`) instead of step by step.
     Store-cached steps simply drop out of the chain (the advance jumps
     over them with a bigger delta).  Every scenario hash, store record
-    and result is byte-identical to the step-independent path.
+    and result is byte-identical to evaluating each step on its own
+    with :meth:`ExperimentContext.metric`.
 
     ``cancel`` (if given) is polled between chains; when it turns true
     the scheduler raises
@@ -1043,10 +1006,7 @@ def evaluate_requests(
                 continue
             store.misses += 1
         missing.append(request)
-    if ectx.rollout_major:
-        chains = detect_chains(missing)
-    else:
-        chains = [[request] for request in missing]
+    chains = detect_chains(missing)
     for done, chain in enumerate(chains):
         if cancel is not None and cancel():
             raise EvaluationCancelled(

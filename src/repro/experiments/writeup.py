@@ -49,7 +49,6 @@ def run_trials(
     store: ResultStore | None = None,
     ixp: bool = False,
     attack: str = "hijack",
-    rollout_major: bool = True,
     profile_path: str | None = None,
     failure_log: FailureLog | None = None,
 ) -> list[ExperimentResult]:
@@ -70,7 +69,7 @@ def run_trials(
     for trial in range(trials):
         with make_context(
             scale=scale, seed=seed + trial, ixp=ixp, processes=processes,
-            attack=attack, rollout_major=rollout_major,
+            attack=attack,
             profile_path=profile_path if trial == 0 else None,
             failure_log=failure_log,
         ) as ectx:
@@ -89,7 +88,6 @@ def run_all(
     trials: int = 1,
     store: ResultStore | None = None,
     attack: str = "hijack",
-    rollout_major: bool = True,
     profile_path: str | None = None,
     failure_log: FailureLog | None = None,
 ) -> list[ExperimentResult]:
@@ -98,8 +96,8 @@ def run_all(
     ids = experiment_ids or list(specs)
     results = run_trials(
         ids, scale=scale, seed=seed, processes=processes, trials=trials,
-        store=store, attack=attack, rollout_major=rollout_major,
-        profile_path=profile_path, failure_log=failure_log,
+        store=store, attack=attack, profile_path=profile_path,
+        failure_log=failure_log,
     )
     if include_ixp:
         ixp_ids = [
@@ -109,7 +107,7 @@ def run_all(
             results += run_trials(
                 ixp_ids, scale=scale, seed=seed, processes=processes,
                 trials=trials, store=store, ixp=True, attack=attack,
-                rollout_major=rollout_major, failure_log=failure_log,
+                failure_log=failure_log,
             )
     return results
 
@@ -123,7 +121,6 @@ def write_markdown(
     trials: int = 1,
     store: ResultStore | None = None,
     attack: str = "hijack",
-    rollout_major: bool = True,
     profile_path: str | None = None,
     failure_log: FailureLog | None = None,
 ) -> list[ExperimentResult]:
@@ -132,8 +129,7 @@ def write_markdown(
     results = run_all(
         scale=scale, seed=seed, processes=processes, include_ixp=include_ixp,
         trials=trials, store=store, attack=attack,
-        rollout_major=rollout_major, profile_path=profile_path,
-        failure_log=failure_log,
+        profile_path=profile_path, failure_log=failure_log,
     )
     elapsed = time.time() - started
     blocks = [

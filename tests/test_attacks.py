@@ -4,8 +4,8 @@ Every shipped strategy (plus a custom export-scope strategy exercising
 the abstraction beyond what ships) is held bit-identical across all
 implementations of the routing model:
 
-* per-pair flat engine vs destination-major delta re-fixing
-  (``batch_happiness_counts`` both ways);
+* per-pair flat engine (``batch_outcomes``) vs destination-major delta
+  re-fixing (``batch_happiness_counts``);
 * full :class:`RouteInfo` records vs the seed reference engine
   (:mod:`repro.core.refimpl`);
 * deterministic-tiebreak choice/endpoint/secure vs the message-passing
@@ -52,6 +52,8 @@ from repro.core import (
 from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.topology import TopologyParams, generate_topology
 from repro.topology.graph import ASGraph
+
+from test_destination_sweep import per_pair_counts
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_attacks_small.json"
 
@@ -111,11 +113,9 @@ def test_counts_match_per_pair_engine(seed, strategy):
     pairs = [(m, destination) for m in attackers]
     for model in ALL_MODELS:
         dest_major = batch_happiness_counts(
-            ctx, pairs, deployment, model, destination_major=True, attack=strategy
+            ctx, pairs, deployment, model, attack=strategy
         )
-        per_pair = batch_happiness_counts(
-            ctx, pairs, deployment, model, destination_major=False, attack=strategy
-        )
+        per_pair = per_pair_counts(ctx, pairs, deployment, model, strategy)
         assert dest_major == per_pair, (strategy.token, model.label)
 
 

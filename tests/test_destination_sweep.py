@@ -4,8 +4,8 @@
 region per attacker and restores snapshots in between, so the tests here
 hold it *bit-identical* to two independent oracles on every observable:
 
-* the per-pair flat engine (``batch_happiness_counts`` with
-  ``destination_major=False`` and ``compute_routing_outcome``), and
+* the per-pair flat engine (one full fixing pass per pair:
+  ``batch_outcomes`` and ``compute_routing_outcome``), and
 * the seed reference engine (:mod:`repro.core.refimpl`), kept verbatim
   from the pre-rewrite repository.
 
@@ -30,9 +30,11 @@ from repro.core import (
     RoutingContext,
     SECURITY_MODELS,
     batch_happiness_counts,
+    batch_outcomes,
     compute_routing_outcome,
     lp2_variant,
 )
+from repro.core.attacks import DEFAULT_ATTACK
 from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.topology import TopologyParams, generate_topology
 from repro.topology.ixp import augment_with_ixp_peering
@@ -40,6 +42,15 @@ from repro.topology.ixp import augment_with_ixp_peering
 SEEDS = list(range(12))  # >= 10 topologies, all distinct
 ALL_MODELS = (BASELINE,) + SECURITY_MODELS
 LP2_MODELS = tuple(lp2_variant(m) for m in ALL_MODELS)
+
+
+def per_pair_counts(topology, pairs, deployment, model, attack=DEFAULT_ATTACK):
+    """``batch_happiness_counts``' result computed the per-pair way: one
+    full fixing pass per pair, no sweep."""
+    return [
+        (*outcome.count_happy(), outcome.num_sources)
+        for outcome in batch_outcomes(topology, pairs, deployment, model, attack)
+    ]
 
 
 def make_instance(seed: int, ixp: bool, n: int = 52):
@@ -74,12 +85,8 @@ def test_sweep_counts_match_per_pair_engine(seed, ixp):
     ctx = RoutingContext(graph)
     pairs = [(m, destination) for m in attackers]
     for model in ALL_MODELS + LP2_MODELS:
-        dest_major = batch_happiness_counts(
-            ctx, pairs, deployment, model, destination_major=True
-        )
-        per_pair = batch_happiness_counts(
-            ctx, pairs, deployment, model, destination_major=False
-        )
+        dest_major = batch_happiness_counts(ctx, pairs, deployment, model)
+        per_pair = per_pair_counts(ctx, pairs, deployment, model)
         assert dest_major == per_pair, (model.label, destination)
 
 
@@ -172,12 +179,8 @@ def test_mixed_destination_batch_with_normal_conditions():
         (None, d1),
     ]
     for model in ALL_MODELS:
-        dest_major = batch_happiness_counts(
-            graph, pairs, deployment, model, destination_major=True
-        )
-        per_pair = batch_happiness_counts(
-            graph, pairs, deployment, model, destination_major=False
-        )
+        dest_major = batch_happiness_counts(graph, pairs, deployment, model)
+        per_pair = per_pair_counts(graph, pairs, deployment, model)
         assert dest_major == per_pair, model.label
 
 
@@ -192,27 +195,36 @@ def test_sweep_rejects_bad_attackers():
 
 @pytest.mark.parametrize("ixp", [False, True], ids=["base", "ixp"])
 @pytest.mark.parametrize("seed", SEEDS[:6])
-def test_delta_kernels_bit_identical(seed, ixp):
-    """The numpy delta kernel and the dense fallback replay the pure
-    oracle exactly: counts for every attacker, full outcomes, and a
-    leak-free restore (verified by re-querying)."""
+def test_delta_kernels_bit_identical(seed, ixp, delta_budget):
+    """A numpy context's two delta paths — the compressed kernel and the
+    dense pass — replay a scalar context's pure loop exactly: counts for
+    every attacker, full outcomes, and a leak-free restore (verified by
+    re-querying).  The context alone selects: pure never runs on a
+    numpy context, nothing else ever runs on a scalar one."""
     pytest.importorskip("numpy")
     graph, destination, attackers, deployment = make_instance(seed, ixp)
+    scalar = RoutingContext(graph)
+    assert not scalar.vectorized
     for model in ALL_MODELS + LP2_MODELS:
-        sweeps = [
-            DestinationSweep(
-                RoutingContext(graph), destination, deployment, model,
-                delta_kernel=kernel,
+        pure = DestinationSweep(scalar, destination, deployment, model)
+        want = [pure.happiness_counts(m) for m in attackers]
+        assert pure.last_delta_path == "pure"
+        routes = [dict(pure.outcome(m).routes) for m in attackers[:3]]
+        assert pure.happiness_counts(attackers[0]) == want[0], model.label
+        for path in ("vectorized", "dense"):
+            delta_budget(path)
+            sweep = DestinationSweep(
+                RoutingContext(graph, vectorized=True),
+                destination, deployment, model,
             )
-            for kernel in ("pure", "np", "dense")
-        ]
-        for m in attackers:
-            pure = sweeps[0].happiness_counts(m)
-            assert sweeps[1].happiness_counts(m) == pure, (model.label, m)
-            assert sweeps[2].happiness_counts(m) == pure, (model.label, m)
-        for m in attackers[:3]:
-            routes = dict(sweeps[0].outcome(m).routes)
-            assert dict(sweeps[1].outcome(m).routes) == routes, (model.label, m)
-        m0 = attackers[0]
-        first = sweeps[0].happiness_counts(m0)
-        assert sweeps[1].happiness_counts(m0) == first, model.label
+            for m, counts in zip(attackers, want):
+                assert sweep.happiness_counts(m) == counts, (model.label, path, m)
+                assert sweep.last_delta_path == path
+            for m, expected in zip(attackers, routes):
+                assert dict(sweep.outcome(m).routes) == expected, (
+                    model.label, path, m,
+                )
+                assert sweep.last_delta_path == path
+            assert sweep.happiness_counts(attackers[0]) == want[0], (
+                model.label, path,
+            )

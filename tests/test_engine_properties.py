@@ -16,19 +16,34 @@ theorems) with invariants of the *engine mechanics* on random inputs:
   counts;
 * **batching is pure** — ``batch_outcomes`` over a pair sweep equals
   pair-at-a-time ``compute_routing_outcome`` even though the batch
-  reuses scratch buffers and deployment masks.
+  reuses scratch buffers and deployment masks;
+* **every sweep path is the same function** — a random nested
+  deployment chain walked by ``RolloutSweep`` and ``_AttackerChain`` on
+  a scalar context and on a numpy context under both budget settings
+  equals fresh sweeps per step, the per-pair engine and the reference
+  engine (the tier-1 seed of the standing differential fuzzer).
 """
 
 from __future__ import annotations
 
-from hypothesis import given
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
+    Deployment,
+    DestinationSweep,
+    FORGED_ORIGIN,
+    ONE_HOP_HIJACK,
+    PathLengthHijack,
     Reach,
+    RolloutSweep,
+    RoutingContext,
     batch_outcomes,
     compute_routing_outcome,
 )
 from repro.core.refimpl import ref_compute_routing_outcome
+from repro.core.routing import _AttackerChain
 from repro.topology.relationships import RouteClass
 
 from test_properties import DEFAULT_SETTINGS, attack_instances
@@ -144,3 +159,93 @@ class TestEngineInvariants:
             )
             assert dict(got.routes) == dict(want.routes), (m, d)
             assert got.count_happy() == want.count_happy()
+
+
+@st.composite
+def nested_chains(draw):
+    """(graph, destination, attacker, chain, model, attack): 2–4
+    deployments nested per membership mode, simplex members included,
+    the last step promoting at least one of them to full when any
+    exist; the destination or the attacker may join on the way."""
+    graph, destination, attacker, first, model = draw(
+        attack_instances(simplex=True)
+    )
+    asns = graph.asns
+    joining = st.sets(st.sampled_from(asns), max_size=len(asns) // 3)
+    stubs = st.sets(st.sampled_from([a for a in asns if graph.is_stub(a)]))
+    chain = [first]
+    steps = draw(st.integers(1, 3))
+    for step in range(steps):
+        prev = chain[-1]
+        promoted = set()
+        if prev.simplex:
+            promoted = draw(
+                st.sets(
+                    st.sampled_from(sorted(prev.simplex)),
+                    min_size=step == steps - 1,
+                )
+            )
+        full = prev.full | promoted | draw(joining)
+        chain.append(
+            Deployment(
+                full=frozenset(full),
+                simplex=frozenset((prev.simplex | draw(stubs)) - full),
+            )
+        )
+    # Step-stable strategies only: _AttackerChain bars the rest.
+    attack = draw(
+        st.sampled_from((ONE_HOP_HIJACK, FORGED_ORIGIN, PathLengthHijack(2)))
+    )
+    return graph, destination, attacker, chain, model, attack
+
+
+class TestSweepPathsAgree:
+    @settings(
+        DEFAULT_SETTINGS,
+        # delta_budget only pins a module constant, and every example
+        # pins it again before the deltas that depend on it.
+        suppress_health_check=[
+            HealthCheck.too_slow, HealthCheck.function_scoped_fixture
+        ],
+    )
+    @given(nested_chains())
+    def test_chain_walks_equal_fresh_sweeps_and_oracles(
+        self, delta_budget, instance
+    ):
+        pytest.importorskip("numpy")
+        graph, d, m, chain, model, attack = instance
+        sources = len(graph.asns) - 2
+        want = []
+        for deployment in chain:
+            ref = ref_compute_routing_outcome(
+                graph, d, attacker=m, deployment=deployment, model=model,
+                attack=attack,
+            )
+            free = ref_compute_routing_outcome(
+                graph, d, deployment=deployment, model=model
+            )
+            want.append(((*ref.count_happy(), sources), free.count_happy()))
+        for path in ("pure", "vectorized", "dense"):
+            ctx = RoutingContext(graph, vectorized=path != "pure")
+            if path != "pure":
+                delta_budget(path)
+            walker = RolloutSweep(ctx, d, chain[0], model, attack)
+            rooted = _AttackerChain(ctx, d, m, chain[0], model, attack)
+            for t, deployment in enumerate(chain):
+                attacked, attacker_free = want[t]
+                if t:
+                    walker.advance(deployment)
+                    rooted.advance(deployment)
+                fresh = DestinationSweep(ctx, d, deployment, model, attack)
+                direct = compute_routing_outcome(
+                    ctx, d, attacker=m, deployment=deployment, model=model,
+                    attack=attack,
+                )
+                assert (*direct.count_happy(), sources) == attacked, (path, t)
+                assert fresh.baseline_counts() == attacker_free, (path, t)
+                assert walker.baseline_counts() == attacker_free, (path, t)
+                assert fresh.happiness_counts(m) == attacked, (path, t)
+                assert walker.happiness_counts(m) == attacked, (path, t)
+                assert rooted.step_counts() == attacked, (path, t)
+                for sweep in (fresh, walker, rooted):
+                    assert sweep.last_delta_path in (None, path), (path, t)

@@ -69,15 +69,31 @@ def layered_graphs(draw, min_n: int = 12, max_n: int = 40) -> ASGraph:
 
 
 @st.composite
-def attack_instances(draw):
-    """(graph, destination, attacker, deployment, model)."""
+def attack_instances(draw, simplex: bool = False):
+    """(graph, destination, attacker, deployment, model).
+
+    With ``simplex`` the deployment also holds simplex members — stubs
+    only, which is what :class:`Deployment` documents and every rollout
+    builds (§5.3.2).  A simplex *transit* AS makes flip offers, whose
+    outcome the full pass defines by heap chronology; the delta re-fix
+    does not reproduce that (security 1st, found while writing the
+    chain property in ``test_engine_properties.py``), so such
+    deployments are outside what the sweeps are held to.
+    """
     graph = draw(layered_graphs())
     asns = graph.asns
     destination = draw(st.sampled_from(asns))
     attacker = draw(st.sampled_from([a for a in asns if a != destination]))
     secure = draw(st.sets(st.sampled_from(asns), max_size=len(asns)))
     model = draw(st.sampled_from((BASELINE,) + SECURITY_MODELS))
-    return graph, destination, attacker, Deployment.of(secure), model
+    deployment = Deployment.of(secure)
+    if simplex:
+        stubs = [a for a in asns if graph.is_stub(a)]
+        deployment = Deployment(
+            full=deployment.full,
+            simplex=frozenset(draw(st.sets(st.sampled_from(stubs))) - secure),
+        )
+    return graph, destination, attacker, deployment, model
 
 
 class TestTheorem21CrossValidation:

@@ -10,7 +10,8 @@ chain walk *bit-identical* to three independent oracles:
 
 * the step-independent destination-major path
   (``batch_happiness_counts`` with default flags),
-* the per-pair flat engine (``destination_major=False``), and
+* the per-pair flat engine (``batch_outcomes``, one full fixing pass
+  per pair), and
 * the seed reference engine (:mod:`repro.core.refimpl`).
 
 Grids: full tier12/tier2 rollout chains (coarse, dense and
@@ -48,6 +49,8 @@ from repro.core.routing import _ATTACKER_CHAIN_MAX, RoutingContext, _AttackerCha
 from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.topology import TopologyParams, classify_tiers, generate_topology
 from repro.topology.ixp import augment_with_ixp_peering
+
+from test_destination_sweep import per_pair_counts
 
 ALL_MODELS = (BASELINE,) + SECURITY_MODELS
 LP2_MODELS = tuple(lp2_variant(m) for m in ALL_MODELS)
@@ -99,9 +102,7 @@ def assert_chain_matches_oracles(graph, pairs, chain, model, attack, refimpl_bud
             ctx, pairs, deployment, model, attack=attack
         )
         assert rollout[t] == dest_major, (model.label, attack.token, t)
-        per_pair = batch_happiness_counts(
-            ctx, pairs, deployment, model, destination_major=False, attack=attack
-        )
+        per_pair = per_pair_counts(ctx, pairs, deployment, model, attack)
         assert rollout[t] == per_pair, (model.label, attack.token, t)
     if refimpl_budget:
         ref_ctx = RefRoutingContext(graph)
@@ -317,12 +318,23 @@ class TestRolloutSweep:
 
 class TestDeltaKernelsOnChains:
     """Advance-mode deltas (rollout commits, attacker-rooted chains) run
-    through the same three kernels as attacker deltas; the numpy and
-    dense paths must replay the pure walk bit for bit at every step."""
+    through the same three kernels as attacker deltas; a numpy context's
+    compressed and dense paths must replay a scalar context's pure walk
+    bit for bit at every step."""
+
+    @staticmethod
+    def _walkers(graph, make):
+        """One walker per delta path, each on its own context: the
+        scalar one, and a numpy one per pinned budget."""
+        return {
+            "pure": make(RoutingContext(graph, vectorized=False)),
+            "vectorized": make(RoutingContext(graph, vectorized=True)),
+            "dense": make(RoutingContext(graph, vectorized=True)),
+        }
 
     @pytest.mark.parametrize("kind", ["tier12", "tier12_simplex", "tier2"])
     @pytest.mark.parametrize("seed", [3, 9])
-    def test_rollout_advances_bit_identical(self, seed, kind):
+    def test_rollout_advances_bit_identical(self, seed, kind, delta_budget):
         pytest.importorskip("numpy")
         graph, tiers = make_topology(seed, ixp=seed % 2 == 1)
         chain = make_chain(graph, tiers, kind)
@@ -330,42 +342,48 @@ class TestDeltaKernelsOnChains:
         dest = pairs[0][1]
         atts = [m for m, _ in pairs]
         for model in (SECURITY_MODELS[0], lp2_variant(SECURITY_MODELS[1])):
-            walkers = [
-                RolloutSweep(
-                    RoutingContext(graph), dest, chain[0], model,
-                    delta_kernel=kernel,
-                )
-                for kernel in ("pure", "np", "auto")
-            ]
+            walkers = self._walkers(
+                graph, lambda ctx: RolloutSweep(ctx, dest, chain[0], model)
+            )
             for si, step in enumerate(chain):
-                if si:
-                    for w in walkers:
+                pure = None
+                for path, w in walkers.items():
+                    if path != "pure":
+                        delta_budget(path)
+                    if si:
                         w.advance(step)
-                for m in atts:
-                    pure = walkers[0].happiness_counts(m)
-                    assert walkers[1].happiness_counts(m) == pure, (si, m)
-                    assert walkers[2].happiness_counts(m) == pure, (si, m)
+                        assert w.last_delta_path == path, (si, path)
+                    got = []
+                    for m in atts:
+                        got.append(w.happiness_counts(m))
+                        assert w.last_delta_path == path, (si, path, m)
+                    pure = pure or got
+                    assert got == pure, (si, path)
 
     @pytest.mark.parametrize("attack", [ONE_HOP_HIJACK, FORGED_ORIGIN],
                              ids=lambda a: a.token)
-    def test_attacker_chain_bit_identical(self, attack):
+    def test_attacker_chain_bit_identical(self, attack, delta_budget):
         pytest.importorskip("numpy")
         graph, tiers = make_topology(5)
         chain = make_chain(graph, tiers, "tier12")
         pairs = chain_pairs(graph, 5, destinations=2, attackers=2)
         for model in (BASELINE, SECURITY_MODELS[2]):
             for m, d in pairs[:4]:
-                chains = [
-                    _AttackerChain(
-                        RoutingContext(graph), d, m, chain[0], model,
-                        attack=attack, delta_kernel=kernel,
-                    )
-                    for kernel in ("pure", "np", "auto")
-                ]
+                chains = self._walkers(
+                    graph,
+                    lambda ctx: _AttackerChain(
+                        ctx, d, m, chain[0], model, attack=attack
+                    ),
+                )
                 for si, step in enumerate(chain):
-                    if si:
-                        for c in chains:
+                    for path, c in chains.items():
+                        if path != "pure":
+                            delta_budget(path)
+                        if si:
                             c.advance(step)
-                    pure = chains[0].step_counts()
-                    assert chains[1].step_counts() == pure, (si, m, d)
-                    assert chains[2].step_counts() == pure, (si, m, d)
+                        assert (
+                            c.step_counts() == chains["pure"].step_counts()
+                        ), (si, path, m, d)
+                assert {
+                    path: c.last_delta_path for path, c in chains.items()
+                } == {path: path for path in chains}

@@ -20,6 +20,7 @@ from repro.experiments.registry import (
 )
 from repro.experiments.runner import evaluate_requests
 from repro.experiments.scenarios import (
+    detect_chains,
     model_from_token,
     model_token,
     request_for,
@@ -438,38 +439,66 @@ class TestChainDetection:
 
 
 class TestRolloutMajorScheduling:
+    """The scheduler walks nested-deployment chains with
+    ``metric_chain``; the step-independent reference is ``metric`` once
+    per scenario, which every chain step must reproduce."""
+
     IDS = ["fig7a", "fig11"]
+
+    @classmethod
+    def _declared(cls, ectx):
+        """The experiments' unique requests, in declaration order."""
+        from repro.experiments import get_experiment
+
+        requests = [
+            req for eid in cls.IDS for req in get_experiment(eid).requests(ectx)
+        ]
+        return list({req.scenario_hash: req for req in requests}.values())
+
+    @staticmethod
+    def _step_independent(ectx, requests, store=None):
+        """Every request on its own ``metric`` call (stored if asked)."""
+        results = {}
+        for req in requests:
+            result = ectx.metric(
+                req.pairs, req.to_deployment(), req.to_model(),
+                attack=req.to_attack(),
+            )
+            if store is not None:
+                store.put(req, result)
+            results[req.scenario_hash] = result
+        return results
 
     def test_rollout_major_matches_step_independent(self, tmp_path):
         with make_context(scale="tiny", seed=2013) as ectx:
-            rollout = run_experiments(ectx, self.IDS)
+            requests = self._declared(ectx)
+            assert max(len(c) for c in detect_chains(requests)) > 1
+            rollout = evaluate_requests(ectx, requests)
             rollout_evals = ectx.metric_evaluations
-        with make_context(scale="tiny", seed=2013, rollout_major=False) as ectx:
-            independent = run_experiments(ectx, self.IDS)
-            independent_evals = ectx.metric_evaluations
+            independent = self._step_independent(ectx, requests)
+            independent_evals = ectx.metric_evaluations - rollout_evals
         assert rollout_evals == independent_evals  # same scenario count
-        for a, b in zip(rollout, independent):
-            assert a.rows == b.rows, a.experiment_id
-            assert a.text == b.text, a.experiment_id
+        for req in requests:
+            assert rollout.for_request(req) == independent[req.scenario_hash]
 
     def test_store_records_identical_across_paths(self, tmp_path):
-        def records(root, rollout_major):
+        def records(root, evaluate):
             store = ResultStore(root)
-            with make_context(
-                scale="tiny", seed=2013, rollout_major=rollout_major
-            ) as ectx:
-                run_experiments(ectx, self.IDS, store=store)
+            with make_context(scale="tiny", seed=2013) as ectx:
+                evaluate(ectx, self._declared(ectx), store=store)
             store.close()
             lines = store.path.read_text(encoding="utf-8").splitlines()
             return sorted(lines)  # chain walking reorders evaluation only
 
-        assert records(tmp_path / "a", True) == records(tmp_path / "b", False)
+        assert records(tmp_path / "a", evaluate_requests) == records(
+            tmp_path / "b", self._step_independent
+        )
 
     def test_chain_walk_hits_step_independent_store(self, tmp_path):
-        """A store written by either path warms the other completely."""
+        """A store written step by step warms the chain walk completely."""
         store = ResultStore(tmp_path / "cache")
-        with make_context(scale="tiny", seed=2013, rollout_major=False) as ectx:
-            run_experiments(ectx, self.IDS, store=store)
+        with make_context(scale="tiny", seed=2013) as ectx:
+            self._step_independent(ectx, self._declared(ectx), store=store)
         store.close()
         warm = ResultStore(tmp_path / "cache")
         with make_context(scale="tiny", seed=2013) as ectx:

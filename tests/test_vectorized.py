@@ -36,7 +36,6 @@ from repro.core.attacks import (
 )
 from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.core.routing import (
-    DELTA_VEC_MIN,
     DestinationSweep,
     RoutingContext,
     batch_happiness_counts,
@@ -46,6 +45,8 @@ from repro.core.routing import (
 from repro.core.shm import HAVE_SHARED_MEMORY, SharedArena, active_segments
 from repro.topology import TopologyParams, generate_topology
 from repro.topology.ixp import augment_with_ixp_peering
+
+from test_destination_sweep import per_pair_counts
 
 CLASSIC_MODELS = (BASELINE,) + SECURITY_MODELS
 ALL_MODELS = CLASSIC_MODELS + tuple(lp2_variant(m) for m in CLASSIC_MODELS)
@@ -137,16 +138,10 @@ class TestDifferentialGrid:
         pairs = [(m, d) for m, d, _ in insts] + [(None, insts[0][1])]
         dep = insts[0][2]
         for model in ALL_MODELS:
-            for dm in (True, False):
-                expected = batch_happiness_counts(
-                    pure_ctx, pairs, dep, model,
-                    destination_major=dm, attack=attack,
-                )
-                got = batch_happiness_counts(
-                    vec_ctx, pairs, dep, model,
-                    destination_major=dm, attack=attack,
-                )
-                assert got == expected, (model.label, dm)
+            for counts in (batch_happiness_counts, per_pair_counts):
+                expected = counts(pure_ctx, pairs, dep, model, attack=attack)
+                got = counts(vec_ctx, pairs, dep, model, attack=attack)
+                assert got == expected, (model.label, counts.__name__)
 
     def test_rollout_chain_matches_pure(self, graph, pure_ctx, vec_ctx):
         rnd = random.Random("vec/rollout")
@@ -164,105 +159,108 @@ class TestDifferentialGrid:
 
 
 class TestDeltaKernels:
-    """The three delta re-fix kernels — interpreted heap loop, the
-    compressed numpy bucket kernel and the dense full-pass fallback —
-    must agree bit for bit on counts, full outcomes and the restored
-    baseline, for every model and attacker strategy."""
+    """The three delta re-fix kernels — a scalar context's interpreted
+    heap loop, a numpy context's compressed bucket kernel and its dense
+    full-pass fallback — must agree bit for bit on counts, full
+    outcomes and the restored baseline, for every model and attacker
+    strategy."""
 
     @pytest.mark.parametrize("attack", STRATEGIES, ids=lambda a: a.token)
     @pytest.mark.parametrize(
         "model", ALL_MODELS[1::2], ids=lambda m: m.label
     )
-    def test_kernels_bit_identical(self, graph, pure_ctx, vec_ctx, model, attack):
+    def test_kernels_bit_identical(
+        self, graph, pure_ctx, vec_ctx, model, attack, delta_budget
+    ):
         for m, d, dep in _instances(
             graph, f"delta/{model.label}/{attack.token}", k=2
         ):
-            sp = DestinationSweep(
-                pure_ctx, d, dep, model, attack=attack, delta_kernel="pure"
-            )
-            sn = DestinationSweep(
-                vec_ctx, d, dep, model, attack=attack, delta_kernel="np"
-            )
-            sd = DestinationSweep(
-                vec_ctx, d, dep, model, attack=attack, delta_kernel="dense"
-            )
+            sp = DestinationSweep(pure_ctx, d, dep, model, attack=attack)
             counts = sp.happiness_counts(m)
-            assert sn.happiness_counts(m) == counts
-            assert sn.last_delta_path == "vectorized"
-            assert sd.happiness_counts(m) == counts
-            pure, vec = sp.outcome(m), sn.outcome(m)
-            assert dict(vec.routes) == dict(pure.routes)
-            assert list(vec_ctx._key) == list(pure_ctx._key)
-            # Leak-freedom: each kernel restored its own touched region,
-            # so a second query reads an unpolluted baseline.
-            assert sn.happiness_counts(m) == counts
-            assert sd.happiness_counts(m) == counts
+            assert sp.last_delta_path == "pure"
+            pure_routes = dict(sp.outcome(m).routes)
+            pure_key = list(pure_ctx._key)
+            for path in ("vectorized", "dense"):
+                delta_budget(path)
+                sv = DestinationSweep(vec_ctx, d, dep, model, attack=attack)
+                assert sv.happiness_counts(m) == counts
+                assert sv.last_delta_path == path
+                assert dict(sv.outcome(m).routes) == pure_routes
+                # Leak-freedom: the outcome's state was written over the
+                # scratch and given up, so a second query resyncs it to
+                # the baseline the pure sweep restored entry by entry.
+                assert sv.happiness_counts(m) == counts
+                assert sv.last_delta_path == path
+                assert list(vec_ctx._key) == pure_key
 
-    def test_numpy_snapshot_baseline(self, graph, vec_ctx):
-        """On a vectorized context the sweep baselines live as numpy
-        snapshots (no python-list decode); the counts still match a
-        pure-kernel sweep over the same context."""
+    def test_numpy_snapshot_baseline(self, graph, pure_ctx, vec_ctx):
+        """A sweep holds one snapshot form, chosen by the context: numpy
+        arrays on a vectorized one (no python-list decode), python
+        lists on a scalar one; the counts match."""
         m, d, dep = _instances(graph, "npsnap", k=1)[0]
-        sn = DestinationSweep(vec_ctx, d, dep, SECURITY_MODELS[0],
-                              delta_kernel="np")
+        sn = DestinationSweep(vec_ctx, d, dep, SECURITY_MODELS[0])
         counts = sn.happiness_counts(m)
         assert sn._b_fixed is None and sn._np_base is not None
-        sp = DestinationSweep(vec_ctx, d, dep, SECURITY_MODELS[0],
-                              delta_kernel="pure")
+        sp = DestinationSweep(pure_ctx, d, dep, SECURITY_MODELS[0])
+        assert sp._b_fixed is not None and sp._np_base is None
         assert sp.happiness_counts(m) == counts
 
 
 class TestKernelSelection:
-    """The ``delta_kernel="auto"`` hybrid policy: which of the three
-    paths actually runs for a given (n, dirty-fraction) combination,
-    recorded in :attr:`DestinationSweep.last_delta_path`."""
+    """The context is the only selector of the delta path, recorded in
+    :attr:`DestinationSweep.last_delta_path`: ``"pure"`` on every scalar
+    context; on a numpy one ``"vectorized"`` while the cost estimate
+    stays inside ``n * DELTA_NP_BUDGET`` and ``"dense"`` past it."""
 
-    def test_forced_kernels_never_switch(self, graph, vec_ctx):
-        m, d, dep = _instances(graph, "forced", k=1)[0]
-        for kernel, path in (
-            ("pure", "pure"), ("np", "vectorized"), ("dense", "dense")
-        ):
-            s = DestinationSweep(vec_ctx, d, dep, SECURITY_MODELS[1],
-                                 delta_kernel=kernel)
-            s.happiness_counts(m)
-            assert s.last_delta_path == path, kernel
+    def test_forced_kernels_never_switch(
+        self, graph, pure_ctx, vec_ctx, delta_budget
+    ):
+        """A pinned budget holds for every delta of a sweep, whatever
+        its size, and never reaches a scalar context."""
+        insts = _instances(graph, "forced", k=4)
+        d, dep = insts[0][1], insts[0][2]
+        attackers = [m for m, _, _ in insts if m != d]
+        for path in ("vectorized", "dense"):
+            delta_budget(path)
+            for ctx, want in ((pure_ctx, "pure"), (vec_ctx, path)):
+                s = DestinationSweep(ctx, d, dep, SECURITY_MODELS[1])
+                for m in attackers:
+                    s.happiness_counts(m)
+                    assert s.last_delta_path == want, (path, m)
 
-    def test_auto_small_closure_stays_pure(self, graph, vec_ctx):
-        """A quiet attacker (honest stub) dirties almost nothing: the
-        numpy closure sweep cedes to the interpreted loop below
-        ``DELTA_VEC_MIN`` touched nodes."""
-        assert DELTA_VEC_MIN == 64
+    def test_small_closure_runs_compressed_never_pure(self, graph, vec_ctx):
+        """A quiet attacker (honest stub) dirties almost nothing: under
+        the default budget the compressed kernel takes it — a numpy
+        context has no pure path to cede to."""
         asns = graph.asns
         stubs = [a for a in asns if len(graph.neighbors(a)) == 1]
         hub = max(asns, key=lambda a: len(graph.neighbors(a)))
         dep = Deployment.of(asns[: len(asns) // 2])
         s = DestinationSweep(vec_ctx, hub, dep, SECURITY_MODELS[0],
-                             attack=HONEST, delta_kernel="auto")
+                             attack=HONEST)
         paths = []
         for st in stubs[:8]:
             s.happiness_counts(st)
             paths.append(s.last_delta_path)
-        assert "pure" in paths
-        # The knife-edge ties of an honest stub can still fan the soft
-        # phase past the pure budget mid-flight — that aborts to the
-        # dense pass, never back to the numpy kernel.
-        assert set(paths) <= {"pure", "dense"}
+        assert "vectorized" in paths
+        assert set(paths) <= {"vectorized", "dense"}
 
     def test_auto_mid_fraction_goes_vectorized(self):
-        """A broad hijack at n=1200 dirties hundreds of nodes — above
-        ``DELTA_VEC_MIN`` yet inside the numpy budget — so the
-        compressed kernel runs."""
+        """At n=1200 the default budget is 75 estimated nodes: stub
+        hijacks of a hub's prefix stay inside it and run the compressed
+        kernel, broad hub hijacks blow it and run the dense pass."""
         big = generate_topology(TopologyParams(n=1200, seed=7)).graph
         hubs = sorted(big.asns, key=lambda a: -len(big.neighbors(a)))
+        stubs = [a for a in big.asns if len(big.neighbors(a)) == 1]
         ctx = RoutingContext(big, vectorized=True)
-        s = DestinationSweep(ctx, hubs[0], Deployment.empty(), BASELINE,
-                             delta_kernel="auto")
-        paths = []
-        for m in hubs[1:7]:
+        s = DestinationSweep(ctx, hubs[0], Deployment.empty(), BASELINE)
+        paths = {}
+        for m in hubs[1:7] + stubs[:6]:
             s.happiness_counts(m)
-            paths.append(s.last_delta_path)
-        assert "vectorized" in paths
-        assert all(p in ("vectorized", "pure") for p in paths)
+            paths[m] = s.last_delta_path
+        assert "vectorized" in {paths[m] for m in stubs[:6]}
+        assert "dense" in {paths[m] for m in hubs[1:7]}
+        assert set(paths.values()) == {"vectorized", "dense"}
 
 
 @pytest.mark.skipif(not HAVE_SHARED_MEMORY, reason="no shared memory")
@@ -382,13 +380,18 @@ def test_sigterm_mid_run_leaks_nothing(tmp_path):
         assert os.path.exists(f"/dev/shm/{name}")
         time.sleep(1.0)  # let the pool fork and an evaluation start
         proc.send_signal(signal.SIGTERM)
+        signalled = time.monotonic()
         returncode = proc.wait(timeout=60)
+        exit_s = time.monotonic() - signalled
     finally:
         if proc.poll() is None:  # pragma: no cover - cleanup on failure
             proc.kill()
             proc.wait()
         proc.stdout.close()
     assert returncode == 128 + signal.SIGTERM
+    # Busy workers die on the pool's SIGTERM; none sits out the 10 s
+    # kill fallback of SupervisedPool.join.
+    assert exit_s < 5.0
     assert not os.path.exists(f"/dev/shm/{name}")
     leaked = [
         seg
