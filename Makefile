@@ -28,7 +28,6 @@ doctest:
 		src/repro/core/attacks.py \
 		src/repro/core/metrics.py \
 		src/repro/core/routing.py \
-		src/repro/core/shm.py \
 		src/repro/experiments/faults.py \
 		src/repro/experiments/scenarios.py \
 		src/repro/experiments/store.py

@@ -20,7 +20,7 @@ and ``D`` are explicit (typically seeded samples — see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from ..topology.graph import ASGraph
 from .attacks import DEFAULT_ATTACK, AttackStrategy
@@ -32,11 +32,6 @@ from .routing import (
     compute_routing_outcome,
     rollout_happiness_counts,
 )
-
-#: A mapper with the semantics of builtin ``map`` — swap in
-#: ``multiprocessing.Pool.imap`` (via :mod:`repro.experiments.runner`)
-#: for parallel evaluation.
-Mapper = Callable[..., Iterable]
 
 
 @dataclass(frozen=True)
@@ -160,7 +155,6 @@ def security_metric(
     pairs: Sequence[tuple[int, int]],
     deployment: Deployment,
     model: RankModel,
-    mapper: Mapper = map,
     attack: AttackStrategy = DEFAULT_ATTACK,
 ) -> MetricResult:
     """``H_{M,D}(S)`` averaged over explicit ``(attacker, destination)`` pairs.
@@ -170,7 +164,6 @@ def security_metric(
         pairs: the ``(m, d)`` pairs to average over (``m != d``).
         deployment: the secure set ``S``.
         model: routing-policy model.
-        mapper: map-like callable for parallel execution.
         attack: the attacker strategy (:mod:`repro.core.attacks`);
             defaults to the paper's one-hop hijack.
 
@@ -197,20 +190,11 @@ def security_metric(
         [0.5000, 1.0000]
     """
     ctx = topology if isinstance(topology, RoutingContext) else RoutingContext(topology)
-    if mapper is map:
-        # Batched fast path: pairs are evaluated destination-major (one
-        # attacker-free fixing pass per destination, an O(dirty) delta
-        # re-fix per attacker — see repro.core.routing.DestinationSweep)
-        # over the context's reusable scratch buffers, no outcome
-        # materialization.
-        results = tuple(batch_happiness(ctx, pairs, deployment, model, attack=attack))
-    else:
-        results = tuple(
-            mapper(
-                _happiness_task,
-                ((ctx, m, d, deployment, model, attack) for (m, d) in pairs),
-            )
-        )
+    # Pairs are evaluated destination-major (one attacker-free fixing
+    # pass per destination, an O(dirty) delta re-fix per attacker — see
+    # repro.core.routing.DestinationSweep) over the context's reusable
+    # scratch buffers, no outcome materialization.
+    results = tuple(batch_happiness(ctx, pairs, deployment, model, attack=attack))
     return MetricResult(value=_mean_interval(results), per_pair=results)
 
 
@@ -289,11 +273,6 @@ def rollout_happiness(
     ]
 
 
-def _happiness_task(args: tuple) -> AttackHappiness:
-    ctx, attacker, destination, deployment, model, attack = args
-    return attack_happiness(ctx, attacker, destination, deployment, model, attack)
-
-
 def _mean_interval(results: Sequence[AttackHappiness]) -> Interval:
     if not results:
         return Interval(0.0, 0.0)
@@ -308,14 +287,11 @@ def metric_for_destination(
     destination: int,
     deployment: Deployment,
     model: RankModel,
-    mapper: Mapper = map,
     attack: AttackStrategy = DEFAULT_ATTACK,
 ) -> MetricResult:
     """``H_{M,d}(S)``: the metric restricted to one destination (§5.2.3)."""
     pairs = [(m, destination) for m in attackers if m != destination]
-    return security_metric(
-        topology, pairs, deployment, model, mapper=mapper, attack=attack
-    )
+    return security_metric(topology, pairs, deployment, model, attack=attack)
 
 
 def metric_improvement(
@@ -324,7 +300,6 @@ def metric_improvement(
     deployment: Deployment,
     model: RankModel,
     baseline: MetricResult | None = None,
-    mapper: Mapper = map,
     attack: AttackStrategy = DEFAULT_ATTACK,
 ) -> tuple[Interval, MetricResult, MetricResult]:
     """``H_{M,D}(S) − H_{M,D}(∅)``, the paper's headline quantity.
@@ -342,9 +317,7 @@ def metric_improvement(
     ctx = topology if isinstance(topology, RoutingContext) else RoutingContext(topology)
     if baseline is None:
         baseline = security_metric(
-            ctx, pairs, Deployment.empty(), model, mapper=mapper, attack=attack
+            ctx, pairs, Deployment.empty(), model, attack=attack
         )
-    secured = security_metric(
-        ctx, pairs, deployment, model, mapper=mapper, attack=attack
-    )
+    secured = security_metric(ctx, pairs, deployment, model, attack=attack)
     return secured.value.bound_delta(baseline.value), secured, baseline

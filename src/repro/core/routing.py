@@ -70,8 +70,8 @@ from typing import Iterator, Sequence
 from ..topology.graph import ASGraph
 from ..topology.relationships import RouteClass
 
-try:  # numpy backs the optional vectorized kernel and shared arenas;
-    # both degrade to the pure-python paths when it is unavailable.
+try:  # numpy backs the optional vectorized kernel, which degrades to
+    # the pure-python paths when it is unavailable.
     import numpy as _np
 except ImportError:  # pragma: no cover - the toolchain bakes numpy in
     _np = None
@@ -95,9 +95,6 @@ from .deployment import Deployment
 from .rank import (
     BASELINE,
     PACK_SHIFT,
-    SECURITY_FIRST,
-    SECURITY_SECOND,
-    SECURITY_THIRD,
     RankKey,
     RankModel,
     SecurityModel,
@@ -139,16 +136,10 @@ class _DeltaOversize(Exception):
     """Internal: the numpy delta's cost estimate crossed its budget and
     it ceded to the dense pass (nothing mutated, dirty flags cleared)."""
 
-#: Classic-LP models whose packed coefficient rows a shared arena
-#: carries (row order is the :data:`rank_coeffs` layout contract).
-_COEFF_MODELS = (BASELINE, SECURITY_FIRST, SECURITY_SECOND, SECURITY_THIRD)
-
 
 def _u8(buf):
     """A uint8 ndarray view of a bytes-like CSR buffer (zero-copy)."""
-    if isinstance(buf, (bytes, bytearray)):
-        return _np.frombuffer(buf, dtype=_np.uint8)
-    return buf
+    return _np.frombuffer(buf, dtype=_np.uint8)
 
 
 def _np_key_fn(model: RankModel):
@@ -282,9 +273,6 @@ class RoutingContext:
         "customers_idx",
         "peers_idx",
         "vectorized",
-        "shared_arena",
-        "_arena_released",
-        "rank_coeffs",
         "_edges_cache",
         "_np_adj",
         "_np_scratch",
@@ -295,6 +283,7 @@ class RoutingContext:
         "_neighbor_dicts",
         "_out_edges",
         "_mask_cache",
+        "_stub_simplex_ok",
         "_zero_mask",
         "_fixed",
         "_key",
@@ -319,8 +308,6 @@ class RoutingContext:
         graph: ASGraph,
         *,
         vectorized: bool | None = None,
-        shared: bool = False,
-        shared_key: object = None,
     ) -> None:
         self.graph = graph
         asn_of, index_of = graph.dense_index()
@@ -382,16 +369,6 @@ class RoutingContext:
         self.providers_idx = providers_idx
         self.customers_idx = customers_idx
         self.peers_idx = peers_idx
-        #: packed rank-key coefficient rows (one per classic security
-        #: model) — only materialized when the CSR lives in a shared
-        #: arena, where workers read them from the same segment.
-        self.rank_coeffs = None
-        #: :class:`repro.core.shm.SharedArena` holding the frozen CSR
-        #: buffers, or None when they live in ordinary process memory.
-        self.shared_arena = None
-        self._arena_released = False
-        if shared:
-            self._share_buffers(shared_key)
         # Hot-loop adjacency for the pure kernel: per-node lists of
         # ``(v << 3)|(class << 1)|cust``.  Derived from the CSR; built
         # lazily on vectorized contexts, whose kernels never read it.
@@ -415,6 +392,11 @@ class RoutingContext:
         self._neighbor_dicts: tuple[dict, dict, dict] | None = None
         self._out_edges: dict | None = None
         self._mask_cache: dict = {}
+        #: id → deployment that passed :meth:`require_stub_simplex`
+        #: (weak: a dead deployment drops out, so ids cannot be recycled).
+        self._stub_simplex_ok: "weakref.WeakValueDictionary[int, Deployment]" = (
+            weakref.WeakValueDictionary()
+        )
         self._zero_mask = bytearray(n)
 
         # Scratch buffers, reset (not reallocated) between pairs.
@@ -442,7 +424,7 @@ class RoutingContext:
         self._sweep_owner: "weakref.ref[DestinationSweep] | None" = None
 
     # ------------------------------------------------------------------
-    # Adjacency representations and shared-memory placement
+    # Adjacency representations
     # ------------------------------------------------------------------
     def _build_edges(self) -> list[list[int]]:
         """Per-node packed-edge lists, derived from the CSR buffers."""
@@ -476,66 +458,9 @@ class RoutingContext:
             edges = self._edges_cache = self._build_edges()
         return edges
 
-    def _share_buffers(self, shared_key: object = None) -> None:
-        """Move the frozen CSR + rank-coefficient buffers into one
-        shared-memory segment and rebind them as zero-copy views.
-
-        Fork workers then read a single physical mapping instead of
-        dirtying copy-on-write pages through refcount churn (see
-        :mod:`repro.core.shm`).  With a ``shared_key`` (anything that
-        uniquely determines the frozen buffers, e.g. the (scale, seed,
-        ixp) that generated the graph), sibling contexts for the same
-        topology map the *same* physical segment via
-        :func:`repro.core.shm.arena_for` instead of one segment each —
-        what a service holding several resident contexts wants.  Call
-        :meth:`close` (or rely on the shm module's atexit hook) to
-        unlink the segment.
-        """
-        from .shm import HAVE_SHARED_MEMORY, SharedArena, arena_for
-
-        if not HAVE_SHARED_MEMORY:  # pragma: no cover - numpy baked in
-            raise RuntimeError(
-                "shared routing contexts need numpy and "
-                "multiprocessing.shared_memory"
-            )
-        np = _np
-
-        def _arrays() -> dict:
-            coeffs = np.array(
-                [m.packed_coeffs() for m in _COEFF_MODELS], dtype=np.int64
-            )
-            return {
-                "adj_start": np.asarray(self.adj_start, dtype=np.int64),
-                "adj_node": np.asarray(self.adj_node, dtype=np.int64),
-                "adj_class": _u8(self.adj_class),
-                "adj_custflag": _u8(self.adj_custflag),
-                "rank_coeffs": coeffs,
-            }
-
-        if shared_key is not None:
-            arena = arena_for(shared_key, _arrays, prefix="repro-ctx")
-        else:
-            arena = SharedArena(_arrays(), prefix="repro-ctx")
-        self.shared_arena = arena
-        self.adj_start = arena.array("adj_start")
-        self.adj_node = arena.array("adj_node")
-        self.adj_class = arena.array("adj_class")
-        self.adj_custflag = arena.array("adj_custflag")
-        self.rank_coeffs = arena.array("rank_coeffs")
-
+    # Called by perfbench/layers.py (close) and service_load.py (with).
     def close(self) -> None:
-        """Release this context's hold on its shared segment (idempotent).
-
-        The segment is unlinked once the last holder lets go — sibling
-        contexts sharing a keyed arena keep it alive.  Live views —
-        including those in forked workers — stay valid even then; only
-        the ``/dev/shm`` name goes away.  No-op for contexts whose
-        buffers live in ordinary process memory.
-        """
-        arena = self.shared_arena
-        if arena is not None and not self._arena_released:
-            self._arena_released = True
-            arena.close()
+        """No-op: a context owns no OS resource."""
 
     def __enter__(self) -> "RoutingContext":
         return self
@@ -671,6 +596,45 @@ class RoutingContext:
             cache.clear()
         cache[id(deployment)] = (deployment, signing, ranking)
         return signing, ranking
+
+    def require_stub_simplex(self, deployment: Deployment) -> None:
+        """Raise ``ValueError`` if a simplex member has customers.
+
+        Section 5.3.2 defines simplex S*BGP for stubs, and the sweeps'
+        delta re-fix is exact only there: with a *transit* simplex
+        member (it signs what it re-announces but never ranks on
+        security) a sweep can return counts that differ from the
+        per-pair engine and :mod:`repro.core.refimpl`, which agree with
+        each other.  Every sweep-backed entry point
+        (:func:`batch_happiness_counts`,
+        :func:`rollout_happiness_counts`, :class:`DestinationSweep`,
+        :meth:`RolloutSweep.advance`) therefore rejects such a
+        deployment; :func:`compute_routing_outcome` evaluates it per
+        pair.  A deployment object that passed is remembered while it
+        lives, so a batch pays the O(|simplex|) check once.
+        """
+        if not deployment.simplex:
+            return
+        checked = self._stub_simplex_ok
+        if checked.get(id(deployment)) is deployment:
+            return
+        get = self.index_of.get
+        customers = self.customers_idx
+        transit = sorted(
+            asn
+            for asn in deployment.simplex
+            if (i := get(asn)) is not None and customers[i]
+        )
+        if transit:
+            shown = ", ".join(map(str, transit[:10]))
+            more = f" and {len(transit) - 10} more" if len(transit) > 10 else ""
+            raise ValueError(
+                f"simplex S*BGP is for stubs, but simplex member(s) "
+                f"{shown}{more} have customers; the sweep-backed entry "
+                f"points do not evaluate that — use "
+                f"compute_routing_outcome per pair"
+            )
+        checked[id(deployment)] = deployment
 
     # ------------------------------------------------------------------
     # The fixing pass
@@ -1656,6 +1620,7 @@ class DestinationSweep:
             #: for the normal attacker-free baseline; ``_AttackerChain``
             #: assigns its attacker before delegating here).
             self._root_att = -1
+        ctx.require_stub_simplex(deployment)
         signing, ranking = ctx.deployment_masks(deployment)
         self._signing = signing
         self._ranking = ranking
@@ -2728,6 +2693,7 @@ class RolloutSweep(DestinationSweep):
 
     def advance(self, deployment: Deployment) -> None:
         """Move the sweep's baseline to the next chain step in place."""
+        self.ctx.require_stub_simplex(deployment)
         old = self.deployment
         old_signing = old.full | old.simplex
         new_signing = deployment.full | deployment.simplex
@@ -3065,6 +3031,8 @@ def rollout_happiness_counts(
     """
     ctx = _as_context(topology)
     deployments = list(deployments)
+    for deployment in deployments:
+        ctx.require_stub_simplex(deployment)
     pairs = list(pairs)
     n = ctx.n
     out: list[list[tuple[int, int, int] | None]] = [
@@ -3179,6 +3147,7 @@ def batch_happiness_counts(
     """
     ctx = _as_context(topology)
     deployment = deployment or _EMPTY_DEPLOYMENT
+    ctx.require_stub_simplex(deployment)
     signing, ranking = ctx.deployment_masks(deployment)
     n = ctx.n
     pairs = list(pairs)

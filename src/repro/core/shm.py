@@ -1,323 +1,11 @@
-"""Zero-copy shared-memory arenas for frozen routing-context buffers.
-
-Fork workers already inherit the parent's :class:`~repro.core.routing.
-RoutingContext` via copy-on-write pages, but CPython's reference
-counting *writes* to every object header it touches, so the "shared"
-adjacency lists are gradually duplicated into every worker's resident
-set.  At the ``large`` scale (~80k ASes, ~10^6 directed edges) that
-churn costs hundreds of MB per worker.  A :class:`SharedArena` instead
-packs the frozen buffers — the CSR adjacency and the packed rank-key
-coefficient table — into one ``multiprocessing.shared_memory`` segment
-exposed as numpy views.  Numpy array *data* carries no refcounts, so
-forked workers read the single physical mapping forever; only the tiny
-ndarray wrapper objects are per-process.
-
-Lifecycle
----------
-Segments live in ``/dev/shm`` and outlive their creator unless
-unlinked, so crashed runs can leak them.  Three layers prevent that:
-
-* :meth:`SharedArena.close` unlinks the segment by name (idempotent,
-  creator-only).  Crucially it does **not** unmap it: POSIX keeps an
-  unlinked mapping valid until the last process exits, so views handed
-  out earlier keep working while the name is already gone from
-  ``/dev/shm`` — there is no use-after-close hazard.
-* every arena is tracked in a module registry flushed by an ``atexit``
-  hook (:func:`close_all`), so normal interpreter shutdown — including
-  a ``SystemExit`` raised by the CLI's SIGTERM handler — unlinks every
-  live segment even when nobody called ``close()``.
-* Python's own ``resource_tracker`` remains as the backstop for hard
-  kills of the whole process tree.
-* :func:`reclaim_orphans` closes the last gap — a SIGKILL'd run whose
-  resource tracker died with it: segment names embed the creator's pid,
-  so the next run detects segments whose creator no longer exists and
-  unlinks them at startup instead of letting ``/dev/shm`` fill up.
-
-The module degrades gracefully: without numpy (or on platforms without
-``multiprocessing.shared_memory``) :data:`HAVE_SHARED_MEMORY` is False
-and callers fall back to plain in-process buffers.
-"""
+"""What is left of the shared-memory arena: fork's copy-on-write
+already shares the frozen CSR buffers (``array`` / ``bytearray`` carry
+no per-element refcounts), so no segment is ever mapped."""
 
 from __future__ import annotations
 
-import atexit
-import os
-import secrets
 
-try:  # pragma: no cover - exercised implicitly on import
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain bakes numpy in
-    _np = None
-
-try:  # pragma: no cover - exercised implicitly on import
-    from multiprocessing import shared_memory as _shm
-except ImportError:  # pragma: no cover - platform without shm support
-    _shm = None
-
-#: True when shared-memory arenas can be created on this interpreter.
-HAVE_SHARED_MEMORY = _np is not None and _shm is not None
-
-#: name → live :class:`SharedArena` created by this process (strong
-#: references: an arena must stay unlink-able until process exit even
-#: if the owning context was dropped without ``close()``).
-_LIVE: dict[str, "SharedArena"] = {}
-
-#: sharing key → live :class:`SharedArena`, for arenas created through
-#: :func:`arena_for`.  A service keeping several resident routing
-#: contexts for the *same* frozen topology (same scale, seed, IXP
-#: augmentation) maps them all onto one physical segment instead of one
-#: per context; the arena refcounts its holders and unlinks when the
-#: last one closes.
-_BY_KEY: dict[object, "SharedArena"] = {}
-
-
-def active_segments() -> tuple[str, ...]:
-    """Names of the segments this process created and not yet unlinked."""
-    return tuple(name for name, arena in _LIVE.items() if not arena.closed)
-
-
-def close_all() -> None:
-    """Unlink every live arena created by this process (atexit hook).
-
-    Force-closes regardless of outstanding refcounts: at interpreter
-    exit nothing will release shared holders, and an un-unlinked
-    segment would outlive the process in ``/dev/shm``.
-    """
-    for arena in list(_LIVE.values()):
-        arena.close(force=True)
-
-
-def arena_for(
-    key: object, arrays_factory, prefix: str = "repro"
-) -> "SharedArena":
-    """Fetch-or-create the shared arena for a content key.
-
-    ``key`` must uniquely determine the frozen array contents (e.g.
-    ``(scale, n, seed, ixp)`` for routing-context buffers — the
-    topology is deterministic in those inputs, so equal keys mean
-    bit-equal buffers).  A live arena for the key is *retained* (its
-    refcount grows; every holder must eventually :meth:`SharedArena.
-    close`) and returned without building the arrays at all; otherwise
-    ``arrays_factory()`` is called and a fresh keyed arena created.
-    Only arenas created by this process are shared — a fork child asking
-    for the same key builds its own (children inherit the parent's
-    mapping anyway and never create arenas in practice).
-    """
-    arena = _BY_KEY.get(key)
-    if (
-        arena is not None
-        and not arena.closed
-        and arena.creator_pid == os.getpid()
-    ):
-        arena.retain()
-        return arena
-    return SharedArena(arrays_factory(), prefix=prefix, key=key)
-
-
+# Called by perfbench/layers.py::scheduler_counts (core.shm.arenas_mapped).
 def arena_stats() -> dict:
-    """Live-arena accounting for service ``/v1/stats``: segment count,
-    total bytes, and how many extra holders keyed sharing absorbed."""
-    live = [arena for arena in _LIVE.values() if not arena.closed]
-    return {
-        "segments": len(live),
-        "bytes": sum(arena.size for arena in live),
-        "shared_holders": sum(max(0, arena.refs - 1) for arena in live),
-    }
-
-
-atexit.register(close_all)
-
-#: Where POSIX shared-memory segments appear as files (Linux).  On
-#: platforms without it, orphan reclaim degrades to a no-op — there is
-#: no portable way to enumerate segments.
-_SHM_DIR = "/dev/shm"
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether a process with this pid currently exists."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - exists, other user
-        return True
-    return True
-
-
-def reclaim_orphans(prefix: str = "repro") -> tuple[str, ...]:
-    """Unlink arena segments leaked by dead processes; return their names.
-
-    Arena names embed the creator's pid (``{prefix}-{pid}-{token}``), so
-    a segment whose creator no longer exists is an orphan by
-    construction: its creator was SIGKILL'd (or OOM-killed) before any
-    of the cleanup layers could run, taking the resource tracker down
-    with it.  Called at context startup (:func:`repro.experiments.
-    runner.make_context`) so one crashed run can never leak ``/dev/shm``
-    into the next; segments belonging to live processes — including this
-    one — are never touched.
-    """
-    if not HAVE_SHARED_MEMORY or not os.path.isdir(_SHM_DIR):
-        return ()
-    reclaimed: list[str] = []
-    for entry in sorted(os.listdir(_SHM_DIR)):
-        if not entry.startswith(prefix + "-"):
-            continue
-        parts = entry.split("-")
-        if len(parts) != 3:
-            continue
-        try:
-            pid = int(parts[1])
-        except ValueError:
-            continue
-        if entry in _LIVE or _pid_alive(pid):
-            continue
-        try:
-            segment = _shm.SharedMemory(name=entry)
-        except FileNotFoundError:  # pragma: no cover - raced another run
-            continue
-        try:
-            # unlink() also unregisters the name from the resource
-            # tracker this attach just registered it with.
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - raced another run
-            pass
-        segment.close()
-        reclaimed.append(entry)
-    return tuple(reclaimed)
-
-
-def _align(offset: int, alignment: int = 8) -> int:
-    return (offset + alignment - 1) & ~(alignment - 1)
-
-
-class SharedArena:
-    """One shared-memory segment holding named frozen numpy arrays.
-
-    Arrays are copied in at construction and exposed as read-write
-    views via :meth:`array` (callers treat them as frozen; the engine
-    never mutates adjacency after construction).  The arena is created
-    by exactly one process; fork children inherit the mapping and the
-    views zero-copy.
-
-    Example:
-        >>> import numpy as np
-        >>> arena = SharedArena({"xs": np.arange(4, dtype=np.int64)})
-        >>> arena.array("xs").tolist()
-        [0, 1, 2, 3]
-        >>> arena.closed
-        False
-        >>> arena.close()   # idempotent; unlinks /dev/shm entry
-        >>> arena.closed
-        True
-        >>> arena.array("xs").tolist()   # views survive the unlink
-        [0, 1, 2, 3]
-    """
-
-    __slots__ = (
-        "name",
-        "key",
-        "creator_pid",
-        "_segment",
-        "_views",
-        "_closed",
-        "_refs",
-        "__weakref__",
-    )
-
-    def __init__(
-        self,
-        arrays: dict[str, "object"],
-        prefix: str = "repro",
-        key: object = None,
-    ):
-        if not HAVE_SHARED_MEMORY:  # pragma: no cover - numpy baked in
-            raise RuntimeError(
-                "shared-memory arenas need numpy and "
-                "multiprocessing.shared_memory"
-            )
-        plan: list[tuple[str, "object", int]] = []
-        offset = 0
-        for name, arr in arrays.items():
-            arr = _np.ascontiguousarray(arr)
-            offset = _align(offset)
-            plan.append((name, arr, offset))
-            offset += arr.nbytes
-        size = max(1, offset)
-        self.name = f"{prefix}-{os.getpid()}-{secrets.token_hex(4)}"
-        self.creator_pid = os.getpid()
-        self._segment = _shm.SharedMemory(
-            name=self.name, create=True, size=size
-        )
-        self._closed = False
-        views: dict[str, "object"] = {}
-        buf = self._segment.buf
-        for name, arr, off in plan:
-            view = _np.ndarray(
-                arr.shape, dtype=arr.dtype, buffer=buf, offset=off
-            )
-            view[...] = arr
-            views[name] = view
-        self._views = views
-        self.key = key
-        self._refs = 1
-        _LIVE[self.name] = self
-        if key is not None:
-            _BY_KEY[key] = self
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def refs(self) -> int:
-        """How many holders still own this arena (see :func:`arena_for`)."""
-        return self._refs
-
-    def retain(self) -> "SharedArena":
-        """Register one more holder; pairs with one extra :meth:`close`."""
-        if self._closed:
-            raise ValueError(f"arena {self.name} is closed")
-        self._refs += 1
-        return self
-
-    @property
-    def size(self) -> int:
-        """Segment size in bytes."""
-        return self._segment.size
-
-    def array(self, name: str):
-        """The named array, viewing the shared segment zero-copy."""
-        return self._views[name]
-
-    def arrays(self) -> dict[str, "object"]:
-        """All views, by name."""
-        return dict(self._views)
-
-    def close(self, force: bool = False) -> None:
-        """Release one holder; unlink when the last one lets go.
-
-        Existing views — in this process and in forked workers — stay
-        valid: the kernel frees the memory when the last mapping goes
-        away, but the ``/dev/shm`` name is gone immediately, so crashed
-        *future* runs cannot observe or accumulate stale segments.
-        Keyed arenas (see :func:`arena_for`) may have several holders;
-        ``force=True`` unlinks regardless of outstanding refcounts
-        (used by the :func:`close_all` atexit hook).
-        """
-        if self._closed:
-            return
-        self._refs -= 1
-        if self._refs > 0 and not force:
-            return
-        self._closed = True
-        _LIVE.pop(self.name, None)
-        if self.key is not None and _BY_KEY.get(self.key) is self:
-            del _BY_KEY[self.key]
-        if os.getpid() != self.creator_pid:  # pragma: no cover - fork child
-            return
-        try:
-            self._segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+    """Shared-memory segments this process maps: always none."""
+    return {"segments": 0}

@@ -305,13 +305,11 @@ def _install_sigterm_handler() -> None:
     """Turn SIGTERM into ``SystemExit`` so teardown hooks run.
 
     The default SIGTERM disposition kills the process without
-    unwinding, leaving the fork pool's workers to be reaped by init and
-    — worse — any shared-memory arenas named in ``/dev/shm`` forever.
+    unwinding, leaving the fork pool's workers to be reaped by init.
     Raising ``SystemExit(128 + signum)`` instead unwinds through the
-    ``finally`` blocks below and the atexit hooks
-    (:func:`repro.experiments.runner._close_live_contexts`,
-    :func:`repro.core.shm.close_all`), which terminate the pool and
-    unlink every live segment.
+    ``finally`` blocks below and the atexit hook
+    (:func:`repro.experiments.runner._close_live_contexts`), which
+    terminates the pool.
     """
 
     def _raise(signum, frame):  # pragma: no cover - signal path
@@ -327,10 +325,9 @@ def _serve(args: argparse.Namespace) -> int:
     """The ``serve`` command: run the HTTP service until signalled.
 
     SIGTERM/SIGINT trigger a *graceful* stop — stop accepting, drain
-    jobs, close resident contexts (terminating their pools and
-    releasing shared-memory arenas), close the store — and the exit
-    status is the conventional ``128 + signum`` so supervisors see the
-    same contract as the batch commands.
+    jobs, close resident contexts (terminating their pools), close the
+    store — and the exit status is the conventional ``128 + signum`` so
+    supervisors see the same contract as the batch commands.
     """
     import asyncio
 

@@ -4,12 +4,11 @@ Production BGP tooling keeps an explicit record of every external
 interaction that went wrong (timeouts, dead peers, truncated files)
 instead of letting one failure kill the run; the evaluation plane does
 the same.  Every recoverable incident — a crashed or hung fork worker,
-a shard retried or degraded to serial, a torn store tail truncated, an
-orphaned shared-memory segment reclaimed, a scenario that exhausted its
-retries — is recorded as one :class:`Incident` in the run's
-:class:`FailureLog`.  The CLI renders the log after each run and turns
-*unrecovered* scenario failures into a nonzero exit code; everything
-else is audit trail.
+a shard retried or degraded to serial, a torn store tail truncated, a
+scenario that exhausted its retries — is recorded as one
+:class:`Incident` in the run's :class:`FailureLog`.  The CLI renders
+the log after each run and turns *unrecovered* scenario failures into a
+nonzero exit code; everything else is audit trail.
 
 The log is deliberately dumb: an append-only in-memory list with an
 optional JSONL sink, no levels, no filtering.  Whether an incident is

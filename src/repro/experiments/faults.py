@@ -1,9 +1,9 @@
 """Deterministic fault injection for the evaluation plane.
 
-The fault-tolerance layer (supervised pool, durable store, arena
-reclaim) is only trustworthy if its failure paths are *provably*
-exercised, so this module injects faults at seeded, reproducible
-points instead of relying on chance:
+The fault-tolerance layer (supervised pool, durable store) is only
+trustworthy if its failure paths are *provably* exercised, so this
+module injects faults at seeded, reproducible points instead of relying
+on chance:
 
 * ``worker_kill`` — the fork worker handling shard ``j`` SIGKILLs
   itself (the segfault / OOM-killer case: no cleanup, no goodbye);

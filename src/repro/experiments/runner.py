@@ -56,8 +56,7 @@ from ..core.metrics import (
     rollout_happiness,
 )
 from ..core.rank import RankModel
-from ..core.routing import VECTORIZED_MIN_N, RoutingContext
-from ..core.shm import HAVE_SHARED_MEMORY, reclaim_orphans
+from ..core.routing import RoutingContext
 from ..topology.generate import SyntheticTopology, TopologyParams, generate_topology
 from ..topology.ixp import augment_with_ixp_peering
 from ..topology.tiers import TierTable, classify_tiers
@@ -80,8 +79,8 @@ _WORKER_CTX: "ExperimentContext | None" = None
 
 #: Every context built by :func:`make_context`, weakly held, so an
 #: interpreter exit — including the ``SystemExit`` raised by the CLI's
-#: SIGTERM handler — tears down pools and shared-memory arenas even for
-#: contexts nobody closed (see :func:`_close_live_contexts`).
+#: SIGTERM handler — tears down the pools even of contexts nobody
+#: closed (see :func:`_close_live_contexts`).
 _LIVE_CONTEXTS: "weakref.WeakValueDictionary[int, ExperimentContext]" = (
     weakref.WeakValueDictionary()
 )
@@ -128,11 +127,10 @@ def _supervised_worker_main(conn, slot: int) -> None:
     """Supervised-pool worker loop: recv shard, evaluate, send result.
 
     Runs in a fork child that inherited the parent's
-    :class:`ExperimentContext` (via ``_WORKER_CTX``) — including any
-    shared-memory arena mapping — at fork time.  Exceptions are reported
-    back as structured error replies so the supervisor can retry the
-    shard; a crash (SIGKILL, segfault) simply drops the pipe, which the
-    supervisor observes as EOF.
+    :class:`ExperimentContext` (via ``_WORKER_CTX``) at fork time.
+    Exceptions are reported back as structured error replies so the
+    supervisor can retry the shard; a crash (SIGKILL, segfault) simply
+    drops the pipe, which the supervisor observes as EOF.
     """
     # The parent may have turned SIGTERM into SystemExit (the CLI does,
     # so its own teardown unwinds); inherited here, that would turn
@@ -209,8 +207,8 @@ class SupervisedPool:
     * a **dead** worker (EOF on its result pipe, SIGKILL, segfault) is
       detected immediately, its shard re-enqueued, and a replacement
       forked from the parent — which still holds the warm
-      :class:`~repro.core.routing.RoutingContext` and any shared-memory
-      arena, so the respawn re-inherits everything for free;
+      :class:`~repro.core.routing.RoutingContext`, so the respawn
+      re-inherits everything for free;
     * a **hung** worker is declared dead when its shard's size-scaled
       deadline (:meth:`SupervisionPolicy.deadline_for`) expires, then
       killed and replaced the same way;
@@ -706,17 +704,15 @@ class ExperimentContext:
     def close(self) -> None:
         """Release owned OS resources (idempotent).
 
-        Shuts down the persistent fork pool (no-op if never forked) and
-        unlinks the routing context's shared-memory arena, if any.  Runs
-        on every exit path: ``with`` blocks and explicit calls on the
-        happy path, the module atexit hook (which the CLI's SIGTERM
+        Shuts down the persistent fork pool (no-op if never forked).
+        Runs on every exit path: ``with`` blocks and explicit calls on
+        the happy path, the module atexit hook (which the CLI's SIGTERM
         handler reaches via ``SystemExit``) on interrupted ones.
         """
         if self._pool is not None:
             self._pool.terminate()
             self._pool.join()
             self._pool = None
-        self.graph_ctx.close()
 
     def __enter__(self) -> "ExperimentContext":
         return self
@@ -827,7 +823,6 @@ def make_context(
     attack: AttackStrategy | str = DEFAULT_ATTACK,
     profile_path: str | None = None,
     vectorized: bool | None = None,
-    shared_memory: bool | None = None,
     supervision: SupervisionPolicy | None = None,
     failure_log: FailureLog | None = None,
 ) -> ExperimentContext:
@@ -847,11 +842,6 @@ def make_context(
         vectorized: force the numpy bucket kernel on (True) or off
             (False); None picks it automatically for graphs of
             :data:`repro.core.routing.VECTORIZED_MIN_N` ASes or more.
-        shared_memory: place the frozen routing buffers in a
-            shared-memory arena (see :mod:`repro.core.shm`); None
-            enables it automatically for multi-process runs on
-            vectorized-sized graphs, where fork workers would otherwise
-            duplicate the adjacency via refcount churn.
         supervision: deadline/retry/backoff policy for the supervised
             pool (defaults are generous; see :class:`SupervisionPolicy`).
         failure_log: the :class:`~repro.experiments.failures.FailureLog`
@@ -863,41 +853,17 @@ def make_context(
         attack = strategy_from_token(attack)
     if failure_log is None:
         failure_log = FailureLog()
-    # Startup hygiene: a predecessor SIGKILL'd hard enough to take its
-    # resource tracker down may have leaked /dev/shm segments; reclaim
-    # them before this run creates its own.
-    if HAVE_SHARED_MEMORY:
-        for name in reclaim_orphans():
-            failure_log.record(
-                "arena_reclaimed",
-                detail=f"unlinked orphaned shared-memory segment {name} "
-                "(creator process no longer exists)",
-            )
     topo = generate_topology(TopologyParams(n=scale_obj.n, seed=seed))
     graph = topo.graph
     if ixp:
         graph = augment_with_ixp_peering(graph, topo.ixp_members).graph
-    if shared_memory is None:
-        shared_memory = (
-            HAVE_SHARED_MEMORY
-            and processes > 1
-            and scale_obj.n >= VECTORIZED_MIN_N
-        )
     tiers = classify_tiers(graph)
     ectx = ExperimentContext(
         scale=scale_obj,
         seed=seed,
         ixp=ixp,
         topo=topo,
-        graph_ctx=RoutingContext(
-            graph,
-            vectorized=vectorized,
-            shared=shared_memory,
-            # The frozen CSR is deterministic in these inputs, so
-            # sibling contexts for the same topology (a service keeping
-            # several resident) share one physical segment.
-            shared_key=("ctx", scale_obj.name, scale_obj.n, seed, ixp),
-        ),
+        graph_ctx=RoutingContext(graph, vectorized=vectorized),
         tiers=tiers,
         catalog=ScenarioCatalog(graph, tiers),
         processes=processes,
@@ -980,6 +946,11 @@ def evaluate_requests(
     starting the next chain.  Chains already evaluated were persisted,
     the in-flight pool shard is never interrupted mid-chain, so a
     cancelled run leaves the store consistent and resumable.
+
+    Raises ``ValueError`` before anything is evaluated when a request
+    targets another topology than the context's, or puts a transit AS
+    in simplex mode (:meth:`~repro.core.routing.RoutingContext.
+    require_stub_simplex`).
     """
     unique: dict[str, EvalRequest] = {}
     for request in requests:
@@ -998,6 +969,10 @@ def evaluate_requests(
                 f"but the context is ({ectx.scale.name}, seed {ectx.seed}, "
                 f"ixp {ectx.ixp})"
             )
+        if request.deployment_simplex:
+            # Here, not in a worker: the pool would retry and degrade a
+            # request that cannot succeed.
+            ectx.graph_ctx.require_stub_simplex(request.to_deployment())
         if store is not None:
             hit = store.get(scenario_hash)
             if hit is not None:

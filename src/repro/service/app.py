@@ -18,7 +18,7 @@ One :class:`Service` owns
   content addresses over every evaluation input — a hash's result can
   never go stale), and
 * the shared :class:`~repro.experiments.failures.FailureLog` every
-  layer (store, pool, arenas, jobs) records incidents to.
+  layer (store, pool, jobs) records incidents to.
 
 The request journey for ``POST /v1/metrics``: parse canonical requests
 → hash → *admission* (hot cache → breaker-guarded store lookup →
@@ -55,7 +55,6 @@ import sqlite3
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from ..core.shm import arena_stats
 from ..experiments.config import DEFAULT_SEED
 from ..experiments.failures import EvaluationCancelled, FailureLog
 from ..experiments.faults import active_plan
@@ -285,8 +284,6 @@ class Service:
         processes: int = 1,
         attack: str | None = None,
         max_contexts: int = DEFAULT_MAX_CONTEXTS,
-        shared_memory: bool | None = None,
-        vectorized: bool | None = None,
         default_scale: str = "small",
         default_seed: int = DEFAULT_SEED,
         failure_log: FailureLog | None = None,
@@ -303,8 +300,6 @@ class Service:
         self.processes = processes
         self.attack = attack
         self.max_contexts = max_contexts
-        self.shared_memory = shared_memory
-        self.vectorized = vectorized
         self.default_scale = default_scale
         self.default_seed = default_seed
         self.max_inflight = max_inflight
@@ -464,8 +459,6 @@ class Service:
                         seed=seed,
                         ixp=ixp,
                         processes=self.processes,
-                        vectorized=self.vectorized,
-                        shared_memory=self.shared_memory,
                         failure_log=self.failure_log,
                     )
                     if self.attack is not None:
@@ -965,7 +958,6 @@ class Service:
                     "total": len(self.failure_log),
                     "by_kind": incidents,
                 },
-                "arenas": arena_stats(),
             }
         )
 
@@ -985,8 +977,7 @@ class Service:
 
     async def aclose(self) -> None:
         """Graceful shutdown: drain jobs and chain tasks, close
-        contexts (terminating their pools and releasing arenas),
-        release the executor.
+        contexts (terminating their pools), release the executor.
 
         The store stays open — the caller that opened it closes it.
         """

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -56,6 +57,22 @@ def delta_budget(monkeypatch):
         )
 
     return pin
+
+
+@pytest.fixture()
+def pid_alive():
+    """``pid_alive(pid)``: whether a process with this pid exists (the
+    SIGTERM tests assert that a signalled run took its pool workers
+    down with it)."""
+
+    def alive(pid: int) -> bool:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+    return alive
 
 
 def make_line_graph():

@@ -27,16 +27,19 @@ from repro.core import (
     BASELINE,
     Deployment,
     DestinationSweep,
+    RolloutSweep,
     RoutingContext,
     SECURITY_MODELS,
     batch_happiness_counts,
     batch_outcomes,
     compute_routing_outcome,
     lp2_variant,
+    rollout_happiness_counts,
+    security_metric,
 )
 from repro.core.attacks import DEFAULT_ATTACK
 from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
-from repro.topology import TopologyParams, generate_topology
+from repro.topology import TopologyParams, generate_topology, graph_from_edges
 from repro.topology.ixp import augment_with_ixp_peering
 
 SEEDS = list(range(12))  # >= 10 topologies, all distinct
@@ -191,6 +194,59 @@ def test_sweep_rejects_bad_attackers():
         sweep.happiness_counts(destination)
     with pytest.raises(ValueError):
         sweep.happiness_counts(-42)
+
+
+#: Simplex members 1 and 2 have customers.  Before the sweep side
+#: rejected that, it answered ``[(3, 3, 3), (0, 0, 3)]`` for the two
+#: pairs below under ``security_1st`` where both oracles say ``(0, 0)``.
+TRANSIT_SIMPLEX = Deployment(full=frozenset({3, 5}), simplex=frozenset({1, 2}))
+TRANSIT_SIMPLEX_PAIRS = [(5, 1), (4, 1)]
+
+
+def _five_as_graph():
+    return graph_from_edges(
+        customer_provider=[(2, 1), (3, 2), (4, 2), (4, 3), (5, 3)]
+    )
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda g, dep, model, pairs: security_metric(g, pairs, dep, model),
+        lambda g, dep, model, pairs: batch_happiness_counts(g, pairs, dep, model),
+        # one attacker a destination: the per-pair arm of the batch
+        lambda g, dep, model, pairs: batch_happiness_counts(g, pairs[:1], dep, model),
+        lambda g, dep, model, pairs: rollout_happiness_counts(
+            g, pairs + [(3, 1), (2, 1)], [Deployment.empty(), dep], model
+        ),
+        lambda g, dep, model, pairs: DestinationSweep(g, 1, dep, model),
+        lambda g, dep, model, pairs: RolloutSweep(
+            g, 1, Deployment.empty(), model
+        ).advance(dep),
+    ],
+    ids=[
+        "security_metric", "batch", "batch_single_attacker", "rollout",
+        "DestinationSweep", "RolloutSweep.advance",
+    ],
+)
+def test_sweep_side_rejects_transit_simplex(entry):
+    with pytest.raises(ValueError, match=r"1, 2 .*compute_routing_outcome"):
+        entry(
+            _five_as_graph(), TRANSIT_SIMPLEX, SECURITY_MODELS[0],
+            TRANSIT_SIMPLEX_PAIRS,
+        )
+
+
+def test_per_pair_engine_still_evaluates_transit_simplex():
+    graph = _five_as_graph()
+    ref_ctx = RefRoutingContext(graph)
+    for m, d in TRANSIT_SIMPLEX_PAIRS:
+        kwargs = dict(
+            attacker=m, deployment=TRANSIT_SIMPLEX, model=SECURITY_MODELS[0]
+        )
+        ours = compute_routing_outcome(graph, d, **kwargs).count_happy()
+        ref = ref_compute_routing_outcome(ref_ctx, d, **kwargs).count_happy()
+        assert ours == ref == (0, 0)
 
 
 @pytest.mark.parametrize("ixp", [False, True], ids=["base", "ixp"])

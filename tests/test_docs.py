@@ -23,7 +23,6 @@ import repro.core
 import repro.core.attacks
 import repro.core.metrics
 import repro.core.routing
-import repro.core.shm
 import repro.experiments.faults
 import repro.experiments.scenarios
 import repro.experiments.store
@@ -37,7 +36,6 @@ DOCTEST_MODULES = (
     repro.core.attacks,
     repro.core.metrics,
     repro.core.routing,
-    repro.core.shm,
     repro.experiments.faults,
     repro.experiments.scenarios,
     repro.experiments.store,

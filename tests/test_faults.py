@@ -1,5 +1,5 @@
 """Chaos suite: deterministic fault injection against the fault-
-tolerance layer (supervised pool, durable store, arena reclaim).
+tolerance layer (supervised pool, durable store).
 
 Every recovery path is driven by an armed
 :class:`~repro.experiments.faults.FaultPlan` and held to the plane's
@@ -19,7 +19,6 @@ import random
 import pytest
 
 from repro.core import SECURITY_SECOND, Deployment
-from repro.core.shm import _SHM_DIR, HAVE_SHARED_MEMORY, reclaim_orphans
 from repro.experiments import (
     EvaluationFailure,
     FailureLog,
@@ -201,13 +200,26 @@ class TestChaosRecovery:
     """Each fault class recovers with bit-identical results."""
 
     def test_worker_sigkill(self, workload):
+        """A SIGKILL'd worker is respawned from the warm parent (fresh
+        pid) and the results stay bit-identical."""
         pairs, deployment, clean = workload
-        result, log = _run_with_faults(
-            FaultPlan([Fault(kind="worker_kill", shard=0)])
-        )
+        log = FailureLog()
+        FaultPlan([Fault(kind="worker_kill", shard=0)]).arm()
+        try:
+            with make_context(
+                scale="tiny", seed=CHAOS_SEED, processes=2,
+                supervision=QUICK, failure_log=log,
+            ) as pectx:
+                pool = pectx._ensure_pool()
+                pids_before = pool.worker_pids
+                result = pectx.metric(pairs, deployment, SECURITY_SECOND)
+                pids_after = pool.worker_pids
+        finally:
+            disarm()
         assert result.per_pair == clean.per_pair
         assert result.value == clean.value
         assert log.count("worker_dead") >= 1
+        assert set(pids_after) != set(pids_before)
         assert not log.scenario_failures()
 
     def test_worker_hang_past_deadline(self, workload):
@@ -265,46 +277,6 @@ class TestChaosRecovery:
         finally:
             disarm()
         assert log.count("shard_degraded") >= 1
-
-
-@pytest.mark.skipif(
-    not HAVE_SHARED_MEMORY, reason="needs numpy + shared_memory"
-)
-class TestSigkillWithSharedArena:
-    def test_respawn_reinherits_arena_and_leaks_nothing(self, workload):
-        """A SIGKILL'd worker is respawned from the warm parent (fresh
-        pid, same shared arena), results stay bit-identical, and no
-        ``/dev/shm`` segment outlives the context."""
-        pairs, deployment, clean = workload
-        log = FailureLog()
-        FaultPlan([Fault(kind="worker_kill", shard=0)]).arm()
-        try:
-            with make_context(
-                scale="tiny", seed=CHAOS_SEED, processes=2,
-                shared_memory=True, supervision=QUICK, failure_log=log,
-            ) as pectx:
-                arena = pectx.graph_ctx.shared_arena
-                assert arena is not None and not arena.closed
-                pool = pectx._ensure_pool()
-                pids_before = pool.worker_pids
-                pairs, deployment = _skewed_pairs(pectx)
-                result = pectx.metric(pairs, deployment, SECURITY_SECOND)
-                pids_after = pool.worker_pids
-        finally:
-            disarm()
-        assert result.per_pair == clean.per_pair
-        assert log.count("worker_dead") >= 1
-        # At least one slot was respawned with a fresh pid...
-        assert set(pids_after) != set(pids_before)
-        # ...and the parent's arena survived the whole episode, then was
-        # unlinked on context exit: nothing left in /dev/shm.
-        assert arena.closed
-        leaked = [
-            entry
-            for entry in os.listdir(_SHM_DIR)
-            if entry.startswith("repro-")
-        ] if os.path.isdir(_SHM_DIR) else []
-        assert leaked == []
 
 
 class TestDurableStore:
@@ -439,73 +411,6 @@ class TestDurableStore:
         reopened = ResultStore(tmp_path / "cache")
         assert len(reopened) == 2
         assert reopened.get(req2.scenario_hash).per_pair == result2.per_pair
-
-
-@pytest.mark.skipif(
-    not HAVE_SHARED_MEMORY, reason="needs numpy + shared_memory"
-)
-class TestArenaReclaim:
-    def _orphan(self):
-        """A /dev/shm segment whose embedded creator pid is dead."""
-        import multiprocessing
-        from multiprocessing import shared_memory
-
-        proc = multiprocessing.get_context("fork").Process(target=int)
-        proc.start()
-        proc.join()
-        name = f"repro-{proc.pid}-deadbeef"
-        return shared_memory.SharedMemory(name=name, create=True, size=16)
-
-    def _force_unlink(self, name):
-        from multiprocessing import shared_memory
-
-        try:
-            shared_memory.SharedMemory(name=name).unlink()
-        except FileNotFoundError:
-            pass
-
-    def test_orphaned_segment_is_reclaimed(self):
-        segment = self._orphan()
-        try:
-            assert segment.name in reclaim_orphans()
-            assert not os.path.exists(os.path.join(_SHM_DIR, segment.name))
-        finally:
-            segment.close()
-            self._force_unlink(segment.name)
-
-    def test_live_and_foreign_segments_are_left_alone(self):
-        from multiprocessing import shared_memory
-
-        live = shared_memory.SharedMemory(
-            name=f"repro-{os.getpid()}-0cafe0", create=True, size=16
-        )
-        foreign = shared_memory.SharedMemory(
-            name="unrelated-1-abcdef", create=True, size=16
-        )
-        try:
-            reclaimed = reclaim_orphans()
-            assert live.name not in reclaimed
-            assert foreign.name not in reclaimed
-            assert os.path.exists(os.path.join(_SHM_DIR, live.name))
-        finally:
-            for segment in (live, foreign):
-                segment.close()
-                self._force_unlink(segment.name)
-
-    def test_make_context_reclaims_and_records_incident(self):
-        segment = self._orphan()
-        log = FailureLog()
-        try:
-            with make_context(
-                scale="tiny", seed=CHAOS_SEED, failure_log=log
-            ):
-                pass
-            reclaimed = log.of_kind("arena_reclaimed")
-            assert len(reclaimed) == 1
-            assert segment.name in reclaimed[0].detail
-        finally:
-            segment.close()
-            self._force_unlink(segment.name)
 
 
 class TestCliExitContract:

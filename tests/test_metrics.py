@@ -13,6 +13,7 @@ from repro.core import (
     metric_improvement,
     security_metric,
 )
+from repro.core.metrics import _mean_interval
 from repro.topology import graph_from_edges
 
 
@@ -113,19 +114,6 @@ class TestSecurityMetric:
         result = security_metric(small_ctx, pairs, Deployment.empty(), BASELINE)
         assert result.value.lower <= result.value.upper
 
-    def test_custom_mapper_used(self, graph):
-        calls = []
-
-        def spy_mapper(func, items):
-            items = list(items)
-            calls.append(len(items))
-            return map(func, items)
-
-        security_metric(
-            graph, [(666, 1)], Deployment.empty(), BASELINE, mapper=spy_mapper
-        )
-        assert calls == [1]
-
 
 class TestMetricForDestination:
     def test_excludes_self_attack(self, graph):
@@ -147,17 +135,17 @@ class TestBatchHappiness:
         ]
         assert batch == singles
 
-    def test_security_metric_fast_path_equals_mapper_path(self, small_ctx):
+    def test_security_metric_equals_per_pair_attack_happiness(self, small_ctx):
         asns = small_ctx.asns
         pairs = [(asns[-1], asns[0]), (asns[-2], asns[1]), (asns[-5], asns[7])]
         dep = Deployment.of(asns[: len(asns) // 4])
         fast = security_metric(small_ctx, pairs, dep, SECURITY_THIRD)
-        slow = security_metric(
-            small_ctx, pairs, dep, SECURITY_THIRD,
-            mapper=lambda f, items: [f(i) for i in items],
+        slow = tuple(
+            attack_happiness(small_ctx, m, d, dep, SECURITY_THIRD)
+            for m, d in pairs
         )
-        assert fast.value == slow.value
-        assert fast.per_pair == slow.per_pair
+        assert fast.per_pair == slow
+        assert fast.value == _mean_interval(slow)
 
 
 class TestMetricImprovement:

@@ -242,8 +242,9 @@ class TestRolloutSweep:
 
     def test_advance_allows_simplex_promotion(self):
         graph, _tiers = make_topology(11)
-        members = graph.asns[:6]
-        start = Deployment(full=frozenset(members[:3]), simplex=frozenset(members[3:]))
+        stubs = [a for a in graph.asns[:-1] if graph.is_stub(a)][:3]
+        members = graph.asns[:3] + stubs
+        start = Deployment(full=frozenset(members[:3]), simplex=frozenset(stubs))
         promoted = Deployment.of(members)  # simplex members promoted to full
         d = graph.asns[-1]
         sweep = RolloutSweep(graph, d, start)

@@ -34,6 +34,12 @@ def ectx():
     return make_context(scale="tiny", seed=2013)
 
 
+def _stubs(ectx, k):
+    """``k`` stub ASes — the only legal simplex members (§5.3.2)."""
+    graph = ectx.graph
+    return [asn for asn in graph.asns if graph.is_stub(asn)][:k]
+
+
 def _request(ectx, pairs, deployment=None, model=BASELINE):
     return request_for(ectx, pairs, deployment or Deployment.empty(), model)
 
@@ -69,13 +75,15 @@ class TestEvalRequest:
         )
 
     def test_simplex_mode_is_part_of_identity(self, ectx):
-        a, b, c = ectx.graph.asns[:3]
+        a, b = ectx.graph.asns[:2]
+        (c,) = _stubs(ectx, 1)
         full = _request(ectx, [(a, b)], Deployment(full=frozenset([c])))
         simplex = _request(ectx, [(a, b)], Deployment(simplex=frozenset([c])))
         assert full.scenario_hash != simplex.scenario_hash
 
     def test_round_trip_views(self, ectx):
-        a, b, c = ectx.graph.asns[:3]
+        a, c = ectx.graph.asns[:2]
+        (b,) = _stubs(ectx, 1)
         dep = Deployment(full=frozenset([a]), simplex=frozenset([b]))
         req = _request(ectx, [(b, c)], dep, SECURITY_SECOND)
         assert req.to_deployment() == dep
@@ -429,7 +437,7 @@ class TestChainDetection:
     def test_simplex_promotion_is_nested(self, ectx):
         from repro.experiments.scenarios import deployment_nested
 
-        members = ectx.graph.asns[3:6]
+        members = _stubs(ectx, 3)
         simplexed = self._req(ectx, members[:1], simplex=frozenset(members[1:]))
         promoted = self._req(ectx, members)
         demoted = self._req(ectx, members[:1], simplex=frozenset())
@@ -549,6 +557,23 @@ class TestScheduler:
             req = request_for(other, [(a, b)], Deployment.empty(), BASELINE)
             with pytest.raises(ValueError):
                 evaluate_requests(ectx, [req])
+
+    def test_requests_reject_transit_simplex_before_dispatch(self):
+        """Raised in the parent: a pool would retry, then degrade, a
+        request that cannot succeed."""
+        with make_context(scale="tiny", seed=2013, processes=2) as ectx:
+            graph = ectx.graph
+            transit = next(a for a in graph.asns if not graph.is_stub(a))
+            others = [a for a in graph.asns if a != transit]
+            pairs = [(m, others[0]) for m in others[1:9]]
+            req = request_for(
+                ectx, pairs, Deployment(simplex=frozenset([transit])),
+                SECURITY_SECOND,
+            )
+            with pytest.raises(ValueError, match=f"{transit} .*customers"):
+                evaluate_requests(ectx, [req])
+            assert ectx.metric_evaluations == 0
+            assert len(ectx.failure_log) == 0
 
     def test_second_run_evaluates_zero_scenarios(self, tmp_path):
         """Warm-store rerun: the acceptance counter stays at zero."""

@@ -4,12 +4,11 @@ Each test spins the asyncio HTTP server on an ephemeral port inside
 ``asyncio.run`` and talks to it with a minimal raw-socket client (no
 extra dependencies) — cold miss → evaluate → warm hit, single-flight
 dedupe, chain-progress streaming, job semantics, and the SIGTERM
-shutdown drain (reusing the ``/dev/shm`` leak-test pattern from
+shutdown drain (reusing the leaked-worker pattern from
 ``test_vectorized.py``).
 """
 
 import asyncio
-import glob
 import json
 import os
 import signal
@@ -21,7 +20,6 @@ import time
 import pytest
 
 from repro.core import SECURITY_SECOND, Deployment
-from repro.core.shm import HAVE_SHARED_MEMORY
 from repro.experiments import open_store
 from repro.experiments.scenarios import EvalRequest
 from repro.service import Service, create_server
@@ -146,6 +144,40 @@ class TestMetricsEndpoint:
             assert entry2["result"] == entry["result"]
             assert service.evaluations == 1  # the warm hit evaluated nothing
             assert service.hits == 1 and service.misses == 1
+
+        _run(scenario, tmp_path)
+
+    def test_simplex_is_for_stubs(self, tmp_path):
+        """A simplex member with customers is that scenario's failed
+        result (the sweeps reject it); stub-only simplex evaluates."""
+        from repro.experiments import make_context
+
+        with make_context("tiny", seed=SEED) as ectx:
+            graph = ectx.graph
+        stub = next(a for a in graph.asns if graph.is_stub(a) and a > 3)
+        transit = next(a for a in graph.asns if not graph.is_stub(a) and a > 3)
+
+        def simplex_request(member):
+            return EvalRequest.build(
+                scale="tiny", seed=SEED, ixp=False, pairs=[(3, 2)],
+                deployment=Deployment(simplex=frozenset([member])),
+                model=SECURITY_SECOND,
+            )
+
+        async def scenario(client, service, store):
+            good, bad = simplex_request(stub), simplex_request(transit)
+            status, reply = await client.request(
+                "POST", "/v1/metrics",
+                {"requests": [good.canonical(), bad.canonical()]},
+            )
+            assert status == 200
+            ok, failed = reply["results"]
+            assert ok["ok"] and ok["hash"] == good.scenario_hash
+            assert not failed["ok"] and failed["hash"] == bad.scenario_hash
+            assert f"{transit} have customers" in failed["error"]
+            assert reply["failed"] == 1
+            assert bad.scenario_hash not in store
+            assert service.failure_log.kinds() == {"chain_failed"}
 
         _run(scenario, tmp_path)
 
@@ -431,7 +463,7 @@ class TestHealthAndStats:
             ]
             assert stats["evaluations"] == 1
             assert stats["inflight"] == 0
-            assert "arenas" in stats and "incidents" in stats
+            assert "incidents" in stats
 
         _run(scenario, tmp_path)
 
@@ -700,7 +732,6 @@ _SHUTDOWN_CHILD = r"""
 import asyncio, signal, sys
 sys.path.insert(0, {src!r})
 from repro.core import Deployment, SECURITY_SECOND
-from repro.core.shm import active_segments
 from repro.experiments import open_store
 from repro.experiments.runner import evaluate_requests
 from repro.experiments.scenarios import EvalRequest
@@ -708,10 +739,8 @@ from repro.service import Service, create_server
 
 async def main():
     store = open_store({cache!r}, backend="sqlite")
-    service = Service(
-        store, default_scale="tiny", processes=2, shared_memory=True
-    )
-    # Resident context with a shared arena + a forked, warmed pool.
+    service = Service(store, default_scale="tiny", processes=2)
+    # Resident context with a forked, warmed pool.
     ectx, _lock = await service.context_for("tiny", 2013, False)
     request = EvalRequest.build(
         scale="tiny", seed=2013, ixp=False, pairs=[(3, 2)],
@@ -728,24 +757,22 @@ async def main():
         shutdown.set()
     loop = asyncio.get_running_loop()
     loop.add_signal_handler(signal.SIGTERM, stop, signal.SIGTERM)
-    print("READY", server.port, ",".join(active_segments()), flush=True)
+    print("READY", server.port, *ectx._ensure_pool().worker_pids, flush=True)
     await shutdown.wait()
     await server.stop()
     await service.aclose()
     store.close()
-    print("SEGMENTS-AFTER", ",".join(active_segments()), flush=True)
     return code
 
 sys.exit(asyncio.run(main()))
 """
 
 
-@pytest.mark.skipif(not HAVE_SHARED_MEMORY, reason="no shared memory")
-def test_sigterm_drains_pool_and_tears_down_arenas(tmp_path):
-    """SIGTERM on a serving process with a warm pool and a shared arena
-    must drain gracefully: exit ``128+SIGTERM``, unlink every arena
-    segment, and leave no ``/dev/shm`` entry behind (the pattern from
-    ``test_vectorized.py``'s leak test, applied to the service)."""
+def test_sigterm_drains_and_takes_pool_workers_down(tmp_path, pid_alive):
+    """SIGTERM on a serving process with a warm pool must drain
+    gracefully: exit ``128+SIGTERM`` promptly and leave no pool worker
+    behind (the pattern from ``test_vectorized.py``'s SIGTERM test,
+    applied to the service)."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     child = _SHUTDOWN_CHILD.format(
         src=os.path.abspath(src), cache=str(tmp_path / "cache")
@@ -754,60 +781,19 @@ def test_sigterm_drains_pool_and_tears_down_arenas(tmp_path):
         [sys.executable, "-c", child], stdout=subprocess.PIPE, text=True
     )
     try:
-        line = proc.stdout.readline().strip()
-        assert line.startswith("READY "), line
-        _, port, segments = line.split(" ", 2)
-        names = [n for n in segments.split(",") if n]
-        assert names, "expected at least one live arena segment"
-        for name in names:
-            assert os.path.exists(f"/dev/shm/{name}")
+        line = proc.stdout.readline().split()
+        assert line[0] == "READY" and len(line) == 4, line
+        worker_pids = [int(pid) for pid in line[2:]]
+        assert all(pid_alive(pid) for pid in worker_pids)
         proc.send_signal(signal.SIGTERM)
+        signalled = time.monotonic()
         returncode = proc.wait(timeout=60)
-        after = proc.stdout.read()
+        exit_s = time.monotonic() - signalled
     finally:
         if proc.poll() is None:  # pragma: no cover - cleanup on failure
             proc.kill()
             proc.wait()
         proc.stdout.close()
     assert returncode == 128 + signal.SIGTERM
-    after_lines = [
-        line.strip()
-        for line in after.splitlines()
-        if line.startswith("SEGMENTS-AFTER")
-    ]
-    assert after_lines == ["SEGMENTS-AFTER"]  # no live segments remained
-    for name in names:
-        assert not os.path.exists(f"/dev/shm/{name}")
-    leaked = [
-        seg
-        for seg in glob.glob("/dev/shm/repro-*")
-        if f"-{proc.pid}-" in seg
-    ]
-    assert leaked == []
-
-
-class TestKeyedArenaSharing:
-    @pytest.mark.skipif(not HAVE_SHARED_MEMORY, reason="no shared memory")
-    def test_sibling_contexts_share_one_segment(self, tmp_path):
-        """Two resident contexts for the same topology map one physical
-        arena; the segment survives the first close and unlinks on the
-        last."""
-        from repro.experiments.runner import make_context
-
-        a = make_context("tiny", seed=2013, shared_memory=True)
-        b = make_context("tiny", seed=2013, shared_memory=True)
-        try:
-            arena_a = a.graph_ctx.shared_arena
-            arena_b = b.graph_ctx.shared_arena
-            assert arena_a is arena_b
-            assert arena_a.refs == 2
-            other = make_context("tiny", seed=7, shared_memory=True)
-            assert other.graph_ctx.shared_arena is not arena_a
-            other.close()
-            a.close()
-            assert not arena_a.closed  # b still holds it
-            assert os.path.exists(f"/dev/shm/{arena_a.name}")
-        finally:
-            b.close()
-        assert arena_a.closed
-        assert not os.path.exists(f"/dev/shm/{arena_a.name}")
+    assert exit_s < 5.0
+    assert not any(pid_alive(pid) for pid in worker_pids)

@@ -8,20 +8,19 @@ observable (counts, routes, rank keys, next-hop sets), for every rank
 model, attacker strategy and graph variant.  The grid here runs the
 full cross product at reduced scale; the pure path stays the oracle.
 
-The shared-memory arena (:mod:`repro.core.shm`) rides along: its
-lifecycle tests live here too, plus the fork-teardown regression (a
-SIGTERM'd run must not leak ``/dev/shm`` segments or pool workers).
+The fork-teardown regression rides along: a SIGTERM'd run must not
+leave pool workers behind.
 """
 
 from __future__ import annotations
 
-import glob
 import os
 import random
 import signal
 import subprocess
 import sys
 import time
+from array import array
 
 import pytest
 
@@ -42,7 +41,6 @@ from repro.core.routing import (
     compute_routing_outcome,
     rollout_happiness_counts,
 )
-from repro.core.shm import HAVE_SHARED_MEMORY, SharedArena, active_segments
 from repro.topology import TopologyParams, generate_topology
 from repro.topology.ixp import augment_with_ixp_peering
 
@@ -263,72 +261,28 @@ class TestKernelSelection:
         assert set(paths.values()) == {"vectorized", "dense"}
 
 
-@pytest.mark.skipif(not HAVE_SHARED_MEMORY, reason="no shared memory")
-class TestSharedArena:
-    def test_views_round_trip_and_survive_unlink(self):
-        arena = SharedArena(
-            {
-                "a": np.arange(5, dtype=np.int64),
-                "b": np.array([1, 0, 1], dtype=np.uint8),
-            }
-        )
-        try:
-            assert arena.array("a").tolist() == [0, 1, 2, 3, 4]
-            assert arena.array("b").dtype == np.uint8
-            assert arena.name in active_segments()
-            assert os.path.exists(f"/dev/shm/{arena.name}")
-        finally:
-            arena.close()
-        assert arena.closed
-        assert arena.name not in active_segments()
-        assert not os.path.exists(f"/dev/shm/{arena.name}")
-        # POSIX keeps the mapping alive until the last unmap.
-        assert arena.array("a").tolist() == [0, 1, 2, 3, 4]
-        arena.close()  # idempotent
-
-    def test_shared_context_is_bit_identical(self, graph, pure_ctx):
-        with RoutingContext(graph, vectorized=True, shared=True) as ctx:
-            assert ctx.shared_arena is not None
-            assert ctx.rank_coeffs is not None
-            for m, d, dep in _instances(graph, "shm", k=2):
-                shared = compute_routing_outcome(
-                    ctx, d, attacker=m, deployment=dep,
-                    model=SECURITY_MODELS[0],
-                )
-                pure = compute_routing_outcome(
-                    pure_ctx, d, attacker=m, deployment=dep,
-                    model=SECURITY_MODELS[0],
-                )
-                assert dict(shared.routes) == dict(pure.routes)
-        assert ctx.shared_arena.closed
-
-    def test_context_close_unlinks_segment(self, graph):
-        ctx = RoutingContext(graph, shared=True)
-        name = ctx.shared_arena.name
-        assert os.path.exists(f"/dev/shm/{name}")
-        ctx.close()
-        assert not os.path.exists(f"/dev/shm/{name}")
-        ctx.close()  # idempotent
-
-
 class TestContextWiring:
-    """make_context's vectorized / shared-memory / stratified plumbing."""
+    """make_context's vectorized / stratified plumbing."""
 
     def test_defaults_stay_pure_at_small_scales(self):
         from repro.experiments.runner import make_context
 
         with make_context("tiny") as ectx:
             assert not ectx.graph_ctx.vectorized
-            assert ectx.graph_ctx.shared_arena is None
+            # Fork shares the frozen CSR for free only while its buffers
+            # hold no per-element objects: a worker reading a list of
+            # ints writes refcounts and so copies its pages; one
+            # array / bytearray object per buffer has nothing to write.
+            assert type(ectx.graph_ctx.adj_start) is array
+            assert type(ectx.graph_ctx.adj_node) is array
+            assert type(ectx.graph_ctx.adj_class) is bytearray
+            assert type(ectx.graph_ctx.adj_custflag) is bytearray
 
     def test_explicit_overrides(self):
         from repro.experiments.runner import make_context
 
-        with make_context("tiny", vectorized=True, shared_memory=True) as ectx:
+        with make_context("tiny", vectorized=True) as ectx:
             assert ectx.graph_ctx.vectorized
-            arena = ectx.graph_ctx.shared_arena
-            assert arena is not None and not arena.closed
-        assert arena.closed  # context close() unlinked it
 
     def test_stratified_scale_changes_baseline_pairs(self):
         from dataclasses import replace
@@ -354,19 +308,17 @@ from repro.experiments.cli import _install_sigterm_handler
 from repro.experiments.runner import make_context, run_experiments
 
 _install_sigterm_handler()
-ectx = make_context("tiny", processes=2, shared_memory=True)
-print("ARENA", ectx.graph_ctx.shared_arena.name, flush=True)
+ectx = make_context("tiny", processes=2)
+print("WORKERS", *ectx._ensure_pool().worker_pids, flush=True)
 while True:  # evaluate until killed
     ectx.cache.clear()
     run_experiments(ectx, ["baseline"], store=None)
 """
 
 
-@pytest.mark.skipif(not HAVE_SHARED_MEMORY, reason="no shared memory")
-def test_sigterm_mid_run_leaks_nothing(tmp_path):
-    """Kill a multi-process shared-memory run mid-evaluation: the
-    SIGTERM handler + atexit teardown must unlink the arena and take
-    the pool workers down with the parent."""
+def test_sigterm_mid_run_leaks_nothing(pid_alive):
+    """Kill a multi-process run mid-evaluation: the SIGTERM handler +
+    atexit teardown must take the pool workers down with the parent."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     proc = subprocess.Popen(
         [sys.executable, "-c", _TEARDOWN_CHILD.format(src=os.path.abspath(src))],
@@ -374,11 +326,11 @@ def test_sigterm_mid_run_leaks_nothing(tmp_path):
         text=True,
     )
     try:
-        line = proc.stdout.readline().strip()
-        assert line.startswith("ARENA "), line
-        name = line.split()[1]
-        assert os.path.exists(f"/dev/shm/{name}")
-        time.sleep(1.0)  # let the pool fork and an evaluation start
+        line = proc.stdout.readline().split()
+        assert line[0] == "WORKERS" and len(line) == 3, line
+        worker_pids = [int(pid) for pid in line[1:]]
+        assert all(pid_alive(pid) for pid in worker_pids)
+        time.sleep(1.0)  # let an evaluation start
         proc.send_signal(signal.SIGTERM)
         signalled = time.monotonic()
         returncode = proc.wait(timeout=60)
@@ -392,10 +344,4 @@ def test_sigterm_mid_run_leaks_nothing(tmp_path):
     # Busy workers die on the pool's SIGTERM; none sits out the 10 s
     # kill fallback of SupervisedPool.join.
     assert exit_s < 5.0
-    assert not os.path.exists(f"/dev/shm/{name}")
-    leaked = [
-        seg
-        for seg in glob.glob("/dev/shm/repro-*")
-        if f"-{proc.pid}-" in seg
-    ]
-    assert leaked == []
+    assert not any(pid_alive(pid) for pid in worker_pids)

@@ -1,69 +1,32 @@
 #!/usr/bin/env python
-"""Fail if the run left shared-memory arena segments in ``/dev/shm``.
+"""Fail if ``/dev/shm`` holds a ``repro-*`` entry.
 
-CI runs this after every test job: a leaked ``repro-*`` segment means
-some teardown path (arena close, atexit hook, supervised-pool cleanup)
-regressed.  Locally, ``--reclaim`` unlinks segments whose creator
-process is dead instead of failing — the same reclaim the experiment
-context performs at startup (:func:`repro.core.shm.reclaim_orphans`).
+Nothing in the repository creates one any more (fork's copy-on-write
+shares the frozen buffers); this stays because
+``perfbench/test_bench_layered.py::test_nothing_is_left_behind`` runs it.
 
 Exit status: 0 when ``/dev/shm`` is clean (or absent on this platform),
-1 when leaked segments remain.
+1 when such entries exist.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(__file__), os.pardir, "src")
-)
-
-from repro.core.shm import _SHM_DIR, reclaim_orphans  # noqa: E402
+_SHM_DIR = "/dev/shm"
 
 
-def leaked_segments(prefix: str) -> list[str]:
+def main() -> int:
     if not os.path.isdir(_SHM_DIR):
-        return []
-    return sorted(
-        entry
-        for entry in os.listdir(_SHM_DIR)
-        if entry.startswith(prefix + "-")
+        return 0
+    leaked = sorted(
+        entry for entry in os.listdir(_SHM_DIR) if entry.startswith("repro-")
     )
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--prefix", default="repro", help="arena name prefix to look for"
-    )
-    parser.add_argument(
-        "--reclaim",
-        action="store_true",
-        help="unlink orphaned segments (dead creator pid) before checking",
-    )
-    args = parser.parse_args(argv)
-    if args.reclaim:
-        for name in reclaim_orphans(args.prefix):
-            print(f"reclaimed orphaned segment {name}")
-    leaked = leaked_segments(args.prefix)
     if leaked:
-        print(
-            f"FAIL: {len(leaked)} leaked shared-memory segment(s) in "
-            f"{_SHM_DIR}:",
-            file=sys.stderr,
-        )
-        for name in leaked:
-            print(f"  - {name}", file=sys.stderr)
-        print(
-            "hint: a live run owns these only while it is running; if no "
-            "repro process is alive, rerun with --reclaim.",
-            file=sys.stderr,
-        )
+        print(f"FAIL: repro-* entries in {_SHM_DIR}: {leaked}", file=sys.stderr)
         return 1
-    print(f"OK: no {args.prefix}-* segments in {_SHM_DIR}")
+    print(f"OK: no repro-* entries in {_SHM_DIR}")
     return 0
 
 
