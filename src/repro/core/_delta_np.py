@@ -6,6 +6,8 @@ one rollout advance) bit-identically, but runs the bucket-Dijkstra of
 :meth:`RoutingContext._run_np` over a *compressed* index space holding
 only the dirty dependency closure plus the baseline-unreachable nodes,
 with the clean fixed region acting as a frozen boundary of offer rows.
+A sweep's masks passed ``require_stub_simplex``, so keys are strictly
+monotone here as they are there.
 
 The pass never mutates the python scratch buffers until (and unless) the
 caller asked for the full state: its closure sweep, wave kernel and
@@ -36,7 +38,6 @@ from .routing import (
     _INF,
     _NP_INF,
     PACK_SHIFT,
-    SecurityModel,
     _DeltaOversize,
     _np_key_fn,
 )
@@ -76,13 +77,6 @@ def delta_np(sweep, att_i, extra_resets, res, need_state, budget):
     model = sweep.model
     key_of = _np_key_fn(model)
     uses_sec = model.uses_security
-    placement = model.model
-    if placement is SecurityModel.FIRST:
-        insec_shift = 2 * PACK_SHIFT
-    elif placement is SecurityModel.SECOND:
-        insec_shift = PACK_SHIFT
-    else:
-        insec_shift = -1
     dest_i = sweep._dest_i
     dest_signed = 1 if sweep._signing[dest_i] else 0
     advance = extra_resets is not None
@@ -245,7 +239,7 @@ def delta_np(sweep, att_i, extra_resets, res, need_state, budget):
         n, rebuild_loc, inv, closure, check_budget,
         tie_w_parts, tie_u_parts,
         base, start, node, cls_e, cf_b, rank_i, sign_i,
-        key_of, uses_sec, insec_shift, dest_i, dest_signed,
+        key_of, uses_sec, dest_i, dest_signed,
         att_i, att_active, att_ln, att_wire, att_exp,
     )
     (loc, fixed_c, key_c, cls_c, len_c, reach_c, wire_c, sec_c,
@@ -346,7 +340,7 @@ def delta_np(sweep, att_i, extra_resets, res, need_state, budget):
 def _run_waves(
     n, rebuild_loc, inv, closure, check_budget,
     tie_w_parts, tie_u_parts, base, start, node, cls_e, cf_b,
-    rank_i, sign_i, key_of, uses_sec, insec_shift, dest_i, dest_signed,
+    rank_i, sign_i, key_of, uses_sec, dest_i, dest_signed,
     att_i, att_active, att_ln, att_wire, att_exp,
 ):
     """Run the compressed bucket kernel, restarting on boundary
@@ -437,7 +431,6 @@ def _run_waves(
         chacc = np.full(L, n, _I64)
         endp_c = np.zeros(L, _I64)
         fixed_c = np.zeros(L, np.bool_)
-        forder_c = np.zeros(L, _I64)
         endp_glob = b_endp.copy()
         endp_glob[dest_i] = 1
         if att_i >= 0:
@@ -491,21 +484,14 @@ def _run_waves(
             k = key_of(vcls, ln, wi & rank_loc[tv])
             apply(tv, k, loc[B][rep], wi, reach_src[rep], vcls, ln)
 
-        rounds = 0
         while L:
             gmin = int(keyq.min())
             if gmin >= _NP_INF:
                 break
             B = np.flatnonzero(keyq == gmin)
-            if insec_shift >= 0 and (gmin >> insec_shift) & 1:
-                flips = np.flatnonzero(wire_c[B] & sign_loc[B])
-                if len(flips):
-                    B = B[: max(int(flips[0]), 1)]
-            rounds += 1
             keyq[B] = _NP_INF
             key_c[B] = gmin
             fixed_c[B] = True
-            forder_c[B] = rounds
             ch = chacc[B]
             choice_c[B] = ch
             ev = endp_glob[ch]
@@ -551,17 +537,14 @@ def _run_waves(
                 tie_u_parts.append(loc[vsrc[tie2]])
 
         # Final wave: global next-hop membership pairs of the re-fixed
-        # nodes (boundary members by key match; internal members also
-        # need the strict fix-order test — see _materialize_nhops).
+        # nodes, boundary and internal members alike by key match (see
+        # _materialize_nhops).
         mb = fixed_c[bx] & (kb == key_c[bx])
         mem_u_b = bu[mb]
         mem_v_b = loc[bx[mb]]
-        mi = (
-            fixed_c[isrc] & fixed_c[itgt]
-            & ((cls_c[isrc] == 0) | iecf)
-            & (forder_c[isrc] < forder_c[itgt])
+        ii = np.flatnonzero(
+            fixed_c[isrc] & fixed_c[itgt] & ((cls_c[isrc] == 0) | iecf)
         )
-        ii = np.flatnonzero(mi)
         if ii.size:
             k3 = key_of(
                 iecls[ii],

@@ -274,6 +274,7 @@ class RoutingContext:
         "peers_idx",
         "vectorized",
         "_edges_cache",
+        "_has_customers",
         "_np_adj",
         "_np_scratch",
         "_np_post",
@@ -369,6 +370,8 @@ class RoutingContext:
         self.providers_idx = providers_idx
         self.customers_idx = customers_idx
         self.peers_idx = peers_idx
+        #: 1 per node that has a customer (:meth:`_run`'s selector)
+        self._has_customers = bytes(map(bool, customers_idx))
         # Hot-loop adjacency for the pure kernel: per-node lists of
         # ``(v << 3)|(class << 1)|cust``.  Derived from the CSR; built
         # lazily on vectorized contexts, whose kernels never read it.
@@ -452,7 +455,7 @@ class RoutingContext:
     @property
     def _edges(self) -> list[list[int]]:
         """Hot-loop adjacency of the pure kernel (lazy on vectorized
-        contexts, which only need it for the :attr:`out_edges` view)."""
+        contexts: only a transit-simplex pass and :attr:`out_edges`)."""
         edges = self._edges_cache
         if edges is None:
             edges = self._edges_cache = self._build_edges()
@@ -505,10 +508,6 @@ class RoutingContext:
                 "chacc": np.empty(n, np.int64),
                 "endp": np.empty(n, np.int64),
                 "fixed": np.empty(n, np.bool_),
-                # round in which each node fixed (roots: 0) — the fix
-                # *chronology*, which under security-1st/2nd placements
-                # is not the key order (see _run_np on flip offers)
-                "forder": np.empty(n, np.int64),
             }
         return st
 
@@ -693,8 +692,15 @@ class RoutingContext:
         """Run one fixing pass over the scratch buffers (``att_i = -1``
         for normal conditions; ``attack`` parameterizes how the attacker
         root announces).  Results live in the scratch arrays and
-        :attr:`_last_counts` until the next run."""
-        if self.vectorized:
+        :attr:`_last_counts` until the next run.
+
+        A numpy context runs :meth:`_run_np` unless a node signs, does
+        not rank and has a customer (transit simplex): its signed offer
+        of a route it ranked insecure can get a key below its own, so
+        fixing order is not key order — the heap loop below handles it."""
+        if self.vectorized and not (
+            (_u8(signing) > _u8(ranking)) & _u8(self._has_customers)
+        ).any():
             return self._run_np(dest_i, att_i, signing, ranking, model, attack)
         self._sweep_owner = None
         self._nhops_valid = True
@@ -840,28 +846,17 @@ class RoutingContext:
     ) -> None:
         """Vectorized twin of :meth:`_run`: a bucket-Dijkstra sweep.
 
-        For offers that keep the receiver's security bit equal to the
-        sender's, rank keys are strictly monotone (LP buckets never
-        shrink along an export-legal edge and length always grows), so
-        every node holding the current *global minimum* tentative key is
-        final and each round can fix the whole minimum-key bucket at
-        once, relaxing all its out-edges in one batch of numpy
-        gathers/scatters.  The number of such rounds is bounded by the
-        number of *distinct* packed keys — a few dozen ``(class,
-        length, security)`` combinations at any graph size — so
-        per-node python overhead vanishes.
-
-        The exception is a **flip offer**: a simplex AS whose own route
-        ranks insecure (it does not rank) but stays wire-secure (it
-        signs) offers a *secure* route to a ranking neighbor, and under
-        the security-1st/2nd placements that offer's key is *smaller*
-        than the sender's.  The pure heap pops such undercut work
-        before the rest of the sender's bucket, so to stay bit-identical
-        the sweep fixes flip-capable members of insecure buckets one at
-        a time (re-taking the global minimum after each, which walks
-        any undercut cascade exactly like the heap does).  Buckets and
-        bucket prefixes without flip-capable members batch as usual —
-        deployments without simplex members never leave the fast path.
+        Rank keys are strictly monotone on every input this kernel
+        takes (LP buckets never shrink along an export-legal edge,
+        length always grows, and the one sender whose offer could be
+        more secure than its own route, a simplex AS, is a stub here
+        and exports nothing), so every node holding the current *global
+        minimum* tentative key is final and each round can fix the
+        whole minimum-key bucket at once, relaxing all its out-edges in
+        one batch of numpy gathers/scatters.  The number of such rounds
+        is bounded by the number of *distinct* packed keys — a few
+        dozen ``(class, length, security)`` combinations at any graph
+        size — so per-node python overhead vanishes.
 
         State is written back into the ordinary scratch buffers so every
         consumer (snapshots, delta sweeps, counts) sees bit-identical
@@ -889,9 +884,7 @@ class RoutingContext:
         chacc = st["chacc"]
         endp_s = st["endp"]
         fixed_s = st["fixed"]
-        forder = st["forder"]
         keyq.fill(_NP_INF)
-        forder.fill(0)
         key_real.fill(_NP_INF)
         reach_s.fill(0)
         wire_s.fill(0)
@@ -988,33 +981,14 @@ class RoutingContext:
                 np.array([2], dtype=int64),
             )
 
-        placement = model.model
-        if placement is SecurityModel.FIRST:
-            insec_shift = 2 * PACK_SHIFT
-        elif placement is SecurityModel.SECOND:
-            insec_shift = PACK_SHIFT
-        else:
-            insec_shift = -1  # baseline/3rd: keys are strictly monotone
-
-        rounds = 0
         while True:
             gmin = int(keyq.min())
             if gmin >= _NP_INF:
                 break
             B = np.flatnonzero(keyq == gmin)
-            if insec_shift >= 0 and (gmin >> insec_shift) & 1:
-                # Insecure bucket under a flip-prone placement: batch
-                # only up to the first flip-capable member (equal keys
-                # pop in index order in the pure heap, and flatnonzero
-                # is ascending, so B[0] is the heap's next pop).
-                flips = np.flatnonzero(wire_s[B] & sign_np[B])
-                if len(flips):
-                    B = B[: max(int(flips[0]), 1)]
-            rounds += 1
             keyq[B] = _NP_INF
             key_real[B] = gmin
             fixed_s[B] = True
-            forder[B] = rounds
             ch = chacc[B]
             choice_s[B] = ch
             endp_s[B] = endp_s[ch]
@@ -1066,12 +1040,9 @@ class RoutingContext:
 
         Membership is decided arithmetically instead of by accumulating
         lists during the sweep: ``u ∈ nhops[v]`` iff both are fixed,
-        ``u``'s export rule admits the edge, ``v`` is not a root,
-        ``u``'s offer key equals ``v``'s final key, **and** ``u`` fixed
-        chronologically before ``v`` (the pure kernel only records
-        offers made while ``v`` was still tentative; under the
-        security-1st/2nd placements a flip offer can tie ``v``'s key
-        from a node fixed later, so key comparison alone over-counts).
+        ``u``'s export rule admits the edge, ``v`` is not a root and
+        ``u``'s offer key equals ``v``'s final key (keys are strictly
+        monotone, so a tying offerer fixed before ``v``).
         One whole-CSR batch evaluates every edge at once; count-only
         workloads never pay for it.  Lists come out sorted by sender
         index (the pure kernel's are in fix order, which no consumer
@@ -1089,7 +1060,6 @@ class RoutingContext:
         cls_s = st["cls"]
         len_s = st["len"]
         wire_s = st["wire"]
-        forder = st["forder"]
         u = esrc
         v = node
         exp = (cls_s[u] == 0) | cf_b
@@ -1111,7 +1081,7 @@ class RoutingContext:
         us = u[sel]
         vs = v[sel]
         k = key_of(cls_e[sel], len_s[us] + 1, wire_s[us] & rank_np[vs])
-        keep = (k == key_real[vs]) & (forder[us] < forder[vs])
+        keep = k == key_real[vs]
         us = us[keep]
         vs = vs[keep]
         nhops = self._nhops
@@ -1967,9 +1937,10 @@ class DestinationSweep:
         """Full-pass fall-back of the numpy delta: recompute the
         attacked (or advanced) state from scratch in one vectorized
         pass — cheaper than a delta whose dirty region stopped being
-        small.  Returns ``touched=None``; in count-only mode the pass
-        also leaves the python scratch (and the sweep's ownership of
-        it) completely untouched."""
+        small (a sweep's masks passed ``require_stub_simplex``, so
+        ``_run_np`` takes them).  Returns ``touched=None``; in
+        count-only mode the pass also leaves the python scratch (and
+        the sweep's ownership of it) completely untouched."""
         ctx = self.ctx
         ctx._run_np(
             self._dest_i, att_i, self._signing, self._ranking, self.model,

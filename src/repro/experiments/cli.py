@@ -24,8 +24,7 @@ repeated runs only evaluate scenarios they have not seen before, and
 run-wide attacker strategy (threat model) — ``hijack`` (the paper's
 Section 3.1 default), ``honest``, ``forged_origin``, or ``khop<k>``.
 Results are stored under strategy-aware scenario hashes, so different
-threat models never collide in the cache.  ``--profile PATH`` dumps
-cProfile stats of the first evaluated scenario.
+threat models never collide in the cache.
 
 Failure contract: worker crashes, hangs and store corruption are
 recovered by the supervision layer and reported as an incident summary;
@@ -204,13 +203,6 @@ def _common(parser: argparse.ArgumentParser) -> None:
         type=_attack_token,
         help="attacker strategy: hijack (default), honest, forged_origin, "
         "or khop<k> (see repro.core.attacks)",
-    )
-    parser.add_argument(
-        "--profile",
-        default=None,
-        metavar="PATH",
-        help="dump cProfile stats of the first evaluated scenario to "
-        "PATH (and print the top functions)",
     )
     parser.add_argument(
         "--fsync",
@@ -442,7 +434,6 @@ def main(argv: list[str] | None = None) -> int:
                 store=store,
                 ixp=args.ixp,
                 attack=args.attack,
-                profile_path=args.profile,
                 failure_log=failure_log,
             )
         for result in results:
@@ -463,7 +454,6 @@ def main(argv: list[str] | None = None) -> int:
                 trials=args.trials,
                 store=store,
                 attack=args.attack,
-                profile_path=args.profile,
                 failure_log=failure_log,
             )
         print(f"wrote {args.out} ({len(results)} experiment blocks)")

@@ -636,9 +636,6 @@ class ExperimentContext:
     #: run-wide attacker strategy: the default threat model for every
     #: request declared without an explicit ``attack`` (CLI ``--attack``).
     attack: AttackStrategy = DEFAULT_ATTACK
-    #: dump cProfile stats of the first evaluated scenario here (the
-    #: CLI's ``--profile``); None disables profiling.
-    profile_path: str | None = None
     #: deadlines/retry/backoff policy of the supervised pool.
     supervision: SupervisionPolicy = field(default_factory=SupervisionPolicy)
     #: structured audit trail of every recovered (and fatal) incident.
@@ -651,7 +648,6 @@ class ExperimentContext:
     _pool: SupervisedPool | None = field(
         default=None, repr=False, compare=False
     )
-    _profiled: bool = field(default=False, repr=False, compare=False)
 
     @property
     def graph(self):
@@ -821,7 +817,6 @@ def make_context(
     ixp: bool = False,
     processes: int = 1,
     attack: AttackStrategy | str = DEFAULT_ATTACK,
-    profile_path: str | None = None,
     vectorized: bool | None = None,
     supervision: SupervisionPolicy | None = None,
     failure_log: FailureLog | None = None,
@@ -837,8 +832,6 @@ def make_context(
         attack: run-wide attacker strategy (instance or token, e.g.
             ``"forged_origin"``) used by every request that does not pin
             its own threat model.
-        profile_path: dump cProfile stats of the first evaluated
-            scenario to this path (the CLI's ``--profile``).
         vectorized: force the numpy bucket kernel on (True) or off
             (False); None picks it automatically for graphs of
             :data:`repro.core.routing.VECTORIZED_MIN_N` ASes or more.
@@ -868,7 +861,6 @@ def make_context(
         catalog=ScenarioCatalog(graph, tiers),
         processes=processes,
         attack=attack,
-        profile_path=profile_path,
         supervision=supervision or SupervisionPolicy(),
         failure_log=failure_log,
     )
@@ -893,29 +885,6 @@ def cached(ectx: ExperimentContext, key: str, build: Callable[[], T]) -> T:
 # ----------------------------------------------------------------------
 # The scenario scheduler
 # ----------------------------------------------------------------------
-
-def _maybe_profile(ectx: ExperimentContext, evaluate: Callable[[], T]) -> T:
-    """Run one scenario evaluation, wrapping the first in cProfile when
-    the context asks for it (the CLI's ``--profile``)."""
-    if ectx.profile_path is None or ectx._profiled:
-        return evaluate()
-    import cProfile
-    import pstats
-
-    ectx._profiled = True
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        result = evaluate()
-    finally:
-        profile.disable()
-    profile.dump_stats(ectx.profile_path)
-    stats = pstats.Stats(profile)
-    stats.sort_stats("cumulative")
-    print(f"profiled first scenario evaluation -> {ectx.profile_path}")
-    stats.print_stats(15)
-    return result
-
 
 def evaluate_requests(
     ectx: ExperimentContext,
@@ -992,25 +961,19 @@ def evaluate_requests(
             if len(chain) == 1:
                 request = chain[0]
                 results = [
-                    _maybe_profile(
-                        ectx,
-                        lambda: ectx.metric(
-                            request.pairs,
-                            request.to_deployment(),
-                            request.to_model(),
-                            attack=request.to_attack(),
-                        ),
+                    ectx.metric(
+                        request.pairs,
+                        request.to_deployment(),
+                        request.to_model(),
+                        attack=request.to_attack(),
                     )
                 ]
             else:
-                results = _maybe_profile(
-                    ectx,
-                    lambda: ectx.metric_chain(
-                        chain[0].pairs,
-                        [request.to_deployment() for request in chain],
-                        chain[0].to_model(),
-                        attack=chain[0].to_attack(),
-                    ),
+                results = ectx.metric_chain(
+                    chain[0].pairs,
+                    [request.to_deployment() for request in chain],
+                    chain[0].to_model(),
+                    attack=chain[0].to_attack(),
                 )
         except EvaluationFailure as exc:
             # The supervised pool already burned its retries *and* the

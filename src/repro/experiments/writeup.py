@@ -49,7 +49,6 @@ def run_trials(
     store: ResultStore | None = None,
     ixp: bool = False,
     attack: str = "hijack",
-    profile_path: str | None = None,
     failure_log: FailureLog | None = None,
 ) -> list[ExperimentResult]:
     """Run experiments over ``trials`` consecutive topology seeds.
@@ -70,7 +69,6 @@ def run_trials(
         with make_context(
             scale=scale, seed=seed + trial, ixp=ixp, processes=processes,
             attack=attack,
-            profile_path=profile_path if trial == 0 else None,
             failure_log=failure_log,
         ) as ectx:
             per_trial.append(
@@ -88,7 +86,6 @@ def run_all(
     trials: int = 1,
     store: ResultStore | None = None,
     attack: str = "hijack",
-    profile_path: str | None = None,
     failure_log: FailureLog | None = None,
 ) -> list[ExperimentResult]:
     """Run every registered experiment (plus the Appendix J reruns)."""
@@ -96,8 +93,7 @@ def run_all(
     ids = experiment_ids or list(specs)
     results = run_trials(
         ids, scale=scale, seed=seed, processes=processes, trials=trials,
-        store=store, attack=attack, profile_path=profile_path,
-        failure_log=failure_log,
+        store=store, attack=attack, failure_log=failure_log,
     )
     if include_ixp:
         ixp_ids = [
@@ -121,15 +117,13 @@ def write_markdown(
     trials: int = 1,
     store: ResultStore | None = None,
     attack: str = "hijack",
-    profile_path: str | None = None,
     failure_log: FailureLog | None = None,
 ) -> list[ExperimentResult]:
     """Run everything and write EXPERIMENTS.md to ``path``."""
     started = time.time()
     results = run_all(
         scale=scale, seed=seed, processes=processes, include_ixp=include_ixp,
-        trials=trials, store=store, attack=attack,
-        profile_path=profile_path, failure_log=failure_log,
+        trials=trials, store=store, attack=attack, failure_log=failure_log,
     )
     elapsed = time.time() - started
     blocks = [

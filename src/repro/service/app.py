@@ -55,7 +55,7 @@ import sqlite3
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from ..experiments.config import DEFAULT_SEED
+from ..experiments.config import DEFAULT_SEED, SCALES
 from ..experiments.failures import EvaluationCancelled, FailureLog
 from ..experiments.faults import active_plan
 from ..experiments.registry import all_experiments
@@ -841,11 +841,18 @@ class Service:
         body = request.json()
         if not isinstance(body, dict):
             raise HTTPError(400, "body must be a JSON object")
+        scale = body.get("scale", self.default_scale)
+        seed = body.get("seed", self.default_seed)
+        ixp = body.get("ixp", False)
+        if not isinstance(scale, str) or scale not in SCALES:
+            known = ", ".join(sorted(SCALES))
+            raise HTTPError(400, f"unknown scale {scale!r} (known: {known})")
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise HTTPError(400, "seed must be an integer")
+        if not isinstance(ixp, bool):
+            raise HTTPError(400, "ixp must be true or false")
         job = self.jobs.submit(
-            request.params["id"],
-            scale=str(body.get("scale", self.default_scale)),
-            seed=int(body.get("seed", self.default_seed)),
-            ixp=bool(body.get("ixp", False)),
+            request.params["id"], scale=scale, seed=seed, ixp=ixp
         )
         return Response(job.payload(), status=202)
 

@@ -237,14 +237,18 @@ def test_sweep_side_rejects_transit_simplex(entry):
         )
 
 
-def test_per_pair_engine_still_evaluates_transit_simplex():
+@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "numpy"])
+def test_per_pair_engine_still_evaluates_transit_simplex(vectorized):
+    if vectorized:
+        pytest.importorskip("numpy")
     graph = _five_as_graph()
+    ctx = RoutingContext(graph, vectorized=vectorized)
     ref_ctx = RefRoutingContext(graph)
     for m, d in TRANSIT_SIMPLEX_PAIRS:
         kwargs = dict(
             attacker=m, deployment=TRANSIT_SIMPLEX, model=SECURITY_MODELS[0]
         )
-        ours = compute_routing_outcome(graph, d, **kwargs).count_happy()
+        ours = compute_routing_outcome(ctx, d, **kwargs).count_happy()
         ref = ref_compute_routing_outcome(ref_ctx, d, **kwargs).count_happy()
         assert ours == ref == (0, 0)
 

@@ -69,16 +69,17 @@ def layered_graphs(draw, min_n: int = 12, max_n: int = 40) -> ASGraph:
 
 
 @st.composite
-def attack_instances(draw, simplex: bool = False):
+def attack_instances(draw, simplex: bool | str = False):
     """(graph, destination, attacker, deployment, model).
 
-    With ``simplex`` the deployment also holds simplex members — stubs
-    only, which is what :class:`Deployment` documents and every rollout
-    builds (§5.3.2).  A simplex *transit* AS makes flip offers, whose
-    outcome the full pass defines by heap chronology; the delta re-fix
-    does not reproduce that (security 1st, found while writing the
-    chain property in ``test_engine_properties.py``), so such
-    deployments are outside what the sweeps are held to.
+    With ``simplex=True`` the deployment also holds simplex members —
+    stubs only, which is what :class:`Deployment` documents, every
+    rollout builds (§5.3.2) and the sweeps and numpy kernels take.
+    With ``simplex="transit"`` they are drawn from every AS: a simplex
+    AS with customers re-announces, signed, a route it ranked insecure,
+    so fixing order is no longer key order (security 1st/2nd).  Only
+    the per-pair engine's heap loop evaluates that, on either context;
+    the sweep-backed entry points reject it.
     """
     graph = draw(layered_graphs())
     asns = graph.asns
@@ -88,10 +89,10 @@ def attack_instances(draw, simplex: bool = False):
     model = draw(st.sampled_from((BASELINE,) + SECURITY_MODELS))
     deployment = Deployment.of(secure)
     if simplex:
-        stubs = [a for a in asns if graph.is_stub(a)]
+        pool = [a for a in asns if simplex == "transit" or graph.is_stub(a)]
         deployment = Deployment(
             full=deployment.full,
-            simplex=frozenset(draw(st.sets(st.sampled_from(stubs))) - secure),
+            simplex=frozenset(draw(st.sets(st.sampled_from(pool))) - secure),
         )
     return graph, destination, attacker, deployment, model
 

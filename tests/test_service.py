@@ -441,6 +441,27 @@ class TestExperimentsAndJobs:
 
         _run(scenario, tmp_path)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"seed": "abc"},
+            {"scale": "bogus"},
+            {"scale": "tiny", "ixp": "false"},
+            {"scale": ["tiny"]},
+        ],
+        ids=["seed-str", "scale-unknown", "ixp-str", "scale-list"],
+    )
+    def test_run_body_is_validated_before_a_job_exists(self, tmp_path, body):
+        async def scenario(client, service, store):
+            status, reply = await client.request(
+                "POST", "/v1/experiments/baseline/run", body
+            )
+            assert status == 400, reply
+            status, listing = await client.request("GET", "/v1/experiments")
+            assert status == 200 and listing["jobs"] == []
+
+        _run(scenario, tmp_path)
+
 
 class TestHealthAndStats:
     def test_healthz_and_stats_shape(self, tmp_path):

@@ -260,6 +260,40 @@ class TestKernelSelection:
         assert "dense" in {paths[m] for m in hubs[1:7]}
         assert set(paths.values()) == {"vectorized", "dense"}
 
+    def test_transit_simplex_takes_the_heap_loop(
+        self, graph, pure_ctx, vec_ctx, monkeypatch
+    ):
+        """The full pass is selected from the masks: a numpy context
+        enters ``_run_np`` unless some node signs, does not rank and
+        has a customer — then the pass takes the heap loop.  Either
+        way the state equals the scalar context's."""
+        entries = []
+        run_np = RoutingContext._run_np
+
+        def counted(self, *args, **kwargs):
+            entries.append(self)
+            return run_np(self, *args, **kwargs)
+
+        monkeypatch.setattr(RoutingContext, "_run_np", counted)
+        asns = graph.asns
+        d, m = asns[0], asns[-1]
+        stub_simplex = Deployment.of(asns[::2]).with_simplex_stubs(graph)
+        assert stub_simplex.simplex
+        transit = [a for a in asns[1::2] if not graph.is_stub(a)][:5]
+        assert transit
+        transit_simplex = Deployment(
+            full=stub_simplex.full, simplex=stub_simplex.simplex | set(transit)
+        )
+        for dep, enters in ((stub_simplex, True), (transit_simplex, False)):
+            kwargs = dict(attacker=m, deployment=dep, model=SECURITY_MODELS[0])
+            entries.clear()
+            vec = compute_routing_outcome(vec_ctx, d, **kwargs)
+            assert bool(entries) == enters
+            pure = compute_routing_outcome(pure_ctx, d, **kwargs)
+            assert dict(vec.routes) == dict(pure.routes)
+            assert vec.count_happy() == pure.count_happy()
+            assert vec.count_secure_sources() == pure.count_secure_sources()
+
 
 class TestContextWiring:
     """make_context's vectorized / stratified plumbing."""
