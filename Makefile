@@ -2,11 +2,22 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-service bench bench-check bench-micro golden docs doctest
+.PHONY: test fuzz test-service bench bench-check bench-micro golden docs doctest
 
-## tier-1 test suite (the CI gate)
+## tier-1 test suite (the CI gate); its hypothesis profile is
+## derandomized (tests/conftest.py), so every run draws the same examples
 test:
 	$(PYTHON) -m pytest -x -q
+
+## random exploration: the two property files under the `fuzz` profile —
+## fresh seeds, 20x the example budget, failures saved under the tracked
+## tests/fuzz-examples/ and replayed first next time (~1 min).  Until
+## ROADMAP item 1a lands it is *expected* to fail on
+## test_partitions_sound_for_sampled_deployment: compute_partitions is
+## unsound under security_2nd and this finds the instance
+fuzz:
+	$(PYTHON) -m pytest -q --hypothesis-profile=fuzz \
+		tests/test_properties.py tests/test_engine_properties.py
 
 ## service plane: HTTP API, resilience chaos, store backends,
 ## concurrency stress (the CI `service` job adds coverage >= 85% on

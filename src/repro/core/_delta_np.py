@@ -9,13 +9,15 @@ with the clean fixed region acting as a frozen boundary of offer rows.
 A sweep's masks passed ``require_stub_simplex``, so keys are strictly
 monotone here as they are there.
 
-The pass never mutates the python scratch buffers until (and unless) the
-caller asked for the full state: its closure sweep, wave kernel and
-count swap all work on the sweep's numpy baseline snapshot and
-per-delta compressed scratch.  That makes the escape to the dense pass
-nearly free — :class:`~repro.core.routing._DeltaOversize` (cost estimate
-past the dense fall-back's break-even) just clears the dirty flags it
-set and raises.
+The closure sweep, wave kernel and count swap read the sweep's numpy
+baseline snapshot and write only per-delta compressed scratch; no
+python buffer is involved.  An attacker delta is its counts; an advance
+also returns its re-fixed state as a patch that
+:meth:`~repro.core.routing.RolloutSweep._commit` scatters into the
+snapshot.  That makes the escape to the dense pass nearly free —
+:class:`~repro.core.routing._DeltaOversize` (cost estimate past the
+dense fall-back's break-even) just clears the dirty flags it set and
+raises.
 
 Dynamic invalidation (a re-fixed route beating — or insecurely tying —
 a clean boundary baseline) is handled by *wave restarts*: the compressed
@@ -35,7 +37,6 @@ import numpy as np
 
 from .routing import (
     _IDX_MASK,
-    _INF,
     _NP_INF,
     PACK_SHIFT,
     _DeltaOversize,
@@ -45,8 +46,13 @@ from .routing import (
 _I64 = np.int64
 
 
-def delta_np(sweep, att_i, extra_resets, res, need_state, budget):
-    """One vectorized delta; returns ``(counts, touched)``.
+def delta_np(sweep, att_i, extra_resets, res, budget):
+    """One vectorized delta; returns ``(counts, touched)`` for an
+    attacker delta and ``(counts, patch)`` for an advance
+    (``extra_resets`` given), whose re-fixed state the caller commits:
+    ``patch`` holds ``touched``, the ``writes`` — ``(rows, {field:
+    column})`` to scatter into the baseline arrays — and the membership
+    pairs ``us``/``vs`` that replace those of the ``rebuilt`` nodes.
 
     Raises :class:`_DeltaOversize` when the cost estimate outgrows
     ``budget`` (dirty flags cleared, nothing mutated) —
@@ -270,7 +276,7 @@ def delta_np(sweep, att_i, extra_resets, res, need_state, budget):
         if att_i >= 0:
             reach_glob[att_i] = 2 if att_active else 0
         _soft_phase(
-            sweep, dirty, inv, b_fixed, b_key,
+            base, dirty, inv, b_fixed, b_key,
             reach_glob, choice_glob, endp_glob,
             key_c, reach_c, choice_c, dep_start, dep_v,
             mem_u, mem_v, tie_w_parts, tie_u_parts, prune_parts,
@@ -324,17 +330,36 @@ def delta_np(sweep, att_i, extra_resets, res, need_state, budget):
     counts = (int(lo), int(up), int(alo), int(aup), int(sec_n), int(nfx))
 
     # ------------------------------------------------------------------
-    # Epilogue: the count-only path never touches the python scratch.
-    if need_state:
-        _writeback(
-            sweep, loc, fixed_c, key_c, cls_c, len_c, reach_c, wire_c,
-            sec_c, choice_c, endp_glob, mem_u, mem_v, dirty, T,
-            reach_glob, choice_glob, soft_nh, att_i, att_active, att_wire,
-            res, advance,
-        )
+    # Epilogue: an attacker delta is its counts; an advance also hands
+    # its re-fixed state to the commit, as a patch.
+    soft = T[dirty[T] == 2] if advance else None
     inv[loc] = -1
     cleanup()
-    return counts, T.tolist()
+    touched = T.tolist()
+    if not advance:
+        return counts, touched
+    writes = [(loc, {
+        "fixed": fixed_c, "key": key_c, "cls": cls_c, "len": len_c,
+        "reach": reach_c, "wire": wire_c, "sec": sec_c,
+        "choice": choice_c, "endp": endp_glob[loc],
+    })]
+    if soft.size:  # knife-edge rows, disjoint from loc
+        writes.append((soft, {
+            "reach": reach_glob[soft], "choice": choice_glob[soft],
+            "endp": endp_glob[soft],
+        }))
+    # BPR sets rebuilt: every loc row (from the final wave's members)
+    # and the soft rows whose set was pruned or gained a tying member.
+    resized = np.array(list(soft_nh), dtype=_I64)
+    sizes = [len(members) for members in soft_nh.values()]
+    soft_u = [u for members in soft_nh.values() for u in members]
+    return counts, {
+        "touched": touched,
+        "writes": writes,
+        "rebuilt": np.concatenate([loc, resized]),
+        "us": np.concatenate([mem_u, np.array(soft_u, dtype=_I64)]),
+        "vs": np.concatenate([mem_v, np.repeat(resized, sizes)]),
+    }
 
 
 def _run_waves(
@@ -538,7 +563,7 @@ def _run_waves(
 
         # Final wave: global next-hop membership pairs of the re-fixed
         # nodes, boundary and internal members alike by key match (see
-        # _materialize_nhops).
+        # _np_nhop_pairs).
         mb = fixed_c[bx] & (kb == key_c[bx])
         mem_u_b = bu[mb]
         mem_v_b = loc[bx[mb]]
@@ -561,7 +586,7 @@ def _run_waves(
 
 
 def _soft_phase(
-    sweep, dirty, inv, b_fixed, b_key, reach_glob, choice_glob,
+    base, dirty, inv, b_fixed, b_key, reach_glob, choice_glob,
     endp_glob, key_c, reach_c, choice_c, dep_start, dep_v,
     mem_u, mem_v, tie_w_parts, tie_u_parts, prune_parts,
     soft_nh, extra_touched,
@@ -570,7 +595,8 @@ def _soft_phase(
     pruned BPR sets shift only reach/choice/endpoint, propagated
     upward in key order through the dependency lists.  Scalar loop —
     the worklist is tiny relative to the region."""
-    b_nhops = sweep._b_nhops
+    b_us = base["us"]
+    nh_start = base["nh_start"]
     push = heapq.heappush
     pop = heapq.heappop
     work: list = []
@@ -588,7 +614,8 @@ def _soft_phase(
         for x in part.tolist():
             if dirty[x] != 2:
                 continue  # promoted to a hard reset later
-            soft_nh[x] = [u for u in b_nhops[x] if dirty[u] != 1]
+            bpr = b_us[nh_start[x]:nh_start[x + 1]]
+            soft_nh[x] = bpr[dirty[bpr] != 1].tolist()
             push(work, (int(b_key[x]) << PACK_SHIFT) | x)
     for wp, upart in zip(tie_w_parts, tie_u_parts):
         for w, u in zip(wp.tolist(), upart.tolist()):
@@ -598,7 +625,7 @@ def _soft_phase(
             if lst is None:
                 dirty[w] = 2
                 extra_touched.append(w)
-                lst = list(b_nhops[w])
+                lst = b_us[nh_start[w]:nh_start[w + 1]].tolist()
                 soft_nh[w] = lst
             lst.append(u)
             push(work, (int(b_key[w]) << PACK_SHIFT) | w)
@@ -611,7 +638,7 @@ def _soft_phase(
         else:
             members = soft_nh.get(x)
             if members is None:
-                members = b_nhops[x]
+                members = b_us[nh_start[x]:nh_start[x + 1]].tolist()
         if not members:
             continue
         r = 0
@@ -642,78 +669,3 @@ def _soft_phase(
         hi_ = ss(cu, x, "right")
         for y in cv[lo_:hi_].tolist():
             push(work, (int(key_c[inv[y]]) << PACK_SHIFT) | y)
-
-
-def _writeback(
-    sweep, loc, fixed_c, key_c, cls_c, len_c, reach_c, wire_c,
-    sec_c, choice_c, endp_glob, mem_u, mem_v, dirty, T,
-    reach_glob, choice_glob, soft_nh, att_i, att_active, att_wire,
-    res, advance,
-):
-    """Scatter the re-fixed state into the python scratch buffers —
-    the same values the pure kernel leaves there, so snapshots and
-    rollout commits read bit-identical state."""
-    ctx = sweep.ctx
-    fixed = ctx._fixed
-    key_l = ctx._key
-    cls_b = ctx._cls
-    len_l = ctx._len
-    reach_b = ctx._reach
-    wire_b = ctx._wire
-    sec_b = ctx._sec
-    choice_l = ctx._choice
-    endp_b = ctx._endpoint
-    nhops = ctx._nhops
-    n = ctx.n
-    nh_map: dict = {}
-    if mem_v.size:
-        order = np.argsort(mem_v * n + mem_u)
-        sv = mem_v[order]
-        ul = mem_u[order].tolist()
-        bounds = np.flatnonzero(np.diff(sv)).tolist()
-        starts = [0, *(b + 1 for b in bounds)]
-        ends = [*bounds, len(ul) - 1]
-        heads = sv[np.asarray(starts, dtype=_I64)].tolist()
-        for vv, a, b in zip(heads, starts, ends):
-            nh_map[vv] = ul[a:b + 1]
-    fx = np.flatnonzero(fixed_c)
-    gl = loc[fx]
-    for x, k, c, ln, r, wi, se, ch, ep in zip(
-        gl.tolist(), key_c[fx].tolist(), cls_c[fx].tolist(),
-        len_c[fx].tolist(), reach_c[fx].tolist(), wire_c[fx].tolist(),
-        sec_c[fx].tolist(), choice_c[fx].tolist(),
-        endp_glob[gl].tolist(),
-    ):
-        fixed[x] = 1
-        key_l[x] = k
-        cls_b[x] = c
-        len_l[x] = ln
-        reach_b[x] = r
-        wire_b[x] = wi
-        sec_b[x] = se
-        choice_l[x] = ch
-        endp_b[x] = ep
-        nhops[x] = nh_map.get(x)
-    for x in loc[~fixed_c].tolist():
-        fixed[x] = 0
-        key_l[x] = _INF
-        sec_b[x] = 0
-        nhops[x] = None
-    if reach_glob is not None:
-        for x in T[dirty[T] == 2].tolist():
-            reach_b[x] = int(reach_glob[x])
-            choice_l[x] = int(choice_glob[x])
-            endp_b[x] = int(endp_glob[x])
-            lst = soft_nh.get(x)
-            if lst is not None:
-                nhops[x] = lst
-    if att_i >= 0 and not advance:
-        fixed[att_i] = 1
-        key_l[att_i] = _INF
-        sec_b[att_i] = 0
-        len_l[att_i] = res.length
-        reach_b[att_i] = 2 if att_active else 0
-        endp_b[att_i] = 2 if att_active else 0
-        wire_b[att_i] = att_wire
-        choice_l[att_i] = -1
-        nhops[att_i] = None

@@ -48,6 +48,12 @@ amortize deployment-mask construction across whole pair sweeps, and
 destination-major workloads: the attacker-free fixing pass runs once
 per destination and each attacker is evaluated by *delta re-fixing*
 only the region of the graph whose routing record actually changes.
+On a numpy context (``ctx.vectorized``, internet scale) the same passes
+run as bucket kernels over int64 arrays, and there *the arrays are the
+state*: a numpy kernel never writes the python scratch buffers, a
+sweep's snapshot is a dict of arrays, and the single crossing to python
+objects is :func:`_decode`, which builds the flat fields of a
+:class:`RoutingOutcome` for the callers that ask for full state.
 The original dict-based engine survives verbatim in
 :mod:`repro.core.refimpl` for differential testing.
 
@@ -108,9 +114,7 @@ _INF = 1 << 66
 #: needs 67 bits and cannot live in an int64; real packed keys use at
 #: most 3 * PACK_SHIFT = 63 bits but stay far below ``1 << 62`` (the
 #: top component is a small LP bucket or 0/1 security bit), so this
-#: sentinel is still strictly larger than every real key.  The
-#: write-back maps it to ``_INF`` so python-side consumers see the
-#: exact pure-kernel values.
+#: sentinel is still strictly larger than every real key.
 _NP_INF = 1 << 62
 
 #: Contexts at or above this many ASes default to the vectorized kernel
@@ -278,9 +282,7 @@ class RoutingContext:
         "_np_adj",
         "_np_scratch",
         "_np_post",
-        "_np_pairs",
         "_np_inv",
-        "_nhops_valid",
         "_neighbor_dicts",
         "_out_edges",
         "_mask_cache",
@@ -379,19 +381,16 @@ class RoutingContext:
             None if self.vectorized else self._build_edges()
         )
         self._np_adj: tuple | None = None
+        #: where :meth:`_run_np` leaves its result; a numpy kernel
+        #: never writes the python scratch below
         self._np_scratch: dict | None = None
+        #: what :meth:`_np_nhop_pairs` needs of the most recent pass if
+        #: :meth:`_run_np` ran it, None after a heap pass — so also
+        #: which of the two scratch forms holds that pass's state
         self._np_post: tuple | None = None
-        #: ``(us, vs)`` next-hop membership pairs of the most recent
-        #: :meth:`_materialize_nhops` (sorted by target) — lets a sweep
-        #: snapshot its dependency structure without re-walking the lists.
-        self._np_pairs: tuple | None = None
         #: reusable global→compressed index map of the delta kernel
         #: (int64, -1 outside the active region).
         self._np_inv = None
-        #: False while the scratch ``_nhops`` lists are stale relative to
-        #: the numpy scratch arrays (the bucket kernel defers building
-        #: them; :meth:`_materialize_nhops` catches up on demand).
-        self._nhops_valid = True
         self._neighbor_dicts: tuple[dict, dict, dict] | None = None
         self._out_edges: dict | None = None
         self._mask_cache: dict = {}
@@ -402,7 +401,8 @@ class RoutingContext:
         )
         self._zero_mask = bytearray(n)
 
-        # Scratch buffers, reset (not reallocated) between pairs.
+        # The heap loop's scratch buffers, reset (not reallocated)
+        # between pairs.
         self._fixed = bytearray(n)
         self._key: list[int] = [_INF] * n
         self._cls = bytearray(n)
@@ -418,9 +418,9 @@ class RoutingContext:
         self._choice_init = [-1] * n
         self._nhops_init: list[None] = [None] * n
         self._last_counts: tuple[int, int, int, int, int, int] = (0,) * 6
-        #: Weak reference to the :class:`DestinationSweep` whose baseline
-        #: currently lives in the scratch buffers (None after any
-        #: whole-graph ``_run``).  Lets a sweep detect that someone else
+        #: Weak reference to the scalar :class:`DestinationSweep` whose
+        #: baseline currently lives in the scratch buffers (None after a
+        #: whole-graph heap pass).  Lets a sweep detect that someone else
         #: used the scratch in between and resynchronize from its
         #: snapshot instead of delta-fixing garbage; weak so a finished
         #: sweep's O(V+E) snapshot is not pinned alive by the context.
@@ -495,7 +495,7 @@ class RoutingContext:
             st = self._np_scratch = {
                 # tentative keys still in the "queue" (fixed → _NP_INF)
                 "keyq": np.empty(n, np.int64),
-                # final fixed keys (write-back maps _NP_INF → _INF)
+                # final fixed keys (_NP_INF where the heap loop has _INF)
                 "key": np.empty(n, np.int64),
                 "cls": np.zeros(n, np.int64),
                 "len": np.zeros(n, np.int64),
@@ -673,11 +673,15 @@ class RoutingContext:
         baseline = None
         if attack.needs_baseline:
             self._run(dest_i, -1, signing, ranking, model)
-            baseline = AttackerBaseline(
-                has_route=bool(self._fixed[att_i]),
-                length=self._len[att_i],
-                wire_secure=bool(self._wire[att_i]),
-            )
+            if self._np_post is not None:
+                st = self._np_scratch
+                baseline = _attacker_baseline(
+                    st["fixed"], st["len"], st["wire"], att_i
+                )
+            else:
+                baseline = _attacker_baseline(
+                    self._fixed, self._len, self._wire, att_i
+                )
         return attack.resolve(dest_signed=bool(signing[dest_i]), baseline=baseline)
 
     def _run(
@@ -691,8 +695,9 @@ class RoutingContext:
     ) -> None:
         """Run one fixing pass over the scratch buffers (``att_i = -1``
         for normal conditions; ``attack`` parameterizes how the attacker
-        root announces).  Results live in the scratch arrays and
-        :attr:`_last_counts` until the next run.
+        root announces).  Results live in the scratch of the kernel that
+        ran (:attr:`_np_post` tells which) and :attr:`_last_counts`
+        until the next run.
 
         A numpy context runs :meth:`_run_np` unless a node signs, does
         not rank and has a customer (transit simplex): its signed offer
@@ -703,7 +708,7 @@ class RoutingContext:
         ).any():
             return self._run_np(dest_i, att_i, signing, ranking, model, attack)
         self._sweep_owner = None
-        self._nhops_valid = True
+        self._np_post = None
         n = self.n
         fixed = self._fixed
         key_l = self._key
@@ -842,7 +847,6 @@ class RoutingContext:
         ranking: bytearray,
         model: RankModel,
         attack: ResolvedAttack = DEFAULT_RESOLVED,
-        writeback: bool = True,
     ) -> None:
         """Vectorized twin of :meth:`_run`: a bucket-Dijkstra sweep.
 
@@ -858,18 +862,14 @@ class RoutingContext:
         dozen ``(class, length, security)`` combinations at any graph
         size — so per-node python overhead vanishes.
 
-        State is written back into the ordinary scratch buffers so every
-        consumer (snapshots, delta sweeps, counts) sees bit-identical
-        values to the pure kernel; only the per-node next-hop lists are
-        deferred (see :meth:`_materialize_nhops`).  With
-        ``writeback=False`` the pass stops after :attr:`_last_counts`:
-        the python scratch buffers (and the sweep ownership they may
-        encode) are left untouched — the dense count-only fall-back of
-        the numpy delta relies on exactly that.
+        The result stays where the pass computed it: nine int64/bool
+        arrays in :attr:`_np_scratch` (the pure kernel's values, with
+        ``_NP_INF`` for ``_INF``) plus :attr:`_last_counts`.  The python
+        scratch buffers are never written; next-hop membership is
+        derived on demand (:meth:`_np_nhop_pairs`), and python objects
+        per AS exist only in a :class:`RoutingOutcome` (:func:`_decode`).
         """
         np = _np
-        if writeback:
-            self._sweep_owner = None
         n = self.n
         start, node, cls_e, cf_b, _esrc = self._np_adjacency()
         st = self._np_ensure_scratch()
@@ -894,7 +894,7 @@ class RoutingContext:
         endp_s.fill(0)
         fixed_s.fill(False)
         # Copies: a sweep may mutate its private mask bytearrays after
-        # this pass, and _materialize_nhops re-reads the ranking mask.
+        # this pass, and _np_nhop_pairs re-reads the ranking mask.
         rank_np = np.frombuffer(ranking, dtype=np.uint8).astype(np.int64)
         sign_np = np.frombuffer(signing, dtype=np.uint8).astype(np.int64)
         key_of = _np_key_fn(model)
@@ -1015,42 +1015,20 @@ class RoutingContext:
             int(sec_s[counted].sum()),
             nfixed,
         )
-        if not writeback:
-            return
-
-        # Write back into the ordinary scratch buffers so python-side
-        # consumers (snapshots, delta sweeps) see pure-kernel values.
-        self._fixed[:] = fixed_s.tobytes()
-        self._cls[:] = cls_s.astype(np.uint8).tobytes()
-        self._reach[:] = reach_s.astype(np.uint8).tobytes()
-        self._wire[:] = wire_s.astype(np.uint8).tobytes()
-        self._sec[:] = sec_s.astype(np.uint8).tobytes()
-        self._endpoint[:] = endp_s.astype(np.uint8).tobytes()
-        self._len[:] = len_s.tolist()
-        self._choice[:] = choice_s.tolist()
-        key_list = key_real.tolist()
-        for i in np.flatnonzero(key_real == _NP_INF).tolist():
-            key_list[i] = _INF
-        self._key[:] = key_list
-        self._nhops_valid = False
         self._np_post = (dest_i, att_i, att_active, attack.export_all, key_of, rank_np)
 
-    def _materialize_nhops(self) -> None:
-        """Build the per-node next-hop lists the bucket kernel defers.
+    def _np_nhop_pairs(self):
+        """Next-hop membership ``(us, vs)`` of the most recent
+        :meth:`_run_np` pass, sorted by ``(v, u)``.
 
         Membership is decided arithmetically instead of by accumulating
         lists during the sweep: ``u ∈ nhops[v]`` iff both are fixed,
         ``u``'s export rule admits the edge, ``v`` is not a root and
         ``u``'s offer key equals ``v``'s final key (keys are strictly
         monotone, so a tying offerer fixed before ``v``).
-        One whole-CSR batch evaluates every edge at once; count-only
-        workloads never pay for it.  Lists come out sorted by sender
-        index (the pure kernel's are in fix order, which no consumer
-        observes: they are read as sets, minima, or sorted).
+        One whole-CSR batch evaluates every edge at once; per-pair
+        count-only workloads never pay for it.
         """
-        if self._nhops_valid:
-            return
-        self._nhops_valid = True
         np = _np
         dest_i, att_i, att_active, att_exp, key_of, rank_np = self._np_post
         start, node, cls_e, cf_b, esrc = self._np_adjacency()
@@ -1084,21 +1062,8 @@ class RoutingContext:
         keep = k == key_real[vs]
         us = us[keep]
         vs = vs[keep]
-        nhops = self._nhops
-        nhops[:] = self._nhops_init
-        self._np_pairs = (us[:0], vs[:0])
-        if len(vs):
-            order = np.argsort(vs * self.n + us)
-            vs = vs[order]
-            us = us[order]
-            self._np_pairs = (us, vs)
-            us_list = us.tolist()
-            bounds = np.flatnonzero(np.diff(vs)).tolist()
-            starts = [0, *(b + 1 for b in bounds)]
-            ends = [*bounds, len(us_list) - 1]
-            heads = vs[np.asarray(starts, dtype=np.int64)].tolist()
-            for vv, a, b in zip(heads, starts, ends):
-                nhops[vv] = us_list[a : b + 1]
+        order = np.argsort(vs * self.n + us)
+        return us[order], vs[order]
 
     def _snapshot(
         self,
@@ -1111,7 +1076,22 @@ class RoutingContext:
         attack: AttackStrategy = DEFAULT_ATTACK,
         resolved: ResolvedAttack = DEFAULT_RESOLVED,
     ) -> "RoutingOutcome":
-        self._materialize_nhops()
+        """The most recent pass as a :class:`RoutingOutcome`, read from
+        the scratch of the kernel that ran it."""
+        if self._np_post is not None:
+            state = _decode(self._np_scratch, *self._np_nhop_pairs())
+        else:
+            state = dict(
+                _fixed=bytes(self._fixed),
+                _cls=bytes(self._cls),
+                _len=list(self._len),
+                _reach=bytes(self._reach),
+                _wire=bytes(self._wire),
+                _sec=bytes(self._sec),
+                _choice=list(self._choice),
+                _endpoint=bytes(self._endpoint),
+                _nhops=list(self._nhops),
+            )
         return RoutingOutcome(
             destination=destination,
             attacker=attacker,
@@ -1122,17 +1102,56 @@ class RoutingContext:
             _ctx=self,
             _dest_i=dest_i,
             _att_i=att_i,
-            _fixed=bytes(self._fixed),
-            _cls=bytes(self._cls),
-            _len=list(self._len),
-            _reach=bytes(self._reach),
-            _wire=bytes(self._wire),
-            _sec=bytes(self._sec),
-            _choice=list(self._choice),
-            _endpoint=bytes(self._endpoint),
-            _nhops=list(self._nhops),
             _counts=self._last_counts,
+            **state,
         )
+
+
+def _attacker_baseline(fixed, length, wire, att_i: int) -> AttackerBaseline:
+    """The attacker's legitimate record, from either state form."""
+    return AttackerBaseline(
+        has_route=bool(fixed[att_i]),
+        length=int(length[att_i]),
+        wire_secure=bool(wire[att_i]),
+    )
+
+
+def _decode(st: dict, us, vs) -> dict:
+    """The one crossing from numpy state to python objects: the flat
+    state fields of a :class:`RoutingOutcome` from nine per-node arrays
+    (:meth:`RoutingContext._run_np`'s scratch, or a numpy sweep's
+    baseline) and their ``(v, u)``-sorted next-hop membership pairs.
+
+    Next-hop lists come out sorted by sender index (the pure kernel's
+    are in fix order, which no consumer observes: they are read as
+    sets, minima, or sorted).
+    """
+    np = _np
+
+    def u8(name: str) -> bytes:
+        return st[name].astype(np.uint8).tobytes()
+
+    n = len(st["fixed"])
+    nhops: list[list[int] | None] = [None] * n
+    us_list = us.tolist()
+    size = np.bincount(vs, minlength=n)
+    end = np.cumsum(size)
+    heads = np.flatnonzero(size)
+    for v, a, b in zip(
+        heads.tolist(), (end - size)[heads].tolist(), end[heads].tolist()
+    ):
+        nhops[v] = us_list[a:b]
+    return dict(
+        _fixed=st["fixed"].tobytes(),
+        _cls=u8("cls"),
+        _len=st["len"].tolist(),
+        _reach=u8("reach"),
+        _wire=u8("wire"),
+        _sec=u8("sec"),
+        _choice=st["choice"].tolist(),
+        _endpoint=u8("endp"),
+        _nhops=nhops,
+    )
 
 
 def _as_context(topology: ASGraph | RoutingContext) -> RoutingContext:
@@ -1505,11 +1524,13 @@ class DestinationSweep:
     Theorem 2.1 — differential tests hold it bit-identical to the
     per-pair engine and to :mod:`repro.core.refimpl`.
 
-    The sweep owns the context's scratch buffers while it works; if
-    another computation uses the context in between, the next delta
-    detects it (via ``RoutingContext._sweep_owner``) and resynchronizes
-    from the snapshot in one ``O(n)`` copy.  Like the context itself, a
-    sweep is not thread-safe; fork workers each own a clone.
+    On a scalar context the sweep owns the context's scratch buffers
+    while it works; if another computation uses the context in between,
+    the next delta detects it (via ``RoutingContext._sweep_owner``) and
+    resynchronizes from the snapshot in one ``O(n)`` copy.  On a numpy
+    context the sweep computes on its own arrays and shares nothing.
+    Like the context itself, a sweep is not thread-safe; fork workers
+    each own a clone.
 
     Example:
         One sweep amortizes many attackers against one destination and
@@ -1556,7 +1577,6 @@ class DestinationSweep:
         "_dep",
         "_dirty",
         "last_delta_path",
-        "_needs_restore",
         "_np_base",
     )
 
@@ -1578,7 +1598,6 @@ class DestinationSweep:
         #: ``"pure"`` on a scalar context, ``"vectorized"`` or
         #: ``"dense"`` on a numpy one.
         self.last_delta_path: str | None = None
-        self._needs_restore = True
         self._np_base: dict | None = None
         self._last_res = DEFAULT_RESOLVED
         dest_i, _ = ctx._check_pair(destination, None)
@@ -1599,39 +1618,32 @@ class DestinationSweep:
         self._run_baseline()
         self._take_baseline()
         self._dirty = bytearray(ctx.n)
-        ctx._sweep_owner = weakref.ref(self)
 
     def _run_baseline(self) -> None:
-        """Run the sweep's baseline fixing pass into the scratch buffers
-        (attacker-free here; the rollout attacker-chain walker overrides
-        this to root its attacker)."""
+        """Run the sweep's baseline fixing pass (attacker-free here; the
+        rollout attacker-chain walker overrides this to root its
+        attacker)."""
         self.ctx._run(
             self._dest_i, -1, self._signing, self._ranking, self.model
         )
 
     def _take_baseline(self) -> None:
-        """Snapshot the scratch buffers as this sweep's baseline.
+        """Snapshot the pass that just ran as this sweep's baseline.
 
         A sweep holds exactly one snapshot form, chosen by
         ``ctx.vectorized``.  On a scalar context the baselines are
-        python bytearrays/lists (mutable so the rollout advance,
+        python bytearrays/lists copied from the scratch buffers, which
+        the sweep then owns (mutable so the rollout advance,
         :class:`RolloutSweep`, can commit a delta in place; a plain
         :class:`DestinationSweep` never mutates them) and the
         reverse-dependency lists are built on the first delta
-        (:meth:`_ensure_dep`).  On a numpy context the snapshot is taken
-        straight from the bucket kernel's int64 scratch arrays — no
-        per-destination O(n) python list/bytearray copies — together
-        with the dependency CSR the numpy delta kernel walks
+        (:meth:`_ensure_dep`).  On a numpy context the snapshot is the
+        bucket kernel's nine scratch arrays, the next-hop membership
+        pairs with the two CSRs the numpy delta kernel walks
         (:meth:`_np_attach_dep`) and its two reusable per-delta
-        accumulators.
+        accumulators — no python object per AS.
         """
         ctx = self.ctx
-        ctx._materialize_nhops()
-        # Inner next-hop lists are shared with the scratch arrays; the
-        # delta pass never mutates a restored list (every mutation path
-        # starts with a reset to None followed by a fresh list), which is
-        # the same contract _snapshot relies on.
-        self._b_nhops = list(ctx._nhops)
         self._b_counts = ctx._last_counts
         self._dep = None
         self._np_base = None
@@ -1653,14 +1665,17 @@ class DestinationSweep:
             self._b_sec = None
             self._b_choice = None
             self._b_endpoint = None
+            self._b_nhops = None
             self._np_base = base
-            # The pairs stash is fresh here: a vectorized baseline pass
-            # always defers next-hops, so the materialize above rebuilt
-            # them (and the stash) from this very state.
-            self._np_attach_dep(base, *ctx._np_pairs)
+            self._np_attach_dep(base, *ctx._np_nhop_pairs())
             base["deadcnt"] = _np.zeros(ctx.n, dtype=_np.int64)
             base["deadwire"] = _np.zeros(ctx.n, dtype=_np.int64)
             return
+        # Inner next-hop lists are shared with the scratch arrays; the
+        # delta pass never mutates a restored list (every mutation path
+        # starts with a reset to None followed by a fresh list), which is
+        # the same contract _snapshot relies on.
+        self._b_nhops = list(ctx._nhops)
         self._b_fixed = bytearray(ctx._fixed)
         self._b_key = list(ctx._key)
         self._b_cls = bytearray(ctx._cls)
@@ -1670,6 +1685,7 @@ class DestinationSweep:
         self._b_sec = bytearray(ctx._sec)
         self._b_choice = list(ctx._choice)
         self._b_endpoint = bytearray(ctx._endpoint)
+        ctx._sweep_owner = weakref.ref(self)
 
     def _ensure_dep(self) -> list[list[int]]:
         """Reverse-dependency lists over the baseline next-hop sets:
@@ -1687,10 +1703,11 @@ class DestinationSweep:
 
     def _np_attach_dep(self, base: dict, us, vs) -> None:
         """(Re)build the dependency structure the numpy delta kernel
-        walks from the baseline next-hop membership pairs ``(us, vs)``:
-        their reverse CSR (``dep_start``/``dep_v``: u → dependents v),
-        the per-node BPR size ``nhcnt`` and its wire-secure member
-        count ``bwirecnt``."""
+        walks from the baseline next-hop membership pairs ``(us, vs)``,
+        sorted by ``(v, u)``: their forward CSR (``nh_start`` into
+        ``us``: v → its BPR set), their reverse CSR
+        (``dep_start``/``dep_v``: u → dependents v), the per-node BPR
+        size ``nhcnt`` and its wire-secure member count ``bwirecnt``."""
         np = _np
         n = self.ctx.n
         base["us"] = us
@@ -1702,7 +1719,10 @@ class DestinationSweep:
         dep_start = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=dep_start[1:])
         base["dep_start"] = dep_start
-        base["nhcnt"] = np.bincount(vs, minlength=n).astype(np.int64)
+        base["nhcnt"] = nhcnt = np.bincount(vs, minlength=n).astype(np.int64)
+        nh_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(nhcnt, out=nh_start[1:])
+        base["nh_start"] = nh_start
         bwirecnt = np.zeros(n, dtype=np.int64)
         np.add.at(bwirecnt, vs, base["wire"][us])
         base["bwirecnt"] = bwirecnt
@@ -1719,8 +1739,23 @@ class DestinationSweep:
 
     def baseline_outcome(self) -> RoutingOutcome:
         """The attacker-free :class:`RoutingOutcome` (``m = None``)."""
-        self._ensure_scratch()
         ctx = self.ctx
+        base = self._np_base
+        if base is not None:
+            return RoutingOutcome(
+                destination=self.destination,
+                attacker=None,
+                deployment=self.deployment,
+                model=self.model,
+                attack=self.attack,
+                _resolved=DEFAULT_RESOLVED,
+                _ctx=ctx,
+                _dest_i=self._dest_i,
+                _att_i=-1,
+                _counts=self._b_counts,
+                **_decode(base, base["us"], base["vs"]),
+            )
+        self._ensure_scratch()
         ctx._last_counts = self._b_counts
         return ctx._snapshot(
             self.destination, None, self.deployment, self.model,
@@ -1739,10 +1774,19 @@ class DestinationSweep:
 
     def outcome(self, attacker: int) -> RoutingOutcome:
         """The full stable state for one attacker (API-compatible with
-        :func:`compute_routing_outcome`, computed incrementally)."""
+        :func:`compute_routing_outcome`; computed incrementally on a
+        scalar context).  On a numpy context the decode into python
+        records is most of a full-state answer and one dense pass a
+        fraction of it, so a delta would save nothing: the strategy is
+        resolved against the snapshot and the pass run whole."""
         att_i = self._attacker_index(attacker)
-        counts, touched = self._delta(att_i, need_state=True)
         ctx = self.ctx
+        if ctx.vectorized:
+            counts, touched = self._delta_dense(
+                att_i, self._resolve_delta(att_i, False)
+            )
+        else:
+            counts, touched = self._delta(att_i)
         ctx._last_counts = counts
         snap = ctx._snapshot(
             self.destination, attacker, self.deployment, self.model,
@@ -1763,60 +1807,33 @@ class DestinationSweep:
 
     def _ensure_scratch(self) -> None:
         """Resync the scratch buffers from the snapshot if another
-        computation used the context since the last delta."""
+        computation used the context since the last delta (a numpy
+        sweep computes on its own arrays: nothing to resync)."""
+        if self._np_base is not None:
+            return
         ctx = self.ctx
         owner = ctx._sweep_owner
         if owner is not None and owner() is self:
             return
-        base = self._np_base
-        if base is not None:
-            # numpy snapshot: bulk-decode it into the python scratch
-            # (the same serialization _run_np's write-back uses, so the
-            # values are bit-identical to a pure-kernel pass).
-            np = _np
-            ctx._fixed[:] = base["fixed"].tobytes()
-            ctx._cls[:] = base["cls"].astype(np.uint8).tobytes()
-            ctx._reach[:] = base["reach"].astype(np.uint8).tobytes()
-            ctx._wire[:] = base["wire"].astype(np.uint8).tobytes()
-            ctx._sec[:] = base["sec"].astype(np.uint8).tobytes()
-            ctx._endpoint[:] = base["endp"].astype(np.uint8).tobytes()
-            ctx._len[:] = base["len"].tolist()
-            ctx._choice[:] = base["choice"].tolist()
-            key = base["key"]
-            key_list = key.tolist()
-            for i in np.flatnonzero(key == _NP_INF).tolist():
-                key_list[i] = _INF
-            ctx._key[:] = key_list
-        else:
-            ctx._fixed[:] = self._b_fixed
-            ctx._key[:] = self._b_key
-            ctx._cls[:] = self._b_cls
-            ctx._len[:] = self._b_len
-            ctx._reach[:] = self._b_reach
-            ctx._wire[:] = self._b_wire
-            ctx._sec[:] = self._b_sec
-            ctx._choice[:] = self._b_choice
-            ctx._endpoint[:] = self._b_endpoint
+        ctx._fixed[:] = self._b_fixed
+        ctx._key[:] = self._b_key
+        ctx._cls[:] = self._b_cls
+        ctx._len[:] = self._b_len
+        ctx._reach[:] = self._b_reach
+        ctx._wire[:] = self._b_wire
+        ctx._sec[:] = self._b_sec
+        ctx._choice[:] = self._b_choice
+        ctx._endpoint[:] = self._b_endpoint
         ctx._nhops[:] = self._b_nhops
-        ctx._nhops_valid = True
         ctx._sweep_owner = weakref.ref(self)
 
     def _restore(self, touched: list[int] | None) -> None:
-        """Return every touched scratch entry to its baseline value.
-
-        On a numpy context a count-only delta (compressed or dense)
-        computes on its own arrays and never writes the python scratch
-        (``_needs_restore`` False, set by :meth:`_delta`): nothing to
-        undo.  One that was asked for the full state (:meth:`outcome`)
-        wrote it over the scratch; the sweep just gives the scratch up,
-        and the next :meth:`_ensure_scratch` resyncs it in bulk.
-        """
-        if not self._needs_restore:
+        """Return every touched scratch entry to its baseline value (a
+        numpy delta, compressed or dense, never wrote one: nothing to
+        undo)."""
+        if self._np_base is not None:
             return
         ctx = self.ctx
-        if self._np_base is not None:
-            ctx._sweep_owner = None
-            return
         fixed = ctx._fixed
         key_l = ctx._key
         cls_b = ctx._cls
@@ -1867,16 +1884,12 @@ class DestinationSweep:
         if attack.needs_baseline:
             base = self._np_base
             if base is not None:
-                baseline = AttackerBaseline(
-                    has_route=bool(base["fixed"][att_i]),
-                    length=int(base["len"][att_i]),
-                    wire_secure=bool(base["wire"][att_i]),
+                baseline = _attacker_baseline(
+                    base["fixed"], base["len"], base["wire"], att_i
                 )
             else:
-                baseline = AttackerBaseline(
-                    has_route=bool(self._b_fixed[att_i]),
-                    length=self._b_len[att_i],
-                    wire_secure=bool(self._b_wire[att_i]),
+                baseline = _attacker_baseline(
+                    self._b_fixed, self._b_len, self._b_wire, att_i
                 )
         res = attack.resolve(dest_signed=self._dest_signed, baseline=baseline)
         self._last_res = res
@@ -1886,31 +1899,27 @@ class DestinationSweep:
         self,
         att_i: int,
         extra_resets: Sequence[int] | None = None,
-        need_state: bool = False,
-    ) -> tuple[tuple[int, int, int, int, int, int], list[int] | None]:
+    ) -> tuple[tuple[int, int, int, int, int, int], list[int] | dict | None]:
         """Delta re-fix for one attacker or advance.
 
         The context selects the implementation, and nothing else does:
 
         * a scalar context (``ctx.vectorized`` false) runs the
-          interpreted heap loop, :meth:`_delta_pure`;
+          interpreted heap loop, :meth:`_delta_pure`, in the python
+          scratch: the caller restores or commits ``touched``;
         * a numpy context runs the compressed bucket kernel
-          (:mod:`repro.core._delta_np`), whose closure sweep doubles as
-          a cost estimate; past ``n * DELTA_NP_BUDGET`` it cedes, nearly
-          for free, to one dense :meth:`RoutingContext._run_np` pass
+          (:mod:`repro.core._delta_np`) on the sweep's own arrays — it
+          returns the touched indices of an attacker delta, and of an
+          advance the patch :meth:`RolloutSweep._commit` applies.  Its
+          closure sweep doubles as a cost estimate; past
+          ``n * DELTA_NP_BUDGET`` it cedes, nearly for free, to one
+          dense :meth:`RoutingContext._run_np` pass
           (:meth:`_delta_dense`, ``touched=None``).
 
         All three compute the same bit-identical result; the one that
         ran is recorded in :attr:`last_delta_path` (``"pure"``,
         ``"vectorized"`` or ``"dense"``).
-
-        ``need_state=True`` asks for the full re-fixed state in the
-        scratch buffers (outcome snapshots, rollout commits); without it
-        the numpy paths skip the write-back entirely.
         """
-        # The pure loop works in the python scratch; the numpy paths
-        # write it only when asked for the state.
-        self._needs_restore = need_state or not self.ctx.vectorized
         res = self._resolve_delta(att_i, extra_resets is not None)
         if not self.ctx.vectorized:
             self.last_delta_path = "pure"
@@ -1919,12 +1928,12 @@ class DestinationSweep:
 
         try:
             out = delta_np(
-                self, att_i, extra_resets, res, need_state,
+                self, att_i, extra_resets, res,
                 budget=int(self.ctx.n * DELTA_NP_BUDGET),
             )
         except _DeltaOversize:
             self.last_delta_path = "dense"
-            return self._delta_dense(att_i, res, need_state)
+            return self._delta_dense(att_i, res)
         self.last_delta_path = "vectorized"
         return out
 
@@ -1932,20 +1941,19 @@ class DestinationSweep:
         self,
         att_i: int,
         res: ResolvedAttack | None,
-        need_state: bool,
     ) -> tuple[tuple[int, int, int, int, int, int], None]:
         """Full-pass fall-back of the numpy delta: recompute the
         attacked (or advanced) state from scratch in one vectorized
         pass — cheaper than a delta whose dirty region stopped being
         small (a sweep's masks passed ``require_stub_simplex``, so
-        ``_run_np`` takes them).  Returns ``touched=None``; in
-        count-only mode the pass also leaves the python scratch (and
-        the sweep's ownership of it) completely untouched."""
+        ``_run_np`` takes them).  Returns ``touched=None``; the state
+        is the context's last pass, for :meth:`_take_baseline` (an
+        advance) or :meth:`RoutingContext._snapshot` (:meth:`outcome`)
+        to pick up."""
         ctx = self.ctx
         ctx._run_np(
             self._dest_i, att_i, self._signing, self._ranking, self.model,
             res if res is not None else DEFAULT_RESOLVED,
-            writeback=need_state,
         )
         return ctx._last_counts, None
 
@@ -2713,19 +2721,16 @@ class RolloutSweep(DestinationSweep):
                 signing[i] = 1
         if not seeds:
             return
-        counts, touched = self._delta(
-            self._root_att, extra_resets=seeds, need_state=True
-        )
-        if touched is None:
+        counts, delta = self._delta(self._root_att, extra_resets=seeds)
+        if delta is None:
             # Dense fall-back: the full pass just recomputed the whole
             # advanced state, so adopt it wholesale — fresh snapshot,
             # no valid memo regions, dependency bookkeeping reset.
             self._take_baseline()
             self._memo.clear()
             self._dep_slack = 0
-            self.ctx._sweep_owner = weakref.ref(self)
             return
-        self._commit(counts, touched, seeds)
+        self._commit(counts, delta, seeds)
 
     def _rebuild(self) -> None:
         """Full re-fix fallback (destination signing flipped)."""
@@ -2738,70 +2743,56 @@ class RolloutSweep(DestinationSweep):
         self._take_baseline()
         self._memo.clear()
         self._dep_slack = 0
-        ctx._sweep_owner = weakref.ref(self)
 
     def _commit(
         self,
         counts: tuple[int, int, int, int, int, int],
-        touched: list[int],
+        delta: list[int] | dict,
         seeds: Sequence[int],
     ) -> None:
         """Adopt the advance's re-fixed state as the new baseline.
 
-        The sweep's one snapshot form is updated in place from the
-        scratch buffers: the numpy base gets its dependency CSR rebuilt
-        from the committed pair set, the python baselines an
-        append-only patch of the ``dep`` lists.
+        The sweep's one snapshot form is updated in place.  The numpy
+        base takes ``delta``, the patch :func:`repro.core._delta_np.delta_np`
+        built, by fancy indexing and gets its dependency CSRs rebuilt
+        from the committed pair set; the python baselines copy the
+        ``delta`` (touched) entries from the scratch buffers and patch
+        the ``dep`` lists append-only.
         """
         ctx = self.ctx
-        fixed = ctx._fixed
-        key_l = ctx._key
-        cls_b = ctx._cls
-        len_l = ctx._len
-        reach_b = ctx._reach
-        wire_b = ctx._wire
-        sec_b = ctx._sec
-        choice_l = ctx._choice
-        endp_b = ctx._endpoint
-        nhops = ctx._nhops
-        b_nhops = self._b_nhops
         self._b_counts = counts
         base = self._np_base
         if base is not None:
             np = _np
-            new_us: list[int] = []
-            new_vs: list[int] = []
-            for x in touched:
-                k = key_l[x]
-                base["key"][x] = k if k < _NP_INF else _NP_INF
-                base["fixed"][x] = bool(fixed[x])
-                base["cls"][x] = cls_b[x]
-                base["len"][x] = len_l[x]
-                base["reach"][x] = reach_b[x]
-                base["wire"][x] = wire_b[x]
-                base["sec"][x] = sec_b[x]
-                base["choice"][x] = choice_l[x]
-                base["endp"][x] = endp_b[x]
-                h = b_nhops[x] = nhops[x]
-                if h:
-                    new_us.extend(h)
-                    new_vs.extend([x] * len(h))
+            touched = delta["touched"]
+            for rows, fields in delta["writes"]:
+                for name, column in fields.items():
+                    base[name][rows] = column
             # The numpy dependency CSR has no harmless-staleness story
             # (the closure counts dead BPR members against exact set
-            # sizes), so rebuild it from the committed pair set.
+            # sizes), so rebuild it from the committed pair set: the
+            # patch's membership rows replace those of every node whose
+            # BPR set the advance rebuilt.
             drop = np.zeros(ctx.n, dtype=np.bool_)
-            drop[touched] = True
+            drop[delta["rebuilt"]] = True
             keep = ~drop[base["vs"]]
-            self._np_attach_dep(
-                base,
-                np.concatenate(
-                    [base["us"][keep], np.array(new_us, dtype=np.int64)]
-                ),
-                np.concatenate(
-                    [base["vs"][keep], np.array(new_vs, dtype=np.int64)]
-                ),
-            )
+            us = np.concatenate([base["us"][keep], delta["us"]])
+            vs = np.concatenate([base["vs"][keep], delta["vs"]])
+            order = np.argsort(vs * ctx.n + us)
+            self._np_attach_dep(base, us[order], vs[order])
         else:
+            touched = delta
+            fixed = ctx._fixed
+            key_l = ctx._key
+            cls_b = ctx._cls
+            len_l = ctx._len
+            reach_b = ctx._reach
+            wire_b = ctx._wire
+            sec_b = ctx._sec
+            choice_l = ctx._choice
+            endp_b = ctx._endpoint
+            nhops = ctx._nhops
+            b_nhops = self._b_nhops
             b_fixed = self._b_fixed
             b_key = self._b_key
             b_cls = self._b_cls

@@ -130,7 +130,11 @@ def _supervised_worker_main(conn, slot: int) -> None:
     :class:`ExperimentContext` (via ``_WORKER_CTX``) at fork time.
     Exceptions are reported back as structured error replies so the
     supervisor can retry the shard; a crash (SIGKILL, segfault) simply
-    drops the pipe, which the supervisor observes as EOF.
+    drops the pipe, which the supervisor observes as EOF — and so does
+    a ``KeyboardInterrupt`` (a terminal's Ctrl-C reaches the whole
+    foreground process group) or ``SystemExit`` inside a task: it ends
+    the worker instead of booking a failed attempt on a shard nobody
+    wants any more.
     """
     # The parent may have turned SIGTERM into SystemExit (the CLI does,
     # so its own teardown unwinds); inherited here, that would turn
@@ -153,7 +157,7 @@ def _supervised_worker_main(conn, slot: int) -> None:
                 plan.fire_worker(shard=seq, attempt=attempt, slot=slot)
             out = [worker(_WORKER_CTX, item, state)
                    for worker, item, state in tasks]
-        except BaseException as exc:
+        except Exception as exc:
             reply = (
                 "err",
                 seq,

@@ -6,8 +6,27 @@ import os
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis.database import DirectoryBasedExampleDatabase
 
 from repro import core, topology
+
+# Tier-1 is the gate, so it draws the same examples on every run: the
+# seed is derived from each test, and no example database carries
+# state from one run to the next.  Random exploration is `make fuzz`
+# (`--hypothesis-profile=fuzz`): a larger budget, and failures saved
+# under a tracked directory so the next run replays them first.
+settings.register_profile(
+    "tier1", derandomize=True, database=None, max_examples=25
+)
+settings.register_profile(
+    "fuzz",
+    max_examples=500,
+    database=DirectoryBasedExampleDatabase(
+        os.path.join(os.path.dirname(__file__), "fuzz-examples")
+    ),
+)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ shard layout the faults hit varies run to run.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import random
 
@@ -35,6 +36,7 @@ from repro.experiments.faults import (
     active_plan,
     disarm,
 )
+from repro.experiments.runner import _supervised_worker_main
 from repro.experiments.scenarios import request_for
 from repro.experiments.store import FSYNC_POLICIES, ResultStore, _record_crc
 
@@ -277,6 +279,47 @@ class TestChaosRecovery:
         finally:
             disarm()
         assert log.count("shard_degraded") >= 1
+
+
+def _raise_or_echo(_ectx, item, _state):
+    """A pool task: raise ``item`` if it is an exception type."""
+    if isinstance(item, type) and issubclass(item, BaseException):
+        raise item("injected")
+    return item
+
+
+class TestWorkerLoop:
+    def test_only_exceptions_become_error_replies(self):
+        """A task's ``Exception`` comes back as an ``"err"`` reply and
+        the worker serves the next shard; a ``KeyboardInterrupt`` ends
+        the worker, which the supervisor sees as a death (pipe EOF),
+        not as a failed attempt to retry."""
+        mp = multiprocessing.get_context("fork")
+        parent, child = mp.Pipe()
+        proc = mp.Process(
+            target=_supervised_worker_main, args=(child, 0), daemon=True
+        )
+        proc.start()
+        child.close()
+        try:
+            parent.send((0, 0, [(_raise_or_echo, RuntimeError, None)]))
+            assert parent.poll(10)
+            kind, seq, detail = parent.recv()
+            assert (kind, seq) == ("err", 0)
+            assert "RuntimeError: injected" in detail
+            parent.send((1, 0, [(_raise_or_echo, "alive", None)]))
+            assert parent.poll(10)
+            assert parent.recv() == ("ok", 1, ["alive"])
+            parent.send((2, 0, [(_raise_or_echo, KeyboardInterrupt, None)]))
+            assert parent.poll(10)
+            with pytest.raises(EOFError):
+                parent.recv()
+            proc.join(10)
+            assert not proc.is_alive()
+        finally:
+            proc.kill()
+            proc.join(10)
+            parent.close()
 
 
 class TestDurableStore:

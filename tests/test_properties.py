@@ -34,8 +34,8 @@ from repro.core import (
 from repro.core.rank import LocalPreference, RankModel, SecurityModel
 from repro.topology import ASGraph, RouteClass, parse_serial2, dumps_serial2
 
+# The example budget comes from the loaded profile (tests/conftest.py).
 DEFAULT_SETTINGS = settings(
-    max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )

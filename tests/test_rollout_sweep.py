@@ -354,7 +354,8 @@ class TestDeltaKernelsOnChains:
                     if si:
                         w.advance(step)
                         assert w.last_delta_path == path, (si, path)
-                    got = []
+                    # the committed baseline in full, then the counts
+                    got = [dict(w.baseline_outcome().routes)]
                     for m in atts:
                         got.append(w.happiness_counts(m))
                         assert w.last_delta_path == path, (si, path, m)

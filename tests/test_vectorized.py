@@ -35,7 +35,10 @@ from repro.core.attacks import (
 )
 from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.core.routing import (
+    _INF,
+    _NP_INF,
     DestinationSweep,
+    RolloutSweep,
     RoutingContext,
     batch_happiness_counts,
     compute_routing_outcome,
@@ -89,6 +92,15 @@ def _instances(graph, salt, k=3):
     return out
 
 
+def _last_keys(ctx):
+    """Packed rank keys of the last pass, read from wherever its kernel
+    left them (a numpy pass never writes ``ctx._key``)."""
+    if ctx._np_post is None:
+        return list(ctx._key)
+    keys = ctx._np_scratch["key"].tolist()
+    return [_INF if k == _NP_INF else k for k in keys]
+
+
 class TestDifferentialGrid:
     """Vectorized vs pure vs reference engine, full observable state."""
 
@@ -100,13 +112,13 @@ class TestDifferentialGrid:
                 pure_ctx, d, attacker=m, deployment=dep, model=model,
                 attack=attack,
             )
-            pure_key = list(pure_ctx._key)
+            pure_key = _last_keys(pure_ctx)
             pure_routes = dict(pure.routes)
             vec = compute_routing_outcome(
                 vec_ctx, d, attacker=m, deployment=dep, model=model,
                 attack=attack,
             )
-            assert list(vec_ctx._key) == pure_key
+            assert _last_keys(vec_ctx) == pure_key
             assert dict(vec.routes) == pure_routes
             assert vec.count_happy() == pure.count_happy()
             assert vec.count_attacked() == pure.count_attacked()
@@ -177,31 +189,108 @@ class TestDeltaKernels:
             counts = sp.happiness_counts(m)
             assert sp.last_delta_path == "pure"
             pure_routes = dict(sp.outcome(m).routes)
-            pure_key = list(pure_ctx._key)
+            pure_base = dict(sp.baseline_outcome().routes)
             for path in ("vectorized", "dense"):
                 delta_budget(path)
                 sv = DestinationSweep(vec_ctx, d, dep, model, attack=attack)
                 assert sv.happiness_counts(m) == counts
                 assert sv.last_delta_path == path
                 assert dict(sv.outcome(m).routes) == pure_routes
-                # Leak-freedom: the outcome's state was written over the
-                # scratch and given up, so a second query resyncs it to
-                # the baseline the pure sweep restored entry by entry.
+                # Leak-freedom: neither the full-state answer nor a
+                # second delta leaves a trace in the baseline, which
+                # the pure sweep restored entry by entry.
                 assert sv.happiness_counts(m) == counts
                 assert sv.last_delta_path == path
-                assert list(vec_ctx._key) == pure_key
+                assert dict(sv.baseline_outcome().routes) == pure_base
 
     def test_numpy_snapshot_baseline(self, graph, pure_ctx, vec_ctx):
         """A sweep holds one snapshot form, chosen by the context: numpy
-        arrays on a vectorized one (no python-list decode), python
-        lists on a scalar one; the counts match."""
+        arrays on a vectorized one (no python-list decode, no next-hop
+        lists), python lists on a scalar one; the counts match."""
         m, d, dep = _instances(graph, "npsnap", k=1)[0]
         sn = DestinationSweep(vec_ctx, d, dep, SECURITY_MODELS[0])
         counts = sn.happiness_counts(m)
         assert sn._b_fixed is None and sn._np_base is not None
+        assert sn._b_nhops is None
         sp = DestinationSweep(pure_ctx, d, dep, SECURITY_MODELS[0])
         assert sp._b_fixed is not None and sp._np_base is None
+        assert sp._b_nhops is not None
         assert sp.happiness_counts(m) == counts
+
+
+class TestArraysAreTheState:
+    """On a numpy context the arrays are the state: no numpy kernel
+    reads or writes the python scratch (the heap loop's working set),
+    and python records exist only inside a ``RoutingOutcome``.  A numpy
+    context stripped of that scratch must therefore answer every
+    stub-simplex request, counts and full state, like a scalar one."""
+
+    PY_SCRATCH = (
+        "_fixed", "_key", "_cls", "_len", "_reach",
+        "_wire", "_sec", "_choice", "_endpoint", "_nhops",
+    )
+
+    @pytest.mark.parametrize("path", ["vectorized", "dense"])
+    @pytest.mark.parametrize(
+        "attack", [ONE_HOP_HIJACK, HONEST], ids=lambda a: a.token
+    )
+    def test_no_python_scratch_needed(
+        self, graph, pure_ctx, attack, path, delta_budget
+    ):
+        bare = RoutingContext(graph, vectorized=True)
+        for name in self.PY_SCRATCH:
+            setattr(bare, name, None)
+        delta_budget(path)
+        rnd = random.Random(f"vec/bare/{attack.token}")
+        asns = graph.asns
+        members = rnd.sample(asns, 60)
+        chain = [
+            Deployment.of(members[:k]).with_simplex_stubs(graph)
+            for k in (0, 20, 40, 60)
+        ]
+        assert chain[-1].simplex
+        few_d, many_d = rnd.sample(asns, 2)
+        others = [a for a in asns if a not in (few_d, many_d)]
+        pairs = (
+            [(m, few_d) for m in rnd.sample(others, 2)]
+            + [(None, few_d)]
+            + [(m, many_d) for m in rnd.sample(others, 5)]
+        )
+        model = SECURITY_MODELS[1]
+        for ctx_counts in (
+            lambda ctx: rollout_happiness_counts(
+                ctx, pairs, chain, model, attack=attack
+            ),
+            lambda ctx: batch_happiness_counts(
+                ctx, pairs, chain[2], model, attack=attack
+            ),
+        ):
+            assert ctx_counts(bare) == ctx_counts(pure_ctx)
+        m = pairs[-1][0]
+        walkers = [
+            RolloutSweep(ctx, many_d, chain[0], model, attack=attack)
+            for ctx in (bare, pure_ctx)
+        ]
+        for step in chain[1:]:
+            states = []
+            for w in walkers:
+                w.advance(step)
+                states.append((
+                    dict(w.baseline_outcome().routes),
+                    dict(w.outcome(m).routes),
+                    w.happiness_counts(m),
+                ))
+            assert states[0] == states[1]
+        assert walkers[0].last_delta_path == path
+        for m, d in pairs:
+            kwargs = dict(
+                attacker=m, deployment=chain[-1], model=model, attack=attack
+            )
+            got = compute_routing_outcome(bare, d, **kwargs)
+            want = compute_routing_outcome(pure_ctx, d, **kwargs)
+            assert dict(got.routes) == dict(want.routes)
+            assert got.count_happy() == want.count_happy()
+            assert got.count_secure_sources() == want.count_secure_sources()
 
 
 class TestKernelSelection:
