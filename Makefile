@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test fuzz test-service bench bench-check bench-micro golden docs doctest
+.PHONY: test fuzz test-service bench bench-check bench-pairs bench-micro golden docs doctest
 
 ## tier-1 test suite (the CI gate); its hypothesis profile is
 ## derandomized (tests/conftest.py), so every run draws the same examples
@@ -57,6 +57,14 @@ bench:
 ## files taken on one machine
 bench-check:
 	$(PYTHON) perfbench/bench.py --smoke
+
+## alternated runs of one workload on two checkouts, each running its
+## own perfbench, every value printed (tools/alternate_bench.py):
+##   make bench-pairs PARENT=../parent [WORKLOAD=rollout_large] [PAIRS=10]
+WORKLOAD ?= rollout_large
+PAIRS ?= 10
+bench-pairs:
+	$(PYTHON) tools/alternate_bench.py $(PARENT) . --workload $(WORKLOAD) --pairs $(PAIRS)
 
 ## full pytest-benchmark microbenchmark harness
 bench-micro:

@@ -11,7 +11,12 @@ monotone here as they are there.
 
 The closure sweep, wave kernel and count swap read the sweep's numpy
 baseline snapshot and write only per-delta compressed scratch; no
-python buffer is involved.  An attacker delta is its counts; an advance
+python buffer is involved.  The snapshot's dependency index (next-hop
+pairs and their CSRs) is read through
+:meth:`~repro.core.routing.DestinationSweep._np_ensure_dep`, which
+builds it on first use, and not before the seed layer has passed the
+budget check: a delta that cedes there never asks for one.  An attacker
+delta is its counts; an advance
 also returns its re-fixed state as a patch that
 :meth:`~repro.core.routing.RolloutSweep._commit` scatters into the
 snapshot.  That makes the escape to the dense pass nearly free —
@@ -70,14 +75,10 @@ def delta_np(sweep, att_i, extra_resets, res, budget):
     b_sec = base["sec"]
     b_choice = base["choice"]
     b_endp = base["endp"]
-    dep_start = base["dep_start"]
-    dep_v = base["dep_v"]
-    nhcnt = base["nhcnt"]
-    bwirecnt = base["bwirecnt"]
     deadcnt = base["deadcnt"]
     deadwire = base["deadwire"]
     dirty = np.frombuffer(sweep._dirty, dtype=np.uint8)
-    start, node, cls_e, cf_b, _esrc = ctx._np_adjacency()
+    start, node, cls_e, cf_b, _esrc, _cust = ctx._np_adjacency()
     rank_i = np.frombuffer(sweep._ranking, dtype=np.uint8).astype(_I64)
     sign_i = np.frombuffer(sweep._signing, dtype=np.uint8).astype(_I64)
     model = sweep.model
@@ -147,6 +148,11 @@ def delta_np(sweep, att_i, extra_resets, res, budget):
             # closure can be several times the budget, and walking the
             # rest of it would just be thrown away.
             check_budget()
+            # First read of the dependency index, which builds it: a
+            # delta whose seed layer alone is oversize ceded above
+            # without one.
+            dep = sweep._np_ensure_dep()
+            dep_start = dep["dep_start"]
             s = dep_start[layer]
             cnt = dep_start[layer + 1] - s
             tote = int(cnt.sum())
@@ -154,7 +160,7 @@ def delta_np(sweep, att_i, extra_resets, res, budget):
                 break
             cend = np.cumsum(cnt)
             eidx = np.repeat(s - (cend - cnt), cnt) + np.arange(tote)
-            ys = dep_v[eidx]
+            ys = dep["dep_v"][eidx]
             xs = np.repeat(layer, cnt)
             m = dirty[ys] != 1
             ys = ys[m]
@@ -164,13 +170,13 @@ def delta_np(sweep, att_i, extra_resets, res, budget):
             np.add.at(deadcnt, ys, 1)
             np.add.at(deadwire, ys, b_wire[xs])
             cand = np.unique(ys)
-            live = nhcnt[cand] - deadcnt[cand]
+            live = dep["nhcnt"][cand] - deadcnt[cand]
             hard = live == 0
             promo = (
                 ~hard
                 & (sign_i[cand] != 0)
                 & (b_wire[cand] == 0)
-                & (bwirecnt[cand] - deadwire[cand] == live)
+                & (dep["bwirecnt"][cand] - deadwire[cand] == live)
             )
             hp = hard | promo
             pruned = cand[~hp]
@@ -276,9 +282,9 @@ def delta_np(sweep, att_i, extra_resets, res, budget):
         if att_i >= 0:
             reach_glob[att_i] = 2 if att_active else 0
         _soft_phase(
-            base, dirty, inv, b_fixed, b_key,
+            sweep._np_ensure_dep(), dirty, inv, b_fixed, b_key,
             reach_glob, choice_glob, endp_glob,
-            key_c, reach_c, choice_c, dep_start, dep_v,
+            key_c, reach_c, choice_c,
             mem_u, mem_v, tie_w_parts, tie_u_parts, prune_parts,
             soft_nh, extra_touched,
         )
@@ -587,7 +593,7 @@ def _run_waves(
 
 def _soft_phase(
     base, dirty, inv, b_fixed, b_key, reach_glob, choice_glob,
-    endp_glob, key_c, reach_c, choice_c, dep_start, dep_v,
+    endp_glob, key_c, reach_c, choice_c,
     mem_u, mem_v, tie_w_parts, tie_u_parts, prune_parts,
     soft_nh, extra_touched,
 ):
@@ -597,6 +603,8 @@ def _soft_phase(
     the worklist is tiny relative to the region."""
     b_us = base["us"]
     nh_start = base["nh_start"]
+    dep_start = base["dep_start"]
+    dep_v = base["dep_v"]
     push = heapq.heappush
     pop = heapq.heappop
     work: list = []

@@ -123,14 +123,24 @@ def _isp_step(
     extra: Iterable[int] = (),
     simplex_stubs: bool = False,
 ) -> RolloutStep:
-    """Build 'these ISPs + their stubs (+ extras)' as a rollout step."""
+    """Build 'these ISPs + their stubs (+ extras)' as a rollout step.
+
+    Every AS :func:`stubs_of` adds is a stub by construction, so only
+    the ISPs and extras themselves are asked ``is_stub``: that settles
+    the member set, the non-stub count and the simplex split at once.
+    """
     isp_set = frozenset(isps) | frozenset(extra)
-    members = isp_set | stubs_of(graph, isp_set)
-    deployment = Deployment.of(members)
+    stub_isps = frozenset(a for a in isp_set if graph.is_stub(a))
+    stubs = stubs_of(graph, isp_set) | stub_isps
     if simplex_stubs:
-        deployment = deployment.with_simplex_stubs(graph)
-    non_stub = sum(1 for a in members if not graph.is_stub(a))
-    return RolloutStep(label=label, deployment=deployment, non_stub_count=non_stub)
+        deployment = Deployment(full=isp_set - stub_isps, simplex=stubs)
+    else:
+        deployment = Deployment.of(isp_set | stubs)
+    return RolloutStep(
+        label=label,
+        deployment=deployment,
+        non_stub_count=len(isp_set) - len(stub_isps),
+    )
 
 
 def _scaled_counts(total: int, paper_counts: Sequence[int], paper_total: int) -> list[int]:

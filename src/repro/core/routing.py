@@ -241,6 +241,13 @@ class RoutingContext:
     * ``adj_custflag`` — bytearray; 1 iff the neighbor is a customer of
       ``u`` (the export rule lets non-customer routes flow only there).
 
+    **Row layout.**  Each row lists ``u``'s providers, then its peers,
+    then its customers (each group in index order), so ``adj_custflag``
+    reads ``0…0 1…1`` along a row and the edges a non-customer route
+    may be exported on are the row's last ``len(customers_idx[u])``
+    slots.  :meth:`_run_np` expands only that tail for a source that
+    does not export to everyone.
+
     Per-relationship index adjacency (``providers_idx`` etc.) serves
     the perceivable-closure and partition computations.  The context
     never mutates the graph; it also owns the scratch buffers of the
@@ -472,7 +479,9 @@ class RoutingContext:
         self.close()
 
     def _np_adjacency(self):
-        """Int64/bool CSR views for the vectorized kernel (cached)."""
+        """Int64/bool CSR views for the vectorized kernel (cached):
+        ``(start, node, cls_e, cf_b, esrc, cust_start)``, where row
+        ``u``'s customer edges are ``cust_start[u]:start[u + 1]``."""
         adj = self._np_adj
         if adj is None:
             np = _np
@@ -483,7 +492,8 @@ class RoutingContext:
             esrc = np.repeat(
                 np.arange(self.n, dtype=np.int64), np.diff(start)
             )
-            adj = self._np_adj = (start, node, cls_e, cf_b, esrc)
+            cust_start = start[1:] - np.bincount(esrc[cf_b], minlength=self.n)
+            adj = self._np_adj = (start, node, cls_e, cf_b, esrc, cust_start)
         return adj
 
     def _np_ensure_scratch(self) -> dict:
@@ -856,22 +866,28 @@ class RoutingContext:
         more secure than its own route, a simplex AS, is a stub here
         and exports nothing), so every node holding the current *global
         minimum* tentative key is final and each round can fix the
-        whole minimum-key bucket at once, relaxing all its out-edges in
-        one batch of numpy gathers/scatters.  The number of such rounds
-        is bounded by the number of *distinct* packed keys — a few
-        dozen ``(class, length, security)`` combinations at any graph
-        size — so per-node python overhead vanishes.
+        whole minimum-key bucket at once, relaxing the edges it
+        exports on in one batch of numpy gathers/scatters — the whole
+        CSR row of a node holding a customer route (and of the
+        destination), the customer tail of the row for everyone else,
+        so an edge the export rule forbids is never expanded.  The
+        number of such rounds is bounded by the number of *distinct*
+        packed keys — a few dozen ``(class, length, security)``
+        combinations at any graph size — so per-node python overhead
+        vanishes.
 
         The result stays where the pass computed it: nine int64/bool
         arrays in :attr:`_np_scratch` (the pure kernel's values, with
-        ``_NP_INF`` for ``_INF``) plus :attr:`_last_counts`.  The python
-        scratch buffers are never written; next-hop membership is
-        derived on demand (:meth:`_np_nhop_pairs`), and python objects
-        per AS exist only in a :class:`RoutingOutcome` (:func:`_decode`).
+        ``_NP_INF`` for ``_INF``) plus :attr:`_last_counts`, and
+        :attr:`_np_post`, what deriving next-hop membership from those
+        arrays needs besides them (:meth:`_np_nhop_pairs`, on demand).
+        The python scratch buffers are never written, and python
+        objects per AS exist only in a :class:`RoutingOutcome`
+        (:func:`_decode`).
         """
         np = _np
         n = self.n
-        start, node, cls_e, cf_b, _esrc = self._np_adjacency()
+        start, node, cls_e, _cf_b, _esrc, cust_start = self._np_adjacency()
         st = self._np_ensure_scratch()
         keyq = st["keyq"]
         key_real = st["key"]
@@ -904,19 +920,21 @@ class RoutingContext:
         arange = np.arange
 
         def relax(F, exp_src, ln_src, wire_src, reach_src):
-            """Batch-relax every out-edge of the just-fixed sources F."""
-            s = start[F]
+            """Batch-relax every edge the just-fixed sources F export on:
+            the whole CSR row of a source that exports to everyone, the
+            customer tail of any other (see the class's row layout)."""
+            s = np.where(exp_src, start[F], cust_start[F])
             cnt = start[F + 1] - s
             tot = int(cnt.sum())
             if not tot:
                 return
-            # Edge indices of all of F's out-edges, F-order: for each
-            # source its CSR slice, concatenated.
+            # Edge indices, F-order: for each source its CSR slice,
+            # concatenated.
             cend = np.cumsum(cnt)
             eidx = np.repeat(s - (cend - cnt), cnt) + arange(tot)
             rep = np.repeat(arange(len(F)), cnt)
             v = node[eidx]
-            ok = (exp_src[rep] | cf_b[eidx]) & ~fixed_s[v]
+            ok = ~fixed_s[v]
             if not ok.any():
                 return
             eidx = eidx[ok]
@@ -1017,22 +1035,24 @@ class RoutingContext:
         )
         self._np_post = (dest_i, att_i, att_active, attack.export_all, key_of, rank_np)
 
-    def _np_nhop_pairs(self):
-        """Next-hop membership ``(us, vs)`` of the most recent
-        :meth:`_run_np` pass, sorted by ``(v, u)``.
+    def _np_nhop_pairs(self, st: dict, post: tuple):
+        """Next-hop membership ``(us, vs)`` of one :meth:`_run_np`
+        pass, sorted by ``(v, u)``: ``st`` holds the pass's state arrays
+        (:attr:`_np_scratch` right after it, or a sweep's snapshot of
+        them at any later time) and ``post`` its :attr:`_np_post`.
 
         Membership is decided arithmetically instead of by accumulating
         lists during the sweep: ``u ∈ nhops[v]`` iff both are fixed,
         ``u``'s export rule admits the edge, ``v`` is not a root and
         ``u``'s offer key equals ``v``'s final key (keys are strictly
         monotone, so a tying offerer fixed before ``v``).
-        One whole-CSR batch evaluates every edge at once; per-pair
-        count-only workloads never pay for it.
+        One whole-CSR batch evaluates every edge at once, and only a
+        reader of next-hop sets pays for it: per-pair count-only
+        workloads and sweeps whose deltas all cede never do.
         """
         np = _np
-        dest_i, att_i, att_active, att_exp, key_of, rank_np = self._np_post
-        start, node, cls_e, cf_b, esrc = self._np_adjacency()
-        st = self._np_scratch
+        dest_i, att_i, att_active, att_exp, key_of, rank_np = post
+        _start, node, cls_e, cf_b, esrc, _cust = self._np_adjacency()
         fixed_s = st["fixed"]
         key_real = st["key"]
         cls_s = st["cls"]
@@ -1078,8 +1098,10 @@ class RoutingContext:
     ) -> "RoutingOutcome":
         """The most recent pass as a :class:`RoutingOutcome`, read from
         the scratch of the kernel that ran it."""
-        if self._np_post is not None:
-            state = _decode(self._np_scratch, *self._np_nhop_pairs())
+        post = self._np_post
+        if post is not None:
+            st = self._np_scratch
+            state = _decode(st, *self._np_nhop_pairs(st, post))
         else:
             state = dict(
                 _fixed=bytes(self._fixed),
@@ -1637,11 +1659,14 @@ class DestinationSweep:
         :class:`RolloutSweep`, can commit a delta in place; a plain
         :class:`DestinationSweep` never mutates them) and the
         reverse-dependency lists are built on the first delta
-        (:meth:`_ensure_dep`).  On a numpy context the snapshot is the
-        bucket kernel's nine scratch arrays, the next-hop membership
-        pairs with the two CSRs the numpy delta kernel walks
-        (:meth:`_np_attach_dep`) and its two reusable per-delta
-        accumulators — no python object per AS.
+        (:meth:`_ensure_dep`).  On a numpy context the snapshot is
+        copies of the bucket kernel's nine state arrays, the numpy
+        delta kernel's two reusable per-delta accumulators and the
+        pass's ``post`` — no python object per AS, and no next-hop
+        membership either: the pairs and the two CSRs over them are
+        built from these copies by whoever first reads them
+        (:meth:`_np_ensure_dep`), which a sweep whose deltas all cede
+        to the dense pass never does.
         """
         ctx = self.ctx
         self._b_counts = ctx._last_counts
@@ -1667,7 +1692,7 @@ class DestinationSweep:
             self._b_endpoint = None
             self._b_nhops = None
             self._np_base = base
-            self._np_attach_dep(base, *ctx._np_nhop_pairs())
+            base["post"] = ctx._np_post
             base["deadcnt"] = _np.zeros(ctx.n, dtype=_np.int64)
             base["deadwire"] = _np.zeros(ctx.n, dtype=_np.int64)
             return
@@ -1701,13 +1726,30 @@ class DestinationSweep:
             self._dep = dep
         return dep
 
+    def _np_ensure_dep(self) -> dict:
+        """The numpy snapshot with its dependency index, which the
+        first reader builds — a compressed delta past its seed layer,
+        :meth:`RolloutSweep._commit` or :meth:`baseline_outcome` — the
+        way :meth:`_ensure_dep` serves a scalar sweep.  The pairs come
+        from the snapshot's own arrays and the ``post`` of the pass
+        they copy (the context's scratch belongs to whichever pass ran
+        last); once a snapshot has pairs they are the truth and are
+        only ever patched by a commit, so ``post`` is dropped."""
+        base = self._np_base
+        if "us" not in base:
+            pairs = self.ctx._np_nhop_pairs(base, base.pop("post"))
+            self._np_attach_dep(base, *pairs)
+        return base
+
     def _np_attach_dep(self, base: dict, us, vs) -> None:
-        """(Re)build the dependency structure the numpy delta kernel
-        walks from the baseline next-hop membership pairs ``(us, vs)``,
-        sorted by ``(v, u)``: their forward CSR (``nh_start`` into
-        ``us``: v → its BPR set), their reverse CSR
-        (``dep_start``/``dep_v``: u → dependents v), the per-node BPR
-        size ``nhcnt`` and its wire-secure member count ``bwirecnt``."""
+        """(Re)build the dependency index the numpy delta kernel walks
+        from the baseline next-hop membership pairs ``(us, vs)``,
+        sorted by ``(v, u)`` — a full set from :meth:`_np_ensure_dep`,
+        a patched one from :meth:`RolloutSweep._commit`: their forward
+        CSR (``nh_start`` into ``us``: v → its BPR set), their reverse
+        CSR (``dep_start``/``dep_v``: u → dependents v), the per-node
+        BPR size ``nhcnt`` and its wire-secure member count
+        ``bwirecnt``."""
         np = _np
         n = self.ctx.n
         base["us"] = us
@@ -1740,8 +1782,8 @@ class DestinationSweep:
     def baseline_outcome(self) -> RoutingOutcome:
         """The attacker-free :class:`RoutingOutcome` (``m = None``)."""
         ctx = self.ctx
-        base = self._np_base
-        if base is not None:
+        if self._np_base is not None:
+            base = self._np_ensure_dep()
             return RoutingOutcome(
                 destination=self.destination,
                 attacker=None,
@@ -2591,6 +2633,30 @@ class DestinationSweep:
 # ----------------------------------------------------------------------
 # Rollout-major sweeps over nested-deployment chains
 # ----------------------------------------------------------------------
+def _chain_step(ctx: RoutingContext, old: Deployment, new: Deployment) -> tuple:
+    """What the chain step ``old → new`` changes, for
+    :meth:`RolloutSweep._apply`: ``(new, sign_idx, rank_idx,
+    gain_idx)`` — as dense indices (members absent from the graph
+    dropped) the set of ASes that start signing, the set that start
+    ranking, and the sorted union of the two.  Raises ``ValueError``
+    unless the step is nested."""
+    old_signing = old.full | old.simplex
+    new_signing = new.full | new.simplex
+    if not (old.full <= new.full and old_signing <= new_signing):
+        raise ValueError(
+            "rollout chains must be nested: both the full set and "
+            "the signing set may only grow between steps"
+        )
+    get = ctx.index_of.get
+    sign_idx = {
+        i for asn in new_signing - old_signing if (i := get(asn)) is not None
+    }
+    rank_idx = {
+        i for asn in new.full - old.full if (i := get(asn)) is not None
+    }
+    return new, sign_idx, rank_idx, sorted(sign_idx | rank_idx)
+
+
 class RolloutSweep(DestinationSweep):
     """A :class:`DestinationSweep` that walks a *nested-deployment
     chain* ``S_0 ⊆ S_1 ⊆ … ⊆ S_T`` for one destination.
@@ -2671,54 +2737,39 @@ class RolloutSweep(DestinationSweep):
         self._dep_slack = 0
 
     def advance(self, deployment: Deployment) -> None:
-        """Move the sweep's baseline to the next chain step in place."""
+        """Move the sweep's baseline to the next chain step in place
+        (``ValueError``, before anything changes, if ``deployment`` does
+        not nest the current one or has a transit simplex member)."""
         self.ctx.require_stub_simplex(deployment)
-        old = self.deployment
-        old_signing = old.full | old.simplex
-        new_signing = deployment.full | deployment.simplex
-        if not (old.full <= deployment.full and old_signing <= new_signing):
-            raise ValueError(
-                "rollout chains must be nested: both the full set and "
-                "the signing set may only grow between steps"
-            )
-        ranking_gain = deployment.full - old.full
-        signing_gain = new_signing - old_signing
+        self._apply(_chain_step(self.ctx, self.deployment, deployment))
+
+    def _apply(self, step: tuple) -> None:
+        """Advance by a :func:`_chain_step` from this sweep's current
+        deployment (the chain walkers compute each step once and hand
+        it to every sweep on the chain)."""
+        deployment, sign_idx, rank_idx, gain_idx = step
         self.deployment = deployment
-        if self.destination in signing_gain:
+        dest_i = self._dest_i
+        if dest_i in sign_idx:
             # The destination's own origin signing flips: the root's
             # announcement changes, so every record is suspect — rebuild
             # from a full fixing pass (rare: once per chain at most).
             self._rebuild()
             return
-        get = self.ctx.index_of.get
-        dest_i = self._dest_i
         root_att = self._root_att
         # Roots never seed a reset: their records ignore offers and
         # their secure bits are never read (the destination's ranking
         # bit is only consulted for offers *to* it, which roots discard;
         # a rooted attacker announces its resolved claim regardless of
         # its own membership — the paper's attacker ignores protocol).
-        seeds = sorted(
-            {
-                i
-                for asn in ranking_gain | signing_gain
-                if (i := get(asn)) is not None
-                and i != dest_i
-                and i != root_att
-            }
-        )
+        seeds = [i for i in gain_idx if i != dest_i and i != root_att]
         self._ensure_scratch()
         signing = self._signing
         ranking = self._ranking
-        for asn in signing_gain:
-            i = get(asn)
-            if i is not None:
-                signing[i] = 1
-        for asn in ranking_gain:
-            i = get(asn)
-            if i is not None:
-                ranking[i] = 1
-                signing[i] = 1
+        for i in sign_idx:
+            signing[i] = 1
+        for i in rank_idx:
+            ranking[i] = 1
         if not seeds:
             return
         counts, delta = self._delta(self._root_att, extra_resets=seeds)
@@ -2761,9 +2812,9 @@ class RolloutSweep(DestinationSweep):
         """
         ctx = self.ctx
         self._b_counts = counts
-        base = self._np_base
-        if base is not None:
+        if self._np_base is not None:
             np = _np
+            base = self._np_ensure_dep()
             touched = delta["touched"]
             for rows, fields in delta["writes"]:
                 for name, column in fields.items():
@@ -2870,7 +2921,7 @@ class RolloutSweep(DestinationSweep):
             region = set(touched)
             if self.ctx.vectorized:
                 np = _np
-                start, node, _cls, _cf, _es = self.ctx._np_adjacency()
+                start, node, *_ = self.ctx._np_adjacency()
                 t = np.asarray(touched, dtype=np.int64)
                 s = start[t]
                 cnt = start[t + 1] - s
@@ -2987,6 +3038,11 @@ def rollout_happiness_counts(
       ``O(dirty)`` delta per step, and cross-step memo hits skip
       attackers whose read region the advance missed.
 
+    What each step changes (:func:`_chain_step`) is worked out once per
+    call, before any pass, and every sweep applies it: a chain that is
+    not nested raises ``ValueError`` with nothing computed, whatever
+    ``pairs`` holds.  An empty chain is zero steps, ``[]``.
+
     Results per step are in input pair order and bit-identical to
     evaluating each step independently via
     :func:`batch_happiness_counts`.
@@ -2995,6 +3051,12 @@ def rollout_happiness_counts(
     deployments = list(deployments)
     for deployment in deployments:
         ctx.require_stub_simplex(deployment)
+    if not deployments:
+        return []
+    steps = [
+        _chain_step(ctx, old, new)
+        for old, new in zip(deployments, deployments[1:])
+    ]
     pairs = list(pairs)
     n = ctx.n
     out: list[list[tuple[int, int, int] | None]] = [
@@ -3021,13 +3083,12 @@ def rollout_happiness_counts(
                 if any(pairs[i][0] is None for i in idxs)
                 else None
             )
-            for t, deployment in enumerate(deployments):
+            for t, row in enumerate(out):
                 if t:
                     for chain in chains.values():
-                        chain.advance(deployment)
+                        chain._apply(steps[t - 1])
                     if base is not None:
-                        base.advance(deployment)
-                row = out[t]
+                        base._apply(steps[t - 1])
                 for i in idxs:
                     m = pairs[i][0]
                     if m is None:
@@ -3037,10 +3098,9 @@ def rollout_happiness_counts(
                         row[i] = chains[m].step_counts()
             continue
         sweep = RolloutSweep(ctx, d, deployments[0], model, attack=attack)
-        for t, deployment in enumerate(deployments):
+        for t, row in enumerate(out):
             if t:
-                sweep.advance(deployment)
-            row = out[t]
+                sweep._apply(steps[t - 1])
             for i in idxs:
                 m = pairs[i][0]
                 if m is None:

@@ -79,6 +79,26 @@ def delta_budget(monkeypatch):
 
 
 @pytest.fixture()
+def count_calls(monkeypatch):
+    """``count_calls(cls, name)`` wraps ``cls.name`` until the test ends
+    and returns the one-item list holding how often it was called (the
+    source has no counters: tests count from outside)."""
+
+    def wrap(cls, name: str) -> list[int]:
+        calls = [0]
+        real = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    return wrap
+
+
+@pytest.fixture()
 def pid_alive():
     """``pid_alive(pid)``: whether a process with this pid exists (the
     SIGTERM tests assert that a signalled run took its pool workers

@@ -35,12 +35,16 @@ from repro.core import (
     FORGED_ORIGIN,
     HONEST,
     ONE_HOP_HIJACK,
+    RolloutStep,
     RolloutSweep,
     SECURITY_MODELS,
     batch_happiness_counts,
+    deployment as deployment_module,
     lp2_variant,
+    rollout_happiness,
     rollout_happiness_counts,
     strategy_from_token,
+    stubs_of,
     tier2_rollout,
     tier12_rollout,
     tier12_rollout_dense,
@@ -210,6 +214,71 @@ def test_none_attacker_rows_walk_with_the_chain():
             assert rollout[t] == batch_happiness_counts(
                 ctx, pairs, deployment, model
             ), (model.label, t)
+
+
+# ----------------------------------------------------------------------
+# Chain shape: settled at entry, before any fixing pass
+# ----------------------------------------------------------------------
+class TestChainShape:
+    def test_empty_chain_is_zero_steps(self):
+        graph, _tiers = make_topology(16)
+        pairs = chain_pairs(graph, 16, destinations=2, attackers=2)
+        assert rollout_happiness_counts(graph, pairs, []) == []
+        assert rollout_happiness(graph, pairs, [], BASELINE) == []
+
+    @pytest.mark.parametrize("with_pairs", [True, False], ids=["pairs", "no-pairs"])
+    def test_non_nested_chain_raises_before_any_pass(
+        self, with_pairs, count_calls
+    ):
+        graph, _tiers = make_topology(17)
+        pairs = chain_pairs(graph, 17, destinations=2, attackers=2)
+        chain = [
+            Deployment.empty(),
+            Deployment.of(graph.asns[:50]),
+            Deployment.of(graph.asns[10:60]),
+        ]
+        passes = count_calls(RoutingContext, "_run")
+        ctx = RoutingContext(graph)
+        with pytest.raises(ValueError, match="nested"):
+            rollout_happiness_counts(ctx, pairs if with_pairs else [], chain)
+        assert passes == [0]
+
+
+@pytest.mark.parametrize("ixp", [False, True], ids=["base", "ixp"])
+def test_rollout_steps_equal_the_membership_walk(ixp, monkeypatch):
+    """``_isp_step`` asks ``is_stub`` of the ISPs and extras only; the
+    steps equal what walking every member gave."""
+    graph, tiers = make_topology(2013, ixp=ixp, n=300)
+    isp_step = deployment_module._isp_step
+    labels = []
+
+    def checked(graph, label, isps, extra=(), simplex_stubs=False):
+        step = isp_step(
+            graph, label, isps, extra=extra, simplex_stubs=simplex_stubs
+        )
+        isp_set = frozenset(isps) | frozenset(extra)
+        members = isp_set | stubs_of(graph, isp_set)
+        walked = Deployment.of(members)
+        if simplex_stubs:
+            walked = walked.with_simplex_stubs(graph)
+        assert step == RolloutStep(
+            label=label,
+            deployment=walked,
+            non_stub_count=sum(1 for a in members if not graph.is_stub(a)),
+        )
+        labels.append(label)
+        return step
+
+    monkeypatch.setattr(deployment_module, "_isp_step", checked)
+    for simplex_stubs in (False, True):
+        tier2_rollout(graph, tiers, simplex_stubs=simplex_stubs)
+        for include_cps in (False, True):
+            for rollout in (tier12_rollout, tier12_rollout_dense):
+                rollout(
+                    graph, tiers,
+                    simplex_stubs=simplex_stubs, include_cps=include_cps,
+                )
+    assert len(labels) > 20
 
 
 # ----------------------------------------------------------------------

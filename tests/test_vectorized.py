@@ -40,18 +40,27 @@ from repro.core.routing import (
     DestinationSweep,
     RolloutSweep,
     RoutingContext,
+    _AttackerChain,
+    _chain_step,
     batch_happiness_counts,
     compute_routing_outcome,
     rollout_happiness_counts,
 )
-from repro.topology import TopologyParams, generate_topology
+from repro.topology import TopologyParams, gadgets, generate_topology
 from repro.topology.ixp import augment_with_ixp_peering
 
+from test_attacks import CustomerScopeHijack
 from test_destination_sweep import per_pair_counts
 
 CLASSIC_MODELS = (BASELINE,) + SECURITY_MODELS
 ALL_MODELS = CLASSIC_MODELS + tuple(lp2_variant(m) for m in CLASSIC_MODELS)
-STRATEGIES = (ONE_HOP_HIJACK, HONEST, FORGED_ORIGIN, PathLengthHijack(2))
+# The attacker root is the one source whose export scope a strategy
+# sets: everyone (the shipped strategies), nobody (``honest`` without a
+# route: inactive) or, with the test-only strategy, its customers.
+STRATEGIES = (
+    ONE_HOP_HIJACK, HONEST, FORGED_ORIGIN, PathLengthHijack(2),
+    CustomerScopeHijack(),
+)
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["base", "ixp"])
@@ -232,7 +241,8 @@ class TestArraysAreTheState:
 
     @pytest.mark.parametrize("path", ["vectorized", "dense"])
     @pytest.mark.parametrize(
-        "attack", [ONE_HOP_HIJACK, HONEST], ids=lambda a: a.token
+        "attack", [ONE_HOP_HIJACK, HONEST, FORGED_ORIGIN],
+        ids=lambda a: a.token,
     )
     def test_no_python_scratch_needed(
         self, graph, pure_ctx, attack, path, delta_budget
@@ -291,6 +301,168 @@ class TestArraysAreTheState:
             assert dict(got.routes) == dict(want.routes)
             assert got.count_happy() == want.count_happy()
             assert got.count_secure_sources() == want.count_secure_sources()
+
+
+class TestLazyDependencyIndex:
+    """A numpy sweep's next-hop pairs and the CSRs over them are built
+    by their first reader — a compressed delta past its seed layer, a
+    commit, ``baseline_outcome()`` — from the sweep's own snapshot, and
+    by nobody when every delta cedes to the dense pass."""
+
+    MODEL = SECURITY_MODELS[0]
+
+    @staticmethod
+    def _chain_and_pairs(graph):
+        rnd = random.Random("vec/lazy")
+        asns = graph.asns
+        members = rnd.sample(asns, 60)
+        chain = [
+            Deployment.of(members[:k]).with_simplex_stubs(graph)
+            for k in (0, 20, 40, 60)
+        ]
+        # destinations outside the chain: no step rebuilds a sweep
+        few_d, many_d = rnd.sample([a for a in asns if a not in members], 2)
+        others = [a for a in asns if a not in (few_d, many_d)]
+        pairs = (
+            [(m, few_d) for m in rnd.sample(others, 2)]
+            + [(None, few_d)]
+            + [(m, many_d) for m in rnd.sample(others, 5)]
+        )
+        return chain, pairs
+
+    def test_ceding_walk_never_computes_pairs(
+        self, graph, pure_ctx, vec_ctx, delta_budget, count_calls
+    ):
+        chain, pairs = self._chain_and_pairs(graph)
+        expected = rollout_happiness_counts(pure_ctx, pairs, chain, self.MODEL)
+        delta_budget("dense")
+        pair_sets = count_calls(RoutingContext, "_np_nhop_pairs")
+        got = rollout_happiness_counts(vec_ctx, pairs, chain, self.MODEL)
+        assert got == expected
+        assert pair_sets == [0]
+
+        # The first reader builds them, from the snapshot: by then the
+        # context's scratch holds some other sweep's pass.
+        d = pairs[-1][1]
+        sweep = RolloutSweep(vec_ctx, d, chain[0], self.MODEL)
+        for step in chain[1:]:
+            sweep.advance(step)
+            assert sweep.last_delta_path == "dense"
+        DestinationSweep(vec_ctx, pairs[0][1], chain[1], self.MODEL)
+        assert pair_sets == [0]
+        routes = dict(sweep.baseline_outcome().routes)
+        assert pair_sets == [1]
+        want = DestinationSweep(pure_ctx, d, chain[-1], self.MODEL)
+        assert routes == dict(want.baseline_outcome().routes)
+        # ...and a snapshot that has pairs never computes them again.
+        assert dict(sweep.baseline_outcome().routes) == routes
+        assert pair_sets == [1]
+
+    def test_compressed_walk_computes_pairs_once_per_sweep(
+        self, graph, pure_ctx, vec_ctx, delta_budget, count_calls
+    ):
+        chain, pairs = self._chain_and_pairs(graph)
+        expected = rollout_happiness_counts(pure_ctx, pairs, chain, self.MODEL)
+        delta_budget("vectorized")
+        pair_sets = count_calls(RoutingContext, "_np_nhop_pairs")
+        attached = count_calls(DestinationSweep, "_np_attach_dep")
+        snapshots = count_calls(DestinationSweep, "_take_baseline")
+        commits = count_calls(RolloutSweep, "_commit")
+        got = rollout_happiness_counts(vec_ctx, pairs, chain, self.MODEL)
+        assert got == expected
+        # two attacker chains + their attacker-free base, one shared
+        # sweep: one snapshot each, its pairs computed once; every later
+        # step's pair set is the one its commit patched.
+        assert snapshots == [4]
+        assert pair_sets == [4]
+        assert commits[0] >= 4
+        assert attached == [pair_sets[0] + commits[0]]
+
+
+class TestRowLayout:
+    """``_run_np`` expands, for a source that exports to customers
+    only, the tail of its CSR row: rows must list customers last."""
+
+    @staticmethod
+    def _check(ctx):
+        start = ctx.adj_start
+        *_, cust_start = ctx._np_adjacency()
+        for u in range(ctx.n):
+            row = bytes(ctx.adj_custflag[start[u]:start[u + 1]])
+            ncust = len(ctx.customers_idx[u])
+            assert row == bytes(len(row) - ncust) + b"\x01" * ncust, u
+            assert cust_start[u] == start[u + 1] - ncust, u
+
+    def test_customer_edges_are_the_tail_of_every_row(self, vec_ctx):
+        self._check(vec_ctx)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            gadgets.figure2_protocol_downgrade,
+            gadgets.figure1_wedgie,
+            gadgets.figure14_collateral,
+            gadgets.figure15_collateral_benefit,
+            gadgets.figure17_collateral_damage_sec1st,
+        ],
+        ids=lambda build: build.__name__,
+    )
+    def test_gadget_rows_too(self, build):
+        self._check(RoutingContext(build().graph, vectorized=True))
+
+
+class TestSharedChainStep:
+    """``RolloutSweep.advance(deployment)`` computes its own step; the
+    chain walkers compute each step once and hand it to every sweep.
+    Both leave the same state, on both contexts, after every step."""
+
+    @pytest.mark.parametrize("path", ["vectorized", "dense"])
+    def test_direct_advance_equals_shared_step(
+        self, graph, pure_ctx, vec_ctx, path, delta_budget
+    ):
+        delta_budget(path)
+        rnd = random.Random("vec/step")
+        asns = graph.asns
+        d, m = rnd.sample(asns, 2)
+        members = rnd.sample([a for a in asns if a not in (d, m)], 40)
+        grow = [
+            Deployment.of(members[:k]).with_simplex_stubs(graph)
+            for k in (0, 15, 30)
+        ]
+        chain = grow + [
+            grow[-1],  # a step that gains nothing
+            Deployment.of(members + [d]).with_simplex_stubs(graph),  # gains d
+        ]
+        model = SECURITY_MODELS[1]
+        pairs = [(m, d), (None, d)]
+        states = {}
+        for ctx in (pure_ctx, vec_ctx):
+            walked = rollout_happiness_counts(ctx, pairs, chain, model)
+            direct = RolloutSweep(ctx, d, chain[0], model)
+            shared = [
+                RolloutSweep(ctx, d, chain[0], model),
+                _AttackerChain(ctx, d, m, chain[0], model),
+            ]
+            for t in range(1, len(chain)):
+                direct.advance(chain[t])
+                step = _chain_step(ctx, chain[t - 1], chain[t])
+                for sweep in shared:
+                    sweep._apply(step)
+                    assert sweep.deployment is chain[t]
+                state = (
+                    dict(direct.baseline_outcome().routes),
+                    direct.baseline_counts(),
+                    direct.happiness_counts(m),
+                )
+                assert state == (
+                    dict(shared[0].baseline_outcome().routes),
+                    shared[0].baseline_counts(),
+                    shared[0].happiness_counts(m),
+                ), t
+                assert shared[1].step_counts() == state[2] == walked[t][0], t
+                assert state[1] + (ctx.n - 1,) == walked[t][1], t
+                states.setdefault(t, state)
+                assert state == states[t], t
 
 
 class TestKernelSelection:
