@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test fuzz test-service bench bench-check bench-pairs bench-micro golden docs doctest
+.PHONY: test fuzz test-service bench bench-check bench-pairs bench-micro crossover golden docs doctest
 
 ## tier-1 test suite (the CI gate); its hypothesis profile is
 ## derandomized (tests/conftest.py), so every run draws the same examples
@@ -65,6 +65,13 @@ WORKLOAD ?= rollout_large
 PAIRS ?= 10
 bench-pairs:
 	$(PYTHON) tools/alternate_bench.py $(PARENT) . --workload $(WORKLOAD) --pairs $(PAIRS)
+
+## the measurement behind repro.core.routing.VECTORIZED_MIN_N: scalar
+## against numpy kernels over a range of graph sizes, both times and
+## their ratio printed (tools/kernel_crossover.py; ~2 min).  Asserts no
+## timing; exits nonzero only if the kernels' results differ
+crossover:
+	$(PYTHON) tools/kernel_crossover.py
 
 ## full pytest-benchmark microbenchmark harness
 bench-micro:

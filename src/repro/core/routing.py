@@ -48,7 +48,8 @@ amortize deployment-mask construction across whole pair sweeps, and
 destination-major workloads: the attacker-free fixing pass runs once
 per destination and each attacker is evaluated by *delta re-fixing*
 only the region of the graph whose routing record actually changes.
-On a numpy context (``ctx.vectorized``, internet scale) the same passes
+On a numpy context (``ctx.vectorized``: by default every graph of
+:data:`VECTORIZED_MIN_N` ASes or more) the same passes
 run as bucket kernels over int64 arrays, and there *the arrays are the
 state*: a numpy kernel never writes the python scratch buffers, a
 sweep's snapshot is a dict of arrays, and the single crossing to python
@@ -117,9 +118,12 @@ _INF = 1 << 66
 #: sentinel is still strictly larger than every real key.
 _NP_INF = 1 << 62
 
-#: Contexts at or above this many ASes default to the vectorized kernel
-#: (below it, per-round numpy dispatch overhead beats the win).
-VECTORIZED_MIN_N = 10_000
+#: Contexts at or above this many ASes default to the numpy kernels:
+#: the crossover ``tools/kernel_crossover.py`` (``make crossover``)
+#: measured on 2026-10-04 — scalar ahead up to ≈ 400 ASes on sweeps and
+#: ≈ 500 on the per-pair path, numpy 1.2–1.4x ahead at 600 and 3x at
+#: 2 200 (table in docs/ARCHITECTURE.md).  Re-run it before moving this.
+VECTORIZED_MIN_N = 500
 
 #: The one threshold of the numpy delta path, as a fraction of ``n``.
 #: The compressed kernel (:mod:`repro.core._delta_np`) cedes to one
@@ -253,6 +257,13 @@ class RoutingContext:
     never mutates the graph; it also owns the scratch buffers of the
     fixing pass, which makes a single context not thread-safe (fork
     workers each get a copy-on-write clone, which is safe).
+
+    Args:
+        graph: the topology to index.
+        vectorized: True runs fixing passes and sweep deltas on the
+            numpy kernels, False on the scalar ones; None (the default)
+            picks numpy where it was measured to win — a graph of
+            :data:`VECTORIZED_MIN_N` ASes or more, numpy installed.
 
     Example:
         Build one context per graph and reuse it for every computation

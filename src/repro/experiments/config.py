@@ -6,12 +6,14 @@ from seeded samples on synthetic graphs (see DESIGN.md §1).  A *scale*
 fixes the graph size and every sample budget so results are reproducible
 and the cost dial is explicit:
 
-* ``tiny``   — seconds; used by the test suite and pytest-benchmark;
+* ``tiny``   — seconds; used by the test suite and pytest-benchmark
+  (the one scale whose default context runs the scalar kernels);
 * ``small``  — tens of seconds; quick interactive runs;
 * ``medium`` — minutes; the default for regenerating EXPERIMENTS.md;
 * ``large``  — hours; an internet-scale (~80k-AS, CAIDA-shaped) graph
   matching the paper's population, runnable on one machine via the
-  shared-memory / vectorized routing tier (see ARCHITECTURE.md).
+  vectorized routing tier (see ARCHITECTURE.md) that every scale from
+  ``small`` up defaults to.
 """
 
 from __future__ import annotations

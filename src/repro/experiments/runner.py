@@ -22,8 +22,10 @@ Two layers live here:
 * :class:`ExperimentContext` — topology + tiers + budgets + a
   **persistent fork pool**: created lazily on the first parallel call
   and reused for every subsequent one (the pool's workers inherit the
-  routing context at fork time; per-call small state — deployment,
-  model — rides along with each task).
+  routing context at fork time — on a numpy context including the
+  int64 CSR views its kernels read, built just before the fork;
+  per-call small state — deployment, model — rides along with each
+  task).
 * the **scenario scheduler** (:func:`run_experiments`) — collects the
   :class:`~repro.experiments.scenarios.EvalRequest` declarations of all
   experiments in a run, dedupes identical scenarios globally (baselines
@@ -665,8 +667,16 @@ class ExperimentContext:
     # The persistent worker pool
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> SupervisedPool:
-        """Fork the worker pool once; reuse it for every parallel call."""
+        """Fork the worker pool once; reuse it for every parallel call.
+
+        A numpy context builds its int64 CSR views first, so workers
+        and respawns inherit them copy-on-write instead of each
+        rebuilding them on its first pass (the per-pass scratch stays
+        lazy: every worker writes its own).
+        """
         if self._pool is None:
+            if self.graph_ctx.vectorized:
+                self.graph_ctx._np_adjacency()
             self._pool = SupervisedPool(
                 self, policy=self.supervision, failure_log=self.failure_log
             )
@@ -836,9 +846,10 @@ def make_context(
         attack: run-wide attacker strategy (instance or token, e.g.
             ``"forged_origin"``) used by every request that does not pin
             its own threat model.
-        vectorized: force the numpy bucket kernel on (True) or off
-            (False); None picks it automatically for graphs of
-            :data:`repro.core.routing.VECTORIZED_MIN_N` ASes or more.
+        vectorized: force the numpy bucket kernels on (True) or off
+            (False); None picks them for graphs of
+            :data:`repro.core.routing.VECTORIZED_MIN_N` ASes or more —
+            every shipped scale but ``tiny``.
         supervision: deadline/retry/backoff policy for the supervised
             pool (defaults are generous; see :class:`SupervisionPolicy`).
         failure_log: the :class:`~repro.experiments.failures.FailureLog`
@@ -921,9 +932,11 @@ def evaluate_requests(
     cancelled run leaves the store consistent and resumable.
 
     Raises ``ValueError`` before anything is evaluated when a request
-    targets another topology than the context's, or puts a transit AS
+    targets another topology than the context's, puts a transit AS
     in simplex mode (:meth:`~repro.core.routing.RoutingContext.
-    require_stub_simplex`).
+    require_stub_simplex`), or — a request the store does not already
+    hold — names a pair with an AS outside the graph or with
+    ``m == d``.
     """
     unique: dict[str, EvalRequest] = {}
     for request in requests:
@@ -953,6 +966,10 @@ def evaluate_requests(
                 by_hash[scenario_hash] = hit
                 continue
             store.misses += 1
+        # Likewise in the parent: serially an unroutable pair would
+        # abort the batch midway, with earlier chains already stored.
+        for attacker, destination in request.pairs:
+            ectx.graph_ctx._check_pair(destination, attacker)
         missing.append(request)
     chains = detect_chains(missing)
     for done, chain in enumerate(chains):

@@ -2,6 +2,7 @@
 and multi-seed trial aggregation."""
 
 import json
+import time
 
 import pytest
 
@@ -572,6 +573,30 @@ class TestScheduler:
             )
             with pytest.raises(ValueError, match=f"{transit} .*customers"):
                 evaluate_requests(ectx, [req])
+            assert ectx.metric_evaluations == 0
+            assert len(ectx.failure_log) == 0
+
+    @pytest.mark.parametrize("bad_pair", ["self-pair", "unknown ASN"])
+    @pytest.mark.parametrize("processes", [1, 2], ids=lambda p: f"{p} processes")
+    def test_requests_reject_unroutable_pairs_before_dispatch(
+        self, processes, bad_pair
+    ):
+        """Raised in the parent, before anything runs: a pool would
+        retry for seconds, then degrade, a request that cannot succeed;
+        serially it would abort the batch after storing earlier chains."""
+        with make_context(scale="tiny", seed=2013, processes=processes) as ectx:
+            asns = ectx.graph.asns
+            good = [(m, d) for m, d in zip(asns[:8], asns[8:16])]
+            if bad_pair == "self-pair":
+                bad, message = (asns[20], asns[20]), "must differ"
+            else:
+                unknown = max(asns) + 1
+                bad, message = (unknown, asns[20]), f"AS {unknown} not in graph"
+            requests = [_request(ectx, good + [bad]), _request(ectx, good)]
+            started = time.monotonic()
+            with pytest.raises(ValueError, match=message):
+                evaluate_requests(ectx, requests)
+            assert time.monotonic() - started < 1.0
             assert ectx.metric_evaluations == 0
             assert len(ectx.failure_log) == 0
 

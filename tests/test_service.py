@@ -181,6 +181,31 @@ class TestMetricsEndpoint:
 
         _run(scenario, tmp_path)
 
+    def test_unroutable_pair_is_that_scenarios_failed_result(self, tmp_path):
+        """``parse_metrics_body`` cannot know the graph: a self-pair or
+        an ASN outside it is rejected by the scheduler, before any
+        evaluation, and comes back as a structured failure."""
+
+        async def scenario(client, service, store):
+            good = _request([2])
+            self_pair = _request([2], pairs=[(3, 3)])
+            unknown = _request([2], pairs=[(10**6, 2)])
+            status, reply = await client.request(
+                "POST", "/v1/metrics",
+                {"requests": [r.canonical() for r in (good, self_pair, unknown)]},
+            )
+            assert status == 200
+            ok, same, outside = reply["results"]
+            assert ok["ok"] and ok["hash"] == good.scenario_hash
+            assert not same["ok"] and "must differ" in same["error"]
+            assert not outside["ok"]
+            assert f"AS {10**6} not in graph" in outside["error"]
+            assert reply["failed"] == 2
+            assert self_pair.scenario_hash not in store
+            assert unknown.scenario_hash not in store
+
+        _run(scenario, tmp_path)
+
     def test_batch_is_deduped_and_ordered(self, tmp_path):
         async def scenario(client, service, store):
             a, b = _request([2]), _request([2, 3])

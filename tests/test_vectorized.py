@@ -578,6 +578,84 @@ class TestContextWiring:
 
         with make_context("tiny", vectorized=True) as ectx:
             assert ectx.graph_ctx.vectorized
+        with make_context("medium", vectorized=False) as ectx:
+            assert not ectx.graph_ctx.vectorized
+
+    def test_default_kernel_per_scale(self):
+        """One size test, at the crossover ``tools/kernel_crossover.py``
+        measures: ``tiny`` keeps the scalar kernels, every larger
+        shipped scale defaults to the numpy ones."""
+        from repro.core.routing import VECTORIZED_MIN_N
+        from repro.experiments.config import SCALES
+        from repro.experiments.runner import make_context
+
+        assert SCALES["tiny"].n < VECTORIZED_MIN_N < SCALES["small"].n
+        for scale, numpy_kernels in (
+            ("tiny", False), ("small", True), ("medium", True),
+        ):
+            with make_context(scale) as ectx:
+                assert ectx.graph_ctx.vectorized is numpy_kernels, scale
+
+    def test_pooled_default_stores_the_scalar_kernels_records(self, tmp_path):
+        """Two pooled workers on a default (numpy) context store what
+        one process on the scalar kernels stores, byte for byte."""
+        from dataclasses import replace
+
+        from repro.experiments import ResultStore
+        from repro.experiments.config import get_scale
+        from repro.experiments.runner import make_context, run_experiments
+
+        scale = replace(get_scale("tiny"), n=600)
+
+        def records(root, **context_kwargs):
+            store = ResultStore(root)
+            with make_context(scale, **context_kwargs) as ectx:
+                assert ectx.graph_ctx.vectorized is (
+                    "vectorized" not in context_kwargs
+                )
+                run_experiments(ectx, ["baseline", "fig7a", "fig11"], store=store)
+                assert len(ectx.failure_log) == 0
+            store.close()
+            return sorted(store.path.read_text(encoding="utf-8").splitlines())
+
+        pooled = records(tmp_path / "pooled", processes=2)
+        assert pooled
+        assert pooled == records(tmp_path / "serial", processes=1, vectorized=False)
+
+    @pytest.mark.parametrize("vectorized", [True, False], ids=["numpy", "scalar"])
+    def test_pool_forks_after_the_numpy_csr_exists(self, vectorized, monkeypatch):
+        """Workers and respawns inherit the int64 CSR views copy-on-write:
+        the parent builds them, once, before the pool forks — and a
+        scalar context never builds them."""
+        from repro.experiments.runner import (
+            SupervisedPool,
+            make_context,
+            run_experiments,
+        )
+
+        builds = []  # the parent's: a worker appends to its own copy
+        real_adjacency = RoutingContext._np_adjacency
+
+        def counted(ctx):
+            if ctx._np_adj is None:
+                builds.append(ctx)
+            return real_adjacency(ctx)
+
+        built_at_fork = []
+        real_init = SupervisedPool.__init__
+
+        def observed(pool, ectx, *args, **kwargs):
+            built_at_fork.append(ectx.graph_ctx._np_adj is not None)
+            real_init(pool, ectx, *args, **kwargs)
+
+        monkeypatch.setattr(RoutingContext, "_np_adjacency", counted)
+        monkeypatch.setattr(SupervisedPool, "__init__", observed)
+        with make_context("tiny", processes=2, vectorized=vectorized) as ectx:
+            assert ectx.graph_ctx._np_adj is None  # not in set-up
+            run_experiments(ectx, ["baseline"])
+            assert built_at_fork == [vectorized]
+            assert (ectx.graph_ctx._np_adj is not None) is vectorized
+        assert len(builds) == int(vectorized)
 
     def test_stratified_scale_changes_baseline_pairs(self):
         from dataclasses import replace
