@@ -66,12 +66,15 @@ PAIRS ?= 10
 bench-pairs:
 	$(PYTHON) tools/alternate_bench.py $(PARENT) . --workload $(WORKLOAD) --pairs $(PAIRS)
 
-## the measurement behind repro.core.routing.VECTORIZED_MIN_N: scalar
+## the measurements behind two constants of repro.core.routing
+## (tools/kernel_crossover.py; ~2 min): VECTORIZED_MIN_N — scalar
 ## against numpy kernels over a range of graph sizes, both times and
-## their ratio printed (tools/kernel_crossover.py; ~2 min).  Asserts no
-## timing; exits nonzero only if the kernels' results differ
+## their ratio — then NP_ROWS_BUDGET — the numpy kernel's ms per row at
+## K rows a call.  Asserts no timing; exits nonzero only if the kernels'
+## (or the rows') results differ
 crossover:
 	$(PYTHON) tools/kernel_crossover.py
+	$(PYTHON) tools/kernel_crossover.py --rows
 
 ## full pytest-benchmark microbenchmark harness
 bench-micro:

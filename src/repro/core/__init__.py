@@ -112,6 +112,7 @@ from .routing import (
     batch_happiness_counts,
     batch_outcomes,
     compute_routing_outcome,
+    jobs_happiness_counts,
     normal_conditions,
     rollout_happiness_counts,
 )
@@ -207,6 +208,7 @@ __all__ = [
     "normal_conditions",
     "batch_outcomes",
     "batch_happiness_counts",
+    "jobs_happiness_counts",
     "rollout_happiness_counts",
     # perceivable / partitions
     "ClassReach",

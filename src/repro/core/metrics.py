@@ -194,7 +194,18 @@ def security_metric(
     # pass per destination, an O(dirty) delta re-fix per attacker — see
     # repro.core.routing.DestinationSweep) over the context's reusable
     # scratch buffers, no outcome materialization.
-    results = tuple(batch_happiness(ctx, pairs, deployment, model, attack=attack))
+    pairs = list(pairs)  # consumed twice below; accept one-shot iterables
+    return metric_of_counts(
+        pairs, batch_happiness_counts(ctx, pairs, deployment, model, attack=attack)
+    )
+
+
+def metric_of_counts(
+    pairs: Sequence[tuple[int, int]], counts: Sequence[tuple[int, int, int]]
+) -> MetricResult:
+    """``H_{M,D}(S)`` from each pair's ``(lower, upper, num_sources)``
+    (:func:`repro.core.routing.batch_happiness_counts`' triples)."""
+    results = tuple(_as_happiness(pairs, counts))
     return MetricResult(value=_mean_interval(results), per_pair=results)
 
 
@@ -219,9 +230,16 @@ def batch_happiness(
     groups.
     """
     pairs = list(pairs)  # consumed twice below; accept one-shot iterables
-    counts = batch_happiness_counts(
-        topology, pairs, deployment, model, attack=attack
+    return _as_happiness(
+        pairs,
+        batch_happiness_counts(topology, pairs, deployment, model, attack=attack),
     )
+
+
+def _as_happiness(
+    pairs: Sequence[tuple[int, int]], counts: Sequence[tuple[int, int, int]]
+) -> list[AttackHappiness]:
+    """Pair each ``(m, d)`` with its ``(lower, upper, num_sources)``."""
     return [
         AttackHappiness(
             attacker=m,
@@ -258,19 +276,7 @@ def rollout_happiness(
     per_step = rollout_happiness_counts(
         topology, pairs, deployments, model, attack=attack
     )
-    return [
-        [
-            AttackHappiness(
-                attacker=m,
-                destination=d,
-                happy_lower=lower,
-                happy_upper=upper,
-                num_sources=num_sources,
-            )
-            for (m, d), (lower, upper, num_sources) in zip(pairs, counts)
-        ]
-        for counts in per_step
-    ]
+    return [_as_happiness(pairs, counts) for counts in per_step]
 
 
 def _mean_interval(results: Sequence[AttackHappiness]) -> Interval:

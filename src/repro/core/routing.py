@@ -55,6 +55,9 @@ state*: a numpy kernel never writes the python scratch buffers, a
 sweep's snapshot is a dict of arrays, and the single crossing to python
 objects is :func:`_decode`, which builds the flat fields of a
 :class:`RoutingOutcome` for the callers that ask for full state.
+There the pass is also the unit the count-only entry point
+(:func:`jobs_happiness_counts`) batches: independent ``(m, d, S)``
+passes run as the rows of one bucket loop, K to a numpy call.
 The original dict-based engine survives verbatim in
 :mod:`repro.core.refimpl` for differential testing.
 
@@ -138,6 +141,20 @@ VECTORIZED_MIN_N = 500
 #: a dense pass costs tens of milliseconds, so blast-radius-bound
 #: deltas win by an order of magnitude).
 DELTA_NP_BUDGET = 0.0625
+
+#: Element budget of one :meth:`RoutingContext._run_np` call: it takes
+#: ``max(1, NP_ROWS_BUDGET // n)`` fixing passes as the rows of one
+#: bucket loop (:attr:`RoutingContext.batch_rows` — 109 at 300 ASes, 36
+#: at 900, 14 at 2 200, 8 at 4 000, 1 from 32 768 up, so an 80k context
+#: allocates what a one-row pass does).  ``tools/kernel_crossover.py
+#: --rows`` (``make crossover``) is its measurement, 2026-10-04: a row
+#: costs 1.25 ms alone and 0.69–0.71 ms at K = 4 … 16 at 2 200, 1.82 →
+#: 1.12 ms at K = 8 at 4 000 and more again beyond (the working set
+#: leaves the cache), so the budget sits where the gain has flattened at
+#: the sizes in use and not above: a call's state is ``81·K·n`` bytes in
+#: every pool worker (1 << 17 read ``sweep_pool_medium``'s
+#: ``peak_rss_mb`` 51 → 60).  Re-run it before moving this.
+NP_ROWS_BUDGET = 1 << 15
 
 
 class _DeltaOversize(Exception):
@@ -299,6 +316,7 @@ class RoutingContext:
         "_has_customers",
         "_np_adj",
         "_np_scratch",
+        "_np_rows",
         "_np_post",
         "_np_inv",
         "_neighbor_dicts",
@@ -402,6 +420,8 @@ class RoutingContext:
         #: where :meth:`_run_np` leaves its result; a numpy kernel
         #: never writes the python scratch below
         self._np_scratch: dict | None = None
+        #: the flat state arrays of :meth:`_run_np`'s K-row calls
+        self._np_rows: dict | None = None
         #: what :meth:`_np_nhop_pairs` needs of the most recent pass if
         #: :meth:`_run_np` ran it, None after a heap pass — so also
         #: which of the two scratch forms holds that pass's state
@@ -507,29 +527,39 @@ class RoutingContext:
             adj = self._np_adj = (start, node, cls_e, cf_b, esrc, cust_start)
         return adj
 
-    def _np_ensure_scratch(self) -> dict:
-        """Reusable numpy scratch arrays for :meth:`_run_np`."""
-        st = self._np_scratch
+    @property
+    def batch_rows(self) -> int:
+        """How many fixing passes one :meth:`_run_np` call takes as
+        rows: what fits :data:`NP_ROWS_BUDGET`, at least one."""
+        return max(1, NP_ROWS_BUDGET // self.n)
+
+    def _np_ensure_scratch(self, rows: int = 1) -> dict:
+        """Reusable numpy state arrays for a :meth:`_run_np` call of
+        ``rows`` rows: the one-row call's are :attr:`_np_scratch`, where
+        its result stays; a K-row call's are the first ``K·n`` elements
+        of one :attr:`batch_rows`-row allocation, made on first use.
+
+        ``keyq`` holds the tentative keys still in the "queue" (fixed →
+        ``_NP_INF``), ``key`` the final fixed keys (``_NP_INF`` where the
+        heap loop has ``_INF``), ``chacc`` the running minimum of tying
+        offerers (the lowest-index tiebreak; == ``choice`` once fixed).
+        """
+        slot = "_np_rows" if rows > 1 else "_np_scratch"
+        st = getattr(self, slot)
         if st is None:
             np = _np
-            n = self.n
-            st = self._np_scratch = {
-                # tentative keys still in the "queue" (fixed → _NP_INF)
-                "keyq": np.empty(n, np.int64),
-                # final fixed keys (_NP_INF where the heap loop has _INF)
-                "key": np.empty(n, np.int64),
-                "cls": np.zeros(n, np.int64),
-                "len": np.zeros(n, np.int64),
-                "reach": np.empty(n, np.int64),
-                "wire": np.empty(n, np.int64),
-                "sec": np.empty(n, np.int64),
-                "choice": np.empty(n, np.int64),
-                # running min of tying offerers (the lowest-index
-                # tiebreak; == choice once fixed)
-                "chacc": np.empty(n, np.int64),
-                "endp": np.empty(n, np.int64),
-                "fixed": np.empty(n, np.bool_),
+            size = self.n * (self.batch_rows if rows > 1 else 1)
+            st = {
+                name: np.zeros(size, np.int64)
+                for name in (
+                    "keyq", "key", "cls", "len", "reach", "wire", "sec",
+                    "choice", "chacc", "endp",
+                )
             }
+            st["fixed"] = np.zeros(size, np.bool_)
+            setattr(self, slot, st)
+        if rows > 1:
+            return {name: arr[: rows * self.n] for name, arr in st.items()}
         return st
 
     # ------------------------------------------------------------------
@@ -626,7 +656,8 @@ class RoutingContext:
         security) a sweep can return counts that differ from the
         per-pair engine and :mod:`repro.core.refimpl`, which agree with
         each other.  Every sweep-backed entry point
-        (:func:`batch_happiness_counts`,
+        (:func:`jobs_happiness_counts` and its one-job calls
+        :func:`batch_happiness_counts` and
         :func:`rollout_happiness_counts`, :class:`DestinationSweep`,
         :meth:`RolloutSweep.advance`) therefore rejects such a
         deployment; :func:`compute_routing_outcome` evaluates it per
@@ -727,7 +758,8 @@ class RoutingContext:
         if self.vectorized and not (
             (_u8(signing) > _u8(ranking)) & _u8(self._has_customers)
         ).any():
-            return self._run_np(dest_i, att_i, signing, ranking, model, attack)
+            self._run_np([(dest_i, att_i, signing, ranking, attack)], model)
+            return
         self._sweep_owner = None
         self._np_post = None
         n = self.n
@@ -861,15 +893,12 @@ class RoutingContext:
         self._last_counts = (happy_lo, happy_up, att_lo, att_up, secure_n, nfixed)
 
     def _run_np(
-        self,
-        dest_i: int,
-        att_i: int,
-        signing: bytearray,
-        ranking: bytearray,
-        model: RankModel,
-        attack: ResolvedAttack = DEFAULT_RESOLVED,
-    ) -> None:
-        """Vectorized twin of :meth:`_run`: a bucket-Dijkstra sweep.
+        self, rows: Sequence[tuple], model: RankModel
+    ) -> list[tuple[int, int, int, int, int, int]]:
+        """Vectorized twin of :meth:`_run`: K independent fixing passes
+        — ``rows`` of ``(dest_i, att_i, signing, ranking, attack)``
+        under one ``model`` — as one bucket-Dijkstra sweep; returns
+        each row's counts (:attr:`_last_counts`' six).
 
         Rank keys are strictly monotone on every input this kernel
         takes (LP buckets never shrink along an export-legal edge,
@@ -885,21 +914,35 @@ class RoutingContext:
         number of such rounds is bounded by the number of *distinct*
         packed keys — a few dozen ``(class, length, security)``
         combinations at any graph size — so per-node python overhead
-        vanishes.
+        vanishes, and what is left is numpy call overhead per round:
+        K rows share it.
 
-        The result stays where the pass computed it: nine int64/bool
-        arrays in :attr:`_np_scratch` (the pure kernel's values, with
-        ``_NP_INF`` for ``_INF``) plus :attr:`_last_counts`, and
-        :attr:`_np_post`, what deriving next-hop membership from those
-        arrays needs besides them (:meth:`_np_nhop_pairs`, on demand).
-        The python scratch buffers are never written, and python
-        objects per AS exist only in a :class:`RoutingOutcome`
+        **Rows.**  The state arrays are flat, ``K·n`` long: node ``v``
+        of row ``r`` is element ``r·n + v``, the CSR is the graph's own
+        with the row's offset added to its targets, and roots, masks
+        and resolved attack are per row.  Rows never touch, and the
+        global minimum visits each row's buckets in that row's own
+        ascending order, so every row is bit-identical to the pass it
+        would be alone (``tools/kernel_crossover.py --rows`` times K
+        against one at a time; :data:`NP_ROWS_BUDGET` caps ``K·n``).
+
+        The one-row call is what :meth:`_run` and the sweeps' dense
+        fall-back make, and its result stays where the pass computed
+        it: nine int64/bool arrays in :attr:`_np_scratch` (the pure
+        kernel's values, with ``_NP_INF`` for ``_INF``) plus
+        :attr:`_last_counts`, and :attr:`_np_post`, what deriving
+        next-hop membership from those arrays needs besides them
+        (:meth:`_np_nhop_pairs`, on demand).  A K-row call computes in
+        a scratch of its own and leaves all three alone: its result is
+        the counts.  The python scratch buffers are never written, and
+        python objects per AS exist only in a :class:`RoutingOutcome`
         (:func:`_decode`).
         """
         np = _np
         n = self.n
+        K = len(rows)
         start, node, cls_e, _cf_b, _esrc, cust_start = self._np_adjacency()
-        st = self._np_ensure_scratch()
+        st = self._np_ensure_scratch(K)
         keyq = st["keyq"]
         key_real = st["key"]
         cls_s = st["cls"]
@@ -917,25 +960,41 @@ class RoutingContext:
         wire_s.fill(0)
         sec_s.fill(0)
         choice_s.fill(-1)
-        chacc.fill(n)
+        chacc.fill(K * n)
         endp_s.fill(0)
         fixed_s.fill(False)
-        # Copies: a sweep may mutate its private mask bytearrays after
-        # this pass, and _np_nhop_pairs re-reads the ranking mask.
-        rank_np = np.frombuffer(ranking, dtype=np.uint8).astype(np.int64)
-        sign_np = np.frombuffer(signing, dtype=np.uint8).astype(np.int64)
-        key_of = _np_key_fn(model)
-        uses_sec = model.uses_security
-
         int64 = np.int64
         arange = np.arange
+        copies: dict[int, object] = {}
+
+        def flat_mask(column: int):
+            """The rows' masks end to end, as int64.  Copies (one per
+            distinct mask): a sweep may mutate its private bytearrays
+            after this pass, and _np_nhop_pairs re-reads the ranking
+            mask."""
+            parts = []
+            for row in rows:
+                buf = row[column]
+                part = copies.get(id(buf))
+                if part is None:
+                    part = copies[id(buf)] = np.frombuffer(
+                        buf, dtype=np.uint8
+                    ).astype(int64)
+                parts.append(part)
+            return parts[0] if K == 1 else np.concatenate(parts)
+
+        sign_np = flat_mask(2)
+        rank_np = flat_mask(3)
+        key_of = _np_key_fn(model)
+        uses_sec = model.uses_security
 
         def relax(F, exp_src, ln_src, wire_src, reach_src):
             """Batch-relax every edge the just-fixed sources F export on:
             the whole CSR row of a source that exports to everyone, the
             customer tail of any other (see the class's row layout)."""
-            s = np.where(exp_src, start[F], cust_start[F])
-            cnt = start[F + 1] - s
+            u = F if K == 1 else F % n
+            s = np.where(exp_src, start[u], cust_start[u])
+            cnt = start[u + 1] - s
             tot = int(cnt.sum())
             if not tot:
                 return
@@ -945,6 +1004,8 @@ class RoutingContext:
             eidx = np.repeat(s - (cend - cnt), cnt) + arange(tot)
             rep = np.repeat(arange(len(F)), cnt)
             v = node[eidx]
+            if K > 1:
+                v += (F - u)[rep]
             ok = ~fixed_s[v]
             if not ok.any():
                 return
@@ -966,7 +1027,7 @@ class RoutingContext:
                 iv = v[improved]
                 reach_s[iv] = 0
                 wire_s[iv] = 1
-                chacc[iv] = n
+                chacc[iv] = K * n
             tie = k == new
             tv = v[tie]
             # All edges tying a target's tentative key share one
@@ -977,37 +1038,40 @@ class RoutingContext:
             np.minimum.at(wire_s, tv, wi[tie])
             np.minimum.at(chacc, tv, F[rep[tie]])
 
-        # Roots (same semantics as the pure kernel's init block).
-        dest_signed = 1 if signing[dest_i] else 0
-        fixed_s[dest_i] = True
-        len_s[dest_i] = 0
-        reach_s[dest_i] = 1
-        endp_s[dest_i] = 1
-        wire_s[dest_i] = dest_signed
-        sec_s[dest_i] = dest_signed
-        att_active = attack.active
-        att_wire = 1 if attack.wire else 0
-        if att_i >= 0:
-            fixed_s[att_i] = True
-            len_s[att_i] = attack.length
-            if att_active:
-                reach_s[att_i] = 2
-                endp_s[att_i] = 2
-            wire_s[att_i] = att_wire
-        relax(
-            np.array([dest_i], dtype=int64),
-            np.ones(1, dtype=np.bool_),
-            np.ones(1, dtype=int64),
-            np.array([dest_signed], dtype=int64),
-            np.ones(1, dtype=int64),
+        # Roots (same semantics as the pure kernel's init block), every
+        # row's at once.
+        base = arange(K, dtype=int64) * n
+        dest = base + np.array([row[0] for row in rows], dtype=int64)
+        dest_signed = sign_np[dest]
+        fixed_s[dest] = True
+        len_s[dest] = 0
+        reach_s[dest] = 1
+        endp_s[dest] = 1
+        wire_s[dest] = dest_signed
+        sec_s[dest] = dest_signed
+        attacked = [r for r, row in enumerate(rows) if row[1] >= 0]
+        att = base[attacked] + np.array(
+            [rows[r][1] for r in attacked], dtype=int64
         )
-        if att_i >= 0 and att_active:
+        attacks = [rows[r][4] for r in attacked]
+        att_len = np.array([a.length for a in attacks], dtype=int64)
+        att_wire = np.array([a.wire for a in attacks], dtype=int64)
+        active = np.array([a.active for a in attacks], dtype=np.bool_)
+        fixed_s[att] = True
+        len_s[att] = att_len
+        wire_s[att] = att_wire
+        announcing = att[active]
+        reach_s[announcing] = 2
+        endp_s[announcing] = 2
+        ones = np.ones(K, dtype=int64)
+        relax(dest, np.ones(K, dtype=np.bool_), ones, dest_signed, ones)
+        if len(announcing):
             relax(
-                np.array([att_i], dtype=int64),
-                np.array([attack.export_all], dtype=np.bool_),
-                np.array([attack.length + 1], dtype=int64),
-                np.array([att_wire], dtype=int64),
-                np.array([2], dtype=int64),
+                announcing,
+                np.array([a.export_all for a in attacks], dtype=np.bool_)[active],
+                att_len[active] + 1,
+                att_wire[active],
+                np.full(len(announcing), 2, dtype=int64),
             )
 
         while True:
@@ -1018,6 +1082,8 @@ class RoutingContext:
             keyq[B] = _NP_INF
             key_real[B] = gmin
             fixed_s[B] = True
+            # the lowest tying offerer, as a flat index like B itself
+            # (a node index in the one-row call, the only one read)
             ch = chacc[B]
             choice_s[B] = ch
             endp_s[B] = endp_s[ch]
@@ -1028,23 +1094,26 @@ class RoutingContext:
             relax(B, cls_s[B] == 0, len_s[B] + 1, wire_s[B], reach_s[B])
 
         counted = fixed_s.copy()
-        counted[dest_i] = False
-        if att_i >= 0:
-            counted[att_i] = False
-        r = reach_s[counted]
-        nfixed = int(counted.sum())
-        happy_lo = int((r == 1).sum())
-        att_lo = int((r == 2).sum())
-        both = int((r == 3).sum())
-        self._last_counts = (
-            happy_lo,
-            happy_lo + both,
-            att_lo,
-            att_lo + both,
-            int(sec_s[counted].sum()),
-            nfixed,
-        )
-        self._np_post = (dest_i, att_i, att_active, attack.export_all, key_of, rank_np)
+        counted[dest] = False
+        counted[att] = False
+        counted = counted.reshape(K, n)
+        r = np.where(counted, reach_s.reshape(K, n), 0)
+        happy_lo = (r == 1).sum(axis=1).tolist()
+        att_lo = (r == 2).sum(axis=1).tolist()
+        both = (r == 3).sum(axis=1).tolist()
+        secure = np.where(counted, sec_s.reshape(K, n), 0).sum(axis=1).tolist()
+        nfixed = counted.sum(axis=1).tolist()
+        counts = [
+            (lo, lo + b, alo, alo + b, sec, nfx)
+            for lo, alo, b, sec, nfx in zip(happy_lo, att_lo, both, secure, nfixed)
+        ]
+        if K == 1:
+            dest_i, att_i, _signing, _ranking, attack = rows[0]
+            self._last_counts = counts[0]
+            self._np_post = (
+                dest_i, att_i, attack.active, attack.export_all, key_of, rank_np
+            )
+        return counts
 
     def _np_nhop_pairs(self, st: dict, post: tuple):
         """Next-hop membership ``(us, vs)`` of one :meth:`_run_np`
@@ -2004,11 +2073,11 @@ class DestinationSweep:
         advance) or :meth:`RoutingContext._snapshot` (:meth:`outcome`)
         to pick up."""
         ctx = self.ctx
-        ctx._run_np(
-            self._dest_i, att_i, self._signing, self._ranking, self.model,
+        row = (
+            self._dest_i, att_i, self._signing, self._ranking,
             res if res is not None else DEFAULT_RESOLVED,
         )
-        return ctx._last_counts, None
+        return ctx._run_np([row], self.model)[0], None
 
     def _delta_pure(
         self,
@@ -2971,6 +3040,8 @@ class _AttackerChain(RolloutSweep):
     the attacker-free state of *each* deployment, which this walker does
     not maintain.  The destination's own signing flip re-resolves and
     rebuilds (via :meth:`RolloutSweep._rebuild` → :meth:`_run_baseline`).
+    :func:`jobs_happiness_counts` walks these on scalar contexts only:
+    on a numpy one each ``(attacker, step)`` is a kernel row.
     """
 
     __slots__ = ()
@@ -3015,11 +3086,179 @@ class _AttackerChain(RolloutSweep):
         return b[0], b[1], self.ctx.n - 2
 
 
-#: Destination groups with at most this many attackers walk per-attacker
-#: :class:`_AttackerChain`\ s instead of the shared-baseline delta walk:
-#: below it, one full attacked pass plus cheap advances beats paying the
-#: attack's blast radius again at every step.
+#: Destination groups with at most this many attackers are not walked
+#: as deltas of one shared baseline: paying the attack's blast radius
+#: again at every step loses to one pass an attacker and step (rows, on
+#: a numpy context) and to one full attacked pass plus cheap advances
+#: (an :class:`_AttackerChain` an attacker, on a scalar one).
 _ATTACKER_CHAIN_MAX = 3
+
+
+def jobs_happiness_counts(
+    topology: ASGraph | RoutingContext,
+    jobs: Sequence[
+        tuple[
+            Sequence[tuple[int | None, int]],
+            Sequence[Deployment | None],
+            RankModel,
+            AttackStrategy,
+        ]
+    ],
+) -> list[list[list[tuple[int, int, int]]]]:
+    """``(happy_lower, happy_upper, num_sources)`` per pair, per chain
+    step, per job: ``result[j][t][i]`` is pair ``i`` of job ``j`` — a
+    ``(pairs, deployments, model, attack)`` tuple — under its
+    ``deployments[t]``.
+
+    The count-only fast path behind the scenario scheduler, of which
+    :func:`rollout_happiness_counts` and :func:`batch_happiness_counts`
+    are the one-job calls.  A job's ``deployments`` must be nested
+    (``S_t ⊑ S_{t+1}`` per membership mode; one deployment is a chain
+    of one step, none is zero steps, ``[]``) and stub-simplex
+    (:meth:`RoutingContext.require_stub_simplex`): every job is checked
+    — and what each step changes (:func:`_chain_step`) worked out once —
+    before any pass, so a bad job raises ``ValueError`` with nothing
+    computed, whatever the pairs are.  Pairs are grouped by destination,
+    and a group's shape picks how it is evaluated:
+
+    * **rows** (numpy context, ``≤ 3`` attackers, step-stable
+      strategy — the paper's rollout sampling): nothing such a chain
+      step computes depends on the step before it, so every
+      ``(d, m, S_t)`` is one independent row of
+      :meth:`RoutingContext._run_np`, and the rows of *all* jobs that
+      share a model run :attr:`RoutingContext.batch_rows` to a call;
+    * **one pass a pair** (one step, at most one attacker): plain
+      fixing passes beat a sweep's snapshot and dependency index;
+    * **attacker chains** (scalar context, several steps, ``≤ 3``
+      attackers, step-stable strategy): one :class:`_AttackerChain` per
+      attacker — a full attacked pass at ``S_0``, then a single
+      ``O(changed)`` advance per step;
+    * **a shared sweep** (everything else — many attackers, or a
+      ``needs_baseline`` strategy): one :class:`RolloutSweep`
+      (:class:`DestinationSweep` for one step) — the attacker-free
+      baseline advances per step, each attacker pays an ``O(dirty)``
+      delta per step, and cross-step memo hits skip attackers whose
+      read region the advance missed.
+
+    Results are in input pair order and bit-identical to one full
+    fixing pass per pair and step (:func:`batch_outcomes`, the per-pair
+    reference the differential tests compare against).
+    """
+    ctx = _as_context(topology)
+    n = ctx.n
+    checked = []
+    for pairs, deployments, model, attack in jobs:
+        deployments = [dep or _EMPTY_DEPLOYMENT for dep in deployments]
+        for deployment in deployments:
+            ctx.require_stub_simplex(deployment)
+        steps = [
+            _chain_step(ctx, old, new)
+            for old, new in zip(deployments, deployments[1:])
+        ]
+        checked.append((list(pairs), deployments, steps, model, attack))
+    results: list[list[list]] = []
+    #: model → (dest_i, att_i, deployment, attack, step's out, pair
+    #: indices, sources) per row, a job's rows step-major so that rows
+    #: sharing a deployment's masks are neighbours
+    rows: dict[RankModel, list[tuple]] = {}
+    for pairs, deployments, steps, model, attack in checked:
+        out: list[list] = [[None] * len(pairs) for _ in deployments]
+        results.append(out)
+        if not deployments:
+            continue
+        row_groups = []
+        groups: dict[int, dict[int | None, list[int]]] = {}
+        for i, (m, d) in enumerate(pairs):
+            groups.setdefault(d, {}).setdefault(m, []).append(i)
+        for d, by_attacker in groups.items():
+            attackers = len(by_attacker) - (None in by_attacker)
+            few = attackers <= _ATTACKER_CHAIN_MAX and not attack.needs_baseline
+            if ctx.vectorized and few:
+                for m, idxs in by_attacker.items():
+                    row_groups.append(
+                        (*ctx._check_pair(d, m), idxs, n - (1 if m is None else 2))
+                    )
+            elif not steps and attackers <= 1:
+                signing, ranking = ctx.deployment_masks(deployments[0])
+                for m, idxs in by_attacker.items():
+                    dest_i, att_i = ctx._check_pair(d, m)
+                    resolved = ctx._resolve_attack(
+                        dest_i, att_i, signing, ranking, model, attack
+                    )
+                    ctx._run(dest_i, att_i, signing, ranking, model, resolved)
+                    lo, up = ctx._last_counts[:2]
+                    for i in idxs:
+                        out[0][i] = (lo, up, n - (1 if m is None else 2))
+            else:
+                _walk_group(
+                    ctx, d, by_attacker, deployments, steps, model, attack, out,
+                    chains=bool(few and steps and attackers),
+                )
+        model_rows = rows.setdefault(model, [])
+        for deployment, step_out in zip(deployments, out):
+            for dest_i, att_i, idxs, sources in row_groups:
+                model_rows.append(
+                    (dest_i, att_i, deployment, attack, step_out, idxs, sources)
+                )
+    for model, model_rows in rows.items():
+        for at in range(0, len(model_rows), ctx.batch_rows):
+            batch = model_rows[at : at + ctx.batch_rows]
+            kernel_rows = []
+            for dest_i, att_i, deployment, attack, *_ in batch:
+                signing, ranking = ctx.deployment_masks(deployment)
+                kernel_rows.append((
+                    dest_i, att_i, signing, ranking,
+                    ctx._resolve_attack(
+                        dest_i, att_i, signing, ranking, model, attack
+                    ),
+                ))
+            for row, counts in zip(batch, ctx._run_np(kernel_rows, model)):
+                *_, step_out, idxs, sources = row
+                for i in idxs:
+                    step_out[i] = (counts[0], counts[1], sources)
+    return results
+
+
+def _walk_group(
+    ctx: RoutingContext,
+    d: int,
+    by_attacker: dict[int | None, list[int]],
+    deployments: list[Deployment],
+    steps: list[tuple],
+    model: RankModel,
+    attack: AttackStrategy,
+    out: list[list],
+    chains: bool,
+) -> None:
+    """One destination group of :func:`jobs_happiness_counts` on warm
+    sweeps, written into ``out[t][i]``: one :class:`_AttackerChain`
+    per attacker beside an attacker-free baseline sweep (``chains``),
+    or every attacker as a delta of one shared sweep."""
+    n = ctx.n
+    sweep_cls = RolloutSweep if steps else DestinationSweep
+    walkers: dict[int | None, DestinationSweep] = {}
+    if chains:
+        for m in by_attacker:
+            if m is not None:
+                walkers[m] = _AttackerChain(
+                    ctx, d, m, deployments[0], model, attack=attack
+                )
+    if not chains or None in by_attacker:
+        walkers[None] = sweep_cls(ctx, d, deployments[0], model, attack=attack)
+    for t, step_out in enumerate(out):
+        if t:
+            for walker in walkers.values():
+                walker._apply(steps[t - 1])
+        for m, idxs in by_attacker.items():
+            if m is None:
+                lo, up = walkers[None].baseline_counts()
+                counts = (lo, up, n - 1)
+            elif chains:
+                counts = walkers[m].step_counts()
+            else:
+                counts = walkers[None].happiness_counts(m)
+            for i in idxs:
+                step_out[i] = counts
 
 
 def rollout_happiness_counts(
@@ -3032,94 +3271,15 @@ def rollout_happiness_counts(
 ) -> list[list[tuple[int, int, int]]]:
     """``(happy_lower, happy_upper, num_sources)`` per pair, per chain
     step: ``result[t][i]`` is pair ``i`` evaluated under
-    ``deployments[t]``.
-
-    The rollout-major fast path behind the scenario scheduler's chain
-    evaluation.  Pairs are grouped by destination and each destination
-    walks the whole chain with warm state — ``deployments`` must be
-    nested (``S_t ⊑ S_{t+1}`` per membership mode).  Two walkers cover
-    the workload's two shapes:
-
-    * **few attackers** (the paper's rollout sampling: ``≤ 3`` per
-      destination, step-stable strategy): one :class:`_AttackerChain`
-      per attacker — a full attacked pass at ``S_0``, then a single
-      ``O(changed)`` advance per step;
-    * **many attackers**: one shared :class:`RolloutSweep` — the
-      attacker-free baseline advances per step, each attacker pays an
-      ``O(dirty)`` delta per step, and cross-step memo hits skip
-      attackers whose read region the advance missed.
-
-    What each step changes (:func:`_chain_step`) is worked out once per
-    call, before any pass, and every sweep applies it: a chain that is
-    not nested raises ``ValueError`` with nothing computed, whatever
-    ``pairs`` holds.  An empty chain is zero steps, ``[]``.
-
-    Results per step are in input pair order and bit-identical to
-    evaluating each step independently via
+    ``deployments[t]`` — :func:`jobs_happiness_counts` for one job, a
+    nested-deployment chain (``ValueError``, with nothing computed, if
+    it is not nested).  Results per step are in input pair order and
+    bit-identical to evaluating each step independently via
     :func:`batch_happiness_counts`.
     """
-    ctx = _as_context(topology)
-    deployments = list(deployments)
-    for deployment in deployments:
-        ctx.require_stub_simplex(deployment)
-    if not deployments:
-        return []
-    steps = [
-        _chain_step(ctx, old, new)
-        for old, new in zip(deployments, deployments[1:])
-    ]
-    pairs = list(pairs)
-    n = ctx.n
-    out: list[list[tuple[int, int, int] | None]] = [
-        [None] * len(pairs) for _ in deployments
-    ]
-    groups: dict[int, list[int]] = {}
-    for i, (_m, d) in enumerate(pairs):
-        groups.setdefault(d, []).append(i)
-    for d, idxs in groups.items():
-        attackers = list(
-            dict.fromkeys(
-                pairs[i][0] for i in idxs if pairs[i][0] is not None
-            )
-        )
-        if 0 < len(attackers) <= _ATTACKER_CHAIN_MAX and not attack.needs_baseline:
-            chains: dict[int, _AttackerChain] = {
-                m: _AttackerChain(
-                    ctx, d, m, deployments[0], model, attack=attack
-                )
-                for m in attackers
-            }
-            base = (
-                RolloutSweep(ctx, d, deployments[0], model, attack=attack)
-                if any(pairs[i][0] is None for i in idxs)
-                else None
-            )
-            for t, row in enumerate(out):
-                if t:
-                    for chain in chains.values():
-                        chain._apply(steps[t - 1])
-                    if base is not None:
-                        base._apply(steps[t - 1])
-                for i in idxs:
-                    m = pairs[i][0]
-                    if m is None:
-                        lo, up = base.baseline_counts()  # type: ignore[union-attr]
-                        row[i] = (lo, up, n - 1)
-                    else:
-                        row[i] = chains[m].step_counts()
-            continue
-        sweep = RolloutSweep(ctx, d, deployments[0], model, attack=attack)
-        for t, row in enumerate(out):
-            if t:
-                sweep._apply(steps[t - 1])
-            for i in idxs:
-                m = pairs[i][0]
-                if m is None:
-                    lo, up = sweep.baseline_counts()
-                    row[i] = (lo, up, n - 1)
-                else:
-                    row[i] = sweep.happiness_counts(m)
-    return out  # type: ignore[return-value]
+    return jobs_happiness_counts(
+        topology, [(pairs, deployments, model, attack)]
+    )[0]
 
 
 # ----------------------------------------------------------------------
@@ -3168,49 +3328,14 @@ def batch_happiness_counts(
 ) -> list[tuple[int, int, int]]:
     """``(happy_lower, happy_upper, num_sources)`` per ``(m, d)`` pair.
 
-    The count-only fast path behind :func:`repro.core.metrics.security_metric`:
-    no :class:`RoutingOutcome` is materialized and nothing is copied out
-    of the scratch buffers.  Pairs are grouped by destination and each
-    group is evaluated through a :class:`DestinationSweep` — one
-    attacker-free fixing pass per destination plus an ``O(dirty)`` delta
-    per attacker; results are returned in the input pair order,
-    bit-identical to one full fixing pass per pair
+    The count-only fast path behind :func:`repro.core.metrics.security_metric`
+    — :func:`jobs_happiness_counts` for one job of one step: no
+    :class:`RoutingOutcome` is materialized, pairs are evaluated
+    destination-major, and results are returned in the input pair
+    order, bit-identical to one full fixing pass per pair
     (:func:`batch_outcomes`, the per-pair reference the differential
     tests compare against).
     """
-    ctx = _as_context(topology)
-    deployment = deployment or _EMPTY_DEPLOYMENT
-    ctx.require_stub_simplex(deployment)
-    signing, ranking = ctx.deployment_masks(deployment)
-    n = ctx.n
-    pairs = list(pairs)
-    slots: list[tuple[int, int, int] | None] = [None] * len(pairs)
-    groups: dict[int, list[int]] = {}
-    for i, (_m, d) in enumerate(pairs):
-        groups.setdefault(d, []).append(i)
-    for d, idxs in groups.items():
-        attackers = [pairs[i][0] for i in idxs]
-        real = sum(1 for m in attackers if m is not None)
-        if real <= 1:
-            # Zero or one actual attacker: plain fixing passes beat a
-            # sweep's snapshot + dependency-CSR construction.
-            for i, m in zip(idxs, attackers):
-                dest_i, att_i = ctx._check_pair(d, m)
-                resolved = ctx._resolve_attack(
-                    dest_i, att_i, signing, ranking, model, attack
-                )
-                ctx._run(dest_i, att_i, signing, ranking, model, resolved)
-                counts = ctx._last_counts
-                slots[i] = (
-                    counts[0], counts[1], n - (2 if m is not None else 1)
-                )
-            continue
-        sweep = DestinationSweep(ctx, d, deployment, model, attack=attack)
-        for i in idxs:
-            m = pairs[i][0]
-            if m is None:
-                lo, up = sweep.baseline_counts()
-                slots[i] = (lo, up, n - 1)
-            else:
-                slots[i] = sweep.happiness_counts(m)
-    return slots  # type: ignore[return-value]
+    return jobs_happiness_counts(
+        topology, [(pairs, [deployment], model, attack)]
+    )[0][0]

@@ -27,10 +27,15 @@ on chance:
 
 A :class:`FaultPlan` is a list of :class:`Fault` coordinates.  Worker
 faults address shards by the supervised pool's *dispatch sequence
-number* (assigned in submission order, so deterministic run to run)
-and optionally by retry ``attempt`` (``None`` fires on every attempt —
-that is how max-retries degradation is forced).  Store faults address
-``put`` calls by index.
+number* (assigned in submission order over the pool's lifetime, so
+deterministic run to run) and optionally by retry ``attempt`` (``None``
+fires on every attempt — that is how max-retries degradation is
+forced).  On the evaluation path a sequence number is a *bin* of the
+scheduler's one pass per batch
+(:func:`repro.experiments.scenarios.cut_bins`): parts of one or more
+chains, so a fault that outlasts the retries and the in-process
+fallback fails every chain with a part in that bin, and those only.
+Store faults address ``put`` calls by index.
 
 Plans are armed through the :data:`ENV_VAR` environment variable
 (JSON), so fork workers inherit the plan for free, or through the CLI's

@@ -2,20 +2,19 @@
 scenario scheduler.
 
 The paper parallelized its metric computations with MPI across
-supercomputer nodes (Appendix H); here the unit of *parallelism* is a
-bin of whole **destination groups** — (m, d) pairs grouped by ``d``,
-bin-packed largest-first over the worker slots (:func:`_pack_groups`)
-so skewed group sizes cannot starve the pool — fanned out over local
-processes with ``fork`` so the topology is shared with the workers for
-free (no per-task pickling of the graph).  Each worker evaluates its
-bin with the destination-major routing fast path
-(:func:`repro.core.metrics.batch_happiness` →
-:class:`repro.core.routing.DestinationSweep`): every destination's
-attacker-free baseline is fixed exactly once per worker and each
-attacker costs only its dirty region.  Forked workers each own a
-copy-on-write clone of the context, so scratch-buffer reuse is
-race-free, and results are scattered back into request pair order so
-parallel runs reproduce serial runs bit-for-bit.
+supercomputer nodes (Appendix H); here the unit of *work* is a **row**
+— one fixing pass for one ``(m, d, S_t)`` — and the unit of
+*parallelism* a **bin** of about one kernel batch of rows: the chains
+of a batch are cut, destination group by destination group, into bins
+(:func:`~repro.experiments.scenarios.cut_bins`) that go over local
+``fork`` processes in one pass, the topology shared with the workers
+for free (no per-task pickling of the graph).  A worker evaluates its
+bin with :func:`repro.core.routing.jobs_happiness_counts`: few-attacker
+pair-steps as rows of shared numpy kernel batches, many-attacker
+groups and scalar contexts on warm destination sweeps.  Forked workers
+each own a copy-on-write clone of the context, so scratch-buffer reuse
+is race-free, and results are scattered back into request pair order
+so parallel runs reproduce serial runs bit-for-bit.
 
 Two layers live here:
 
@@ -23,15 +22,14 @@ Two layers live here:
   **persistent fork pool**: created lazily on the first parallel call
   and reused for every subsequent one (the pool's workers inherit the
   routing context at fork time — on a numpy context including the
-  int64 CSR views its kernels read, built just before the fork;
-  per-call small state — deployment, model — rides along with each
-  task).
+  int64 CSR views its kernels read, built just before the fork; what a
+  bin needs besides — pairs, deployments, model — rides with its task).
 * the **scenario scheduler** (:func:`run_experiments`) — collects the
   :class:`~repro.experiments.scenarios.EvalRequest` declarations of all
   experiments in a run, dedupes identical scenarios globally (baselines
   shared by several figures are computed once), consults the persistent
-  :class:`~repro.experiments.store.ResultStore`, evaluates only the
-  missing scenarios, and hands every experiment an
+  :class:`~repro.experiments.store.ResultStore`, plans the missing
+  scenarios as one pass, and hands every experiment an
   :class:`~repro.experiments.scenarios.EvalResults` mapping to consume.
 """
 
@@ -45,27 +43,25 @@ import time
 import traceback
 import weakref
 from collections import deque
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from multiprocessing import connection as mp_connection
+from collections.abc import Iterator
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Sized, TypeVar
 
 from ..core.attacks import DEFAULT_ATTACK, AttackStrategy, strategy_from_token
 from ..core.deployment import Deployment, ScenarioCatalog
-from ..core.metrics import (
-    MetricResult,
-    _mean_interval,
-    batch_happiness,
-    rollout_happiness,
-)
+from ..core.metrics import MetricResult, metric_of_counts
 from ..core.rank import RankModel
-from ..core.routing import RoutingContext
+from ..core.routing import RoutingContext, jobs_happiness_counts
 from ..topology.generate import SyntheticTopology, TopologyParams, generate_topology
 from ..topology.ixp import augment_with_ixp_peering
 from ..topology.tiers import TierTable, classify_tiers
 from .config import DEFAULT_SEED, Scale, get_scale
 from .failures import EvaluationCancelled, EvaluationFailure, FailureLog
 from .faults import active_plan
-from .scenarios import EvalRequest, EvalResults, detect_chains
+from .scenarios import EvalRequest, EvalResults, cut_bins, detect_chains
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .registry import ExperimentResult, ExperimentSpec
@@ -176,15 +172,14 @@ def _supervised_worker_main(conn, slot: int) -> None:
 class _Shard:
     """One retryable unit of work: a chunk of tasks plus its deadline."""
 
-    __slots__ = ("seq", "tasks", "indices", "attempt", "size", "deadline",
+    __slots__ = ("seq", "tasks", "indices", "attempt", "deadline",
                  "not_before", "started")
 
-    def __init__(self, seq, tasks, indices, size, deadline):
+    def __init__(self, seq, tasks, indices, deadline):
         self.seq = seq
         self.tasks = tasks          # [(worker, item, state), ...]
         self.indices = indices      # result positions, parallel to tasks
         self.attempt = 0
-        self.size = size
         self.deadline = deadline
         self.not_before = 0.0       # monotonic time gating retry dispatch
         self.started = 0.0          # monotonic dispatch time
@@ -224,12 +219,12 @@ class SupervisedPool:
       exponential backoff; a shard that exhausts them **degrades to
       in-process serial evaluation** in the supervisor — a scenario is
       never simply lost.  Only if that last resort also raises does the
-      pool raise :class:`~repro.experiments.failures.EvaluationFailure`,
-      which the scheduler catches *per scenario*.
+      shard come back as an :class:`~repro.experiments.failures.
+      EvaluationFailure`, which the scheduler books *per scenario*.
 
     Every incident lands in the run's :class:`~repro.experiments.
-    failures.FailureLog`.  Results are scattered back into submission
-    order, and evaluation is deterministic, so a run with any number of
+    failures.FailureLog`.  Results carry their submission positions,
+    and evaluation is deterministic, so a run with any number of
     recovered failures is bit-identical to a clean one (chaos-tested in
     ``tests/test_faults.py``).
 
@@ -295,64 +290,68 @@ class SupervisedPool:
 
     # -- the supervision loop ------------------------------------------
     def run(
-        self,
-        tasks: "list[tuple]",
-        chunksize: int,
-        sizes: "Sequence[int] | None" = None,
-    ) -> list:
-        """Evaluate ``tasks`` (``(worker, item, state)`` tuples), fanned
-        out as shards of ``chunksize`` consecutive tasks; returns
-        results in submission order."""
+        self, tasks: "list[tuple]", chunksize: int, sizes: Sequence[int]
+    ) -> "Iterator[tuple[list[int], list | None, EvaluationFailure | None]]":
+        """Evaluate ``tasks`` (``(worker, item, state)`` tuples, of
+        ``sizes`` units each), fanned out as shards of ``chunksize``
+        consecutive tasks; yields ``(indices, values, error)`` per
+        shard, as it completes — its tasks' submission positions with
+        their results, or with the :class:`EvaluationFailure` of a
+        shard that failed every pooled attempt *and* the in-process
+        fallback (the other shards still come).  Closing the generator
+        early abandons the pass: workers still busy are killed and
+        replaced, so the pool is idle again for the next call."""
         if self._closed:
             raise RuntimeError("pool is closed")
-        if sizes is None:
-            sizes = [1] * len(tasks)
-        results: list = [None] * len(tasks)
         pending: deque[_Shard] = deque()
         for start in range(0, len(tasks), chunksize):
             indices = list(range(start, min(start + chunksize, len(tasks))))
-            size = sum(sizes[i] for i in indices)
+            deadline = self._policy.deadline_for(sum(sizes[i] for i in indices))
             pending.append(
-                _Shard(
-                    seq=self._seq,
-                    tasks=[tasks[i] for i in indices],
-                    indices=indices,
-                    size=size,
-                    deadline=self._policy.deadline_for(size),
-                )
+                _Shard(self._seq, [tasks[i] for i in indices], indices, deadline)
             )
             self._seq += 1
         remaining = len(pending)
-        while remaining:
-            now = time.monotonic()
-            self._dispatch_ready(pending, now)
-            busy = [w for w in self._workers if w.shard is not None]
-            if not busy:
-                # Every outstanding shard is backing off; sleep to the
-                # earliest retry time.
-                wake = min(s.not_before for s in pending)
-                time.sleep(min(max(wake - now, 0.0) + 0.001, 1.0))
-                continue
-            timeout = self._wait_timeout(busy, pending, now)
-            ready = mp_connection.wait([w.conn for w in busy], timeout)
-            by_conn = {w.conn: w for w in busy}
-            for conn in ready:
-                remaining -= self._on_message(
-                    by_conn[conn], results, pending
-                )
-            now = time.monotonic()
+        done: list[tuple] = []
+        try:
+            while remaining:
+                now = time.monotonic()
+                # Before anything is handed over: a freed worker gets
+                # its next shard now, not when the consumer comes back.
+                self._dispatch_ready(pending, now)
+                if done:
+                    remaining -= len(done)
+                    yield from done
+                    done = []
+                    continue
+                busy = [w for w in self._workers if w.shard is not None]
+                if not busy:
+                    # Every outstanding shard is backing off; sleep to
+                    # the earliest retry time.
+                    wake = min(s.not_before for s in pending)
+                    time.sleep(min(max(wake - now, 0.0) + 0.001, 1.0))
+                    continue
+                timeout = self._wait_timeout(busy, pending, now)
+                ready = mp_connection.wait([w.conn for w in busy], timeout)
+                by_conn = {w.conn: w for w in busy}
+                for conn in ready:
+                    self._on_message(by_conn[conn], done, pending)
+                now = time.monotonic()
+                for worker in self._workers:
+                    shard = worker.shard
+                    if shard is not None and now - shard.started > shard.deadline:
+                        self._on_failure(
+                            worker,
+                            "worker_hung",
+                            f"no result after {now - shard.started:.1f}s "
+                            f"(deadline {shard.deadline:.1f}s); worker killed",
+                            done,
+                            pending,
+                        )
+        finally:
             for worker in self._workers:
-                shard = worker.shard
-                if shard is not None and now - shard.started > shard.deadline:
-                    remaining -= self._on_failure(
-                        worker,
-                        "worker_hung",
-                        f"no result after {now - shard.started:.1f}s "
-                        f"(deadline {shard.deadline:.1f}s); worker killed",
-                        results,
-                        pending,
-                    )
-        return results
+                if worker.shard is not None and not self._closed:
+                    self._replace(worker)
 
     def _dispatch_ready(self, pending: deque, now: float) -> None:
         for worker in self._workers:
@@ -403,30 +402,30 @@ class SupervisedPool:
                 timeout = min(timeout, shard.not_before - now)
         return max(timeout, 0.01)
 
-    def _on_message(self, worker: _Worker, results, pending) -> int:
-        """Handle one readable worker pipe; returns shards completed."""
+    def _on_message(self, worker: _Worker, done: list, pending) -> None:
+        """Handle one readable worker pipe; a shard thereby completed
+        goes to ``done`` as what :meth:`run` yields for it."""
         shard = worker.shard
         try:
             msg = worker.conn.recv()
         except (EOFError, OSError):
             if shard is None:  # pragma: no cover - stray EOF while idle
                 self._replace(worker)
-                return 0
+                return
             return self._on_failure(
                 worker,
                 "worker_dead",
                 "worker crashed (EOF on result pipe — killed or segfaulted)",
-                results,
+                done,
                 pending,
             )
         kind, seq, payload = msg
         if shard is None or seq != shard.seq:  # pragma: no cover - stale
-            return 0
+            return
         if kind == "ok":
-            for index, value in zip(shard.indices, payload):
-                results[index] = value
             worker.shard = None
-            return 1
+            done.append((shard.indices, payload, None))
+            return
         # The worker survived and reported an exception: retry the
         # shard without respawning.
         self._log.record(
@@ -438,11 +437,11 @@ class SupervisedPool:
             elapsed=time.monotonic() - shard.started,
         )
         worker.shard = None
-        return self._retry_or_degrade(shard, results, pending)
+        self._retry_or_degrade(shard, done, pending)
 
     def _on_failure(
-        self, worker: _Worker, kind: str, detail: str, results, pending
-    ) -> int:
+        self, worker: _Worker, kind: str, detail: str, done: list, pending
+    ) -> None:
         """A worker died or hung: record, respawn, retry its shard."""
         shard = worker.shard
         self._log.record(
@@ -454,21 +453,19 @@ class SupervisedPool:
             elapsed=time.monotonic() - shard.started,
         )
         self._replace(worker)
-        return self._retry_or_degrade(shard, results, pending)
+        self._retry_or_degrade(shard, done, pending)
 
-    def _retry_or_degrade(self, shard: _Shard, results, pending) -> int:
-        """Re-enqueue with backoff, or run serially after max retries.
-
-        Returns the number of shards thereby *completed* (0 for a
-        retry, 1 for a successful degradation).
-        """
+    def _retry_or_degrade(self, shard: _Shard, done: list, pending) -> None:
+        """Re-enqueue with backoff, or run serially after max retries:
+        the shard is then ``done``, with its values or the failure of
+        this last resort."""
         shard.attempt += 1
         if shard.attempt <= self._policy.max_retries:
             shard.not_before = time.monotonic() + self._policy.backoff * (
                 2 ** (shard.attempt - 1)
             )
             pending.append(shard)
-            return 0
+            return
         # Graceful degradation: the shard failed every pooled attempt;
         # evaluate it in-process so the scenario is not lost.  Workers
         # for *other* shards keep running meanwhile.
@@ -483,22 +480,24 @@ class SupervisedPool:
         )
         ectx = self._ctx_ref()
         plan = active_plan()
+        values = failure = None
         try:
             if plan is not None:
                 plan.fire_worker(
                     shard=shard.seq, attempt=shard.attempt, in_worker=False
                 )
-            for index, (worker_fn, item, state) in zip(
-                shard.indices, shard.tasks
-            ):
-                results[index] = worker_fn(ectx, item, state)
+            values = [
+                worker_fn(ectx, item, state)
+                for worker_fn, item, state in shard.tasks
+            ]
         except Exception as exc:
-            raise EvaluationFailure(
+            failure = EvaluationFailure(
                 f"shard {shard.seq} failed {self._policy.max_retries} "
                 f"pooled retries and the in-process serial fallback: "
                 f"{type(exc).__name__}: {exc}"
-            ) from exc
-        return 1
+            )
+            failure.__cause__ = exc
+        done.append((shard.indices, values, failure))
 
     # -- teardown (mirrors multiprocessing.Pool's API) ------------------
     def terminate(self) -> None:
@@ -523,97 +522,95 @@ class SupervisedPool:
                 worker.proc.join()
 
 
-def _metric_chunk_worker(
-    ectx: "ExperimentContext", chunk: Sequence[tuple[int, int]], state: dict
-):
-    """Evaluate one task of (m, d) pairs with the destination-major
-    batched fast path (pairs arrive destination-contiguous, so each
-    worker runs every destination's attacker-free baseline exactly
-    once)."""
-    return batch_happiness(
-        ectx.graph_ctx, chunk, state["deployment"], state["model"],
-        attack=state["attack"],
-    )
+def _bin_worker(ectx: "ExperimentContext", jobs: list[tuple], state: dict):
+    """Evaluate one bin of a plan — parts of one or more chains, as
+    ``(pairs, deployments, model, attack)`` jobs: the count triples per
+    job, per step, per pair.  On a numpy context its few-attacker
+    pair-steps share kernel batches, whatever chain they belong to."""
+    return jobs_happiness_counts(ectx.graph_ctx, jobs)
 
 
-def _metric_chain_worker(
-    ectx: "ExperimentContext", chunk: Sequence[tuple[int, int]], state: dict
-):
-    """Evaluate one task of (m, d) pairs across a whole nested-deployment
-    chain, rollout-major: each destination in the chunk walks every
-    chain step on warm engine state (one converged baseline advanced per
-    step instead of re-fixed from scratch).  Returns per-step lists in
-    chunk pair order."""
-    return rollout_happiness(
-        ectx.graph_ctx, chunk, state["deployments"], state["model"],
-        attack=state["attack"],
-    )
+class _Job:
+    """One planned chain — ``(pairs, deployments, model, attack)``, a
+    single scenario being a chain of one step — and what has come back
+    of it: ``cells[t][i]`` the count triple of pair ``i`` at step ``t``,
+    ``waiting`` the bins that still hold a part of it, ``error`` the
+    failure of one that was lost."""
+
+    __slots__ = ("pairs", "deployments", "model", "attack", "cells",
+                 "waiting", "error")
+
+    def __init__(self, pairs, deployments, model, attack):
+        self.pairs, self.deployments = pairs, deployments
+        self.model, self.attack = model, attack
+        self.cells: list[list] = [[None] * len(pairs) for _ in deployments]
+        self.waiting = 0
+        self.error: EvaluationFailure | None = None
 
 
-def _destination_groups(
-    pairs: Sequence[tuple[int | None, int]],
-) -> list[list[int]]:
-    """Group pair *indices* by destination (first-appearance order;
-    input order is preserved within each group)."""
-    groups: dict[int, list[int]] = {}
-    for i, (_m, d) in enumerate(pairs):
-        existing = groups.get(d)
-        if existing is None:
-            groups[d] = [i]
-        else:
-            existing.append(i)
-    return list(groups.values())
+#: A bin holds about one kernel batch of rows
+#: (:attr:`repro.core.routing.RoutingContext.batch_rows`), and never
+#: under this many where that is few (one, at 80k ASes): every bin
+#: derives its chains' steps and deployment masks again.
+_MIN_BIN_ROWS = 32
 
 
-def _gather_bins(
-    pairs: Sequence[tuple[int, int]],
-    bins: Sequence[Sequence[int]],
-    parts: Sequence[Sequence],
-) -> MetricResult:
-    """Scatter per-bin worker results back into input pair order and
-    average them — the single reassembly behind :meth:`ExperimentContext.metric`
-    and each step of :meth:`ExperimentContext.metric_chain` (parallel
-    must equal serial bit-for-bit)."""
-    flat: list = [None] * len(pairs)
-    for bin_, part in zip(bins, parts):
-        for i, r in zip(bin_, part):
-            flat[i] = r
-    results = tuple(flat)
-    return MetricResult(value=_mean_interval(results), per_pair=results)
+class _Pass:
+    """A plan in flight: jobs cut into bins, the bins one pass over the
+    pool (or, serially, evaluated one by one as they are asked for),
+    each job collected when its last bin is in."""
 
+    def __init__(self, ectx: "ExperimentContext", keys: Iterable[tuple]):
+        #: ``(pairs, deployments, model, attack)`` → job, until collected
+        self.jobs = {key: _Job(*key) for key in keys}
+        jobs = list(self.jobs.values())
+        chains = [(job.pairs, len(job.deployments)) for job in jobs]
+        total = sum(len(pairs) * steps for pairs, steps in chains)
+        share = -(-total // (2 * ectx.processes if ectx.processes > 1 else 1))
+        cap = min(max(ectx.graph_ctx.batch_rows, _MIN_BIN_ROWS), share)
+        #: per bin its ``(job, pair indices)`` parts
+        self.bins = [
+            [(jobs[j], idxs) for j, idxs in parts]
+            for parts in cut_bins(chains, cap, share)
+        ]
+        for parts in self.bins:
+            for job, _ in parts:
+                job.waiting += 1
+        # A deployment object several chains share (evaluate_requests
+        # keeps one per distinct value) is pickled once a bin and one
+        # object in the worker, which remembers checks and masks by it.
+        tasks = [
+            [
+                ([job.pairs[i] for i in idxs], job.deployments, job.model, job.attack)
+                for job, idxs in parts
+            ]
+            for parts in self.bins
+        ]
+        # A bin's deadline scales with its rows: a 19-step chain's pair
+        # is 19 passes, not one.
+        sizes = [
+            sum(len(idxs) * len(job.deployments) for job, idxs in parts)
+            for parts in self.bins
+        ]
+        self.stream = ectx._run_tasks(_bin_worker, tasks, {}, sizes, 1, 2)
 
-def _pack_groups(
-    groups: Sequence[Sequence[T]], slots: int, max_unit: int | None = None
-) -> list[list[T]]:
-    """Greedy largest-first bin-pack of destination groups over ``slots``.
-
-    The contiguous pair chunking this replaces starved the pool whenever
-    destination groups had skewed sizes (one giant group serialized a
-    worker while the rest idled).  Here every group larger than ``max_unit`` is first
-    split (the only case where a destination's baseline is recomputed —
-    once per shard), then shards are placed largest-first onto the
-    currently lightest bin, the classic LPT heuristic whose makespan is
-    within 4/3 of optimal.  Returns the non-empty bins, heaviest first.
-    """
-    slots = max(1, slots)
-    shards: list[Sequence[T]] = []
-    for group in groups:
-        if max_unit is not None and len(group) > max_unit:
-            for start in range(0, len(group), max_unit):
-                shards.append(group[start : start + max_unit])
-        else:
-            shards.append(group)
-    # Deterministic largest-first order (ties broken by first element).
-    shards.sort(key=lambda s: (-len(s), s[0] if len(s) else 0))
-    bins: list[list[T]] = [[] for _ in range(min(slots, len(shards)) or 1)]
-    loads = [0] * len(bins)
-    for shard in shards:
-        i = loads.index(min(loads))
-        bins[i].extend(shard)
-        loads[i] += len(shard)
-    packed = [b for b in bins if b]
-    packed.sort(key=len, reverse=True)
-    return packed
+    def collect(self, key: tuple) -> list[MetricResult]:
+        """The results of one planned job, per step: waits for the bins
+        it has parts in (scattering whatever else arrives meanwhile);
+        raises the :class:`EvaluationFailure` of a bin that was lost."""
+        job = self.jobs.pop(key)
+        while job.waiting:
+            (index,), values, error = next(self.stream)  # chunksize 1
+            replies = values[0] if error is None else repeat(None)
+            for (part, idxs), per_step in zip(self.bins[index], replies):
+                part.waiting -= 1
+                part.error = part.error or error
+                for cells, counts in zip(part.cells, per_step or ()):
+                    for i, triple in zip(idxs, counts):
+                        cells[i] = triple
+        if job.error is not None:
+            raise job.error
+        return [metric_of_counts(job.pairs, cells) for cells in job.cells]
 
 
 @dataclass
@@ -654,6 +651,8 @@ class ExperimentContext:
     _pool: SupervisedPool | None = field(
         default=None, repr=False, compare=False
     )
+    #: the plan in flight (:meth:`_planned`), None between plans
+    _pass: "_Pass | None" = field(default=None, repr=False, compare=False)
 
     @property
     def graph(self):
@@ -699,17 +698,36 @@ class ExperimentContext:
         which workers inherited at fork time.
         """
         items = list(items)
-        state = state or {}
+        # Shard deadlines scale with how much work each item holds
+        # (a list of pairs is len(item) units, an opaque item one).
+        sizes = [len(item) if isinstance(item, Sized) else 1 for item in items]
+        results: list = [None] * len(items)
+        args = (worker, items, state or {}, sizes, chunksize, min_parallel)
+        with closing(self._run_tasks(*args)) as shards:
+            for indices, values, error in shards:
+                if error is not None:
+                    raise error
+                for index, value in zip(indices, values):
+                    results[index] = value
+        return results
+
+    def _run_tasks(
+        self, worker, items: list, state: dict, sizes: Sequence[int],
+        chunksize: int | None, min_parallel: int,
+    ) -> Iterator[tuple]:
+        """The one dispatch path: yields :meth:`SupervisedPool.run`'s
+        ``(indices, values, error)`` per finished shard — from the pool,
+        or, serial (see :meth:`map_tasks`), one item per step, evaluated
+        in process when the consumer asks for it, exceptions raised as
+        they are."""
         if self.processes <= 1 or len(items) < min_parallel:
-            return [worker(self, item, state) for item in items]
-        pool = self._ensure_pool()
+            for index, item in enumerate(items):
+                yield [index], [worker(self, item, state)], None
+            return
         tasks = [(worker, item, state) for item in items]
         if chunksize is None:
             chunksize = max(1, len(tasks) // (self.processes * 4))
-        # Shard deadlines scale with how much work each item holds
-        # (a bin of pairs is len(bin) units, an opaque item one).
-        sizes = [len(item) if isinstance(item, Sized) else 1 for item in items]
-        return pool.run(tasks, chunksize=chunksize, sizes=sizes)
+        yield from self._ensure_pool().run(tasks, chunksize, sizes)
 
     def close(self) -> None:
         """Release owned OS resources (idempotent).
@@ -742,46 +760,15 @@ class ExperimentContext:
     ) -> MetricResult:
         """``H_{M,D}(S)`` over explicit pairs, parallelized if configured.
 
-        This is the *evaluation* primitive the scheduler calls for each
-        missing scenario; experiments declare
+        The *evaluation* primitive (:meth:`metric_chain`'s, for a chain
+        of one step); experiments declare
         :class:`~repro.experiments.scenarios.EvalRequest` objects instead
         of calling it directly, so ``metric_evaluations`` counts exactly
         the scenarios actually computed.  ``attack`` defaults to the
         context's run-wide attacker strategy.
         """
-        pairs = list(pairs)
-        attack = self.attack if attack is None else attack
         self.metric_evaluations += 1
-        # Shard whole *destination groups* (not raw pair chunks) across
-        # the pool so each worker fixes every destination's attacker-free
-        # baseline exactly once (see _shard_pairs).  Tasks are consumed
-        # one at a time (chunksize=1 — the packing here *is* the
-        # batching); results are scattered back into input pair order, so
-        # parallel and serial runs stay bit-identical.
-        bins = self._shard_pairs(pairs)
-        parts = self.map_tasks(
-            _metric_chunk_worker,
-            [[pairs[i] for i in bin_] for bin_ in bins],
-            state={"deployment": deployment, "model": model, "attack": attack},
-            chunksize=1,
-            min_parallel=2,
-        )
-        return _gather_bins(pairs, bins, parts)
-
-    def _shard_pairs(
-        self, pairs: Sequence[tuple[int, int]]
-    ) -> list[list[int]]:
-        """Bin-pack pair *indices* by whole destination groups.
-
-        The single sharding policy behind :meth:`metric` and
-        :meth:`metric_chain` (they must stay in lockstep: each chain
-        step reproduces a :meth:`metric` call bit-for-bit): groups are
-        placed largest-first so skewed sizes cannot starve the pool, and
-        only groups bigger than one bin's fair share are split.
-        """
-        slots = self.processes * 4 if self.processes > 1 else 1
-        max_unit = max(1, -(-len(pairs) // slots)) if pairs else None
-        return _pack_groups(_destination_groups(pairs), slots, max_unit)
+        return self._collect(pairs, [deployment], model, attack)[0]
 
     def metric_chain(
         self,
@@ -790,39 +777,46 @@ class ExperimentContext:
         model: RankModel,
         attack: AttackStrategy | None = None,
     ) -> list[MetricResult]:
-        """``H_{M,D}(S_t)`` for every step of a nested-deployment chain.
+        """``H_{M,D}(S_t)`` for every step of a nested-deployment chain:
+        one result per deployment, in input pair order, each
+        reproducing :meth:`metric` on that deployment bit-for-bit.
 
-        The rollout-major twin of :meth:`metric`: one result per
-        deployment, over the same pairs.  Whole ``(destination, chain)``
-        units are sharded across the fork pool — the same largest-first
-        destination-group bin-packing as :meth:`metric`, but each worker
-        walks its destinations through *all* chain steps on warm sweeps
-        (:func:`repro.core.metrics.rollout_happiness`), so a chain of T
-        steps costs one converged baseline plus T-1 advances per
-        destination instead of T full re-fixes.  Per-step results are
-        scattered back into input pair order, so each step reproduces
-        :meth:`metric` on that deployment bit-for-bit.
+        The chain is a *job* of a plan (:class:`_Pass`): cut by
+        destination group into bins of about one kernel batch of rows,
+        evaluated bin by bin — one pass over the fork pool, if there is
+        one — and scattered back into pair order, so parallel and
+        serial runs stay bit-identical.  Inside :func:`evaluate_requests`,
+        which plans a batch's chains into one pass, this *collects* the
+        chain from the pass in flight, waiting for its bins if need be;
+        on its own it plans, runs and collects a pass of this one job.
         """
-        pairs = list(pairs)
         deployments = list(deployments)
-        attack = self.attack if attack is None else attack
         self.metric_evaluations += len(deployments)
-        bins = self._shard_pairs(pairs)
-        parts = self.map_tasks(
-            _metric_chain_worker,
-            [[pairs[i] for i in bin_] for bin_ in bins],
-            state={
-                "deployments": deployments,
-                "model": model,
-                "attack": attack,
-            },
-            chunksize=1,
-            min_parallel=2,
+        return self._collect(pairs, deployments, model, attack)
+
+    def _collect(self, pairs, deployments, model, attack) -> list[MetricResult]:
+        key = (
+            tuple(pairs), tuple(deployments), model,
+            self.attack if attack is None else attack,
         )
-        return [
-            _gather_bins(pairs, bins, [part[t] for part in parts])
-            for t in range(len(deployments))
-        ]
+        if self._pass is None:
+            with self._planned([key]):
+                return self._pass.collect(key)
+        # KeyError: a job the plan in flight does not hold (a second
+        # pass would read the first one's shards off the pool)
+        return self._pass.collect(key)
+
+    @contextmanager
+    def _planned(self, keys: Iterable[tuple]) -> Iterator[None]:
+        """Plan jobs — ``(pairs, deployments, model, attack)``, tuples —
+        as the pass :meth:`metric` / :meth:`metric_chain` collect from
+        inside the block; leaving it abandons what was not collected."""
+        self._pass = _Pass(self, keys)
+        try:
+            yield
+        finally:
+            self._pass, planned = None, self._pass
+            planned.stream.close()
 
 
 def make_context(
@@ -911,25 +905,23 @@ def evaluate_requests(
 
     Identical scenarios declared by different experiments collapse onto
     one evaluation; scenarios already in ``store`` are loaded instead of
-    recomputed, and fresh evaluations are persisted immediately so an
-    interrupted run is resumable.
-
-    The missing scenarios are first partitioned into nested-deployment
-    chains (:func:`repro.experiments.scenarios.detect_chains`): a
+    recomputed.  The missing ones are partitioned into nested-deployment
+    chains (:func:`repro.experiments.scenarios.detect_chains`: a
     rollout's steps — same pairs, model and threat model, deployments
-    totally ordered by ⊑ — are evaluated in one warm chain walk
-    (:meth:`ExperimentContext.metric_chain`) instead of step by step.
-    Store-cached steps simply drop out of the chain (the advance jumps
-    over them with a bigger delta).  Every scenario hash, store record
-    and result is byte-identical to evaluating each step on its own
-    with :meth:`ExperimentContext.metric`.
+    totally ordered by ⊑; store-cached steps simply drop out) and all
+    chains are planned, before any is evaluated, as **one** pass over
+    the pool (:meth:`ExperimentContext.metric_chain`).  The loop then
+    collects chain after chain from the pass in flight and persists
+    each the moment it is whole, so an interrupted run is resumable.
+    Every scenario hash, store record and result is byte-identical to
+    evaluating each step on its own with :meth:`ExperimentContext.metric`.
 
     ``cancel`` (if given) is polled between chains; when it turns true
     the scheduler raises
     :class:`~repro.experiments.failures.EvaluationCancelled` instead of
-    starting the next chain.  Chains already evaluated were persisted,
-    the in-flight pool shard is never interrupted mid-chain, so a
-    cancelled run leaves the store consistent and resumable.
+    collecting the next chain and abandons the rest of the pass.  Chains
+    already collected were persisted, so a cancelled run leaves the
+    store consistent and resumable, and the pool usable.
 
     Raises ``ValueError`` before anything is evaluated when a request
     targets another topology than the context's, puts a transit AS
@@ -943,6 +935,14 @@ def evaluate_requests(
         unique.setdefault(request.scenario_hash, request)
     by_hash: dict[str, MetricResult] = {}
     missing: list[EvalRequest] = []
+    distinct: dict[Deployment, Deployment] = {}
+
+    def deployment_of(request: EvalRequest) -> Deployment:
+        # One object per distinct deployment of the batch: the engine
+        # remembers stub-simplex verdict and masks per object.
+        built = request.to_deployment()
+        return distinct.setdefault(built, built)
+
     for scenario_hash, request in unique.items():
         if (
             request.scale != ectx.scale.name
@@ -958,7 +958,7 @@ def evaluate_requests(
         if request.deployment_simplex:
             # Here, not in a worker: the pool would retry and degrade a
             # request that cannot succeed.
-            ectx.graph_ctx.require_stub_simplex(request.to_deployment())
+            ectx.graph_ctx.require_stub_simplex(deployment_of(request))
         if store is not None:
             hit = store.get(scenario_hash)
             if hit is not None:
@@ -971,47 +971,43 @@ def evaluate_requests(
         for attacker, destination in request.pairs:
             ectx.graph_ctx._check_pair(destination, attacker)
         missing.append(request)
-    chains = detect_chains(missing)
-    for done, chain in enumerate(chains):
-        if cancel is not None and cancel():
-            raise EvaluationCancelled(
-                f"evaluation cancelled with {len(chains) - done} of "
-                f"{len(chains)} chain(s) unevaluated"
-            )
-        try:
-            if len(chain) == 1:
-                request = chain[0]
-                results = [
-                    ectx.metric(
-                        request.pairs,
-                        request.to_deployment(),
-                        request.to_model(),
-                        attack=request.to_attack(),
+    # Same-model chains adjacent: their rows share kernel batches.
+    chains = sorted(detect_chains(missing), key=lambda chain: chain[0].model)
+    jobs = [
+        (
+            chain[0].pairs,
+            tuple(deployment_of(request) for request in chain),
+            chain[0].to_model(),
+            chain[0].to_attack(),
+        )
+        for chain in chains
+    ]
+    with ectx._planned(jobs):
+        for done, (chain, job) in enumerate(zip(chains, jobs)):
+            if cancel is not None and cancel():
+                raise EvaluationCancelled(
+                    f"evaluation cancelled with {len(chains) - done} of "
+                    f"{len(chains)} chain(s) unevaluated"
+                )
+            try:
+                results = ectx.metric_chain(*job)
+            except EvaluationFailure as exc:
+                # The supervised pool already burned its retries *and*
+                # the serial fallback on a bin this chain has a part
+                # in; losing these scenarios must not lose the rest of
+                # the run.  Record them and keep going — the CLI turns
+                # these into a nonzero exit with a summary.
+                for request in chain:
+                    ectx.failure_log.record(
+                        "scenario_failed",
+                        detail=str(exc),
+                        scenario=request.scenario_hash,
                     )
-                ]
-            else:
-                results = ectx.metric_chain(
-                    chain[0].pairs,
-                    [request.to_deployment() for request in chain],
-                    chain[0].to_model(),
-                    attack=chain[0].to_attack(),
-                )
-        except EvaluationFailure as exc:
-            # The supervised pool already burned its retries *and* the
-            # serial fallback; losing this scenario must not lose the
-            # rest of the run.  Record it and keep going — the CLI
-            # turns these into a nonzero exit with a summary.
-            for request in chain:
-                ectx.failure_log.record(
-                    "scenario_failed",
-                    detail=str(exc),
-                    scenario=request.scenario_hash,
-                )
-            continue
-        for request, result in zip(chain, results):
-            if store is not None:
-                store.put(request, result)
-            by_hash[request.scenario_hash] = result
+                continue
+            for request, result in zip(chain, results):
+                if store is not None:
+                    store.put(request, result)
+                by_hash[request.scenario_hash] = result
     return EvalResults(by_hash)
 
 

@@ -54,7 +54,7 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from ..core.attacks import (
     DEFAULT_ATTACK,
@@ -400,6 +400,62 @@ def detect_chains(requests: Iterable[EvalRequest]) -> list[list[EvalRequest]]:
                 local.append([request])
         chains.extend(local)
     return chains
+
+
+def destination_groups(
+    pairs: Sequence[tuple[int | None, int]],
+) -> list[list[int]]:
+    """Group pair *indices* by destination (first-appearance order;
+    input order is preserved within each group)."""
+    groups: dict[int, list[int]] = {}
+    for i, (_m, d) in enumerate(pairs):
+        groups.setdefault(d, []).append(i)
+    return list(groups.values())
+
+
+def cut_bins(
+    chains: Sequence[tuple[Sequence[tuple[int | None, int]], int]],
+    cap: int,
+    share: int,
+) -> list[list[tuple[int, list[int]]]]:
+    """Cut chains — ``(pairs, number of steps)`` each — into bins of
+    about ``cap`` rows (pair-steps), the tasks of one pool pass: a bin
+    is a list of ``(chain index, pair indices)`` parts.
+
+    The unit is a destination group of one chain with all its steps:
+    units go to bins in chain order, pair order within a chain — so a
+    chain's parts sit in neighbouring bins and chains come back whole
+    in about the order given — a unit that does not fit what is left of
+    a bin opens the next one, and only a unit of more than ``share``
+    rows (a worker's fair share of the pass) is split, a pair with all
+    its steps being the smallest piece: on a scalar context, or with
+    many attackers, every piece of a split group fixes the
+    destination's baseline again.
+
+    Example:
+        >>> pairs = [(1, 9), (2, 9), (3, 9), (4, 8)]
+        >>> cut_bins([(pairs, 2), (pairs[:1], 1)], cap=4, share=4)
+        [[(0, [0, 1])], [(0, [2, 3])], [(1, [0])]]
+        >>> cut_bins([(pairs, 2), (pairs[:1], 1)], cap=4, share=8)
+        [[(0, [0, 1, 2])], [(0, [3]), (1, [0])]]
+    """
+    cap, share = max(1, cap), max(1, share)
+    bins: list[list[tuple[int, list[int]]]] = []
+    room = 0  # rows the last bin still takes
+    for j, (pairs, steps) in enumerate(chains):
+        per_piece = max(1, share // max(1, steps))
+        for group in destination_groups(pairs) if steps else ():
+            for at in range(0, len(group), per_piece):
+                piece = group[at : at + per_piece]
+                if not bins or room < min(cap, len(piece) * steps):
+                    bins.append([])
+                    room = cap
+                room -= len(piece) * steps
+                if bins[-1] and bins[-1][-1][0] == j:
+                    bins[-1][-1][1].extend(piece)
+                else:
+                    bins[-1].append((j, piece))
+    return bins
 
 
 @dataclass(frozen=True)

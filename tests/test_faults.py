@@ -157,6 +157,28 @@ class TestSupervisionPolicy:
         assert policy.deadline_for(5) == 20.0
         assert policy.deadline_for(0) == 12.0  # at least one size unit
 
+    def test_a_planned_bin_is_sized_by_its_rows(self, ectx, monkeypatch):
+        """A bin's deadline covers every pair-step it holds: a pair of
+        a 19-step chain is 19 passes, not one size unit."""
+        sized = []
+        deadline_for = SupervisionPolicy.deadline_for
+
+        def spying(policy, size):
+            sized.append(size)
+            return deadline_for(policy, size)
+
+        monkeypatch.setattr(SupervisionPolicy, "deadline_for", spying)
+        asns = ectx.graph.asns
+        pairs = [(asns[-i], asns[i]) for i in range(1, 9)]
+        chain = [Deployment.of(asns[20 : 20 + 3 * t]) for t in range(19)]
+        with make_context(
+            scale="tiny", seed=CHAOS_SEED, processes=2, supervision=QUICK
+        ) as pectx:
+            results = pectx.metric_chain(pairs, chain, SECURITY_SECOND)
+        assert len(results) == 19
+        # 152 rows over 2 × 2 bins: two pairs with all their steps each
+        assert sized == [2 * 19] * 4
+
 
 class TestFailureLog:
     def test_record_and_views(self):

@@ -1,73 +1,124 @@
 """Unit tests for the destination-group scheduler of the experiment
-runner: grouping, largest-first bin-packing, and the order-preserving
-scatter/gather of ``ExperimentContext.metric``."""
+runner: grouping, cutting a plan's chains into bins, and the
+order-preserving scatter/gather of ``ExperimentContext.metric``."""
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
-from repro.core import SECURITY_SECOND, Deployment
+from repro.core import BASELINE, SECURITY_SECOND, Deployment
+from repro.core.attacks import DEFAULT_ATTACK
 from repro.experiments import make_context
-from repro.experiments.runner import _destination_groups, _pack_groups
+from repro.experiments.runner import _Pass
+from repro.experiments.scenarios import cut_bins, destination_groups
 
 
 class TestDestinationGroups:
     def test_groups_by_destination_preserving_order(self):
         pairs = [(1, 9), (2, 8), (3, 9), (4, 7), (5, 8), (6, 9)]
-        groups = _destination_groups(pairs)
+        groups = destination_groups(pairs)
         assert groups == [[0, 2, 5], [1, 4], [3]]
 
     def test_empty(self):
-        assert _destination_groups([]) == []
+        assert destination_groups([]) == []
 
 
-class TestPackGroups:
+def _chain(group_sizes, steps=1):
+    """``(pairs, steps)`` with destination groups of the given sizes."""
+    pairs = [
+        (1000 * d + m, d) for d, size in enumerate(group_sizes)
+        for m in range(1, size + 1)
+    ]
+    return pairs, steps
+
+
+def _rows(parts, chains):
+    return sum(len(idxs) * chains[j][1] for j, idxs in parts)
+
+
+class TestCutBins:
     def test_skewed_groups_do_not_starve_the_pool(self):
         """One giant destination group must not serialize the sweep: it
-        is split at max_unit and spread over the bins."""
-        groups = [list(range(100))] + [[100 + i] for i in range(12)]
-        total = sum(len(g) for g in groups)
-        slots = 4
-        max_unit = -(-total // slots)  # ceil: one bin's fair share
-        bins = _pack_groups(groups, slots, max_unit)
-        assert sorted(i for b in bins for i in b) == list(range(total))
-        loads = [len(b) for b in bins]
-        # LPT guarantee: max load within 4/3 of the ideal share plus one
-        # shard; here just assert no bin hoards over half the work.
-        assert max(loads) <= max_unit + max_unit // 3
-        assert len(bins) <= slots
+        is split at the bin size and spread over the bins."""
+        chains = [_chain([100] + [1] * 12)]
+        total, slots = len(chains[0][0]), 4
+        cap = -(-total // slots)  # ceil: one bin's fair share
+        bins = cut_bins(chains, cap, cap)
+        assert sorted(i for parts in bins for _, idxs in parts for i in idxs) == list(
+            range(total)
+        )
+        assert max(_rows(parts, chains) for parts in bins) <= cap
+        assert len(bins) == slots
 
-    def test_largest_first_balances_unsplittable_groups(self):
-        sizes = [7, 5, 5, 4, 3, 3, 2, 1]
-        base = 0
-        groups = []
-        for s in sizes:
-            groups.append(list(range(base, base + s)))
-            base += s
-        bins = _pack_groups(groups, 3)
-        loads = sorted(len(b) for b in bins)
-        # 30 items over 3 bins: greedy largest-first lands 10/10/10.
-        assert loads == [10, 10, 10]
-        assert sorted(i for b in bins for i in b) == list(range(base))
+    def test_units_fill_bins_in_plan_order(self):
+        chains = [_chain([7, 5, 5, 4, 3, 3, 2, 1])]
+        bins = cut_bins(chains, 10, 10)
+        # 30 rows, nothing split: 7 | 5 5 | 4 3 3 | 2 1, in pair order.
+        assert [_rows(parts, chains) for parts in bins] == [7, 10, 10, 3]
+        assert [i for parts in bins for _, idxs in parts for i in idxs] == list(
+            range(30)
+        )
 
-    def test_groups_stay_whole_below_max_unit(self):
-        groups = [[0, 1, 2], [3, 4], [5]]
-        bins = _pack_groups(groups, 2, max_unit=5)
-        for group in groups:
-            owners = {id(b) for b in bins if set(group) <= set(b)}
+    def test_groups_stay_whole_below_the_bin_size(self):
+        chains = [_chain([3, 2, 1])]
+        bins = cut_bins(chains, 5, 5)
+        for group in destination_groups(chains[0][0]):
+            owners = [
+                parts for parts in bins if set(group) <= set(parts[0][1])
+            ]
             assert len(owners) == 1, f"group {group} split across bins"
 
-    def test_deterministic(self):
-        groups = [[i * 10 + j for j in range(i + 1)] for i in range(7)]
-        assert _pack_groups(groups, 3) == _pack_groups(list(groups), 3)
+    def test_a_row_is_a_pair_step(self):
+        """A chain's pair weighs its steps, and is never split below
+        one pair with all of them."""
+        chains = [_chain([4, 1], steps=19), _chain([6])]
+        bins = cut_bins(chains, 40, 40)
+        assert [_rows(parts, chains) for parts in bins] == [38, 38, 25]
+        assert [[j for j, _ in parts] for parts in bins] == [[0], [0], [0, 1]]
+        assert [_rows(parts, chains) for parts in cut_bins(chains[:1], 5, 5)] == (
+            [19] * 5
+        )
 
-    def test_single_slot_gets_everything(self):
-        groups = [[0, 1], [2], [3, 4, 5]]
-        bins = _pack_groups(groups, 1)
-        assert len(bins) == 1
-        assert sorted(bins[0]) == [0, 1, 2, 3, 4, 5]
+    def test_only_a_unit_above_the_fair_share_is_split(self):
+        """A bin fills to about ``cap``, but a destination group is
+        split for load balance only: every piece of a walked group
+        fixes the destination's baseline again."""
+        chains = [_chain([9, 2, 2]), _chain([3], steps=4)]
+        whole = cut_bins(chains, 4, 100)
+        assert [_rows(parts, chains) for parts in whole] == [9, 4, 12]
+        assert [len(parts) for parts in whole] == [1, 1, 1]
+        split = cut_bins(chains, 4, 6)
+        assert [_rows(parts, chains) for parts in split] == [6, 3, 4, 4, 4, 4]
+
+    def test_deterministic(self):
+        chains = [_chain(range(1, 8))]
+        assert cut_bins(chains, 6, 6) == cut_bins(list(chains), 6, 6)
+
+    def test_one_bin_takes_everything_it_has_room_for(self):
+        chains = [_chain([2, 1]), _chain([3], steps=2), _chain([], 3), _chain([4], 0)]
+        assert cut_bins(chains, 100, 100) == [[(0, [0, 1, 2]), (1, [0, 1, 2])]]
+
+    def test_a_bin_ships_each_distinct_deployment_once(self):
+        """Chains that share deployment objects share them in the worker
+        too: the engine remembers checks and masks per object."""
+        with make_context(scale="tiny", seed=2013) as ectx:
+            chain = tuple(Deployment.of(ectx.graph.asns[:k]) for k in (0, 5, 9))
+            pairs = tuple(zip(ectx.graph.asns[20:24], ectx.graph.asns[30:34]))
+            keys = [
+                (pairs, chain, BASELINE, DEFAULT_ATTACK),
+                (pairs, chain[:2], SECURITY_SECOND, DEFAULT_ATTACK),
+            ]
+            sent = []
+            ectx._run_tasks = lambda worker, tasks, *rest: sent.extend(tasks)
+            _Pass(ectx, keys)
+        (task,) = sent
+        received = pickle.loads(pickle.dumps(task))
+        assert [job[1:] for job in received] == [key[1:] for key in keys]
+        (_, first, *_), (_, second, *_) = received
+        assert all(a is b for a, b in zip(first, second))
 
 
 class TestMetricScheduling:

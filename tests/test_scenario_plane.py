@@ -535,6 +535,159 @@ class TestRolloutMajorScheduling:
                 ), req.scenario_hash
 
 
+class TestOnePoolPass:
+    """``evaluate_requests`` plans every missing chain before its loop
+    and the loop's ``metric`` / ``metric_chain`` calls collect them from
+    one pass over the pool: what is stored, when, and what a lost bin
+    or a cancellation costs must be what the per-chain scheduler
+    guaranteed."""
+
+    IDS = ["baseline", "fig7a", "fig11", "nonstubs"]
+
+    @classmethod
+    def _requests(cls, ectx):
+        from repro.experiments import get_experiment
+
+        requests = [
+            req for eid in cls.IDS for req in get_experiment(eid).requests(ectx)
+        ]
+        unique = list({req.scenario_hash: req for req in requests}.values())
+        sizes = sorted(len(chain) for chain in detect_chains(unique))
+        assert sizes[0] == 1 and sizes[-1] > 1  # single scenarios and chains
+        return unique
+
+    @staticmethod
+    def _lines(store):
+        store.close()
+        return sorted(store.path.read_text(encoding="utf-8").splitlines())
+
+    @pytest.fixture(scope="class")
+    def serial_lines(self, tmp_path_factory):
+        store = ResultStore(tmp_path_factory.mktemp("serial"))
+        with make_context(scale="tiny", seed=2013) as ectx:
+            evaluate_requests(ectx, self._requests(ectx), store=store)
+        return self._lines(store)
+
+    @staticmethod
+    def _spy_on_bins(monkeypatch):
+        """Every plan made from here on, as the chains it was given and
+        the bins it cut them into."""
+        from repro.experiments import runner
+
+        plans = []
+        cut = runner.cut_bins
+
+        def spying(chains, cap, share):
+            plans.append((chains, cut(chains, cap, share)))
+            return plans[-1][1]
+
+        monkeypatch.setattr(runner, "cut_bins", spying)
+        return plans
+
+    def test_pooled_pass_stores_what_serial_stores(
+        self, tmp_path, serial_lines, monkeypatch
+    ):
+        plans = self._spy_on_bins(monkeypatch)
+        store = ResultStore(tmp_path / "pooled")
+        with make_context(scale="tiny", seed=2013, processes=2) as ectx:
+            requests = self._requests(ectx)
+            evaluate_requests(ectx, requests, store=store)
+            assert ectx.metric_evaluations == len(requests)
+            assert len(ectx.failure_log) == 0
+        ((_, bins),) = plans  # one plan, so one pass, for the whole batch
+        assert len(bins) >= 4
+        assert self._lines(store) == serial_lines
+
+    def test_a_lost_bin_fails_exactly_the_chains_with_a_part_in_it(
+        self, tmp_path, serial_lines, monkeypatch
+    ):
+        from repro.experiments import FailureLog, SupervisionPolicy
+        from repro.experiments.faults import Fault, FaultPlan, disarm
+
+        plans = self._spy_on_bins(monkeypatch)
+        store = ResultStore(tmp_path / "lossy")
+        log = FailureLog()
+        lost_bin = 1
+        FaultPlan([Fault(kind="eval_error", shard=lost_bin, attempt=None)]).arm()
+        try:
+            with make_context(
+                scale="tiny", seed=2013, processes=2, failure_log=log,
+                supervision=SupervisionPolicy(backoff=0.01),
+            ) as ectx:
+                requests = self._requests(ectx)
+                results = evaluate_requests(ectx, requests, store=store)
+        finally:
+            disarm()
+        ((_, bins),) = plans
+        # the plan's chains are detect_chains', same-model ones adjacent
+        chains = sorted(detect_chains(requests), key=lambda chain: chain[0].model)
+        lost = {
+            req.scenario_hash for j, _ in bins[lost_bin] for req in chains[j]
+        }
+        assert lost and len(lost) < len(requests)
+        failed = [i.scenario for i in log.of_kind("scenario_failed")]
+        assert sorted(failed) == sorted(lost)
+        assert log.count("shard_degraded") == 1
+        assert {r.scenario_hash for r in requests if r in results} == {
+            r.scenario_hash for r in requests
+        } - lost
+        kept = [
+            line for line in serial_lines if json.loads(line)["hash"] not in lost
+        ]
+        assert self._lines(store) == kept
+
+    def test_cancel_mid_pass_keeps_every_collected_chain(self, tmp_path):
+        from repro.experiments.failures import EvaluationCancelled
+
+        store = ResultStore(tmp_path / "cancelled")
+        with make_context(scale="tiny", seed=2013, processes=2) as ectx:
+            requests = self._requests(ectx)
+            chains = detect_chains(requests)
+            polls = []
+
+            def cancel():
+                polls.append(len(store))
+                return len(polls) > 3  # true before the fourth chain
+
+            with pytest.raises(EvaluationCancelled, match="cancelled with"):
+                evaluate_requests(ectx, requests, store=store, cancel=cancel)
+            # each chain was in the store the moment it was whole
+            assert polls[0] == 0 and polls == sorted(set(polls))
+            stored = len(store)
+            assert stored == polls[-1] > 0
+            assert ectx._pass is None
+            # the abandoned pass left a pool that works: the rest of
+            # the batch evaluates, the stored chains are hits
+            results = evaluate_requests(ectx, requests, store=store)
+            assert store.hits == stored
+            assert all(req in results for req in requests)
+            assert len(store) == len(requests) > stored
+            assert len(chains) > 4
+
+    def test_traced_context_spans_every_chain(self, monkeypatch):
+        """``perfbench`` shadows ``metric`` / ``metric_chain`` on the
+        context and divides by their spans' total: the scheduler must
+        go on calling them, and wait for the pass inside them."""
+        from pathlib import Path
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from perfbench.harness import trace_context
+        from perfbench.trace import Tracer
+
+        tracer = Tracer()
+        with make_context(scale="tiny", seed=2013, processes=2) as ectx:
+            trace_context(ectx, tracer)
+            requests = self._requests(ectx)
+            evaluate_requests(ectx, requests)
+        spans = tracer.named("experiments.runner.metric")
+        chains = detect_chains(requests)
+        assert sorted(span.tags["steps"] for span in spans) == sorted(
+            len(chain) for chain in chains
+        )
+        assert all(span.parent is None for span in spans)
+        assert tracer.total("experiments.runner.metric") > 0
+
+
 class TestScheduler:
     def test_global_dedupe_across_experiments(self):
         """fig7a and fig11 share their H(∅) baseline: one evaluation."""

@@ -40,10 +40,12 @@ from repro.core.routing import (
     DestinationSweep,
     RolloutSweep,
     RoutingContext,
+    _ATTACKER_CHAIN_MAX,
     _AttackerChain,
     _chain_step,
     batch_happiness_counts,
     compute_routing_outcome,
+    jobs_happiness_counts,
     rollout_happiness_counts,
 )
 from repro.topology import TopologyParams, gadgets, generate_topology
@@ -312,7 +314,7 @@ class TestLazyDependencyIndex:
     MODEL = SECURITY_MODELS[0]
 
     @staticmethod
-    def _chain_and_pairs(graph):
+    def _chain_and_pairs(graph, few=2):
         rnd = random.Random("vec/lazy")
         asns = graph.asns
         members = rnd.sample(asns, 60)
@@ -324,7 +326,7 @@ class TestLazyDependencyIndex:
         few_d, many_d = rnd.sample([a for a in asns if a not in members], 2)
         others = [a for a in asns if a not in (few_d, many_d)]
         pairs = (
-            [(m, few_d) for m in rnd.sample(others, 2)]
+            [(m, few_d) for m in rnd.sample(others, few)]
             + [(None, few_d)]
             + [(m, many_d) for m in rnd.sample(others, 5)]
         )
@@ -361,7 +363,10 @@ class TestLazyDependencyIndex:
     def test_compressed_walk_computes_pairs_once_per_sweep(
         self, graph, pure_ctx, vec_ctx, delta_budget, count_calls
     ):
-        chain, pairs = self._chain_and_pairs(graph)
+        # both groups above _ATTACKER_CHAIN_MAX: a numpy context walks
+        # sweeps only there (smaller groups are rows, which snapshot
+        # nothing)
+        chain, pairs = self._chain_and_pairs(graph, few=_ATTACKER_CHAIN_MAX + 1)
         expected = rollout_happiness_counts(pure_ctx, pairs, chain, self.MODEL)
         delta_budget("vectorized")
         pair_sets = count_calls(RoutingContext, "_np_nhop_pairs")
@@ -370,13 +375,149 @@ class TestLazyDependencyIndex:
         commits = count_calls(RolloutSweep, "_commit")
         got = rollout_happiness_counts(vec_ctx, pairs, chain, self.MODEL)
         assert got == expected
-        # two attacker chains + their attacker-free base, one shared
-        # sweep: one snapshot each, its pairs computed once; every later
-        # step's pair set is the one its commit patched.
-        assert snapshots == [4]
-        assert pair_sets == [4]
-        assert commits[0] >= 4
+        # one shared sweep a destination: one snapshot each, its pairs
+        # computed once; every later step's pair set is the one its
+        # commit patched.
+        assert snapshots == [2]
+        assert pair_sets == [2]
+        assert commits[0] >= 2
         assert attached == [pair_sets[0] + commits[0]]
+
+
+class TestRowsKernel:
+    """``_run_np`` takes K fixing passes as the rows of one bucket loop
+    and ``jobs_happiness_counts`` feeds it the few-attacker pair-steps
+    of every job that shares a model: a row must be the pass it would
+    be alone — and the scalar heap loop's — whatever shares its batch."""
+
+    CASES = [(n, seed) for seed in (1, 2, 3, 4) for n in (60, 150, 300)][:8]
+
+    @staticmethod
+    def _setup(case):
+        n, seed = TestRowsKernel.CASES[case]
+        topo = generate_topology(TopologyParams(n=n, seed=seed))
+        graph = topo.graph
+        if case % 4 == 3:
+            graph = augment_with_ixp_peering(graph, topo.ixp_members).graph
+        rnd = random.Random(f"rows/{case}")
+        asns = graph.asns
+        members = rnd.sample(asns, len(asns) // 3)
+        cuts = [0, len(members) // 4, len(members) // 2, len(members)]
+        chain = [
+            Deployment.of(members[:cut]).with_simplex_stubs(graph) for cut in cuts
+        ]
+        assert chain[-1].simplex
+        # a destination that starts signing mid-chain
+        late = members[cuts[2] - 1]
+        assert late not in chain[1] and late in chain[2]
+        return (
+            graph, rnd, chain, late,
+            RoutingContext(graph, vectorized=True),
+            RoutingContext(graph, vectorized=False),
+        )
+
+    @staticmethod
+    def _scalar_state(ctx):
+        return {
+            "fixed": list(ctx._fixed), "key": list(ctx._key),
+            "cls": list(ctx._cls), "len": list(ctx._len),
+            "reach": list(ctx._reach), "wire": list(ctx._wire),
+            "sec": list(ctx._sec), "choice": list(ctx._choice),
+            "endp": list(ctx._endpoint),
+        }
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_batch_equals_rows_alone_equals_scalar(self, case):
+        graph, rnd, chain, late, vec, pure = self._setup(case)
+        asns = graph.asns
+        for model in CLASSIC_MODELS + (lp2_variant(SECURITY_MODELS[1]),):
+            rows = []
+            for attack in STRATEGIES:
+                for deployment in chain:
+                    d = rnd.choice([late, rnd.choice(asns)])
+                    m = rnd.choice([a for a in asns if a != d])
+                    if rnd.random() < 0.25:
+                        m = None
+                    dest_i, att_i = vec._check_pair(d, m)
+                    masks = vec.deployment_masks(deployment)
+                    resolved = pure._resolve_attack(
+                        dest_i, att_i, *masks, model, attack
+                    )
+                    rows.append((dest_i, att_i, *masks, resolved))
+            assert 1 < len(rows) <= vec.batch_rows
+            assert any(row[1] < 0 for row in rows)
+            assert {row[4].export_all for row in rows} == {True, False}
+            batch = vec._run_np(rows, model)
+            for row, counts in zip(rows, batch):
+                dest_i, att_i, signing, ranking, resolved = row
+                pure._run(dest_i, att_i, signing, ranking, model, resolved)
+                assert counts == pure._last_counts
+                assert vec._run_np([row], model) == [counts]
+                assert vec._last_counts == counts
+                # the one-row call leaves the nine arrays where the
+                # scalar loop leaves its scratch
+                st, want = vec._np_scratch, self._scalar_state(pure)
+                fixed = want["fixed"]
+                roots = {dest_i, att_i}
+                for name in ("fixed", "reach", "wire", "sec", "choice", "endp"):
+                    assert st[name].tolist() == want[name], name
+                assert _last_keys(vec) == want["key"]
+                for v in range(vec.n):
+                    if fixed[v]:
+                        assert st["len"][v] == want["len"][v], v
+                        if v not in roots:
+                            assert st["cls"][v] == want["cls"][v], v
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_jobs_equal_one_job_calls_equal_scalar(self, case, count_calls):
+        graph, rnd, chain, late, vec, pure = self._setup(case)
+        asns = graph.asns
+
+        def pairs_at(d, attackers, normal=False):
+            others = [a for a in asns if a != d]
+            return [(m, d) for m in rnd.sample(others, attackers)] + (
+                [(None, d)] if normal else []
+            )
+
+        few, many, other = rnd.sample([a for a in asns if a != late], 3)
+        first, second = SECURITY_MODELS[0], lp2_variant(SECURITY_MODELS[2])
+        jobs = [
+            (  # rows, a sweep for the many-attacker group, the late signer
+                pairs_at(few, 2, normal=True) + pairs_at(many, 5)
+                + pairs_at(late, 1, normal=True),
+                chain, first, ONE_HOP_HIJACK,
+            ),
+            (pairs_at(other, 3) + pairs_at(late, 2), chain[1:3], first, FORGED_ORIGIN),
+            (pairs_at(few, 2) + pairs_at(other, 1), [chain[2]], first, HONEST),
+            (pairs_at(many, 1) + pairs_at(few, 3), chain, second, CustomerScopeHijack()),
+            (pairs_at(other, 1, normal=True), [None], second, PathLengthHijack(2)),
+        ]
+        batches = []
+        run_np = RoutingContext._run_np
+
+        def spying(self, rows, model):
+            batches.append(len(rows))
+            return run_np(self, rows, model)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(RoutingContext, "_run_np", spying)
+            together = jobs_happiness_counts(vec, jobs)
+        # jobs 0 and 1 share a model, so their 12 + 10 rows share a batch
+        assert max(batches) >= 22
+        alone = [
+            rollout_happiness_counts(vec, pairs, deployments, model, attack=attack)
+            for pairs, deployments, model, attack in jobs
+        ]
+        assert together == alone
+        assert together == jobs_happiness_counts(pure, jobs)
+        reference = [
+            [
+                per_pair_counts(pure, pairs, deployment, model, attack=attack)
+                for deployment in deployments
+            ]
+            for pairs, deployments, model, attack in jobs
+        ]
+        assert together == reference
 
 
 class TestRowLayout:
