@@ -108,12 +108,13 @@ def stubs_of(graph: ASGraph, isps: Iterable[int]) -> frozenset[int]:
     ISPs "and all of their stubs": every direct customer with no
     customers of its own.
     """
-    out: set[int] = set()
-    for isp in isps:
-        for customer in graph.customers(isp):
-            if graph.is_stub(customer):
-                out.add(customer)
-    return frozenset(out)
+    is_stub = graph.is_stub
+    return frozenset(
+        customer
+        for isp in isps
+        for customer in graph.customers(isp)
+        if is_stub(customer)
+    )
 
 
 def _isp_step(
@@ -122,16 +123,24 @@ def _isp_step(
     isps: Sequence[int],
     extra: Iterable[int] = (),
     simplex_stubs: bool = False,
+    stubs_by_isp: dict[int, frozenset[int]] | None = None,
 ) -> RolloutStep:
     """Build 'these ISPs + their stubs (+ extras)' as a rollout step.
 
     Every AS :func:`stubs_of` adds is a stub by construction, so only
     the ISPs and extras themselves are asked ``is_stub``: that settles
     the member set, the non-stub count and the simplex split at once.
+    A rollout's steps share one ``stubs_by_isp`` (ISP → its stub
+    customers): their ISP sets are nested, so each ISP's customers are
+    walked once a rollout, not once a step.
     """
     isp_set = frozenset(isps) | frozenset(extra)
     stub_isps = frozenset(a for a in isp_set if graph.is_stub(a))
-    stubs = stubs_of(graph, isp_set) | stub_isps
+    memo = {} if stubs_by_isp is None else stubs_by_isp
+    for isp in isp_set:
+        if isp not in memo:
+            memo[isp] = stubs_of(graph, (isp,))
+    stubs = stub_isps.union(*(memo[isp] for isp in isp_set))
     if simplex_stubs:
         deployment = Deployment(full=isp_set - stub_isps, simplex=stubs)
     else:
@@ -175,6 +184,7 @@ def tier12_rollout(
     t2 = tiers.members(Tier.TIER2)
     t2_ranked = sorted(t2, key=lambda a: (-graph.customer_degree(a), a))
     extra = tiers.members(Tier.CP) if include_cps else ()
+    stubs_by_isp: dict[int, frozenset[int]] = {}
     steps = []
     for y in _scaled_counts(len(t2_ranked), (13, 37, 100), 100):
         label = f"T1+{y}xT2" + ("+CP" if include_cps else "")
@@ -185,6 +195,7 @@ def tier12_rollout(
                 list(t1) + t2_ranked[:y],
                 extra=extra,
                 simplex_stubs=simplex_stubs,
+                stubs_by_isp=stubs_by_isp,
             )
         )
     return steps
@@ -214,6 +225,7 @@ def tier12_rollout_dense(
     t2_ranked = sorted(t2, key=lambda a: (-graph.customer_degree(a), a))
     extra = tiers.members(Tier.CP) if include_cps else ()
     suffix = "+CP" if include_cps else ""
+    stubs_by_isp: dict[int, frozenset[int]] = {}
     return [
         _isp_step(
             graph,
@@ -221,6 +233,7 @@ def tier12_rollout_dense(
             list(t1) + t2_ranked[:y],
             extra=extra,
             simplex_stubs=simplex_stubs,
+            stubs_by_isp=stubs_by_isp,
         )
         for y in range(len(t2_ranked) + 1)
     ]
@@ -238,10 +251,14 @@ def tier2_rollout(
     """
     t2 = tiers.members(Tier.TIER2)
     t2_ranked = sorted(t2, key=lambda a: (-graph.customer_degree(a), a))
+    stubs_by_isp: dict[int, frozenset[int]] = {}
     steps = []
     for y in _scaled_counts(len(t2_ranked), (13, 26, 50, 100), 100):
         steps.append(
-            _isp_step(graph, f"{y}xT2", t2_ranked[:y], simplex_stubs=simplex_stubs)
+            _isp_step(
+                graph, f"{y}xT2", t2_ranked[:y],
+                simplex_stubs=simplex_stubs, stubs_by_isp=stubs_by_isp,
+            )
         )
     return steps
 

@@ -151,9 +151,12 @@ DELTA_NP_BUDGET = 0.0625
 #: costs 1.25 ms alone and 0.69–0.71 ms at K = 4 … 16 at 2 200, 1.82 →
 #: 1.12 ms at K = 8 at 4 000 and more again beyond (the working set
 #: leaves the cache), so the budget sits where the gain has flattened at
-#: the sizes in use and not above: a call's state is ``81·K·n`` bytes in
-#: every pool worker (1 << 17 read ``sweep_pool_medium``'s
-#: ``peak_rss_mb`` 51 → 60).  Re-run it before moving this.
+#: the sizes in use and not above.  A count call keeps ``12·K·n`` bytes
+#: of state and peaks near ``47·K·n`` with its temporaries in every pool
+#: worker (``tracemalloc``, K = 14 at 2 200, 2026-10-15; 81 and 150
+#: while count rows kept the state call's layout, when 1 << 17 read
+#: ``sweep_pool_medium``'s ``peak_rss_mb`` 51 → 60).  Re-run it before
+#: moving this.
 NP_ROWS_BUDGET = 1 << 15
 
 
@@ -533,34 +536,37 @@ class RoutingContext:
         rows: what fits :data:`NP_ROWS_BUDGET`, at least one."""
         return max(1, NP_ROWS_BUDGET // self.n)
 
-    def _np_ensure_scratch(self, rows: int = 1) -> dict:
-        """Reusable numpy state arrays for a :meth:`_run_np` call of
-        ``rows`` rows: the one-row call's are :attr:`_np_scratch`, where
-        its result stays; a K-row call's are the first ``K·n`` elements
-        of one :attr:`batch_rows`-row allocation, made on first use.
-
-        ``keyq`` holds the tentative keys still in the "queue" (fixed →
-        ``_NP_INF``), ``key`` the final fixed keys (``_NP_INF`` where the
-        heap loop has ``_INF``), ``chacc`` the running minimum of tying
-        offerers (the lowest-index tiebreak; == ``choice`` once fixed).
-        """
-        slot = "_np_rows" if rows > 1 else "_np_scratch"
-        st = getattr(self, slot)
-        if st is None:
-            np = _np
-            size = self.n * (self.batch_rows if rows > 1 else 1)
-            st = {
-                name: np.zeros(size, np.int64)
-                for name in (
-                    "keyq", "key", "cls", "len", "reach", "wire", "sec",
-                    "choice", "chacc", "endp",
-                )
+    def _np_ensure_scratch(self, rows: int, state: bool) -> dict:
+        """The arrays a :meth:`_run_np` call computes in, reused.  A state
+        call's are :attr:`_np_scratch`: int64 ``keyq`` (tentative keys;
+        ``_NP_INF`` once fixed), ``key`` (final; ``_NP_INF`` for ``_INF``),
+        ``cls``, ``len``, ``reach``, ``wire``, ``sec``, ``choice``, ``endp``,
+        ``chacc`` (the lowest tying offerer so far), bool ``fixed``.  A
+        count call's are the first ``rows·n`` elements of :attr:`_np_rows`
+        (``keyq``, int8 ``reach``/``wire``/``sec``, ``fixed``), grown
+        whenever a call needs more."""
+        np = _np
+        n = self.n
+        if state:
+            if self._np_scratch is None:
+                self._np_scratch = {
+                    name: np.zeros(n, np.int64)
+                    for name in (
+                        "keyq", "key", "cls", "len", "reach", "wire", "sec",
+                        "choice", "chacc", "endp",
+                    )
+                }
+                self._np_scratch["fixed"] = np.zeros(n, np.bool_)
+            return self._np_scratch
+        st = self._np_rows
+        if st is None or len(st["fixed"]) < rows * n:
+            size = max(rows, self.batch_rows) * n
+            st = self._np_rows = {
+                name: np.zeros(size, np.int8) for name in ("reach", "wire", "sec")
             }
+            st["keyq"] = np.zeros(size, np.int64)
             st["fixed"] = np.zeros(size, np.bool_)
-            setattr(self, slot, st)
-        if rows > 1:
-            return {name: arr[: rows * self.n] for name, arr in st.items()}
-        return st
+        return {name: arr[: rows * n] for name, arr in st.items()}
 
     # ------------------------------------------------------------------
     # ASN-keyed compatibility views (built lazily; the engine itself
@@ -758,7 +764,9 @@ class RoutingContext:
         if self.vectorized and not (
             (_u8(signing) > _u8(ranking)) & _u8(self._has_customers)
         ).any():
-            self._run_np([(dest_i, att_i, signing, ranking, attack)], model)
+            self._run_np(
+                [(dest_i, att_i, signing, ranking, attack)], model, state=True
+            )
             return
         self._sweep_owner = None
         self._np_post = None
@@ -893,7 +901,7 @@ class RoutingContext:
         self._last_counts = (happy_lo, happy_up, att_lo, att_up, secure_n, nfixed)
 
     def _run_np(
-        self, rows: Sequence[tuple], model: RankModel
+        self, rows: Sequence[tuple], model: RankModel, *, state: bool = False
     ) -> list[tuple[int, int, int, int, int, int]]:
         """Vectorized twin of :meth:`_run`: K independent fixing passes
         — ``rows`` of ``(dest_i, att_i, signing, ranking, attack)``
@@ -915,7 +923,11 @@ class RoutingContext:
         packed keys — a few dozen ``(class, length, security)``
         combinations at any graph size — so per-node python overhead
         vanishes, and what is left is numpy call overhead per round:
-        K rows share it.
+        K rows share it.  The packed key is injective in ``(class,
+        length[, security])``, so a bucket's class (whether it exports
+        to everyone) and length are scalars of the round, recorded with
+        each key as it is minted: an edge offers ``table[2·receiver_class
+        + (wire & ranking[v])]``, six keys a length (customer tail: 2).
 
         **Rows.**  The state arrays are flat, ``K·n`` long: node ``v``
         of row ``r`` is element ``r·n + v``, the CSR is the graph's own
@@ -926,74 +938,56 @@ class RoutingContext:
         would be alone (``tools/kernel_crossover.py --rows`` times K
         against one at a time; :data:`NP_ROWS_BUDGET` caps ``K·n``).
 
-        The one-row call is what :meth:`_run` and the sweeps' dense
-        fall-back make, and its result stays where the pass computed
-        it: nine int64/bool arrays in :attr:`_np_scratch` (the pure
-        kernel's values, with ``_NP_INF`` for ``_INF``) plus
-        :attr:`_last_counts`, and :attr:`_np_post`, what deriving
-        next-hop membership from those arrays needs besides them
-        (:meth:`_np_nhop_pairs`, on demand).  A K-row call computes in
-        a scratch of its own and leaves all three alone: its result is
-        the counts.  The python scratch buffers are never written, and
-        python objects per AS exist only in a :class:`RoutingOutcome`
-        (:func:`_decode`).
+        A call computes only what its counts read, in a scratch of its
+        own, and leaves the last state call's result alone.  A ``state``
+        call — one row, from :meth:`_run` and the dense fall-back — also
+        tracks the lowest tying offerer and fixes key, class, length,
+        choice and endpoint per bucket; its result stays in place: nine
+        int64/bool arrays in :attr:`_np_scratch` (the pure kernel's
+        values, ``_NP_INF`` for ``_INF``), :attr:`_last_counts`, and
+        :attr:`_np_post`, what :meth:`_np_nhop_pairs` needs besides them
+        to derive next-hop membership, on demand.  The python scratch is
+        never written; python objects per AS exist only in a
+        :class:`RoutingOutcome` (:func:`_decode`).
         """
         np = _np
         n = self.n
         K = len(rows)
+        int64, arange = np.int64, np.arange
         start, node, cls_e, _cf_b, _esrc, cust_start = self._np_adjacency()
-        st = self._np_ensure_scratch(K)
-        keyq = st["keyq"]
-        key_real = st["key"]
-        cls_s = st["cls"]
-        len_s = st["len"]
-        reach_s = st["reach"]
-        wire_s = st["wire"]
-        sec_s = st["sec"]
-        choice_s = st["choice"]
-        chacc = st["chacc"]
-        endp_s = st["endp"]
-        fixed_s = st["fixed"]
-        keyq.fill(_NP_INF)
-        key_real.fill(_NP_INF)
-        reach_s.fill(0)
-        wire_s.fill(0)
-        sec_s.fill(0)
-        choice_s.fill(-1)
-        chacc.fill(K * n)
-        endp_s.fill(0)
-        fixed_s.fill(False)
-        int64 = np.int64
-        arange = np.arange
-        copies: dict[int, object] = {}
-
-        def flat_mask(column: int):
-            """The rows' masks end to end, as int64.  Copies (one per
-            distinct mask): a sweep may mutate its private bytearrays
-            after this pass, and _np_nhop_pairs re-reads the ranking
-            mask."""
-            parts = []
-            for row in rows:
-                buf = row[column]
-                part = copies.get(id(buf))
-                if part is None:
-                    part = copies[id(buf)] = np.frombuffer(
-                        buf, dtype=np.uint8
-                    ).astype(int64)
-                parts.append(part)
-            return parts[0] if K == 1 else np.concatenate(parts)
-
-        sign_np = flat_mask(2)
-        rank_np = flat_mask(3)
+        st = self._np_ensure_scratch(K, state)
+        fills = {"keyq": _NP_INF, "key": _NP_INF, "choice": -1, "chacc": n}
+        for name, arr in st.items():
+            arr.fill(fills.get(name, 0))
+        keyq, reach_s, wire_s, sec_s, fixed_s = (
+            st[name] for name in ("keyq", "reach", "wire", "sec", "fixed")
+        )
+        if state:
+            # int64 copies: _np_post keeps the ranking mask, and a sweep
+            # mutates its bytearrays after the pass
+            ((dest_i, att_i, signing, ranking, attack),) = rows
+            sign_np = _u8(signing).astype(int64)
+            rank_np = _u8(ranking).astype(int64)
+            chacc = st["chacc"]
+        else:  # zero-copy int8 views of the rows' masks, end to end
+            sign_np, rank_np = (
+                np.concatenate([np.frombuffer(row[c], np.int8) for row in rows])
+                if K > 1 else np.frombuffer(rows[0][c], np.int8)
+                for c in (2, 3)
+            )
         key_of = _np_key_fn(model)
         uses_sec = model.uses_security
+        table_cls = np.repeat(arange(3, dtype=int64), 2)
+        table_sec = np.tile(arange(2, dtype=int64), 3)
+        tables: dict[int, object] = {}
+        decode: dict[int, tuple[int, int]] = {}  # key → (class, length)
 
-        def relax(F, exp_src, ln_src, wire_src, reach_src):
-            """Batch-relax every edge the just-fixed sources F export on:
-            the whole CSR row of a source that exports to everyone, the
-            customer tail of any other (see the class's row layout)."""
+        def relax(F, exports_all: bool, ln: int) -> None:
+            """Offer length-``ln`` routes on every edge the just-fixed
+            sources F export on: whole CSR rows if they export to
+            everyone, else the customer tails (the class's row layout)."""
             u = F if K == 1 else F % n
-            s = np.where(exp_src, start[u], cust_start[u])
+            s = start[u] if exports_all else cust_start[u]
             cnt = start[u + 1] - s
             tot = int(cnt.sum())
             if not tot:
@@ -1009,13 +1003,17 @@ class RoutingContext:
             ok = ~fixed_s[v]
             if not ok.any():
                 return
-            eidx = eidx[ok]
             v = v[ok]
             rep = rep[ok]
-            vcls = cls_e[eidx]
-            ln = ln_src[rep]
-            wi = wire_src[rep]
-            k = key_of(vcls, ln, wi & rank_np[v])
+            table = tables.get(ln)
+            if table is None:
+                table = tables[ln] = key_of(table_cls, ln, table_sec)
+                for k, c in zip(table.tolist(), table_cls.tolist()):
+                    decode[k] = (c, ln)
+            wi = wire_s[F][rep]
+            offer = wi & rank_np[v]
+            # (a customer tail offers provider routes, class 2)
+            k = table[((cls_e[eidx[ok]] << 1) if exports_all else 4) | offer]
             old = keyq[v]  # gather (a copy): pre-round tentative keys
             np.minimum.at(keyq, v, k)
             new = keyq[v]  # post-round tentative keys, per edge
@@ -1027,52 +1025,43 @@ class RoutingContext:
                 iv = v[improved]
                 reach_s[iv] = 0
                 wire_s[iv] = 1
-                chacc[iv] = K * n
+                if state:
+                    chacc[iv] = n
             tie = k == new
             tv = v[tie]
-            # All edges tying a target's tentative key share one
-            # (class, length): packing is injective in them.
-            cls_s[tv] = vcls[tie]
-            len_s[tv] = ln[tie]
-            np.bitwise_or.at(reach_s, tv, reach_src[rep[tie]])
+            rep = rep[tie]
+            np.bitwise_or.at(reach_s, tv, reach_s[F][rep])
             np.minimum.at(wire_s, tv, wi[tie])
-            np.minimum.at(chacc, tv, F[rep[tie]])
+            if state:
+                np.minimum.at(chacc, tv, F[rep])
 
         # Roots (same semantics as the pure kernel's init block), every
-        # row's at once.
+        # row's at once; the attackers relax in groups of one export
+        # scope and claimed length.
         base = arange(K, dtype=int64) * n
         dest = base + np.array([row[0] for row in rows], dtype=int64)
-        dest_signed = sign_np[dest]
         fixed_s[dest] = True
-        len_s[dest] = 0
         reach_s[dest] = 1
-        endp_s[dest] = 1
-        wire_s[dest] = dest_signed
-        sec_s[dest] = dest_signed
+        wire_s[dest] = sec_s[dest] = sign_np[dest]
         attacked = [r for r, row in enumerate(rows) if row[1] >= 0]
         att = base[attacked] + np.array(
             [rows[r][1] for r in attacked], dtype=int64
         )
-        attacks = [rows[r][4] for r in attacked]
-        att_len = np.array([a.length for a in attacks], dtype=int64)
-        att_wire = np.array([a.wire for a in attacks], dtype=int64)
-        active = np.array([a.active for a in attacks], dtype=np.bool_)
         fixed_s[att] = True
-        len_s[att] = att_len
-        wire_s[att] = att_wire
-        announcing = att[active]
-        reach_s[announcing] = 2
-        endp_s[announcing] = 2
-        ones = np.ones(K, dtype=int64)
-        relax(dest, np.ones(K, dtype=np.bool_), ones, dest_signed, ones)
-        if len(announcing):
-            relax(
-                announcing,
-                np.array([a.export_all for a in attacks], dtype=np.bool_)[active],
-                att_len[active] + 1,
-                att_wire[active],
-                np.full(len(announcing), 2, dtype=int64),
-            )
+        groups: dict[tuple[bool, int], list[int]] = {}
+        for r, a in zip(att.tolist(), (rows[r][4] for r in attacked)):
+            wire_s[r] = a.wire
+            if a.active:
+                reach_s[r] = 2
+                groups.setdefault((a.export_all, a.length), []).append(r)
+        if state:
+            st["endp"][dest_i] = 1
+            if att_i >= 0:
+                st["len"][att_i] = attack.length
+                st["endp"][att_i] = reach_s[att_i]
+        relax(dest, True, 1)
+        for (exports_all, length), announcing in groups.items():
+            relax(np.array(announcing, dtype=int64), exports_all, length + 1)
 
         while True:
             gmin = int(keyq.min())
@@ -1080,35 +1069,33 @@ class RoutingContext:
                 break
             B = np.flatnonzero(keyq == gmin)
             keyq[B] = _NP_INF
-            key_real[B] = gmin
             fixed_s[B] = True
-            # the lowest tying offerer, as a flat index like B itself
-            # (a node index in the one-row call, the only one read)
-            ch = chacc[B]
-            choice_s[B] = ch
-            endp_s[B] = endp_s[ch]
+            cls_b, ln_b = decode[gmin]
             w = wire_s[B]
             if uses_sec:
                 sec_s[B] = w & rank_np[B]
             wire_s[B] = w & sign_np[B]
-            relax(B, cls_s[B] == 0, len_s[B] + 1, wire_s[B], reach_s[B])
+            if state:
+                st["key"][B] = gmin
+                st["cls"][B] = cls_b
+                st["len"][B] = ln_b
+                ch = st["choice"][B] = chacc[B]  # the lowest tying offerer
+                st["endp"][B] = st["endp"][ch]
+            relax(B, cls_b == 0, ln_b + 1)
 
         counted = fixed_s.copy()
-        counted[dest] = False
-        counted[att] = False
+        counted[dest] = counted[att] = False
         counted = counted.reshape(K, n)
         r = np.where(counted, reach_s.reshape(K, n), 0)
-        happy_lo = (r == 1).sum(axis=1).tolist()
-        att_lo = (r == 2).sum(axis=1).tolist()
-        both = (r == 3).sum(axis=1).tolist()
-        secure = np.where(counted, sec_s.reshape(K, n), 0).sum(axis=1).tolist()
-        nfixed = counted.sum(axis=1).tolist()
+        sec = counted & (sec_s.reshape(K, n) != 0)
         counts = [
-            (lo, lo + b, alo, alo + b, sec, nfx)
-            for lo, alo, b, sec, nfx in zip(happy_lo, att_lo, both, secure, nfixed)
+            (lo, lo + b, alo, alo + b, s, nfx)
+            for lo, alo, b, s, nfx in zip(*(
+                np.count_nonzero(x, axis=1).tolist()
+                for x in (r == 1, r == 2, r == 3, sec, counted)
+            ))
         ]
-        if K == 1:
-            dest_i, att_i, _signing, _ranking, attack = rows[0]
+        if state:
             self._last_counts = counts[0]
             self._np_post = (
                 dest_i, att_i, attack.active, attack.export_all, key_of, rank_np
@@ -2077,7 +2064,7 @@ class DestinationSweep:
             self._dest_i, att_i, self._signing, self._ranking,
             res if res is not None else DEFAULT_RESOLVED,
         )
-        return ctx._run_np([row], self.model)[0], None
+        return ctx._run_np([row], self.model, state=True)[0], None
 
     def _delta_pure(
         self,
@@ -2713,23 +2700,29 @@ class DestinationSweep:
 # ----------------------------------------------------------------------
 # Rollout-major sweeps over nested-deployment chains
 # ----------------------------------------------------------------------
+def _check_nested(old: Deployment, new: Deployment) -> None:
+    """Raise ``ValueError`` unless ``old → new`` is a chain step: both
+    the full set and the signing set (full ∪ simplex) may only grow."""
+    if not (old.full <= new.full and old.simplex - new.simplex <= new.full):
+        raise ValueError(
+            "rollout chains must be nested: both the full set and "
+            "the signing set may only grow between steps"
+        )
+
+
 def _chain_step(ctx: RoutingContext, old: Deployment, new: Deployment) -> tuple:
     """What the chain step ``old → new`` changes, for
     :meth:`RolloutSweep._apply`: ``(new, sign_idx, rank_idx,
     gain_idx)`` — as dense indices (members absent from the graph
     dropped) the set of ASes that start signing, the set that start
     ranking, and the sorted union of the two.  Raises ``ValueError``
-    unless the step is nested."""
-    old_signing = old.full | old.simplex
-    new_signing = new.full | new.simplex
-    if not (old.full <= new.full and old_signing <= new_signing):
-        raise ValueError(
-            "rollout chains must be nested: both the full set and "
-            "the signing set may only grow between steps"
-        )
+    unless the step is nested (:func:`_check_nested`)."""
+    _check_nested(old, new)
     get = ctx.index_of.get
     sign_idx = {
-        i for asn in new_signing - old_signing if (i := get(asn)) is not None
+        i
+        for asn in (new.full | new.simplex) - (old.full | old.simplex)
+        if (i := get(asn)) is not None
     }
     rank_idx = {
         i for asn in new.full - old.full if (i := get(asn)) is not None
@@ -3116,10 +3109,11 @@ def jobs_happiness_counts(
     (``S_t ⊑ S_{t+1}`` per membership mode; one deployment is a chain
     of one step, none is zero steps, ``[]``) and stub-simplex
     (:meth:`RoutingContext.require_stub_simplex`): every job is checked
-    — and what each step changes (:func:`_chain_step`) worked out once —
     before any pass, so a bad job raises ``ValueError`` with nothing
     computed, whatever the pairs are.  Pairs are grouped by destination,
-    and a group's shape picks how it is evaluated:
+    and a group's shape picks how it is evaluated (only a walked group
+    needs what each step changes, :func:`_chain_step`, worked out once
+    a job):
 
     * **rows** (numpy context, ``≤ 3`` attackers, step-stable
       strategy — the paper's rollout sampling): nothing such a chain
@@ -3151,21 +3145,21 @@ def jobs_happiness_counts(
         deployments = [dep or _EMPTY_DEPLOYMENT for dep in deployments]
         for deployment in deployments:
             ctx.require_stub_simplex(deployment)
-        steps = [
-            _chain_step(ctx, old, new)
-            for old, new in zip(deployments, deployments[1:])
-        ]
-        checked.append((list(pairs), deployments, steps, model, attack))
+        for old, new in zip(deployments, deployments[1:]):
+            _check_nested(old, new)
+        checked.append((list(pairs), deployments, model, attack))
     results: list[list[list]] = []
     #: model → (dest_i, att_i, deployment, attack, step's out, pair
     #: indices, sources) per row, a job's rows step-major so that rows
     #: sharing a deployment's masks are neighbours
     rows: dict[RankModel, list[tuple]] = {}
-    for pairs, deployments, steps, model, attack in checked:
+    for pairs, deployments, model, attack in checked:
         out: list[list] = [[None] * len(pairs) for _ in deployments]
         results.append(out)
         if not deployments:
             continue
+        chain = len(deployments) > 1
+        steps = None
         row_groups = []
         groups: dict[int, dict[int | None, list[int]]] = {}
         for i, (m, d) in enumerate(pairs):
@@ -3178,7 +3172,7 @@ def jobs_happiness_counts(
                     row_groups.append(
                         (*ctx._check_pair(d, m), idxs, n - (1 if m is None else 2))
                     )
-            elif not steps and attackers <= 1:
+            elif not chain and attackers <= 1:
                 signing, ranking = ctx.deployment_masks(deployments[0])
                 for m, idxs in by_attacker.items():
                     dest_i, att_i = ctx._check_pair(d, m)
@@ -3190,9 +3184,14 @@ def jobs_happiness_counts(
                     for i in idxs:
                         out[0][i] = (lo, up, n - (1 if m is None else 2))
             else:
+                if steps is None:
+                    steps = [
+                        _chain_step(ctx, old, new)
+                        for old, new in zip(deployments, deployments[1:])
+                    ]
                 _walk_group(
                     ctx, d, by_attacker, deployments, steps, model, attack, out,
-                    chains=bool(few and steps and attackers),
+                    chains=bool(few and chain and attackers),
                 )
         model_rows = rows.setdefault(model, [])
         for deployment, step_out in zip(deployments, out):

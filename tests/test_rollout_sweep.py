@@ -246,15 +246,17 @@ class TestChainShape:
 
 @pytest.mark.parametrize("ixp", [False, True], ids=["base", "ixp"])
 def test_rollout_steps_equal_the_membership_walk(ixp, monkeypatch):
-    """``_isp_step`` asks ``is_stub`` of the ISPs and extras only; the
-    steps equal what walking every member gave."""
+    """``_isp_step`` asks ``is_stub`` of the ISPs and extras only, and
+    a rollout's steps share its ISPs' stub customers; the steps equal
+    what walking every member gave."""
     graph, tiers = make_topology(2013, ixp=ixp, n=300)
     isp_step = deployment_module._isp_step
     labels = []
 
-    def checked(graph, label, isps, extra=(), simplex_stubs=False):
+    def checked(graph, label, isps, extra=(), simplex_stubs=False, **shared):
         step = isp_step(
-            graph, label, isps, extra=extra, simplex_stubs=simplex_stubs
+            graph, label, isps, extra=extra, simplex_stubs=simplex_stubs,
+            **shared,
         )
         isp_set = frozenset(isps) | frozenset(extra)
         members = isp_set | stubs_of(graph, isp_set)

@@ -453,8 +453,9 @@ class TestRowsKernel:
                 pure._run(dest_i, att_i, signing, ranking, model, resolved)
                 assert counts == pure._last_counts
                 assert vec._run_np([row], model) == [counts]
+                assert vec._run_np([row], model, state=True) == [counts]
                 assert vec._last_counts == counts
-                # the one-row call leaves the nine arrays where the
+                # the state call leaves the nine arrays where the
                 # scalar loop leaves its scratch
                 st, want = vec._np_scratch, self._scalar_state(pure)
                 fixed = want["fixed"]
@@ -495,9 +496,9 @@ class TestRowsKernel:
         batches = []
         run_np = RoutingContext._run_np
 
-        def spying(self, rows, model):
+        def spying(self, rows, model, **kwargs):
             batches.append(len(rows))
-            return run_np(self, rows, model)
+            return run_np(self, rows, model, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(RoutingContext, "_run_np", spying)
@@ -518,6 +519,106 @@ class TestRowsKernel:
             for pairs, deployments, model, attack in jobs
         ]
         assert together == reference
+
+    @staticmethod
+    def _rows(ctx, rnd, deployment, model, count):
+        asns = ctx.asns
+        masks = ctx.deployment_masks(deployment)
+        rows = []
+        for _ in range(count):
+            d, m = rnd.sample(asns, 2)
+            dest_i, att_i = ctx._check_pair(d, m)
+            rows.append((dest_i, att_i, *masks, ctx._resolve_attack(
+                dest_i, att_i, *masks, model, ONE_HOP_HIJACK
+            )))
+        return rows
+
+    def test_more_rows_than_batch_rows(self, graph, vec_ctx):
+        """A count call's scratch fits the call, whatever an earlier,
+        smaller call allocated."""
+        rnd = random.Random("rows/oversize")
+        model = SECURITY_MODELS[1]
+        deployment = Deployment.of(rnd.sample(graph.asns, 100))
+        vec_ctx._run_np(self._rows(vec_ctx, rnd, deployment, model, 2), model)
+        rows = self._rows(vec_ctx, rnd, deployment, model, 112)
+        assert len(rows) > vec_ctx.batch_rows
+        alone = [c for row in rows for c in vec_ctx._run_np([row], model)]
+        assert vec_ctx._run_np(rows, model) == alone
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_count_call_leaves_the_state_call_alone(self, graph, vec_ctx, k):
+        """A count call, one row or many, touches none of what the last
+        state call left: its arrays, its ``post`` or its counts."""
+        rnd = random.Random(f"rows/alone/{k}")
+        model = SECURITY_MODELS[0]
+        deployment = Deployment.of(rnd.sample(graph.asns, 100))
+        (row,) = self._rows(vec_ctx, rnd, deployment, model, 1)
+        vec_ctx._run_np([row], model, state=True)
+        arrays = {name: a.copy() for name, a in vec_ctx._np_scratch.items()}
+        post, counts = vec_ctx._np_post, vec_ctx._last_counts
+        vec_ctx._run_np(self._rows(vec_ctx, rnd, deployment, model, k), model)
+        assert vec_ctx._np_post is post
+        assert vec_ctx._last_counts == counts
+        for name, a in vec_ctx._np_scratch.items():
+            assert np.array_equal(a, arrays[name]), name
+
+    def test_roots_of_every_scope_length_and_wire_share_a_batch(self):
+        """Attackers whose roots differ in export scope, claimed length
+        and wire relax from one batch, under LP2, on a graph with ASes
+        no route reaches: every row equals the scalar kernel's pass."""
+        graph = generate_topology(TopologyParams(n=150, seed=5)).graph
+        asns = list(graph.asns)
+        graph.add_customer_provider(max(asns) + 1, max(asns) + 2)  # an island
+        vec = RoutingContext(graph, vectorized=True)
+        pure = RoutingContext(graph, vectorized=False)
+        model = lp2_variant(SECURITY_MODELS[1])
+        rnd = random.Random("rows/roots")
+        deployment = Deployment.of(rnd.sample(asns, 60)).with_simplex_stubs(graph)
+        masks = vec.deployment_masks(deployment)
+        signed = sorted(deployment.full | deployment.simplex)
+        rows = []
+        for attack in (
+            ONE_HOP_HIJACK, PathLengthHijack(2), CustomerScopeHijack(),
+            FORGED_ORIGIN,
+        ):
+            for _ in range(3):
+                d = rnd.choice(signed)
+                dest_i, att_i = vec._check_pair(
+                    d, rnd.choice([a for a in asns if a != d])
+                )
+                resolved = attack.resolve(dest_signed=True)
+                rows.append((dest_i, att_i, *masks, resolved))
+        roots = {(r[4].export_all, r[4].length, r[4].wire) for r in rows}
+        assert len(roots) == 4
+        batch = vec._run_np(rows, model)
+        for row, counts in zip(rows, batch):
+            pure._run(*row[:4], model, row[4])
+            assert counts == pure._last_counts
+            assert counts[5] <= vec.n - 4  # the island is never fixed
+
+    def test_rows_only_jobs_work_out_no_chain_step(self, graph, vec_ctx, count_calls):
+        """A numpy context's few-attacker groups are rows, which read no
+        step's index sets: a job of nothing else builds none, and still
+        rejects a chain that does not nest before any pass."""
+        from repro.core import routing
+
+        steps = count_calls(routing, "_chain_step")
+        passes = count_calls(RoutingContext, "_run_np")
+        rnd = random.Random("rows/steps")
+        asns = graph.asns
+        members = rnd.sample(asns, 60)
+        chain = [Deployment.of(members[:k]) for k in (0, 20, 40, 60)]
+        pairs = [(m, d) for m, d, _ in _instances(graph, "rows/steps", k=3)]
+        got = rollout_happiness_counts(vec_ctx, pairs, chain, BASELINE)
+        assert steps == [0] and passes[0] > 0
+        assert got == [
+            per_pair_counts(vec_ctx, pairs, deployment, BASELINE)
+            for deployment in chain
+        ]
+        passes[0] = 0
+        with pytest.raises(ValueError, match="nested"):
+            rollout_happiness_counts(vec_ctx, pairs, chain[::-1], BASELINE)
+        assert passes == [0]
 
 
 class TestRowLayout:

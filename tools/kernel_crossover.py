@@ -25,12 +25,14 @@ routing outcomes differ at some size.
 
 ``--rows`` runs, per size, the same ``ROWS`` fixing passes (sampled
 pairs, four nested deployments with simplex stubs, ``security_2nd``)
-through ``RoutingContext._run_np`` K at a call for K = 1, 2, 4, … and
+through ``RoutingContext._run_np`` as count calls — the rows
+``jobs_happiness_counts`` runs — K at a call for K = 1, 2, 4, … and
 prints milliseconds per row; ``*`` marks the K the budget gives that
 size (``RoutingContext.batch_rows``).  The budget belongs where the
-columns stop improving at the sizes in use, and no higher: the state of
-a call is ``81·K·n`` bytes.  Exits non-zero if some row's counts differ
-from the one-row call's.
+columns stop improving at the sizes in use, and no higher: a count call
+keeps ``12·K·n`` bytes of state and peaks near ``47·K·n`` with its
+temporaries (``tracemalloc``, K = 14 on 2 200 ASes).  Exits non-zero if
+some row's counts differ from the one-row call's.
 """
 
 import argparse
