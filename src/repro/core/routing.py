@@ -34,7 +34,9 @@ computation per (attacker, destination) pair over ``O(|V|²)`` pairs
 governs the cost of every figure.  :class:`RoutingContext` therefore
 maps ASNs onto dense indices ``0..n-1`` once per graph and stores the
 adjacency as flat CSR buffers (``adj_start``/``adj_node`` arrays plus
-``adj_class``/``adj_custflag`` bytearrays); the fixing pass runs
+``adj_class``/``adj_custflag`` bytearrays; on a numpy context int64 and
+uint8 ndarrays built by one sort, with the per-relationship index tuples
+derived only if a scalar reader asks); the fixing pass runs
 entirely in index space over *reusable scratch buffers* owned by the
 context — key/length/reach/secure arrays are reset between pairs
 instead of reallocated, rank keys are packed machine-word ints
@@ -70,7 +72,9 @@ copy-on-write context.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
+import itertools
 import weakref
 from array import array
 from collections.abc import Mapping
@@ -265,6 +269,10 @@ class RoutingContext:
     * ``adj_custflag`` — bytearray; 1 iff the neighbor is a customer of
       ``u`` (the export rule lets non-customer routes flow only there).
 
+    A numpy context holds them as ndarrays (int64 ``adj_start``/
+    ``adj_node``, uint8 ``adj_class``/``adj_custflag``) that its kernels
+    share without a copy (:meth:`_np_adjacency`).
+
     **Row layout.**  Each row lists ``u``'s providers, then its peers,
     then its customers (each group in index order), so ``adj_custflag``
     reads ``0…0 1…1`` along a row and the edges a non-customer route
@@ -273,7 +281,8 @@ class RoutingContext:
     does not export to everyone.
 
     Per-relationship index adjacency (``providers_idx`` etc.) serves
-    the perceivable-closure and partition computations.  The context
+    the perceivable-closure and partition computations; a numpy context
+    derives it lazily, as its kernels never read it.  The context
     never mutates the graph; it also owns the scratch buffers of the
     fixing pass, which makes a single context not thread-safe (fork
     workers each get a copy-on-write clone, which is safe).
@@ -311,9 +320,7 @@ class RoutingContext:
         "adj_node",
         "adj_class",
         "adj_custflag",
-        "providers_idx",
-        "customers_idx",
-        "peers_idx",
+        "_rel_idx",
         "vectorized",
         "_edges_cache",
         "_has_customers",
@@ -372,47 +379,11 @@ class RoutingContext:
         self.index_of: dict[int, int] = index_of
         self.n = n
 
-        providers_idx: list[tuple[int, ...]] = []
-        customers_idx: list[tuple[int, ...]] = []
-        peers_idx: list[tuple[int, ...]] = []
-        adj_start = array("l", [0])
-        adj_node = array("l")
-        adj_class = bytearray()
-        adj_custflag = bytearray()
-        cust = int(RouteClass.CUSTOMER)
-        peer = int(RouteClass.PEER)
-        prov = int(RouteClass.PROVIDER)
-        for u, asn in enumerate(asn_of):
-            providers = sorted(index_of[p] for p in graph.providers(asn))
-            peers = sorted(index_of[q] for q in graph.peers(asn))
-            customers = sorted(index_of[c] for c in graph.customers(asn))
-            providers_idx.append(tuple(providers))
-            peers_idx.append(tuple(peers))
-            customers_idx.append(tuple(customers))
-            # A provider p sees a route via its customer u as a customer
-            # route; a peer sees a peer route; a customer a provider route.
-            for p in providers:
-                adj_node.append(p)
-                adj_class.append(cust)
-                adj_custflag.append(0)
-            for q in peers:
-                adj_node.append(q)
-                adj_class.append(peer)
-                adj_custflag.append(0)
-            for c in customers:
-                adj_node.append(c)
-                adj_class.append(prov)
-                adj_custflag.append(1)
-            adj_start.append(len(adj_node))
-        self.adj_start = adj_start
-        self.adj_node = adj_node
-        self.adj_class = adj_class
-        self.adj_custflag = adj_custflag
-        self.providers_idx = providers_idx
-        self.customers_idx = customers_idx
-        self.peers_idx = peers_idx
-        #: 1 per node that has a customer (:meth:`_run`'s selector)
-        self._has_customers = bytes(map(bool, customers_idx))
+        self._rel_idx: tuple | None = None  # see _relationship_idx
+        if self.vectorized:
+            self._build_csr_np(graph)
+        else:
+            self._build_csr(graph)
         # Hot-loop adjacency for the pure kernel: per-node lists of
         # ``(v << 3)|(class << 1)|cust``.  Derived from the CSR; built
         # lazily on vectorized contexts, whose kernels never read it.
@@ -470,6 +441,112 @@ class RoutingContext:
     # ------------------------------------------------------------------
     # Adjacency representations
     # ------------------------------------------------------------------
+    def _build_csr(self, graph: ASGraph) -> None:
+        """The scalar context's CSR and index tuples, one AS at a time."""
+        index_of = self.index_of
+        providers_idx: list[tuple[int, ...]] = []
+        customers_idx: list[tuple[int, ...]] = []
+        peers_idx: list[tuple[int, ...]] = []
+        adj_start = array("l", [0])
+        adj_node = array("l")
+        adj_class = bytearray()
+        adj_custflag = bytearray()
+        cust = int(RouteClass.CUSTOMER)
+        peer = int(RouteClass.PEER)
+        prov = int(RouteClass.PROVIDER)
+        for asn in self.asns:
+            providers = sorted(index_of[p] for p in graph.providers(asn))
+            peers = sorted(index_of[q] for q in graph.peers(asn))
+            customers = sorted(index_of[c] for c in graph.customers(asn))
+            providers_idx.append(tuple(providers))
+            peers_idx.append(tuple(peers))
+            customers_idx.append(tuple(customers))
+            # A provider p sees a route via its customer u as a customer
+            # route; a peer sees a peer route; a customer a provider route.
+            for p in providers:
+                adj_node.append(p)
+                adj_class.append(cust)
+                adj_custflag.append(0)
+            for q in peers:
+                adj_node.append(q)
+                adj_class.append(peer)
+                adj_custflag.append(0)
+            for c in customers:
+                adj_node.append(c)
+                adj_class.append(prov)
+                adj_custflag.append(1)
+            adj_start.append(len(adj_node))
+        self.adj_start = adj_start
+        self.adj_node = adj_node
+        self.adj_class = adj_class
+        self.adj_custflag = adj_custflag
+        self._rel_idx = (providers_idx, customers_idx, peers_idx)
+        #: 1 per node that has a customer (:meth:`_run`'s selector)
+        self._has_customers = bytes(map(bool, customers_idx))
+
+    def _build_csr_np(self, graph: ASGraph) -> None:
+        """:meth:`_build_csr`'s layout as ndarrays (int64 ``adj_start``/
+        ``adj_node``, uint8 ``adj_class``/``adj_custflag``), from one
+        pass over the graph's adjacency maps: one sort of the packed
+        keys ``(u·3 + g)·n + v``, ``g`` = 0/1/2 for providers/peers/
+        customers, lays every row out in the scalar loop's order."""
+        np = _np
+        n = self.n
+        asns = self.asns
+        # ASN → dense index: a direct table where the ASN space is compact
+        # (ten times faster), else a binary search over the sorted ASNs.
+        if n and asns[-1] < 8 * n:
+            table = np.empty(asns[-1] + 1, np.int64)
+            table[asns] = np.arange(n)
+            index = table.take
+        else:
+            index = functools.partial(np.searchsorted, np.array(asns, np.int64))
+        providers, customers, peers = graph.adjacency()
+        groups = [list(map(m.__getitem__, asns)) for m in (providers, peers, customers)]
+        counts = np.stack([np.fromiter(map(len, g), np.int64, n) for g in groups], 1)
+        key = np.empty(int(counts.sum()), np.int64)
+        end = 0
+        for g, sets in enumerate(groups):
+            seg = key[end : end + int(counts[:, g].sum())]
+            end += len(seg)
+            seg[:] = np.repeat(np.arange(g, 3 * n, 3), counts[:, g])
+            seg *= n
+            nbrs = itertools.chain.from_iterable(sets)
+            seg += index(np.fromiter(nbrs, np.int64, len(seg)))
+        del groups
+        key.sort()
+        np.remainder(key, max(n, 1), out=key)
+        classes = np.array(
+            [RouteClass.CUSTOMER, RouteClass.PEER, RouteClass.PROVIDER], np.uint8
+        )
+        self.adj_start = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
+        self.adj_node = key
+        self.adj_class = np.repeat(np.tile(classes, n), counts.ravel())
+        self.adj_custflag = (self.adj_class == RouteClass.PROVIDER).view(np.uint8)
+        self._has_customers = (counts[:, 2] > 0).tobytes()
+
+    def _relationship_idx(self) -> tuple:
+        """``(providers_idx, customers_idx, peers_idx)``, per node the
+        sorted indices of each relationship; a numpy context derives them
+        from the CSR the first time a scalar reader asks."""
+        rel = self._rel_idx
+        if rel is None:
+            np = _np
+            groups = []
+            # A neighbor assigns a route via its customer u the class
+            # CUSTOMER, so those are u's providers; peers, then customers.
+            for cls in (RouteClass.CUSTOMER, RouteClass.PROVIDER, RouteClass.PEER):
+                sel = self.adj_class == cls
+                nodes = self.adj_node[sel].tolist()
+                bounds = np.concatenate(([0], np.cumsum(sel)))[self.adj_start].tolist()
+                groups.append([tuple(nodes[i:j]) for i, j in zip(bounds, bounds[1:])])
+            rel = self._rel_idx = tuple(groups)
+        return rel
+
+    providers_idx = property(lambda self: self._relationship_idx()[0])
+    customers_idx = property(lambda self: self._relationship_idx()[1])
+    peers_idx = property(lambda self: self._relationship_idx()[2])
+
     def _build_edges(self) -> list[list[int]]:
         """Per-node packed-edge lists, derived from the CSR buffers."""
         n = self.n
@@ -522,7 +599,7 @@ class RoutingContext:
             start = np.ascontiguousarray(self.adj_start, dtype=np.int64)
             node = np.ascontiguousarray(self.adj_node, dtype=np.int64)
             cls_e = _u8(self.adj_class).astype(np.int64)
-            cf_b = _u8(self.adj_custflag).astype(np.bool_)
+            cf_b = _u8(self.adj_custflag).view(np.bool_)
             esrc = np.repeat(
                 np.arange(self.n, dtype=np.int64), np.diff(start)
             )
@@ -676,11 +753,11 @@ class RoutingContext:
         if checked.get(id(deployment)) is deployment:
             return
         get = self.index_of.get
-        customers = self.customers_idx
+        has_customers = self._has_customers
         transit = sorted(
             asn
             for asn in deployment.simplex
-            if (i := get(asn)) is not None and customers[i]
+            if (i := get(asn)) is not None and has_customers[i]
         )
         if transit:
             shown = ", ".join(map(str, transit[:10]))

@@ -126,29 +126,6 @@ def _pick_distinct(
     return chosen
 
 
-class _PATable:
-    """O(1)-per-draw preferential-attachment sampler for one layer.
-
-    Each member appears in ``entries`` once per unit of weight
-    (``1 + customer_degree``), so a uniform index draw is a weighted
-    draw.  Every customer edge added to a member afterwards must append
-    one entry (:meth:`bump`) to keep the weights exact — the builder
-    routes all customer-provider insertions through
-    :meth:`_Builder.add_c2p` for that reason.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, members: list[int], graph: ASGraph) -> None:
-        entries: list[int] = []
-        for m in members:
-            entries.extend([m] * (1 + graph.customer_degree(m)))
-        self.entries = entries
-
-    def bump(self, asn: int) -> None:
-        self.entries.append(asn)
-
-
 class _Builder:
     """Stateful helper that assembles the synthetic graph."""
 
@@ -167,8 +144,8 @@ class _Builder:
         if fast is None:
             fast = params.n >= FAST_ATTACHMENT_MIN_N
         self.fast = fast
-        #: provider ASN -> its layer's :class:`_PATable` (fast mode only).
-        self._pa_of: dict[int, _PATable] = {}
+        #: provider ASN -> its layer's PA table (fast mode only).
+        self._pa_of: dict[int, list[int]] = {}
 
     def fresh_asn(self) -> int:
         while self._next_asn in self._reserved:
@@ -186,29 +163,34 @@ class _Builder:
             members.append(asn)
         return members
 
-    def pa_table(self, members: list[int]) -> "_PATable | None":
-        """A preferential-attachment table over one layer (fast mode),
-        registered so :meth:`add_c2p` keeps its weights exact."""
+    def pa_table(self, members: list[int]) -> "list[int] | None":
+        """A layer's O(1)-per-draw preferential-attachment table (fast
+        mode): each member once per unit of weight, ``1 + customer_degree``
+        (a uniform index draw is a weighted draw); kept exact by :meth:`add_c2p`."""
         if not self.fast:
             return None
-        table = _PATable(members, self.graph)
+        table: list[int] = []
         for m in members:
+            table.extend([m] * (1 + self.graph.customer_degree(m)))
             self._pa_of[m] = table
         return table
 
-    def add_c2p(self, customer: int, provider: int) -> None:
-        """Add a customer-provider edge, keeping PA tables exact."""
-        self.graph.add_customer_provider(customer, provider)
-        table = self._pa_of.get(provider)
-        if table is not None:
-            table.bump(provider)
+    def add_c2p(self, customer: int, providers: list[int]) -> None:
+        """Add customer-provider edges, keeping PA tables exact."""
+        add = self.graph.add_customer_provider
+        pa_of = self._pa_of
+        for provider in providers:
+            add(customer, provider)
+            table = pa_of.get(provider)
+            if table is not None:
+                table.append(provider)
 
     def attach_providers(
         self,
         asn: int,
         candidates: list[int],
         count: int,
-        tables: "list[_PATable | None] | None" = None,
+        tables: "list[list[int] | None] | None" = None,
     ) -> None:
         """Attach ``count`` providers with preferential attachment.
 
@@ -222,30 +204,26 @@ class _Builder:
         else:
             weights = [1.0 + self.graph.customer_degree(c) for c in candidates]
             chosen = _pick_distinct(self.rng, candidates, weights, count)
-        for provider in chosen:
-            self.add_c2p(asn, provider)
+        self.add_c2p(asn, chosen)
 
-    def _pick_pa(self, tables: "list[_PATable | None]", k: int) -> list[int]:
+    def _pick_pa(self, tables: "list[list[int] | None]", k: int) -> list[int]:
         """Up to ``k`` distinct providers drawn across PA tables."""
-        entry_lists = [t.entries for t in tables if t is not None]
-        sizes = [len(e) for e in entry_lists]
-        total = sum(sizes)
+        tables = [t for t in tables if t is not None]
+        total = sum(map(len, tables))
         if not total:
             return []
-        rng = self.rng
+        randrange = self.rng.randrange
         chosen: list[int] = []
-        seen: set[int] = set()
         attempts = 0
         while len(chosen) < k and attempts < 50 * k:
             attempts += 1
-            r = rng.randrange(total)
-            for entries, size in zip(entry_lists, sizes):
-                if r < size:
-                    candidate = entries[r]
+            r = randrange(total)
+            for table in tables:
+                if r < len(table):
+                    candidate = table[r]
                     break
-                r -= size
-            if candidate not in seen:
-                seen.add(candidate)
+                r -= len(table)
+            if candidate not in chosen:
                 chosen.append(candidate)
         return chosen
 
@@ -253,13 +231,15 @@ class _Builder:
         """Add up to ``count`` p2p edges between the two pools."""
         if not pool_a or not pool_b:
             return 0
+        choice = self.rng.choice
+        providers, customers, peers = self.graph.adjacency()
         added = 0
         attempts = 0
         while added < count and attempts < 30 * count + 100:
             attempts += 1
-            a = self.rng.choice(pool_a)
-            b = self.rng.choice(pool_b)
-            if a == b or self.graph.has_edge(a, b):
+            a = choice(pool_a)
+            b = choice(pool_b)
+            if a == b or b in peers[a] or b in providers[a] or b in customers[a]:
                 continue
             self.graph.add_peering(a, b)
             added += 1
@@ -299,7 +279,7 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
     # of the Table 1 Tier-1 bucket ("high customer degree & no providers").
     for t1 in tier1:
         if not b.graph.customers(t1):
-            b.add_c2p(rng.choice(large), t1)
+            b.add_c2p(rng.choice(large), [t1])
     # Mid ISPs buy from the large (Tier-2-like) layer — real regional
     # ISPs rarely buy straight from a Tier 1.  Keeping the attacker's
     # provider chain inside the densely-peering large layer is what lets

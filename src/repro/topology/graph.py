@@ -55,8 +55,10 @@ class ASGraph:
         """Add a customer-to-provider edge (``customer`` pays ``provider``)."""
         if customer == provider:
             raise TopologyError(f"self-loop on AS {customer}")
-        self.add_as(customer)
-        self.add_as(provider)
+        if customer not in self._providers:
+            self.add_as(customer)
+        if provider not in self._providers:
+            self.add_as(provider)
         if self._has_any_edge(customer, provider):
             raise TopologyError(
                 f"edge {customer}-{provider} already exists with some annotation"
@@ -68,8 +70,10 @@ class ASGraph:
         """Add a peer-to-peer edge between ``a`` and ``b``."""
         if a == b:
             raise TopologyError(f"self-loop on AS {a}")
-        self.add_as(a)
-        self.add_as(b)
+        if a not in self._providers:
+            self.add_as(a)
+        if b not in self._providers:
+            self.add_as(b)
         if self._has_any_edge(a, b):
             raise TopologyError(f"edge {a}-{b} already exists with some annotation")
         self._peers[a].add(b)
@@ -149,6 +153,12 @@ class ASGraph:
             index_of = {asn: i for i, asn in enumerate(asn_of)}
             cache = self._index_cache = (asn_of, index_of)
         return cache
+
+    def adjacency(self) -> tuple[dict, dict, dict]:
+        """The three adjacency maps ``(providers, customers, peers)``,
+        ASN → neighbor set, for whole-graph passes that would otherwise
+        copy a frozenset per AS.  Callers must not mutate them."""
+        return self._providers, self._customers, self._peers
 
     def providers(self, asn: int) -> frozenset[int]:
         """ASes that ``asn`` buys transit from."""
@@ -244,21 +254,24 @@ class ASGraph:
 
     def connected_components(self) -> list[set[int]]:
         """Connected components (ignoring edge annotations), largest first."""
+        providers, customers, peers = self.adjacency()
         seen: set[int] = set()
         components: list[set[int]] = []
-        for start in self._providers:
+        for start in providers:
             if start in seen:
                 continue
             component = {start}
-            stack = [start]
-            seen.add(start)
-            while stack:
-                u = stack.pop()
-                for v in self._providers[u] | self._customers[u] | self._peers[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        component.add(v)
-                        stack.append(v)
+            frontier = {start}
+            while frontier:
+                reached: set[int] = set()
+                for u in frontier:
+                    reached |= providers[u]
+                    reached |= customers[u]
+                    reached |= peers[u]
+                reached -= component
+                component |= reached
+                frontier = reached
+            seen |= component
             components.append(component)
         components.sort(key=len, reverse=True)
         return components
@@ -315,8 +328,18 @@ class ASGraph:
             for q in prs:
                 if asn not in self._peers.get(q, ()):  # pragma: no cover
                     raise TopologyError(f"asymmetric p2p edge {asn}-{q}")
-        cycle = self.find_customer_provider_cycle()
-        if cycle is not None:
+        # Kahn's count: a DAG iff every AS peels once its customers have;
+        # the DFS runs only to name a cycle known to exist.
+        left = dict(zip(self._customers, map(len, self._customers.values())))
+        peeled = [asn for asn, count in left.items() if not count]
+        for u in peeled:  # grows as it is walked
+            for p in self._providers[u]:
+                count = left[p] - 1
+                left[p] = count
+                if not count:
+                    peeled.append(p)
+        if len(peeled) < len(left):
+            cycle = self.find_customer_provider_cycle()
             raise TopologyError(f"customer-provider cycle: {cycle}")
 
     def __repr__(self) -> str:

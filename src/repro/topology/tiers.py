@@ -165,27 +165,25 @@ def classify_tiers(
 
     tier_of: dict[int, Tier] = {}
     assigned: set[int] = set()
+    providers, customers, peers = graph.adjacency()
+    asns = graph.asns
 
-    def take(asns: list[int], tier: Tier) -> None:
-        for asn in asns:
+    def take(members: list[int], tier: Tier) -> None:
+        for asn in members:
             if asn not in assigned:
                 tier_of[asn] = tier
                 assigned.add(asn)
 
     # Tier 1: provider-less ASes with the highest customer degrees.
-    providerless = [
-        a for a in graph.asns if not graph.providers(a) and graph.customer_degree(a) > 0
-    ]
-    providerless.sort(key=lambda a: (-graph.customer_degree(a), a))
+    providerless = [a for a in asns if not providers[a] and customers[a]]
+    providerless.sort(key=lambda a: (-len(customers[a]), a))
     take(providerless[: params.tier1_count], Tier.TIER1)
 
     # Tier 2 / Tier 3: top ASes by customer degree *with* providers.
     with_providers = [
-        a
-        for a in graph.asns
-        if graph.providers(a) and graph.customer_degree(a) > 0 and a not in assigned
+        a for a in asns if providers[a] and customers[a] and a not in assigned
     ]
-    with_providers.sort(key=lambda a: (-graph.customer_degree(a), a))
+    with_providers.sort(key=lambda a: (-len(customers[a]), a))
     take(with_providers[: params.tier2_count], Tier.TIER2)
     take(
         with_providers[params.tier2_count : params.tier2_count + params.tier3_count],
@@ -196,18 +194,16 @@ def classify_tiers(
     take([a for a in content_providers if a in graph], Tier.CP)
 
     # Small CPs: top ASes by peering degree among the rest.
-    by_peering = [
-        a for a in graph.asns if a not in assigned and graph.peer_degree(a) > 0
-    ]
-    by_peering.sort(key=lambda a: (-graph.peer_degree(a), a))
+    by_peering = [a for a in asns if a not in assigned and peers[a]]
+    by_peering.sort(key=lambda a: (-len(peers[a]), a))
     take(by_peering[: params.small_cp_count], Tier.SMALL_CP)
 
     # Stubs-x / stubs / SMDG.
-    for asn in graph.asns:
+    for asn in asns:
         if asn in assigned:
             continue
-        if not graph.customers(asn):
-            tier_of[asn] = Tier.STUB_X if graph.peers(asn) else Tier.STUB
+        if not customers[asn]:
+            tier_of[asn] = Tier.STUB_X if peers[asn] else Tier.STUB
         else:
             tier_of[asn] = Tier.SMDG
         assigned.add(asn)

@@ -1,5 +1,7 @@
 """Tests for the synthetic topology generator."""
 
+import hashlib
+
 import pytest
 
 from repro.topology import (
@@ -9,6 +11,8 @@ from repro.topology import (
     classify_tiers,
     generate_topology,
 )
+from repro.topology.generate import FAST_ATTACHMENT_MIN_N
+from repro.topology.serial2 import dumps_serial2
 
 
 class TestStructuralInvariants:
@@ -83,6 +87,31 @@ class TestDeterminism:
         b = generate_topology(TopologyParams(n=250, seed=11))
         assert list(a.graph.edges()) == list(b.graph.edges())
         assert a.ixp_members == b.ixp_members
+
+    @pytest.mark.parametrize(
+        "n, serial2_sha, ixp_sha",
+        [
+            (
+                2_200,
+                "64db97cdb60fa9e4cf6408cb2f210ee8eb0ebf7798694ccaafbe4d75bcef656b",
+                "b1eac21755d5ad41412a8dd8cc689fd1158bf53d72aef2890181c1d156abe31c",
+            ),
+            (
+                FAST_ATTACHMENT_MIN_N,
+                "48476964e9cc40d190edb79d0c0bd4436cab226d664fc42969dcb741835b954e",
+                "26850527d55febe20199ca272c428bb04fffb4cf67280a13e5fb799818c0db8a",
+            ),
+        ],
+        ids=["weighted-attachment", "pa-tables"],
+    )
+    def test_topology_is_pinned(self, n, serial2_sha, ixp_sha):
+        """Every seeded scale reproduces its graph byte for byte: a change
+        to the order of the generator's RNG calls fails here."""
+        topo = generate_topology(TopologyParams(n=n, seed=2013))
+        serial2 = dumps_serial2(topo.graph).encode()
+        ixps = repr(sorted(topo.ixp_members.items())).encode()
+        assert hashlib.sha256(serial2).hexdigest() == serial2_sha
+        assert hashlib.sha256(ixps).hexdigest() == ixp_sha
 
     def test_different_seed_different_graph(self):
         a = generate_topology(TopologyParams(n=250, seed=11))

@@ -173,11 +173,22 @@ class TestStructure:
         )
         components = g.connected_components()
         assert sorted(len(c) for c in components) == [2, 2, 2]
+        # equal sizes keep discovery order (insertion order of the ASes)
+        assert components == [{1, 2}, {3, 4}, {5, 6}]
 
     def test_largest_component_first(self):
         g = graph_from_edges(customer_provider=[(1, 2), (2, 3), (4, 5)])
         components = g.connected_components()
         assert components[0] == {1, 2, 3}
+        # a component reached through every relationship, several hops deep
+        g = graph_from_edges(
+            customer_provider=[(8, 9), (1, 2), (3, 2), (4, 3), (20, 21)],
+            peerings=[(4, 5), (6, 1), (7, 6), (22, 23)],
+        )
+        g.add_as(30)
+        assert g.connected_components() == [
+            {1, 2, 3, 4, 5, 6, 7}, {8, 9}, {20, 21}, {22, 23}, {30}
+        ]
 
     def test_cycle_detection_none(self):
         g = graph_from_edges(customer_provider=[(1, 2), (2, 3), (1, 3)])
@@ -196,13 +207,29 @@ class TestStructure:
     def test_validate_passes_on_dag(self):
         g = graph_from_edges(customer_provider=[(1, 2), (2, 3)])
         g.validate()
+        # diamonds and shared providers are not cycles
+        graph_from_edges(
+            customer_provider=[(1, 2), (1, 3), (2, 4), (3, 4), (5, 4), (4, 6)],
+            peerings=[(2, 3), (6, 7)],
+        ).validate()
 
     def test_validate_rejects_cycle(self):
         g = ASGraph()
         g.add_customer_provider(1, 2)
         g.add_customer_provider(2, 1 + 2)  # 2 -> 3
         g.add_customer_provider(3, 1)
-        with pytest.raises(TopologyError, match="cycle"):
+        with pytest.raises(TopologyError, match=r"cycle: \[1, 2, 3\]"):
+            g.validate()
+        # the cycle sits between a customer fringe and a provider above
+        # it; the error names the cycle the DFS finds
+        g = graph_from_edges(
+            customer_provider=[
+                (10, 11), (11, 12), (12, 13), (13, 11), (13, 14), (15, 12),
+            ],
+            peerings=[(10, 14)],
+        )
+        assert g.find_customer_provider_cycle() == [11, 12, 13]
+        with pytest.raises(TopologyError, match=r"cycle: \[11, 12, 13\]"):
             g.validate()
 
     def test_peering_does_not_create_cycle(self):

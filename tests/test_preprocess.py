@@ -55,6 +55,14 @@ class TestLargestComponent:
         removed = keep_largest_component(graph)
         assert set(removed) == {7, 8}
         assert set(graph.asns) == {1, 2, 3}
+        # several fragments, joined to the core through peers: each
+        # smaller one goes, its ASes in sorted order
+        graph = graph_from_edges(
+            customer_provider=[(1, 2), (3, 2), (9, 8), (20, 21)],
+            peerings=[(3, 4), (4, 5), (7, 8), (22, 21)],
+        )
+        assert keep_largest_component(graph) == [7, 8, 9, 20, 21, 22]
+        assert set(graph.asns) == {1, 2, 3, 4, 5}
 
     def test_single_component_untouched(self):
         graph = graph_from_edges(customer_provider=[(1, 2)])
@@ -68,8 +76,15 @@ class TestCycleBreaking:
         graph.add_customer_provider(2, 3)
         graph.add_customer_provider(3, 1)
         removed = break_customer_provider_cycles(graph)
-        assert len(removed) == 1
+        assert removed == [(1, 2)]
         assert graph.find_customer_provider_cycle() is None
+        # two cycles sharing AS 2, each broken at its weakest provider
+        graph = graph_from_edges(
+            customer_provider=[(1, 2), (2, 3), (3, 1), (2, 4), (4, 5), (5, 2),
+                               (6, 3), (7, 3)],
+        )
+        assert break_customer_provider_cycles(graph) == [(3, 1), (2, 4)]
+        graph.validate()
 
     def test_acyclic_untouched(self):
         graph = graph_from_edges(customer_provider=[(1, 2), (2, 3), (1, 3)])

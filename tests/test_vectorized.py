@@ -49,6 +49,7 @@ from repro.core.routing import (
     rollout_happiness_counts,
 )
 from repro.topology import TopologyParams, gadgets, generate_topology
+from repro.topology.graph import ASGraph, graph_from_edges
 from repro.topology.ixp import augment_with_ixp_peering
 
 from test_attacks import CustomerScopeHijack
@@ -651,6 +652,79 @@ class TestRowLayout:
     )
     def test_gadget_rows_too(self, build):
         self._check(RoutingContext(build().graph, vectorized=True))
+
+
+def _ixp_graph():
+    topo = generate_topology(TopologyParams(n=300, seed=2013))
+    return augment_with_ixp_peering(topo.graph, topo.ixp_members).graph
+
+
+class TestCsrBuild:
+    """A numpy context builds its CSR from arrays, and derives the
+    per-relationship index tuples only when a scalar reader asks: both
+    equal what the scalar context's per-AS loop builds."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *(
+                lambda seed=seed: generate_topology(
+                    TopologyParams(n=52, seed=seed)
+                ).graph
+                for seed in (0, 7, 23)
+            ),
+            lambda: gadgets.figure2_protocol_downgrade().graph,
+            lambda: gadgets.figure17_collateral_damage_sec1st().graph,
+            _ixp_graph,
+            lambda: generate_topology(TopologyParams(n=2200, seed=2013)).graph,
+            ASGraph,
+            lambda: graph_from_edges(customer_provider=[(5, 9)]),
+            # ASNs 1..n: the lookup table (the CPs' ASNs make the others
+            # too sparse for it below ~5 000 ASes)
+            lambda: generate_topology(
+                TopologyParams(n=400, seed=3, include_content_providers=False)
+            ).graph,
+            # too sparse an ASN space for a lookup table: binary search
+            lambda: graph_from_edges(
+                customer_provider=[(4_200_000_000, 7), (7, 13), (64_512, 13)],
+                peerings=[(13, 4_200_000_000), (7, 64_512)],
+            ),
+        ],
+        ids=[
+            "diff0", "diff7", "diff23", "figure2", "figure17", "ixp",
+            "medium", "empty", "one-edge", "compact-asns", "32-bit-asns",
+        ],
+    )
+    def test_numpy_csr_equals_scalar(self, build):
+        graph = build()
+        vec = RoutingContext(graph, vectorized=True)
+        pure = RoutingContext(graph, vectorized=False)
+        for name in ("adj_start", "adj_node", "adj_class", "adj_custflag"):
+            assert list(getattr(vec, name)) == list(getattr(pure, name)), name
+        assert vec._has_customers == pure._has_customers
+        assert vec._rel_idx is None
+        assert vec.providers_idx == pure.providers_idx
+        assert vec.customers_idx == pure.customers_idx
+        assert vec.peers_idx == pure.peers_idx
+
+    def test_one_as_graph_builds(self):
+        graph = ASGraph()
+        graph.add_as(7)
+        ctx = RoutingContext(graph, vectorized=True)
+        assert list(ctx.adj_start) == [0, 0] and ctx.providers_idx == [()]
+
+    def test_counts_leave_the_index_tuples_unbuilt(self, graph):
+        """The count path reads the CSR only: the O(V + E) python tuples
+        must not come back on a numpy context that runs nothing else."""
+        ctx = RoutingContext(graph, vectorized=True)
+        (m, d, dep), *_ = _instances(graph, "csr/lazy")
+        chain = [Deployment.empty(), dep.with_simplex_stubs(graph)]
+        pairs = [(m, d), (None, d)]
+        jobs_happiness_counts(ctx, [
+            (pairs, chain, BASELINE, ONE_HOP_HIJACK),  # rows
+            (pairs, chain, SECURITY_MODELS[0], HONEST),  # a walked sweep
+        ])
+        assert ctx._rel_idx is None
 
 
 class TestSharedChainStep:
