@@ -412,23 +412,10 @@ class RoutingContext:
             weakref.WeakValueDictionary()
         )
         self._zero_mask = bytearray(n)
-
-        # The heap loop's scratch buffers, reset (not reallocated)
-        # between pairs.
-        self._fixed = bytearray(n)
-        self._key: list[int] = [_INF] * n
-        self._cls = bytearray(n)
-        self._len: list[int] = [0] * n
-        self._reach = bytearray(n)
-        self._wire = bytearray(n)
-        self._sec = bytearray(n)
-        self._choice: list[int] = [-1] * n
-        self._endpoint = bytearray(n)
-        self._nhops: list[list[int] | None] = [None] * n
-        self._key_init = [_INF] * n
-        self._zeros = bytes(n)
-        self._choice_init = [-1] * n
-        self._nhops_init: list[None] = [None] * n
+        #: the heap loop's scratch (``_fixed`` … ``_nhops_init``): this
+        #: None and the rest unset until the first heap pass allocates
+        #: them (:meth:`_heap_scratch`)
+        self._fixed: bytearray | None = None
         self._last_counts: tuple[int, int, int, int, int, int] = (0,) * 6
         #: Weak reference to the scalar :class:`DestinationSweep` whose
         #: baseline currently lives in the scratch buffers (None after a
@@ -617,11 +604,11 @@ class RoutingContext:
         """The arrays a :meth:`_run_np` call computes in, reused.  A state
         call's are :attr:`_np_scratch`: int64 ``keyq`` (tentative keys;
         ``_NP_INF`` once fixed), ``key`` (final; ``_NP_INF`` for ``_INF``),
-        ``cls``, ``len``, ``reach``, ``wire``, ``sec``, ``choice``, ``endp``,
-        ``chacc`` (the lowest tying offerer so far), bool ``fixed``.  A
-        count call's are the first ``rows·n`` elements of :attr:`_np_rows`
-        (``keyq``, int8 ``reach``/``wire``/``sec``, ``fixed``), grown
-        whenever a call needs more."""
+        ``cls``, ``len``, ``reach``, ``reach_hi``, ``wire``, ``sec``,
+        ``choice``, ``endp``, ``chacc`` (the lowest tying offerer so far),
+        bool ``fixed``.  A count call's are the first ``rows·n`` elements
+        of :attr:`_np_rows` (``keyq``, int8 ``reach``/``reach_hi``/
+        ``wire``/``sec``, ``fixed``), grown whenever a call needs more."""
         np = _np
         n = self.n
         if state:
@@ -629,8 +616,8 @@ class RoutingContext:
                 self._np_scratch = {
                     name: np.zeros(n, np.int64)
                     for name in (
-                        "keyq", "key", "cls", "len", "reach", "wire", "sec",
-                        "choice", "chacc", "endp",
+                        "keyq", "key", "cls", "len", "reach", "reach_hi",
+                        "wire", "sec", "choice", "chacc", "endp",
                     )
                 }
                 self._np_scratch["fixed"] = np.zeros(n, np.bool_)
@@ -639,7 +626,8 @@ class RoutingContext:
         if st is None or len(st["fixed"]) < rows * n:
             size = max(rows, self.batch_rows) * n
             st = self._np_rows = {
-                name: np.zeros(size, np.int8) for name in ("reach", "wire", "sec")
+                name: np.zeros(size, np.int8)
+                for name in ("reach", "reach_hi", "wire", "sec")
             }
             st["keyq"] = np.zeros(size, np.int64)
             st["fixed"] = np.zeros(size, np.bool_)
@@ -819,6 +807,26 @@ class RoutingContext:
                 )
         return attack.resolve(dest_signed=bool(signing[dest_i]), baseline=baseline)
 
+    def _heap_scratch(self) -> None:
+        """Allocate the heap loop's scratch buffers, reset (not
+        reallocated) by every later heap pass; a context whose passes
+        all run :meth:`_run_np` never holds them."""
+        n = self.n
+        self._fixed = bytearray(n)
+        self._key: list[int] = [_INF] * n
+        self._cls = bytearray(n)
+        self._len: list[int] = [0] * n
+        self._reach = bytearray(n)
+        self._wire = bytearray(n)
+        self._sec = bytearray(n)
+        self._choice: list[int] = [-1] * n
+        self._endpoint = bytearray(n)
+        self._nhops: list[list[int] | None] = [None] * n
+        self._key_init = [_INF] * n
+        self._zeros = bytes(n)
+        self._choice_init = [-1] * n
+        self._nhops_init: list[None] = [None] * n
+
     def _run(
         self,
         dest_i: int,
@@ -848,6 +856,8 @@ class RoutingContext:
         self._sweep_owner = None
         self._np_post = None
         n = self.n
+        if self._fixed is None:
+            self._heap_scratch()
         fixed = self._fixed
         key_l = self._key
         cls_b = self._cls
@@ -1036,8 +1046,12 @@ class RoutingContext:
         fills = {"keyq": _NP_INF, "key": _NP_INF, "choice": -1, "chacc": n}
         for name, arr in st.items():
             arr.fill(fills.get(name, 0))
-        keyq, reach_s, wire_s, sec_s, fixed_s = (
-            st[name] for name in ("keyq", "reach", "wire", "sec", "fixed")
+        # The two reach bits accumulate apart, each by np.maximum.at
+        # (numpy has no fast bitwise_or.at): ``reach`` holds the
+        # destination's bit, ``reach_hi`` the attacker's, until the end.
+        keyq, reach_s, reach_hi, wire_s, sec_s, fixed_s = (
+            st[name]
+            for name in ("keyq", "reach", "reach_hi", "wire", "sec", "fixed")
         )
         if state:
             # int64 copies: _np_post keeps the ranking mask, and a sweep
@@ -1101,13 +1115,15 @@ class RoutingContext:
                 # (reach/wire/chacc re-accumulate from the identity).
                 iv = v[improved]
                 reach_s[iv] = 0
+                reach_hi[iv] = 0
                 wire_s[iv] = 1
                 if state:
                     chacc[iv] = n
             tie = k == new
             tv = v[tie]
             rep = rep[tie]
-            np.bitwise_or.at(reach_s, tv, reach_s[F][rep])
+            np.maximum.at(reach_s, tv, reach_s[F][rep])
+            np.maximum.at(reach_hi, tv, reach_hi[F][rep])
             np.minimum.at(wire_s, tv, wi[tie])
             if state:
                 np.minimum.at(chacc, tv, F[rep])
@@ -1129,13 +1145,13 @@ class RoutingContext:
         for r, a in zip(att.tolist(), (rows[r][4] for r in attacked)):
             wire_s[r] = a.wire
             if a.active:
-                reach_s[r] = 2
+                reach_hi[r] = 1
                 groups.setdefault((a.export_all, a.length), []).append(r)
         if state:
             st["endp"][dest_i] = 1
             if att_i >= 0:
                 st["len"][att_i] = attack.length
-                st["endp"][att_i] = reach_s[att_i]
+                st["endp"][att_i] = 2 if attack.active else 0
         relax(dest, True, 1)
         for (exports_all, length), announcing in groups.items():
             relax(np.array(announcing, dtype=int64), exports_all, length + 1)
@@ -1160,6 +1176,7 @@ class RoutingContext:
                 st["endp"][B] = st["endp"][ch]
             relax(B, cls_b == 0, ln_b + 1)
 
+        reach_s |= reach_hi << 1
         counted = fixed_s.copy()
         counted[dest] = counted[att] = False
         counted = counted.reshape(K, n)

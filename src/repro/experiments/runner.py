@@ -138,8 +138,12 @@ def _supervised_worker_main(conn, slot: int) -> None:
     # so its own teardown unwinds); inherited here, that would turn
     # :meth:`SupervisedPool.terminate`'s signal into one more error
     # reply and leave the worker waiting on its pipe for the kill
-    # fallback.  A worker owns nothing to unwind: die on SIGTERM.
+    # fallback.  A worker owns nothing to unwind: die on SIGTERM.  The
+    # fork left SIGTERM blocked (:meth:`SupervisedPool._spawn`), so one
+    # sent before this line is held, not swallowed by the inherited
+    # handler (an asyncio server's is a no-op), and kills us here.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     plan = active_plan()
     while True:
         try:
@@ -252,10 +256,17 @@ class SupervisedPool:
 
     # -- worker lifecycle ----------------------------------------------
     def _spawn(self, slot: int) -> _Worker:
-        """Fork one worker (it snapshots the warm context copy-on-write)."""
+        """Fork one worker (it snapshots the warm context copy-on-write).
+
+        SIGTERM stays blocked across the fork until the child has reset
+        its handler: a :meth:`terminate` that follows a fresh fork at
+        once would otherwise reach the parent's handler in the child,
+        and a worker that survives it holds its own pipe open, so only
+        :meth:`join`'s 10 s kill would end it."""
         ectx = self._ctx_ref()
         global _WORKER_CTX
         _WORKER_CTX = ectx
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
         try:
             parent_conn, child_conn = self._mp.Pipe()
             proc = self._mp.Process(
@@ -265,6 +276,7 @@ class SupervisedPool:
             )
             proc.start()
         finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             _WORKER_CTX = None
         child_conn.close()
         return _Worker(proc, parent_conn, slot)

@@ -112,18 +112,25 @@ def _record_crc(record: dict) -> str:
         {k: record[k] for k in ("hash", "request", "result") if k in record},
         separators=(",", ":"),
     )
+    return _crc(body)
+
+
+def _crc(body: str) -> str:
     return format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "08x")
 
 
-def _build_record(request: EvalRequest, result: MetricResult) -> dict:
-    """The canonical record dict for one put, CRC trailer included."""
+def _build_record(request: EvalRequest, result: MetricResult) -> tuple[dict, str]:
+    """The canonical record dict for one put, CRC trailer included, and
+    its compact JSON line: one serialisation, the CRC spliced in as the
+    last field (exactly ``json.dumps(record, separators=(",", ":"))``)."""
     record = {
         "hash": request.scenario_hash,
         "request": request.canonical(),
         "result": result_to_record(result),
     }
-    record["crc"] = _record_crc(record)
-    return record
+    body = json.dumps(record, separators=(",", ":"))
+    record["crc"] = crc = _crc(body)
+    return record, f'{body[:-1]},"crc":"{crc}"}}'
 
 
 class ResultStoreBase(abc.ABC):
@@ -528,14 +535,15 @@ class ResultStore(ResultStoreBase):
         — still one line of plain JSON, so foreign readers are
         unaffected, but bit-rot is detectable on read.
         """
-        record = _build_record(request, result)
-        return self._write_record(record, faultable=True)
+        return self._write_record(*_build_record(request, result), faultable=True)
 
     def put_record(self, record: dict) -> str:
         """Append a record dict verbatim (the import primitive)."""
-        return self._write_record(dict(record), faultable=False)
+        record = dict(record)
+        text = json.dumps(record, separators=(",", ":"))
+        return self._write_record(record, text, faultable=False)
 
-    def _write_record(self, record: dict, faultable: bool) -> str:
+    def _write_record(self, record: dict, text: str, faultable: bool) -> str:
         scenario_hash = record["hash"]
         handle = self._handle
         if handle is None:
@@ -545,9 +553,7 @@ class ResultStore(ResultStoreBase):
             handle = self._handle = open(self.path, "ab", buffering=0)
         if self._repair_pending:
             self._repair_tail(handle)
-        line = (
-            json.dumps(record, separators=(",", ":")) + "\n"
-        ).encode("utf-8")
+        line = (text + "\n").encode("utf-8")
         fault = None
         if faultable:
             plan = active_plan()
@@ -796,7 +802,7 @@ class SqliteResultStore(ResultStoreBase):
         return record
 
     def put(self, request: EvalRequest, result: MetricResult) -> str:
-        record = _build_record(request, result)
+        record, text = _build_record(request, result)
         scenario_hash = record["hash"]
         fault = None
         plan = active_plan()
@@ -816,7 +822,7 @@ class SqliteResultStore(ResultStoreBase):
                     scenario=scenario_hash,
                 )
             return scenario_hash
-        self._insert(record)
+        self._insert(scenario_hash, text)
         self._parsed[scenario_hash] = record
         # A valid record supersedes any earlier corrupt-only diagnosis.
         self._dead.discard(scenario_hash)
@@ -825,7 +831,7 @@ class SqliteResultStore(ResultStoreBase):
     def put_record(self, record: dict) -> str:
         """Insert a record dict verbatim (the import primitive)."""
         record = dict(record)
-        self._insert(record)
+        self._insert(record["hash"], json.dumps(record, separators=(",", ":")))
         # Not memoized: imported bytes are verified on first read, so a
         # CRC-corrupt import is detected exactly like disk corruption.
         # A *stale* memo from an earlier read must go, though — leaving
@@ -836,13 +842,10 @@ class SqliteResultStore(ResultStoreBase):
         self._dead.discard(record["hash"])
         return record["hash"]
 
-    def _insert(self, record: dict) -> None:
+    def _insert(self, scenario_hash: str, text: str) -> None:
         self._execute(
             "INSERT INTO results (hash, record) VALUES (?, ?)",
-            (
-                record["hash"],
-                json.dumps(record, separators=(",", ":")),
-            ),
+            (scenario_hash, text),
             commit=True,
         )
 

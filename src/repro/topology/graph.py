@@ -16,6 +16,20 @@ from typing import Iterable, Iterator
 
 from .relationships import Relationship
 
+#: The neighbor set of every AS with no neighbors of a kind: one shared
+#: immutable object instead of an empty ``set`` per AS and kind (most
+#: ASes are stubs, with no customers and often no peers).
+_NO_NEIGHBORS: frozenset[int] = frozenset()
+
+
+def _own(table: dict, asn: int) -> set[int]:
+    """``asn``'s neighbor set in ``table``, made a real ``set`` of its
+    own on the AS's first edge of that kind."""
+    nbrs = table[asn]
+    if not nbrs:
+        nbrs = table[asn] = set()
+    return nbrs
+
 
 class TopologyError(ValueError):
     """Raised when an operation would corrupt the topology invariants."""
@@ -27,15 +41,18 @@ class ASGraph:
     The three adjacency maps are exposed through read-only accessors;
     mutation goes through :meth:`add_as`, :meth:`add_customer_provider`,
     :meth:`add_peering` and :meth:`remove_edge` which maintain symmetry
-    and reject conflicting or duplicate edges.
+    and reject conflicting or duplicate edges.  Every AS is a key of all
+    three maps; one without neighbors of a kind maps to a shared empty
+    ``frozenset``, so a stray in-place update raises instead of reaching
+    every such AS.
     """
 
     __slots__ = ("_providers", "_customers", "_peers", "_index_cache")
 
     def __init__(self) -> None:
-        self._providers: dict[int, set[int]] = {}
-        self._customers: dict[int, set[int]] = {}
-        self._peers: dict[int, set[int]] = {}
+        self._providers: dict[int, set[int] | frozenset[int]] = {}
+        self._customers: dict[int, set[int] | frozenset[int]] = {}
+        self._peers: dict[int, set[int] | frozenset[int]] = {}
         self._index_cache: tuple[list[int], dict[int, int]] | None = None
 
     # ------------------------------------------------------------------
@@ -46,9 +63,9 @@ class ASGraph:
         if not isinstance(asn, int) or asn < 0:
             raise TopologyError(f"ASN must be a non-negative int, got {asn!r}")
         if asn not in self._providers:
-            self._providers[asn] = set()
-            self._customers[asn] = set()
-            self._peers[asn] = set()
+            self._providers[asn] = _NO_NEIGHBORS
+            self._customers[asn] = _NO_NEIGHBORS
+            self._peers[asn] = _NO_NEIGHBORS
             self._index_cache = None
 
     def add_customer_provider(self, customer: int, provider: int) -> None:
@@ -63,8 +80,8 @@ class ASGraph:
             raise TopologyError(
                 f"edge {customer}-{provider} already exists with some annotation"
             )
-        self._providers[customer].add(provider)
-        self._customers[provider].add(customer)
+        _own(self._providers, customer).add(provider)
+        _own(self._customers, provider).add(customer)
 
     def add_peering(self, a: int, b: int) -> None:
         """Add a peer-to-peer edge between ``a`` and ``b``."""
@@ -76,8 +93,8 @@ class ASGraph:
             self.add_as(b)
         if self._has_any_edge(a, b):
             raise TopologyError(f"edge {a}-{b} already exists with some annotation")
-        self._peers[a].add(b)
-        self._peers[b].add(a)
+        _own(self._peers, a).add(b)
+        _own(self._peers, b).add(a)
 
     def remove_edge(self, a: int, b: int) -> None:
         """Remove the (unique) edge between ``a`` and ``b``."""
@@ -245,11 +262,11 @@ class ASGraph:
             g.add_as(asn)
         for asn, provs in self._providers.items():
             for p in provs:
-                g._providers[asn].add(p)
-                g._customers[p].add(asn)
+                _own(g._providers, asn).add(p)
+                _own(g._customers, p).add(asn)
         for asn, prs in self._peers.items():
             for q in prs:
-                g._peers[asn].add(q)
+                _own(g._peers, asn).add(q)
         return g
 
     def connected_components(self) -> list[set[int]]:

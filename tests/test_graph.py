@@ -3,6 +3,7 @@
 import pytest
 
 from repro.topology import ASGraph, Relationship, TopologyError, graph_from_edges
+from repro.topology.graph import _NO_NEIGHBORS
 
 
 class TestConstruction:
@@ -237,3 +238,72 @@ class TestStructure:
             customer_provider=[(1, 2)], peerings=[(1, 3), (2, 3)]
         )
         assert g.find_customer_provider_cycle() is None
+
+
+class TestSharedEmptyNeighborSet:
+    """An AS with no neighbors of a kind points at one shared empty
+    ``frozenset``; its first edge of that kind gives it a set of its own,
+    and no graph operation ever mutates the shared one."""
+
+    @staticmethod
+    def _check(g, removed=False):
+        """Every AS keys all three maps, and an empty neighbor set is
+        the shared one (or, once an edge was removed, a set of its own)."""
+        maps = g.adjacency()
+        for s in (s for m in maps for s in m.values() if not s):
+            assert s is _NO_NEIGHBORS or (removed and type(s) is set)
+        assert _NO_NEIGHBORS == frozenset()
+        for m in maps:
+            assert set(m) == set(g)
+        g.validate()
+
+    def test_generated_graph_shares_one_empty_set(self):
+        from repro.topology import TopologyParams, generate_topology
+
+        g = generate_topology(TopologyParams(n=2200, seed=2013)).graph
+        providers, customers, peers = g.adjacency()
+        stubs = [a for a in g if not customers[a]]
+        assert len(stubs) > 1000
+        assert all(customers[a] is _NO_NEIGHBORS for a in stubs)
+        self._check(g)
+
+    def test_mutations_never_touch_the_shared_set(self):
+        g = graph_from_edges(
+            customer_provider=[(1, 2), (3, 2), (4, 3)], peerings=[(1, 3)]
+        )
+        g.add_as(9)
+        self._check(g)
+        assert g.customers(1) is _NO_NEIGHBORS
+        h = g.copy()
+        self._check(h)
+        h.add_customer_provider(9, 1)  # 1's first customer
+        h.add_peering(9, 4)
+        assert not g.customers(1) and not g.peers(9)
+        self._check(h)
+        h.remove_edge(1, 3)
+        h.remove_as(3)
+        self._check(h, removed=True)
+        h.add_peering(1, 4)  # 1's emptied peer set takes an edge again
+        self._check(h, removed=True)
+        self._check(g)
+
+    def test_ixp_and_serial2_round_trip(self):
+        from repro.topology import TopologyParams, generate_topology
+        from repro.topology.ixp import augment_with_ixp_peering
+        from repro.topology.serial2 import dumps_serial2, parse_serial2
+
+        topo = generate_topology(TopologyParams(n=300, seed=7))
+        augmented = augment_with_ixp_peering(topo.graph, topo.ixp_members).graph
+        self._check(augmented)
+        self._check(topo.graph)
+        text = dumps_serial2(augmented)
+        back = parse_serial2(text.splitlines())
+        self._check(back)
+        assert dumps_serial2(back) == text
+
+    def test_stray_update_of_an_empty_set_raises(self):
+        g = graph_from_edges(customer_provider=[(1, 2)])
+        _providers, customers, _peers = g.adjacency()
+        with pytest.raises(AttributeError):
+            customers[1].add(5)
+        assert g.customers(1) == frozenset()

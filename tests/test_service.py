@@ -843,3 +843,24 @@ def test_sigterm_drains_and_takes_pool_workers_down(tmp_path, pid_alive):
     assert returncode == 128 + signal.SIGTERM
     assert exit_s < 5.0
     assert not any(pid_alive(pid) for pid in worker_pids)
+
+
+def test_pool_torn_down_right_after_fork_reaps_promptly(pid_alive):
+    """A pool terminated right after it forked still goes down at once:
+    the fork holds SIGTERM blocked until a worker has reset the handler
+    it inherited — here a no-op one, as an asyncio server installs —
+    instead of the worker swallowing the signal and waiting out
+    ``join``'s 10 s kill."""
+    from repro.experiments import make_context
+
+    previous = signal.signal(signal.SIGTERM, lambda *_: None)
+    try:
+        with make_context("tiny", seed=2013, processes=2) as ectx:
+            for _ in range(8):
+                pids = ectx._ensure_pool().worker_pids
+                started = time.monotonic()
+                ectx.close()
+                assert time.monotonic() - started < 5.0
+                assert not any(pid_alive(pid) for pid in pids)
+    finally:
+        signal.signal(signal.SIGTERM, previous)

@@ -66,7 +66,7 @@ def _result(rng: random.Random, pairs) -> "object":
 
 def _corrupt_record(request: EvalRequest, result) -> dict:
     """A record whose CRC trailer disagrees with its payload."""
-    record = _build_record(request, result)
+    record, _line = _build_record(request, result)
     assert record["crc"] != "00000000"
     record["crc"] = "00000000"
     return record
@@ -141,7 +141,7 @@ class TestConformance:
         store.put(request, old)
         # Read first: memoizes the old record on this handle.
         assert store.get(request.scenario_hash).value == old.value
-        store.put_record(_build_record(request, new))
+        store.put_record(_build_record(request, new)[0])
         assert store.get(request.scenario_hash).value == new.value
         assert (
             store.raw_record(request.scenario_hash)["result"]
@@ -256,6 +256,27 @@ class TestConformance:
         for record in records:
             assert record["crc"] == _record_crc(record)
 
+    def test_put_stores_the_record_serialised_once(self, backend, tmp_path):
+        """A put serialises its record once and splices the CRC in as
+        the last field: what is stored is exactly the record's compact
+        JSON, trailer included."""
+        rng = random.Random(16)
+        request = _request(0)
+        result = _result(rng, request.pairs)
+        record, line = _build_record(request, result)
+        assert list(record) == ["hash", "request", "result", "crc"]
+        assert record["crc"] == _record_crc(record)
+        assert line == json.dumps(record, separators=(",", ":"))
+        store = backend(tmp_path / "cache")
+        store.put(request, result)
+        if backend is ResultStore:
+            stored = store.path.read_text(encoding="utf-8")
+            assert stored == line + "\n"
+        else:
+            ((stored,),) = store._execute("SELECT record FROM results")
+            assert stored == line
+        assert store.raw_record(request.scenario_hash) == record
+
 
 class TestDifferential:
     """Drive both backends with identical op sequences; they must stay
@@ -369,7 +390,7 @@ class TestInterchange:
         rng = random.Random(3)
         request = _request(0)
         result = _result(rng, request.pairs)
-        record = _build_record(request, result)
+        record, _line = _build_record(request, result)
         dump = tmp_path / "dump.jsonl"
         corrupt = dict(record, crc="00000000")
         dump.write_text(

@@ -234,8 +234,9 @@ class TestArraysAreTheState:
     """On a numpy context the arrays are the state: no numpy kernel
     reads or writes the python scratch (the heap loop's working set),
     and python records exist only inside a ``RoutingOutcome``.  A numpy
-    context stripped of that scratch must therefore answer every
-    stub-simplex request, counts and full state, like a scalar one."""
+    context, which allocates that scratch only for a heap pass, must
+    therefore answer every stub-simplex request, counts and full state,
+    like a scalar one, and still hold none of it afterwards."""
 
     PY_SCRATCH = (
         "_fixed", "_key", "_cls", "_len", "_reach",
@@ -251,8 +252,6 @@ class TestArraysAreTheState:
         self, graph, pure_ctx, attack, path, delta_budget
     ):
         bare = RoutingContext(graph, vectorized=True)
-        for name in self.PY_SCRATCH:
-            setattr(bare, name, None)
         delta_budget(path)
         rnd = random.Random(f"vec/bare/{attack.token}")
         asns = graph.asns
@@ -304,6 +303,7 @@ class TestArraysAreTheState:
             assert dict(got.routes) == dict(want.routes)
             assert got.count_happy() == want.count_happy()
             assert got.count_secure_sources() == want.count_secure_sources()
+        assert all(getattr(bare, name, None) is None for name in self.PY_SCRATCH)
 
 
 class TestLazyDependencyIndex:
@@ -838,12 +838,18 @@ class TestKernelSelection:
         assert set(paths.values()) == {"vectorized", "dense"}
 
     def test_transit_simplex_takes_the_heap_loop(
-        self, graph, pure_ctx, vec_ctx, monkeypatch
+        self, graph, pure_ctx, monkeypatch
     ):
         """The full pass is selected from the masks: a numpy context
         enters ``_run_np`` unless some node signs, does not rank and
-        has a customer — then the pass takes the heap loop.  Either
-        way the state equals the scalar context's."""
+        has a customer — then the pass takes the heap loop, and only
+        then does the context allocate the loop's scratch.  Either way
+        the state equals the scalar context's."""
+        vec_ctx = RoutingContext(graph, vectorized=True)
+        assert all(
+            getattr(vec_ctx, name, None) is None
+            for name in TestArraysAreTheState.PY_SCRATCH
+        )
         entries = []
         run_np = RoutingContext._run_np
 
@@ -866,6 +872,7 @@ class TestKernelSelection:
             entries.clear()
             vec = compute_routing_outcome(vec_ctx, d, **kwargs)
             assert bool(entries) == enters
+            assert (vec_ctx._fixed is None) == enters
             pure = compute_routing_outcome(pure_ctx, d, **kwargs)
             assert dict(vec.routes) == dict(pure.routes)
             assert vec.count_happy() == pure.count_happy()
