@@ -67,14 +67,17 @@ bench-pairs:
 	$(PYTHON) tools/alternate_bench.py $(PARENT) . --workload $(WORKLOAD) --pairs $(PAIRS)
 
 ## the measurements behind two constants of repro.core.routing
-## (tools/kernel_crossover.py; ~2 min): VECTORIZED_MIN_N — scalar
+## (tools/kernel_crossover.py; ~3 min): VECTORIZED_MIN_N — scalar
 ## against numpy kernels over a range of graph sizes, both times and
 ## their ratio — then NP_ROWS_BUDGET — the numpy kernel's ms per row at
-## K rows a call.  Asserts no timing; exits nonzero only if the kernels'
-## (or the rows') results differ
+## K rows a call — then the race behind a numpy context's groups all
+## being rows: ms per pair-step of one group of A attackers as rows and
+## as a walked RolloutSweep.  Asserts no timing; exits nonzero only if
+## the kernels' (or the rows', or the two ways') results differ
 crossover:
 	$(PYTHON) tools/kernel_crossover.py
 	$(PYTHON) tools/kernel_crossover.py --rows
+	$(PYTHON) tools/kernel_crossover.py --groups
 
 ## full pytest-benchmark microbenchmark harness
 bench-micro:

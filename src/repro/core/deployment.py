@@ -217,7 +217,7 @@ def tier12_rollout_dense(
     :func:`tier12_rollout` steps appear verbatim in this chain (same
     member sets at the matching Y counts), so the two experiments'
     scenarios dedupe; adjacent steps differ by one ISP and its stubs,
-    which is exactly the shape the rollout-major engine
+    which is exactly the shape a scalar context's rollout-major walk
     (:class:`repro.core.routing.RolloutSweep`) amortizes best.
     """
     t1 = tiers.members(Tier.TIER1)

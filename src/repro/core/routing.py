@@ -46,10 +46,11 @@ per-AS mapping :attr:`RoutingOutcome.routes` are preserved as a thin
 lazily-materialized view over the flat result arrays, so callers keep
 the seed API.  :func:`batch_outcomes` and the count-only fast paths
 amortize deployment-mask construction across whole pair sweeps, and
-:class:`DestinationSweep` goes one step further for the metric's
-destination-major workloads: the attacker-free fixing pass runs once
-per destination and each attacker is evaluated by *delta re-fixing*
-only the region of the graph whose routing record actually changes.
+on a scalar context :class:`DestinationSweep` goes one step further
+for the metric's destination-major workloads: the attacker-free fixing
+pass runs once per destination and each attacker is evaluated by
+*delta re-fixing* only the region of the graph whose routing record
+actually changes.
 On a numpy context (``ctx.vectorized``: by default every graph of
 :data:`VECTORIZED_MIN_N` ASes or more) the same passes
 run as bucket kernels over int64 arrays, and there *the arrays are the
@@ -57,9 +58,10 @@ state*: a numpy kernel never writes the python scratch buffers, a
 sweep's snapshot is a dict of arrays, and the single crossing to python
 objects is :func:`_decode`, which builds the flat fields of a
 :class:`RoutingOutcome` for the callers that ask for full state.
-There the pass is also the unit the count-only entry point
-(:func:`jobs_happiness_counts`) batches: independent ``(m, d, S)``
-passes run as the rows of one bucket loop, K to a numpy call.
+There the pass is also the one unit of the count-only entry point
+(:func:`jobs_happiness_counts`): every ``(m, d, S)`` it is asked for
+is an independent pass, run as a row of one bucket loop, K to a numpy
+call, whatever the size or strategy of its destination group.
 The original dict-based engine survives verbatim in
 :mod:`repro.core.refimpl` for differential testing.
 
@@ -132,20 +134,6 @@ _NP_INF = 1 << 62
 #: 2 200 (table in docs/ARCHITECTURE.md).  Re-run it before moving this.
 VECTORIZED_MIN_N = 500
 
-#: The one threshold of the numpy delta path, as a fraction of ``n``.
-#: The compressed kernel (:mod:`repro.core._delta_np`) cedes to one
-#: dense :meth:`RoutingContext._run_np` pass when its *estimated cost*
-#: — the hard re-wave region plus a quarter-weight for the pruned/tie
-#: nodes its python soft phase must walk — crosses this fraction of
-#: ``n``, the dense pass's cost scale.  Ceding is almost free (the
-#: closure sweep never mutates the scratch state).  The fraction is
-#: deliberately small: one full ``_run_np`` pass is so cheap that the
-#: compressed kernel only wins while the region is tiny relative to
-#: ``n``; the window widens linearly with graph size (at internet scale
-#: a dense pass costs tens of milliseconds, so blast-radius-bound
-#: deltas win by an order of magnitude).
-DELTA_NP_BUDGET = 0.0625
-
 #: Element budget of one :meth:`RoutingContext._run_np` call: it takes
 #: ``max(1, NP_ROWS_BUDGET // n)`` fixing passes as the rows of one
 #: bucket loop (:attr:`RoutingContext.batch_rows` — 109 at 300 ASes, 36
@@ -162,11 +150,6 @@ DELTA_NP_BUDGET = 0.0625
 #: ``sweep_pool_medium``'s ``peak_rss_mb`` 51 → 60).  Re-run it before
 #: moving this.
 NP_ROWS_BUDGET = 1 << 15
-
-
-class _DeltaOversize(Exception):
-    """Internal: the numpy delta's cost estimate crossed its budget and
-    it ceded to the dense pass (nothing mutated, dirty flags cleared)."""
 
 
 def _u8(buf):
@@ -289,8 +272,8 @@ class RoutingContext:
 
     Args:
         graph: the topology to index.
-        vectorized: True runs fixing passes and sweep deltas on the
-            numpy kernels, False on the scalar ones; None (the default)
+        vectorized: True runs fixing passes on the numpy kernels,
+            False on the scalar ones; None (the default)
             picks numpy where it was measured to win — a graph of
             :data:`VECTORIZED_MIN_N` ASes or more, numpy installed.
 
@@ -328,7 +311,6 @@ class RoutingContext:
         "_np_scratch",
         "_np_rows",
         "_np_post",
-        "_np_inv",
         "_neighbor_dicts",
         "_out_edges",
         "_mask_cache",
@@ -400,9 +382,6 @@ class RoutingContext:
         #: :meth:`_run_np` ran it, None after a heap pass — so also
         #: which of the two scratch forms holds that pass's state
         self._np_post: tuple | None = None
-        #: reusable global→compressed index map of the delta kernel
-        #: (int64, -1 outside the active region).
-        self._np_inv = None
         self._neighbor_dicts: tuple[dict, dict, dict] | None = None
         self._out_edges: dict | None = None
         self._mask_cache: dict = {}
@@ -787,9 +766,10 @@ class RoutingContext:
         pass first when the strategy needs the attacker's baseline).
 
         On the per-pair paths a ``needs_baseline`` strategy therefore
-        costs two full fixing passes per pair; the destination-major
-        path (the default everywhere) reads the baseline from the
-        sweep's snapshot instead, so per-pair stays the simple oracle.
+        costs two full fixing passes per pair; the count path shares the
+        baseline instead — a scalar sweep's snapshot, or one
+        attacker-free pass per ``(d, S)`` for a numpy context's rows —
+        so per-pair stays the simple oracle.
         """
         if att_i < 0:
             return DEFAULT_RESOLVED
@@ -1027,7 +1007,7 @@ class RoutingContext:
 
         A call computes only what its counts read, in a scratch of its
         own, and leaves the last state call's result alone.  A ``state``
-        call — one row, from :meth:`_run` and the dense fall-back — also
+        call — one row, from :meth:`_run` and a numpy sweep's delta — also
         tracks the lowest tying offerer and fixes key, class, length,
         choice and endpoint per bucket; its result stays in place: nine
         int64/bool arrays in :attr:`_np_scratch` (the pure kernel's
@@ -1208,8 +1188,8 @@ class RoutingContext:
         ``u``'s offer key equals ``v``'s final key (keys are strictly
         monotone, so a tying offerer fixed before ``v``).
         One whole-CSR batch evaluates every edge at once, and only a
-        reader of next-hop sets pays for it: per-pair count-only
-        workloads and sweeps whose deltas all cede never do.
+        reader of next-hop sets pays for it: count-only workloads never
+        do.
         """
         np = _np
         dest_i, att_i, att_active, att_exp, key_of, rank_np = post
@@ -1711,9 +1691,11 @@ class DestinationSweep:
     while it works; if another computation uses the context in between,
     the next delta detects it (via ``RoutingContext._sweep_owner``) and
     resynchronizes from the snapshot in one ``O(n)`` copy.  On a numpy
-    context the sweep computes on its own arrays and shares nothing.
-    Like the context itself, a sweep is not thread-safe; fork workers
-    each own a clone.
+    context there is no delta: the snapshot is a dict of arrays, and
+    each attacker (or advance) is one dense state pass,
+    :meth:`_delta_dense` (:func:`jobs_happiness_counts` builds no sweep
+    there: its groups are rows).  Like the context itself, a sweep is not thread-safe;
+    fork workers each own a clone.
 
     Example:
         One sweep amortizes many attackers against one destination and
@@ -1778,8 +1760,7 @@ class DestinationSweep:
         self.model = model
         self.attack = attack
         #: the path the most recent delta ran (None before the first):
-        #: ``"pure"`` on a scalar context, ``"vectorized"`` or
-        #: ``"dense"`` on a numpy one.
+        #: ``"pure"`` on a scalar context, ``"dense"`` on a numpy one.
         self.last_delta_path: str | None = None
         self._np_base: dict | None = None
         self._last_res = DEFAULT_RESOLVED
@@ -1821,13 +1802,10 @@ class DestinationSweep:
         :class:`DestinationSweep` never mutates them) and the
         reverse-dependency lists are built on the first delta
         (:meth:`_ensure_dep`).  On a numpy context the snapshot is
-        copies of the bucket kernel's nine state arrays, the numpy
-        delta kernel's two reusable per-delta accumulators and the
-        pass's ``post`` — no python object per AS, and no next-hop
-        membership either: the pairs and the two CSRs over them are
-        built from these copies by whoever first reads them
-        (:meth:`_np_ensure_dep`), which a sweep whose deltas all cede
-        to the dense pass never does.
+        copies of the bucket kernel's nine state arrays and the pass's
+        ``post`` — no python object per AS, and no next-hop membership
+        either: :meth:`baseline_outcome`, its only reader, derives the
+        pairs from these copies when first asked.
         """
         ctx = self.ctx
         self._b_counts = ctx._last_counts
@@ -1854,8 +1832,6 @@ class DestinationSweep:
             self._b_nhops = None
             self._np_base = base
             base["post"] = ctx._np_post
-            base["deadcnt"] = _np.zeros(ctx.n, dtype=_np.int64)
-            base["deadwire"] = _np.zeros(ctx.n, dtype=_np.int64)
             return
         # Inner next-hop lists are shared with the scratch arrays; the
         # delta pass never mutates a restored list (every mutation path
@@ -1887,49 +1863,6 @@ class DestinationSweep:
             self._dep = dep
         return dep
 
-    def _np_ensure_dep(self) -> dict:
-        """The numpy snapshot with its dependency index, which the
-        first reader builds — a compressed delta past its seed layer,
-        :meth:`RolloutSweep._commit` or :meth:`baseline_outcome` — the
-        way :meth:`_ensure_dep` serves a scalar sweep.  The pairs come
-        from the snapshot's own arrays and the ``post`` of the pass
-        they copy (the context's scratch belongs to whichever pass ran
-        last); once a snapshot has pairs they are the truth and are
-        only ever patched by a commit, so ``post`` is dropped."""
-        base = self._np_base
-        if "us" not in base:
-            pairs = self.ctx._np_nhop_pairs(base, base.pop("post"))
-            self._np_attach_dep(base, *pairs)
-        return base
-
-    def _np_attach_dep(self, base: dict, us, vs) -> None:
-        """(Re)build the dependency index the numpy delta kernel walks
-        from the baseline next-hop membership pairs ``(us, vs)``,
-        sorted by ``(v, u)`` — a full set from :meth:`_np_ensure_dep`,
-        a patched one from :meth:`RolloutSweep._commit`: their forward
-        CSR (``nh_start`` into ``us``: v → its BPR set), their reverse
-        CSR (``dep_start``/``dep_v``: u → dependents v), the per-node
-        BPR size ``nhcnt`` and its wire-secure member count
-        ``bwirecnt``."""
-        np = _np
-        n = self.ctx.n
-        base["us"] = us
-        base["vs"] = vs
-        order = np.argsort(us, kind="stable")
-        dep_u = us[order]
-        base["dep_v"] = vs[order]
-        counts = np.bincount(dep_u, minlength=n)
-        dep_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=dep_start[1:])
-        base["dep_start"] = dep_start
-        base["nhcnt"] = nhcnt = np.bincount(vs, minlength=n).astype(np.int64)
-        nh_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(nhcnt, out=nh_start[1:])
-        base["nh_start"] = nh_start
-        bwirecnt = np.zeros(n, dtype=np.int64)
-        np.add.at(bwirecnt, vs, base["wire"][us])
-        base["bwirecnt"] = bwirecnt
-
     # ------------------------------------------------------------------
     @property
     def num_sources(self) -> int:
@@ -1943,8 +1876,12 @@ class DestinationSweep:
     def baseline_outcome(self) -> RoutingOutcome:
         """The attacker-free :class:`RoutingOutcome` (``m = None``)."""
         ctx = self.ctx
-        if self._np_base is not None:
-            base = self._np_ensure_dep()
+        base = self._np_base
+        if base is not None:
+            # next-hop pairs from the snapshot's own arrays and ``post``
+            # (the context's scratch belongs to whichever pass ran last)
+            if "pairs" not in base:
+                base["pairs"] = ctx._np_nhop_pairs(base, base["post"])
             return RoutingOutcome(
                 destination=self.destination,
                 attacker=None,
@@ -1956,7 +1893,7 @@ class DestinationSweep:
                 _dest_i=self._dest_i,
                 _att_i=-1,
                 _counts=self._b_counts,
-                **_decode(base, base["us"], base["vs"]),
+                **_decode(base, *base["pairs"]),
             )
         self._ensure_scratch()
         ctx._last_counts = self._b_counts
@@ -1978,18 +1915,10 @@ class DestinationSweep:
     def outcome(self, attacker: int) -> RoutingOutcome:
         """The full stable state for one attacker (API-compatible with
         :func:`compute_routing_outcome`; computed incrementally on a
-        scalar context).  On a numpy context the decode into python
-        records is most of a full-state answer and one dense pass a
-        fraction of it, so a delta would save nothing: the strategy is
-        resolved against the snapshot and the pass run whole."""
+        scalar context, by one dense pass on a numpy one)."""
         att_i = self._attacker_index(attacker)
         ctx = self.ctx
-        if ctx.vectorized:
-            counts, touched = self._delta_dense(
-                att_i, self._resolve_delta(att_i, False)
-            )
-        else:
-            counts, touched = self._delta(att_i)
+        counts, touched = self._delta(att_i)
         ctx._last_counts = counts
         snap = ctx._snapshot(
             self.destination, attacker, self.deployment, self.model,
@@ -2011,7 +1940,7 @@ class DestinationSweep:
     def _ensure_scratch(self) -> None:
         """Resync the scratch buffers from the snapshot if another
         computation used the context since the last delta (a numpy
-        sweep computes on its own arrays: nothing to resync)."""
+        sweep's deltas are whole passes: nothing to resync)."""
         if self._np_base is not None:
             return
         ctx = self.ctx
@@ -2032,8 +1961,7 @@ class DestinationSweep:
 
     def _restore(self, touched: list[int] | None) -> None:
         """Return every touched scratch entry to its baseline value (a
-        numpy delta, compressed or dense, never wrote one: nothing to
-        undo)."""
+        numpy delta never wrote one: nothing to undo)."""
         if self._np_base is not None:
             return
         ctx = self.ctx
@@ -2072,8 +2000,8 @@ class DestinationSweep:
             dirty[x] = 0
 
     def _resolve_delta(self, att_i: int, advance: bool) -> ResolvedAttack | None:
-        """Resolve the attacker strategy for one delta (shared by every
-        kernel path).  The snapshot holds the attacker-free state, so
+        """Resolve the attacker strategy for one delta (shared by both
+        kernel paths).  The snapshot holds the attacker-free state, so
         ``needs_baseline`` strategies read the attacker's legitimate
         record for free; on an advance the attacker is already rooted in
         the baseline and its resolution was fixed when the chain walker
@@ -2102,7 +2030,7 @@ class DestinationSweep:
         self,
         att_i: int,
         extra_resets: Sequence[int] | None = None,
-    ) -> tuple[tuple[int, int, int, int, int, int], list[int] | dict | None]:
+    ) -> tuple[tuple[int, int, int, int, int, int], list[int] | None]:
         """Delta re-fix for one attacker or advance.
 
         The context selects the implementation, and nothing else does:
@@ -2110,49 +2038,31 @@ class DestinationSweep:
         * a scalar context (``ctx.vectorized`` false) runs the
           interpreted heap loop, :meth:`_delta_pure`, in the python
           scratch: the caller restores or commits ``touched``;
-        * a numpy context runs the compressed bucket kernel
-          (:mod:`repro.core._delta_np`) on the sweep's own arrays — it
-          returns the touched indices of an attacker delta, and of an
-          advance the patch :meth:`RolloutSweep._commit` applies.  Its
-          closure sweep doubles as a cost estimate; past
-          ``n * DELTA_NP_BUDGET`` it cedes, nearly for free, to one
-          dense :meth:`RoutingContext._run_np` pass
-          (:meth:`_delta_dense`, ``touched=None``).
+        * a numpy context runs one dense :meth:`RoutingContext._run_np`
+          state pass (:meth:`_delta_dense`, ``touched=None``).
 
-        All three compute the same bit-identical result; the one that
-        ran is recorded in :attr:`last_delta_path` (``"pure"``,
-        ``"vectorized"`` or ``"dense"``).
+        Both compute the same bit-identical result; the one that ran is
+        recorded in :attr:`last_delta_path` (``"pure"`` or ``"dense"``).
         """
         res = self._resolve_delta(att_i, extra_resets is not None)
         if not self.ctx.vectorized:
             self.last_delta_path = "pure"
             return self._delta_pure(att_i, extra_resets, res)
-        from ._delta_np import delta_np
-
-        try:
-            out = delta_np(
-                self, att_i, extra_resets, res,
-                budget=int(self.ctx.n * DELTA_NP_BUDGET),
-            )
-        except _DeltaOversize:
-            self.last_delta_path = "dense"
-            return self._delta_dense(att_i, res)
-        self.last_delta_path = "vectorized"
-        return out
+        self.last_delta_path = "dense"
+        return self._delta_dense(att_i, res)
 
     def _delta_dense(
         self,
         att_i: int,
         res: ResolvedAttack | None,
     ) -> tuple[tuple[int, int, int, int, int, int], None]:
-        """Full-pass fall-back of the numpy delta: recompute the
-        attacked (or advanced) state from scratch in one vectorized
-        pass — cheaper than a delta whose dirty region stopped being
-        small (a sweep's masks passed ``require_stub_simplex``, so
-        ``_run_np`` takes them).  Returns ``touched=None``; the state
-        is the context's last pass, for :meth:`_take_baseline` (an
-        advance) or :meth:`RoutingContext._snapshot` (:meth:`outcome`)
-        to pick up."""
+        """A numpy context's delta: recompute the attacked (or
+        advanced) state from scratch in one vectorized pass (a sweep's
+        masks passed ``require_stub_simplex``, so ``_run_np`` takes
+        them).  Returns ``touched=None``; the state is the context's
+        last pass, for :meth:`_take_baseline` (an advance) or
+        :meth:`RoutingContext._snapshot` (:meth:`outcome`) to pick
+        up."""
         ctx = self.ctx
         row = (
             self._dest_i, att_i, self._signing, self._ranking,
@@ -2840,9 +2750,11 @@ class RolloutSweep(DestinationSweep):
     what they re-announce — using the same boundary-invalidation and
     knife-edge-tie machinery as the attacker delta, and then *commits*
     the touched entries into the baseline snapshot instead of restoring
-    them.
+    them.  (On a numpy context an advance, like an attacker, is one
+    dense pass, whose state becomes the new snapshot.)
 
-    Two further chain-structure savings stack on top:
+    Two further chain-structure savings stack on top on a scalar
+    context:
 
     * the reverse-dependency lists are patched (append-only) for the
       committed entries instead of being rebuilt per step — stale
@@ -2939,16 +2851,14 @@ class RolloutSweep(DestinationSweep):
             ranking[i] = 1
         if not seeds:
             return
-        counts, delta = self._delta(self._root_att, extra_resets=seeds)
-        if delta is None:
-            # Dense fall-back: the full pass just recomputed the whole
-            # advanced state, so adopt it wholesale — fresh snapshot,
-            # no valid memo regions, dependency bookkeeping reset.
+        counts, touched = self._delta(self._root_att, extra_resets=seeds)
+        if touched is None:
+            # A numpy context's delta is one full pass of the advanced
+            # state: adopt it wholesale as a fresh snapshot (its sweeps
+            # memoize nothing and keep no dependency lists).
             self._take_baseline()
-            self._memo.clear()
-            self._dep_slack = 0
             return
-        self._commit(counts, delta, seeds)
+        self._commit(counts, touched, seeds)
 
     def _rebuild(self) -> None:
         """Full re-fix fallback (destination signing flipped)."""
@@ -2965,99 +2875,73 @@ class RolloutSweep(DestinationSweep):
     def _commit(
         self,
         counts: tuple[int, int, int, int, int, int],
-        delta: list[int] | dict,
+        touched: list[int],
         seeds: Sequence[int],
     ) -> None:
-        """Adopt the advance's re-fixed state as the new baseline.
-
-        The sweep's one snapshot form is updated in place.  The numpy
-        base takes ``delta``, the patch :func:`repro.core._delta_np.delta_np`
-        built, by fancy indexing and gets its dependency CSRs rebuilt
-        from the committed pair set; the python baselines copy the
-        ``delta`` (touched) entries from the scratch buffers and patch
-        the ``dep`` lists append-only.
+        """Adopt a scalar advance's re-fixed state as the new baseline:
+        copy the touched entries from the scratch buffers into the
+        python snapshot and patch the ``dep`` lists append-only.
         """
         ctx = self.ctx
         self._b_counts = counts
-        if self._np_base is not None:
-            np = _np
-            base = self._np_ensure_dep()
-            touched = delta["touched"]
-            for rows, fields in delta["writes"]:
-                for name, column in fields.items():
-                    base[name][rows] = column
-            # The numpy dependency CSR has no harmless-staleness story
-            # (the closure counts dead BPR members against exact set
-            # sizes), so rebuild it from the committed pair set: the
-            # patch's membership rows replace those of every node whose
-            # BPR set the advance rebuilt.
-            drop = np.zeros(ctx.n, dtype=np.bool_)
-            drop[delta["rebuilt"]] = True
-            keep = ~drop[base["vs"]]
-            us = np.concatenate([base["us"][keep], delta["us"]])
-            vs = np.concatenate([base["vs"][keep], delta["vs"]])
-            order = np.argsort(vs * ctx.n + us)
-            self._np_attach_dep(base, us[order], vs[order])
-        else:
-            touched = delta
-            fixed = ctx._fixed
-            key_l = ctx._key
-            cls_b = ctx._cls
-            len_l = ctx._len
-            reach_b = ctx._reach
-            wire_b = ctx._wire
-            sec_b = ctx._sec
-            choice_l = ctx._choice
-            endp_b = ctx._endpoint
-            nhops = ctx._nhops
-            b_nhops = self._b_nhops
-            b_fixed = self._b_fixed
-            b_key = self._b_key
-            b_cls = self._b_cls
-            b_len = self._b_len
-            b_reach = self._b_reach
-            b_wire = self._b_wire
-            b_sec = self._b_sec
-            b_choice = self._b_choice
-            b_endp = self._b_endpoint
-            dep = self._dep  # built by the pure delta that just ran
-            dirty = self._dirty
-            appended = 0
-            for x in touched:
-                b_fixed[x] = fixed[x]
-                b_key[x] = key_l[x]
-                b_cls[x] = cls_b[x]
-                b_len[x] = len_l[x]
-                b_reach[x] = reach_b[x]
-                b_wire[x] = wire_b[x]
-                b_sec[x] = sec_b[x]
-                b_choice[x] = choice_l[x]
-                b_endp[x] = endp_b[x]
-                old = b_nhops[x]
-                h = nhops[x]
-                b_nhops[x] = h
-                dirty[x] = 0
-                if h is not None and fixed[x]:
-                    # Append-only dependency patch: entries for dropped
-                    # memberships go stale, and re-appearing memberships
-                    # duplicate — both at worst re-reset a node whose
-                    # record would have survived, never incorrect.  Only
-                    # genuinely new-vs-the-replaced-record memberships
-                    # are appended, and the periodic rebuild below bounds
-                    # the accumulated slack on long chains.
-                    for u in h:
-                        if old is None or u not in old:
-                            dep[u].append(x)
-                            appended += 1
-            self._dep_slack += appended
-            if self._dep_slack > ctx.n:
-                # Stale and duplicated entries only cost harmless extra
-                # resets, but on a long chain they would accumulate; one
-                # linear rebuild per ~n appended entries keeps every dep
-                # list exact at amortized O(1) per commit.
-                self._dep = None
-                self._ensure_dep()
-                self._dep_slack = 0
+        fixed = ctx._fixed
+        key_l = ctx._key
+        cls_b = ctx._cls
+        len_l = ctx._len
+        reach_b = ctx._reach
+        wire_b = ctx._wire
+        sec_b = ctx._sec
+        choice_l = ctx._choice
+        endp_b = ctx._endpoint
+        nhops = ctx._nhops
+        b_nhops = self._b_nhops
+        b_fixed = self._b_fixed
+        b_key = self._b_key
+        b_cls = self._b_cls
+        b_len = self._b_len
+        b_reach = self._b_reach
+        b_wire = self._b_wire
+        b_sec = self._b_sec
+        b_choice = self._b_choice
+        b_endp = self._b_endpoint
+        dep = self._dep  # built by the pure delta that just ran
+        dirty = self._dirty
+        appended = 0
+        for x in touched:
+            b_fixed[x] = fixed[x]
+            b_key[x] = key_l[x]
+            b_cls[x] = cls_b[x]
+            b_len[x] = len_l[x]
+            b_reach[x] = reach_b[x]
+            b_wire[x] = wire_b[x]
+            b_sec[x] = sec_b[x]
+            b_choice[x] = choice_l[x]
+            b_endp[x] = endp_b[x]
+            old = b_nhops[x]
+            h = nhops[x]
+            b_nhops[x] = h
+            dirty[x] = 0
+            if h is not None and fixed[x]:
+                # Append-only dependency patch: entries for dropped
+                # memberships go stale, and re-appearing memberships
+                # duplicate — both at worst re-reset a node whose
+                # record would have survived, never incorrect.  Only
+                # genuinely new-vs-the-replaced-record memberships
+                # are appended, and the periodic rebuild below bounds
+                # the accumulated slack on long chains.
+                for u in h:
+                    if old is None or u not in old:
+                        dep[u].append(x)
+                        appended += 1
+        self._dep_slack += appended
+        if self._dep_slack > ctx.n:
+            # Stale and duplicated entries only cost harmless extra
+            # resets, but on a long chain they would accumulate; one
+            # linear rebuild per ~n appended entries keeps every dep
+            # list exact at amortized O(1) per commit.
+            self._dep = None
+            self._ensure_dep()
+            self._dep_slack = 0
         if self._memo:
             changed = set(touched)
             changed.update(seeds)
@@ -3082,26 +2966,14 @@ class RolloutSweep(DestinationSweep):
         # their neighbors (gather sources and boundary targets), so that
         # region is the memo's validity certificate.  Tracking it only
         # pays when the region is small — which is also exactly when the
-        # next advance is likely to miss it.  A dense fall-back
-        # (``touched is None``) read everything: nothing to memoize.
+        # next advance is likely to miss it.  A numpy context's dense
+        # pass (``touched is None``) read everything: nothing to memoize.
         if touched is not None and len(touched) <= self.ctx.n >> 3:
             region = set(touched)
-            if self.ctx.vectorized:
-                np = _np
-                start, node, *_ = self.ctx._np_adjacency()
-                t = np.asarray(touched, dtype=np.int64)
-                s = start[t]
-                cnt = start[t + 1] - s
-                tot = int(cnt.sum())
-                if tot:
-                    cend = np.cumsum(cnt)
-                    eidx = np.repeat(s - (cend - cnt), cnt) + np.arange(tot)
-                    region.update(np.unique(node[eidx]).tolist())
-            else:
-                edges = self.ctx._edges
-                for x in touched:
-                    for e in edges[x]:
-                        region.add(e >> 3)
+            edges = self.ctx._edges
+            for x in touched:
+                for e in edges[x]:
+                    region.add(e >> 3)
             self._memo[att_i] = (
                 frozenset(region),
                 (counts[0] - b[0], counts[1] - b[1]),
@@ -3128,7 +3000,7 @@ class _AttackerChain(RolloutSweep):
     not maintain.  The destination's own signing flip re-resolves and
     rebuilds (via :meth:`RolloutSweep._rebuild` → :meth:`_run_baseline`).
     :func:`jobs_happiness_counts` walks these on scalar contexts only:
-    on a numpy one each ``(attacker, step)`` is a kernel row.
+    on a numpy one every ``(attacker, step)`` is a kernel row.
     """
 
     __slots__ = ()
@@ -3173,11 +3045,11 @@ class _AttackerChain(RolloutSweep):
         return b[0], b[1], self.ctx.n - 2
 
 
-#: Destination groups with at most this many attackers are not walked
-#: as deltas of one shared baseline: paying the attack's blast radius
-#: again at every step loses to one pass an attacker and step (rows, on
-#: a numpy context) and to one full attacked pass plus cheap advances
-#: (an :class:`_AttackerChain` an attacker, on a scalar one).
+#: On a scalar context, destination groups with at most this many
+#: attackers are not walked as deltas of one shared baseline: paying the
+#: attack's blast radius again at every step loses to one full attacked
+#: pass plus cheap advances (an :class:`_AttackerChain` an attacker).
+#: A numpy context has no such choice: every group is rows.
 _ATTACKER_CHAIN_MAX = 3
 
 
@@ -3204,23 +3076,26 @@ def jobs_happiness_counts(
     of one step, none is zero steps, ``[]``) and stub-simplex
     (:meth:`RoutingContext.require_stub_simplex`): every job is checked
     before any pass, so a bad job raises ``ValueError`` with nothing
-    computed, whatever the pairs are.  Pairs are grouped by destination,
-    and a group's shape picks how it is evaluated (only a walked group
+    computed, whatever the pairs are.  Pairs are grouped by destination.
+    On a numpy context every group is evaluated one way:
+
+    * **rows**: a numpy pass costs the same whatever it shares with the
+      pass before it, so every ``(d, m, S_t)`` is one independent row
+      of :meth:`RoutingContext._run_np`, and the rows of *all* jobs
+      that share a model run :attr:`RoutingContext.batch_rows` to a
+      call.  A ``needs_baseline`` strategy resolves every attacker of
+      a ``(d, S_t)`` from one attacker-free state pass.
+
+    On a scalar context the group's shape picks (only a walked group
     needs what each step changes, :func:`_chain_step`, worked out once
     a job):
 
-    * **rows** (numpy context, ``≤ 3`` attackers, step-stable
-      strategy — the paper's rollout sampling): nothing such a chain
-      step computes depends on the step before it, so every
-      ``(d, m, S_t)`` is one independent row of
-      :meth:`RoutingContext._run_np`, and the rows of *all* jobs that
-      share a model run :attr:`RoutingContext.batch_rows` to a call;
     * **one pass a pair** (one step, at most one attacker): plain
       fixing passes beat a sweep's snapshot and dependency index;
-    * **attacker chains** (scalar context, several steps, ``≤ 3``
-      attackers, step-stable strategy): one :class:`_AttackerChain` per
-      attacker — a full attacked pass at ``S_0``, then a single
-      ``O(changed)`` advance per step;
+    * **attacker chains** (several steps, ``≤ 3`` attackers, step-stable
+      strategy): one :class:`_AttackerChain` per attacker — a full
+      attacked pass at ``S_0``, then a single ``O(changed)`` advance
+      per step;
     * **a shared sweep** (everything else — many attackers, or a
       ``needs_baseline`` strategy): one :class:`RolloutSweep`
       (:class:`DestinationSweep` for one step) — the attacker-free
@@ -3244,8 +3119,8 @@ def jobs_happiness_counts(
         checked.append((list(pairs), deployments, model, attack))
     results: list[list[list]] = []
     #: model → (dest_i, att_i, deployment, attack, step's out, pair
-    #: indices, sources) per row, a job's rows step-major so that rows
-    #: sharing a deployment's masks are neighbours
+    #: indices, sources) per row, a job's rows step-major and then by
+    #: destination, so that the rows of one ``(d, S_t)`` are neighbours
     rows: dict[RankModel, list[tuple]] = {}
     for pairs, deployments, model, attack in checked:
         out: list[list] = [[None] * len(pairs) for _ in deployments]
@@ -3260,8 +3135,7 @@ def jobs_happiness_counts(
             groups.setdefault(d, {}).setdefault(m, []).append(i)
         for d, by_attacker in groups.items():
             attackers = len(by_attacker) - (None in by_attacker)
-            few = attackers <= _ATTACKER_CHAIN_MAX and not attack.needs_baseline
-            if ctx.vectorized and few:
+            if ctx.vectorized:
                 for m, idxs in by_attacker.items():
                     row_groups.append(
                         (*ctx._check_pair(d, m), idxs, n - (1 if m is None else 2))
@@ -3283,6 +3157,7 @@ def jobs_happiness_counts(
                         _chain_step(ctx, old, new)
                         for old, new in zip(deployments, deployments[1:])
                     ]
+                few = attackers <= _ATTACKER_CHAIN_MAX and not attack.needs_baseline
                 _walk_group(
                     ctx, d, by_attacker, deployments, steps, model, attack, out,
                     chains=bool(few and chain and attackers),
@@ -3294,17 +3169,30 @@ def jobs_happiness_counts(
                     (dest_i, att_i, deployment, attack, step_out, idxs, sources)
                 )
     for model, model_rows in rows.items():
+        #: the ``(dest_i, deployment)`` whose attacker-free state pass is
+        #: in the context's scratch (count rows never write it)
+        baseline_of = None
         for at in range(0, len(model_rows), ctx.batch_rows):
             batch = model_rows[at : at + ctx.batch_rows]
             kernel_rows = []
             for dest_i, att_i, deployment, attack, *_ in batch:
                 signing, ranking = ctx.deployment_masks(deployment)
-                kernel_rows.append((
-                    dest_i, att_i, signing, ranking,
-                    ctx._resolve_attack(
+                if att_i < 0 or not attack.needs_baseline:
+                    resolved = ctx._resolve_attack(
                         dest_i, att_i, signing, ranking, model, attack
-                    ),
-                ))
+                    )
+                else:
+                    if baseline_of != (dest_i, deployment):
+                        ctx._run(dest_i, -1, signing, ranking, model)
+                        baseline_of = (dest_i, deployment)
+                    st = ctx._np_scratch
+                    resolved = attack.resolve(
+                        dest_signed=bool(signing[dest_i]),
+                        baseline=_attacker_baseline(
+                            st["fixed"], st["len"], st["wire"], att_i
+                        ),
+                    )
+                kernel_rows.append((dest_i, att_i, signing, ranking, resolved))
             for row, counts in zip(batch, ctx._run_np(kernel_rows, model)):
                 *_, step_out, idxs, sources = row
                 for i in idxs:

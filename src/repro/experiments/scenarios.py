@@ -25,8 +25,10 @@ stored scenario hash, so treat them as a stable format):
    average, so pair order never affects the value, and sorting makes
    equal pair *sets* collide onto one scenario; grouping by destination
    additionally hands the evaluation layer contiguous attacker runs per
-   destination, which is what the destination-major routing engine
-   (:class:`repro.core.routing.DestinationSweep`) amortizes over.
+   destination, which the count path
+   (:func:`repro.core.routing.jobs_happiness_counts`) groups by: a
+   scalar context's sweeps and a numpy context's attacker-free passes
+   are shared per destination.
 3. The deployment is stored as two sorted ASN tuples, ``full`` and
    ``simplex`` membership (the §5.3.2 modes rank differently, so they
    are part of the identity).

@@ -8,8 +8,7 @@ One :class:`Service` owns
 * a small LRU of resident :class:`~repro.experiments.runner.
   ExperimentContext`\\ s keyed by (scale, seed, ixp) — the expensive
   part of a cold metric is topology construction and pool warm-up, so
-  the service keeps them hot the way ``RolloutSweep`` keeps chain state
-  hot,
+  the service keeps them hot across requests,
 * a single-flight map: concurrent requests for the same scenario hash
   share one pool evaluation, with per-entry waiter refcounts so a
   deadline-expired or disconnected client *detaches* without killing

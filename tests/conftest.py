@@ -56,29 +56,6 @@ def rng():
 
 
 @pytest.fixture()
-def delta_budget(monkeypatch):
-    """Pin the numpy delta's one threshold until the next call.
-
-    ``delta_budget("vectorized")`` keeps every delta of a numpy context
-    on the compressed kernel and ``delta_budget("dense")`` sends every
-    one to the dense pass — the argument is the ``last_delta_path`` the
-    deltas that follow must report.  The module constant is the only
-    seam: a sweep takes no argument that selects its delta path.
-    """
-    # The compressed kernel's cost estimate is at most 1.25 n (every
-    # node hard-reset, plus a quarter-weight for every touched node), so
-    # a budget of 2 n never cedes; the first closure layer exceeds 0.
-    fractions = {"vectorized": 2.0, "dense": 0.0}
-
-    def pin(path: str) -> None:
-        monkeypatch.setattr(
-            "repro.core.routing.DELTA_NP_BUDGET", fractions[path]
-        )
-
-    return pin
-
-
-@pytest.fixture()
 def count_calls(monkeypatch):
     """``count_calls(cls, name)`` wraps ``cls.name`` until the test ends
     and returns the one-item list holding how often it was called (the

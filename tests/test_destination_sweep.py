@@ -255,12 +255,12 @@ def test_per_pair_engine_still_evaluates_transit_simplex(vectorized):
 
 @pytest.mark.parametrize("ixp", [False, True], ids=["base", "ixp"])
 @pytest.mark.parametrize("seed", SEEDS[:6])
-def test_delta_kernels_bit_identical(seed, ixp, delta_budget):
-    """A numpy context's two delta paths — the compressed kernel and the
-    dense pass — replay a scalar context's pure loop exactly: counts for
-    every attacker, full outcomes, and a leak-free restore (verified by
-    re-querying).  The context alone selects: pure never runs on a
-    numpy context, nothing else ever runs on a scalar one."""
+def test_delta_kernels_bit_identical(seed, ixp):
+    """A numpy context's delta — one dense pass — replays a scalar
+    context's pure loop exactly: counts for every attacker, full
+    outcomes, and a leak-free restore (verified by re-querying).  The
+    context alone selects: pure never runs on a numpy context, nothing
+    else ever runs on a scalar one."""
     pytest.importorskip("numpy")
     graph, destination, attackers, deployment = make_instance(seed, ixp)
     scalar = RoutingContext(graph)
@@ -271,20 +271,14 @@ def test_delta_kernels_bit_identical(seed, ixp, delta_budget):
         assert pure.last_delta_path == "pure"
         routes = [dict(pure.outcome(m).routes) for m in attackers[:3]]
         assert pure.happiness_counts(attackers[0]) == want[0], model.label
-        for path in ("vectorized", "dense"):
-            delta_budget(path)
-            sweep = DestinationSweep(
-                RoutingContext(graph, vectorized=True),
-                destination, deployment, model,
-            )
-            for m, counts in zip(attackers, want):
-                assert sweep.happiness_counts(m) == counts, (model.label, path, m)
-                assert sweep.last_delta_path == path
-            for m, expected in zip(attackers, routes):
-                assert dict(sweep.outcome(m).routes) == expected, (
-                    model.label, path, m,
-                )
-                assert sweep.last_delta_path == path
-            assert sweep.happiness_counts(attackers[0]) == want[0], (
-                model.label, path,
-            )
+        sweep = DestinationSweep(
+            RoutingContext(graph, vectorized=True),
+            destination, deployment, model,
+        )
+        for m, counts in zip(attackers, want):
+            assert sweep.happiness_counts(m) == counts, (model.label, m)
+            assert sweep.last_delta_path == "dense"
+        for m, expected in zip(attackers, routes):
+            assert dict(sweep.outcome(m).routes) == expected, (model.label, m)
+            assert sweep.last_delta_path == "dense"
+        assert sweep.happiness_counts(attackers[0]) == want[0], model.label

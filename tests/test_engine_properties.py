@@ -22,15 +22,15 @@ theorems) with invariants of the *engine mechanics* on random inputs:
   numpy context equals the reference engine;
 * **every sweep path is the same function** — a random nested
   deployment chain walked by ``RolloutSweep`` and ``_AttackerChain`` on
-  a scalar context and on a numpy context under both budget settings
-  equals fresh sweeps per step, the per-pair engine and the reference
+  a scalar context (delta re-fixing) and on a numpy context (one dense
+  pass a delta) equals fresh sweeps per step, the per-pair engine and the reference
   engine (the tier-1 seed of the standing differential fuzzer).
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -223,18 +223,9 @@ def nested_chains(draw):
 
 
 class TestSweepPathsAgree:
-    @settings(
-        DEFAULT_SETTINGS,
-        # delta_budget only pins a module constant, and every example
-        # pins it again before the deltas that depend on it.
-        suppress_health_check=[
-            HealthCheck.too_slow, HealthCheck.function_scoped_fixture
-        ],
-    )
+    @DEFAULT_SETTINGS
     @given(nested_chains())
-    def test_chain_walks_equal_fresh_sweeps_and_oracles(
-        self, delta_budget, instance
-    ):
+    def test_chain_walks_equal_fresh_sweeps_and_oracles(self, instance):
         pytest.importorskip("numpy")
         graph, d, m, chain, model, attack = instance
         sources = len(graph.asns) - 2
@@ -248,10 +239,8 @@ class TestSweepPathsAgree:
                 graph, d, deployment=deployment, model=model
             )
             want.append(((*ref.count_happy(), sources), free.count_happy()))
-        for path in ("pure", "vectorized", "dense"):
+        for path in ("pure", "dense"):
             ctx = RoutingContext(graph, vectorized=path != "pure")
-            if path != "pure":
-                delta_budget(path)
             walker = RolloutSweep(ctx, d, chain[0], model, attack)
             rooted = _AttackerChain(ctx, d, m, chain[0], model, attack)
             for t, deployment in enumerate(chain):

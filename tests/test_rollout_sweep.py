@@ -19,7 +19,8 @@ simplex-stub variants, prefixed with S = ∅) x all rank models
 (baseline + three placements + LP2 variants) x ±IXP x all four shipped
 attacker strategies, with attacker sets that include destination
 neighbors, many-attacker groups (exercising the shared-baseline memo
-walk), and a chain step that secures an attacker itself.
+walk on a scalar context, count rows on a numpy one), and a chain step
+that secures an attacker itself.
 """
 
 from __future__ import annotations
@@ -98,8 +99,10 @@ def chain_pairs(graph, seed: int, destinations: int, attackers: int):
     return pairs
 
 
-def assert_chain_matches_oracles(graph, pairs, chain, model, attack, refimpl_budget=0):
-    ctx = RoutingContext(graph)
+def assert_chain_matches_oracles(
+    graph, pairs, chain, model, attack, refimpl_budget=0, vectorized=None
+):
+    ctx = RoutingContext(graph, vectorized=vectorized)
     rollout = rollout_happiness_counts(ctx, pairs, chain, model, attack=attack)
     for t, deployment in enumerate(chain):
         dest_major = batch_happiness_counts(
@@ -163,6 +166,24 @@ def test_chains_match_oracles_all_strategies(attack):
         )
 
 
+@pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=lambda a: a.token)
+def test_numpy_rows_match_oracles_all_strategies(attack):
+    """The same four threat models on a numpy context, where every
+    destination group is count rows: groups of two attackers and groups
+    above _ATTACKER_CHAIN_MAX (an ``honest`` group resolves all of its
+    attackers from one attacker-free pass per step)."""
+    pytest.importorskip("numpy")
+    graph, tiers = make_topology(5)
+    chain = make_chain(graph, tiers, "tier12")
+    for attackers in (2, _ATTACKER_CHAIN_MAX + 1):
+        pairs = chain_pairs(graph, 5, destinations=3, attackers=attackers)
+        for model in (BASELINE, SECURITY_MODELS[0], SECURITY_MODELS[1]):
+            assert_chain_matches_oracles(
+                graph, pairs, chain, model, attack,
+                refimpl_budget=3, vectorized=True,
+            )
+
+
 def test_chain_step_secures_an_attacker():
     """A step that secures an AS which is itself attacking: the secured
     attacker keeps announcing its resolved claim (the paper's attacker
@@ -186,16 +207,22 @@ def test_chain_step_secures_an_attacker():
         )
 
 
-def test_many_attacker_groups_use_shared_baseline_walk():
-    """Groups above _ATTACKER_CHAIN_MAX take the shared-baseline delta
-    walk with the cross-step memo; results still match oracles."""
+@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "numpy"])
+def test_many_attacker_groups_match_oracles(vectorized):
+    """Groups above _ATTACKER_CHAIN_MAX match the oracles on both
+    contexts: a scalar one walks them as deltas of one shared baseline
+    with the cross-step memo, a numpy one runs them as count rows."""
+    if vectorized:
+        pytest.importorskip("numpy")
     graph, tiers = make_topology(7)
     chain = make_chain(graph, tiers, "tier12_dense")
     pairs = chain_pairs(
         graph, 7, destinations=2, attackers=_ATTACKER_CHAIN_MAX + 4
     )
     for model in ALL_MODELS:
-        assert_chain_matches_oracles(graph, pairs, chain, model, ONE_HOP_HIJACK)
+        assert_chain_matches_oracles(
+            graph, pairs, chain, model, ONE_HOP_HIJACK, vectorized=vectorized
+        )
 
 
 def test_none_attacker_rows_walk_with_the_chain():
@@ -390,23 +417,21 @@ class TestRolloutSweep:
 
 class TestDeltaKernelsOnChains:
     """Advance-mode deltas (rollout commits, attacker-rooted chains) run
-    through the same three kernels as attacker deltas; a numpy context's
-    compressed and dense paths must replay a scalar context's pure walk
-    bit for bit at every step."""
+    through the same two kernels as attacker deltas; a numpy context's
+    dense pass must replay a scalar context's pure walk bit for bit at
+    every step."""
 
     @staticmethod
     def _walkers(graph, make):
-        """One walker per delta path, each on its own context: the
-        scalar one, and a numpy one per pinned budget."""
+        """One walker per delta path, each on its own context."""
         return {
             "pure": make(RoutingContext(graph, vectorized=False)),
-            "vectorized": make(RoutingContext(graph, vectorized=True)),
             "dense": make(RoutingContext(graph, vectorized=True)),
         }
 
     @pytest.mark.parametrize("kind", ["tier12", "tier12_simplex", "tier2"])
     @pytest.mark.parametrize("seed", [3, 9])
-    def test_rollout_advances_bit_identical(self, seed, kind, delta_budget):
+    def test_rollout_advances_bit_identical(self, seed, kind):
         pytest.importorskip("numpy")
         graph, tiers = make_topology(seed, ixp=seed % 2 == 1)
         chain = make_chain(graph, tiers, kind)
@@ -420,8 +445,6 @@ class TestDeltaKernelsOnChains:
             for si, step in enumerate(chain):
                 pure = None
                 for path, w in walkers.items():
-                    if path != "pure":
-                        delta_budget(path)
                     if si:
                         w.advance(step)
                         assert w.last_delta_path == path, (si, path)
@@ -435,7 +458,7 @@ class TestDeltaKernelsOnChains:
 
     @pytest.mark.parametrize("attack", [ONE_HOP_HIJACK, FORGED_ORIGIN],
                              ids=lambda a: a.token)
-    def test_attacker_chain_bit_identical(self, attack, delta_budget):
+    def test_attacker_chain_bit_identical(self, attack):
         pytest.importorskip("numpy")
         graph, tiers = make_topology(5)
         chain = make_chain(graph, tiers, "tier12")
@@ -450,8 +473,6 @@ class TestDeltaKernelsOnChains:
                 )
                 for si, step in enumerate(chain):
                     for path, c in chains.items():
-                        if path != "pure":
-                            delta_budget(path)
                         if si:
                             c.advance(step)
                         assert (

@@ -2,10 +2,12 @@
 """The measurements that own two constants of ``repro.core.routing``:
 ``VECTORIZED_MIN_N`` — scalar against numpy kernels over a range of
 graph sizes — and, with ``--rows``, ``NP_ROWS_BUDGET`` — the numpy
-bucket kernel at K rows a call against one.
+bucket kernel at K rows a call against one; and, with ``--groups``, the
+race behind a numpy context evaluating every destination group as rows.
 
     python tools/kernel_crossover.py [--sizes 60 120 …] [--repeats 3]
     python tools/kernel_crossover.py --rows [--sizes …] [--repeats 3]
+    python tools/kernel_crossover.py --groups [--sizes …] [--repeats 3]
 
 For each size N the graph is built once (``medium``'s sample budgets
 cut by 16, as ``sweep_pool_medium`` cuts them, on N ASes) and two
@@ -33,6 +35,16 @@ columns stop improving at the sizes in use, and no higher: a count call
 keeps ``12·K·n`` bytes of state and peaks near ``47·K·n`` with its
 temporaries (``tracemalloc``, K = 14 on 2 200 ASes).  Exits non-zero if
 some row's counts differ from the one-row call's.
+
+``--groups`` sends, per size, one destination group of A attackers
+(A = 1, 4, 16, 32) along a 4-step nested chain (simplex stubs,
+``security_2nd``), under ``hijack`` and under ``honest``, two ways on a
+numpy context: through ``jobs_happiness_counts`` (count rows) and
+through a hand-walked ``RolloutSweep`` (``advance`` per step, then
+``happiness_counts`` per attacker).  It prints milliseconds per
+pair-step, fastest of ``--repeats``, each with the spread (max − min)
+of its repeats.  Exits non-zero if the two ways' counts differ in some
+cell.
 """
 
 import argparse
@@ -49,7 +61,13 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 from perfbench.checks import digest_records  # noqa: E402
 from perfbench.workloads import SWEEP_FAMILY, sweep_scale  # noqa: E402
 from repro.core import SECURITY_MODELS, Deployment, routing  # noqa: E402
-from repro.core.routing import RoutingContext, batch_outcomes  # noqa: E402
+from repro.core.attacks import HONEST, ONE_HOP_HIJACK  # noqa: E402
+from repro.core.routing import (  # noqa: E402
+    RolloutSweep,
+    RoutingContext,
+    batch_outcomes,
+    rollout_happiness_counts,
+)
 from repro.topology import TopologyParams, generate_topology  # noqa: E402
 from repro.experiments import make_context, run_experiments  # noqa: E402
 from repro.experiments.failures import FailureLog  # noqa: E402
@@ -60,15 +78,23 @@ PAIRS = 40
 #: ``--rows``: passes per size, and the K they are batched by
 ROWS = 64
 ROW_KS = (1, 2, 4, 8, 16, 32, 64)
+#: ``--groups``: attackers per destination group
+GROUP_AS = (1, 4, 16, 32)
 
 
-def fastest(repeats: int, run) -> tuple[float, object]:
-    """``(fastest wall, last value)`` of ``repeats`` calls of ``run``."""
+def walls_of(repeats: int, run) -> tuple[list[float], object]:
+    """``(walls, last value)`` of ``repeats`` calls of ``run``."""
     walls = []
     for _ in range(repeats):
         started = time.perf_counter()
         value = run()
         walls.append(time.perf_counter() - started)
+    return walls, value
+
+
+def fastest(repeats: int, run) -> tuple[float, object]:
+    """``(fastest wall, last value)`` of ``repeats`` calls of ``run``."""
+    walls, value = walls_of(repeats, run)
     return min(walls), value
 
 
@@ -143,6 +169,68 @@ def rows_table(sizes, repeats: int) -> int:
     return 1 if wrong else 0
 
 
+def walked_counts(ctx, pairs, chain, model, attack) -> list:
+    """One group's counts per chain step from a hand-walked sweep."""
+    sweep = RolloutSweep(ctx, pairs[0][1], chain[0], model, attack=attack)
+    out = []
+    for t, deployment in enumerate(chain):
+        if t:
+            sweep.advance(deployment)
+        out.append([sweep.happiness_counts(m) for m, _ in pairs])
+    return out
+
+
+def groups_table(sizes, repeats: int) -> int:
+    """``--groups``: ms per pair-step, rows against a walked sweep, by
+    (size, strategy, A); 1 if some cell's counts differ."""
+    print(
+        f"{'N':>6} {'attack':>7} {'A':>3}  {'rows ms':>8} {'±':>6}"
+        f"  {'sweep ms':>9} {'±':>6}  {'ratio':>6}"
+    )
+    model = SECURITY_MODELS[1]
+    wrong = []
+    for n in sizes:
+        graph = generate_topology(TopologyParams(n=n, seed=2013)).graph
+        ctx = RoutingContext(graph, vectorized=True)
+        rnd = random.Random(f"groups/{n}")
+        asns = graph.asns
+        d = rnd.choice(asns)
+        members = rnd.sample([a for a in asns if a != d], n // 2)
+        chain = [
+            Deployment.of(members[: len(members) * t // 3]).with_simplex_stubs(graph)
+            for t in range(4)
+        ]
+        attackers = rnd.sample([a for a in asns if a != d], max(GROUP_AS))
+        for attack in (ONE_HOP_HIJACK, HONEST):
+            for a in GROUP_AS:
+                pairs = [(m, d) for m in attackers[:a]]
+                rows_walls, rows = walls_of(repeats, lambda: rollout_happiness_counts(
+                    ctx, pairs, chain, model, attack=attack
+                ))
+                sweep_walls, walked = walls_of(
+                    repeats, lambda: walked_counts(ctx, pairs, chain, model, attack)
+                )
+                if walked != rows:
+                    wrong.append((n, attack.token, a))
+                per = a * len(chain) / 1e3  # a wall in s / per = ms a pair-step
+                (rows_ms, rows_pm), (sweep_ms, sweep_pm) = (
+                    (min(w) / per, (max(w) - min(w)) / per)
+                    for w in (rows_walls, sweep_walls)
+                )
+                print(
+                    f"{n:>6} {attack.token:>7} {a:>3}  {rows_ms:>8.3f} {rows_pm:>6.3f}"
+                    f"  {sweep_ms:>9.3f} {sweep_pm:>6.3f}  {rows_ms / sweep_ms:>5.2f}x",
+                    flush=True,
+                )
+    print(
+        "ms per pair-step (fastest of repeats; ± = max − min of them); "
+        "ratio = rows / sweep: below 1.00x rows are ahead"
+    )
+    if wrong:
+        print(f"ROWS AND SWEEP DISAGREE at (N, attack, A): {wrong}")
+    return 1 if wrong else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=DEFAULT_SIZES)
@@ -151,9 +239,16 @@ def main() -> int:
         "--rows", action="store_true",
         help="the K-rows-a-call table behind NP_ROWS_BUDGET instead",
     )
+    parser.add_argument(
+        "--groups", action="store_true",
+        help="rows against a walked sweep, one destination group of A "
+        "attackers along a 4-step chain, instead",
+    )
     args = parser.parse_args()
     if args.rows:
         return rows_table(args.sizes, args.repeats)
+    if args.groups:
+        return groups_table(args.sizes, args.repeats)
     print(
         f"{'N':>6}  {'sweep scalar s':>14} {'numpy s':>8} {'ratio':>6}"
         f"  {'pair scalar ms':>14} {'numpy ms':>8} {'ratio':>6}"
