@@ -59,7 +59,8 @@ bench-check:
 	$(PYTHON) perfbench/bench.py --smoke
 
 ## alternated runs of one workload on two checkouts, each running its
-## own perfbench, every value printed (tools/alternate_bench.py):
+## own perfbench, every value printed, then a verdict per BENCHMARK.json
+## metric: gain / within bound / unresolved / worse (tools/alternate_bench.py):
 ##   make bench-pairs PARENT=../parent [WORKLOAD=rollout_large] [PAIRS=10]
 WORKLOAD ?= rollout_large
 PAIRS ?= 10

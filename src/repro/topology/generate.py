@@ -22,17 +22,19 @@ reproducible bit-for-bit.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 from .graph import ASGraph
 from .tiers import PAPER_CONTENT_PROVIDERS
 
-#: Topologies at or above this many ASes default to the O(1)-per-draw
-#: preferential-attachment tables (:class:`_PATable`).  Below it the
-#: historical per-call weight recomputation is kept so existing seeded
-#: scales stay bit-identical.
+#: Topologies at or above this many ASes draw transit providers from
+#: preferential-attachment tables, one ``randrange`` per draw; smaller ones
+#: draw by ``random.choices`` over the candidates' weights (``1 +``
+#: customer degree).  Both give the same attachment distribution but
+#: consume the RNG differently, and each stream pins its own scales'
+#: bytes (``tests/test_generate.py``), which is why both modes stay.
 FAST_ATTACHMENT_MIN_N = 20_000
 
 
@@ -41,7 +43,8 @@ class TopologyParams:
     """Knobs for the synthetic generator.
 
     The defaults produce, at ``n ≈ 4000``, a graph whose c2p:p2p:AS ratios
-    are close to the UCLA graph's 1.9 : 1.6 : 1.
+    are close to the UCLA graph's 1.9 : 1.6 : 1.  ``n`` alone picks how
+    transit providers are drawn (:data:`FAST_ATTACHMENT_MIN_N`).
     """
 
     n: int = 4000
@@ -65,12 +68,6 @@ class TopologyParams:
     cp_peering_frac: float = 0.25
     #: number of synthetic IXPs (0 disables membership generation).
     ixp_count: int | None = None
-    #: use O(1)-per-draw preferential-attachment tables instead of
-    #: recomputing O(|pool|) weight lists per AS; None = auto (on at
-    #: ``n >= FAST_ATTACHMENT_MIN_N``).  Same attachment distribution,
-    #: different RNG consumption — existing seeded scales stay below
-    #: the threshold and are bit-identical to the historical generator.
-    fast_attachment: bool | None = None
 
     def __post_init__(self) -> None:
         if self.n < 50:
@@ -95,19 +92,14 @@ class SyntheticTopology:
 
 
 def _pick_distinct(
-    rng: random.Random,
-    population: list[int],
-    weights: list[float] | None,
-    k: int,
-    cum_weights: list[float] | None = None,
+    rng: random.Random, population: list[int], cum_weights: list[float], k: int
 ) -> list[int]:
     """Sample up to ``k`` distinct elements, weighted, by rejection.
 
-    Pass ``cum_weights`` (``itertools.accumulate`` of the weights) when
-    drawing repeatedly from one population: ``random.choices`` converts
-    ``weights`` to exactly that prefix-sum internally, so the draws are
-    bit-identical while the per-draw cost falls from O(|population|)
-    to O(log |population|).
+    ``cum_weights`` is ``itertools.accumulate`` of the weights: passing
+    ``weights`` instead makes ``random.choices`` build exactly that
+    prefix-sum on every draw, so the draws are the same either way while
+    each one costs O(log |population|) instead of O(|population|).
     """
     if not population:
         return []
@@ -117,7 +109,7 @@ def _pick_distinct(
     attempts = 0
     while len(chosen) < k and attempts < 50 * k:
         (candidate,) = rng.choices(
-            population, weights=weights, cum_weights=cum_weights, k=1
+            population, cum_weights=cum_weights, k=1
         )
         attempts += 1
         if candidate not in seen:
@@ -140,12 +132,12 @@ class _Builder:
             if params.include_content_providers
             else set()
         )
-        fast = params.fast_attachment
-        if fast is None:
-            fast = params.n >= FAST_ATTACHMENT_MIN_N
-        self.fast = fast
+        self.fast = params.n >= FAST_ATTACHMENT_MIN_N
         #: provider ASN -> its layer's PA table (fast mode only).
         self._pa_of: dict[int, list[int]] = {}
+        #: provider ASN -> its layer's weight list and its index in it
+        #: (weighted mode only).
+        self._weight_of: dict[int, tuple[list[float], int]] = {}
 
     def fresh_asn(self) -> int:
         while self._next_asn in self._reserved:
@@ -163,52 +155,59 @@ class _Builder:
             members.append(asn)
         return members
 
-    def pa_table(self, members: list[int]) -> "list[int] | None":
-        """A layer's O(1)-per-draw preferential-attachment table (fast
-        mode): each member once per unit of weight, ``1 + customer_degree``
-        (a uniform index draw is a weighted draw); kept exact by :meth:`add_c2p`."""
-        if not self.fast:
-            return None
-        table: list[int] = []
-        for m in members:
-            table.extend([m] * (1 + self.graph.customer_degree(m)))
-            self._pa_of[m] = table
-        return table
+    def track(self, members: list[int]) -> None:
+        """Start keeping a transit layer's attachment weights, ``1 +
+        customer_degree`` per member, in the form its mode draws from: a
+        PA table holding each member once per unit of weight (fast mode:
+        a uniform index draw is a weighted draw), or one weight per
+        member; :meth:`add_c2p` keeps either exact."""
+        if self.fast:
+            table: list[int] = []
+            for m in members:
+                table.extend([m] * (1 + self.graph.customer_degree(m)))
+                self._pa_of[m] = table
+        else:
+            weights = [1.0 + self.graph.customer_degree(m) for m in members]
+            for i, m in enumerate(members):
+                self._weight_of[m] = (weights, i)
 
     def add_c2p(self, customer: int, providers: list[int]) -> None:
-        """Add customer-provider edges, keeping PA tables exact."""
+        """Add customer-provider edges, keeping tracked weights exact."""
         add = self.graph.add_customer_provider
-        pa_of = self._pa_of
         for provider in providers:
             add(customer, provider)
-            table = pa_of.get(provider)
-            if table is not None:
-                table.append(provider)
+            if self.fast:
+                self._pa_of[provider].append(provider)
+            else:
+                weights, i = self._weight_of[provider]
+                weights[i] += 1.0
 
-    def attach_providers(
-        self,
-        asn: int,
-        candidates: list[int],
-        count: int,
-        tables: "list[list[int] | None] | None" = None,
-    ) -> None:
-        """Attach ``count`` providers with preferential attachment.
-
-        ``tables`` (fast mode) replaces the per-call O(|candidates|)
-        weight recomputation with O(1) draws from the layers' PA
-        tables; the attachment distribution is identical, only the RNG
-        consumption differs (see :class:`TopologyParams.fast_attachment`).
-        """
-        if self.fast and tables:
-            chosen = self._pick_pa(tables, count)
+    def attach_providers(self, asn: int, layers: list[list[int]], count: int) -> None:
+        """Attach ``count`` providers drawn from the tracked ``layers``
+        (candidates in layer order) with preferential attachment: from
+        the layers' PA tables in fast mode, else by :meth:`pick_weighted`."""
+        if self.fast:
+            chosen = self._pick_pa([self._pa_of[layer[0]] for layer in layers], count)
         else:
-            weights = [1.0 + self.graph.customer_degree(c) for c in candidates]
-            chosen = _pick_distinct(self.rng, candidates, weights, count)
+            chosen = self.pick_weighted(layers, count)
         self.add_c2p(asn, chosen)
 
-    def _pick_pa(self, tables: "list[list[int] | None]", k: int) -> list[int]:
+    def pick_weighted(self, layers: list[list[int]], k: int) -> list[int]:
+        """Up to ``k`` distinct members of ``layers`` drawn by ``1 +
+        customer_degree``: the kept weight lists in weighted mode, weights
+        read off the graph in fast mode (whose only weighted draw is a
+        content provider's, 17 per graph)."""
+        population = list(chain.from_iterable(layers))
+        if self.fast:
+            weights = [1.0 + self.graph.customer_degree(c) for c in population]
+        else:
+            weights = chain.from_iterable(
+                self._weight_of[layer[0]][0] for layer in layers
+            )
+        return _pick_distinct(self.rng, population, list(accumulate(weights)), k)
+
+    def _pick_pa(self, tables: list[list[int]], k: int) -> list[int]:
         """Up to ``k`` distinct providers drawn across PA tables."""
-        tables = [t for t in tables if t is not None]
         total = sum(map(len, tables))
         if not total:
             return []
@@ -272,9 +271,9 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
             if a < c:
                 b.graph.add_peering(a, c)
 
-    t_t1 = b.pa_table(tier1)
+    b.track(tier1)
     for asn in large:
-        b.attach_providers(asn, tier1, rng.choice((1, 2, 2, 3)), tables=[t_t1])
+        b.attach_providers(asn, [tier1], rng.choice((1, 2, 2, 3)))
     # Every Tier 1 must have at least one customer or it would drop out
     # of the Table 1 Tier-1 bucket ("high customer degree & no providers").
     for t1 in tier1:
@@ -284,22 +283,16 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
     # ISPs rarely buy straight from a Tier 1.  Keeping the attacker's
     # provider chain inside the densely-peering large layer is what lets
     # bogus routes spread as peer routes (the §4.6 mechanism).
-    t_large = b.pa_table(large)
+    b.track(large)
     for asn in mid:
         extra = rng.random() < 0.10
-        pool = [] if b.fast else large + (tier1 if extra else [])
-        b.attach_providers(
-            asn, pool, rng.choice((2, 2, 3, 3, 4)),
-            tables=[t_large] + ([t_t1] if extra else []),
-        )
-    t_mid = b.pa_table(mid)
+        layers = [large, tier1] if extra else [large]
+        b.attach_providers(asn, layers, rng.choice((2, 2, 3, 3, 4)))
+    b.track(mid)
     for asn in small:
         extra = rng.random() < 0.30
-        pool = [] if b.fast else mid + (large if extra else [])
-        b.attach_providers(
-            asn, pool, rng.choice((1, 2, 2, 2, 3)),
-            tables=[t_mid] + ([t_large] if extra else []),
-        )
+        layers = [mid, large] if extra else [mid]
+        b.attach_providers(asn, layers, rng.choice((1, 2, 2, 2, 3)))
 
     # --- content providers -------------------------------------------
     cps: list[int] = []
@@ -308,7 +301,9 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
             b.graph.add_as(asn)
             b.layer_of[asn] = "cp"
             cps.append(asn)
-            b.attach_providers(asn, tier1 + large, params.cp_provider_count)
+            # By weight in both modes: the PA-table scales' pinned bytes
+            # include these draws.
+            b.add_c2p(asn, b.pick_weighted([tier1, large], params.cp_provider_count))
 
     # --- stub fringe ---------------------------------------------------
     # Stubs multihome to transit providers by preferential attachment
@@ -318,12 +313,10 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
     # the Section 4.6 Tier-1 results depend on.
     stub_count = n - len(b.graph)
     stubs = b.make_layer("stub", max(0, stub_count))
-    t_small = b.pa_table(small)
-    transit_pool = tier1 + large + mid + small
-    transit_tables = [t_t1, t_large, t_mid, t_small]
+    b.track(small)
+    transit = [tier1, large, mid, small]
     for asn in stubs:
-        count = rng.choice((1, 1, 1, 2, 2, 3))
-        b.attach_providers(asn, transit_pool, count, tables=transit_tables)
+        b.attach_providers(asn, transit, rng.choice((1, 1, 1, 2, 2, 3)))
 
     # --- peering fabric -------------------------------------------------
     isps = large + mid + small
@@ -370,13 +363,11 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
         # draws bit-identical while dropping the per-draw cost from
         # O(|eligible|) to O(log |eligible|).
         cum_weights = list(
-            itertools.accumulate(1.0 + b.graph.peer_degree(a) for a in eligible)
+            accumulate(1.0 + b.graph.peer_degree(a) for a in eligible)
         )
         for i in range(ixp_count):
             size = min(len(eligible), 3 + int(rng.expovariate(1 / 8.0)))
-            members = _pick_distinct(
-                rng, eligible, None, size, cum_weights=cum_weights
-            )
+            members = _pick_distinct(rng, eligible, cum_weights, size)
             if len(members) >= 2:
                 ixp_members[f"IXP{i}"] = tuple(sorted(members))
 

@@ -89,25 +89,60 @@ class TestDeterminism:
         assert a.ixp_members == b.ixp_members
 
     @pytest.mark.parametrize(
-        "n, serial2_sha, ixp_sha",
+        "n, seed, serial2_sha, ixp_sha",
         [
             (
+                300,
+                2013,
+                "e2298b785c6d250d4f1387c918c44fab26c9f2e29c606faac5d469e9a7b91f5e",
+                "71ef425d81d3f9933af477d99733e1e34a479134c208ba377d78977b3877024d",
+            ),
+            (
+                900,
+                2013,
+                "632a8988e6ad4f5b6d74900b148f39604ab4cb2943bad34862bc7cee8141e0e3",
+                "78abba0e66d946825f5d9a3ed9fcb175be125141e7fc04624b45f78559171eff",
+            ),
+            (
                 2_200,
+                2013,
                 "64db97cdb60fa9e4cf6408cb2f210ee8eb0ebf7798694ccaafbe4d75bcef656b",
                 "b1eac21755d5ad41412a8dd8cc689fd1158bf53d72aef2890181c1d156abe31c",
             ),
             (
+                2_200,
+                7,
+                "2a3f40bddd1523e0b8152c96a30eba909323d2db22a6b86b253ac99ae4c725d0",
+                "7b50d0745675e7c4c99cbffdf40eb135b8b61a338d9c0c47c7287a712a5bf840",
+            ),
+            (
+                4_000,
+                2013,
+                "ddc7de0f2dc3e52ba988557e78d222521ed83ac9cc017c6738504c3d9a157a30",
+                "50a728dc1a6757d5ffcb2c7ed261cfdcdb8bb6bff9bc9d5cf1d4c88354217409",
+            ),
+            (
                 FAST_ATTACHMENT_MIN_N,
+                2013,
                 "48476964e9cc40d190edb79d0c0bd4436cab226d664fc42969dcb741835b954e",
                 "26850527d55febe20199ca272c428bb04fffb4cf67280a13e5fb799818c0db8a",
             ),
         ],
-        ids=["weighted-attachment", "pa-tables"],
+        ids=[
+            "weighted-300",
+            "weighted-900",
+            "weighted-attachment",
+            "weighted-2200-seed7",
+            "weighted-4000",
+            "pa-tables",
+        ],
     )
-    def test_topology_is_pinned(self, n, serial2_sha, ixp_sha):
+    def test_topology_is_pinned(self, n, seed, serial2_sha, ixp_sha):
         """Every seeded scale reproduces its graph byte for byte: a change
-        to the order of the generator's RNG calls fails here."""
-        topo = generate_topology(TopologyParams(n=n, seed=2013))
+        to the order of the generator's RNG calls fails here.  Below
+        ``FAST_ATTACHMENT_MIN_N`` the weighted-draw stream is pinned on
+        several sizes and two seeds, above it the PA-table stream."""
+        topo = generate_topology(TopologyParams(n=n, seed=seed))
         serial2 = dumps_serial2(topo.graph).encode()
         ixps = repr(sorted(topo.ixp_members.items())).encode()
         assert hashlib.sha256(serial2).hexdigest() == serial2_sha
