@@ -169,7 +169,8 @@ def greedy_max_k_security(
     """Greedy heuristic: repeatedly secure the AS with the best marginal gain.
 
     NP-hardness (Theorem 5.1) justifies a heuristic; this is the natural
-    greedy early-adopter picker referenced in DESIGN.md's ablations.
+    greedy early-adopter picker that the ``hardness`` experiment ablates
+    against brute force (docs/ARCHITECTURE.md, "Max-k-Security").
     Ties are broken toward the smallest ASN for determinism.
     """
     ctx = topology if isinstance(topology, RoutingContext) else RoutingContext(topology)

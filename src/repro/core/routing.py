@@ -3080,11 +3080,20 @@ def jobs_happiness_counts(
     On a numpy context every group is evaluated one way:
 
     * **rows**: a numpy pass costs the same whatever it shares with the
-      pass before it, so every ``(d, m, S_t)`` is one independent row
-      of :meth:`RoutingContext._run_np`, and the rows of *all* jobs
-      that share a model run :attr:`RoutingContext.batch_rows` to a
-      call.  A ``needs_baseline`` strategy resolves every attacker of
-      a ``(d, S_t)`` from one attacker-free state pass.
+      pass before it, so every distinct pass is one independent row of
+      :meth:`RoutingContext._run_np`, and the rows of *all* jobs that
+      share a kernel model run :attr:`RoutingContext.batch_rows` to a
+      call.  Every ``(d, m, S_t)`` resolves its attack first (a
+      ``needs_baseline`` strategy resolves every attacker of a
+      ``(d, S_t)`` from one attacker-free state pass), then keys the
+      pass it is.  A *blind* one — the baseline placement, or no signed
+      announcement (``d`` does not sign, the attacker is absent, silent
+      or unsigned), so no AS holds a secure route and every placement
+      orders routes by ``(LP bucket, length)`` alike — is the baseline
+      placement's pass of its local preference under no deployment,
+      keyed ``(d, m, resolved attack)`` and shared by every step,
+      placement and job that asks for it; any other keeps its model,
+      deployment and resolved attack.
 
     On a scalar context the group's shape picks (only a walked group
     needs what each step changes, :func:`_chain_step`, worked out once
@@ -3168,35 +3177,55 @@ def jobs_happiness_counts(
                 model_rows.append(
                     (dest_i, att_i, deployment, attack, step_out, idxs, sources)
                 )
+    #: kernel model → pass key → [kernel row, then the ``(step's out,
+    #: pair indices, sources)`` of every row that is this pass]
+    passes: dict[RankModel, dict[tuple, list]] = {}
+    blank = ctx.deployment_masks(_EMPTY_DEPLOYMENT)
     for model, model_rows in rows.items():
+        blind_model = RankModel(SecurityModel.BASELINE, model.local_preference)
         #: the ``(dest_i, deployment)`` whose attacker-free state pass is
         #: in the context's scratch (count rows never write it)
         baseline_of = None
-        for at in range(0, len(model_rows), ctx.batch_rows):
-            batch = model_rows[at : at + ctx.batch_rows]
-            kernel_rows = []
-            for dest_i, att_i, deployment, attack, *_ in batch:
-                signing, ranking = ctx.deployment_masks(deployment)
-                if att_i < 0 or not attack.needs_baseline:
-                    resolved = ctx._resolve_attack(
-                        dest_i, att_i, signing, ranking, model, attack
-                    )
-                else:
-                    if baseline_of != (dest_i, deployment):
-                        ctx._run(dest_i, -1, signing, ranking, model)
-                        baseline_of = (dest_i, deployment)
-                    st = ctx._np_scratch
-                    resolved = attack.resolve(
-                        dest_signed=bool(signing[dest_i]),
-                        baseline=_attacker_baseline(
-                            st["fixed"], st["len"], st["wire"], att_i
-                        ),
-                    )
-                kernel_rows.append((dest_i, att_i, signing, ranking, resolved))
-            for row, counts in zip(batch, ctx._run_np(kernel_rows, model)):
-                *_, step_out, idxs, sources = row
-                for i in idxs:
-                    step_out[i] = (counts[0], counts[1], sources)
+        for dest_i, att_i, deployment, attack, *asked in model_rows:
+            signing, ranking = ctx.deployment_masks(deployment)
+            if att_i < 0 or not attack.needs_baseline:
+                resolved = ctx._resolve_attack(
+                    dest_i, att_i, signing, ranking, model, attack
+                )
+            else:
+                if baseline_of != (dest_i, deployment):
+                    ctx._run(dest_i, -1, signing, ranking, model)
+                    baseline_of = (dest_i, deployment)
+                st = ctx._np_scratch
+                resolved = attack.resolve(
+                    dest_signed=bool(signing[dest_i]),
+                    baseline=_attacker_baseline(
+                        st["fixed"], st["len"], st["wire"], att_i
+                    ),
+                )
+            if model.uses_security and (
+                signing[dest_i] or (att_i >= 0 and resolved.active and resolved.wire)
+            ):
+                kernel_model, key = model, (deployment, dest_i, att_i, resolved)
+                masks = (signing, ranking)
+            else:
+                # Blind: the baseline placement, or no signed
+                # announcement and so no secure route, under which every
+                # placement ranks as the baseline does, whatever deploys.
+                kernel_model, key = blind_model, (dest_i, att_i, resolved)
+                masks = blank
+            passes.setdefault(kernel_model, {}).setdefault(
+                key, [(dest_i, att_i, *masks, resolved)]
+            ).append(asked)
+    for kernel_model, by_key in passes.items():
+        todo = list(by_key.values())
+        for at in range(0, len(todo), ctx.batch_rows):
+            batch = todo[at : at + ctx.batch_rows]
+            kernel_rows = [entry[0] for entry in batch]
+            for entry, counts in zip(batch, ctx._run_np(kernel_rows, kernel_model)):
+                for step_out, idxs, sources in entry[1:]:
+                    for i in idxs:
+                        step_out[i] = (counts[0], counts[1], sources)
     return results
 
 

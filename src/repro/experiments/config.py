@@ -2,9 +2,10 @@
 
 The paper evaluates every ``O(|V|²)`` attacker/destination pair of a
 39k-AS graph on supercomputers; this harness estimates the same averages
-from seeded samples on synthetic graphs (see DESIGN.md §1).  A *scale*
-fixes the graph size and every sample budget so results are reproducible
-and the cost dial is explicit:
+from seeded samples on synthetic graphs (see docs/ARCHITECTURE.md,
+"Layer 1 — the topology substrate").  A *scale* fixes the graph size
+and every sample budget so results are reproducible and the cost dial
+is explicit:
 
 * ``tiny``   — seconds; used by the test suite and pytest-benchmark
   (the one scale whose default context runs the scalar kernels);

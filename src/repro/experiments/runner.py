@@ -537,8 +537,9 @@ class SupervisedPool:
 def _bin_worker(ectx: "ExperimentContext", jobs: list[tuple], state: dict):
     """Evaluate one bin of a plan — parts of one or more chains, as
     ``(pairs, deployments, model, attack)`` jobs: the count triples per
-    job, per step, per pair.  On a numpy context its few-attacker
-    pair-steps share kernel batches, whatever chain they belong to."""
+    job, per step, per pair.  On a numpy context its pair-steps share
+    kernel batches, and its blind ones passes, whatever chain they
+    belong to."""
     return jobs_happiness_counts(ectx.graph_ctx, jobs)
 
 

@@ -31,8 +31,10 @@ from repro.core.attacks import (
     FORGED_ORIGIN,
     HONEST,
     ONE_HOP_HIJACK,
+    SILENT,
     PathLengthHijack,
 )
+from repro.core.rank import RankModel, SecurityModel
 from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.core.routing import (
     _INF,
@@ -111,6 +113,50 @@ def _last_keys(ctx):
         return list(ctx._key)
     keys = ctx._np_scratch["key"].tolist()
     return [_INF if k == _NP_INF else k for k in keys]
+
+
+@pytest.fixture()
+def count_rows(monkeypatch):
+    """The ``(kernel model, rows)`` of every count call of ``_run_np``
+    until the test ends (state calls are not listed)."""
+    calls = []
+    run_np = RoutingContext._run_np
+
+    def spying(self, rows, model, **kwargs):
+        if not kwargs.get("state"):
+            calls.append((model, len(rows)))
+        return run_np(self, rows, model, **kwargs)
+
+    monkeypatch.setattr(RoutingContext, "_run_np", spying)
+    return calls
+
+
+def _is_blind(model, row) -> bool:
+    """Whether a kernel row ``(dest_i, att_i, signing, ranking,
+    resolved)`` ranks as the baseline placement does: no signed
+    announcement (the destination does not sign; the attacker is
+    absent, silent or unsigned), or the baseline placement itself."""
+    dest_i, att_i, signing, _ranking, resolved = row
+    signed = signing[dest_i] or (att_i >= 0 and resolved.active and resolved.wire)
+    return not (model.uses_security and signed)
+
+
+def _blind_model(model):
+    return RankModel(SecurityModel.BASELINE, model.local_preference)
+
+
+def _kernel_pass(ctx, model, deployment, m, d, attack):
+    """The ``_run_np`` pass ``jobs_happiness_counts`` runs for pair
+    ``(m, d)`` under ``deployment``: a blind row (:func:`_is_blind`) is
+    the baseline placement's pass of its local preference, whatever
+    deploys."""
+    dest_i, att_i = ctx._check_pair(d, m)
+    deployment = deployment or Deployment.empty()
+    masks = ctx.deployment_masks(deployment)
+    resolved = ctx._resolve_attack(dest_i, att_i, *masks, model, attack)
+    if _is_blind(model, (dest_i, att_i, *masks, resolved)):
+        return _blind_model(model), dest_i, att_i, resolved
+    return model, deployment, dest_i, att_i, resolved
 
 
 class TestDifferentialGrid:
@@ -432,7 +478,7 @@ class TestRowsKernel:
                             assert st["cls"][v] == want["cls"][v], v
 
     @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_jobs_equal_one_job_calls_equal_scalar(self, case, count_calls):
+    def test_jobs_equal_one_job_calls_equal_scalar(self, case, count_rows):
         graph, rnd, chain, late, vec, pure = self._setup(case)
         asns = graph.asns
 
@@ -455,19 +501,23 @@ class TestRowsKernel:
             (pairs_at(many, 1) + pairs_at(few, 3), chain, second, CustomerScopeHijack()),
             (pairs_at(other, 1, normal=True), [None], second, PathLengthHijack(2)),
         ]
-        batches = []
-        run_np = RoutingContext._run_np
-
-        def spying(self, rows, model, **kwargs):
-            batches.append(len(rows))
-            return run_np(self, rows, model, **kwargs)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(RoutingContext, "_run_np", spying)
-            together = jobs_happiness_counts(vec, jobs)
-        # jobs 0 to 2 share a model, so their 40 + 10 + 3 rows share a
-        # batch (job 2's honest rows resolve from attacker-free passes)
-        assert max(batches) >= 53
+        together = jobs_happiness_counts(vec, jobs)
+        batches = list(count_rows)
+        # each distinct pass is one row, whichever rows ask for it
+        passes = {
+            _kernel_pass(pure, model, deployment, m, d, attack)
+            for pairs, deployments, model, attack in jobs
+            for deployment in deployments
+            for m, d in pairs
+        }
+        assert sum(rows for _, rows in batches) == len(passes)
+        # jobs 0 to 2 share a model, so all their non-blind rows share
+        # a batch (job 2's honest rows resolve from attacker-free passes)
+        first_passes = [p for p in passes if p[0] == first]
+        assert len(first_passes) <= vec.batch_rows
+        assert [rows for model, rows in batches if model == first] == [
+            len(first_passes)
+        ]
         alone = [
             rollout_happiness_counts(vec, pairs, deployments, model, attack=attack)
             for pairs, deployments, model, attack in jobs
@@ -582,6 +632,125 @@ class TestRowsKernel:
         with pytest.raises(ValueError, match="nested"):
             rollout_happiness_counts(vec_ctx, pairs, chain[::-1], BASELINE)
         assert passes == [0]
+
+
+class TestBlindRows:
+    """A blind row (:func:`_is_blind`) is, count for count, the baseline
+    placement's row of its local preference under no deployment: with
+    ``sec = 0`` every placement orders routes by ``(LP bucket, length)``
+    with the same ties, and without a secure route neither the masks
+    nor the placement is read.  ``jobs_happiness_counts`` therefore
+    runs each such pass once, whatever deploys and ranks around it."""
+
+    @staticmethod
+    def _rows(ctx, graph, salt, model):
+        """Rows of every strategy, a silent attacker and no attacker,
+        on unsigned and signed destinations under one deployment."""
+        rnd = random.Random(f"vec/blind/{salt}")
+        asns = graph.asns
+        deployment = Deployment.of(
+            rnd.sample(asns, len(asns) // 3)
+        ).with_simplex_stubs(graph)
+        masks = ctx.deployment_masks(deployment)
+        signed = sorted(deployment.signing_members)
+        unsigned = [a for a in asns if a not in deployment.signing_members]
+        rows = []
+        for attack in STRATEGIES + (SILENT, None):
+            for dests in (unsigned, unsigned, signed):
+                d = rnd.choice(dests)
+                m = None if attack is None else rnd.choice([a for a in asns if a != d])
+                dest_i, att_i = ctx._check_pair(d, m)
+                if attack is SILENT:
+                    resolved = SILENT
+                else:
+                    resolved = ctx._resolve_attack(
+                        dest_i, att_i, *masks, model, attack or ONE_HOP_HIJACK
+                    )
+                rows.append((dest_i, att_i, *masks, resolved))
+        return rows
+
+    @staticmethod
+    def _baseline_rows(ctx, rows):
+        """The same ``(dest_i, att_i, resolved)`` rows under no deployment."""
+        blank = ctx.deployment_masks(Deployment.empty())
+        return [(row[0], row[1], *blank, row[4]) for row in rows]
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label)
+    def test_blind_row_is_the_baseline_placements_row(self, graph, vec_ctx, model):
+        rows = self._rows(vec_ctx, graph, model.label, model)
+        blind = [row for row in rows if _is_blind(model, row)]
+        assert len(blind) >= 14 and any(not row[4].active for row in blind)
+        assert {row[4].wire for row in blind} == (
+            {False} if model.uses_security else {False, True}
+        )
+        base = _blind_model(model)
+        want = vec_ctx._run_np(self._baseline_rows(vec_ctx, blind), base)
+        assert want == [
+            c for row in self._baseline_rows(vec_ctx, blind)
+            for c in vec_ctx._run_np([row], base)
+        ]
+        together = vec_ctx._run_np(rows, model)  # K > 1, mixed with the rest
+        assert [c for row, c in zip(rows, together) if _is_blind(model, row)] == want
+        assert [vec_ctx._run_np([row], model)[0] for row in blind] == want
+
+    def test_a_signed_destination_is_not_blind(self, graph, vec_ctx):
+        """The counter-case: under a security placement a signed
+        destination's row is a pass of its own, which differs from the
+        baseline placement's row somewhere — the rule is not vacuous."""
+        differ = 0
+        for model in ALL_MODELS:
+            if not model.uses_security:
+                continue
+            rows = [
+                row for row in self._rows(vec_ctx, graph, model.label, model)
+                if not _is_blind(model, row)
+            ]
+            assert rows
+            got = vec_ctx._run_np(rows, model)
+            want = vec_ctx._run_np(
+                self._baseline_rows(vec_ctx, rows), _blind_model(model)
+            )
+            differ += sum(g[:2] != w[:2] for g, w in zip(got, want))
+        assert differ
+
+    def test_a_chain_runs_each_distinct_pass_once(
+        self, graph, pure_ctx, vec_ctx, count_rows
+    ):
+        """A destination that signs only at the last of four steps: its
+        first three steps are one blind pass a pair, shared by the three
+        placements, and its last step one pass a pair and placement."""
+        rnd = random.Random("vec/blind/chain")
+        asns = graph.asns
+        d = rnd.choice(asns)
+        others = [a for a in asns if a != d]
+        members = rnd.sample(others, 60)
+        chain = [
+            Deployment.of(members[:k] + ([d] if k == 60 else []))
+            .with_simplex_stubs(graph)
+            for k in (0, 20, 40, 60)
+        ]
+        pairs = [(m, d) for m in rnd.sample(others, 4)] + [(None, d)]
+        jobs = [(pairs, chain, model, ONE_HOP_HIJACK) for model in SECURITY_MODELS]
+
+        def distinct(jobs):
+            return {
+                _kernel_pass(pure_ctx, model, deployment, m, d, attack)
+                for pairs, deployments, model, attack in jobs
+                for deployment in deployments
+                for m, d in pairs
+            }
+
+        for job in jobs:
+            count_rows.clear()
+            got = rollout_happiness_counts(vec_ctx, *job[:3], attack=job[3])
+            assert got == rollout_happiness_counts(pure_ctx, *job[:3], attack=job[3])
+            assert len(distinct([job])) == 2 * len(pairs)
+            assert sum(rows for _, rows in count_rows) == 2 * len(pairs)
+        count_rows.clear()
+        got = jobs_happiness_counts(vec_ctx, jobs)
+        assert got == jobs_happiness_counts(pure_ctx, jobs)
+        assert len(distinct(jobs)) == 4 * len(pairs)
+        assert sum(rows for _, rows in count_rows) == 4 * len(pairs)
 
 
 class TestEveryGroupIsRows:

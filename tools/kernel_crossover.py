@@ -43,8 +43,13 @@ numpy context: through ``jobs_happiness_counts`` (count rows) and
 through a hand-walked ``RolloutSweep`` (``advance`` per step, then
 ``happiness_counts`` per attacker).  It prints milliseconds per
 pair-step, fastest of ``--repeats``, each with the spread (max − min)
-of its repeats.  Exits non-zero if the two ways' counts differ in some
-cell.
+of its repeats, and beside each cell the ``_run_np`` rows that
+``jobs_happiness_counts`` ran (``honest``'s attacker-free state passes
+included) against its pair-steps.  The chain never deploys the destination, so no
+announcement is signed and every row is blind: it runs once, as the
+baseline placement's pass, for all four steps — A rows for A × 4
+pair-steps, plus ``honest``'s one state pass a step.  Exits non-zero
+if the two ways' counts differ in some cell.
 """
 
 import argparse
@@ -169,6 +174,23 @@ def rows_table(sizes, repeats: int) -> int:
     return 1 if wrong else 0
 
 
+def kernel_rows(run) -> int:
+    """How many rows ``RoutingContext._run_np`` ran during ``run()``."""
+    rows = [0]
+    run_np = RoutingContext._run_np
+
+    def counted(self, batch, *args, **kwargs):
+        rows[0] += len(batch)
+        return run_np(self, batch, *args, **kwargs)
+
+    RoutingContext._run_np = counted
+    try:
+        run()
+    finally:
+        RoutingContext._run_np = run_np
+    return rows[0]
+
+
 def walked_counts(ctx, pairs, chain, model, attack) -> list:
     """One group's counts per chain step from a hand-walked sweep."""
     sweep = RolloutSweep(ctx, pairs[0][1], chain[0], model, attack=attack)
@@ -185,7 +207,7 @@ def groups_table(sizes, repeats: int) -> int:
     (size, strategy, A); 1 if some cell's counts differ."""
     print(
         f"{'N':>6} {'attack':>7} {'A':>3}  {'rows ms':>8} {'±':>6}"
-        f"  {'sweep ms':>9} {'±':>6}  {'ratio':>6}"
+        f"  {'sweep ms':>9} {'±':>6}  {'ratio':>6}  {'kernel rows':>11}"
     )
     model = SECURITY_MODELS[1]
     wrong = []
@@ -204,27 +226,34 @@ def groups_table(sizes, repeats: int) -> int:
         for attack in (ONE_HOP_HIJACK, HONEST):
             for a in GROUP_AS:
                 pairs = [(m, d) for m in attackers[:a]]
-                rows_walls, rows = walls_of(repeats, lambda: rollout_happiness_counts(
-                    ctx, pairs, chain, model, attack=attack
-                ))
+
+                def run():
+                    return rollout_happiness_counts(
+                        ctx, pairs, chain, model, attack=attack
+                    )
+
+                rows_walls, rows = walls_of(repeats, run)
                 sweep_walls, walked = walls_of(
                     repeats, lambda: walked_counts(ctx, pairs, chain, model, attack)
                 )
                 if walked != rows:
                     wrong.append((n, attack.token, a))
-                per = a * len(chain) / 1e3  # a wall in s / per = ms a pair-step
+                pair_steps = a * len(chain)
+                per = pair_steps / 1e3  # a wall in s / per = ms a pair-step
                 (rows_ms, rows_pm), (sweep_ms, sweep_pm) = (
                     (min(w) / per, (max(w) - min(w)) / per)
                     for w in (rows_walls, sweep_walls)
                 )
                 print(
                     f"{n:>6} {attack.token:>7} {a:>3}  {rows_ms:>8.3f} {rows_pm:>6.3f}"
-                    f"  {sweep_ms:>9.3f} {sweep_pm:>6.3f}  {rows_ms / sweep_ms:>5.2f}x",
+                    f"  {sweep_ms:>9.3f} {sweep_pm:>6.3f}  {rows_ms / sweep_ms:>5.2f}x"
+                    f"  {f'{kernel_rows(run)}/{pair_steps}':>11}",
                     flush=True,
                 )
     print(
         "ms per pair-step (fastest of repeats; ± = max − min of them); "
-        "ratio = rows / sweep: below 1.00x rows are ahead"
+        "ratio = rows / sweep: below 1.00x rows are ahead; kernel rows = "
+        "_run_np rows of one rows call / its pair-steps"
     )
     if wrong:
         print(f"ROWS AND SWEEP DISAGREE at (N, attack, A): {wrong}")
