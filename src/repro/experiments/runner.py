@@ -36,9 +36,11 @@ Two layers live here:
 from __future__ import annotations
 
 import atexit
+import gc
 import multiprocessing
 import random
 import signal
+import threading
 import time
 import traceback
 import weakref
@@ -82,6 +84,11 @@ _WORKER_CTX: "ExperimentContext | None" = None
 _LIVE_CONTEXTS: "weakref.WeakValueDictionary[int, ExperimentContext]" = (
     weakref.WeakValueDictionary()
 )
+
+#: One :func:`make_context` build at a time (the service builds on a
+#: thread pool): the collector pause is process-wide, and two builds
+#: saving and restoring it concurrently could leave it off for good.
+_BUILD_LOCK = threading.Lock()
 
 
 def _close_live_contexts() -> None:  # pragma: no cover - atexit path
@@ -868,24 +875,38 @@ def make_context(
         attack = strategy_from_token(attack)
     if failure_log is None:
         failure_log = FailureLog()
-    topo = generate_topology(TopologyParams(n=scale_obj.n, seed=seed))
-    graph = topo.graph
-    if ixp:
-        graph = augment_with_ixp_peering(graph, topo.ixp_members).graph
-    tiers = classify_tiers(graph)
-    ectx = ExperimentContext(
-        scale=scale_obj,
-        seed=seed,
-        ixp=ixp,
-        topo=topo,
-        graph_ctx=RoutingContext(graph, vectorized=vectorized),
-        tiers=tiers,
-        catalog=ScenarioCatalog(graph, tiers),
-        processes=processes,
-        attack=attack,
-        supervision=supervision or SupervisionPolicy(),
-        failure_log=failure_log,
-    )
+    # The build makes no reference cycles, but at 80k ASes it leaves
+    # ~110k tracked neighbour sets, and with the cyclic collector running
+    # their allocation triggers full collections that walk everything
+    # already resident (a previous trial's context, the service's cached
+    # ones).  Paused, one young collection afterwards walks the new sets
+    # once and promotes them, so the first evaluation pass does not.
+    with _BUILD_LOCK:
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            topo = generate_topology(TopologyParams(n=scale_obj.n, seed=seed))
+            graph = topo.graph
+            if ixp:
+                graph = augment_with_ixp_peering(graph, topo.ixp_members).graph
+            tiers = classify_tiers(graph)
+            ectx = ExperimentContext(
+                scale=scale_obj,
+                seed=seed,
+                ixp=ixp,
+                topo=topo,
+                graph_ctx=RoutingContext(graph, vectorized=vectorized),
+                tiers=tiers,
+                catalog=ScenarioCatalog(graph, tiers),
+                processes=processes,
+                attack=attack,
+                supervision=supervision or SupervisionPolicy(),
+                failure_log=failure_log,
+            )
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+    gc.collect(1)
     _LIVE_CONTEXTS[id(ectx)] = ectx
     return ectx
 

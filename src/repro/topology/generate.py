@@ -30,8 +30,9 @@ from .graph import ASGraph
 from .tiers import PAPER_CONTENT_PROVIDERS
 
 #: Topologies at or above this many ASes draw transit providers from
-#: preferential-attachment tables, one ``randrange`` per draw; smaller ones
-#: draw by ``random.choices`` over the candidates' weights (``1 +``
+#: preferential-attachment tables, one uniform index per draw (the
+#: ``getrandbits`` rejection loop of ``randrange``, run inline); smaller
+#: ones draw by ``random.choices`` over the candidates' weights (``1 +``
 #: customer degree).  Both give the same attachment distribution but
 #: consume the RNG differently, and each stream pins its own scales'
 #: bytes (``tests/test_generate.py``), which is why both modes stay.
@@ -139,20 +140,21 @@ class _Builder:
         #: (weighted mode only).
         self._weight_of: dict[int, tuple[list[float], int]] = {}
 
-    def fresh_asn(self) -> int:
-        while self._next_asn in self._reserved:
-            self._next_asn += 1
-        asn = self._next_asn
-        self._next_asn += 1
-        return asn
-
     def make_layer(self, name: str, count: int) -> list[int]:
+        """``count`` fresh ASNs, skipping the reserved content-provider
+        ones, added to the graph as layer ``name``."""
         members = []
+        asn = self._next_asn
+        reserved = self._reserved
+        add_as = self.graph.add_as
         for _ in range(count):
-            asn = self.fresh_asn()
-            self.graph.add_as(asn)
-            self.layer_of[asn] = name
+            while asn in reserved:
+                asn += 1
+            add_as(asn)
             members.append(asn)
+            asn += 1
+        self._next_asn = asn
+        self.layer_of.update(dict.fromkeys(members, name))
         return members
 
     def track(self, members: list[int]) -> None:
@@ -187,7 +189,8 @@ class _Builder:
         (candidates in layer order) with preferential attachment: from
         the layers' PA tables in fast mode, else by :meth:`pick_weighted`."""
         if self.fast:
-            chosen = self._pick_pa([self._pa_of[layer[0]] for layer in layers], count)
+            tables = [self._pa_of[layer[0]] for layer in layers]
+            chosen = self._pick_pa(tables, sum(map(len, tables)), count)
         else:
             chosen = self.pick_weighted(layers, count)
         self.add_c2p(asn, chosen)
@@ -206,22 +209,58 @@ class _Builder:
             )
         return _pick_distinct(self.rng, population, list(accumulate(weights)), k)
 
-    def _pick_pa(self, tables: list[list[int]], k: int) -> list[int]:
-        """Up to ``k`` distinct providers drawn across PA tables."""
+    def attach_stubs(self, stubs: list[int], layers: list[list[int]]) -> None:
+        """Attach each stub to ``choice((1, 1, 1, 2, 2, 3))`` providers as
+        :meth:`attach_providers` would.  In fast mode the layers' PA
+        tables and their running total carry across stubs, the count is
+        drawn inline and the edges land without :meth:`add_c2p`: the
+        same draws, without a call frame each."""
+        counts = (1, 1, 1, 2, 2, 3)
+        if not self.fast:
+            choice = self.rng.choice
+            for asn in stubs:
+                self.attach_providers(asn, layers, choice(counts))
+            return
+        tables = [self._pa_of[layer[0]] for layer in layers]
         total = sum(map(len, tables))
+        getrandbits = self.rng.getrandbits
+        n_counts = len(counts)
+        bits = n_counts.bit_length()
+        pick = self._pick_pa
+        add = self.graph.add_customer_provider
+        pa_of = self._pa_of
+        for asn in stubs:
+            r = getrandbits(bits)  # choice(counts), as Random._randbelow
+            while r >= n_counts:
+                r = getrandbits(bits)
+            chosen = pick(tables, total, counts[r])
+            for provider in chosen:
+                add(asn, provider)
+                pa_of[provider].append(provider)
+            total += len(chosen)
+
+    def _pick_pa(self, tables: list[list[int]], total: int, k: int) -> list[int]:
+        """Up to ``k`` distinct providers drawn across PA tables holding
+        ``total`` entries.  Each draw is ``randrange(total)`` as
+        ``Random._randbelow`` computes it, the ``getrandbits`` rejection
+        loop inline: the same calls in the same order, one frame fewer."""
         if not total:
             return []
-        randrange = self.rng.randrange
+        getrandbits = self.rng.getrandbits
+        bits = total.bit_length()
         chosen: list[int] = []
         attempts = 0
         while len(chosen) < k and attempts < 50 * k:
             attempts += 1
-            r = randrange(total)
+            r = getrandbits(bits)
+            while r >= total:
+                r = getrandbits(bits)
             for table in tables:
-                if r < len(table):
+                size = len(table)
+                if r < size:
                     candidate = table[r]
                     break
-                r -= len(table)
+                r -= size
             if candidate not in chosen:
                 chosen.append(candidate)
         return chosen
@@ -230,17 +269,27 @@ class _Builder:
         """Add up to ``count`` p2p edges between the two pools."""
         if not pool_a or not pool_b:
             return 0
-        choice = self.rng.choice
+        # choice(pool_a), choice(pool_b) as Random._randbelow draws them.
+        getrandbits = self.rng.getrandbits
+        n_a, n_b = len(pool_a), len(pool_b)
+        bits_a, bits_b = n_a.bit_length(), n_b.bit_length()
+        add = self.graph.add_peering
         providers, customers, peers = self.graph.adjacency()
         added = 0
         attempts = 0
         while added < count and attempts < 30 * count + 100:
             attempts += 1
-            a = choice(pool_a)
-            b = choice(pool_b)
+            r = getrandbits(bits_a)
+            while r >= n_a:
+                r = getrandbits(bits_a)
+            a = pool_a[r]
+            r = getrandbits(bits_b)
+            while r >= n_b:
+                r = getrandbits(bits_b)
+            b = pool_b[r]
             if a == b or b in peers[a] or b in providers[a] or b in customers[a]:
                 continue
-            self.graph.add_peering(a, b)
+            add(a, b)
             added += 1
         return added
 
@@ -315,8 +364,7 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
     stubs = b.make_layer("stub", max(0, stub_count))
     b.track(small)
     transit = [tier1, large, mid, small]
-    for asn in stubs:
-        b.attach_providers(asn, transit, rng.choice((1, 1, 1, 2, 2, 3)))
+    b.attach_stubs(stubs, transit)
 
     # --- peering fabric -------------------------------------------------
     isps = large + mid + small

@@ -72,29 +72,48 @@ class ASGraph:
         """Add a customer-to-provider edge (``customer`` pays ``provider``)."""
         if customer == provider:
             raise TopologyError(f"self-loop on AS {customer}")
-        if customer not in self._providers:
+        providers, customers = self._providers, self._customers
+        if customer not in providers:
             self.add_as(customer)
-        if provider not in self._providers:
+        if provider not in providers:
             self.add_as(provider)
-        if self._has_any_edge(customer, provider):
+        provs = providers[customer]
+        if (
+            provider in provs
+            or provider in customers[customer]
+            or provider in self._peers[customer]
+        ):
             raise TopologyError(
                 f"edge {customer}-{provider} already exists with some annotation"
             )
-        _own(self._providers, customer).add(provider)
-        _own(self._customers, provider).add(customer)
+        # An AS's first edge of a kind replaces the shared empty set.
+        if not provs:
+            provs = providers[customer] = set()
+        provs.add(provider)
+        custs = customers[provider]
+        if not custs:
+            custs = customers[provider] = set()
+        custs.add(customer)
 
     def add_peering(self, a: int, b: int) -> None:
         """Add a peer-to-peer edge between ``a`` and ``b``."""
         if a == b:
             raise TopologyError(f"self-loop on AS {a}")
-        if a not in self._providers:
+        providers, peers = self._providers, self._peers
+        if a not in providers:
             self.add_as(a)
-        if b not in self._providers:
+        if b not in providers:
             self.add_as(b)
-        if self._has_any_edge(a, b):
+        peers_a = peers[a]
+        if b in peers_a or b in providers[a] or b in self._customers[a]:
             raise TopologyError(f"edge {a}-{b} already exists with some annotation")
-        _own(self._peers, a).add(b)
-        _own(self._peers, b).add(a)
+        if not peers_a:
+            peers_a = peers[a] = set()
+        peers_a.add(b)
+        peers_b = peers[b]
+        if not peers_b:
+            peers_b = peers[b] = set()
+        peers_b.add(a)
 
     def remove_edge(self, a: int, b: int) -> None:
         """Remove the (unique) edge between ``a`` and ``b``."""
@@ -124,13 +143,6 @@ class ASGraph:
         del self._customers[asn]
         del self._peers[asn]
         self._index_cache = None
-
-    def _has_any_edge(self, a: int, b: int) -> bool:
-        return (
-            b in self._providers[a]
-            or b in self._customers[a]
-            or b in self._peers[a]
-        )
 
     # ------------------------------------------------------------------
     # Read access
@@ -207,7 +219,12 @@ class ASGraph:
 
     def has_edge(self, a: int, b: int) -> bool:
         """True if any edge (of any annotation) connects ``a`` and ``b``."""
-        return a in self._providers and b in self._providers and self._has_any_edge(a, b)
+        providers = self._providers
+        return (
+            a in providers
+            and b in providers
+            and (b in providers[a] or b in self._customers[a] or b in self._peers[a])
+        )
 
     # Degree helpers --------------------------------------------------
     def customer_degree(self, asn: int) -> int:

@@ -164,15 +164,13 @@ def classify_tiers(
         )
 
     tier_of: dict[int, Tier] = {}
-    assigned: set[int] = set()
     providers, customers, peers = graph.adjacency()
     asns = graph.asns
 
     def take(members: list[int], tier: Tier) -> None:
         for asn in members:
-            if asn not in assigned:
+            if asn not in tier_of:
                 tier_of[asn] = tier
-                assigned.add(asn)
 
     # Tier 1: provider-less ASes with the highest customer degrees.
     providerless = [a for a in asns if not providers[a] and customers[a]]
@@ -181,7 +179,7 @@ def classify_tiers(
 
     # Tier 2 / Tier 3: top ASes by customer degree *with* providers.
     with_providers = [
-        a for a in asns if providers[a] and customers[a] and a not in assigned
+        a for a in asns if providers[a] and customers[a] and a not in tier_of
     ]
     with_providers.sort(key=lambda a: (-len(customers[a]), a))
     take(with_providers[: params.tier2_count], Tier.TIER2)
@@ -194,18 +192,17 @@ def classify_tiers(
     take([a for a in content_providers if a in graph], Tier.CP)
 
     # Small CPs: top ASes by peering degree among the rest.
-    by_peering = [a for a in asns if a not in assigned and peers[a]]
+    by_peering = [a for a in asns if a not in tier_of and peers[a]]
     by_peering.sort(key=lambda a: (-len(peers[a]), a))
     take(by_peering[: params.small_cp_count], Tier.SMALL_CP)
 
     # Stubs-x / stubs / SMDG.
     for asn in asns:
-        if asn in assigned:
+        if asn in tier_of:
             continue
         if not customers[asn]:
             tier_of[asn] = Tier.STUB_X if peers[asn] else Tier.STUB
         else:
             tier_of[asn] = Tier.SMDG
-        assigned.add(asn)
 
     return TierTable(tier_of)

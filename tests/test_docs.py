@@ -87,6 +87,21 @@ def test_link_checker_catches_breakage(tmp_path):
     assert any("no-such-heading" in e for e in errors)
 
 
+def test_link_checker_catches_unknown_make_target(tmp_path):
+    """A ``make`` command in code must name a Makefile target; ``make``
+    in prose and variable assignments are not targets."""
+    check_links = _load_check_links()
+    source = tmp_path / "doc.md"
+    source.write_text(
+        "Run `make test` or `make bench-pairs PARENT=../p`; make sure of it.\n"
+        "```sh\nmake golden\nmake no-such-target  # made up\n```\n"
+    )
+    errors = check_links.check_file(source)
+    assert len(errors) == 1
+    assert "make no-such-target" in errors[0]
+    assert check_links.make_targets() >= {"test", "golden", "bench-pairs"}
+
+
 def test_readme_links_architecture_guide():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     assert "docs/ARCHITECTURE.md" in readme

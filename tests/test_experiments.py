@@ -1,9 +1,12 @@
 """Integration tests: every registered experiment runs at tiny scale and
 reproduces the paper's qualitative shape."""
 
+import gc
+
 import pytest
 
 from repro.experiments import all_experiments, make_context, run_experiments
+from repro.experiments import runner
 from repro.experiments.registry import ExperimentResult
 
 
@@ -271,3 +274,48 @@ class TestIxpVariant:
         ixp = make_context(scale="tiny", seed=2013, ixp=True)
         assert ixp.graph.num_peer_links > plain.graph.num_peer_links
         assert len(ixp.graph) == len(plain.graph)
+
+
+class TestMakeContextCollector:
+    """``make_context`` pauses the cyclic collector for the build and
+    leaves it as it found it, on success and on error."""
+
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        make_context(scale="tiny", seed=2013).close()
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_when_build_raises(self, enabled, monkeypatch):
+        seen = []
+
+        def broken(params):
+            seen.append(gc.isenabled())
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(runner, "generate_topology", broken)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="build failed"):
+            make_context(scale="tiny", seed=2013)
+        assert seen == [False]  # paused during the build
+        assert gc.isenabled() is enabled
+
+    def test_concurrent_builds_leave_it_enabled(self):
+        """The service builds contexts on a thread pool."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        gc.enable()
+        with ThreadPoolExecutor(4) as pool:
+            built = list(
+                pool.map(lambda seed: make_context(scale="tiny", seed=seed), range(8))
+            )
+        for ectx in built:
+            ectx.close()
+        assert gc.isenabled()

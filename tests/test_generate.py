@@ -1,6 +1,7 @@
 """Tests for the synthetic topology generator."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.topology import (
     classify_tiers,
     generate_topology,
 )
-from repro.topology.generate import FAST_ATTACHMENT_MIN_N
+from repro.topology.generate import FAST_ATTACHMENT_MIN_N, _Builder
 from repro.topology.serial2 import dumps_serial2
 
 
@@ -127,6 +128,18 @@ class TestDeterminism:
                 "48476964e9cc40d190edb79d0c0bd4436cab226d664fc42969dcb741835b954e",
                 "26850527d55febe20199ca272c428bb04fffb4cf67280a13e5fb799818c0db8a",
             ),
+            (
+                FAST_ATTACHMENT_MIN_N,
+                7,
+                "ddc2402906973bcaa20c35012121c74e1318c22e3027e2a4b1b56b48f998bc00",
+                "d7bd5d319fba7fa2d9984553dea1f8ac6a627bb592e4013e381b2e2961711072",
+            ),
+            (
+                80_000,
+                2013,
+                "ca163c3a028e1c4a93b21863af497d52275565460397bc6b194fa84116b8b934",
+                "0387438ff425165e6d80afc7a8e0cf5ca8955e3cf4f7c40dba554299509573fc",
+            ),
         ],
         ids=[
             "weighted-300",
@@ -135,13 +148,16 @@ class TestDeterminism:
             "weighted-2200-seed7",
             "weighted-4000",
             "pa-tables",
+            "pa-tables-20k-seed7",
+            "pa-tables-80k",
         ],
     )
     def test_topology_is_pinned(self, n, seed, serial2_sha, ixp_sha):
         """Every seeded scale reproduces its graph byte for byte: a change
         to the order of the generator's RNG calls fails here.  Below
         ``FAST_ATTACHMENT_MIN_N`` the weighted-draw stream is pinned on
-        several sizes and two seeds, above it the PA-table stream."""
+        several sizes and two seeds, above it the PA-table stream (on two
+        seeds, and at 80 000: the ``large`` scale's graph)."""
         topo = generate_topology(TopologyParams(n=n, seed=seed))
         serial2 = dumps_serial2(topo.graph).encode()
         ixps = repr(sorted(topo.ixp_members.items())).encode()
@@ -152,6 +168,46 @@ class TestDeterminism:
         a = generate_topology(TopologyParams(n=250, seed=11))
         b = generate_topology(TopologyParams(n=250, seed=12))
         assert list(a.graph.edges()) != list(b.graph.edges())
+
+
+#: Range sizes for the inline-draw checks: both sides of powers of two
+#: (where ``getrandbits``' rejection rate jumps), 1, and the 80k scale.
+DRAW_SIZES = [1, 2, 3, 6, 7, 8, 9, 2**16, 2**16 + 1, 80_013]
+
+
+class TestInlineDraws:
+    """The generator draws uniform indices with ``getrandbits`` rejection
+    loops of its own instead of ``randrange`` / ``choice``.  They must be
+    those calls' exact values and leave the stream where they would, or
+    every pinned topology moves; a CPython change to ``_randbelow``
+    fails here by name."""
+
+    DRAWS = 25
+
+    @pytest.mark.parametrize("n", DRAW_SIZES)
+    def test_pa_draw_is_randrange(self, n):
+        b = _Builder(TopologyParams(n=FAST_ATTACHMENT_MIN_N, seed=n))
+        reference = random.Random(n)
+        # Two tables, so the draw also walks from one into the next.
+        tables = [list(range(n // 2)), list(range(n // 2, n))]
+        for _ in range(self.DRAWS):
+            assert b._pick_pa(tables, n, 1) == [reference.randrange(n)]
+        assert b.rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("n", DRAW_SIZES)
+    def test_peering_draws_are_choice(self, n):
+        b = _Builder(TopologyParams(n=FAST_ATTACHMENT_MIN_N, seed=n))
+        reference = random.Random(n)
+        pool_a = list(range(n))
+        pool_b = list(range(n, 2 * n))  # disjoint: every pair is one attempt
+        for asn in pool_a + pool_b:
+            b.graph.add_as(asn)
+        for _ in range(self.DRAWS):
+            assert b.add_random_peerings(pool_a, pool_b, 1) == 1
+            expected = (reference.choice(pool_a), reference.choice(pool_b))
+            assert b.graph.has_edge(*expected)
+            b.graph.remove_edge(*expected)  # the one edge added
+        assert b.rng.getstate() == reference.getstate()
 
 
 class TestParams:

@@ -1,5 +1,7 @@
 """Unit tests for the ASGraph substrate."""
 
+import itertools
+
 import pytest
 
 from repro.topology import ASGraph, Relationship, TopologyError, graph_from_edges
@@ -44,14 +46,30 @@ class TestConstruction:
             g.add_peering(4, 4)
 
     def test_rejects_duplicate_edge_any_annotation(self):
-        g = ASGraph()
-        g.add_customer_provider(1, 2)
-        with pytest.raises(TopologyError):
-            g.add_peering(1, 2)
-        with pytest.raises(TopologyError):
-            g.add_customer_provider(2, 1)
-        with pytest.raises(TopologyError):
-            g.add_customer_provider(1, 2)
+        """Whichever edge came first, a second between the same two ASes
+        raises and leaves both ASes' neighbour maps as they were, the
+        shared empty set still shared."""
+        adds = {
+            "c2p": lambda g: g.add_customer_provider(1, 2),
+            "reverse c2p": lambda g: g.add_customer_provider(2, 1),
+            "p2p": lambda g: g.add_peering(1, 2),
+            "reverse p2p": lambda g: g.add_peering(2, 1),
+        }
+        for (first, add_first), (second, add_second) in itertools.product(
+            adds.items(), repeat=2
+        ):
+            g = ASGraph()
+            add_first(g)
+            before = [(table[1], table[2]) for table in g.adjacency()]
+            contents = [(set(a), set(b)) for a, b in before]
+            with pytest.raises(TopologyError):
+                add_second(g)
+            after = [(table[1], table[2]) for table in g.adjacency()]
+            for old, new in zip(before, after):
+                assert all(o is n for o, n in zip(old, new)), (first, second)
+            assert [(set(a), set(b)) for a, b in after] == contents
+            empty = [nbrs for pair in after for nbrs in pair if not nbrs]
+            assert len(empty) == 4 and all(e is _NO_NEIGHBORS for e in empty)
 
     def test_graph_from_edges(self):
         g = graph_from_edges(
