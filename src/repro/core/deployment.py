@@ -217,8 +217,9 @@ def tier12_rollout_dense(
     :func:`tier12_rollout` steps appear verbatim in this chain (same
     member sets at the matching Y counts), so the two experiments'
     scenarios dedupe; adjacent steps differ by one ISP and its stubs,
-    which is exactly the shape a scalar context's rollout-major walk
-    (:class:`repro.core.routing.RolloutSweep`) amortizes best.
+    so a pair whose destination signs at neither step, attacked by an
+    unsigned announcement, is one blind pass shared by both
+    (:func:`repro.core.routing.jobs_happiness_counts`).
     """
     t1 = tiers.members(Tier.TIER1)
     t2 = tiers.members(Tier.TIER2)

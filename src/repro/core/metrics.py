@@ -190,11 +190,9 @@ def security_metric(
         [0.5000, 1.0000]
     """
     ctx = topology if isinstance(topology, RoutingContext) else RoutingContext(topology)
-    # Counts only, no outcome materialization: on a numpy context every
-    # pair is one row of a batched bucket pass, on a scalar one pairs
-    # are evaluated destination-major (one attacker-free fixing pass per
-    # destination, an O(dirty) delta re-fix per attacker) — see
-    # repro.core.routing.jobs_happiness_counts.
+    # Counts only, no outcome materialization: each distinct pass runs
+    # once, a row of a batched bucket pass on a numpy context, one heap
+    # pass on a scalar one — see repro.core.routing.jobs_happiness_counts.
     pairs = list(pairs)  # consumed twice below; accept one-shot iterables
     return metric_of_counts(
         pairs, batch_happiness_counts(ctx, pairs, deployment, model, attack=attack)
@@ -221,11 +219,9 @@ def batch_happiness(
     """Happy-source counts for many ``(m, d)`` pairs in one sweep.
 
     Amortizes deployment-mask construction and scratch-buffer reuse
-    across the whole pair list: on a numpy context the pairs run as the
-    rows of batched bucket passes, on a scalar one destination-major
-    through :class:`repro.core.routing.DestinationSweep`, so every
-    destination's attacker-free state is fixed once and each attacker
-    costs only its dirty region (see
+    across the whole pair list, and runs each distinct pass once: on a
+    numpy context as the rows of batched bucket passes, on a scalar one
+    as one heap pass each (see
     :func:`repro.core.routing.batch_happiness_counts`; results are in
     input pair order).  This is what each worker of
     :mod:`repro.experiments.runner` runs on its share of destination
@@ -266,10 +262,10 @@ def rollout_happiness(
     chain, rollout-major: ``result[t][i]`` is pair ``i`` under
     ``deployments[t]``.
 
-    On a scalar context each destination group walks the whole chain on
-    warm sweeps (:class:`repro.core.routing.RolloutSweep`); on a numpy
-    one every pair-step is one row of a batched bucket pass (see
-    :func:`repro.core.routing.rollout_happiness_counts`); per-step
+    Every distinct pass of the chain runs once — a blind pair-step is
+    shared by every step that asks for it — as a row of a batched
+    bucket pass on a numpy context, as one heap pass on a scalar one
+    (see :func:`repro.core.routing.rollout_happiness_counts`); per-step
     results are in input pair order and bit-identical to evaluating
     every step independently through :func:`batch_happiness`.  This is
     what each scheduler worker runs on its share of destination groups

@@ -45,12 +45,7 @@ pack ``(key, index)`` into a single int.  :class:`RouteInfo` and the
 per-AS mapping :attr:`RoutingOutcome.routes` are preserved as a thin
 lazily-materialized view over the flat result arrays, so callers keep
 the seed API.  :func:`batch_outcomes` and the count-only fast paths
-amortize deployment-mask construction across whole pair sweeps, and
-on a scalar context :class:`DestinationSweep` goes one step further
-for the metric's destination-major workloads: the attacker-free fixing
-pass runs once per destination and each attacker is evaluated by
-*delta re-fixing* only the region of the graph whose routing record
-actually changes.
+amortize deployment-mask construction across whole pair sweeps.
 On a numpy context (``ctx.vectorized``: by default every graph of
 :data:`VECTORIZED_MIN_N` ASes or more) the same passes
 run as bucket kernels over int64 arrays, and there *the arrays are the
@@ -58,10 +53,10 @@ state*: a numpy kernel never writes the python scratch buffers, a
 sweep's snapshot is a dict of arrays, and the single crossing to python
 objects is :func:`_decode`, which builds the flat fields of a
 :class:`RoutingOutcome` for the callers that ask for full state.
-There the pass is also the one unit of the count-only entry point
-(:func:`jobs_happiness_counts`): every ``(m, d, S)`` it is asked for
-is an independent pass, run as a row of one bucket loop, K to a numpy
-call, whatever the size or strategy of its destination group.
+On every context the pass is the one unit of the count-only entry
+point (:func:`jobs_happiness_counts`): every ``(m, d, S)`` it is asked
+for is one pass, each distinct pass runs once, and only the executor
+differs — a row of one bucket loop, K to a numpy call, or one heap pass.
 The original dict-based engine survives verbatim in
 :mod:`repro.core.refimpl` for differential testing.
 
@@ -331,7 +326,6 @@ class RoutingContext:
         "_choice_init",
         "_nhops_init",
         "_last_counts",
-        "_sweep_owner",
     )
 
     def __init__(
@@ -396,13 +390,6 @@ class RoutingContext:
         #: them (:meth:`_heap_scratch`)
         self._fixed: bytearray | None = None
         self._last_counts: tuple[int, int, int, int, int, int] = (0,) * 6
-        #: Weak reference to the scalar :class:`DestinationSweep` whose
-        #: baseline currently lives in the scratch buffers (None after a
-        #: whole-graph heap pass).  Lets a sweep detect that someone else
-        #: used the scratch in between and resynchronize from its
-        #: snapshot instead of delta-fixing garbage; weak so a finished
-        #: sweep's O(V+E) snapshot is not pinned alive by the context.
-        self._sweep_owner: "weakref.ref[DestinationSweep] | None" = None
 
     # ------------------------------------------------------------------
     # Adjacency representations
@@ -700,17 +687,17 @@ class RoutingContext:
     def require_stub_simplex(self, deployment: Deployment) -> None:
         """Raise ``ValueError`` if a simplex member has customers.
 
-        Section 5.3.2 defines simplex S*BGP for stubs, and the sweeps'
-        delta re-fix is exact only there: with a *transit* simplex
+        Section 5.3.2 defines simplex S*BGP for stubs, and the numpy
+        count rows are exact only there: with a *transit* simplex
         member (it signs what it re-announces but never ranks on
-        security) a sweep can return counts that differ from the
-        per-pair engine and :mod:`repro.core.refimpl`, which agree with
-        each other.  Every sweep-backed entry point
+        security) fixing order is not key order, which only the heap
+        loop handles (:meth:`_run`).  Every count entry point
         (:func:`jobs_happiness_counts` and its one-job calls
         :func:`batch_happiness_counts` and
         :func:`rollout_happiness_counts`, :class:`DestinationSweep`,
         :meth:`RolloutSweep.advance`) therefore rejects such a
-        deployment; :func:`compute_routing_outcome` evaluates it per
+        deployment on every context, so no answer depends on the
+        context; :func:`compute_routing_outcome` evaluates it per
         pair.  A deployment object that passed is remembered while it
         lives, so a batch pays the O(|simplex|) check once.
         """
@@ -766,26 +753,25 @@ class RoutingContext:
         pass first when the strategy needs the attacker's baseline).
 
         On the per-pair paths a ``needs_baseline`` strategy therefore
-        costs two full fixing passes per pair; the count path shares the
-        baseline instead — a scalar sweep's snapshot, or one
-        attacker-free pass per ``(d, S)`` for a numpy context's rows —
-        so per-pair stays the simple oracle.
+        costs two full fixing passes per pair; the count path and a
+        sweep share the baseline instead — one attacker-free pass per
+        ``(d, S)`` — so per-pair stays the simple oracle.
         """
         if att_i < 0:
             return DEFAULT_RESOLVED
         baseline = None
         if attack.needs_baseline:
             self._run(dest_i, -1, signing, ranking, model)
-            if self._np_post is not None:
-                st = self._np_scratch
-                baseline = _attacker_baseline(
-                    st["fixed"], st["len"], st["wire"], att_i
-                )
-            else:
-                baseline = _attacker_baseline(
-                    self._fixed, self._len, self._wire, att_i
-                )
+            baseline = self._scratch_record(att_i)
         return attack.resolve(dest_signed=bool(signing[dest_i]), baseline=baseline)
+
+    def _scratch_record(self, att_i: int) -> AttackerBaseline:
+        """``att_i``'s record in the most recent pass, read from the
+        scratch of the kernel that ran it (:attr:`_np_post` says which)."""
+        if self._np_post is not None:
+            st = self._np_scratch
+            return _attacker_baseline(st["fixed"], st["len"], st["wire"], att_i)
+        return _attacker_baseline(self._fixed, self._len, self._wire, att_i)
 
     def _heap_scratch(self) -> None:
         """Allocate the heap loop's scratch buffers, reset (not
@@ -833,7 +819,6 @@ class RoutingContext:
                 [(dest_i, att_i, signing, ranking, attack)], model, state=True
             )
             return
-        self._sweep_owner = None
         self._np_post = None
         n = self.n
         if self._fixed is None:
@@ -1007,7 +992,7 @@ class RoutingContext:
 
         A call computes only what its counts read, in a scratch of its
         own, and leaves the last state call's result alone.  A ``state``
-        call — one row, from :meth:`_run` and a numpy sweep's delta — also
+        call — one row, from :meth:`_run` — also
         tracks the lowest tying offerer and fixes key, class, length,
         choice and endpoint per bucket; its result stays in place: nine
         int64/bool arrays in :attr:`_np_scratch` (the pure kernel's
@@ -1034,8 +1019,7 @@ class RoutingContext:
             for name in ("keyq", "reach", "reach_hi", "wire", "sec", "fixed")
         )
         if state:
-            # int64 copies: _np_post keeps the ranking mask, and a sweep
-            # mutates its bytearrays after the pass
+            # int64 copies: _np_post keeps the ranking mask past the pass
             ((dest_i, att_i, signing, ranking, attack),) = rows
             sign_np = _u8(signing).astype(int64)
             rank_np = _u8(ranking).astype(int64)
@@ -1652,53 +1636,30 @@ def normal_conditions(
 
 
 # ----------------------------------------------------------------------
-# Destination-major incremental sweeps
+# Destination-major sweeps
 # ----------------------------------------------------------------------
 class DestinationSweep:
-    """Amortized attacker sweeps against one ``(d, deployment, model)``.
+    """Many attackers against one ``(d, deployment, model)``.
 
-    The paper's metric evaluates many attackers per destination; a full
-    fixing pass per ``(m, d)`` pair recomputes the attacker-free routing
-    state of ``d`` from scratch every time.  This class runs that
-    attacker-free pass **once**, snapshots the stable arrays, and
-    computes each attacker's stable state by *delta re-fixing*: only the
-    region whose record actually changes relative to normal conditions
-    is reprocessed, and the touched entries are restored from the
-    snapshot between attackers.  Per-attacker cost is ``O(dirty region)``
-    instead of ``O(|V| + |E|)``.
+    The sweep runs the attacker-free fixing pass **once** and keeps it
+    as its baseline: :meth:`baseline_counts` and :meth:`baseline_outcome`
+    read it, and so does a ``needs_baseline`` strategy (``honest``),
+    which resolves each attacker from the attacker's record there
+    instead of a second pass per attacker.  Each attacker is then one
+    fixing pass, :meth:`RoutingContext._run`, on the kernel the context
+    picks: the heap loop on a scalar context (:attr:`last_delta_path`
+    ``"pure"``), one numpy state pass on a numpy one (``"dense"``).  The
+    count path, :func:`jobs_happiness_counts`, builds no sweep: it
+    shares passes across whole batches instead.
 
-    Correctness rests on two invariants of the fixing pass:
-
-    * **Dependency closure** — a record can change only through its
-      baseline next-hop set (reach/wire/choice/endpoint all flow through
-      ``nhops``), so resetting the reverse-``nhops`` closure of the
-      attacker invalidates every AS whose baseline state is void;
-    * **Monotone frontier** — any *new* route the attack introduces
-      reaches an AS through a strictly increasing rank key, so a clean
-      fixed AS needs re-fixing only when a dirty neighbor's re-fixed
-      route offers a key ``<=`` its baseline key (detected during the
-      delta pass and handled by dynamically invalidating that AS, its
-      dependency closure, and re-collecting offers for any pending node
-      that had accumulated an offer from the invalidated region).
-
-    Both invalidation channels preserve the Dijkstra order of the delta
-    pass (an invalidated AS re-enters the frontier above every key
-    popped so far), so the pass fixes exactly the stable state of
-    Theorem 2.1 — differential tests hold it bit-identical to the
-    per-pair engine and to :mod:`repro.core.refimpl`.
-
-    On a scalar context the sweep owns the context's scratch buffers
-    while it works; if another computation uses the context in between,
-    the next delta detects it (via ``RoutingContext._sweep_owner``) and
-    resynchronizes from the snapshot in one ``O(n)`` copy.  On a numpy
-    context there is no delta: the snapshot is a dict of arrays, and
-    each attacker (or advance) is one dense state pass,
-    :meth:`_delta_dense` (:func:`jobs_happiness_counts` builds no sweep
-    there: its groups are rows).  Like the context itself, a sweep is not thread-safe;
-    fork workers each own a clone.
+    The baseline has one form per context: the :class:`RoutingOutcome`
+    of the heap pass on a scalar context; copies of the bucket kernel's
+    state arrays on a numpy one, decoded into a :class:`RoutingOutcome`
+    when :meth:`baseline_outcome` first asks.  Like the context itself,
+    a sweep is not thread-safe; fork workers each own a clone.
 
     Example:
-        One sweep amortizes many attackers against one destination and
+        One sweep answers many attackers against one destination and
         is bit-identical to the per-pair engine:
 
         >>> from repro.topology.graph import ASGraph
@@ -1716,33 +1677,18 @@ class DestinationSweep:
     """
 
     __slots__ = (
-        "__weakref__",
         "ctx",
         "destination",
         "deployment",
         "model",
         "attack",
         "_dest_i",
-        "_root_att",
-        "_dest_signed",
-        "_last_res",
         "_signing",
         "_ranking",
-        "_b_fixed",
-        "_b_key",
-        "_b_cls",
-        "_b_len",
-        "_b_reach",
-        "_b_wire",
-        "_b_sec",
-        "_b_choice",
-        "_b_endpoint",
-        "_b_nhops",
         "_b_counts",
-        "_dep",
-        "_dirty",
-        "last_delta_path",
+        "_base",
         "_np_base",
+        "last_delta_path",
     )
 
     def __init__(
@@ -1759,109 +1705,52 @@ class DestinationSweep:
         self.deployment = deployment = deployment or _EMPTY_DEPLOYMENT
         self.model = model
         self.attack = attack
-        #: the path the most recent delta ran (None before the first):
-        #: ``"pure"`` on a scalar context, ``"dense"`` on a numpy one.
+        #: the kernel the most recent attacker pass or advance ran (None
+        #: before the first): ``"pure"`` on a scalar context, ``"dense"``
+        #: on a numpy one.
         self.last_delta_path: str | None = None
-        self._np_base: dict | None = None
-        self._last_res = DEFAULT_RESOLVED
-        dest_i, _ = ctx._check_pair(destination, None)
-        self._dest_i = dest_i
-        try:
-            self._root_att
-        except AttributeError:
-            #: index of an attacker rooted *in the baseline itself* (-1
-            #: for the normal attacker-free baseline; ``_AttackerChain``
-            #: assigns its attacker before delegating here).
-            self._root_att = -1
+        self._dest_i, _ = ctx._check_pair(destination, None)
         ctx.require_stub_simplex(deployment)
-        signing, ranking = ctx.deployment_masks(deployment)
-        self._signing = signing
-        self._ranking = ranking
-        self._dest_signed = bool(signing[dest_i])
-        # The baseline fixing pass, run exactly once per sweep.
-        self._run_baseline()
+        self._signing, self._ranking = ctx.deployment_masks(deployment)
+        # The baseline fixing pass, run once per deployment.
+        ctx._run(self._dest_i, -1, self._signing, self._ranking, model)
         self._take_baseline()
-        self._dirty = bytearray(ctx.n)
-
-    def _run_baseline(self) -> None:
-        """Run the sweep's baseline fixing pass (attacker-free here; the
-        rollout attacker-chain walker overrides this to root its
-        attacker)."""
-        self.ctx._run(
-            self._dest_i, -1, self._signing, self._ranking, self.model
-        )
 
     def _take_baseline(self) -> None:
-        """Snapshot the pass that just ran as this sweep's baseline.
-
-        A sweep holds exactly one snapshot form, chosen by
-        ``ctx.vectorized``.  On a scalar context the baselines are
-        python bytearrays/lists copied from the scratch buffers, which
-        the sweep then owns (mutable so the rollout advance,
-        :class:`RolloutSweep`, can commit a delta in place; a plain
-        :class:`DestinationSweep` never mutates them) and the
-        reverse-dependency lists are built on the first delta
-        (:meth:`_ensure_dep`).  On a numpy context the snapshot is
-        copies of the bucket kernel's nine state arrays and the pass's
-        ``post`` — no python object per AS, and no next-hop membership
-        either: :meth:`baseline_outcome`, its only reader, derives the
-        pairs from these copies when first asked.
-        """
+        """Keep the attacker-free pass that just ran as this sweep's
+        baseline, in the form of the kernel that ran it (numpy arrays
+        are copied, not decoded: no python object per AS until
+        :meth:`baseline_outcome` asks)."""
         ctx = self.ctx
         self._b_counts = ctx._last_counts
-        self._dep = None
-        self._np_base = None
-        if ctx.vectorized:
-            st = ctx._np_scratch
-            base = {
-                name: st[name].copy()
-                for name in (
-                    "fixed", "key", "cls", "len", "reach",
-                    "wire", "sec", "choice", "endp",
-                )
-            }
-            self._b_fixed = None
-            self._b_key = None
-            self._b_cls = None
-            self._b_len = None
-            self._b_reach = None
-            self._b_wire = None
-            self._b_sec = None
-            self._b_choice = None
-            self._b_endpoint = None
-            self._b_nhops = None
-            self._np_base = base
-            base["post"] = ctx._np_post
+        if ctx._np_post is None:
+            self._np_base = None
+            self._base = ctx._snapshot(
+                self.destination, None, self.deployment, self.model,
+                self._dest_i, -1, self.attack,
+            )
             return
-        # Inner next-hop lists are shared with the scratch arrays; the
-        # delta pass never mutates a restored list (every mutation path
-        # starts with a reset to None followed by a fresh list), which is
-        # the same contract _snapshot relies on.
-        self._b_nhops = list(ctx._nhops)
-        self._b_fixed = bytearray(ctx._fixed)
-        self._b_key = list(ctx._key)
-        self._b_cls = bytearray(ctx._cls)
-        self._b_len = list(ctx._len)
-        self._b_reach = bytearray(ctx._reach)
-        self._b_wire = bytearray(ctx._wire)
-        self._b_sec = bytearray(ctx._sec)
-        self._b_choice = list(ctx._choice)
-        self._b_endpoint = bytearray(ctx._endpoint)
-        ctx._sweep_owner = weakref.ref(self)
+        st = ctx._np_scratch
+        base = {
+            name: st[name].copy()
+            for name in (
+                "fixed", "key", "cls", "len", "reach",
+                "wire", "sec", "choice", "endp",
+            )
+        }
+        base["post"] = ctx._np_post
+        self._np_base = base
+        self._base = None
 
-    def _ensure_dep(self) -> list[list[int]]:
-        """Reverse-dependency lists over the baseline next-hop sets:
-        ``dep[u]`` holds every v whose baseline BPR set contains u.
-        Built on the first pure delta, amortized over all attackers."""
-        dep = self._dep
-        if dep is None:
-            dep = [[] for _ in range(self.ctx.n)]
-            for v, h in enumerate(self._b_nhops):
-                if h:
-                    for u in h:
-                        dep[u].append(v)
-            self._dep = dep
-        return dep
+    def _pass(self, att_i: int, resolved: ResolvedAttack = DEFAULT_RESOLVED) -> None:
+        """One fixing pass under the sweep's deployment (``att_i = -1``
+        for the baseline), recording which kernel ran it."""
+        ctx = self.ctx
+        ctx._run(
+            self._dest_i, att_i, self._signing, self._ranking, self.model,
+            resolved,
+        )
+        self.last_delta_path = "pure" if ctx._np_post is None else "dense"
 
     # ------------------------------------------------------------------
     @property
@@ -1875,37 +1764,30 @@ class DestinationSweep:
 
     def baseline_outcome(self) -> RoutingOutcome:
         """The attacker-free :class:`RoutingOutcome` (``m = None``)."""
-        ctx = self.ctx
-        base = self._np_base
-        if base is not None:
+        base = self._base
+        if base is None:
             # next-hop pairs from the snapshot's own arrays and ``post``
             # (the context's scratch belongs to whichever pass ran last)
-            if "pairs" not in base:
-                base["pairs"] = ctx._np_nhop_pairs(base, base["post"])
-            return RoutingOutcome(
+            st = self._np_base
+            base = self._base = RoutingOutcome(
                 destination=self.destination,
                 attacker=None,
                 deployment=self.deployment,
                 model=self.model,
                 attack=self.attack,
                 _resolved=DEFAULT_RESOLVED,
-                _ctx=ctx,
+                _ctx=self.ctx,
                 _dest_i=self._dest_i,
                 _att_i=-1,
                 _counts=self._b_counts,
-                **_decode(base, *base["pairs"]),
+                **_decode(st, *self.ctx._np_nhop_pairs(st, st["post"])),
             )
-        self._ensure_scratch()
-        ctx._last_counts = self._b_counts
-        return ctx._snapshot(
-            self.destination, None, self.deployment, self.model,
-            self._dest_i, -1, self.attack, DEFAULT_RESOLVED,
-        )
+        return base
 
     def happiness_counts(self, attacker: int) -> tuple[int, int, int]:
         """``(happy_lower, happy_upper, num_sources)`` for one attacker."""
-        counts, touched = self._delta(self._attacker_index(attacker))
-        self._restore(touched)
+        self._attack(attacker)
+        counts = self.ctx._last_counts
         return counts[0], counts[1], self.ctx.n - 2
 
     def counts(self, attackers: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -1914,791 +1796,39 @@ class DestinationSweep:
 
     def outcome(self, attacker: int) -> RoutingOutcome:
         """The full stable state for one attacker (API-compatible with
-        :func:`compute_routing_outcome`; computed incrementally on a
-        scalar context, by one dense pass on a numpy one)."""
-        att_i = self._attacker_index(attacker)
-        ctx = self.ctx
-        counts, touched = self._delta(att_i)
-        ctx._last_counts = counts
-        snap = ctx._snapshot(
+        :func:`compute_routing_outcome`)."""
+        att_i, resolved = self._attack(attacker)
+        return self.ctx._snapshot(
             self.destination, attacker, self.deployment, self.model,
-            self._dest_i, att_i, self.attack, self._last_res,
+            self._dest_i, att_i, self.attack, resolved,
         )
-        self._restore(touched)
-        return snap
 
     # ------------------------------------------------------------------
-    def _attacker_index(self, attacker: int) -> int:
+    def _attack(self, attacker: int) -> tuple[int, ResolvedAttack]:
+        """Run ``attacker``'s pass; returns its index and the resolved
+        attack.  A ``needs_baseline`` strategy reads the attacker's
+        record in the sweep's baseline."""
         att_i = self.ctx.index_of.get(attacker)
         if att_i is None:
             raise ValueError(f"attacker AS {attacker} not in graph")
         if att_i == self._dest_i:
             raise ValueError("attacker and destination must differ")
-        self._ensure_scratch()
-        return att_i
-
-    def _ensure_scratch(self) -> None:
-        """Resync the scratch buffers from the snapshot if another
-        computation used the context since the last delta (a numpy
-        sweep's deltas are whole passes: nothing to resync)."""
-        if self._np_base is not None:
-            return
-        ctx = self.ctx
-        owner = ctx._sweep_owner
-        if owner is not None and owner() is self:
-            return
-        ctx._fixed[:] = self._b_fixed
-        ctx._key[:] = self._b_key
-        ctx._cls[:] = self._b_cls
-        ctx._len[:] = self._b_len
-        ctx._reach[:] = self._b_reach
-        ctx._wire[:] = self._b_wire
-        ctx._sec[:] = self._b_sec
-        ctx._choice[:] = self._b_choice
-        ctx._endpoint[:] = self._b_endpoint
-        ctx._nhops[:] = self._b_nhops
-        ctx._sweep_owner = weakref.ref(self)
-
-    def _restore(self, touched: list[int] | None) -> None:
-        """Return every touched scratch entry to its baseline value (a
-        numpy delta never wrote one: nothing to undo)."""
-        if self._np_base is not None:
-            return
-        ctx = self.ctx
-        fixed = ctx._fixed
-        key_l = ctx._key
-        cls_b = ctx._cls
-        len_l = ctx._len
-        reach_b = ctx._reach
-        wire_b = ctx._wire
-        sec_b = ctx._sec
-        choice_l = ctx._choice
-        endp_b = ctx._endpoint
-        nhops = ctx._nhops
-        b_fixed = self._b_fixed
-        b_key = self._b_key
-        b_cls = self._b_cls
-        b_len = self._b_len
-        b_reach = self._b_reach
-        b_wire = self._b_wire
-        b_sec = self._b_sec
-        b_choice = self._b_choice
-        b_endp = self._b_endpoint
-        b_nhops = self._b_nhops
-        dirty = self._dirty
-        for x in touched:
-            fixed[x] = b_fixed[x]
-            key_l[x] = b_key[x]
-            cls_b[x] = b_cls[x]
-            len_l[x] = b_len[x]
-            reach_b[x] = b_reach[x]
-            wire_b[x] = b_wire[x]
-            sec_b[x] = b_sec[x]
-            choice_l[x] = b_choice[x]
-            endp_b[x] = b_endp[x]
-            nhops[x] = b_nhops[x]
-            dirty[x] = 0
-
-    def _resolve_delta(self, att_i: int, advance: bool) -> ResolvedAttack | None:
-        """Resolve the attacker strategy for one delta (shared by both
-        kernel paths).  The snapshot holds the attacker-free state, so
-        ``needs_baseline`` strategies read the attacker's legitimate
-        record for free; on an advance the attacker is already rooted in
-        the baseline and its resolution was fixed when the chain walker
-        built it."""
-        if att_i < 0:
-            return None
-        if advance:
-            return self._last_res
         attack = self.attack
         baseline = None
         if attack.needs_baseline:
-            base = self._np_base
-            if base is not None:
-                baseline = _attacker_baseline(
-                    base["fixed"], base["len"], base["wire"], att_i
-                )
+            st = self._np_base
+            if st is None:
+                b = self._base
+                baseline = _attacker_baseline(b._fixed, b._len, b._wire, att_i)
             else:
                 baseline = _attacker_baseline(
-                    self._b_fixed, self._b_len, self._b_wire, att_i
+                    st["fixed"], st["len"], st["wire"], att_i
                 )
-        res = attack.resolve(dest_signed=self._dest_signed, baseline=baseline)
-        self._last_res = res
-        return res
-
-    def _delta(
-        self,
-        att_i: int,
-        extra_resets: Sequence[int] | None = None,
-    ) -> tuple[tuple[int, int, int, int, int, int], list[int] | None]:
-        """Delta re-fix for one attacker or advance.
-
-        The context selects the implementation, and nothing else does:
-
-        * a scalar context (``ctx.vectorized`` false) runs the
-          interpreted heap loop, :meth:`_delta_pure`, in the python
-          scratch: the caller restores or commits ``touched``;
-        * a numpy context runs one dense :meth:`RoutingContext._run_np`
-          state pass (:meth:`_delta_dense`, ``touched=None``).
-
-        Both compute the same bit-identical result; the one that ran is
-        recorded in :attr:`last_delta_path` (``"pure"`` or ``"dense"``).
-        """
-        res = self._resolve_delta(att_i, extra_resets is not None)
-        if not self.ctx.vectorized:
-            self.last_delta_path = "pure"
-            return self._delta_pure(att_i, extra_resets, res)
-        self.last_delta_path = "dense"
-        return self._delta_dense(att_i, res)
-
-    def _delta_dense(
-        self,
-        att_i: int,
-        res: ResolvedAttack | None,
-    ) -> tuple[tuple[int, int, int, int, int, int], None]:
-        """A numpy context's delta: recompute the attacked (or
-        advanced) state from scratch in one vectorized pass (a sweep's
-        masks passed ``require_stub_simplex``, so ``_run_np`` takes
-        them).  Returns ``touched=None``; the state is the context's
-        last pass, for :meth:`_take_baseline` (an advance) or
-        :meth:`RoutingContext._snapshot` (:meth:`outcome`) to pick
-        up."""
-        ctx = self.ctx
-        row = (
-            self._dest_i, att_i, self._signing, self._ranking,
-            res if res is not None else DEFAULT_RESOLVED,
+        resolved = attack.resolve(
+            dest_signed=bool(self._signing[self._dest_i]), baseline=baseline
         )
-        return ctx._run_np([row], self.model, state=True)[0], None
-
-    def _delta_pure(
-        self,
-        att_i: int,
-        extra_resets: Sequence[int] | None,
-        res: ResolvedAttack | None,
-    ) -> tuple[tuple[int, int, int, int, int, int], list[int]]:
-        """Delta re-fix for one attacker, or a deployment advance (the
-        scalar-context implementation; reads the python snapshot).
-
-        Two modes share the pass:
-
-        * **attacker delta** (``extra_resets is None``): root ``att_i``'s
-          claimed announcement into the attacker-free baseline (steps
-          1-5 below);
-        * **deployment advance** (``extra_resets`` given — the newly-
-          secured indices, after :class:`RolloutSweep` flipped their
-          bits in the signing/ranking masks): void the seeds' closures
-          instead; ``att_i`` then names an attacker *already rooted in
-          the baseline* (-1 for the attacker-free baseline) so the
-          boundary collection keeps offering its claimed path.
-
-        Leaves the scratch buffers holding the re-fixed stable state and
-        returns ``(counts, touched)``; the caller must either
-        :meth:`_restore` ``touched`` (attacker deltas) or commit it as
-        the new baseline (rollout advances) before the next delta.
-        """
-        ctx = self.ctx
-        dest_i = self._dest_i
-        fixed = ctx._fixed
-        key_l = ctx._key
-        cls_b = ctx._cls
-        len_l = ctx._len
-        reach_b = ctx._reach
-        wire_b = ctx._wire
-        sec_b = ctx._sec
-        choice_l = ctx._choice
-        endp_b = ctx._endpoint
-        nhops = ctx._nhops
-        edges = ctx._edges
-        signing = self._signing
-        ranking = self._ranking
-        dirty = self._dirty
-        dep = self._ensure_dep()
-        model = self.model
-        coeffs = model.packed_coeffs()
-        if coeffs is not None:
-            cm, lm, sm = coeffs
-            key_fn = None
-        else:
-            cm = lm = sm = 0
-            key_fn = model.packed_key
-        uses_sec = model.uses_security
-        dest_signed = 1 if signing[dest_i] else 0
-        advance = extra_resets is not None
-        if att_i >= 0:
-            att_active = res.active
-            att_ln = res.length + 1  # length ranked by the attacker's neighbors
-            att_wire = 1 if res.wire else 0
-            att_exp = res.export_all
-        else:
-            att_active = False
-            att_ln = att_wire = 0
-            att_exp = False
-        heap: list[int] = []
-        push = heapq.heappush
-        pop = heapq.heappop
-        touched: list[int] = []
-        #: clean nodes whose BPR set was *pruned* (``dirty == 2``): their
-        #: key/class/length/wire are untouched, so only reach/choice/
-        #: endpoint need the soft recompute at the end.
-        soft_prunes: list[int] = []
-
-        # Inner helpers bind the hot arrays as default arguments: the
-        # delta pass calls them thousands of times per attacker, and the
-        # LOAD_FAST locals are measurably cheaper than closure cells.
-        def reset_closure(
-            w: int,
-            dirty=dirty,
-            touched=touched,
-            fixed=fixed,
-            key_l=key_l,
-            sec_b=sec_b,
-            wire_b=wire_b,
-            nhops=nhops,
-            dep=dep,
-            signing=signing,
-            soft_prunes=soft_prunes,
-        ) -> list[int]:
-            """Hard-reset ``w`` and the part of its baseline dependency
-            closure whose records cannot survive; returns the newly
-            (hard-)reset nodes.
-
-            A dependent that keeps at least one live BPR member does
-            *not* need the hard reset: all members tie on the rank key,
-            so its key/class/length/wire are intact and only its reach/
-            choice/endpoint can shift — it is *pruned* instead (the dead
-            members are dropped, ``dirty = 2``) and recomputed by the
-            soft phase, exactly like a deferred knife-edge tie.  The one
-            exception is a prune that would flip the node's wire
-            security (every surviving offer signed where the old mix was
-            not, at a signing node): that changes what it offers
-            downstream, so it is hard-reset after all.  Mixed-wire BPR
-            sets only exist where the rank key ignores the security bit,
-            so the surviving-member scan is exact, not heuristic.
-
-            Only the fields the re-fix actually relies on are reset:
-            ``fixed``/``key`` drive the pass, ``nhops`` must be None for
-            the stale-offer repair test, and ``sec`` because the pop
-            step sets it conditionally.  The rest (cls/len/reach/wire/
-            choice/endpoint) are overwritten by the first improvement or
-            at pop time and are never read while unfixed.
-            """
-            stack = [w]
-            resets: list[int] = []
-            while stack:
-                x = stack.pop()
-                was = dirty[x]
-                if was == 1:
-                    continue
-                dirty[x] = 1
-                if not was:
-                    touched.append(x)
-                resets.append(x)
-                fixed[x] = 0
-                key_l[x] = _INF
-                sec_b[x] = 0
-                nhops[x] = None
-                for y in dep[x]:
-                    if dirty[y] == 1 or not fixed[y]:
-                        continue
-                    h = nhops[y]
-                    if h is None:
-                        continue
-                    if len(h) == 1:
-                        # Singleton BPR set (the common case): either
-                        # its only member just died (hard reset) or this
-                        # is a stale dependency entry (rollout chains).
-                        if dirty[h[0]] == 1:
-                            stack.append(y)
-                        continue
-                    live = 0
-                    for u in h:
-                        if dirty[u] != 1:
-                            live += 1
-                    if not live:
-                        stack.append(y)
-                        continue
-                    if live == len(h):
-                        continue  # stale dependency entry (rollout chains)
-                    keep = [u for u in h if dirty[u] != 1]
-                    if (
-                        signing[y]
-                        and not wire_b[y]
-                        and all(wire_b[u] for u in keep)
-                    ):
-                        # Pruning the insecure members would flip y's
-                        # wire security — a record change after all.
-                        stack.append(y)
-                        continue
-                    if not dirty[y]:
-                        dirty[y] = 2
-                        touched.append(y)
-                        soft_prunes.append(y)
-                    # Copy-on-write: the baseline inner list is shared
-                    # with the snapshot and must stay pristine.
-                    nhops[y] = keep
-            return resets
-
-        def gather(
-            x: int,
-            edges=edges,
-            fixed=fixed,
-            key_l=key_l,
-            cls_b=cls_b,
-            len_l=len_l,
-            reach_b=reach_b,
-            wire_b=wire_b,
-            nhops=nhops,
-            ranking=ranking,
-            heap=heap,
-            push=push,
-            dest_i=dest_i,
-            att_i=att_i,
-            dest_signed=dest_signed,
-            att_active=att_active,
-            att_ln=att_ln,
-            att_wire=att_wire,
-            att_exp=att_exp,
-            cm=cm,
-            lm=lm,
-            sm=sm,
-            key_fn=key_fn,
-            RouteClass=RouteClass,
-        ) -> None:
-            """Collect offers to a freshly reset ``x`` from every fixed
-            neighbor (roots included, with their root semantics)."""
-            for e in edges[x]:
-                u = e >> 3
-                if not fixed[u]:
-                    continue
-                # From x's edge entry: ucls is the class u assigns to a
-                # route learned from x; relationships are symmetric, so
-                # the class x assigns to a route from u is 2 - ucls, and
-                # u may export to x iff u's best route is a customer
-                # route or u is x's provider (ucls == CUSTOMER).
-                ucls = (e >> 1) & 3
-                if u == dest_i:
-                    ln = 1
-                    wire_u = dest_signed
-                    reach_u = 1
-                elif u == att_i:
-                    # The attacker root offers its claimed path — unless
-                    # it is silent, or its export scope excludes x (x is
-                    # the attacker's customer iff ucls == CUSTOMER).
-                    if not (att_active and (att_exp or ucls == 0)):
-                        continue
-                    ln = att_ln
-                    wire_u = att_wire
-                    reach_u = 2
-                else:
-                    if cls_b[u] != 0 and ucls != 0:
-                        continue
-                    ln = len_l[u] + 1
-                    wire_u = wire_b[u]
-                    reach_u = reach_b[u]
-                icls = 2 - ucls
-                if key_fn is None:
-                    k = icls * cm + ln * lm + (
-                        0 if (wire_u and ranking[x]) else sm
-                    )
-                else:
-                    k = key_fn(RouteClass(icls), ln, bool(wire_u and ranking[x]))
-                cur = key_l[x]
-                if k < cur:
-                    key_l[x] = k
-                    cls_b[x] = icls
-                    len_l[x] = ln
-                    reach_b[x] = reach_u
-                    wire_b[x] = wire_u
-                    nhops[x] = [u]
-                    push(heap, (k << PACK_SHIFT) | x)
-                elif k == cur:
-                    nhops[x].append(u)  # type: ignore[union-attr]
-                    reach_b[x] |= reach_u
-                    if not wire_u:
-                        wire_b[x] = 0
-
-        def invalidate(
-            w: int,
-            edges=edges,
-            fixed=fixed,
-            key_l=key_l,
-            cls_b=cls_b,
-            len_l=len_l,
-            reach_b=reach_b,
-            wire_b=wire_b,
-            nhops=nhops,
-            ranking=ranking,
-            heap=heap,
-            push=push,
-            dest_i=dest_i,
-            att_i=att_i,
-            dest_signed=dest_signed,
-            att_active=att_active,
-            att_ln=att_ln,
-            att_wire=att_wire,
-            att_exp=att_exp,
-            cm=cm,
-            lm=lm,
-            sm=sm,
-            key_fn=key_fn,
-            RouteClass=RouteClass,
-        ) -> None:
-            """Dynamically invalidate clean fixed ``w``: reset its
-            dependency closure, re-collect each reset node's offers from
-            its still-fixed neighbors, and repair unfixed nodes holding
-            offers from the invalidated region.  Both directions of each
-            reset node's adjacency are handled in one scan."""
-            resets = reset_closure(w)
-            repair: list[int] | None = None
-            for x in resets:
-                for e in edges[x]:
-                    u = e >> 3
-                    if fixed[u]:
-                        # Offer u -> x (x was just reset); inline gather.
-                        ucls = (e >> 1) & 3
-                        if u == dest_i:
-                            ln = 1
-                            wire_u = dest_signed
-                            reach_u = 1
-                        elif u == att_i:
-                            if not (att_active and (att_exp or ucls == 0)):
-                                continue
-                            ln = att_ln
-                            wire_u = att_wire
-                            reach_u = 2
-                        else:
-                            if cls_b[u] != 0 and ucls != 0:
-                                continue
-                            ln = len_l[u] + 1
-                            wire_u = wire_b[u]
-                            reach_u = reach_b[u]
-                        icls = 2 - ucls
-                        if key_fn is None:
-                            k = icls * cm + ln * lm + (
-                                0 if (wire_u and ranking[x]) else sm
-                            )
-                        else:
-                            k = key_fn(
-                                RouteClass(icls), ln, bool(wire_u and ranking[x])
-                            )
-                        cur = key_l[x]
-                        if k < cur:
-                            key_l[x] = k
-                            cls_b[x] = icls
-                            len_l[x] = ln
-                            reach_b[x] = reach_u
-                            wire_b[x] = wire_u
-                            nhops[x] = [u]
-                            push(heap, (k << PACK_SHIFT) | x)
-                        elif k == cur:
-                            nhops[x].append(u)  # type: ignore[union-attr]
-                            reach_b[x] |= reach_u
-                            if not wire_u:
-                                wire_b[x] = 0
-                    else:
-                        # u is unfixed: if it accumulated x's (now void)
-                        # offer, it must be repaired below.
-                        h = nhops[u]
-                        if h is not None and x in h:
-                            if repair is None:
-                                repair = [u]
-                            else:
-                                repair.append(u)
-            if repair is None:
-                return
-            for x in repair:
-                if nhops[x] is None:
-                    continue  # already repaired via another reset
-                # The node accumulated an offer from a now-invalid
-                # record.  Every live offer it has received came from a
-                # still-fixed neighbor, so wiping the accumulated state
-                # and re-collecting from fixed neighbors reconstructs
-                # exactly the valid offers (stale heap entries are
-                # skipped by the key check at pop time).
-                key_l[x] = _INF
-                nhops[x] = None
-                gather(x)
-
-        # Deferred knife-edge ties: a re-fixed route that exactly ties a
-        # clean node's baseline key without changing its wire security
-        # alters only the node's BPR membership and reach — those are
-        # patched by the cheap soft phase at the end instead of hard
-        # re-fixing the node's whole dependency closure.
-        ties: list[tuple[int, int]] = []
-
-        if not advance:
-            # Step 1: void the attacker's own record and everything whose
-            # baseline best routes pass through it.
-            resets0 = reset_closure(att_i)
-            # Step 2: the attacker becomes a root announcing its claimed
-            # path as the strategy resolved it (the paper default: the
-            # bogus one-hop path "m d" via legacy BGP).
-            fixed[att_i] = 1
-            len_l[att_i] = res.length
-            reach_b[att_i] = 2 if att_active else 0
-            endp_b[att_i] = 2 if att_active else 0
-            wire_b[att_i] = att_wire
-            choice_l[att_i] = -1
-            # Step 3: the claimed announcement reaches every neighbor in
-            # the strategy's export scope (default: all of them — legacy
-            # BGP lets the lie flow everywhere, since the claimed path
-            # looks like a customer route the attacker may export to
-            # anyone).
-            pending: list[int] = []
-            if att_active:
-                for e in edges[att_i]:
-                    if not (att_exp or (e & 1)):
-                        continue  # outside the export scope (non-customer)
-                    w = e >> 3
-                    if dirty[w] == 1:
-                        continue  # reset in step 1; gather() delivers it
-                    vcls = (e >> 1) & 3
-                    if key_fn is None:
-                        k = vcls * cm + att_ln * lm + (
-                            0 if (att_wire and ranking[w]) else sm
-                        )
-                    else:
-                        k = key_fn(
-                            RouteClass(vcls), att_ln, bool(att_wire and ranking[w])
-                        )
-                    if fixed[w]:
-                        if w == dest_i:
-                            continue
-                        cur = key_l[w]
-                        if k < cur or (k == cur and not att_wire and wire_b[w]):
-                            pending.append(w)
-                        elif k == cur:
-                            ties.append((w, att_i))
-                        continue
-                    # Unreachable under normal conditions: first offer.
-                    cur = key_l[w]
-                    if k < cur:
-                        key_l[w] = k
-                        cls_b[w] = vcls
-                        len_l[w] = att_ln
-                        reach_b[w] = 2
-                        wire_b[w] = att_wire
-                        nhops[w] = [att_i]
-                        push(heap, (k << PACK_SHIFT) | w)
-            # Step 4: boundary offers for the step-1 resets (the attacker
-            # is fixed now, so the collection includes the bogus offer
-            # exactly once).
-            for x in resets0:
-                if x != att_i:
-                    gather(x)
-            # Step 5: neighbors whose baseline route loses to the bogus
-            # one.
-            for w in pending:
-                if dirty[w] != 1:
-                    invalidate(w)
-        else:
-            # Rollout advance: the newly-secured ASes are the only nodes
-            # whose rank inputs changed (their ranking bit lowers the
-            # keys they assign, their signing bit what they re-announce).
-            # Void them and their dependency closures first, then collect
-            # boundary offers under the already-updated masks; everything
-            # further out is discovered by the same boundary-invalidation
-            # machinery the attacker delta uses.  Roots (the destination
-            # and, on attacker chains, the rooted attacker) never seed:
-            # their announcements do not depend on their secure bits
-            # (the destination's own signing flip rebuilds the sweep).
-            resets0 = []
-            for v in extra_resets:
-                if dirty[v] != 1:
-                    resets0.extend(reset_closure(v))
-            for x in resets0:
-                gather(x)
-
-        # Step 6: the delta fixing pass, clean fixed nodes acting as a
-        # frozen boundary whose re-offers were collected above.
-        while heap:
-            entry = pop(heap)
-            v = entry & _IDX_MASK
-            if fixed[v] or (entry >> PACK_SHIFT) != key_l[v]:
-                continue
-            nh = nhops[v]
-            ch = nh[0] if len(nh) == 1 else min(nh)  # type: ignore[index, arg-type]
-            choice_l[v] = ch
-            endp_b[v] = endp_b[ch]
-            w_ = wire_b[v]
-            if w_:
-                if uses_sec and ranking[v]:
-                    sec_b[v] = 1
-                if not signing[v]:
-                    wire_b[v] = 0
-            fixed[v] = 1
-            if not dirty[v]:
-                dirty[v] = 1  # first touch of a baseline-unreachable node
-                touched.append(v)
-            exports_all = cls_b[v] == 0
-            ln = len_l[v] + 1
-            wire_v = wire_b[v]
-            reach_v = reach_b[v]
-            deferred: list[int] | None = None
-            for e in edges[v]:
-                if not (exports_all or (e & 1)):
-                    continue
-                w = e >> 3
-                if fixed[w]:
-                    # Boundary edge into the fixed region.  Re-fixed
-                    # (dirty) targets and roots never need another look;
-                    # a clean or soft-pruned target is invalidated when
-                    # the re-fixed route beats its baseline key or ties
-                    # it while flipping its wire security (deferred so
-                    # this relaxation finishes first — the re-collection
-                    # then delivers v's offer exactly once).  An exact
-                    # tie that preserves wire security only widens the
-                    # target's knife edge: record it for the soft phase.
-                    if dirty[w] == 1 or w == dest_i or w == att_i:
-                        continue
-                    vcls = (e >> 1) & 3
-                    if key_fn is None:
-                        k = vcls * cm + ln * lm + (
-                            0 if (wire_v and ranking[w]) else sm
-                        )
-                    else:
-                        k = key_fn(
-                            RouteClass(vcls), ln, bool(wire_v and ranking[w])
-                        )
-                    cur = key_l[w]
-                    if k < cur or (k == cur and not wire_v and wire_b[w]):
-                        if deferred is None:
-                            deferred = [w]
-                        else:
-                            deferred.append(w)
-                    elif k == cur:
-                        ties.append((w, v))
-                    continue
-                vcls = (e >> 1) & 3
-                if key_fn is None:
-                    k = vcls * cm + ln * lm + (
-                        0 if (wire_v and ranking[w]) else sm
-                    )
-                else:
-                    k = key_fn(RouteClass(vcls), ln, bool(wire_v and ranking[w]))
-                cur = key_l[w]
-                if k < cur:
-                    key_l[w] = k
-                    cls_b[w] = vcls
-                    len_l[w] = ln
-                    reach_b[w] = reach_v
-                    wire_b[w] = wire_v
-                    nhops[w] = [v]
-                    push(heap, (k << PACK_SHIFT) | w)
-                elif k == cur:
-                    nhops[w].append(v)  # type: ignore[union-attr]
-                    reach_b[w] |= reach_v
-                    if not wire_v:
-                        wire_b[w] = 0
-            if deferred is not None:
-                for w in deferred:
-                    if dirty[w] != 1:
-                        invalidate(w)
-
-        # Step 7 (soft phase): apply the deferred knife-edge ties and
-        # recompute the pruned nodes.  Each tie adds one member to a
-        # clean node's BPR set, each prune removed members whose records
-        # were voided — either way the node's key, class, length and
-        # wire security are untouched, so nothing it offers changes;
-        # only reach, choice and endpoint can shift, and those flow
-        # strictly upward in rank key through BPR membership.  The
-        # worklist recomputes affected nodes in increasing key order:
-        # clean consumers come from the baseline dependency lists,
-        # re-fixed consumers from the new BPR sets of this pass.
-        if ties or soft_prunes:
-            cons: dict[int, list[int]] = {}
-            for v in touched:
-                if fixed[v] and dirty[v] == 1 and v != att_i:
-                    for u in nhops[v]:  # type: ignore[union-attr]
-                        lst = cons.get(u)
-                        if lst is None:
-                            cons[u] = [v]
-                        else:
-                            lst.append(v)
-            work: list[int] = []
-            for w in soft_prunes:
-                if dirty[w] == 2:  # not promoted to a hard reset later
-                    push(work, (key_l[w] << PACK_SHIFT) | w)
-            for w, u in ties:
-                if dirty[w] == 1:
-                    continue  # hard-invalidated later; tie re-collected
-                if dirty[w]:
-                    nhops[w].append(u)  # type: ignore[union-attr]
-                else:
-                    dirty[w] = 2
-                    touched.append(w)
-                    # Copy-on-write: the baseline inner list is shared
-                    # with the snapshot and must stay pristine.
-                    nhops[w] = nhops[w] + [u]  # type: ignore[operator]
-                push(work, (key_l[w] << PACK_SHIFT) | w)
-            while work:
-                x = pop(work) & _IDX_MASK
-                nh = nhops[x]
-                if nh is None:
-                    continue  # promoted to a hard reset after enqueue
-                r = 0
-                for u in nh:
-                    r |= reach_b[u]
-                ch = nh[0] if len(nh) == 1 else min(nh)
-                ep = endp_b[ch]
-                if (
-                    r == reach_b[x]
-                    and ep == endp_b[x]
-                    and ch == choice_l[x]
-                ):
-                    continue
-                if not dirty[x]:
-                    dirty[x] = 2
-                    touched.append(x)
-                reach_b[x] = r
-                choice_l[x] = ch
-                endp_b[x] = ep
-                for y in dep[x]:
-                    if dirty[y] != 1 and fixed[y]:
-                        push(work, (key_l[y] << PACK_SHIFT) | y)
-                lst = cons.get(x)
-                if lst is not None:
-                    for y in lst:
-                        push(work, (key_l[y] << PACK_SHIFT) | y)
-
-        # O(touched) count update: start from the baseline counts, swap
-        # out each touched node's baseline contribution for its new one.
-        # Roots never count: the attacker-delta's root *was* a source in
-        # the attacker-free baseline (its contribution is swapped out),
-        # while a chain baseline's rooted attacker never contributed.
-        lo, up, alo, aup, sec_n, nfx = self._b_counts
-        b_fixed = self._b_fixed
-        b_reach = self._b_reach
-        b_sec = self._b_sec
-        root_att = self._root_att
-        for x in touched:
-            if x != root_att and b_fixed[x]:
-                r = b_reach[x]
-                if r == 1:
-                    lo -= 1
-                    up -= 1
-                elif r == 2:
-                    alo -= 1
-                    aup -= 1
-                else:
-                    up -= 1
-                    aup -= 1
-                sec_n -= b_sec[x]
-                nfx -= 1
-            if x != att_i and fixed[x]:
-                r = reach_b[x]
-                if r == 1:
-                    lo += 1
-                    up += 1
-                elif r == 2:
-                    alo += 1
-                    aup += 1
-                else:
-                    up += 1
-                    aup += 1
-                sec_n += sec_b[x]
-                nfx += 1
-        return (lo, up, alo, aup, sec_n, nfx), touched
+        self._pass(att_i, resolved)
+        return att_i, resolved
 
 
 # ----------------------------------------------------------------------
@@ -2714,57 +1844,15 @@ def _check_nested(old: Deployment, new: Deployment) -> None:
         )
 
 
-def _chain_step(ctx: RoutingContext, old: Deployment, new: Deployment) -> tuple:
-    """What the chain step ``old → new`` changes, for
-    :meth:`RolloutSweep._apply`: ``(new, sign_idx, rank_idx,
-    gain_idx)`` — as dense indices (members absent from the graph
-    dropped) the set of ASes that start signing, the set that start
-    ranking, and the sorted union of the two.  Raises ``ValueError``
-    unless the step is nested (:func:`_check_nested`)."""
-    _check_nested(old, new)
-    get = ctx.index_of.get
-    sign_idx = {
-        i
-        for asn in (new.full | new.simplex) - (old.full | old.simplex)
-        if (i := get(asn)) is not None
-    }
-    rank_idx = {
-        i for asn in new.full - old.full if (i := get(asn)) is not None
-    }
-    return new, sign_idx, rank_idx, sorted(sign_idx | rank_idx)
-
-
 class RolloutSweep(DestinationSweep):
     """A :class:`DestinationSweep` that walks a *nested-deployment
     chain* ``S_0 ⊆ S_1 ⊆ … ⊆ S_T`` for one destination.
 
-    The paper's rollout figures (7a/7b/8/11) — and the far larger
-    deployment-ordering sweeps of follow-up work — evaluate the same
-    attacker set against the same destination under a chain of growing
-    deployments.  A fresh sweep per step pays a full attacker-free
-    fixing pass, snapshot and dependency build every time, although
-    adjacent steps differ by a handful of newly-secured ASes.
-    :meth:`advance` instead re-fixes only the region whose routing
-    records can change when those ASes flip their secure bits — their
-    ranking bit lowers the keys they assign, their signing bit upgrades
-    what they re-announce — using the same boundary-invalidation and
-    knife-edge-tie machinery as the attacker delta, and then *commits*
-    the touched entries into the baseline snapshot instead of restoring
-    them.  (On a numpy context an advance, like an attacker, is one
-    dense pass, whose state becomes the new snapshot.)
-
-    Two further chain-structure savings stack on top on a scalar
-    context:
-
-    * the reverse-dependency lists are patched (append-only) for the
-      committed entries instead of being rebuilt per step — stale
-      entries only ever cause a harmless extra reset;
-    * per-attacker results are memoized across steps: an attacker delta
-      reads baseline records only inside its touched region and that
-      region's neighborhood, so when an advance leaves that region
-      untouched the attacker's counts simply shift with the baseline
-      counts (``counts_t − baseline_t`` is invariant) and the delta is
-      skipped entirely.
+    The paper's rollout figures (7a/7b/8/11) evaluate the same attackers
+    against the same destination under a chain of growing deployments.
+    :meth:`advance` moves the sweep to the next step in place: the new
+    deployment's masks, then its attacker-free pass, which becomes the
+    baseline every later attacker reads.
 
     Chains must be nested *per membership mode*: both the ranking set
     (``full``) and the signing set (``full ∪ simplex``) may only grow
@@ -2773,8 +1861,7 @@ class RolloutSweep(DestinationSweep):
     fresh sweep per step, which is what the differential tests enforce.
 
     Example:
-        Walking a chain reuses the converged arrays between steps and
-        matches fresh per-step sweeps exactly:
+        Walking a chain matches fresh per-step sweeps exactly:
 
         >>> from repro.topology.graph import ASGraph
         >>> g = ASGraph()
@@ -2793,264 +1880,19 @@ class RolloutSweep(DestinationSweep):
         True
     """
 
-    __slots__ = ("_memo", "_dep_slack")
-
-    def __init__(
-        self,
-        topology: ASGraph | RoutingContext,
-        destination: int,
-        deployment: Deployment | None = None,
-        model: RankModel = BASELINE,
-        attack: AttackStrategy = DEFAULT_ATTACK,
-    ) -> None:
-        super().__init__(topology, destination, deployment, model, attack)
-        # Private mutable masks: the parent's come from the context's
-        # per-deployment cache (and may even be its shared zero mask),
-        # so advancing in place would poison other computations.
-        self._signing = bytearray(self._signing)
-        self._ranking = bytearray(self._ranking)
-        #: attacker index → (read region, counts delta vs baseline).
-        self._memo: dict[int, tuple[frozenset[int], tuple[int, int]]] = {}
-        #: dep entries appended since the last exact (re)build; commits
-        #: trigger a rebuild once this exceeds n, bounding staleness.
-        self._dep_slack = 0
+    __slots__ = ()
 
     def advance(self, deployment: Deployment) -> None:
         """Move the sweep's baseline to the next chain step in place
         (``ValueError``, before anything changes, if ``deployment`` does
         not nest the current one or has a transit simplex member)."""
-        self.ctx.require_stub_simplex(deployment)
-        self._apply(_chain_step(self.ctx, self.deployment, deployment))
-
-    def _apply(self, step: tuple) -> None:
-        """Advance by a :func:`_chain_step` from this sweep's current
-        deployment (the chain walkers compute each step once and hand
-        it to every sweep on the chain)."""
-        deployment, sign_idx, rank_idx, gain_idx = step
+        ctx = self.ctx
+        ctx.require_stub_simplex(deployment)
+        _check_nested(self.deployment, deployment)
         self.deployment = deployment
-        dest_i = self._dest_i
-        if dest_i in sign_idx:
-            # The destination's own origin signing flips: the root's
-            # announcement changes, so every record is suspect — rebuild
-            # from a full fixing pass (rare: once per chain at most).
-            self._rebuild()
-            return
-        root_att = self._root_att
-        # Roots never seed a reset: their records ignore offers and
-        # their secure bits are never read (the destination's ranking
-        # bit is only consulted for offers *to* it, which roots discard;
-        # a rooted attacker announces its resolved claim regardless of
-        # its own membership — the paper's attacker ignores protocol).
-        seeds = [i for i in gain_idx if i != dest_i and i != root_att]
-        self._ensure_scratch()
-        signing = self._signing
-        ranking = self._ranking
-        for i in sign_idx:
-            signing[i] = 1
-        for i in rank_idx:
-            ranking[i] = 1
-        if not seeds:
-            return
-        counts, touched = self._delta(self._root_att, extra_resets=seeds)
-        if touched is None:
-            # A numpy context's delta is one full pass of the advanced
-            # state: adopt it wholesale as a fresh snapshot (its sweeps
-            # memoize nothing and keep no dependency lists).
-            self._take_baseline()
-            return
-        self._commit(counts, touched, seeds)
-
-    def _rebuild(self) -> None:
-        """Full re-fix fallback (destination signing flipped)."""
-        ctx = self.ctx
-        signing, ranking = ctx.deployment_masks(self.deployment)
-        self._signing = bytearray(signing)
-        self._ranking = bytearray(ranking)
-        self._dest_signed = bool(signing[self._dest_i])
-        self._run_baseline()
+        self._signing, self._ranking = ctx.deployment_masks(deployment)
+        self._pass(-1)
         self._take_baseline()
-        self._memo.clear()
-        self._dep_slack = 0
-
-    def _commit(
-        self,
-        counts: tuple[int, int, int, int, int, int],
-        touched: list[int],
-        seeds: Sequence[int],
-    ) -> None:
-        """Adopt a scalar advance's re-fixed state as the new baseline:
-        copy the touched entries from the scratch buffers into the
-        python snapshot and patch the ``dep`` lists append-only.
-        """
-        ctx = self.ctx
-        self._b_counts = counts
-        fixed = ctx._fixed
-        key_l = ctx._key
-        cls_b = ctx._cls
-        len_l = ctx._len
-        reach_b = ctx._reach
-        wire_b = ctx._wire
-        sec_b = ctx._sec
-        choice_l = ctx._choice
-        endp_b = ctx._endpoint
-        nhops = ctx._nhops
-        b_nhops = self._b_nhops
-        b_fixed = self._b_fixed
-        b_key = self._b_key
-        b_cls = self._b_cls
-        b_len = self._b_len
-        b_reach = self._b_reach
-        b_wire = self._b_wire
-        b_sec = self._b_sec
-        b_choice = self._b_choice
-        b_endp = self._b_endpoint
-        dep = self._dep  # built by the pure delta that just ran
-        dirty = self._dirty
-        appended = 0
-        for x in touched:
-            b_fixed[x] = fixed[x]
-            b_key[x] = key_l[x]
-            b_cls[x] = cls_b[x]
-            b_len[x] = len_l[x]
-            b_reach[x] = reach_b[x]
-            b_wire[x] = wire_b[x]
-            b_sec[x] = sec_b[x]
-            b_choice[x] = choice_l[x]
-            b_endp[x] = endp_b[x]
-            old = b_nhops[x]
-            h = nhops[x]
-            b_nhops[x] = h
-            dirty[x] = 0
-            if h is not None and fixed[x]:
-                # Append-only dependency patch: entries for dropped
-                # memberships go stale, and re-appearing memberships
-                # duplicate — both at worst re-reset a node whose
-                # record would have survived, never incorrect.  Only
-                # genuinely new-vs-the-replaced-record memberships
-                # are appended, and the periodic rebuild below bounds
-                # the accumulated slack on long chains.
-                for u in h:
-                    if old is None or u not in old:
-                        dep[u].append(x)
-                        appended += 1
-        self._dep_slack += appended
-        if self._dep_slack > ctx.n:
-            # Stale and duplicated entries only cost harmless extra
-            # resets, but on a long chain they would accumulate; one
-            # linear rebuild per ~n appended entries keeps every dep
-            # list exact at amortized O(1) per commit.
-            self._dep = None
-            self._ensure_dep()
-            self._dep_slack = 0
-        if self._memo:
-            changed = set(touched)
-            changed.update(seeds)
-            self._memo = {
-                a: entry
-                for a, entry in self._memo.items()
-                if entry[0].isdisjoint(changed)
-            }
-
-    def happiness_counts(self, attacker: int) -> tuple[int, int, int]:
-        """``(happy_lower, happy_upper, num_sources)``, memoized across
-        chain steps when the attacker's read region survived the last
-        advance untouched."""
-        att_i = self._attacker_index(attacker)
-        b = self._b_counts
-        entry = self._memo.get(att_i)
-        if entry is not None:
-            d_lo, d_up = entry[1]
-            return b[0] + d_lo, b[1] + d_up, self.ctx.n - 2
-        counts, touched = self._delta(att_i)
-        # The delta read baseline records only at touched nodes and
-        # their neighbors (gather sources and boundary targets), so that
-        # region is the memo's validity certificate.  Tracking it only
-        # pays when the region is small — which is also exactly when the
-        # next advance is likely to miss it.  A numpy context's dense
-        # pass (``touched is None``) read everything: nothing to memoize.
-        if touched is not None and len(touched) <= self.ctx.n >> 3:
-            region = set(touched)
-            edges = self.ctx._edges
-            for x in touched:
-                for e in edges[x]:
-                    region.add(e >> 3)
-            self._memo[att_i] = (
-                frozenset(region),
-                (counts[0] - b[0], counts[1] - b[1]),
-            )
-        self._restore(touched)
-        return counts[0], counts[1], self.ctx.n - 2
-
-
-class _AttackerChain(RolloutSweep):
-    """A rollout chain whose baseline *is* one attacker's stable state.
-
-    When a destination group has only a few attackers, re-running each
-    attacker's delta at every chain step costs a blast-radius-sized
-    re-fix per (attacker, step) — at low deployment levels that is as
-    expensive as a full fixing pass, so the shared-baseline walk saves
-    nothing.  This walker instead roots the attacker *into* the chain
-    baseline: one full attacked pass at ``S_0``, then each step is a
-    single ``O(changed)`` advance of the attacked state, and the step's
-    counts are simply the committed baseline counts.
-
-    Only valid for strategies whose resolution is step-stable: a
-    ``needs_baseline`` strategy (e.g. ``honest``) re-resolves against
-    the attacker-free state of *each* deployment, which this walker does
-    not maintain.  The destination's own signing flip re-resolves and
-    rebuilds (via :meth:`RolloutSweep._rebuild` → :meth:`_run_baseline`).
-    :func:`jobs_happiness_counts` walks these on scalar contexts only:
-    on a numpy one every ``(attacker, step)`` is a kernel row.
-    """
-
-    __slots__ = ()
-
-    def __init__(
-        self,
-        topology: ASGraph | RoutingContext,
-        destination: int,
-        attacker: int,
-        deployment: Deployment | None = None,
-        model: RankModel = BASELINE,
-        attack: AttackStrategy = DEFAULT_ATTACK,
-    ) -> None:
-        if attack.needs_baseline:
-            raise ValueError(
-                f"attacker-chain walking needs a step-stable resolution; "
-                f"strategy {attack.token!r} resolves against the "
-                f"attacker-free baseline of every step"
-            )
-        ctx = _as_context(topology)
-        _, att_i = ctx._check_pair(destination, attacker)
-        self._root_att = att_i
-        super().__init__(ctx, destination, deployment, model, attack)
-
-    def _run_baseline(self) -> None:
-        ctx = self.ctx
-        att_i = self._root_att
-        res = ctx._resolve_attack(
-            self._dest_i, att_i, self._signing, self._ranking,
-            self.model, self.attack,
-        )
-        self._last_res = res
-        ctx._run(
-            self._dest_i, att_i, self._signing, self._ranking,
-            self.model, res,
-        )
-
-    def step_counts(self) -> tuple[int, int, int]:
-        """``(happy_lower, happy_upper, num_sources)`` at the current
-        chain step — just the committed baseline counts."""
-        b = self._b_counts
-        return b[0], b[1], self.ctx.n - 2
-
-
-#: On a scalar context, destination groups with at most this many
-#: attackers are not walked as deltas of one shared baseline: paying the
-#: attack's blast radius again at every step loses to one full attacked
-#: pass plus cheap advances (an :class:`_AttackerChain` an attacker).
-#: A numpy context has no such choice: every group is rows.
-_ATTACKER_CHAIN_MAX = 3
 
 
 def jobs_happiness_counts(
@@ -3076,41 +1918,23 @@ def jobs_happiness_counts(
     of one step, none is zero steps, ``[]``) and stub-simplex
     (:meth:`RoutingContext.require_stub_simplex`): every job is checked
     before any pass, so a bad job raises ``ValueError`` with nothing
-    computed, whatever the pairs are.  Pairs are grouped by destination.
-    On a numpy context every group is evaluated one way:
+    computed, whatever the pairs are.
 
-    * **rows**: a numpy pass costs the same whatever it shares with the
-      pass before it, so every distinct pass is one independent row of
-      :meth:`RoutingContext._run_np`, and the rows of *all* jobs that
-      share a kernel model run :attr:`RoutingContext.batch_rows` to a
-      call.  Every ``(d, m, S_t)`` resolves its attack first (a
-      ``needs_baseline`` strategy resolves every attacker of a
-      ``(d, S_t)`` from one attacker-free state pass), then keys the
-      pass it is.  A *blind* one — the baseline placement, or no signed
-      announcement (``d`` does not sign, the attacker is absent, silent
-      or unsigned), so no AS holds a secure route and every placement
-      orders routes by ``(LP bucket, length)`` alike — is the baseline
-      placement's pass of its local preference under no deployment,
-      keyed ``(d, m, resolved attack)`` and shared by every step,
-      placement and job that asks for it; any other keeps its model,
-      deployment and resolved attack.
-
-    On a scalar context the group's shape picks (only a walked group
-    needs what each step changes, :func:`_chain_step`, worked out once
-    a job):
-
-    * **one pass a pair** (one step, at most one attacker): plain
-      fixing passes beat a sweep's snapshot and dependency index;
-    * **attacker chains** (several steps, ``≤ 3`` attackers, step-stable
-      strategy): one :class:`_AttackerChain` per attacker — a full
-      attacked pass at ``S_0``, then a single ``O(changed)`` advance
-      per step;
-    * **a shared sweep** (everything else — many attackers, or a
-      ``needs_baseline`` strategy): one :class:`RolloutSweep`
-      (:class:`DestinationSweep` for one step) — the attacker-free
-      baseline advances per step, each attacker pays an ``O(dirty)``
-      delta per step, and cross-step memo hits skip attackers whose
-      read region the advance missed.
+    Every pair-step is one fixing pass, and the call runs each
+    *distinct* pass once.  Every ``(d, m, S_t)`` resolves its attack
+    first (a ``needs_baseline`` strategy resolves every attacker of a
+    ``(d, S_t)`` from one attacker-free pass), then keys the pass it
+    is.  A *blind* one — the baseline placement, or no signed
+    announcement (``d`` does not sign, the attacker is absent, silent
+    or unsigned), so no AS holds a secure route and every placement
+    orders routes by ``(LP bucket, length)`` alike — is the baseline
+    placement's pass of its local preference under no deployment, keyed
+    ``(d, m, resolved attack)`` and shared by every step, placement and
+    job that asks for it; any other keeps its model, deployment and
+    resolved attack.  Only the executor depends on the context: a numpy
+    one runs the distinct passes as the rows of
+    :meth:`RoutingContext._run_np`, :attr:`RoutingContext.batch_rows` to
+    a call, a scalar one each as one :meth:`RoutingContext._run`.
 
     Results are in input pair order and bit-identical to one full
     fixing pass per pair and step (:func:`batch_outcomes`, the per-pair
@@ -3136,41 +1960,14 @@ def jobs_happiness_counts(
         results.append(out)
         if not deployments:
             continue
-        chain = len(deployments) > 1
-        steps = None
-        row_groups = []
         groups: dict[int, dict[int | None, list[int]]] = {}
         for i, (m, d) in enumerate(pairs):
             groups.setdefault(d, {}).setdefault(m, []).append(i)
-        for d, by_attacker in groups.items():
-            attackers = len(by_attacker) - (None in by_attacker)
-            if ctx.vectorized:
-                for m, idxs in by_attacker.items():
-                    row_groups.append(
-                        (*ctx._check_pair(d, m), idxs, n - (1 if m is None else 2))
-                    )
-            elif not chain and attackers <= 1:
-                signing, ranking = ctx.deployment_masks(deployments[0])
-                for m, idxs in by_attacker.items():
-                    dest_i, att_i = ctx._check_pair(d, m)
-                    resolved = ctx._resolve_attack(
-                        dest_i, att_i, signing, ranking, model, attack
-                    )
-                    ctx._run(dest_i, att_i, signing, ranking, model, resolved)
-                    lo, up = ctx._last_counts[:2]
-                    for i in idxs:
-                        out[0][i] = (lo, up, n - (1 if m is None else 2))
-            else:
-                if steps is None:
-                    steps = [
-                        _chain_step(ctx, old, new)
-                        for old, new in zip(deployments, deployments[1:])
-                    ]
-                few = attackers <= _ATTACKER_CHAIN_MAX and not attack.needs_baseline
-                _walk_group(
-                    ctx, d, by_attacker, deployments, steps, model, attack, out,
-                    chains=bool(few and chain and attackers),
-                )
+        row_groups = [
+            (*ctx._check_pair(d, m), idxs, n - (1 if m is None else 2))
+            for d, by_attacker in groups.items()
+            for m, idxs in by_attacker.items()
+        ]
         model_rows = rows.setdefault(model, [])
         for deployment, step_out in zip(deployments, out):
             for dest_i, att_i, idxs, sources in row_groups:
@@ -3183,8 +1980,8 @@ def jobs_happiness_counts(
     blank = ctx.deployment_masks(_EMPTY_DEPLOYMENT)
     for model, model_rows in rows.items():
         blind_model = RankModel(SecurityModel.BASELINE, model.local_preference)
-        #: the ``(dest_i, deployment)`` whose attacker-free state pass is
-        #: in the context's scratch (count rows never write it)
+        #: the ``(dest_i, deployment)`` whose attacker-free pass is in
+        #: the context's scratch (no other pass runs while planning)
         baseline_of = None
         for dest_i, att_i, deployment, attack, *asked in model_rows:
             signing, ranking = ctx.deployment_masks(deployment)
@@ -3196,12 +1993,9 @@ def jobs_happiness_counts(
                 if baseline_of != (dest_i, deployment):
                     ctx._run(dest_i, -1, signing, ranking, model)
                     baseline_of = (dest_i, deployment)
-                st = ctx._np_scratch
                 resolved = attack.resolve(
                     dest_signed=bool(signing[dest_i]),
-                    baseline=_attacker_baseline(
-                        st["fixed"], st["len"], st["wire"], att_i
-                    ),
+                    baseline=ctx._scratch_record(att_i),
                 )
             if model.uses_security and (
                 signing[dest_i] or (att_i >= 0 and resolved.active and resolved.wire)
@@ -3217,58 +2011,22 @@ def jobs_happiness_counts(
             passes.setdefault(kernel_model, {}).setdefault(
                 key, [(dest_i, att_i, *masks, resolved)]
             ).append(asked)
+    size = ctx.batch_rows if ctx.vectorized else 1
     for kernel_model, by_key in passes.items():
         todo = list(by_key.values())
-        for at in range(0, len(todo), ctx.batch_rows):
-            batch = todo[at : at + ctx.batch_rows]
-            kernel_rows = [entry[0] for entry in batch]
-            for entry, counts in zip(batch, ctx._run_np(kernel_rows, kernel_model)):
+        for at in range(0, len(todo), size):
+            batch = todo[at : at + size]
+            if ctx.vectorized:
+                counted = ctx._run_np([entry[0] for entry in batch], kernel_model)
+            else:
+                dest_i, att_i, signing, ranking, resolved = batch[0][0]
+                ctx._run(dest_i, att_i, signing, ranking, kernel_model, resolved)
+                counted = [ctx._last_counts]
+            for entry, counts in zip(batch, counted):
                 for step_out, idxs, sources in entry[1:]:
                     for i in idxs:
                         step_out[i] = (counts[0], counts[1], sources)
     return results
-
-
-def _walk_group(
-    ctx: RoutingContext,
-    d: int,
-    by_attacker: dict[int | None, list[int]],
-    deployments: list[Deployment],
-    steps: list[tuple],
-    model: RankModel,
-    attack: AttackStrategy,
-    out: list[list],
-    chains: bool,
-) -> None:
-    """One destination group of :func:`jobs_happiness_counts` on warm
-    sweeps, written into ``out[t][i]``: one :class:`_AttackerChain`
-    per attacker beside an attacker-free baseline sweep (``chains``),
-    or every attacker as a delta of one shared sweep."""
-    n = ctx.n
-    sweep_cls = RolloutSweep if steps else DestinationSweep
-    walkers: dict[int | None, DestinationSweep] = {}
-    if chains:
-        for m in by_attacker:
-            if m is not None:
-                walkers[m] = _AttackerChain(
-                    ctx, d, m, deployments[0], model, attack=attack
-                )
-    if not chains or None in by_attacker:
-        walkers[None] = sweep_cls(ctx, d, deployments[0], model, attack=attack)
-    for t, step_out in enumerate(out):
-        if t:
-            for walker in walkers.values():
-                walker._apply(steps[t - 1])
-        for m, idxs in by_attacker.items():
-            if m is None:
-                lo, up = walkers[None].baseline_counts()
-                counts = (lo, up, n - 1)
-            elif chains:
-                counts = walkers[m].step_counts()
-            else:
-                counts = walkers[None].happiness_counts(m)
-            for i in idxs:
-                step_out[i] = counts
 
 
 def rollout_happiness_counts(

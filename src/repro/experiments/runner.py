@@ -9,9 +9,9 @@ of a batch are cut, destination group by destination group, into bins
 (:func:`~repro.experiments.scenarios.cut_bins`) that go over local
 ``fork`` processes in one pass, the topology shared with the workers
 for free (no per-task pickling of the graph).  A worker evaluates its
-bin with :func:`repro.core.routing.jobs_happiness_counts`: few-attacker
-pair-steps as rows of shared numpy kernel batches, many-attacker
-groups and scalar contexts on warm destination sweeps.  Forked workers
+bin with :func:`repro.core.routing.jobs_happiness_counts`, which runs
+each distinct pass of the bin once — as rows of shared numpy kernel
+batches, or one heap pass each on a scalar context.  Forked workers
 each own a copy-on-write clone of the context, so scratch-buffer reuse
 is race-free, and results are scattered back into request pair order
 so parallel runs reproduce serial runs bit-for-bit.

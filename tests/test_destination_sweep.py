@@ -1,8 +1,9 @@
-"""Differential tests for the destination-major incremental engine.
+"""Differential tests for the destination-major sweep.
 
-:class:`repro.core.routing.DestinationSweep` re-fixes only the dirty
-region per attacker and restores snapshots in between, so the tests here
-hold it *bit-identical* to two independent oracles on every observable:
+:class:`repro.core.routing.DestinationSweep` keeps one attacker-free
+baseline per destination and runs each attacker as one pass on the
+context's scratch, so the tests here hold it *bit-identical* to two
+independent oracles on every observable:
 
 * the per-pair flat engine (one full fixing pass per pair:
   ``batch_outcomes`` and ``compute_routing_outcome``), and
@@ -14,7 +15,7 @@ three security placements, plus LP2 variants) x with/without the
 Appendix J IXP augmentation, attacker sets that include every provider,
 peer and customer of the destination (the adjacent edge cases where the
 bogus route competes hardest), and repeated/interleaved attackers to
-prove the between-attacker restore leaks nothing.
+prove no attacker's pass leaks into the next or into the baseline.
 """
 
 from __future__ import annotations
@@ -153,8 +154,8 @@ def test_restore_is_leak_free_across_attackers():
 
 
 def test_sweep_resyncs_after_foreign_scratch_use():
-    """Another computation on the same context between deltas must not
-    corrupt the sweep (it resynchronizes from its snapshot)."""
+    """Another computation on the same context between attackers must
+    not corrupt the sweep (its baseline is a copy of its own)."""
     graph, destination, attackers, deployment = make_instance(5, ixp=False)
     model = SECURITY_MODELS[0]
     ctx = RoutingContext(graph)
@@ -256,9 +257,9 @@ def test_per_pair_engine_still_evaluates_transit_simplex(vectorized):
 @pytest.mark.parametrize("ixp", [False, True], ids=["base", "ixp"])
 @pytest.mark.parametrize("seed", SEEDS[:6])
 def test_delta_kernels_bit_identical(seed, ixp):
-    """A numpy context's delta — one dense pass — replays a scalar
-    context's pure loop exactly: counts for every attacker, full
-    outcomes, and a leak-free restore (verified by re-querying).  The
+    """A numpy context's attacker pass — one dense pass — replays a
+    scalar context's heap loop exactly: counts for every attacker, full
+    outcomes, and no leak between them (verified by re-querying).  The
     context alone selects: pure never runs on a numpy context, nothing
     else ever runs on a scalar one."""
     pytest.importorskip("numpy")

@@ -21,10 +21,11 @@ theorems) with invariants of the *engine mechanics* on random inputs:
   drawn from every AS, ``compute_routing_outcome`` on a scalar and on a
   numpy context equals the reference engine;
 * **every sweep path is the same function** — a random nested
-  deployment chain walked by ``RolloutSweep`` and ``_AttackerChain`` on
-  a scalar context (delta re-fixing) and on a numpy context (one dense
-  pass a delta) equals fresh sweeps per step, the per-pair engine and the reference
-  engine (the tier-1 seed of the standing differential fuzzer).
+  deployment chain walked by ``RolloutSweep`` on a scalar context (the
+  heap loop) and on a numpy context (one dense pass an attacker or
+  advance) equals fresh sweeps per step, the per-pair engine and the
+  reference engine (the tier-1 seed of the standing differential
+  fuzzer).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.core import (
     Deployment,
     DestinationSweep,
     FORGED_ORIGIN,
+    HONEST,
     ONE_HOP_HIJACK,
     PathLengthHijack,
     Reach,
@@ -46,7 +48,6 @@ from repro.core import (
     compute_routing_outcome,
 )
 from repro.core.refimpl import ref_compute_routing_outcome
-from repro.core.routing import _AttackerChain
 from repro.topology.relationships import RouteClass
 
 from test_properties import DEFAULT_SETTINGS, attack_instances
@@ -215,9 +216,10 @@ def nested_chains(draw):
                 simplex=frozenset((prev.simplex | draw(stubs)) - full),
             )
         )
-    # Step-stable strategies only: _AttackerChain bars the rest.
     attack = draw(
-        st.sampled_from((ONE_HOP_HIJACK, FORGED_ORIGIN, PathLengthHijack(2)))
+        st.sampled_from(
+            (ONE_HOP_HIJACK, FORGED_ORIGIN, PathLengthHijack(2), HONEST)
+        )
     )
     return graph, destination, attacker, chain, model, attack
 
@@ -242,12 +244,10 @@ class TestSweepPathsAgree:
         for path in ("pure", "dense"):
             ctx = RoutingContext(graph, vectorized=path != "pure")
             walker = RolloutSweep(ctx, d, chain[0], model, attack)
-            rooted = _AttackerChain(ctx, d, m, chain[0], model, attack)
             for t, deployment in enumerate(chain):
                 attacked, attacker_free = want[t]
                 if t:
                     walker.advance(deployment)
-                    rooted.advance(deployment)
                 fresh = DestinationSweep(ctx, d, deployment, model, attack)
                 direct = compute_routing_outcome(
                     ctx, d, attacker=m, deployment=deployment, model=model,
@@ -258,6 +258,5 @@ class TestSweepPathsAgree:
                 assert walker.baseline_counts() == attacker_free, (path, t)
                 assert fresh.happiness_counts(m) == attacked, (path, t)
                 assert walker.happiness_counts(m) == attacked, (path, t)
-                assert rooted.step_counts() == attacked, (path, t)
-                for sweep in (fresh, walker, rooted):
+                for sweep in (fresh, walker):
                     assert sweep.last_delta_path in (None, path), (path, t)

@@ -1,12 +1,11 @@
 """Differential tests for the rollout-major chain engine.
 
-:class:`repro.core.routing.RolloutSweep` advances a converged baseline
-across a nested-deployment chain (committing deltas instead of
-restoring them), and :func:`repro.core.routing.rollout_happiness_counts`
-walks whole chains per destination — through per-attacker attacked-state
-chains for sparse groups and the shared-baseline delta walk (with the
-cross-step memo) for dense ones.  The tests here hold every step of a
-chain walk *bit-identical* to three independent oracles:
+:class:`repro.core.routing.RolloutSweep` advances its attacker-free
+baseline across a nested-deployment chain, and
+:func:`repro.core.routing.rollout_happiness_counts` evaluates whole
+chains as their distinct fixing passes, each run once.  The tests here
+hold every step of a chain *bit-identical* to three independent
+oracles:
 
 * the step-independent destination-major path
   (``batch_happiness_counts`` with default flags),
@@ -18,9 +17,9 @@ Grids: full tier12/tier2 rollout chains (coarse, dense and
 simplex-stub variants, prefixed with S = ∅) x all rank models
 (baseline + three placements + LP2 variants) x ±IXP x all four shipped
 attacker strategies, with attacker sets that include destination
-neighbors, many-attacker groups (exercising the shared-baseline memo
-walk on a scalar context, count rows on a numpy one), and a chain step
-that secures an attacker itself.
+neighbors, many-attacker groups (one heap pass per distinct pass on a
+scalar context, count rows on a numpy one), and a chain step that
+secures an attacker itself.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from repro.core import (
     tier12_rollout,
     tier12_rollout_dense,
 )
-from repro.core.routing import _ATTACKER_CHAIN_MAX, RoutingContext, _AttackerChain
+from repro.core.routing import RoutingContext
 from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.topology import TopologyParams, classify_tiers, generate_topology
 from repro.topology.ixp import augment_with_ixp_peering
@@ -153,10 +152,10 @@ def test_dense_chain_with_lp2_variants(seed):
 
 @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=lambda a: a.token)
 def test_chains_match_oracles_all_strategies(attack):
-    """All four shipped threat models, including ``honest`` (which is
-    barred from attacked-state chains: its resolution re-reads the
-    attacker-free baseline of every step) and ``forged_origin`` (whose
-    resolution flips with the victim's signing bit mid-chain)."""
+    """All four shipped threat models, including ``honest`` (whose
+    resolution re-reads the attacker-free baseline of every step) and
+    ``forged_origin`` (whose resolution flips with the victim's signing
+    bit mid-chain)."""
     graph, tiers = make_topology(5)
     chain = make_chain(graph, tiers, "tier12")
     pairs = chain_pairs(graph, 5, destinations=3, attackers=2)
@@ -169,13 +168,13 @@ def test_chains_match_oracles_all_strategies(attack):
 @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=lambda a: a.token)
 def test_numpy_rows_match_oracles_all_strategies(attack):
     """The same four threat models on a numpy context, where every
-    destination group is count rows: groups of two attackers and groups
-    above _ATTACKER_CHAIN_MAX (an ``honest`` group resolves all of its
-    attackers from one attacker-free pass per step)."""
+    destination group is count rows: groups of two attackers and of
+    four (an ``honest`` group resolves all of its attackers from one
+    attacker-free pass per step)."""
     pytest.importorskip("numpy")
     graph, tiers = make_topology(5)
     chain = make_chain(graph, tiers, "tier12")
-    for attackers in (2, _ATTACKER_CHAIN_MAX + 1):
+    for attackers in (2, 4):
         pairs = chain_pairs(graph, 5, destinations=3, attackers=attackers)
         for model in (BASELINE, SECURITY_MODELS[0], SECURITY_MODELS[1]):
             assert_chain_matches_oracles(
@@ -209,15 +208,15 @@ def test_chain_step_secures_an_attacker():
 
 @pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "numpy"])
 def test_many_attacker_groups_match_oracles(vectorized):
-    """Groups above _ATTACKER_CHAIN_MAX match the oracles on both
-    contexts: a scalar one walks them as deltas of one shared baseline
-    with the cross-step memo, a numpy one runs them as count rows."""
+    """Groups of seven attackers match the oracles on both contexts: a
+    scalar one runs each distinct pass as one heap pass, a numpy one as
+    count rows."""
     if vectorized:
         pytest.importorskip("numpy")
     graph, tiers = make_topology(7)
     chain = make_chain(graph, tiers, "tier12_dense")
     pairs = chain_pairs(
-        graph, 7, destinations=2, attackers=_ATTACKER_CHAIN_MAX + 4
+        graph, 7, destinations=2, attackers=7
     )
     for model in ALL_MODELS:
         assert_chain_matches_oracles(
@@ -241,6 +240,41 @@ def test_none_attacker_rows_walk_with_the_chain():
             assert rollout[t] == batch_happiness_counts(
                 ctx, pairs, deployment, model
             ), (model.label, t)
+
+
+@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "numpy"])
+def test_honest_chain_resolves_each_step_from_its_own_baseline(vectorized):
+    """``honest`` re-reads the attacker's route at every chain step: for
+    pairs whose attacker's route turns secure along the chain, the step
+    counts are the new resolution's, not the first step's (which would
+    count differently), on both contexts."""
+    if vectorized:
+        pytest.importorskip("numpy")
+    graph, tiers = make_topology(6)
+    chain = make_chain(graph, tiers, "tier12")
+    pairs = chain_pairs(graph, 6, destinations=3, attackers=4)
+    model = SECURITY_MODELS[0]
+    ctx = RoutingContext(graph, vectorized=vectorized)
+    last = ctx.deployment_masks(chain[-1])
+    stale = {}
+    for i, (m, d) in enumerate(pairs):
+        dest_i, att_i = ctx._check_pair(d, m)
+        first, final = (
+            ctx._resolve_attack(
+                dest_i, att_i, *ctx.deployment_masks(s), model, HONEST
+            )
+            for s in (chain[0], chain[-1])
+        )
+        if first != final:
+            ctx._run(dest_i, att_i, *last, model, first)
+            stale[i] = ctx._last_counts[:2]
+    rollout = rollout_happiness_counts(ctx, pairs, chain, model, attack=HONEST)
+    for t, deployment in enumerate(chain):
+        assert rollout[t] == per_pair_counts(
+            ctx, pairs, deployment, model, HONEST
+        ), t
+    changed = [i for i, counts in stale.items() if rollout[-1][i][:2] != counts]
+    assert changed, "no pair whose stale resolution counts differently"
 
 
 # ----------------------------------------------------------------------
@@ -372,6 +406,33 @@ class TestRolloutSweep:
             fresh = DestinationSweep(ctx, d, deployment, model)
             assert sweep.happiness_counts(m) == fresh.happiness_counts(m), t
 
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "numpy"])
+    def test_long_chains_hold_one_step_of_state(self, vectorized):
+        """A walk keeps the current step only, however long the chain:
+        the context's mask cache stays at its cap of eight deployments,
+        and the baseline after the last advance is a fresh sweep's."""
+        if vectorized:
+            pytest.importorskip("numpy")
+        graph, tiers = make_topology(15)
+        chain = make_chain(graph, tiers, "tier12_dense")
+        assert len(chain) > 8
+        rnd = random.Random(15)
+        d = rnd.choice(graph.asns)
+        m = next(a for a in graph.asns if a != d)
+        ctx = RoutingContext(graph, vectorized=vectorized)
+        sweep = RolloutSweep(ctx, d, chain[0], SECURITY_MODELS[0])
+        for deployment in chain[1:]:
+            sweep.advance(deployment)
+            sweep.happiness_counts(m)
+            assert len(ctx._mask_cache) <= 8
+        fresh = DestinationSweep(ctx, d, chain[-1], SECURITY_MODELS[0])
+        assert sweep.deployment is chain[-1]
+        assert sweep.baseline_counts() == fresh.baseline_counts()
+        assert dict(sweep.baseline_outcome().routes) == dict(
+            fresh.baseline_outcome().routes
+        )
+        assert sweep.happiness_counts(m) == fresh.happiness_counts(m)
+
     def test_interleaved_attackers_leak_free_across_advances(self):
         graph, tiers = make_topology(13)
         chain = make_chain(graph, tiers, "tier12")
@@ -387,39 +448,11 @@ class TestRolloutSweep:
             sweep.happiness_counts(b)
             assert sweep.happiness_counts(a) == first, t
 
-    def test_dependency_lists_stay_bounded_over_long_chains(self):
-        """The commit's dependency patch must be bounded by membership
-        churn (appends only for new-vs-replaced memberships, periodic
-        exact rebuild), not grow with how often nodes are touched: after
-        a long chain walk the total slack over the exact reverse-nhops
-        size stays under the rebuild threshold."""
-        graph, tiers = make_topology(15)
-        chain = make_chain(graph, tiers, "tier12_dense")
-        rnd = random.Random(15)
-        d = rnd.choice(graph.asns)
-        m = next(a for a in graph.asns if a != d)
-        sweep = RolloutSweep(graph, d, chain[0], SECURITY_MODELS[0])
-        # walk the chain twice-interleaved lengths via repeated attackers
-        for deployment in chain[1:]:
-            sweep.advance(deployment)
-            sweep.happiness_counts(m)
-        exact = sum(len(h) for h in sweep._b_nhops if h)
-        total = sum(len(dependents) for dependents in sweep._dep)
-        assert total <= exact + sweep.ctx.n
-        assert sweep._dep_slack <= sweep.ctx.n
-
-    def test_attacker_chain_rejects_needs_baseline_strategy(self):
-        graph, _tiers = make_topology(14)
-        d, m = graph.asns[0], graph.asns[1]
-        with pytest.raises(ValueError, match="step-stable"):
-            _AttackerChain(graph, d, m, Deployment.empty(), BASELINE, HONEST)
-
 
 class TestDeltaKernelsOnChains:
-    """Advance-mode deltas (rollout commits, attacker-rooted chains) run
-    through the same two kernels as attacker deltas; a numpy context's
-    dense pass must replay a scalar context's pure walk bit for bit at
-    every step."""
+    """An advance runs its baseline pass on the same two kernels as an
+    attacker's pass; a numpy context's dense pass must replay a scalar
+    context's heap pass bit for bit at every step."""
 
     @staticmethod
     def _walkers(graph, make):
@@ -448,7 +481,7 @@ class TestDeltaKernelsOnChains:
                     if si:
                         w.advance(step)
                         assert w.last_delta_path == path, (si, path)
-                    # the committed baseline in full, then the counts
+                    # the advanced baseline in full, then the counts
                     got = [dict(w.baseline_outcome().routes)]
                     for m in atts:
                         got.append(w.happiness_counts(m))
@@ -456,28 +489,31 @@ class TestDeltaKernelsOnChains:
                     pure = pure or got
                     assert got == pure, (si, path)
 
-    @pytest.mark.parametrize("attack", [ONE_HOP_HIJACK, FORGED_ORIGIN],
-                             ids=lambda a: a.token)
+
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=lambda a: a.token)
     def test_attacker_chain_bit_identical(self, attack):
+        """One attacker along a chain — a one-pair job of the count plan
+        and a walked sweep — counts the same at every step on both
+        kernels, for every strategy (nothing bars a ``needs_baseline``
+        one such as ``honest`` from a chain)."""
         pytest.importorskip("numpy")
         graph, tiers = make_topology(5)
         chain = make_chain(graph, tiers, "tier12")
         pairs = chain_pairs(graph, 5, destinations=2, attackers=2)
         for model in (BASELINE, SECURITY_MODELS[2]):
             for m, d in pairs[:4]:
-                chains = self._walkers(
-                    graph,
-                    lambda ctx: _AttackerChain(
-                        ctx, d, m, chain[0], model, attack=attack
-                    ),
-                )
-                for si, step in enumerate(chain):
-                    for path, c in chains.items():
+                got = {}
+                for path, ctx in self._walkers(graph, lambda ctx: ctx).items():
+                    sweep = RolloutSweep(ctx, d, chain[0], model, attack)
+                    walked = []
+                    for si, step in enumerate(chain):
                         if si:
-                            c.advance(step)
-                        assert (
-                            c.step_counts() == chains["pure"].step_counts()
-                        ), (si, path, m, d)
-                assert {
-                    path: c.last_delta_path for path, c in chains.items()
-                } == {path: path for path in chains}
+                            sweep.advance(step)
+                        walked.append([sweep.happiness_counts(m)])
+                        assert sweep.last_delta_path == path, (si, path)
+                    planned = rollout_happiness_counts(
+                        ctx, [(m, d)], chain, model, attack=attack
+                    )
+                    assert planned == walked, (path, m, d)
+                    got[path] = planned
+                assert got["dense"] == got["pure"], (m, d)

@@ -42,9 +42,6 @@ from repro.core.routing import (
     DestinationSweep,
     RolloutSweep,
     RoutingContext,
-    _ATTACKER_CHAIN_MAX,
-    _AttackerChain,
-    _chain_step,
     batch_happiness_counts,
     compute_routing_outcome,
     jobs_happiness_counts,
@@ -227,10 +224,10 @@ class TestDifferentialGrid:
 
 
 class TestDeltaKernels:
-    """The two delta kernels — a scalar context's interpreted heap loop
-    and a numpy context's dense pass — must agree bit for bit on
-    counts, full outcomes and the restored baseline, for every model
-    and attacker strategy."""
+    """A sweep's two kernels — a scalar context's heap loop and a numpy
+    context's dense pass — must agree bit for bit on counts, full
+    outcomes and the baseline, for every model and attacker
+    strategy."""
 
     @pytest.mark.parametrize("attack", STRATEGIES, ids=lambda a: a.token)
     @pytest.mark.parametrize(
@@ -252,23 +249,20 @@ class TestDeltaKernels:
             assert sv.last_delta_path == "dense"
             assert dict(sv.outcome(m).routes) == pure_routes
             # Leak-freedom: neither the full-state answer nor a second
-            # delta leaves a trace in the baseline, which the pure sweep
-            # restored entry by entry.
+            # attacker's pass leaves a trace in the baseline.
             assert sv.happiness_counts(m) == counts
             assert dict(sv.baseline_outcome().routes) == pure_base
 
     def test_numpy_snapshot_baseline(self, graph, pure_ctx, vec_ctx):
         """A sweep holds one snapshot form, chosen by the context: numpy
         arrays on a vectorized one (no python-list decode, no next-hop
-        lists), python lists on a scalar one; the counts match."""
+        lists), a ``RoutingOutcome`` on a scalar one; the counts match."""
         m, d, dep = _instances(graph, "npsnap", k=1)[0]
         sn = DestinationSweep(vec_ctx, d, dep, SECURITY_MODELS[0])
         counts = sn.happiness_counts(m)
-        assert sn._b_fixed is None and sn._np_base is not None
-        assert sn._b_nhops is None
+        assert sn._base is None and sn._np_base is not None
         sp = DestinationSweep(pure_ctx, d, dep, SECURITY_MODELS[0])
-        assert sp._b_fixed is not None and sp._np_base is None
-        assert sp._b_nhops is not None
+        assert sp._base is not None and sp._np_base is None
         assert sp.happiness_counts(m) == counts
 
 
@@ -609,13 +603,11 @@ class TestRowsKernel:
             assert counts == pure._last_counts
             assert counts[5] <= vec.n - 4  # the island is never fixed
 
-    def test_rows_only_jobs_work_out_no_chain_step(self, graph, vec_ctx, count_calls):
-        """A numpy context's groups are rows, which read no step's index
-        sets: it builds none, and still rejects a chain that does not
-        nest before any pass."""
-        from repro.core import routing
-
-        steps = count_calls(routing, "_chain_step")
+    def test_rows_reject_an_unnested_chain_before_any_pass(
+        self, graph, vec_ctx, count_calls
+    ):
+        """A numpy context's groups are rows, equal to one pass a pair;
+        a chain that does not nest is rejected before any pass."""
         passes = count_calls(RoutingContext, "_run_np")
         rnd = random.Random("rows/steps")
         asns = graph.asns
@@ -623,7 +615,7 @@ class TestRowsKernel:
         chain = [Deployment.of(members[:k]) for k in (0, 20, 40, 60)]
         pairs = [(m, d) for m, d, _ in _instances(graph, "rows/steps", k=3)]
         got = rollout_happiness_counts(vec_ctx, pairs, chain, BASELINE)
-        assert steps == [0] and passes[0] > 0
+        assert passes[0] > 0
         assert got == [
             per_pair_counts(vec_ctx, pairs, deployment, BASELINE)
             for deployment in chain
@@ -714,11 +706,13 @@ class TestBlindRows:
         assert differ
 
     def test_a_chain_runs_each_distinct_pass_once(
-        self, graph, pure_ctx, vec_ctx, count_rows
+        self, graph, pure_ctx, vec_ctx, count_rows, count_calls
     ):
         """A destination that signs only at the last of four steps: its
         first three steps are one blind pass a pair, shared by the three
-        placements, and its last step one pass a pair and placement."""
+        placements, and its last step one pass a pair and placement —
+        as count rows on a numpy context, as heap passes on a scalar
+        one."""
         rnd = random.Random("vec/blind/chain")
         asns = graph.asns
         d = rnd.choice(asns)
@@ -752,6 +746,15 @@ class TestBlindRows:
         assert len(distinct(jobs)) == 4 * len(pairs)
         assert sum(rows for _, rows in count_rows) == 4 * len(pairs)
 
+        passes = count_calls(RoutingContext, "_run")
+        for job in jobs:
+            passes[0] = 0
+            rollout_happiness_counts(pure_ctx, *job[:3], attack=job[3])
+            assert passes == [2 * len(pairs)]
+        passes[0] = 0
+        assert jobs_happiness_counts(pure_ctx, jobs) == got
+        assert passes == [4 * len(pairs)]
+
 
 class TestEveryGroupIsRows:
     """On a numpy context every destination group is count rows, however
@@ -759,7 +762,7 @@ class TestEveryGroupIsRows:
     and a ``needs_baseline`` strategy (``honest``) resolves each
     attacker from one attacker-free pass per ``(d, S_t)``."""
 
-    MANY = _ATTACKER_CHAIN_MAX + 2
+    MANY = 5
 
     @staticmethod
     def _chain_and_pairs(graph, salt, attackers):
@@ -785,9 +788,9 @@ class TestEveryGroupIsRows:
     @pytest.mark.parametrize(
         "attackers, attack",
         [
-            (_ATTACKER_CHAIN_MAX + 1, ONE_HOP_HIJACK),
+            (4, ONE_HOP_HIJACK),
             (2, HONEST),
-            (_ATTACKER_CHAIN_MAX + 1, FORGED_ORIGIN),
+            (4, FORGED_ORIGIN),
         ],
         ids=["many-attackers", "honest", "many-forged-origin"],
     )
@@ -841,7 +844,9 @@ class TestEveryGroupIsRows:
     ):
         """One ``_run`` per ``(d, S_t)``, however many attackers share it
         and however the batches split its rows — for one destination
-        group, whose steps follow each other, and for two."""
+        group, whose steps follow each other, and for two.  A scalar
+        context runs the same attacker-free passes, then one ``_run``
+        per distinct pass."""
         from repro.core import routing
 
         chain, pairs = self._chain_and_pairs(graph, "passes", self.MANY)
@@ -852,6 +857,11 @@ class TestEveryGroupIsRows:
                 pure_ctx, group, chain, model, attack=HONEST
             )
             destinations = len({d for _, d in group})
+            distinct = {
+                _kernel_pass(pure_ctx, model, deployment, m, d, HONEST)
+                for deployment in chain
+                for m, d in group
+            }
             for rows_a_call in (vec_ctx.batch_rows, 3):
                 monkeypatch.setattr(
                     routing, "NP_ROWS_BUDGET", rows_a_call * vec_ctx.n
@@ -862,6 +872,12 @@ class TestEveryGroupIsRows:
                 )
                 assert got == want
                 assert passes == [destinations * len(chain)], rows_a_call
+            passes[0] = 0
+            got = rollout_happiness_counts(
+                pure_ctx, group, chain, model, attack=HONEST
+            )
+            assert got == want
+            assert passes == [destinations * len(chain) + len(distinct)]
 
 
 class TestRowLayout:
@@ -969,12 +985,13 @@ class TestCsrBuild:
         assert ctx._rel_idx is None
 
 
-class TestSharedChainStep:
-    """``RolloutSweep.advance(deployment)`` computes its own step; the
-    chain walkers compute each step once and hand it to every sweep.
-    Both leave the same state, on both contexts, after every step."""
+class TestAdvance:
+    """``RolloutSweep.advance(deployment)`` leaves the state a fresh
+    sweep of that deployment holds, on both contexts, after every step
+    — a step that gains nothing and one that gains the destination
+    included."""
 
-    def test_direct_advance_equals_shared_step(self, graph, pure_ctx, vec_ctx):
+    def test_advance_equals_a_fresh_sweep(self, graph, pure_ctx, vec_ctx):
         rnd = random.Random("vec/step")
         asns = graph.asns
         d, m = rnd.sample(asns, 2)
@@ -992,28 +1009,22 @@ class TestSharedChainStep:
         states = {}
         for ctx in (pure_ctx, vec_ctx):
             walked = rollout_happiness_counts(ctx, pairs, chain, model)
-            direct = RolloutSweep(ctx, d, chain[0], model)
-            shared = [
-                RolloutSweep(ctx, d, chain[0], model),
-                _AttackerChain(ctx, d, m, chain[0], model),
-            ]
+            sweep = RolloutSweep(ctx, d, chain[0], model)
             for t in range(1, len(chain)):
-                direct.advance(chain[t])
-                step = _chain_step(ctx, chain[t - 1], chain[t])
-                for sweep in shared:
-                    sweep._apply(step)
-                    assert sweep.deployment is chain[t]
+                sweep.advance(chain[t])
+                assert sweep.deployment is chain[t]
+                fresh = DestinationSweep(ctx, d, chain[t], model)
                 state = (
-                    dict(direct.baseline_outcome().routes),
-                    direct.baseline_counts(),
-                    direct.happiness_counts(m),
+                    dict(sweep.baseline_outcome().routes),
+                    sweep.baseline_counts(),
+                    sweep.happiness_counts(m),
                 )
                 assert state == (
-                    dict(shared[0].baseline_outcome().routes),
-                    shared[0].baseline_counts(),
-                    shared[0].happiness_counts(m),
+                    dict(fresh.baseline_outcome().routes),
+                    fresh.baseline_counts(),
+                    fresh.happiness_counts(m),
                 ), t
-                assert shared[1].step_counts() == state[2] == walked[t][0], t
+                assert state[2] == walked[t][0], t
                 assert state[1] + (ctx.n - 1,) == walked[t][1], t
                 states.setdefault(t, state)
                 assert state == states[t], t
