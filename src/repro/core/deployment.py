@@ -16,6 +16,8 @@ rollout, "all non-stubs", and the Section 5.3.1 early-adopter scenarios.
 
 from __future__ import annotations
 
+import functools
+import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -61,6 +63,43 @@ class Deployment:
 
     def __contains__(self, asn: int) -> bool:
         return asn in self.full or asn in self.simplex
+
+    def is_nested_in(self, other: "Deployment") -> bool:
+        """``self ⊑ other``: may a rollout advance from here to ``other``?
+
+        Nesting is per membership mode: both the ranking set (``full``)
+        and the signing set (``full ∪ simplex``) must grow
+        monotonically; a simplex→full promotion is allowed (ranking
+        gains, signing keeps the member).  This mirrors
+        :meth:`repro.core.routing.RolloutSweep.advance`, and is what
+        :func:`repro.experiments.scenarios.detect_chains` chains by.
+        Given the first condition, the second is ``simplex ∖
+        other.simplex ⊆ other.full``, which builds no union.
+        """
+        return (
+            self.full <= other.full and self.simplex - other.simplex <= other.full
+        )
+
+    # -- canonical form (memoized per object, never pickled) --------------
+    @functools.cached_property
+    def sorted_members(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(full, simplex)`` as sorted tuples, sorted once per object:
+        every scenario declared over this deployment shares them."""
+        return tuple(sorted(self.full)), tuple(sorted(self.simplex))
+
+    @functools.cached_property
+    def members_json(self) -> tuple[str, str]:
+        """:attr:`sorted_members` as compact JSON arrays, encoded once
+        per object: the deployment's part of a scenario's canonical
+        JSON."""
+        encode = json.JSONEncoder(separators=(",", ":")).encode
+        full, simplex = self.sorted_members
+        return encode(full), encode(simplex)
+
+    def __getstate__(self) -> dict:
+        # Only the fields cross a pickle (a bin's deployments travel to
+        # pool workers): the memos above stay with their object.
+        return {"full": self.full, "simplex": self.simplex}
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -108,12 +147,9 @@ def stubs_of(graph: ASGraph, isps: Iterable[int]) -> frozenset[int]:
     ISPs "and all of their stubs": every direct customer with no
     customers of its own.
     """
-    is_stub = graph.is_stub
+    customers_of = graph.adjacency()[1]
     return frozenset(
-        customer
-        for isp in isps
-        for customer in graph.customers(isp)
-        if is_stub(customer)
+        [c for isp in isps for c in customers_of[isp] if not customers_of[c]]
     )
 
 
@@ -167,6 +203,7 @@ def tier12_rollout(
     tiers: TierTable,
     simplex_stubs: bool = False,
     include_cps: bool = False,
+    stubs_by_isp: dict[int, frozenset[int]] | None = None,
 ) -> list[RolloutStep]:
     """The Tier 1 + Tier 2 rollout of §5.2.1 (Figures 7 and 8).
 
@@ -179,12 +216,17 @@ def tier12_rollout(
         tiers: its Table 1 classification.
         simplex_stubs: run stubs in simplex mode (the "error bars").
         include_cps: also secure the content providers (Figure 8).
+        stubs_by_isp: the ISP → stub-customers memo of
+            :func:`_isp_step`; pass one dict to several rollouts over
+            the same graph (full and simplex) to walk each ISP's
+            customers once for all of them.
     """
     t1 = tiers.members(Tier.TIER1)
     t2 = tiers.members(Tier.TIER2)
     t2_ranked = sorted(t2, key=lambda a: (-graph.customer_degree(a), a))
     extra = tiers.members(Tier.CP) if include_cps else ()
-    stubs_by_isp: dict[int, frozenset[int]] = {}
+    if stubs_by_isp is None:
+        stubs_by_isp = {}
     steps = []
     for y in _scaled_counts(len(t2_ranked), (13, 37, 100), 100):
         label = f"T1+{y}xT2" + ("+CP" if include_cps else "")

@@ -116,10 +116,19 @@ def _plan_fig7a(ectx: ExperimentContext):
     def build():
         pairs = _rollout_pairs(ectx)
         baseline = request_for(ectx, pairs, Deployment.empty(), BASELINE)
-        steps = _step_plans(ectx, tier12_rollout(ectx.graph, ectx.tiers), pairs)
+        # One walk of each ISP's customers for both rollouts.
+        stubs_by_isp: dict[int, frozenset[int]] = {}
+        steps = _step_plans(
+            ectx,
+            tier12_rollout(ectx.graph, ectx.tiers, stubs_by_isp=stubs_by_isp),
+            pairs,
+        )
         simplex = _step_plans(
             ectx,
-            tier12_rollout(ectx.graph, ectx.tiers, simplex_stubs=True),
+            tier12_rollout(
+                ectx.graph, ectx.tiers, simplex_stubs=True,
+                stubs_by_isp=stubs_by_isp,
+            ),
             pairs,
         )
         return {"baseline": baseline, "steps": steps, "simplex": simplex}

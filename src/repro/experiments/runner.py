@@ -63,7 +63,13 @@ from ..topology.tiers import TierTable, classify_tiers
 from .config import DEFAULT_SEED, Scale, get_scale
 from .failures import EvaluationCancelled, EvaluationFailure, FailureLog
 from .faults import active_plan
-from .scenarios import EvalRequest, EvalResults, cut_bins, detect_chains
+from .scenarios import (
+    EvalRequest,
+    EvalResults,
+    cut_bins,
+    deployment_memo,
+    detect_chains,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .registry import ExperimentResult, ExperimentSpec
@@ -969,14 +975,10 @@ def evaluate_requests(
         unique.setdefault(request.scenario_hash, request)
     by_hash: dict[str, MetricResult] = {}
     missing: list[EvalRequest] = []
-    distinct: dict[Deployment, Deployment] = {}
-
-    def deployment_of(request: EvalRequest) -> Deployment:
-        # One object per distinct deployment of the batch: the engine
-        # remembers stub-simplex verdict and masks per object.
-        built = request.to_deployment()
-        return distinct.setdefault(built, built)
-
+    # One object per distinct deployment of the batch, built once: the
+    # engine remembers stub-simplex verdict and masks per object, and
+    # chain detection compares these.
+    deployment_of = deployment_memo()
     for scenario_hash, request in unique.items():
         if (
             request.scale != ectx.scale.name
@@ -1006,7 +1008,9 @@ def evaluate_requests(
             ectx.graph_ctx._check_pair(destination, attacker)
         missing.append(request)
     # Same-model chains adjacent: their rows share kernel batches.
-    chains = sorted(detect_chains(missing), key=lambda chain: chain[0].model)
+    chains = sorted(
+        detect_chains(missing, deployment_of), key=lambda chain: chain[0].model
+    )
     jobs = [
         (
             chain[0].pairs,

@@ -56,7 +56,14 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+)
 
 from ..core.attacks import (
     DEFAULT_ATTACK,
@@ -82,6 +89,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: 3: requests carry the attacker-strategy token (the threat model is
 #: an evaluation input) — old stores evaluate cold again.
 SCENARIO_FORMAT = 3
+
+#: The compact encoder of canonical JSON (stateless; one per module).
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
 def model_token(model: RankModel) -> str:
@@ -163,8 +173,14 @@ class EvalRequest:
         model: RankModel,
         attack: "AttackStrategy | str" = DEFAULT_ATTACK,
     ) -> "EvalRequest":
-        """Canonicalize raw inputs into a request (rules in module docs)."""
-        return cls(
+        """Canonicalize raw inputs into a request (rules in module docs).
+
+        The member tuples and their JSON come from ``deployment``'s
+        memos, so every request declared over one deployment object
+        shares them: its members are sorted and encoded once.
+        """
+        full, simplex = deployment.sorted_members
+        request = cls(
             scale=scale,
             seed=seed,
             ixp=bool(ixp),
@@ -174,11 +190,14 @@ class EvalRequest:
                     key=lambda p: (p[1], p[0]),
                 )
             ),
-            deployment_full=tuple(sorted(deployment.full)),
-            deployment_simplex=tuple(sorted(deployment.simplex)),
+            deployment_full=full,
+            deployment_simplex=simplex,
             model=model_token(model),
             attack=attack_token(attack),
         )
+        # Seed the cached property: the deployment encoded its members.
+        request.__dict__["_members_json"] = deployment.members_json
+        return request
 
     # -- the evaluation-side views ------------------------------------
     def to_deployment(self) -> Deployment:
@@ -196,6 +215,11 @@ class EvalRequest:
     # -- canonical form -----------------------------------------------
     def canonical(self) -> dict:
         """The JSON-ready canonical dict this request hashes over."""
+        return self._canonical(
+            list(self.deployment_full), list(self.deployment_simplex)
+        )
+
+    def _canonical(self, full, simplex) -> dict:
         return {
             "format": SCENARIO_FORMAT,
             "engine": ENGINE_VERSION,
@@ -203,11 +227,34 @@ class EvalRequest:
             "seed": self.seed,
             "ixp": self.ixp,
             "pairs": [list(p) for p in self.pairs],
-            "deployment_full": list(self.deployment_full),
-            "deployment_simplex": list(self.deployment_simplex),
+            "deployment_full": full,
+            "deployment_simplex": simplex,
             "model": self.model,
             "attack": self.attack,
         }
+
+    def canonical_json(self, sort_keys: bool = False) -> str:
+        """``json.dumps(self.canonical(), sort_keys=sort_keys,
+        separators=(",", ":"))``, with the two member arrays spliced in
+        from :attr:`_members_json` instead of encoded again: a step's
+        deployment is encoded once, not once per request and use."""
+        encode = _COMPACT.encode
+        fields = {
+            key: encode(value)
+            for key, value in self._canonical(None, None).items()
+        }
+        fields["deployment_full"], fields["deployment_simplex"] = (
+            self._members_json
+        )
+        keys = sorted(fields) if sort_keys else fields
+        return "{" + ",".join(f'"{key}":{fields[key]}' for key in keys) + "}"
+
+    @functools.cached_property
+    def _members_json(self) -> tuple[str, str]:
+        """The member tuples as compact JSON arrays (:meth:`build` hands
+        over its deployment's)."""
+        encode = _COMPACT.encode
+        return encode(self.deployment_full), encode(self.deployment_simplex)
 
     @classmethod
     def from_canonical(cls, payload: dict) -> "EvalRequest":
@@ -220,7 +267,9 @@ class EvalRequest:
         hashes identically to the request it describes; ``format`` /
         ``engine`` keys are optional but must match this engine's when
         present.  Raises ``ValueError`` on malformed payloads, including
-        unknown model or attacker tokens.
+        unknown model or attacker tokens and an AS in both ``full`` and
+        ``simplex`` mode (which :class:`Deployment` would reject only
+        at evaluation).
         """
         if not isinstance(payload, dict):
             raise ValueError("request payload must be a JSON object")
@@ -253,6 +302,13 @@ class EvalRequest:
             raise ValueError(f"malformed request payload: {exc!r}") from exc
         if not request.pairs:
             raise ValueError("request needs at least one (monitor, dest) pair")
+        overlap = set(request.deployment_full).intersection(
+            request.deployment_simplex
+        )
+        if overlap:
+            raise ValueError(
+                f"ASes in both full and simplex mode: {sorted(overlap)}"
+            )
         return request
 
     @functools.cached_property
@@ -264,9 +320,7 @@ class EvalRequest:
         every access, and re-serializing a thousand-pair sweep each time
         would dominate the consume phase.
         """
-        blob = json.dumps(
-            self.canonical(), sort_keys=True, separators=(",", ":")
-        ).encode()
+        blob = self.canonical_json(sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:20]
 
 
@@ -324,36 +378,44 @@ def collect_requests(*parts) -> list[EvalRequest]:
 # Nested-deployment chain detection (the rollout-major scheduler input)
 # ----------------------------------------------------------------------
 
-def deployment_nested(a: EvalRequest, b: EvalRequest) -> bool:
-    """``a ⊑ b``: may the rollout engine advance from ``a``'s deployment
-    to ``b``'s?
+def deployment_memo() -> Callable[[EvalRequest], Deployment]:
+    """``request → Deployment`` that builds one :class:`Deployment` per
+    distinct ``(full, simplex)`` member pair: the requests of one step
+    (one per model) get the same object, and with it whatever is
+    memoized on it — here and in the engine.  The memo lives as long as
+    the returned function (one :func:`detect_chains` or
+    :func:`~repro.experiments.runner.evaluate_requests` call)."""
+    built: dict[tuple[tuple[int, ...], tuple[int, ...]], Deployment] = {}
 
-    Nesting is per membership mode — both the ranking set (``full``) and
-    the signing set (``full ∪ simplex``) must grow monotonically; a
-    simplex→full promotion is allowed (ranking gains, signing keeps the
-    member).  This mirrors :meth:`repro.core.routing.RolloutSweep.advance`.
-    """
-    a_full = frozenset(a.deployment_full)
-    b_full = frozenset(b.deployment_full)
-    return a_full <= b_full and (
-        a_full | frozenset(a.deployment_simplex)
-        <= b_full | frozenset(b.deployment_simplex)
-    )
+    def deployment_of(request: EvalRequest) -> Deployment:
+        members = (request.deployment_full, request.deployment_simplex)
+        deployment = built.get(members)
+        if deployment is None:
+            deployment = built[members] = request.to_deployment()
+        return deployment
+
+    return deployment_of
 
 
-def detect_chains(requests: Iterable[EvalRequest]) -> list[list[EvalRequest]]:
+def detect_chains(
+    requests: Iterable[EvalRequest],
+    deployment_of: Callable[[EvalRequest], Deployment] | None = None,
+) -> list[list[EvalRequest]]:
     """Partition requests into nested-deployment chains.
 
     Requests are grouped by everything *except* the deployment — same
     topology (scale, seed, ixp), pair set, rank model, and attacker
     strategy — then each group is sorted by deployment size and greedily
-    split into chains whose adjacent steps satisfy
-    :func:`deployment_nested` (first-fit onto the existing chain ends).
+    split into chains whose adjacent steps' deployments satisfy
+    :meth:`Deployment.is_nested_in` (first-fit onto the existing chain
+    ends).
     Singleton chains are ordinary step-independent scenarios; chains of
     length ≥ 2 are what the scheduler hands to the rollout-major
     evaluation path.  Deterministic: group order follows first
     appearance, in-group order is by (signing size, ranking size,
-    membership tuples).
+    membership tuples).  Nesting is decided on ``deployment_of``'s
+    deployments (a :func:`deployment_memo` of this call by default), so
+    no member tuple is frozen again per comparison.
 
     Example:
         A rollout's steps collapse onto one chain; an unrelated
@@ -371,6 +433,8 @@ def detect_chains(requests: Iterable[EvalRequest]) -> list[list[EvalRequest]]:
         >>> [[r.deployment_full for r in c] for c in chains]
         [[(1,), (1, 2), (1, 2, 3)], [(4,)]]
     """
+    if deployment_of is None:
+        deployment_of = deployment_memo()
     groups: dict[tuple, list[EvalRequest]] = {}
     for request in requests:
         key = (
@@ -393,13 +457,17 @@ def detect_chains(requests: Iterable[EvalRequest]) -> list[list[EvalRequest]]:
             )
         )
         local: list[list[EvalRequest]] = []
+        ends: list[Deployment] = []  # per chain, its last step's deployment
         for request in group:
-            for chain in local:
-                if deployment_nested(chain[-1], request):
-                    chain.append(request)
+            deployment = deployment_of(request)
+            for i, end in enumerate(ends):
+                if end.is_nested_in(deployment):
+                    local[i].append(request)
+                    ends[i] = deployment
                     break
             else:
                 local.append([request])
+                ends.append(deployment)
         chains.extend(local)
     return chains
 

@@ -128,7 +128,13 @@ def _build_record(request: EvalRequest, result: MetricResult) -> tuple[dict, str
         "request": request.canonical(),
         "result": result_to_record(result),
     }
-    body = json.dumps(record, separators=(",", ":"))
+    # The request's JSON is spliced, not encoded from ``record``: its
+    # member arrays were encoded once for every request of the step.
+    body = (
+        f'{{"hash":{json.dumps(record["hash"])},'
+        f'"request":{request.canonical_json()},'
+        f'"result":{json.dumps(record["result"], separators=(",", ":"))}}}'
+    )
     record["crc"] = crc = _crc(body)
     return record, f'{body[:-1]},"crc":"{crc}"}}'
 

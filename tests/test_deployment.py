@@ -1,6 +1,8 @@
 """Tests for deployment scenarios and rollout builders."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import (
     Deployment,
@@ -13,6 +15,13 @@ from repro.core import (
     top_tier2_and_stubs,
 )
 from repro.topology import Tier, graph_from_edges
+
+
+@st.composite
+def _deployments(draw):
+    members = draw(st.lists(st.integers(1, 12), unique=True, max_size=10))
+    cut = draw(st.integers(0, len(members)))
+    return Deployment(full=frozenset(members[:cut]), simplex=frozenset(members[cut:]))
 
 
 class TestDeployment:
@@ -55,6 +64,16 @@ class TestDeployment:
     def test_everywhere(self, small_graph):
         d = Deployment.everywhere(small_graph)
         assert d.size == len(small_graph)
+
+    @given(_deployments(), _deployments())
+    def test_is_nested_in_is_the_two_mode_order(self, a, b):
+        """Ranking set and signing set both grow (a simplex→full
+        promotion is allowed), without building the unions."""
+        assert a.is_nested_in(b) == (
+            a.ranking_members <= b.ranking_members
+            and a.signing_members <= b.signing_members
+        )
+        assert a.is_nested_in(a)
 
 
 class TestStubsOf:

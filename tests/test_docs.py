@@ -6,9 +6,10 @@ Two rot-prevention mechanisms, both also run by the CI ``docs`` job:
   executed as a doctest (the same set CI runs via
   ``pytest --doctest-modules``), so the examples in docstrings cannot
   drift from the code they document;
-* every internal markdown link in README.md and ``docs/`` must resolve
-  to an existing file (and, for ``#fragments``, an existing heading),
-  via :mod:`tools.check_links`.
+* every internal markdown link in README.md, ``docs/`` and the verify
+  skill must resolve to an existing file (and, for ``#fragments``, an
+  existing heading), and every backticked ``repro.…`` name, repo path
+  and ``make`` target must exist, via :mod:`tools.check_links`.
 """
 
 from __future__ import annotations
@@ -100,6 +101,38 @@ def test_link_checker_catches_unknown_make_target(tmp_path):
     assert len(errors) == 1
     assert "make no-such-target" in errors[0]
     assert check_links.make_targets() >= {"test", "golden", "bench-pairs"}
+
+
+def test_link_checker_catches_unknown_names_and_paths(tmp_path):
+    """A backticked ``repro.…`` name must import and a backticked repo
+    path must exist (with its ``:line`` or ``::name``); other spans,
+    fenced code and prose are not references."""
+    check_links = _load_check_links()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text(
+        "class TestA:\n    def test_b(self):\n        pass\n"
+    )
+    source = tmp_path / "doc.md"
+    source.write_text(
+        "`repro.core.RoutingContext` `repro.experiments.runner` "
+        "`repro.core.NoSuchThing` `repro.nowhere` `repro.*` prose repro.gone\n"
+        "`tests/test_x.py` `tests/test_x.py:3` `tests/test_x.py::TestA::test_b` "
+        "`tests/*.py -q` `tests/` `tests/test_gone.py` `tests/test_x.py:99` "
+        "`tests/test_x.py::TestZ` `docs/none/`\n"
+        "```sh\npython tests/fenced_only.py  # code, not a span\n```\n"
+    )
+    errors = check_links.check_file(source, root=tmp_path)
+    assert len(errors) == 6, errors
+    for broken in (
+        "repro.core.NoSuchThing", "repro.nowhere", "tests/test_gone.py",
+        "tests/test_x.py:99", "TestZ", "docs/none/",
+    ):
+        assert sum(broken in e for e in errors) == 1, broken
+
+
+def test_verify_skill_is_checked():
+    files = _load_check_links().default_files(REPO_ROOT)
+    assert REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md" in files
 
 
 def test_readme_links_architecture_guide():

@@ -1,12 +1,18 @@
 """Tests for the declarative scenario plane: requests, store, scheduler,
 and multi-seed trial aggregation."""
 
+import hashlib
 import json
+import pickle
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import BASELINE, SECURITY_SECOND, Deployment
+from repro.core.attacks import SHIPPED_STRATEGIES
+from repro.core.metrics import AttackHappiness, MetricResult, _mean_interval
 from repro.core.rank import LP2, LocalPreference, RankModel, SecurityModel
 from repro.experiments import (
     EvalRequest,
@@ -28,6 +34,7 @@ from repro.experiments.scenarios import (
     result_from_record,
     result_to_record,
 )
+from repro.experiments.store import _build_record, _record_crc
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +126,175 @@ class TestEvalRequest:
     def test_model_token_rejects_garbage(self):
         with pytest.raises(ValueError):
             model_from_token("security_2nd/QP3")
+
+    def test_from_canonical_rejects_an_as_in_both_modes(self, ectx):
+        """The overlap :class:`Deployment` rejects is a malformed
+        payload at the boundary, not a failure at evaluation."""
+        payload = dict(
+            _request(ectx, [(3, 2)], Deployment.of([5, 6])).canonical(),
+            deployment_simplex=[6],
+        )
+        with pytest.raises(ValueError, match=r"both full and simplex mode: \[6\]"):
+            EvalRequest.from_canonical(payload)
+
+    def test_requests_of_one_deployment_share_its_tuples(self, ectx):
+        a, b = ectx.graph.asns[:2]
+        full = frozenset(ectx.graph.asns[2:9])
+        dep = Deployment(full=full, simplex=frozenset(_stubs(ectx, 3)) - full)
+        one = _request(ectx, [(a, b)], dep, SECURITY_SECOND)
+        two = _request(ectx, [(a, b)], dep, BASELINE)
+        assert one.deployment_full is two.deployment_full
+        assert one.deployment_simplex is two.deployment_simplex
+        assert one.deployment_full == tuple(sorted(dep.full))
+
+    def test_deployment_memos_stay_out_of_pickles(self):
+        """A bin's deployments are pickled to pool workers: what a
+        request memoized on one must not travel with it."""
+        dep = Deployment(full=frozenset(range(1, 300)), simplex=frozenset([400]))
+        fresh = pickle.dumps(dep)
+        EvalRequest.build(
+            scale="tiny", seed=1, ixp=False, pairs=[(1, 2)], deployment=dep,
+            model=BASELINE,
+        ).scenario_hash
+        assert {"sorted_members", "members_json"} <= set(vars(dep))
+        assert pickle.dumps(dep) == fresh
+        clone = pickle.loads(fresh)
+        assert clone == dep and set(vars(clone)) == {"full", "simplex"}
+
+
+_MODELS = [
+    RankModel(placement, preference)
+    for placement in SecurityModel
+    for preference in (LocalPreference(), LP2)
+]
+_ATTACKS = [strategy.token for strategy in SHIPPED_STRATEGIES]
+_ASN = st.integers(min_value=1, max_value=70_000)
+
+
+@st.composite
+def _drawn_requests(draw):
+    """A request over an empty, full-only, simplex-only or mixed
+    deployment, one or more pairs, any model and attack token."""
+    members = draw(st.lists(_ASN, unique=True, max_size=30))
+    cut = draw(st.integers(0, len(members)))
+    full, simplex = draw(
+        st.sampled_from(
+            [((), ()), (members, ()), ((), members), (members[:cut], members[cut:])]
+        )
+    )
+    return EvalRequest.build(
+        scale=draw(st.sampled_from(["tiny", "small", "large"])),
+        seed=draw(st.integers(0, 2**32)),
+        ixp=draw(st.booleans()),
+        pairs=draw(st.lists(st.tuples(_ASN, _ASN), min_size=1, max_size=6)),
+        deployment=Deployment(full=frozenset(full), simplex=frozenset(simplex)),
+        model=draw(st.sampled_from(_MODELS)),
+        attack=draw(st.sampled_from(_ATTACKS)),
+    )
+
+
+def _result_for(request):
+    per_pair = tuple(
+        AttackHappiness(
+            attacker=m, destination=d, happy_lower=i, happy_upper=2 * i + 1,
+            num_sources=3 * i + 7,
+        )
+        for i, (m, d) in enumerate(request.pairs)
+    )
+    return MetricResult(value=_mean_interval(per_pair), per_pair=per_pair)
+
+
+class TestCanonicalBytes:
+    """The hash and the store line splice each member array's JSON in;
+    their bytes must stay ``json.dumps``'s over the whole dict."""
+
+    @given(_drawn_requests())
+    def test_hash_bytes_are_json_dumps_of_canonical(self, request):
+        expected = json.dumps(
+            request.canonical(), sort_keys=True, separators=(",", ":")
+        )
+        assert request.canonical_json(sort_keys=True) == expected
+        assert request.scenario_hash == (
+            hashlib.sha256(expected.encode()).hexdigest()[:20]
+        )
+        # Unshared tuples, no memo handed over: the same bytes.
+        rebuilt = EvalRequest.from_canonical(json.loads(expected))
+        assert rebuilt == request
+        assert rebuilt.scenario_hash == request.scenario_hash
+
+    @given(_drawn_requests())
+    def test_store_line_is_json_dumps_of_record(self, request):
+        record, line = _build_record(request, _result_for(request))
+        assert list(record) == ["hash", "request", "result", "crc"]
+        assert record["request"] == request.canonical()
+        assert line == json.dumps(record, separators=(",", ":"))
+        assert record["crc"] == _record_crc(record)
+
+    def test_pinned_scenario_hash_and_store_line(self):
+        """Literal bytes: a hash or record format change fails here, in
+        tier-1, not only in the benchmark's digests."""
+        request = EvalRequest.build(
+            scale="tiny", seed=7, ixp=False, pairs=[(30, 20), (10, 20)],
+            deployment=Deployment(
+                full=frozenset([10, 20]), simplex=frozenset([44, 3])
+            ),
+            model=SECURITY_SECOND, attack="honest",
+        )
+        assert request.scenario_hash == "672c7a7cb0e91cb4acd5"
+        per_pair = (
+            AttackHappiness(10, 20, happy_lower=3, happy_upper=5, num_sources=9),
+            AttackHappiness(30, 20, happy_lower=1, happy_upper=2, num_sources=9),
+        )
+        _, line = _build_record(
+            request, MetricResult(value=_mean_interval(per_pair), per_pair=per_pair)
+        )
+        assert line == (
+            '{"hash":"672c7a7cb0e91cb4acd5","request":{"format":3,"engine":1,'
+            '"scale":"tiny","seed":7,"ixp":false,"pairs":[[10,20],[30,20]],'
+            '"deployment_full":[10,20],"deployment_simplex":[3,44],'
+            '"model":"security_2nd","attack":"honest"},"result":{"pairs":'
+            '[[10,20],[30,20]],"happy_lower":[3,1],"happy_upper":[5,2],'
+            '"num_sources":[9,9]},"crc":"85dcfabd"}'
+        )
+
+
+class TestOncePerDeployment:
+    """Deployment-sized work runs once per distinct deployment, not
+    once per request or comparison (counted, not timed)."""
+
+    def test_evaluate_requests_builds_one_deployment_per_distinct_one(
+        self, ectx, count_calls
+    ):
+        from repro.experiments import get_experiment
+
+        requests = list(get_experiment("fig7a").requests(ectx))
+        distinct = {(r.deployment_full, r.deployment_simplex) for r in requests}
+        assert len(distinct) < len(requests)  # three models a step
+        built = count_calls(Deployment, "__post_init__")
+        results = evaluate_requests(ectx, requests)
+        assert len(results) == len(requests)
+        assert built[0] == len(distinct)
+
+    def test_plan_fig7a_walks_each_isps_customers_once(self, monkeypatch):
+        """The full and simplex rollouts share one ISP → stubs memo."""
+        from collections import Counter
+
+        from repro.core import deployment as deployment_module
+        from repro.experiments import exp_rollouts
+
+        asked: Counter = Counter()
+        real = deployment_module.stubs_of
+
+        def counted(graph, isps):
+            isps = tuple(isps)
+            asked.update(isps)
+            return real(graph, isps)
+
+        monkeypatch.setattr(deployment_module, "stubs_of", counted)
+        plan = exp_rollouts._plan_fig7a(make_context(scale="tiny", seed=2013))
+        isps = plan["simplex"][-1][0].deployment.full
+        assert isps and set(isps) <= set(asked)
+        assert set(asked.values()) == {1}
 
 
 class TestStoreRoundTrip:
@@ -436,15 +612,17 @@ class TestChainDetection:
         assert all(len(chain) == 1 for chain in chains)
 
     def test_simplex_promotion_is_nested(self, ectx):
-        from repro.experiments.scenarios import deployment_nested
-
         members = _stubs(ectx, 3)
         simplexed = self._req(ectx, members[:1], simplex=frozenset(members[1:]))
         promoted = self._req(ectx, members)
         demoted = self._req(ectx, members[:1], simplex=frozenset())
-        assert deployment_nested(simplexed, promoted)
-        assert not deployment_nested(promoted, simplexed)
-        assert deployment_nested(demoted, simplexed)
+        assert [len(c) for c in detect_chains([promoted, simplexed])] == [2]
+        simplexed, promoted, demoted = (
+            r.to_deployment() for r in (simplexed, promoted, demoted)
+        )
+        assert simplexed.is_nested_in(promoted)
+        assert not promoted.is_nested_in(simplexed)
+        assert demoted.is_nested_in(simplexed)
 
 
 class TestRolloutMajorScheduling:

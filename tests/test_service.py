@@ -320,6 +320,24 @@ class TestMetricsEndpoint:
 
         _run(scenario, tmp_path)
 
+    def test_an_as_in_both_modes_is_a_400(self, tmp_path):
+        """Rejected at parsing: no admission, no context, no incident."""
+
+        async def scenario(client, service, store):
+            body = {
+                "request": dict(
+                    _request([5, 6]).canonical(), deployment_simplex=[6]
+                )
+            }
+            status, reply = await client.request("POST", "/v1/metrics", body)
+            assert status == 400
+            assert "both full and simplex mode: [6]" in reply["error"]
+            assert service.evaluations == 0
+            assert service.misses == 0
+            assert len(service.failure_log) == 0
+
+        _run(scenario, tmp_path)
+
     def test_validation_errors(self, tmp_path):
         async def scenario(client, service, store):
             status, reply = await client.request("POST", "/v1/metrics", {})

@@ -1,17 +1,23 @@
 #!/usr/bin/env python3
 """Check that internal references in README.md and docs/ resolve.
 
-Scans every inline link/image ``[text](target)`` in the repo's
-user-facing markdown (README plus everything under ``docs/``), skipping
-external schemes (``http(s)://``, ``mailto:``), and every ``make
-<target>`` in its code (fenced blocks and inline code spans), and fails
-when
+Scans the repo's user-facing markdown (README, everything under
+``docs/`` and the verify skill's notes) and fails when
 
-* a relative link points at a file that does not exist,
+* a relative link ``[text](target)`` points at a file that does not
+  exist (external schemes such as ``http(s)://`` are skipped),
 * a ``#fragment`` names a heading that is absent from the target file
   (GitHub's heading-slug rules: lowercase, punctuation stripped, spaces
-  become hyphens), or
-* a ``make`` command names a target the repo's Makefile does not define.
+  become hyphens),
+* a ``make`` command in code (fenced blocks and inline code spans) names
+  a target the repo's Makefile does not define,
+* an inline code span that is a dotted ``repro.…`` name does not import
+  (a module, or an attribute of one), or
+* an inline code span that starts with a repo path (under ``src/``,
+  ``tests/``, ``tools/``, ``docs/``, ``examples/`` or ``benchmarks/``)
+  names nothing: no such file or directory (a glob must match one), a
+  ``:line`` past the file's end, or a ``::name`` the file defines no
+  ``def`` or ``class`` for.
 
 Used by the CI ``docs`` job and by ``tests/test_docs.py``, so a broken
 cross-reference fails tier-1 locally before it ever reaches CI::
@@ -22,6 +28,7 @@ cross-reference fails tier-1 locally before it ever reaches CI::
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -40,6 +47,15 @@ _SPAN_RE = re.compile(r"`[^`\n]+`")
 _MAKE_RE = re.compile(r"(?<![\w-])make\s+([A-Za-z][\w-]*)(?![\w=-])")
 #: A Makefile rule's target (not a ``:=`` assignment or ``.PHONY``).
 _TARGET_RE = re.compile(r"^([A-Za-z][\w-]*)\s*:(?!=)", re.MULTILINE)
+#: An inline code span that is a dotted ``repro.…`` name.
+_NAME_RE = re.compile(r"`(repro(?:\.\w+)+)`")
+#: An inline code span that starts with a repo path: the path, then an
+#: optional ``:line`` or ``::name[::name]`` suffix, then the end of the
+#: span or a space (arguments follow).
+_PATH_RE = re.compile(
+    r"`((?:src|tests|tools|docs|examples|benchmarks)/[^\s:`]*)"
+    r"(?::(\d+)|((?:::\w+)+))?(?=[\s`])"
+)
 
 
 def github_slug(heading: str) -> str:
@@ -63,6 +79,7 @@ def heading_slugs(path: Path) -> set[str]:
 def default_files(root: Path) -> list[Path]:
     files = [root / "README.md"]
     files += sorted((root / "docs").glob("**/*.md"))
+    files.append(root / ".claude" / "skills" / "verify" / "SKILL.md")
     return [f for f in files if f.exists()]
 
 
@@ -73,14 +90,63 @@ def make_targets(makefile: Path = REPO_ROOT / "Makefile") -> set[str]:
 
 def code_fragments(text: str) -> list[str]:
     """The fenced code blocks and inline code spans of a markdown text."""
-    fences = _FENCE_RE.findall(text)
-    return fences + _SPAN_RE.findall(_FENCE_RE.sub("", text))
+    return _FENCE_RE.findall(text) + inline_spans(text)
 
 
-def check_file(path: Path, targets: set[str] | None = None) -> list[str]:
+def inline_spans(text: str) -> list[str]:
+    """The inline code spans (backticks included) outside fenced blocks."""
+    return _SPAN_RE.findall(_FENCE_RE.sub("", text))
+
+
+def name_resolves(dotted: str) -> bool:
+    """Whether ``dotted`` is an importable module or an attribute path
+    under the longest importable prefix (imports from ``src/``)."""
+    src = str(REPO_ROOT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(found, attr):
+                return False
+            found = getattr(found, attr)
+        return True
+    return False
+
+
+def path_resolves(
+    root: Path, path: str, line: str | None = None, names: str | None = None
+) -> bool:
+    """Whether a repo path (glob allowed) exists under ``root``, with
+    at least ``line`` lines, defining every ``::name`` of ``names``."""
+    if any(ch in path for ch in "*?["):
+        return any(root.glob(path))
+    target = root / path
+    if not target.exists():
+        return False
+    if line is None and names is None:
+        return True
+    if not target.is_file():
+        return False
+    text = target.read_text(encoding="utf-8")
+    if line is not None:
+        return int(line) <= len(text.splitlines())
+    return all(
+        re.search(rf"^\s*(?:async\s+)?(?:def|class)\s+{name}\b", text, re.M)
+        for name in names.split("::")[1:]
+    )
+
+
+def check_file(
+    path: Path, targets: set[str] | None = None, root: Path = REPO_ROOT
+) -> list[str]:
     """All broken internal references in one markdown file; ``make``
     commands are checked against ``targets`` (the repo Makefile's by
-    default)."""
+    default), repo paths against ``root``."""
     if targets is None:
         targets = make_targets()
     errors: list[str] = []
@@ -89,6 +155,13 @@ def check_file(path: Path, targets: set[str] | None = None) -> list[str]:
         for target in _MAKE_RE.findall(code):
             if target not in targets:
                 errors.append(f"{path}: `make {target}` (no such Makefile target)")
+    for span in inline_spans(text):
+        name = _NAME_RE.fullmatch(span)
+        if name and not name_resolves(name.group(1)):
+            errors.append(f"{path}: {span} (no such module or attribute)")
+        repo_path = _PATH_RE.match(span)
+        if repo_path and not path_resolves(root, *repo_path.groups()):
+            errors.append(f"{path}: {span} (no such path, line or name)")
     for match in _LINK_RE.finditer(text):
         target = match.group(1)
         if target.startswith(_EXTERNAL) or target.startswith("<"):
