@@ -12,7 +12,7 @@ test:
 ## random exploration: the two property files under the `fuzz` profile —
 ## fresh seeds, 20x the example budget, failures saved under the tracked
 ## tests/fuzz-examples/ and replayed first next time (~1 min).  Until
-## ROADMAP item 1a lands it is *expected* to fail on
+## ROADMAP item 2a lands it is *expected* to fail on
 ## test_partitions_sound_for_sampled_deployment: compute_partitions is
 ## unsound under security_2nd and this finds the instance
 fuzz:

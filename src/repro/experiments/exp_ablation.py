@@ -6,64 +6,61 @@ population sits on the "knife's edge" between an insecure legitimate
 route and an insecure bogus route of identical rank, and only their
 (unknowable) intradomain tiebreaks decide.  This experiment measures
 that interval width — and the knife's-edge source fraction — at every
-step of the Tier 1+2 rollout, for each model.
+step of the Tier 1+2 rollout, for each model: a pair's knife-edge
+sources are exactly its ``happy_upper − happy_lower``, so it declares
+fig7a's request shape over its own pairs and reads the two counts.
 """
 
 from __future__ import annotations
 
 from ..core.deployment import Deployment, tier12_rollout
 from ..core.rank import BASELINE, SECURITY_MODELS
-from ..core.routing import Reach, compute_routing_outcome
 from . import report, sampling
 from .registry import ExperimentResult, ExperimentSpec, register
-from .runner import ExperimentContext
-from .scenarios import EvalResults
+from .runner import ExperimentContext, cached
+from .scenarios import EvalResults, SweepSpec, collect_requests, request_for
 
 
-def _knife_edge_worker(
-    ectx: ExperimentContext, pair: tuple[int, int], state: dict
-) -> tuple[int, int, int]:
-    """(knife-edge sources, happy_lower, num_sources) for one attack."""
-    deployment = state["deployment"]
-    model = state["model"]
-    attacker, destination = pair
-    outcome = compute_routing_outcome(
-        ectx.graph_ctx, destination, attacker=attacker,
-        deployment=deployment, model=model,
-    )
-    lower, upper = outcome.count_happy()
-    both = sum(
-        1
-        for asn, info in outcome.routes.items()
-        if outcome.is_source(asn) and info.reaches == Reach.BOTH
-    )
-    assert both == upper - lower
-    return both, lower, outcome.num_sources
+def _plan(ectx: ExperimentContext):
+    """Per step: its label, deployment, non-stub count and
+    ``(model, request)`` list."""
+
+    def build():
+        rng = ectx.rng("ablation-tiebreak")
+        attackers = sampling.nonstub_attackers(ectx.tiers)
+        pairs = sampling.sample_pairs(
+            rng, attackers, ectx.graph.asns, ectx.scale.rollout_pairs
+        )
+        steps = [("S=∅", Deployment.empty(), 0)] + [
+            (step.label, step.deployment, step.non_stub_count)
+            for step in tier12_rollout(ectx.graph, ectx.tiers)
+        ]
+        plan = []
+        for label, deployment, non_stubs in steps:
+            models = (BASELINE,) if deployment.size == 0 else SECURITY_MODELS
+            requests = [
+                (model, request_for(ectx, pairs, deployment, model))
+                for model in models
+            ]
+            plan.append((label, deployment, non_stubs, requests))
+        return plan
+
+    return cached(ectx, "plan:ablation_tiebreak", build)
+
+
+def requests_tiebreak_ablation(ectx: ExperimentContext) -> SweepSpec:
+    return SweepSpec.of("ablation_tiebreak", collect_requests(_plan(ectx)))
 
 
 def run_tiebreak_ablation(
     ectx: ExperimentContext, results: EvalResults
 ) -> ExperimentResult:
-    rng = ectx.rng("ablation-tiebreak")
-    attackers = sampling.nonstub_attackers(ectx.tiers)
-    pairs = sampling.sample_pairs(
-        rng, attackers, ectx.graph.asns, ectx.scale.rollout_pairs
-    )
-    steps = [("S=∅", Deployment.empty(), 0)] + [
-        (step.label, step.deployment, step.non_stub_count)
-        for step in tier12_rollout(ectx.graph, ectx.tiers)
-    ]
     rows = []
-    for label, deployment, non_stubs in steps:
-        models = (BASELINE,) if deployment.size == 0 else SECURITY_MODELS
-        for model in models:
-            counts = ectx.map_tasks(
-                _knife_edge_worker,
-                pairs,
-                state={"deployment": deployment, "model": model},
-            )
-            knife = sum(b for b, _, _ in counts)
-            total = sum(n for _, _, n in counts)
+    for label, deployment, non_stubs, requests in _plan(ectx):
+        for model, request in requests:
+            per_pair = results.for_request(request).per_pair
+            knife = sum(r.happy_upper - r.happy_lower for r in per_pair)
+            total = sum(r.num_sources for r in per_pair)
             rows.append(
                 {
                     "step": label,
@@ -110,5 +107,6 @@ register(
         paper_reference="Section 5.2.1",
         paper_expectation="knife-edge population persists at scale",
         run=run_tiebreak_ablation,
+        requests=requests_tiebreak_ablation,
     )
 )

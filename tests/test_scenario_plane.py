@@ -10,15 +10,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import BASELINE, SECURITY_SECOND, Deployment
+from repro.core import (
+    BASELINE,
+    DEFAULT_ATTACK,
+    HONEST,
+    SECURITY_MODELS,
+    SECURITY_SECOND,
+    Deployment,
+    tier12_rollout,
+)
 from repro.core.attacks import SHIPPED_STRATEGIES
 from repro.core.metrics import AttackHappiness, MetricResult, _mean_interval
 from repro.core.rank import LP2, LocalPreference, RankModel, SecurityModel
+from repro.core.routing import Reach, RoutingContext, compute_routing_outcome
 from repro.experiments import (
     EvalRequest,
     ResultStore,
+    get_experiment,
     make_context,
     run_experiments,
+    sampling,
 )
 from repro.experiments.registry import (
     ExperimentResult,
@@ -35,6 +46,7 @@ from repro.experiments.scenarios import (
     result_to_record,
 )
 from repro.experiments.store import _build_record, _record_crc
+from repro.topology.tiers import Tier
 
 
 @pytest.fixture(scope="module")
@@ -931,9 +943,13 @@ class TestScheduler:
             assert ectx.metric_evaluations == 0
             assert len(ectx.failure_log) == 0
 
-    def test_second_run_evaluates_zero_scenarios(self, tmp_path):
-        """Warm-store rerun: the acceptance counter stays at zero."""
-        ids = ["baseline", "fig7a", "fig11", "nonstubs", "guideline_t2"]
+    def test_second_run_evaluates_zero_scenarios(self, tmp_path, count_calls):
+        """Warm-store rerun: the acceptance counter stays at zero, and no
+        experiment runs a pass of its own outside the plane."""
+        ids = [
+            "baseline", "fig7a", "fig11", "nonstubs", "guideline_t2",
+            "fig9", "fig10", "fig12", "ablation_tiebreak",
+        ]
         store = ResultStore(tmp_path / "cache")
         with make_context(scale="tiny", seed=2013) as cold:
             run_experiments(cold, ids, store=store)
@@ -941,8 +957,12 @@ class TestScheduler:
         assert store.misses == cold.metric_evaluations
         # a brand-new context and store instance: only the JSONL persists.
         warm_store = ResultStore(tmp_path / "cache")
+        passes = [count_calls(RoutingContext, name) for name in ("_run", "_run_np")]
         with make_context(scale="tiny", seed=2013) as warm:
+            for eid in ids[-4:]:
+                assert len(get_experiment(eid).requests(warm)) > 0
             warm_results = run_experiments(warm, ids, store=warm_store)
+        assert passes == [[0], [0]]
         assert warm.metric_evaluations == 0
         assert warm_store.misses == 0
         assert warm_store.hits > 0
@@ -980,6 +1000,162 @@ class TestScheduler:
         )
         assert warm_store.misses == 0
         assert warm_store.hits == cold_store.misses
+
+
+#: The catalog deployment each per-destination figure secures.
+_PERDEST_DEPLOYMENTS = {"fig9": "t12_full", "fig10": "t2_full", "fig12": "nonstubs"}
+
+
+def _perdest_oracle_rows(ectx, experiment_id, attack):
+    """Figures 9, 10 and 12's rows from one ``compute_routing_outcome``
+    a pair and model, ``count_happy`` over the baseline pair's sources
+    summed in the sampled attacker order."""
+    ctx = ectx.graph_ctx
+    deployment = ectx.catalog.get(_PERDEST_DEPLOYMENTS[experiment_id])
+    rng = ectx.rng(f"perdest-{experiment_id}")
+    tier1 = set(ectx.tiers.members(Tier.TIER1))
+    sample = sampling.sample_members(
+        rng,
+        sorted(deployment.full | deployment.simplex),
+        ectx.scale.perdest_destinations,
+    )
+    dests = sorted(set(sample) | {a for a in tier1 if a in deployment})
+    attackers = sampling.sample_members(
+        rng, sampling.nonstub_attackers(ectx.tiers), ectx.scale.perdest_attackers
+    )
+    deltas = {}
+    for destination in dests:
+        num = 0
+        base_lower = base_upper = 0.0
+        sums = {model.label: [0.0, 0.0] for model in SECURITY_MODELS}
+        for attacker in attackers:
+            if attacker == destination:
+                continue
+            num += 1
+            baseline = compute_routing_outcome(
+                ctx, destination, attacker=attacker, model=BASELINE,
+                attack=attack,
+            )
+            lower, upper = baseline.count_happy()
+            sources = baseline.num_sources or 1
+            base_lower += lower / sources
+            base_upper += upper / sources
+            for model in SECURITY_MODELS:
+                lo, hi = compute_routing_outcome(
+                    ctx, destination, attacker=attacker,
+                    deployment=deployment, model=model, attack=attack,
+                ).count_happy()
+                sums[model.label][0] += lo / sources
+                sums[model.label][1] += hi / sources
+        if num:
+            deltas[destination] = {
+                label: min((lo - base_lower) / num, (hi - base_upper) / num)
+                for label, (lo, hi) in sums.items()
+            }
+    rows = []
+    for model in SECURITY_MODELS:
+        series = [d[model.label] for d in deltas.values()]
+        t1_series = [deltas[d][model.label] for d in deltas if d in tier1]
+        rows.append(
+            {
+                "model": model.label,
+                "destinations": len(series),
+                "mean_delta_lower": sum(series) / len(series) if series else 0.0,
+                "tier1_mean_delta_lower": (
+                    sum(t1_series) / len(t1_series) if t1_series else None
+                ),
+            }
+        )
+    return rows
+
+
+def _ablation_oracle_rows(ectx, attack):
+    """The tiebreak ablation's rows from one ``compute_routing_outcome``
+    a pair, counting the sources whose best routes reach both roots."""
+    rng = ectx.rng("ablation-tiebreak")
+    pairs = sampling.sample_pairs(
+        rng,
+        sampling.nonstub_attackers(ectx.tiers),
+        ectx.graph.asns,
+        ectx.scale.rollout_pairs,
+    )
+    steps = [("S=∅", Deployment.empty(), 0)] + [
+        (step.label, step.deployment, step.non_stub_count)
+        for step in tier12_rollout(ectx.graph, ectx.tiers)
+    ]
+    rows = []
+    for label, deployment, non_stubs in steps:
+        models = (BASELINE,) if deployment.size == 0 else SECURITY_MODELS
+        for model in models:
+            knife = total = 0
+            for attacker, destination in pairs:
+                outcome = compute_routing_outcome(
+                    ectx.graph_ctx, destination, attacker=attacker,
+                    deployment=deployment, model=model, attack=attack,
+                )
+                knife += sum(
+                    1
+                    for asn, info in outcome.routes.items()
+                    if outcome.is_source(asn) and info.reaches == Reach.BOTH
+                )
+                total += outcome.num_sources
+            rows.append(
+                {
+                    "step": label,
+                    "non_stub_count": non_stubs,
+                    "model": model.label,
+                    "secured_fraction": deployment.size / len(ectx.graph),
+                    "knife_edge_fraction": knife / total if total else 0.0,
+                }
+            )
+    return rows
+
+
+def _oracle_rows(ectx, attack):
+    """Every count-row experiment's rows, by id, from the per-pair engine."""
+    rows = {
+        eid: _perdest_oracle_rows(ectx, eid, attack) for eid in _PERDEST_DEPLOYMENTS
+    }
+    rows["ablation_tiebreak"] = _ablation_oracle_rows(ectx, attack)
+    return rows
+
+
+class TestCountRowExperiments:
+    """The per-destination figures and the tiebreak ablation need only
+    happiness counts, so they run as declared requests: their rows are
+    the per-pair engine's, exactly, on a scalar and a numpy context,
+    serial and pooled, under the run-wide attacker strategy."""
+
+    IDS = ["fig9", "fig10", "fig12", "ablation_tiebreak"]
+
+    @staticmethod
+    def _rows(ectx):
+        results = run_experiments(ectx, TestCountRowExperiments.IDS)
+        return {result.experiment_id: result.rows for result in results}
+
+    @pytest.fixture(scope="class")
+    def hijack_oracle(self):
+        with make_context(scale="tiny", seed=2013) as ectx:
+            return _oracle_rows(ectx, DEFAULT_ATTACK)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_rows_equal_the_per_pair_engine(
+        self, hijack_oracle, vectorized, processes
+    ):
+        if vectorized:
+            pytest.importorskip("numpy")
+        with make_context(
+            scale="tiny", seed=2013, vectorized=vectorized, processes=processes
+        ) as ectx:
+            assert self._rows(ectx) == hijack_oracle
+
+    def test_run_wide_attack_reaches_them(self, hijack_oracle):
+        with make_context(scale="tiny", seed=2013, attack="honest") as ectx:
+            rows = self._rows(ectx)
+            assert rows == _oracle_rows(ectx, HONEST)
+        for eid in self.IDS:
+            assert rows[eid] != hijack_oracle[eid]
 
 
 class TestAggregation:
