@@ -300,7 +300,7 @@ class RoutingContext:
         "adj_custflag",
         "_rel_idx",
         "vectorized",
-        "_edges_cache",
+        "_edges",
         "_has_customers",
         "_np_adj",
         "_np_scratch",
@@ -358,23 +358,33 @@ class RoutingContext:
         self._rel_idx: tuple | None = None  # see _relationship_idx
         if self.vectorized:
             self._build_csr_np(graph)
+            # No heap loop runs here, so no adjacency or scratch for it.
+            self._edges = self._fixed = None
         else:
             self._build_csr(graph)
-        # Hot-loop adjacency for the pure kernel: per-node lists of
-        # ``(v << 3)|(class << 1)|cust``.  Derived from the CSR; built
-        # lazily on vectorized contexts, whose kernels never read it.
-        self._edges_cache: list[list[int]] | None = (
-            None if self.vectorized else self._build_edges()
-        )
+            self._edges = self._build_edges()
+            # The heap loop's scratch, reset (not reallocated) by each pass.
+            self._fixed = bytearray(n)
+            self._key: list[int] = [_INF] * n
+            self._cls = bytearray(n)
+            self._len: list[int] = [0] * n
+            self._reach = bytearray(n)
+            self._wire = bytearray(n)
+            self._sec = bytearray(n)
+            self._choice: list[int] = [-1] * n
+            self._endpoint = bytearray(n)
+            self._nhops: list[list[int] | None] = [None] * n
+            self._key_init = [_INF] * n
+            self._zeros = bytes(n)
+            self._choice_init = [-1] * n
+            self._nhops_init: list[None] = [None] * n
         self._np_adj: tuple | None = None
         #: where :meth:`_run_np` leaves its result; a numpy kernel
-        #: never writes the python scratch below
+        #: never writes the heap loop's scratch
         self._np_scratch: dict | None = None
         #: the flat state arrays of :meth:`_run_np`'s K-row calls
         self._np_rows: dict | None = None
-        #: what :meth:`_np_nhop_pairs` needs of the most recent pass if
-        #: :meth:`_run_np` ran it, None after a heap pass — so also
-        #: which of the two scratch forms holds that pass's state
+        #: what :meth:`_np_nhop_pairs` needs of the most recent state pass
         self._np_post: tuple | None = None
         self._neighbor_dicts: tuple[dict, dict, dict] | None = None
         self._out_edges: dict | None = None
@@ -385,10 +395,6 @@ class RoutingContext:
             weakref.WeakValueDictionary()
         )
         self._zero_mask = bytearray(n)
-        #: the heap loop's scratch (``_fixed`` … ``_nhops_init``): this
-        #: None and the rest unset until the first heap pass allocates
-        #: them (:meth:`_heap_scratch`)
-        self._fixed: bytearray | None = None
         self._last_counts: tuple[int, int, int, int, int, int] = (0,) * 6
 
     # ------------------------------------------------------------------
@@ -434,7 +440,7 @@ class RoutingContext:
         self.adj_class = adj_class
         self.adj_custflag = adj_custflag
         self._rel_idx = (providers_idx, customers_idx, peers_idx)
-        #: 1 per node that has a customer (:meth:`_run`'s selector)
+        #: 1 per node that has a customer (:meth:`require_stub_simplex`)
         self._has_customers = bytes(map(bool, customers_idx))
 
     def _build_csr_np(self, graph: ASGraph) -> None:
@@ -501,7 +507,8 @@ class RoutingContext:
     peers_idx = property(lambda self: self._relationship_idx()[2])
 
     def _build_edges(self) -> list[list[int]]:
-        """Per-node packed-edge lists, derived from the CSR buffers."""
+        """The heap loop's adjacency: per node, its CSR row packed as
+        ``(v << 3)|(class << 1)|cust``."""
         n = self.n
         if _np is not None:
             np = _np
@@ -522,15 +529,6 @@ class RoutingContext:
             ]
             for u in range(n)
         ]
-
-    @property
-    def _edges(self) -> list[list[int]]:
-        """Hot-loop adjacency of the pure kernel (lazy on vectorized
-        contexts: only a transit-simplex pass and :attr:`out_edges`)."""
-        edges = self._edges_cache
-        if edges is None:
-            edges = self._edges_cache = self._build_edges()
-        return edges
 
     # Called by perfbench/layers.py (close) and service_load.py (with).
     def close(self) -> None:
@@ -638,13 +636,15 @@ class RoutingContext:
         built = self._out_edges
         if built is None:
             asn_of = self.asns
-            built = {}
-            for u, asn in enumerate(asn_of):
-                built[asn] = tuple(
-                    (asn_of[e >> 3], (e >> 1) & 3, bool(e & 1))
-                    for e in self._edges[u]
-                )
-            self._out_edges = built
+            start = list(map(int, self.adj_start))
+            edges = list(zip(
+                [asn_of[v] for v in self.adj_node],
+                map(int, self.adj_class), map(bool, self.adj_custflag),
+            ))
+            built = self._out_edges = {
+                asn: tuple(edges[start[u] : start[u + 1]])
+                for u, asn in enumerate(asn_of)
+            }
         return built
 
     # ------------------------------------------------------------------
@@ -658,6 +658,9 @@ class RoutingContext:
         is O(n) while a batched sweep reuses the same deployment for
         thousands of pairs.  Deployment members absent from the graph
         are ignored, matching the seed engine's set-membership checks.
+        Every pass takes its masks from here, so a build is where every
+        entry point rejects a transit simplex member
+        (:meth:`require_stub_simplex`).
         """
         if deployment.size == 0:
             zero = self._zero_mask
@@ -666,6 +669,7 @@ class RoutingContext:
         entry = cache.get(id(deployment))
         if entry is not None and entry[0] is deployment:
             return entry[1], entry[2]
+        self.require_stub_simplex(deployment)
         index_of = self.index_of
         signing = bytearray(self.n)
         ranking = bytearray(self.n)
@@ -687,19 +691,15 @@ class RoutingContext:
     def require_stub_simplex(self, deployment: Deployment) -> None:
         """Raise ``ValueError`` if a simplex member has customers.
 
-        Section 5.3.2 defines simplex S*BGP for stubs, and the numpy
-        count rows are exact only there: with a *transit* simplex
-        member (it signs what it re-announces but never ranks on
-        security) fixing order is not key order, which only the heap
-        loop handles (:meth:`_run`).  Every count entry point
-        (:func:`jobs_happiness_counts` and its one-job calls
-        :func:`batch_happiness_counts` and
-        :func:`rollout_happiness_counts`, :class:`DestinationSweep`,
-        :meth:`RolloutSweep.advance`) therefore rejects such a
-        deployment on every context, so no answer depends on the
-        context; :func:`compute_routing_outcome` evaluates it per
-        pair.  A deployment object that passed is remembered while it
-        lives, so a batch pays the O(|simplex|) check once.
+        Section 5.3.2 defines simplex S*BGP for stubs.  A *transit*
+        simplex member re-announces, signed, a route it ranked insecure,
+        outside the three models of Theorem 2.1: the stable state need
+        not be unique (:func:`~repro.topology.gadgets.
+        transit_simplex_two_states` has two).  Every mask build
+        (:meth:`deployment_masks`) calls this, so every entry point
+        rejects such a deployment; the count path and
+        ``evaluate_requests`` also call it before any work.  A
+        deployment object that passed is remembered while it lives.
         """
         if not deployment.simplex:
             return
@@ -718,9 +718,8 @@ class RoutingContext:
             more = f" and {len(transit) - 10} more" if len(transit) > 10 else ""
             raise ValueError(
                 f"simplex S*BGP is for stubs, but simplex member(s) "
-                f"{shown}{more} have customers; the sweep-backed entry "
-                f"points do not evaluate that — use "
-                f"compute_routing_outcome per pair"
+                f"{shown}{more} have customers; a transit simplex AS can "
+                f"leave more than one stable state"
             )
         checked[id(deployment)] = deployment
 
@@ -767,31 +766,11 @@ class RoutingContext:
 
     def _scratch_record(self, att_i: int) -> AttackerBaseline:
         """``att_i``'s record in the most recent pass, read from the
-        scratch of the kernel that ran it (:attr:`_np_post` says which)."""
-        if self._np_post is not None:
+        scratch of the context's kernel."""
+        if self.vectorized:
             st = self._np_scratch
             return _attacker_baseline(st["fixed"], st["len"], st["wire"], att_i)
         return _attacker_baseline(self._fixed, self._len, self._wire, att_i)
-
-    def _heap_scratch(self) -> None:
-        """Allocate the heap loop's scratch buffers, reset (not
-        reallocated) by every later heap pass; a context whose passes
-        all run :meth:`_run_np` never holds them."""
-        n = self.n
-        self._fixed = bytearray(n)
-        self._key: list[int] = [_INF] * n
-        self._cls = bytearray(n)
-        self._len: list[int] = [0] * n
-        self._reach = bytearray(n)
-        self._wire = bytearray(n)
-        self._sec = bytearray(n)
-        self._choice: list[int] = [-1] * n
-        self._endpoint = bytearray(n)
-        self._nhops: list[list[int] | None] = [None] * n
-        self._key_init = [_INF] * n
-        self._zeros = bytes(n)
-        self._choice_init = [-1] * n
-        self._nhops_init: list[None] = [None] * n
 
     def _run(
         self,
@@ -804,25 +783,15 @@ class RoutingContext:
     ) -> None:
         """Run one fixing pass over the scratch buffers (``att_i = -1``
         for normal conditions; ``attack`` parameterizes how the attacker
-        root announces).  Results live in the scratch of the kernel that
-        ran (:attr:`_np_post` tells which) and :attr:`_last_counts`
-        until the next run.
-
-        A numpy context runs :meth:`_run_np` unless a node signs, does
-        not rank and has a customer (transit simplex): its signed offer
-        of a route it ranked insecure can get a key below its own, so
-        fixing order is not key order — the heap loop below handles it."""
-        if self.vectorized and not (
-            (_u8(signing) > _u8(ranking)) & _u8(self._has_customers)
-        ).any():
+        root announces).  Results live in the scratch of the context's
+        kernel and :attr:`_last_counts` until the next run: a numpy
+        context runs :meth:`_run_np`, a scalar one the heap loop below."""
+        if self.vectorized:
             self._run_np(
                 [(dest_i, att_i, signing, ranking, attack)], model, state=True
             )
             return
-        self._np_post = None
         n = self.n
-        if self._fixed is None:
-            self._heap_scratch()
         fixed = self._fixed
         key_l = self._key
         cls_b = self._cls
@@ -963,8 +932,9 @@ class RoutingContext:
         Rank keys are strictly monotone on every input this kernel
         takes (LP buckets never shrink along an export-legal edge,
         length always grows, and the one sender whose offer could be
-        more secure than its own route, a simplex AS, is a stub here
-        and exports nothing), so every node holding the current *global
+        more secure than its own route, a simplex AS, is a stub —
+        :meth:`deployment_masks` rejects any other — and exports
+        nothing), so every node holding the current *global
         minimum* tentative key is final and each round can fix the
         whole minimum-key bucket at once, relaxing the edges it
         exports on in one batch of numpy gathers/scatters — the whole
@@ -1222,11 +1192,10 @@ class RoutingContext:
         resolved: ResolvedAttack = DEFAULT_RESOLVED,
     ) -> "RoutingOutcome":
         """The most recent pass as a :class:`RoutingOutcome`, read from
-        the scratch of the kernel that ran it."""
-        post = self._np_post
-        if post is not None:
+        the scratch of the context's kernel."""
+        if self.vectorized:
             st = self._np_scratch
-            state = _decode(st, *self._np_nhop_pairs(st, post))
+            state = _decode(st, *self._np_nhop_pairs(st, self._np_post))
         else:
             state = dict(
                 _fixed=bytes(self._fixed),
@@ -1611,6 +1580,10 @@ def compute_routing_outcome(
 
     Returns:
         A :class:`RoutingOutcome`.
+
+    Raises:
+        ValueError: for a pair outside the graph, ``m == d``, or a
+            simplex member with customers (no unique stable state).
     """
     ctx = _as_context(topology)
     deployment = deployment or _EMPTY_DEPLOYMENT
@@ -1710,7 +1683,6 @@ class DestinationSweep:
         #: on a numpy one.
         self.last_delta_path: str | None = None
         self._dest_i, _ = ctx._check_pair(destination, None)
-        ctx.require_stub_simplex(deployment)
         self._signing, self._ranking = ctx.deployment_masks(deployment)
         # The baseline fixing pass, run once per deployment.
         ctx._run(self._dest_i, -1, self._signing, self._ranking, model)
@@ -1723,7 +1695,7 @@ class DestinationSweep:
         :meth:`baseline_outcome` asks)."""
         ctx = self.ctx
         self._b_counts = ctx._last_counts
-        if ctx._np_post is None:
+        if not ctx.vectorized:
             self._np_base = None
             self._base = ctx._snapshot(
                 self.destination, None, self.deployment, self.model,
@@ -1750,7 +1722,7 @@ class DestinationSweep:
             self._dest_i, att_i, self._signing, self._ranking, self.model,
             resolved,
         )
-        self.last_delta_path = "pure" if ctx._np_post is None else "dense"
+        self.last_delta_path = "dense" if ctx.vectorized else "pure"
 
     # ------------------------------------------------------------------
     @property
@@ -1886,11 +1858,10 @@ class RolloutSweep(DestinationSweep):
         """Move the sweep's baseline to the next chain step in place
         (``ValueError``, before anything changes, if ``deployment`` does
         not nest the current one or has a transit simplex member)."""
-        ctx = self.ctx
-        ctx.require_stub_simplex(deployment)
+        masks = self.ctx.deployment_masks(deployment)
         _check_nested(self.deployment, deployment)
         self.deployment = deployment
-        self._signing, self._ranking = ctx.deployment_masks(deployment)
+        self._signing, self._ranking = masks
         self._pass(-1)
         self._take_baseline()
 

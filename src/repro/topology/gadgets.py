@@ -1,4 +1,5 @@
-"""Reconstructions of the paper's worked examples (Figures 1, 2, 14, 15, 17).
+"""Reconstructions of the paper's worked examples (Figures 1, 2, 14, 15, 17),
+and the witness that transit simplex S*BGP has no unique stable state.
 
 The paper illustrates each phenomenon — protocol downgrade attacks, BGP
 wedgies, collateral damages and benefits — with a small subgraph of the
@@ -35,6 +36,8 @@ class Gadget:
     attacker: int | None
     #: the set S of secure ASes used by the paper's narration.
     secure: frozenset[int]
+    #: further ASes running simplex S*BGP (they sign, do not rank).
+    simplex: frozenset[int] = frozenset()
     #: human-readable role of each named AS.
     roles: dict[int, str] = field(default_factory=dict)
 
@@ -264,10 +267,35 @@ def figure17_collateral_damage_sec1st(
     )
 
 
+def transit_simplex_two_states() -> Gadget:
+    """Transit simplex has two stable states under security 1st.
+
+    Simplex AS 2 has customers, so it re-announces, signed, a route it
+    ranks as insecure: outside the models of Theorem 2.1 (§5.3.2 defines
+    simplex for stubs).  The simulator converges with FIFO activation to
+    a state where no source routes to the attacker, and with LIFO
+    activation to one where ASes 2 and 3 do.  The engines reject it.
+    """
+    graph = graph_from_edges(
+        customer_provider=[(3, 2), (4, 1), (4, 3), (5, 1), (5, 2), (5, 4)],
+        peerings=[(1, 2), (2, 4)],
+    )
+    return Gadget(
+        name="transit_simplex",
+        graph=graph,
+        destination=1,
+        attacker=4,
+        secure=frozenset({1, 3, 4, 5}),
+        simplex=frozenset({2}),
+        roles={2: "simplex AS with customers 3 and 5", 4: "attacker"},
+    )
+
+
 ALL_GADGETS = {
     "figure1": figure1_wedgie,
     "figure2": figure2_protocol_downgrade,
     "figure14": figure14_collateral,
     "figure15": figure15_collateral_benefit,
     "figure17": figure17_collateral_damage_sec1st,
+    "transit_simplex": transit_simplex_two_states,
 }

@@ -3,8 +3,26 @@
 import pytest
 
 from repro.bgpsim import Announcement, BGPSimulator, ConvergenceError, PolicyAssignment
-from repro.core import BASELINE, Deployment, SECURITY_FIRST, SECURITY_THIRD
-from repro.topology import graph_from_edges
+from repro.core import (
+    BASELINE,
+    Deployment,
+    SECURITY_FIRST,
+    SECURITY_SECOND,
+    SECURITY_THIRD,
+)
+from repro.core.refimpl import ref_compute_routing_outcome
+from repro.topology import gadgets, graph_from_edges
+
+
+class LifoSimulator(BGPSimulator):
+    """Activates the most recently scheduled AS first (the stock
+    simulator is FIFO): a second activation order, so two runs that
+    disagree prove two stable states."""
+
+    def _enqueue(self, asn: int) -> None:
+        if asn not in self._queued and asn not in self._roots():
+            self._queued.add(asn)
+            self._queue.appendleft(asn)
 
 
 class TestAnnouncement:
@@ -181,3 +199,48 @@ class TestLinkEvents:
         sim.fail_link(3, 2)
         sim.run()
         assert not sim.link_up(3, 2)
+
+
+class TestTransitSimplexWitness:
+    """The gadget behind rejecting transit simplex: a simplex AS with
+    customers leaves two stable states under security 1st."""
+
+    @staticmethod
+    def _converge(simulator, model):
+        g = gadgets.transit_simplex_two_states()
+        sim = simulator(
+            g.graph, g.destination,
+            deployment=Deployment(full=g.secure, simplex=g.simplex),
+            policies=PolicyAssignment.uniform(model),
+            attacker=g.attacker,
+        )
+        assert sim.run().converged
+        return sim
+
+    def test_two_stable_states_under_security_first(self):
+        fifo = self._converge(BGPSimulator, SECURITY_FIRST)
+        lifo = self._converge(LifoSimulator, SECURITY_FIRST)
+        assert fifo.stable_state() != lifo.stable_state()
+        sources = (2, 3, 5)
+        assert [a for a in sources if fifo.routes_to_attacker(a)] == []
+        assert [a for a in sources if lifo.routes_to_attacker(a)] == [2, 3]
+
+    def test_the_seed_engine_answers_the_lifo_state(self):
+        g = gadgets.transit_simplex_two_states()
+        ref = ref_compute_routing_outcome(
+            g.graph, g.destination, attacker=g.attacker,
+            deployment=Deployment(full=g.secure, simplex=g.simplex),
+            model=SECURITY_FIRST,
+        )
+        assert ref.count_happy() == (1, 1)
+        lifo = self._converge(LifoSimulator, SECURITY_FIRST)
+        for asn in (2, 3, 5):
+            assert ref.concrete_path(asn) == lifo.physical_path(asn), asn
+
+    @pytest.mark.parametrize(
+        "model", [SECURITY_SECOND, SECURITY_THIRD], ids=lambda m: m.label
+    )
+    def test_one_stable_state_when_security_is_not_first(self, model):
+        fifo = self._converge(BGPSimulator, model)
+        lifo = self._converge(LifoSimulator, model)
+        assert fifo.stable_state() == lifo.stable_state()

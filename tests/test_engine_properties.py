@@ -17,9 +17,6 @@ theorems) with invariants of the *engine mechanics* on random inputs:
 * **batching is pure** — ``batch_outcomes`` over a pair sweep equals
   pair-at-a-time ``compute_routing_outcome`` even though the batch
   reuses scratch buffers and deployment masks;
-* **transit simplex is evaluated per pair** — with simplex members
-  drawn from every AS, ``compute_routing_outcome`` on a scalar and on a
-  numpy context equals the reference engine;
 * **every sweep path is the same function** — a random nested
   deployment chain walked by ``RolloutSweep`` on a scalar context (the
   heap loop) and on a numpy context (one dense pass an attacker or
@@ -163,26 +160,6 @@ class TestEngineInvariants:
             )
             assert dict(got.routes) == dict(want.routes), (m, d)
             assert got.count_happy() == want.count_happy()
-
-    @pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "numpy"])
-    @DEFAULT_SETTINGS
-    @given(instance=attack_instances(simplex="transit"))
-    def test_transit_simplex_equals_reference_engine(self, vectorized, instance):
-        """The per-pair promise: simplex members with customers are
-        evaluated, on a scalar context and on a numpy one (whose
-        ``_run`` sends such masks to the heap loop)."""
-        if vectorized:
-            pytest.importorskip("numpy")
-        graph, destination, attacker, deployment, model = instance
-        kwargs = dict(attacker=attacker, deployment=deployment, model=model)
-        out = compute_routing_outcome(
-            RoutingContext(graph, vectorized=vectorized), destination, **kwargs
-        )
-        ref = ref_compute_routing_outcome(graph, destination, **kwargs)
-        assert dict(out.routes) == ref.routes
-        assert out.count_happy() == ref.count_happy()
-        assert out.count_attacked() == ref.count_attacked()
-        assert out.count_secure_sources() == ref.count_secure_sources()
 
 
 @st.composite

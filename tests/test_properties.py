@@ -1,8 +1,9 @@
 """Property-based tests (hypothesis): the paper's theorems as invariants.
 
 * Theorem 2.1 — with a uniform security placement, the message-passing
-  simulator converges to exactly the staged algorithm's stable state
-  (uniqueness + correctness of both engines);
+  simulator converges, under FIFO and LIFO activation alike, to exactly
+  the staged algorithm's stable state (uniqueness + correctness of both
+  engines);
 * Theorem 3.1 — no protocol downgrades when security is 1st;
 * Theorem 6.1 — security 3rd is monotone: growing S never unhappies a
   happy AS;
@@ -33,6 +34,8 @@ from repro.core import (
 )
 from repro.core.rank import LocalPreference, RankModel, SecurityModel
 from repro.topology import ASGraph, RouteClass, parse_serial2, dumps_serial2
+
+from test_bgpsim import LifoSimulator
 
 # The example budget comes from the loaded profile (tests/conftest.py).
 DEFAULT_SETTINGS = settings(
@@ -69,17 +72,12 @@ def layered_graphs(draw, min_n: int = 12, max_n: int = 40) -> ASGraph:
 
 
 @st.composite
-def attack_instances(draw, simplex: bool | str = False):
+def attack_instances(draw, simplex: bool = False):
     """(graph, destination, attacker, deployment, model).
 
     With ``simplex=True`` the deployment also holds simplex members —
     stubs only, which is what :class:`Deployment` documents, every
-    rollout builds (§5.3.2) and the sweeps and numpy kernels take.
-    With ``simplex="transit"`` they are drawn from every AS: a simplex
-    AS with customers re-announces, signed, a route it ranked insecure,
-    so fixing order is no longer key order (security 1st/2nd).  Only
-    the per-pair engine's heap loop evaluates that, on either context;
-    the sweep-backed entry points reject it.
+    rollout builds (§5.3.2) and every routing entry point takes.
     """
     graph = draw(layered_graphs())
     asns = graph.asns
@@ -89,7 +87,7 @@ def attack_instances(draw, simplex: bool | str = False):
     model = draw(st.sampled_from((BASELINE,) + SECURITY_MODELS))
     deployment = Deployment.of(secure)
     if simplex:
-        pool = [a for a in asns if simplex == "transit" or graph.is_stub(a)]
+        pool = [a for a in asns if graph.is_stub(a)]
         deployment = Deployment(
             full=deployment.full,
             simplex=frozenset(draw(st.sets(st.sampled_from(pool))) - secure),
@@ -98,47 +96,51 @@ def attack_instances(draw, simplex: bool | str = False):
 
 
 class TestTheorem21CrossValidation:
-    """The keystone: two independent engines, one stable state."""
+    """The keystone: two independent engines, one stable state — the
+    simulator's under two activation orders (FIFO and LIFO), with
+    stub simplex members drawn too."""
 
     @DEFAULT_SETTINGS
-    @given(attack_instances())
+    @given(attack_instances(simplex=True))
     def test_staged_equals_simulator(self, instance):
         graph, destination, attacker, deployment, model = instance
         out = compute_routing_outcome(
             graph, destination, attacker=attacker, deployment=deployment,
             model=model,
         )
-        sim = BGPSimulator(
-            graph,
-            destination,
-            deployment=deployment,
-            policies=PolicyAssignment.uniform(model),
-            attacker=attacker,
-        )
-        sim.run()
-        for asn in graph.asns:
-            if asn in (destination, attacker):
-                continue
-            assert out.concrete_path(asn) == sim.physical_path(asn), asn
-            if model.uses_security:
-                assert out.uses_secure_route(asn) == sim.uses_secure_route(asn)
+        for simulator in (BGPSimulator, LifoSimulator):
+            sim = simulator(
+                graph,
+                destination,
+                deployment=deployment,
+                policies=PolicyAssignment.uniform(model),
+                attacker=attacker,
+            )
+            sim.run()
+            for asn in graph.asns:
+                if asn in (destination, attacker):
+                    continue
+                assert out.concrete_path(asn) == sim.physical_path(asn), asn
+                if model.uses_security:
+                    assert out.uses_secure_route(asn) == sim.uses_secure_route(asn)
 
     @DEFAULT_SETTINGS
-    @given(attack_instances())
+    @given(attack_instances(simplex=True))
     def test_normal_conditions_agree_too(self, instance):
         graph, destination, _, deployment, model = instance
         out = compute_routing_outcome(
             graph, destination, deployment=deployment, model=model
         )
-        sim = BGPSimulator(
-            graph, destination, deployment=deployment,
-            policies=PolicyAssignment.uniform(model),
-        )
-        sim.run()
-        for asn in graph.asns:
-            if asn == destination:
-                continue
-            assert out.concrete_path(asn) == sim.physical_path(asn), asn
+        for simulator in (BGPSimulator, LifoSimulator):
+            sim = simulator(
+                graph, destination, deployment=deployment,
+                policies=PolicyAssignment.uniform(model),
+            )
+            sim.run()
+            for asn in graph.asns:
+                if asn == destination:
+                    continue
+                assert out.concrete_path(asn) == sim.physical_path(asn), asn
 
 
 class TestTheorem31NoDowngrades:

@@ -43,8 +43,10 @@ from repro.core.routing import (
     RolloutSweep,
     RoutingContext,
     batch_happiness_counts,
+    batch_outcomes,
     compute_routing_outcome,
     jobs_happiness_counts,
+    normal_conditions,
     rollout_happiness_counts,
 )
 from repro.topology import TopologyParams, gadgets, generate_topology
@@ -270,12 +272,13 @@ class TestArraysAreTheState:
     """On a numpy context the arrays are the state: no numpy kernel
     reads or writes the python scratch (the heap loop's working set),
     and python records exist only inside a ``RoutingOutcome``.  A numpy
-    context, which allocates that scratch only for a heap pass, must
-    therefore answer every stub-simplex request, counts and full state,
-    like a scalar one, and still hold none of it afterwards."""
+    context never runs the heap loop and never allocates that scratch,
+    so after every entry point that accepts its input — stub simplex,
+    counts and full state — it answers like a scalar one and still
+    holds none of it."""
 
     PY_SCRATCH = (
-        "_fixed", "_key", "_cls", "_len", "_reach",
+        "_edges", "_fixed", "_key", "_cls", "_len", "_reach",
         "_wire", "_sec", "_choice", "_endpoint", "_nhops",
     )
 
@@ -335,7 +338,18 @@ class TestArraysAreTheState:
             assert dict(got.routes) == dict(want.routes)
             assert got.count_happy() == want.count_happy()
             assert got.count_secure_sources() == want.count_secure_sources()
+        for outcomes in (
+            lambda ctx: [normal_conditions(ctx, many_d, chain[-1], model)],
+            lambda ctx: batch_outcomes(ctx, pairs, chain[-1], model, attack),
+            lambda ctx: [
+                DestinationSweep(ctx, many_d, chain[-1], model, attack).outcome(m)
+            ],
+        ):
+            got, want = outcomes(bare), outcomes(pure_ctx)
+            assert [dict(o.routes) for o in got] == [dict(o.routes) for o in want]
+        assert bare.out_edges == pure_ctx.out_edges
         assert all(getattr(bare, name, None) is None for name in self.PY_SCRATCH)
+        assert all(getattr(pure_ctx, name) is not None for name in self.PY_SCRATCH)
 
 
 class TestLazyNextHopPairs:
@@ -1046,47 +1060,6 @@ class TestKernelSelection:
             for m in attackers:
                 s.happiness_counts(m)
                 assert s.last_delta_path == want, m
-
-    def test_transit_simplex_takes_the_heap_loop(
-        self, graph, pure_ctx, monkeypatch
-    ):
-        """The full pass is selected from the masks: a numpy context
-        enters ``_run_np`` unless some node signs, does not rank and
-        has a customer — then the pass takes the heap loop, and only
-        then does the context allocate the loop's scratch.  Either way
-        the state equals the scalar context's."""
-        vec_ctx = RoutingContext(graph, vectorized=True)
-        assert all(
-            getattr(vec_ctx, name, None) is None
-            for name in TestArraysAreTheState.PY_SCRATCH
-        )
-        entries = []
-        run_np = RoutingContext._run_np
-
-        def counted(self, *args, **kwargs):
-            entries.append(self)
-            return run_np(self, *args, **kwargs)
-
-        monkeypatch.setattr(RoutingContext, "_run_np", counted)
-        asns = graph.asns
-        d, m = asns[0], asns[-1]
-        stub_simplex = Deployment.of(asns[::2]).with_simplex_stubs(graph)
-        assert stub_simplex.simplex
-        transit = [a for a in asns[1::2] if not graph.is_stub(a)][:5]
-        assert transit
-        transit_simplex = Deployment(
-            full=stub_simplex.full, simplex=stub_simplex.simplex | set(transit)
-        )
-        for dep, enters in ((stub_simplex, True), (transit_simplex, False)):
-            kwargs = dict(attacker=m, deployment=dep, model=SECURITY_MODELS[0])
-            entries.clear()
-            vec = compute_routing_outcome(vec_ctx, d, **kwargs)
-            assert bool(entries) == enters
-            assert (vec_ctx._fixed is None) == enters
-            pure = compute_routing_outcome(pure_ctx, d, **kwargs)
-            assert dict(vec.routes) == dict(pure.routes)
-            assert vec.count_happy() == pure.count_happy()
-            assert vec.count_secure_sources() == pure.count_secure_sources()
 
 
 class TestContextWiring:
