@@ -67,16 +67,14 @@ PAIRS ?= 10
 bench-pairs:
 	$(PYTHON) tools/alternate_bench.py $(PARENT) . --workload $(WORKLOAD) --pairs $(PAIRS)
 
-## the measurements behind two constants of repro.core.routing
-## (tools/kernel_crossover.py; ~3 min): VECTORIZED_MIN_N — scalar
-## against numpy kernels over a range of graph sizes, both times and
-## their ratio — then NP_ROWS_BUDGET — the numpy kernel's ms per row at
-## K rows a call — then the race behind a numpy context's groups all
-## being rows: ms per pair-step of one group of A attackers as rows and
-## as a walked RolloutSweep.  Asserts no timing; exits nonzero only if
-## the kernels' (or the rows', or the two ways') results differ
+## the measurements behind the numpy kernel's batching
+## (tools/kernel_crossover.py; ~1 min): NP_ROWS_BUDGET of
+## repro.core.routing — the kernel's ms per row at K rows a call — then
+## the race behind every destination group being rows: ms per
+## pair-step of one group of A attackers as rows and as a walked
+## RolloutSweep.  Asserts no timing; exits nonzero only if the rows'
+## (or the two ways') results differ
 crossover:
-	$(PYTHON) tools/kernel_crossover.py
 	$(PYTHON) tools/kernel_crossover.py --rows
 	$(PYTHON) tools/kernel_crossover.py --groups
 

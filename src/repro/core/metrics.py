@@ -191,8 +191,8 @@ def security_metric(
     """
     ctx = topology if isinstance(topology, RoutingContext) else RoutingContext(topology)
     # Counts only, no outcome materialization: each distinct pass runs
-    # once, a row of a batched bucket pass on a numpy context, one heap
-    # pass on a scalar one — see repro.core.routing.jobs_happiness_counts.
+    # once, a row of a batched bucket pass — see
+    # repro.core.routing.jobs_happiness_counts.
     pairs = list(pairs)  # consumed twice below; accept one-shot iterables
     return metric_of_counts(
         pairs, batch_happiness_counts(ctx, pairs, deployment, model, attack=attack)
@@ -219,9 +219,8 @@ def batch_happiness(
     """Happy-source counts for many ``(m, d)`` pairs in one sweep.
 
     Amortizes deployment-mask construction and scratch-buffer reuse
-    across the whole pair list, and runs each distinct pass once: on a
-    numpy context as the rows of batched bucket passes, on a scalar one
-    as one heap pass each (see
+    across the whole pair list, and runs each distinct pass once, as
+    the rows of batched bucket passes (see
     :func:`repro.core.routing.batch_happiness_counts`; results are in
     input pair order).  This is what each worker of
     :mod:`repro.experiments.runner` runs on its share of destination
@@ -264,8 +263,7 @@ def rollout_happiness(
 
     Every distinct pass of the chain runs once — a blind pair-step is
     shared by every step that asks for it — as a row of a batched
-    bucket pass on a numpy context, as one heap pass on a scalar one
-    (see :func:`repro.core.routing.rollout_happiness_counts`); per-step
+    bucket pass (see :func:`repro.core.routing.rollout_happiness_counts`); per-step
     results are in input pair order and bit-identical to evaluating
     every step independently through :func:`batch_happiness`.  This is
     what each scheduler worker runs on its share of destination groups

@@ -113,9 +113,9 @@ _PACK_MASK = (1 << PACK_SHIFT) - 1
 def pack_key(key: RankKey) -> int:
     """Pack a rank key into one int, preserving lexicographic order.
 
-    The flat routing engine (:mod:`repro.core.routing`) keeps rank keys
-    as single machine-word ints so its scratch buffers and heap entries
-    avoid per-route tuple allocation.  Packing is order-preserving as
+    The routing engine (:mod:`repro.core.routing`) keeps rank keys as
+    single int64 values so its bucket kernel compares whole keys in one
+    array operation.  Packing is order-preserving as
     long as ``key[1]`` and ``key[2]`` fit in :data:`PACK_SHIFT` bits,
     which every model guarantees for graphs below ``2**PACK_SHIFT``
     ASes (components are LP buckets, lengths, or a 0/1 security bit).
@@ -159,37 +159,6 @@ class RankModel:
         if self.model is SecurityModel.THIRD:
             return (bucket, length, insecure)
         return (bucket, length, 0)
-
-    def packed_coeffs(self) -> tuple[int, int, int] | None:
-        """Linear coefficients for packed keys under classic LP.
-
-        With the classic local preference the LP bucket *is* the route
-        class, so every placement's key is linear in ``(class, length,
-        insecure)`` and the packed key (:func:`pack_key`) is::
-
-            packed = class * CM + length * LM + insecure * SM
-
-        Returns ``(CM, LM, SM)``, or None for ``LPk`` variants whose
-        bucket is a nonlinear function of length (the engine falls back
-        to :meth:`packed_key` for those).  The flat routing engine
-        inlines this formula in its relaxation loop — one multiply-add
-        per edge instead of a method call plus a tuple allocation.
-        """
-        if self.local_preference.peer_window is not None:
-            return None
-        hi = 1 << (2 * PACK_SHIFT)
-        mid = 1 << PACK_SHIFT
-        if self.model is SecurityModel.FIRST:
-            return (mid, 1, hi)  # (insecure, class, length)
-        if self.model is SecurityModel.SECOND:
-            return (hi, 1, mid)  # (class, insecure, length)
-        if self.model is SecurityModel.THIRD:
-            return (hi, mid, 1)  # (class, length, insecure)
-        return (hi, mid, 0)  # baseline: (class, length, 0)
-
-    def packed_key(self, route_class: RouteClass, length: int, secure: bool) -> int:
-        """:meth:`key` packed via :func:`pack_key` (generic slow path)."""
-        return pack_key(self.key(route_class, length, secure))
 
     @property
     def uses_security(self) -> bool:

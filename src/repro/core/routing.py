@@ -33,34 +33,23 @@ computation per (attacker, destination) pair over ``O(|V|²)`` pairs
 (Appendix H ran them on supercomputers), so the per-pair constant factor
 governs the cost of every figure.  :class:`RoutingContext` therefore
 maps ASNs onto dense indices ``0..n-1`` once per graph and stores the
-adjacency as flat CSR buffers (``adj_start``/``adj_node`` arrays plus
-``adj_class``/``adj_custflag`` bytearrays; on a numpy context int64 and
-uint8 ndarrays built by one sort, with the per-relationship index tuples
-derived only if a scalar reader asks); the fixing pass runs
-entirely in index space over *reusable scratch buffers* owned by the
-context — key/length/reach/secure arrays are reset between pairs
-instead of reallocated, rank keys are packed machine-word ints
-(:func:`repro.core.rank.pack_key`) instead of tuples, and heap entries
-pack ``(key, index)`` into a single int.  :class:`RouteInfo` and the
-per-AS mapping :attr:`RoutingOutcome.routes` are preserved as a thin
-lazily-materialized view over the flat result arrays, so callers keep
-the seed API.  :func:`batch_outcomes` and the count-only fast paths
-amortize deployment-mask construction across whole pair sweeps.
-On a numpy context (``ctx.vectorized``: by default every graph of
-:data:`VECTORIZED_MIN_N` ASes or more) the same passes
-run as bucket kernels over int64 arrays, and there *the arrays are the
-state*: a numpy kernel never writes the python scratch buffers, a
-sweep's snapshot is a dict of arrays, and the single crossing to python
-objects is :func:`_decode`, which builds the flat fields of a
-:class:`RoutingOutcome` for the callers that ask for full state.
-On every context the pass is the one unit of the count-only entry
-point (:func:`jobs_happiness_counts`): every ``(m, d, S)`` it is asked
-for is one pass, each distinct pass runs once, and only the executor
-differs — a row of one bucket loop, K to a numpy call, or one heap pass.
+adjacency as flat CSR ndarrays built by one sort (the per-relationship
+index tuples are derived only if a reader asks).  The fixing pass is a
+bucket kernel over int64 arrays (:meth:`RoutingContext._run_np`), with
+rank keys packed into single ints (:func:`repro.core.rank.pack_key`),
+and *the arrays are the state*: a sweep's snapshot is a dict of arrays,
+and the single crossing to python objects is :func:`_decode`, which
+builds the flat fields of a :class:`RoutingOutcome` for the callers
+that ask for full state.  :class:`RouteInfo` and the per-AS mapping
+:attr:`RoutingOutcome.routes` are a thin lazily-materialized view over
+those fields, so callers keep the seed API.  The pass is also the one
+unit of the count-only entry point (:func:`jobs_happiness_counts`):
+every ``(m, d, S)`` it is asked for is one pass, each distinct pass
+runs once, K of them to a call as the rows of one bucket loop.
 The original dict-based engine survives verbatim in
 :mod:`repro.core.refimpl` for differential testing.
 
-The context's scratch buffers make routing computations *not*
+The context's scratch arrays make routing computations *not*
 thread-safe per context; fork-based multiprocessing (the experiment
 runner's strategy) is safe because each worker gets its own
 copy-on-write context.
@@ -70,22 +59,16 @@ from __future__ import annotations
 
 import enum
 import functools
-import heapq
 import itertools
 import weakref
-from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from ..topology.graph import ASGraph
 from ..topology.relationships import RouteClass
-
-try:  # numpy backs the optional vectorized kernel, which degrades to
-    # the pure-python paths when it is unavailable.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain bakes numpy in
-    _np = None
 
 #: Version of the routing *semantics* (not the implementation).  Bump
 #: whenever a change alters any routing outcome — tiebreak handling,
@@ -111,23 +94,11 @@ from .rank import (
     SecurityModel,
 )
 
-_IDX_MASK = (1 << PACK_SHIFT) - 1
-#: Larger than any packed rank key (keys use 3 * PACK_SHIFT = 63 bits).
-_INF = 1 << 66
-
-#: int64-safe "no key" sentinel for the numpy scratch arrays.  ``_INF``
-#: needs 67 bits and cannot live in an int64; real packed keys use at
-#: most 3 * PACK_SHIFT = 63 bits but stay far below ``1 << 62`` (the
+#: "No key" sentinel of the int64 state arrays.  Real packed keys use
+#: at most 3 * PACK_SHIFT = 63 bits but stay far below ``1 << 62`` (the
 #: top component is a small LP bucket or 0/1 security bit), so this
-#: sentinel is still strictly larger than every real key.
+#: sentinel is strictly larger than every real key.
 _NP_INF = 1 << 62
-
-#: Contexts at or above this many ASes default to the numpy kernels:
-#: the crossover ``tools/kernel_crossover.py`` (``make crossover``)
-#: measured on 2026-10-04 — scalar ahead up to ≈ 400 ASes on sweeps and
-#: ≈ 500 on the per-pair path, numpy 1.2–1.4x ahead at 600 and 3x at
-#: 2 200 (table in docs/ARCHITECTURE.md).  Re-run it before moving this.
-VECTORIZED_MIN_N = 500
 
 #: Element budget of one :meth:`RoutingContext._run_np` call: it takes
 #: ``max(1, NP_ROWS_BUDGET // n)`` fixing passes as the rows of one
@@ -149,20 +120,19 @@ NP_ROWS_BUDGET = 1 << 15
 
 def _u8(buf):
     """A uint8 ndarray view of a bytes-like CSR buffer (zero-copy)."""
-    return _np.frombuffer(buf, dtype=_np.uint8)
+    return np.frombuffer(buf, dtype=np.uint8)
 
 
 def _np_key_fn(model: RankModel):
-    """Vectorized twin of ``model.key`` + ``pack_key``.
+    """Array twin of ``pack_key(model.key(...))``.
 
     Returns ``f(vcls, ln, sec) -> int64 packed keys`` over aligned
     arrays: ``vcls`` the receiver's route class, ``ln`` the route
     length, ``sec`` the receiver's effective security bit.  Mirrors
     :meth:`RankModel.key` component order and
     :meth:`LocalPreference.bucket` exactly so packed values are
-    bit-identical to the pure kernel's.
+    bit-identical to :func:`~repro.core.rank.pack_key`'s.
     """
-    np = _np
     mid = 1 << PACK_SHIFT
     hi = 1 << (2 * PACK_SHIFT)
     k = model.local_preference.peer_window
@@ -237,19 +207,16 @@ class RoutingContext:
     Build once per graph.  ASNs are mapped onto contiguous indices
     ``0..n-1`` via :meth:`ASGraph.dense_index` (sorted-ASN order, so
     index tiebreaks equal ASN tiebreaks).  The adjacency is stored as
-    flat CSR buffers:
+    flat CSR ndarrays (:meth:`_build_csr_np`), which the kernels share
+    (:meth:`_np_adjacency`):
 
-    * ``adj_start`` — ``array('l')`` of length ``n + 1``; node ``u``'s
-      out-edges occupy slots ``adj_start[u]:adj_start[u+1]``;
-    * ``adj_node`` — ``array('l')`` of neighbor indices;
-    * ``adj_class`` — bytearray; the LP class the *neighbor* assigns to
-      a route learned from ``u``;
-    * ``adj_custflag`` — bytearray; 1 iff the neighbor is a customer of
+    * ``adj_start`` — int64, length ``n + 1``; node ``u``'s out-edges
+      occupy slots ``adj_start[u]:adj_start[u+1]``;
+    * ``adj_node`` — int64 neighbor indices;
+    * ``adj_class`` — uint8; the LP class the *neighbor* assigns to a
+      route learned from ``u``;
+    * ``adj_custflag`` — uint8; 1 iff the neighbor is a customer of
       ``u`` (the export rule lets non-customer routes flow only there).
-
-    A numpy context holds them as ndarrays (int64 ``adj_start``/
-    ``adj_node``, uint8 ``adj_class``/``adj_custflag``) that its kernels
-    share without a copy (:meth:`_np_adjacency`).
 
     **Row layout.**  Each row lists ``u``'s providers, then its peers,
     then its customers (each group in index order), so ``adj_custflag``
@@ -259,18 +226,14 @@ class RoutingContext:
     does not export to everyone.
 
     Per-relationship index adjacency (``providers_idx`` etc.) serves
-    the perceivable-closure and partition computations; a numpy context
-    derives it lazily, as its kernels never read it.  The context
-    never mutates the graph; it also owns the scratch buffers of the
-    fixing pass, which makes a single context not thread-safe (fork
-    workers each get a copy-on-write clone, which is safe).
+    the perceivable-closure and partition computations; the context
+    derives it lazily, as no kernel reads it.  The context never
+    mutates the graph; it also owns the scratch arrays of the fixing
+    pass, which makes a single context not thread-safe (fork workers
+    each get a copy-on-write clone, which is safe).
 
     Args:
         graph: the topology to index.
-        vectorized: True runs fixing passes on the numpy kernels,
-            False on the scalar ones; None (the default)
-            picks numpy where it was measured to win — a graph of
-            :data:`VECTORIZED_MIN_N` ASes or more, numpy installed.
 
     Example:
         Build one context per graph and reuse it for every computation
@@ -299,8 +262,6 @@ class RoutingContext:
         "adj_class",
         "adj_custflag",
         "_rel_idx",
-        "vectorized",
-        "_edges",
         "_has_customers",
         "_np_adj",
         "_np_scratch",
@@ -311,29 +272,10 @@ class RoutingContext:
         "_mask_cache",
         "_stub_simplex_ok",
         "_zero_mask",
-        "_fixed",
-        "_key",
-        "_cls",
-        "_len",
-        "_reach",
-        "_wire",
-        "_sec",
-        "_choice",
-        "_endpoint",
-        "_nhops",
-        "_key_init",
-        "_zeros",
-        "_choice_init",
-        "_nhops_init",
         "_last_counts",
     )
 
-    def __init__(
-        self,
-        graph: ASGraph,
-        *,
-        vectorized: bool | None = None,
-    ) -> None:
+    def __init__(self, graph: ASGraph) -> None:
         self.graph = graph
         asn_of, index_of = graph.dense_index()
         n = len(asn_of)
@@ -342,13 +284,6 @@ class RoutingContext:
                 f"graph has {n} ASes; the packed-key engine supports up to "
                 f"{(1 << PACK_SHIFT) - 1}"
             )
-        if vectorized is None:
-            vectorized = _np is not None and n >= VECTORIZED_MIN_N
-        elif vectorized and _np is None:  # pragma: no cover - numpy baked in
-            raise RuntimeError("vectorized routing requires numpy")
-        #: True when fixing passes run the numpy bucket kernel
-        #: (:meth:`_run_np`) instead of the pure-python heap loop.
-        self.vectorized = bool(vectorized)
         # Copy: dense_index's lists are shared graph-wide caches, and
         # ctx.asns has always been safe for callers to mutate.
         self.asns: list[int] = list(asn_of)
@@ -356,31 +291,9 @@ class RoutingContext:
         self.n = n
 
         self._rel_idx: tuple | None = None  # see _relationship_idx
-        if self.vectorized:
-            self._build_csr_np(graph)
-            # No heap loop runs here, so no adjacency or scratch for it.
-            self._edges = self._fixed = None
-        else:
-            self._build_csr(graph)
-            self._edges = self._build_edges()
-            # The heap loop's scratch, reset (not reallocated) by each pass.
-            self._fixed = bytearray(n)
-            self._key: list[int] = [_INF] * n
-            self._cls = bytearray(n)
-            self._len: list[int] = [0] * n
-            self._reach = bytearray(n)
-            self._wire = bytearray(n)
-            self._sec = bytearray(n)
-            self._choice: list[int] = [-1] * n
-            self._endpoint = bytearray(n)
-            self._nhops: list[list[int] | None] = [None] * n
-            self._key_init = [_INF] * n
-            self._zeros = bytes(n)
-            self._choice_init = [-1] * n
-            self._nhops_init: list[None] = [None] * n
+        self._build_csr_np(graph)
         self._np_adj: tuple | None = None
-        #: where :meth:`_run_np` leaves its result; a numpy kernel
-        #: never writes the heap loop's scratch
+        #: where :meth:`_run_np`'s state calls leave their result
         self._np_scratch: dict | None = None
         #: the flat state arrays of :meth:`_run_np`'s K-row calls
         self._np_rows: dict | None = None
@@ -400,56 +313,11 @@ class RoutingContext:
     # ------------------------------------------------------------------
     # Adjacency representations
     # ------------------------------------------------------------------
-    def _build_csr(self, graph: ASGraph) -> None:
-        """The scalar context's CSR and index tuples, one AS at a time."""
-        index_of = self.index_of
-        providers_idx: list[tuple[int, ...]] = []
-        customers_idx: list[tuple[int, ...]] = []
-        peers_idx: list[tuple[int, ...]] = []
-        adj_start = array("l", [0])
-        adj_node = array("l")
-        adj_class = bytearray()
-        adj_custflag = bytearray()
-        cust = int(RouteClass.CUSTOMER)
-        peer = int(RouteClass.PEER)
-        prov = int(RouteClass.PROVIDER)
-        for asn in self.asns:
-            providers = sorted(index_of[p] for p in graph.providers(asn))
-            peers = sorted(index_of[q] for q in graph.peers(asn))
-            customers = sorted(index_of[c] for c in graph.customers(asn))
-            providers_idx.append(tuple(providers))
-            peers_idx.append(tuple(peers))
-            customers_idx.append(tuple(customers))
-            # A provider p sees a route via its customer u as a customer
-            # route; a peer sees a peer route; a customer a provider route.
-            for p in providers:
-                adj_node.append(p)
-                adj_class.append(cust)
-                adj_custflag.append(0)
-            for q in peers:
-                adj_node.append(q)
-                adj_class.append(peer)
-                adj_custflag.append(0)
-            for c in customers:
-                adj_node.append(c)
-                adj_class.append(prov)
-                adj_custflag.append(1)
-            adj_start.append(len(adj_node))
-        self.adj_start = adj_start
-        self.adj_node = adj_node
-        self.adj_class = adj_class
-        self.adj_custflag = adj_custflag
-        self._rel_idx = (providers_idx, customers_idx, peers_idx)
-        #: 1 per node that has a customer (:meth:`require_stub_simplex`)
-        self._has_customers = bytes(map(bool, customers_idx))
-
     def _build_csr_np(self, graph: ASGraph) -> None:
-        """:meth:`_build_csr`'s layout as ndarrays (int64 ``adj_start``/
-        ``adj_node``, uint8 ``adj_class``/``adj_custflag``), from one
-        pass over the graph's adjacency maps: one sort of the packed
+        """The CSR ndarrays and their row layout (class docstring), from
+        one pass over the graph's adjacency maps: one sort of the packed
         keys ``(u·3 + g)·n + v``, ``g`` = 0/1/2 for providers/peers/
-        customers, lays every row out in the scalar loop's order."""
-        np = _np
+        customers, lays every row out."""
         n = self.n
         asns = self.asns
         # ASN → dense index: a direct table where the ASN space is compact
@@ -482,15 +350,15 @@ class RoutingContext:
         self.adj_node = key
         self.adj_class = np.repeat(np.tile(classes, n), counts.ravel())
         self.adj_custflag = (self.adj_class == RouteClass.PROVIDER).view(np.uint8)
+        #: 1 per node that has a customer (:meth:`require_stub_simplex`)
         self._has_customers = (counts[:, 2] > 0).tobytes()
 
     def _relationship_idx(self) -> tuple:
         """``(providers_idx, customers_idx, peers_idx)``, per node the
-        sorted indices of each relationship; a numpy context derives them
-        from the CSR the first time a scalar reader asks."""
+        sorted indices of each relationship, derived from the CSR the
+        first time a reader asks."""
         rel = self._rel_idx
         if rel is None:
-            np = _np
             groups = []
             # A neighbor assigns a route via its customer u the class
             # CUSTOMER, so those are u's providers; peers, then customers.
@@ -506,30 +374,6 @@ class RoutingContext:
     customers_idx = property(lambda self: self._relationship_idx()[1])
     peers_idx = property(lambda self: self._relationship_idx()[2])
 
-    def _build_edges(self) -> list[list[int]]:
-        """The heap loop's adjacency: per node, its CSR row packed as
-        ``(v << 3)|(class << 1)|cust``."""
-        n = self.n
-        if _np is not None:
-            np = _np
-            node = np.asarray(self.adj_node, dtype=np.int64)
-            cls_e = _u8(self.adj_class).astype(np.int64)
-            cf = _u8(self.adj_custflag).astype(np.int64)
-            packed = ((node << 3) | (cls_e << 1) | cf).tolist()
-            starts = np.asarray(self.adj_start, dtype=np.int64).tolist()
-            return [packed[starts[u] : starts[u + 1]] for u in range(n)]
-        start = self.adj_start
-        node = self.adj_node
-        cls_e = self.adj_class
-        cf = self.adj_custflag
-        return [
-            [
-                (node[j] << 3) | (cls_e[j] << 1) | cf[j]
-                for j in range(start[u], start[u + 1])
-            ]
-            for u in range(n)
-        ]
-
     # Called by perfbench/layers.py (close) and service_load.py (with).
     def close(self) -> None:
         """No-op: a context owns no OS resource."""
@@ -541,16 +385,14 @@ class RoutingContext:
         self.close()
 
     def _np_adjacency(self):
-        """Int64/bool CSR views for the vectorized kernel (cached):
+        """Int64/bool CSR views for the kernel (cached):
         ``(start, node, cls_e, cf_b, esrc, cust_start)``, where row
         ``u``'s customer edges are ``cust_start[u]:start[u + 1]``."""
         adj = self._np_adj
         if adj is None:
-            np = _np
-            start = np.ascontiguousarray(self.adj_start, dtype=np.int64)
-            node = np.ascontiguousarray(self.adj_node, dtype=np.int64)
-            cls_e = _u8(self.adj_class).astype(np.int64)
-            cf_b = _u8(self.adj_custflag).view(np.bool_)
+            start, node = self.adj_start, self.adj_node
+            cls_e = self.adj_class.astype(np.int64)
+            cf_b = self.adj_custflag.view(np.bool_)
             esrc = np.repeat(
                 np.arange(self.n, dtype=np.int64), np.diff(start)
             )
@@ -567,13 +409,12 @@ class RoutingContext:
     def _np_ensure_scratch(self, rows: int, state: bool) -> dict:
         """The arrays a :meth:`_run_np` call computes in, reused.  A state
         call's are :attr:`_np_scratch`: int64 ``keyq`` (tentative keys;
-        ``_NP_INF`` once fixed), ``key`` (final; ``_NP_INF`` for ``_INF``),
+        ``_NP_INF`` once fixed), ``key`` (final; ``_NP_INF`` if unreached),
         ``cls``, ``len``, ``reach``, ``reach_hi``, ``wire``, ``sec``,
         ``choice``, ``endp``, ``chacc`` (the lowest tying offerer so far),
         bool ``fixed``.  A count call's are the first ``rows·n`` elements
         of :attr:`_np_rows` (``keyq``, int8 ``reach``/``reach_hi``/
         ``wire``/``sec``, ``fixed``), grown whenever a call needs more."""
-        np = _np
         n = self.n
         if state:
             if self._np_scratch is None:
@@ -765,12 +606,9 @@ class RoutingContext:
         return attack.resolve(dest_signed=bool(signing[dest_i]), baseline=baseline)
 
     def _scratch_record(self, att_i: int) -> AttackerBaseline:
-        """``att_i``'s record in the most recent pass, read from the
-        scratch of the context's kernel."""
-        if self.vectorized:
-            st = self._np_scratch
-            return _attacker_baseline(st["fixed"], st["len"], st["wire"], att_i)
-        return _attacker_baseline(self._fixed, self._len, self._wire, att_i)
+        """``att_i``'s record in the most recent state call."""
+        st = self._np_scratch
+        return _attacker_baseline(st["fixed"], st["len"], st["wire"], att_i)
 
     def _run(
         self,
@@ -781,150 +619,17 @@ class RoutingContext:
         model: RankModel,
         attack: ResolvedAttack = DEFAULT_RESOLVED,
     ) -> None:
-        """Run one fixing pass over the scratch buffers (``att_i = -1``
-        for normal conditions; ``attack`` parameterizes how the attacker
-        root announces).  Results live in the scratch of the context's
-        kernel and :attr:`_last_counts` until the next run: a numpy
-        context runs :meth:`_run_np`, a scalar one the heap loop below."""
-        if self.vectorized:
-            self._run_np(
-                [(dest_i, att_i, signing, ranking, attack)], model, state=True
-            )
-            return
-        n = self.n
-        fixed = self._fixed
-        key_l = self._key
-        cls_b = self._cls
-        len_l = self._len
-        reach_b = self._reach
-        wire_b = self._wire
-        sec_b = self._sec
-        choice_l = self._choice
-        endp_b = self._endpoint
-        nhops = self._nhops
-        # Zero-fill / re-init between pairs instead of reallocating.
-        fixed[:] = self._zeros
-        key_l[:] = self._key_init
-        reach_b[:] = self._zeros
-        wire_b[:] = self._zeros
-        sec_b[:] = self._zeros
-        endp_b[:] = self._zeros
-        choice_l[:] = self._choice_init
-        nhops[:] = self._nhops_init
-
-        coeffs = model.packed_coeffs()
-        if coeffs is not None:
-            cm, lm, sm = coeffs
-            key_fn = None
-        else:
-            cm = lm = sm = 0
-            key_fn = model.packed_key
-        uses_sec = model.uses_security
-
-        edges = self._edges
-        heap: list[int] = []
-        push = heapq.heappush
-        pop = heapq.heappop
-
-        def relax(u: int, exports_all: bool, ln: int, wire_u: int, reach_u: int) -> None:
-            for e in edges[u]:
-                v = e >> 3
-                if fixed[v] or not (exports_all or (e & 1)):
-                    continue
-                vcls = (e >> 1) & 3
-                if key_fn is None:
-                    k = vcls * cm + ln * lm + (0 if (wire_u and ranking[v]) else sm)
-                else:
-                    k = key_fn(RouteClass(vcls), ln, bool(wire_u and ranking[v]))
-                cur = key_l[v]
-                if k < cur:
-                    key_l[v] = k
-                    cls_b[v] = vcls
-                    len_l[v] = ln
-                    reach_b[v] = reach_u
-                    wire_b[v] = wire_u
-                    nhops[v] = [u]
-                    push(heap, (k << PACK_SHIFT) | v)
-                elif k == cur:
-                    nhops[v].append(u)  # type: ignore[union-attr]
-                    reach_b[v] |= reach_u
-                    if not wire_u:
-                        wire_b[v] = 0
-
-        # Roots: the destination originates the prefix; the attacker
-        # originates its claimed path as the strategy resolved it (the
-        # paper default: the bogus one-hop-longer "m d" via legacy BGP).
-        dest_signed = 1 if signing[dest_i] else 0
-        fixed[dest_i] = 1
-        len_l[dest_i] = 0
-        reach_b[dest_i] = 1
-        endp_b[dest_i] = 1
-        wire_b[dest_i] = dest_signed
-        sec_b[dest_i] = dest_signed
-        remaining = n - 1
-        att_active = attack.active
-        if att_i >= 0:
-            fixed[att_i] = 1
-            len_l[att_i] = attack.length
-            if att_active:
-                reach_b[att_i] = 2
-                endp_b[att_i] = 2
-            wire_b[att_i] = 1 if attack.wire else 0
-            remaining -= 1
-        relax(dest_i, True, 1, dest_signed, 1)
-        if att_i >= 0 and att_active:
-            relax(
-                att_i,
-                attack.export_all,
-                attack.length + 1,
-                1 if attack.wire else 0,
-                2,
-            )
-
-        happy_lo = happy_up = att_lo = att_up = secure_n = nfixed = 0
-        while heap:
-            entry = pop(heap)
-            v = entry & _IDX_MASK
-            if fixed[v] or (entry >> PACK_SHIFT) != key_l[v]:
-                continue  # already fixed, or a stale heap entry
-            nh = nhops[v]
-            ch = nh[0] if len(nh) == 1 else min(nh)  # type: ignore[index, arg-type]
-            choice_l[v] = ch
-            endp_b[v] = endp_b[ch]
-            w = wire_b[v]
-            s = 0
-            if w:
-                # "uses a secure route" is only meaningful when the model
-                # ranks security: a baseline-model AS treats every route
-                # as insecure even if the announcement arrived signed.
-                if uses_sec and ranking[v]:
-                    sec_b[v] = s = 1
-                if not signing[v]:
-                    wire_b[v] = 0  # v re-announces without a signature
-            fixed[v] = 1
-            nfixed += 1
-            secure_n += s
-            r = reach_b[v]
-            if r == 1:
-                happy_lo += 1
-                happy_up += 1
-            elif r == 2:
-                att_lo += 1
-                att_up += 1
-            else:  # BOTH: the knife's edge population
-                happy_up += 1
-                att_up += 1
-            remaining -= 1
-            if remaining == 0:
-                break
-            relax(v, cls_b[v] == 0, len_l[v] + 1, wire_b[v], r)
-
-        self._last_counts = (happy_lo, happy_up, att_lo, att_up, secure_n, nfixed)
+        """Run one fixing pass, a one-row state call of :meth:`_run_np`
+        (``att_i = -1`` for normal conditions; ``attack`` parameterizes
+        how the attacker root announces).  Its result lives in
+        :attr:`_np_scratch`, :attr:`_np_post` and :attr:`_last_counts`
+        until the next state call."""
+        self._run_np([(dest_i, att_i, signing, ranking, attack)], model, state=True)
 
     def _run_np(
         self, rows: Sequence[tuple], model: RankModel, *, state: bool = False
     ) -> list[tuple[int, int, int, int, int, int]]:
-        """Vectorized twin of :meth:`_run`: K independent fixing passes
+        """The fixing pass, K at a time: K independent passes
         — ``rows`` of ``(dest_i, att_i, signing, ranking, attack)``
         under one ``model`` — as one bucket-Dijkstra sweep; returns
         each row's counts (:attr:`_last_counts`' six).
@@ -965,14 +670,12 @@ class RoutingContext:
         call — one row, from :meth:`_run` — also
         tracks the lowest tying offerer and fixes key, class, length,
         choice and endpoint per bucket; its result stays in place: nine
-        int64/bool arrays in :attr:`_np_scratch` (the pure kernel's
-        values, ``_NP_INF`` for ``_INF``), :attr:`_last_counts`, and
-        :attr:`_np_post`, what :meth:`_np_nhop_pairs` needs besides them
-        to derive next-hop membership, on demand.  The python scratch is
-        never written; python objects per AS exist only in a
+        int64/bool arrays in :attr:`_np_scratch` (``_NP_INF`` for an
+        unreached key), :attr:`_last_counts`, and :attr:`_np_post`, what
+        :meth:`_np_nhop_pairs` needs besides them to derive next-hop
+        membership, on demand.  Python objects per AS exist only in a
         :class:`RoutingOutcome` (:func:`_decode`).
         """
-        np = _np
         n = self.n
         K = len(rows)
         int64, arange = np.int64, np.arange
@@ -1045,8 +748,8 @@ class RoutingContext:
             improved = new < old
             if improved.any():
                 # Strict improvement resets the accumulators of the
-                # *target*, exactly like the pure kernel's k < cur arm
-                # (reach/wire/chacc re-accumulate from the identity).
+                # *target* (reach/wire/chacc re-accumulate from the
+                # identity), as a new best route replaces the BPR set.
                 iv = v[improved]
                 reach_s[iv] = 0
                 reach_hi[iv] = 0
@@ -1062,9 +765,11 @@ class RoutingContext:
             if state:
                 np.minimum.at(chacc, tv, F[rep])
 
-        # Roots (same semantics as the pure kernel's init block), every
-        # row's at once; the attackers relax in groups of one export
-        # scope and claimed length.
+        # Roots: the destination originates the prefix; the attacker
+        # its claimed path as the strategy resolved it (the paper
+        # default: the bogus one-hop-longer "m d" via legacy BGP).
+        # Every row's at once; the attackers relax in groups of one
+        # export scope and claimed length.
         base = arange(K, dtype=int64) * n
         dest = base + np.array([row[0] for row in rows], dtype=int64)
         fixed_s[dest] = True
@@ -1145,7 +850,6 @@ class RoutingContext:
         reader of next-hop sets pays for it: count-only workloads never
         do.
         """
-        np = _np
         dest_i, att_i, att_active, att_exp, key_of, rank_np = post
         _start, node, cls_e, cf_b, esrc, _cust = self._np_adjacency()
         fixed_s = st["fixed"]
@@ -1158,7 +862,7 @@ class RoutingContext:
         exp = (cls_s[u] == 0) | cf_b
         # Root overrides: the origin exports to everyone; the attacker
         # per its resolved strategy (len_s/wire_s already hold the root
-        # values the pure kernel relaxes with, so ln/wire need none).
+        # values the roots relax with, so ln/wire need none).
         exp |= u == dest_i
         sel = fixed_s[u] & fixed_s[v] & (v != dest_i)
         if att_i >= 0:
@@ -1191,23 +895,8 @@ class RoutingContext:
         attack: AttackStrategy = DEFAULT_ATTACK,
         resolved: ResolvedAttack = DEFAULT_RESOLVED,
     ) -> "RoutingOutcome":
-        """The most recent pass as a :class:`RoutingOutcome`, read from
-        the scratch of the context's kernel."""
-        if self.vectorized:
-            st = self._np_scratch
-            state = _decode(st, *self._np_nhop_pairs(st, self._np_post))
-        else:
-            state = dict(
-                _fixed=bytes(self._fixed),
-                _cls=bytes(self._cls),
-                _len=list(self._len),
-                _reach=bytes(self._reach),
-                _wire=bytes(self._wire),
-                _sec=bytes(self._sec),
-                _choice=list(self._choice),
-                _endpoint=bytes(self._endpoint),
-                _nhops=list(self._nhops),
-            )
+        """The most recent state call as a :class:`RoutingOutcome`."""
+        st = self._np_scratch
         return RoutingOutcome(
             destination=destination,
             attacker=attacker,
@@ -1219,12 +908,12 @@ class RoutingContext:
             _dest_i=dest_i,
             _att_i=att_i,
             _counts=self._last_counts,
-            **state,
+            **_decode(st, *self._np_nhop_pairs(st, self._np_post)),
         )
 
 
 def _attacker_baseline(fixed, length, wire, att_i: int) -> AttackerBaseline:
-    """The attacker's legitimate record, from either state form."""
+    """The attacker's legitimate record in one pass's state arrays."""
     return AttackerBaseline(
         has_route=bool(fixed[att_i]),
         length=int(length[att_i]),
@@ -1235,14 +924,11 @@ def _attacker_baseline(fixed, length, wire, att_i: int) -> AttackerBaseline:
 def _decode(st: dict, us, vs) -> dict:
     """The one crossing from numpy state to python objects: the flat
     state fields of a :class:`RoutingOutcome` from nine per-node arrays
-    (:meth:`RoutingContext._run_np`'s scratch, or a numpy sweep's
-    baseline) and their ``(v, u)``-sorted next-hop membership pairs.
+    (:meth:`RoutingContext._run_np`'s scratch, or a sweep's baseline)
+    and their ``(v, u)``-sorted next-hop membership pairs.
 
-    Next-hop lists come out sorted by sender index (the pure kernel's
-    are in fix order, which no consumer observes: they are read as
-    sets, minima, or sorted).
+    Next-hop lists come out sorted by sender index.
     """
-    np = _np
 
     def u8(name: str) -> bytes:
         return st[name].astype(np.uint8).tobytes()
@@ -1323,8 +1009,8 @@ class _RouteView(Mapping):
 class RoutingOutcome:
     """The stable state for one ``(destination, attacker, S, model)``.
 
-    Backed by flat per-index arrays snapshotted from the engine's
-    scratch buffers; :attr:`routes` is a lazily-materialized
+    Backed by flat per-index fields decoded from the kernel's state
+    arrays (:func:`_decode`); :attr:`routes` is a lazily-materialized
     :class:`RouteInfo` view kept for API compatibility.  ASes with no
     route at all (possible on disconnected inputs) are absent from
     :attr:`routes`.
@@ -1619,17 +1305,14 @@ class DestinationSweep:
     read it, and so does a ``needs_baseline`` strategy (``honest``),
     which resolves each attacker from the attacker's record there
     instead of a second pass per attacker.  Each attacker is then one
-    fixing pass, :meth:`RoutingContext._run`, on the kernel the context
-    picks: the heap loop on a scalar context (:attr:`last_delta_path`
-    ``"pure"``), one numpy state pass on a numpy one (``"dense"``).  The
-    count path, :func:`jobs_happiness_counts`, builds no sweep: it
-    shares passes across whole batches instead.
+    fixing pass, :meth:`RoutingContext._run`.  The count path,
+    :func:`jobs_happiness_counts`, builds no sweep: it shares passes
+    across whole batches instead.
 
-    The baseline has one form per context: the :class:`RoutingOutcome`
-    of the heap pass on a scalar context; copies of the bucket kernel's
-    state arrays on a numpy one, decoded into a :class:`RoutingOutcome`
-    when :meth:`baseline_outcome` first asks.  Like the context itself,
-    a sweep is not thread-safe; fork workers each own a clone.
+    The baseline is a copy of the pass's state arrays, decoded into a
+    :class:`RoutingOutcome` when :meth:`baseline_outcome` first asks.
+    Like the context itself, a sweep is not thread-safe; fork workers
+    each own a clone.
 
     Example:
         One sweep answers many attackers against one destination and
@@ -1661,8 +1344,11 @@ class DestinationSweep:
         "_b_counts",
         "_base",
         "_np_base",
-        "last_delta_path",
     )
+
+    #: Every attacker pass and advance is one state call of the kernel
+    #: (read by perfbench's per-path tally).
+    last_delta_path = "dense"
 
     def __init__(
         self,
@@ -1678,10 +1364,6 @@ class DestinationSweep:
         self.deployment = deployment = deployment or _EMPTY_DEPLOYMENT
         self.model = model
         self.attack = attack
-        #: the kernel the most recent attacker pass or advance ran (None
-        #: before the first): ``"pure"`` on a scalar context, ``"dense"``
-        #: on a numpy one.
-        self.last_delta_path: str | None = None
         self._dest_i, _ = ctx._check_pair(destination, None)
         self._signing, self._ranking = ctx.deployment_masks(deployment)
         # The baseline fixing pass, run once per deployment.
@@ -1690,18 +1372,10 @@ class DestinationSweep:
 
     def _take_baseline(self) -> None:
         """Keep the attacker-free pass that just ran as this sweep's
-        baseline, in the form of the kernel that ran it (numpy arrays
-        are copied, not decoded: no python object per AS until
-        :meth:`baseline_outcome` asks)."""
+        baseline (its arrays copied, not decoded: no python object per
+        AS until :meth:`baseline_outcome` asks)."""
         ctx = self.ctx
         self._b_counts = ctx._last_counts
-        if not ctx.vectorized:
-            self._np_base = None
-            self._base = ctx._snapshot(
-                self.destination, None, self.deployment, self.model,
-                self._dest_i, -1, self.attack,
-            )
-            return
         st = ctx._np_scratch
         base = {
             name: st[name].copy()
@@ -1713,16 +1387,6 @@ class DestinationSweep:
         base["post"] = ctx._np_post
         self._np_base = base
         self._base = None
-
-    def _pass(self, att_i: int, resolved: ResolvedAttack = DEFAULT_RESOLVED) -> None:
-        """One fixing pass under the sweep's deployment (``att_i = -1``
-        for the baseline), recording which kernel ran it."""
-        ctx = self.ctx
-        ctx._run(
-            self._dest_i, att_i, self._signing, self._ranking, self.model,
-            resolved,
-        )
-        self.last_delta_path = "dense" if ctx.vectorized else "pure"
 
     # ------------------------------------------------------------------
     @property
@@ -1789,17 +1453,14 @@ class DestinationSweep:
         baseline = None
         if attack.needs_baseline:
             st = self._np_base
-            if st is None:
-                b = self._base
-                baseline = _attacker_baseline(b._fixed, b._len, b._wire, att_i)
-            else:
-                baseline = _attacker_baseline(
-                    st["fixed"], st["len"], st["wire"], att_i
-                )
+            baseline = _attacker_baseline(st["fixed"], st["len"], st["wire"], att_i)
         resolved = attack.resolve(
             dest_signed=bool(self._signing[self._dest_i]), baseline=baseline
         )
-        self._pass(att_i, resolved)
+        self.ctx._run(
+            self._dest_i, att_i, self._signing, self._ranking, self.model,
+            resolved,
+        )
         return att_i, resolved
 
 
@@ -1862,7 +1523,9 @@ class RolloutSweep(DestinationSweep):
         _check_nested(self.deployment, deployment)
         self.deployment = deployment
         self._signing, self._ranking = masks
-        self._pass(-1)
+        self.ctx._run(
+            self._dest_i, -1, self._signing, self._ranking, self.model
+        )
         self._take_baseline()
 
 
@@ -1902,10 +1565,9 @@ def jobs_happiness_counts(
     placement's pass of its local preference under no deployment, keyed
     ``(d, m, resolved attack)`` and shared by every step, placement and
     job that asks for it; any other keeps its model, deployment and
-    resolved attack.  Only the executor depends on the context: a numpy
-    one runs the distinct passes as the rows of
+    resolved attack.  The distinct passes run as the rows of
     :meth:`RoutingContext._run_np`, :attr:`RoutingContext.batch_rows` to
-    a call, a scalar one each as one :meth:`RoutingContext._run`.
+    a call.
 
     Results are in input pair order and bit-identical to one full
     fixing pass per pair and step (:func:`batch_outcomes`, the per-pair
@@ -1982,17 +1644,12 @@ def jobs_happiness_counts(
             passes.setdefault(kernel_model, {}).setdefault(
                 key, [(dest_i, att_i, *masks, resolved)]
             ).append(asked)
-    size = ctx.batch_rows if ctx.vectorized else 1
     for kernel_model, by_key in passes.items():
         todo = list(by_key.values())
+        size = ctx.batch_rows
         for at in range(0, len(todo), size):
             batch = todo[at : at + size]
-            if ctx.vectorized:
-                counted = ctx._run_np([entry[0] for entry in batch], kernel_model)
-            else:
-                dest_i, att_i, signing, ranking, resolved = batch[0][0]
-                ctx._run(dest_i, att_i, signing, ranking, kernel_model, resolved)
-                counted = [ctx._last_counts]
+            counted = ctx._run_np([entry[0] for entry in batch], kernel_model)
             for entry, counts in zip(batch, counted):
                 for step_out, idxs, sources in entry[1:]:
                     for i in idxs:

@@ -7,14 +7,12 @@ from seeded samples on synthetic graphs (see docs/ARCHITECTURE.md,
 and every sample budget so results are reproducible and the cost dial
 is explicit:
 
-* ``tiny``   — seconds; used by the test suite and pytest-benchmark
-  (the one scale whose default context runs the scalar kernels);
+* ``tiny``   — seconds; used by the test suite and pytest-benchmark;
 * ``small``  — tens of seconds; quick interactive runs;
 * ``medium`` — minutes; the default for regenerating EXPERIMENTS.md;
 * ``large``  — hours; an internet-scale (~80k-AS, CAIDA-shaped) graph
   matching the paper's population, runnable on one machine via the
-  vectorized routing tier (see ARCHITECTURE.md) that every scale from
-  ``small`` up defaults to.
+  numpy routing kernel (see ARCHITECTURE.md) that every scale runs on.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ of a batch are cut, destination group by destination group, into bins
 ``fork`` processes in one pass, the topology shared with the workers
 for free (no per-task pickling of the graph).  A worker evaluates its
 bin with :func:`repro.core.routing.jobs_happiness_counts`, which runs
-each distinct pass of the bin once — as rows of shared numpy kernel
-batches, or one heap pass each on a scalar context.  Forked workers
+each distinct pass of the bin once, as rows of shared numpy kernel
+batches.  Forked workers
 each own a copy-on-write clone of the context, so scratch-buffer reuse
 is race-free, and results are scattered back into request pair order
 so parallel runs reproduce serial runs bit-for-bit.
@@ -21,8 +21,8 @@ Two layers live here:
 * :class:`ExperimentContext` — topology + tiers + budgets + a
   **persistent fork pool**: created lazily on the first parallel call
   and reused for every subsequent one (the pool's workers inherit the
-  routing context at fork time — on a numpy context including the
-  int64 CSR views its kernels read, built just before the fork; what a
+  routing context at fork time — including the int64 CSR views its
+  kernels read, built just before the fork; what a
   bin needs besides — pairs, deployments, model — rides with its task).
 * the **scenario scheduler** (:func:`run_experiments`) — collects the
   :class:`~repro.experiments.scenarios.EvalRequest` declarations of all
@@ -550,9 +550,8 @@ class SupervisedPool:
 def _bin_worker(ectx: "ExperimentContext", jobs: list[tuple], state: dict):
     """Evaluate one bin of a plan — parts of one or more chains, as
     ``(pairs, deployments, model, attack)`` jobs: the count triples per
-    job, per step, per pair.  On a numpy context its pair-steps share
-    kernel batches, and its blind ones passes, whatever chain they
-    belong to."""
+    job, per step, per pair.  Its pair-steps share kernel batches, and
+    its blind ones passes, whatever chain they belong to."""
     return jobs_happiness_counts(ectx.graph_ctx, jobs)
 
 
@@ -694,14 +693,13 @@ class ExperimentContext:
     def _ensure_pool(self) -> SupervisedPool:
         """Fork the worker pool once; reuse it for every parallel call.
 
-        A numpy context builds its int64 CSR views first, so workers
-        and respawns inherit them copy-on-write instead of each
-        rebuilding them on its first pass (the per-pass scratch stays
-        lazy: every worker writes its own).
+        The context builds its int64 CSR views first, so workers and
+        respawns inherit them copy-on-write instead of each rebuilding
+        them on its first pass (the per-pass scratch stays lazy: every
+        worker writes its own).
         """
         if self._pool is None:
-            if self.graph_ctx.vectorized:
-                self.graph_ctx._np_adjacency()
+            self.graph_ctx._np_adjacency()
             self._pool = SupervisedPool(
                 self, policy=self.supervision, failure_log=self.failure_log
             )
@@ -851,7 +849,6 @@ def make_context(
     ixp: bool = False,
     processes: int = 1,
     attack: AttackStrategy | str = DEFAULT_ATTACK,
-    vectorized: bool | None = None,
     supervision: SupervisionPolicy | None = None,
     failure_log: FailureLog | None = None,
 ) -> ExperimentContext:
@@ -866,10 +863,6 @@ def make_context(
         attack: run-wide attacker strategy (instance or token, e.g.
             ``"forged_origin"``) used by every request that does not pin
             its own threat model.
-        vectorized: force the numpy bucket kernels on (True) or off
-            (False); None picks them for graphs of
-            :data:`repro.core.routing.VECTORIZED_MIN_N` ASes or more —
-            every shipped scale but ``tiny``.
         supervision: deadline/retry/backoff policy for the supervised
             pool (defaults are generous; see :class:`SupervisionPolicy`).
         failure_log: the :class:`~repro.experiments.failures.FailureLog`
@@ -901,7 +894,7 @@ def make_context(
                 seed=seed,
                 ixp=ixp,
                 topo=topo,
-                graph_ctx=RoutingContext(graph, vectorized=vectorized),
+                graph_ctx=RoutingContext(graph),
                 tiers=tiers,
                 catalog=ScenarioCatalog(graph, tiers),
                 processes=processes,

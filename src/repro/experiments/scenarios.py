@@ -26,9 +26,8 @@ stored scenario hash, so treat them as a stable format):
    equal pair *sets* collide onto one scenario; grouping by destination
    additionally hands the evaluation layer contiguous attacker runs per
    destination, which the count path
-   (:func:`repro.core.routing.jobs_happiness_counts`) groups by: a
-   scalar context's sweeps and a numpy context's attacker-free passes
-   are shared per destination.
+   (:func:`repro.core.routing.jobs_happiness_counts`) groups by: its
+   attacker-free passes are shared per destination.
 3. The deployment is stored as two sorted ASN tuples, ``full`` and
    ``simplex`` membership (the §5.3.2 modes rank differently, so they
    are part of the identity).
@@ -498,9 +497,9 @@ def cut_bins(
     in about the order given — a unit that does not fit what is left of
     a bin opens the next one, and only a unit of more than ``share``
     rows (a worker's fair share of the pass) is split, a pair with all
-    its steps being the smallest piece: on a scalar context, or with
-    many attackers, every piece of a split group fixes the
-    destination's baseline again.
+    its steps being the smallest piece: under a ``needs_baseline``
+    attack every piece of a split group runs the destination's
+    attacker-free pass again.
 
     Example:
         >>> pairs = [(1, 9), (2, 9), (3, 9), (4, 8)]

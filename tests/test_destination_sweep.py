@@ -58,6 +58,20 @@ def per_pair_counts(topology, pairs, deployment, model, attack=DEFAULT_ATTACK):
     ]
 
 
+def ref_pair_counts(ref_ctx, pairs, deployment, model, attack=DEFAULT_ATTACK):
+    """``batch_happiness_counts``' result from the seed engine
+    (:mod:`repro.core.refimpl`): one reference pass per pair."""
+    return [
+        (*ref.count_happy(), ref.num_sources)
+        for ref in (
+            ref_compute_routing_outcome(
+                ref_ctx, d, m, deployment, model, attack=attack
+            )
+            for m, d in pairs
+        )
+    ]
+
+
 def make_instance(seed: int, ixp: bool, n: int = 52):
     """(graph, destination, attackers, deployment) from one seed.
 
@@ -205,7 +219,6 @@ WITNESS_DEPLOYMENT = Deployment(full=WITNESS.secure, simplex=WITNESS.simplex)
 WITNESS_PAIRS = [(4, 1), (3, 1)]
 
 
-@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "numpy"])
 @pytest.mark.parametrize(
     "entry",
     [
@@ -232,10 +245,8 @@ WITNESS_PAIRS = [(4, 1), (3, 1)]
         "DestinationSweep", "RolloutSweep.advance",
     ],
 )
-def test_every_entry_point_rejects_transit_simplex(entry, vectorized):
-    if vectorized:
-        pytest.importorskip("numpy")
-    ctx = RoutingContext(WITNESS.graph, vectorized=vectorized)
+def test_every_entry_point_rejects_transit_simplex(entry):
+    ctx = RoutingContext(WITNESS.graph)
     with pytest.raises(ValueError, match=r"member\(s\) 2 have customers"):
         entry(ctx, WITNESS_DEPLOYMENT, SECURITY_MODELS[0], WITNESS_PAIRS)
 
@@ -243,25 +254,22 @@ def test_every_entry_point_rejects_transit_simplex(entry, vectorized):
 @pytest.mark.parametrize("ixp", [False, True], ids=["base", "ixp"])
 @pytest.mark.parametrize("seed", SEEDS[:6])
 def test_delta_kernels_bit_identical(seed, ixp):
-    """A numpy context's attacker pass — one dense pass — replays a
-    scalar context's heap loop exactly: counts for every attacker, full
-    outcomes, and no leak between them (verified by re-querying).  The
-    context alone selects: pure never runs on a numpy context, nothing
-    else ever runs on a scalar one."""
-    pytest.importorskip("numpy")
+    """A sweep's attacker pass — one dense pass — replays the seed
+    engine exactly: counts for every attacker, full outcomes, and no
+    leak between them (verified by re-querying)."""
     graph, destination, attackers, deployment = make_instance(seed, ixp)
-    scalar = RoutingContext(graph)
-    assert not scalar.vectorized
+    ref_ctx = RefRoutingContext(graph)
     for model in ALL_MODELS + LP2_MODELS:
-        pure = DestinationSweep(scalar, destination, deployment, model)
-        want = [pure.happiness_counts(m) for m in attackers]
-        assert pure.last_delta_path == "pure"
-        routes = [dict(pure.outcome(m).routes) for m in attackers[:3]]
-        assert pure.happiness_counts(attackers[0]) == want[0], model.label
-        sweep = DestinationSweep(
-            RoutingContext(graph, vectorized=True),
-            destination, deployment, model,
+        want = ref_pair_counts(
+            ref_ctx, [(m, destination) for m in attackers], deployment, model
         )
+        routes = [
+            ref_compute_routing_outcome(
+                ref_ctx, destination, m, deployment, model
+            ).routes
+            for m in attackers[:3]
+        ]
+        sweep = DestinationSweep(RoutingContext(graph), destination, deployment, model)
         for m, counts in zip(attackers, want):
             assert sweep.happiness_counts(m) == counts, (model.label, m)
             assert sweep.last_delta_path == "dense"

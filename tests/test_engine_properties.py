@@ -18,8 +18,7 @@ theorems) with invariants of the *engine mechanics* on random inputs:
   pair-at-a-time ``compute_routing_outcome`` even though the batch
   reuses scratch buffers and deployment masks;
 * **every sweep path is the same function** — a random nested
-  deployment chain walked by ``RolloutSweep`` on a scalar context (the
-  heap loop) and on a numpy context (one dense pass an attacker or
+  deployment chain walked by ``RolloutSweep`` (one pass an attacker or
   advance) equals fresh sweeps per step, the per-pair engine and the
   reference engine (the tier-1 seed of the standing differential
   fuzzer).
@@ -27,7 +26,6 @@ theorems) with invariants of the *engine mechanics* on random inputs:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -205,7 +203,6 @@ class TestSweepPathsAgree:
     @DEFAULT_SETTINGS
     @given(nested_chains())
     def test_chain_walks_equal_fresh_sweeps_and_oracles(self, instance):
-        pytest.importorskip("numpy")
         graph, d, m, chain, model, attack = instance
         sources = len(graph.asns) - 2
         want = []
@@ -218,22 +215,19 @@ class TestSweepPathsAgree:
                 graph, d, deployment=deployment, model=model
             )
             want.append(((*ref.count_happy(), sources), free.count_happy()))
-        for path in ("pure", "dense"):
-            ctx = RoutingContext(graph, vectorized=path != "pure")
-            walker = RolloutSweep(ctx, d, chain[0], model, attack)
-            for t, deployment in enumerate(chain):
-                attacked, attacker_free = want[t]
-                if t:
-                    walker.advance(deployment)
-                fresh = DestinationSweep(ctx, d, deployment, model, attack)
-                direct = compute_routing_outcome(
-                    ctx, d, attacker=m, deployment=deployment, model=model,
-                    attack=attack,
-                )
-                assert (*direct.count_happy(), sources) == attacked, (path, t)
-                assert fresh.baseline_counts() == attacker_free, (path, t)
-                assert walker.baseline_counts() == attacker_free, (path, t)
-                assert fresh.happiness_counts(m) == attacked, (path, t)
-                assert walker.happiness_counts(m) == attacked, (path, t)
-                for sweep in (fresh, walker):
-                    assert sweep.last_delta_path in (None, path), (path, t)
+        ctx = RoutingContext(graph)
+        walker = RolloutSweep(ctx, d, chain[0], model, attack)
+        for t, deployment in enumerate(chain):
+            attacked, attacker_free = want[t]
+            if t:
+                walker.advance(deployment)
+            fresh = DestinationSweep(ctx, d, deployment, model, attack)
+            direct = compute_routing_outcome(
+                ctx, d, attacker=m, deployment=deployment, model=model,
+                attack=attack,
+            )
+            assert (*direct.count_happy(), sources) == attacked, t
+            assert fresh.baseline_counts() == attacker_free, t
+            assert walker.baseline_counts() == attacker_free, t
+            assert fresh.happiness_counts(m) == attacked, t
+            assert walker.happiness_counts(m) == attacked, t

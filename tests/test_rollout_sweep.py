@@ -17,9 +17,8 @@ Grids: full tier12/tier2 rollout chains (coarse, dense and
 simplex-stub variants, prefixed with S = ∅) x all rank models
 (baseline + three placements + LP2 variants) x ±IXP x all four shipped
 attacker strategies, with attacker sets that include destination
-neighbors, many-attacker groups (one heap pass per distinct pass on a
-scalar context, count rows on a numpy one), and a chain step that
-secures an attacker itself.
+neighbors, many-attacker groups (count rows, one per distinct pass),
+and a chain step that secures an attacker itself.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.topology import TopologyParams, classify_tiers, generate_topology
 from repro.topology.ixp import augment_with_ixp_peering
 
-from test_destination_sweep import per_pair_counts
+from test_destination_sweep import per_pair_counts, ref_pair_counts
 
 ALL_MODELS = (BASELINE,) + SECURITY_MODELS
 LP2_MODELS = tuple(lp2_variant(m) for m in ALL_MODELS)
@@ -99,9 +98,9 @@ def chain_pairs(graph, seed: int, destinations: int, attackers: int):
 
 
 def assert_chain_matches_oracles(
-    graph, pairs, chain, model, attack, refimpl_budget=0, vectorized=None
+    graph, pairs, chain, model, attack, refimpl_budget=0
 ):
-    ctx = RoutingContext(graph, vectorized=vectorized)
+    ctx = RoutingContext(graph)
     rollout = rollout_happiness_counts(ctx, pairs, chain, model, attack=attack)
     for t, deployment in enumerate(chain):
         dest_major = batch_happiness_counts(
@@ -167,11 +166,9 @@ def test_chains_match_oracles_all_strategies(attack):
 
 @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=lambda a: a.token)
 def test_numpy_rows_match_oracles_all_strategies(attack):
-    """The same four threat models on a numpy context, where every
-    destination group is count rows: groups of two attackers and of
-    four (an ``honest`` group resolves all of its attackers from one
-    attacker-free pass per step)."""
-    pytest.importorskip("numpy")
+    """The same four threat models, every destination group count rows:
+    groups of two attackers and of four (an ``honest`` group resolves
+    all of its attackers from one attacker-free pass per step)."""
     graph, tiers = make_topology(5)
     chain = make_chain(graph, tiers, "tier12")
     for attackers in (2, 4):
@@ -179,7 +176,7 @@ def test_numpy_rows_match_oracles_all_strategies(attack):
         for model in (BASELINE, SECURITY_MODELS[0], SECURITY_MODELS[1]):
             assert_chain_matches_oracles(
                 graph, pairs, chain, model, attack,
-                refimpl_budget=3, vectorized=True,
+                refimpl_budget=3,
             )
 
 
@@ -206,13 +203,9 @@ def test_chain_step_secures_an_attacker():
         )
 
 
-@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "numpy"])
-def test_many_attacker_groups_match_oracles(vectorized):
-    """Groups of seven attackers match the oracles on both contexts: a
-    scalar one runs each distinct pass as one heap pass, a numpy one as
-    count rows."""
-    if vectorized:
-        pytest.importorskip("numpy")
+def test_many_attacker_groups_match_oracles():
+    """Groups of seven attackers, each distinct pass a count row, match
+    the oracles."""
     graph, tiers = make_topology(7)
     chain = make_chain(graph, tiers, "tier12_dense")
     pairs = chain_pairs(
@@ -220,7 +213,7 @@ def test_many_attacker_groups_match_oracles(vectorized):
     )
     for model in ALL_MODELS:
         assert_chain_matches_oracles(
-            graph, pairs, chain, model, ONE_HOP_HIJACK, vectorized=vectorized
+            graph, pairs, chain, model, ONE_HOP_HIJACK, refimpl_budget=3
         )
 
 
@@ -242,19 +235,16 @@ def test_none_attacker_rows_walk_with_the_chain():
             ), (model.label, t)
 
 
-@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "numpy"])
-def test_honest_chain_resolves_each_step_from_its_own_baseline(vectorized):
+def test_honest_chain_resolves_each_step_from_its_own_baseline():
     """``honest`` re-reads the attacker's route at every chain step: for
     pairs whose attacker's route turns secure along the chain, the step
     counts are the new resolution's, not the first step's (which would
-    count differently), on both contexts."""
-    if vectorized:
-        pytest.importorskip("numpy")
+    count differently)."""
     graph, tiers = make_topology(6)
     chain = make_chain(graph, tiers, "tier12")
     pairs = chain_pairs(graph, 6, destinations=3, attackers=4)
     model = SECURITY_MODELS[0]
-    ctx = RoutingContext(graph, vectorized=vectorized)
+    ctx = RoutingContext(graph)
     last = ctx.deployment_masks(chain[-1])
     stale = {}
     for i, (m, d) in enumerate(pairs):
@@ -406,20 +396,17 @@ class TestRolloutSweep:
             fresh = DestinationSweep(ctx, d, deployment, model)
             assert sweep.happiness_counts(m) == fresh.happiness_counts(m), t
 
-    @pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "numpy"])
-    def test_long_chains_hold_one_step_of_state(self, vectorized):
+    def test_long_chains_hold_one_step_of_state(self):
         """A walk keeps the current step only, however long the chain:
         the context's mask cache stays at its cap of eight deployments,
         and the baseline after the last advance is a fresh sweep's."""
-        if vectorized:
-            pytest.importorskip("numpy")
         graph, tiers = make_topology(15)
         chain = make_chain(graph, tiers, "tier12_dense")
         assert len(chain) > 8
         rnd = random.Random(15)
         d = rnd.choice(graph.asns)
         m = next(a for a in graph.asns if a != d)
-        ctx = RoutingContext(graph, vectorized=vectorized)
+        ctx = RoutingContext(graph)
         sweep = RolloutSweep(ctx, d, chain[0], SECURITY_MODELS[0])
         for deployment in chain[1:]:
             sweep.advance(deployment)
@@ -450,70 +437,54 @@ class TestRolloutSweep:
 
 
 class TestDeltaKernelsOnChains:
-    """An advance runs its baseline pass on the same two kernels as an
-    attacker's pass; a numpy context's dense pass must replay a scalar
-    context's heap pass bit for bit at every step."""
-
-    @staticmethod
-    def _walkers(graph, make):
-        """One walker per delta path, each on its own context."""
-        return {
-            "pure": make(RoutingContext(graph, vectorized=False)),
-            "dense": make(RoutingContext(graph, vectorized=True)),
-        }
+    """An advance runs its baseline pass on the same kernel as an
+    attacker's pass; at every step of a chain the walked state must be
+    the seed engine's, bit for bit."""
 
     @pytest.mark.parametrize("kind", ["tier12", "tier12_simplex", "tier2"])
     @pytest.mark.parametrize("seed", [3, 9])
     def test_rollout_advances_bit_identical(self, seed, kind):
-        pytest.importorskip("numpy")
         graph, tiers = make_topology(seed, ixp=seed % 2 == 1)
         chain = make_chain(graph, tiers, kind)
         pairs = chain_pairs(graph, seed, destinations=1, attackers=4)
         dest = pairs[0][1]
-        atts = [m for m, _ in pairs]
+        ref_ctx = RefRoutingContext(graph)
         for model in (SECURITY_MODELS[0], lp2_variant(SECURITY_MODELS[1])):
-            walkers = self._walkers(
-                graph, lambda ctx: RolloutSweep(ctx, dest, chain[0], model)
-            )
+            walker = RolloutSweep(RoutingContext(graph), dest, chain[0], model)
             for si, step in enumerate(chain):
-                pure = None
-                for path, w in walkers.items():
-                    if si:
-                        w.advance(step)
-                        assert w.last_delta_path == path, (si, path)
-                    # the advanced baseline in full, then the counts
-                    got = [dict(w.baseline_outcome().routes)]
-                    for m in atts:
-                        got.append(w.happiness_counts(m))
-                        assert w.last_delta_path == path, (si, path, m)
-                    pure = pure or got
-                    assert got == pure, (si, path)
-
+                if si:
+                    walker.advance(step)
+                    assert walker.last_delta_path == "dense", si
+                # the advanced baseline in full, then the counts
+                base = ref_compute_routing_outcome(ref_ctx, dest, None, step, model)
+                assert dict(walker.baseline_outcome().routes) == base.routes, si
+                got = [walker.happiness_counts(m) for m, _ in pairs]
+                assert got == ref_pair_counts(ref_ctx, pairs, step, model), si
 
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=lambda a: a.token)
     def test_attacker_chain_bit_identical(self, attack):
         """One attacker along a chain — a one-pair job of the count plan
-        and a walked sweep — counts the same at every step on both
-        kernels, for every strategy (nothing bars a ``needs_baseline``
-        one such as ``honest`` from a chain)."""
-        pytest.importorskip("numpy")
+        and a walked sweep — counts what the seed engine does at every
+        step, for every strategy (nothing bars a ``needs_baseline`` one
+        such as ``honest`` from a chain)."""
         graph, tiers = make_topology(5)
         chain = make_chain(graph, tiers, "tier12")
         pairs = chain_pairs(graph, 5, destinations=2, attackers=2)
+        ctx, ref_ctx = RoutingContext(graph), RefRoutingContext(graph)
         for model in (BASELINE, SECURITY_MODELS[2]):
             for m, d in pairs[:4]:
-                got = {}
-                for path, ctx in self._walkers(graph, lambda ctx: ctx).items():
-                    sweep = RolloutSweep(ctx, d, chain[0], model, attack)
-                    walked = []
-                    for si, step in enumerate(chain):
-                        if si:
-                            sweep.advance(step)
-                        walked.append([sweep.happiness_counts(m)])
-                        assert sweep.last_delta_path == path, (si, path)
-                    planned = rollout_happiness_counts(
-                        ctx, [(m, d)], chain, model, attack=attack
-                    )
-                    assert planned == walked, (path, m, d)
-                    got[path] = planned
-                assert got["dense"] == got["pure"], (m, d)
+                sweep = RolloutSweep(ctx, d, chain[0], model, attack)
+                walked = []
+                for si, step in enumerate(chain):
+                    if si:
+                        sweep.advance(step)
+                    walked.append([sweep.happiness_counts(m)])
+                    assert sweep.last_delta_path == "dense", si
+                planned = rollout_happiness_counts(
+                    ctx, [(m, d)], chain, model, attack=attack
+                )
+                assert planned == walked, (m, d)
+                assert planned == [
+                    ref_pair_counts(ref_ctx, [(m, d)], step, model, attack)
+                    for step in chain
+                ], (m, d)

@@ -1123,8 +1123,7 @@ def _oracle_rows(ectx, attack):
 class TestCountRowExperiments:
     """The per-destination figures and the tiebreak ablation need only
     happiness counts, so they run as declared requests: their rows are
-    the per-pair engine's, exactly, on a scalar and a numpy context,
-    serial and pooled, under the run-wide attacker strategy."""
+    the per-pair engine's, exactly, serial and pooled, under the run-wide attacker strategy."""
 
     IDS = ["fig9", "fig10", "fig12", "ablation_tiebreak"]
 
@@ -1139,15 +1138,8 @@ class TestCountRowExperiments:
             return _oracle_rows(ectx, DEFAULT_ATTACK)
 
     @pytest.mark.parametrize("processes", [1, 2])
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_rows_equal_the_per_pair_engine(
-        self, hijack_oracle, vectorized, processes
-    ):
-        if vectorized:
-            pytest.importorskip("numpy")
-        with make_context(
-            scale="tiny", seed=2013, vectorized=vectorized, processes=processes
-        ) as ectx:
+    def test_rows_equal_the_per_pair_engine(self, hijack_oracle, processes):
+        with make_context(scale="tiny", seed=2013, processes=processes) as ectx:
             assert self._rows(ectx) == hijack_oracle
 
     def test_run_wide_attack_reaches_them(self, hijack_oracle):

@@ -1,12 +1,13 @@
-"""Differential tests for the vectorized routing tier and its plumbing.
+"""Differential tests for the numpy routing kernel and its plumbing.
 
-The numpy bucket kernel (:meth:`repro.core.routing.RoutingContext._run_np`)
-is a pure performance rewrite of the heap fixing pass: Theorem 2.1's
-unique stable state means a vectorized context must agree with a pure
-one — and with the seed reference engine — **bit for bit** on every
-observable (counts, routes, rank keys, next-hop sets), for every rank
-model, attacker strategy and graph variant.  The grid here runs the
-full cross product at reduced scale; the pure path stays the oracle.
+The bucket kernel (:meth:`repro.core.routing.RoutingContext._run_np`)
+is a performance rewrite of the seed engine's fixing pass: Theorem
+2.1's unique stable state means every entry point must agree with the
+seed reference engine (:mod:`repro.core.refimpl`) **bit for bit** on
+every observable (counts, routes, rank keys, next-hop sets), for every
+rank model, attacker strategy and graph variant.  The grid here runs
+the full cross product at reduced scale; the reference engine is the
+oracle (:class:`RefOracle`).
 
 The fork-teardown regression rides along: a SIGTERM'd run must not
 leave pool workers behind.
@@ -20,11 +21,10 @@ import signal
 import subprocess
 import sys
 import time
-from array import array
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core import BASELINE, Deployment, SECURITY_MODELS, lp2_variant
 from repro.core.attacks import (
@@ -32,12 +32,13 @@ from repro.core.attacks import (
     HONEST,
     ONE_HOP_HIJACK,
     SILENT,
+    AttackStrategy,
     PathLengthHijack,
+    ResolvedAttack,
 )
-from repro.core.rank import RankModel, SecurityModel
+from repro.core.rank import RankModel, SecurityModel, pack_key
 from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.core.routing import (
-    _INF,
     _NP_INF,
     DestinationSweep,
     RolloutSweep,
@@ -54,7 +55,7 @@ from repro.topology.graph import ASGraph, graph_from_edges
 from repro.topology.ixp import augment_with_ixp_peering
 
 from test_attacks import CustomerScopeHijack
-from test_destination_sweep import per_pair_counts
+from test_destination_sweep import per_pair_counts, ref_pair_counts
 
 CLASSIC_MODELS = (BASELINE,) + SECURITY_MODELS
 ALL_MODELS = CLASSIC_MODELS + tuple(lp2_variant(m) for m in CLASSIC_MODELS)
@@ -75,18 +76,77 @@ def graph(request):
     return topo.graph
 
 
+class RefOracle:
+    """The seed engine behind every answer the kernel is held to: one
+    reference pass a pair and step, in the shapes the engine's entry
+    points return."""
+
+    def __init__(self, graph):
+        self.ctx = RefRoutingContext(graph)
+        self.asns = sorted(graph.asns)
+        self.index_of = {asn: i for i, asn in enumerate(self.asns)}
+
+    def outcome(self, d, m, deployment, model, attack=ONE_HOP_HIJACK):
+        return ref_compute_routing_outcome(
+            self.ctx, d, m, deployment, model, attack=attack
+        )
+
+    def counts(self, pairs, deployment, model, attack=ONE_HOP_HIJACK):
+        """``batch_happiness_counts``' answer."""
+        return ref_pair_counts(self.ctx, pairs, deployment, model, attack)
+
+    def chain(self, pairs, deployments, model, attack=ONE_HOP_HIJACK):
+        """``rollout_happiness_counts``' answer."""
+        return [self.counts(pairs, dep, model, attack) for dep in deployments]
+
+    def jobs(self, jobs):
+        """``jobs_happiness_counts``' answer."""
+        return [self.chain(*job) for job in jobs]
+
+    @staticmethod
+    def pass_counts(ref):
+        """A pass's six counts (:attr:`RoutingContext._last_counts`)."""
+        return (
+            *ref.count_happy(), *ref.count_attacked(),
+            ref.count_secure_sources(), sum(1 for _ in ref.sources()),
+        )
+
+    def keys(self, ref):
+        """Per dense index the packed rank key, ``_NP_INF`` where none
+        (a root, or an AS no route reaches)."""
+        return [
+            _NP_INF if info is None or info.key is None else pack_key(info.key)
+            for info in map(ref.routes.get, self.asns)
+        ]
+
+    def state(self, ref):
+        """Per dense index what a state call leaves in its arrays (``cls``
+        is left out: a root's is not a route's)."""
+        unreached = (False, 0, 0, False, False, None, 0)
+        rows = [
+            unreached if info is None else (
+                True, info.length, int(info.reaches), info.wire_secure,
+                info.secure, info.choice, int(info.endpoint),
+            )
+            for info in map(ref.routes.get, self.asns)
+        ]
+        fixed, length, reach, wire, sec, choice, endp = zip(*rows)
+        return {
+            "fixed": list(fixed), "len": list(length), "reach": list(reach),
+            "wire": [int(w) for w in wire], "sec": [int(x) for x in sec],
+            "choice": [-1 if c is None else self.index_of[c] for c in choice],
+            "endp": list(endp), "key": self.keys(ref),
+        }
+
+
 @pytest.fixture(scope="module")
-def pure_ctx(graph):
-    ctx = RoutingContext(graph, vectorized=False)
-    assert not ctx.vectorized
-    return ctx
+def oracle(graph):
+    return RefOracle(graph)
 
 
 @pytest.fixture(scope="module")
 def vec_ctx(graph):
-    ctx = RoutingContext(graph, vectorized=True)
-    assert ctx.vectorized
-    return ctx
+    return RoutingContext(graph)
 
 
 def _instances(graph, salt, k=3):
@@ -105,15 +165,6 @@ def _instances(graph, salt, k=3):
     return out
 
 
-def _last_keys(ctx):
-    """Packed rank keys of the last pass, read from wherever its kernel
-    left them (a numpy pass never writes ``ctx._key``)."""
-    if ctx._np_post is None:
-        return list(ctx._key)
-    keys = ctx._np_scratch["key"].tolist()
-    return [_INF if k == _NP_INF else k for k in keys]
-
-
 @pytest.fixture()
 def count_rows(monkeypatch):
     """The ``(kernel model, rows)`` of every count call of ``_run_np``
@@ -128,6 +179,19 @@ def count_rows(monkeypatch):
 
     monkeypatch.setattr(RoutingContext, "_run_np", spying)
     return calls
+
+
+@dataclass(frozen=True)
+class SignedClaimHijack(AttackStrategy):
+    """Test-only strategy: the one-hop lie with valid-looking signatures
+    whatever the destination does.  No shipped strategy signs a claim
+    about an unsigned destination, so only this one reaches the blind
+    rule's attacker clause."""
+
+    token = "test_signed_claim"
+
+    def resolve(self, dest_signed, baseline=None):
+        return ResolvedAttack(length=1, wire=True, export_all=True)
 
 
 def _is_blind(model, row) -> bool:
@@ -159,27 +223,23 @@ def _kernel_pass(ctx, model, deployment, m, d, attack):
 
 
 class TestDifferentialGrid:
-    """Vectorized vs pure vs reference engine, full observable state."""
+    """The kernel vs the reference engine, full observable state."""
 
     @pytest.mark.parametrize("attack", STRATEGIES, ids=lambda a: a.token)
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label)
-    def test_outcomes_bit_identical(self, graph, pure_ctx, vec_ctx, model, attack):
+    def test_outcomes_bit_identical(self, graph, oracle, vec_ctx, model, attack):
         for m, d, dep in _instances(graph, f"{model.label}/{attack.token}"):
-            pure = compute_routing_outcome(
-                pure_ctx, d, attacker=m, deployment=dep, model=model,
-                attack=attack,
-            )
-            pure_key = _last_keys(pure_ctx)
-            pure_routes = dict(pure.routes)
+            ref = oracle.outcome(d, m, dep, model, attack)
             vec = compute_routing_outcome(
                 vec_ctx, d, attacker=m, deployment=dep, model=model,
                 attack=attack,
             )
-            assert _last_keys(vec_ctx) == pure_key
-            assert dict(vec.routes) == pure_routes
-            assert vec.count_happy() == pure.count_happy()
-            assert vec.count_attacked() == pure.count_attacked()
-            assert vec.count_secure_sources() == pure.count_secure_sources()
+            assert vec_ctx._np_scratch["key"].tolist() == oracle.keys(ref)
+            assert dict(vec.routes) == ref.routes
+            assert vec_ctx._last_counts == oracle.pass_counts(ref)
+            assert vec.count_happy() == ref.count_happy()
+            assert vec.count_attacked() == ref.count_attacked()
+            assert vec.count_secure_sources() == ref.count_secure_sources()
 
     @pytest.mark.parametrize("attack", STRATEGIES, ids=lambda a: a.token)
     @pytest.mark.parametrize("model", CLASSIC_MODELS, ids=lambda m: m.label)
@@ -200,17 +260,17 @@ class TestDifferentialGrid:
             assert vec.count_secure_sources() == ref.count_secure_sources()
 
     @pytest.mark.parametrize("attack", STRATEGIES, ids=lambda a: a.token)
-    def test_counts_both_scheduling_modes(self, graph, pure_ctx, vec_ctx, attack):
+    def test_counts_both_scheduling_modes(self, graph, oracle, vec_ctx, attack):
         insts = _instances(graph, f"counts/{attack.token}", k=4)
         pairs = [(m, d) for m, d, _ in insts] + [(None, insts[0][1])]
         dep = insts[0][2]
         for model in ALL_MODELS:
+            expected = oracle.counts(pairs, dep, model, attack)
             for counts in (batch_happiness_counts, per_pair_counts):
-                expected = counts(pure_ctx, pairs, dep, model, attack=attack)
                 got = counts(vec_ctx, pairs, dep, model, attack=attack)
                 assert got == expected, (model.label, counts.__name__)
 
-    def test_rollout_chain_matches_pure(self, graph, pure_ctx, vec_ctx):
+    def test_rollout_chain_matches_reference(self, graph, oracle, vec_ctx):
         rnd = random.Random("vec/rollout")
         asns = graph.asns
         members = rnd.sample(asns, 60)
@@ -220,15 +280,14 @@ class TestDifferentialGrid:
             for m, d, _ in _instances(graph, "rollout-pairs", k=5)
         ]
         for model in ALL_MODELS:
-            expected = rollout_happiness_counts(pure_ctx, pairs, chain, model)
+            expected = oracle.chain(pairs, chain, model)
             got = rollout_happiness_counts(vec_ctx, pairs, chain, model)
             assert got == expected, model.label
 
 
 class TestDeltaKernels:
-    """A sweep's two kernels — a scalar context's heap loop and a numpy
-    context's dense pass — must agree bit for bit on counts, full
-    outcomes and the baseline, for every model and attacker
+    """A sweep's attacker pass, its full outcome and its baseline must
+    be the reference engine's bit for bit, for every model and attacker
     strategy."""
 
     @pytest.mark.parametrize("attack", STRATEGIES, ids=lambda a: a.token)
@@ -236,58 +295,46 @@ class TestDeltaKernels:
         "model", ALL_MODELS[1::2], ids=lambda m: m.label
     )
     def test_kernels_bit_identical(
-        self, graph, pure_ctx, vec_ctx, model, attack
+        self, graph, oracle, vec_ctx, model, attack
     ):
         for m, d, dep in _instances(
             graph, f"delta/{model.label}/{attack.token}", k=2
         ):
-            sp = DestinationSweep(pure_ctx, d, dep, model, attack=attack)
-            counts = sp.happiness_counts(m)
-            assert sp.last_delta_path == "pure"
-            pure_routes = dict(sp.outcome(m).routes)
-            pure_base = dict(sp.baseline_outcome().routes)
+            (counts,) = oracle.counts([(m, d)], dep, model, attack)
             sv = DestinationSweep(vec_ctx, d, dep, model, attack=attack)
             assert sv.happiness_counts(m) == counts
             assert sv.last_delta_path == "dense"
-            assert dict(sv.outcome(m).routes) == pure_routes
+            assert dict(sv.outcome(m).routes) == oracle.outcome(
+                d, m, dep, model, attack
+            ).routes
             # Leak-freedom: neither the full-state answer nor a second
             # attacker's pass leaves a trace in the baseline.
             assert sv.happiness_counts(m) == counts
-            assert dict(sv.baseline_outcome().routes) == pure_base
+            assert dict(sv.baseline_outcome().routes) == oracle.outcome(
+                d, None, dep, model
+            ).routes
 
-    def test_numpy_snapshot_baseline(self, graph, pure_ctx, vec_ctx):
-        """A sweep holds one snapshot form, chosen by the context: numpy
-        arrays on a vectorized one (no python-list decode, no next-hop
-        lists), a ``RoutingOutcome`` on a scalar one; the counts match."""
+    def test_numpy_snapshot_baseline(self, graph, oracle, vec_ctx):
+        """A sweep's snapshot is numpy arrays (no python-list decode, no
+        next-hop lists until asked); the counts match."""
         m, d, dep = _instances(graph, "npsnap", k=1)[0]
         sn = DestinationSweep(vec_ctx, d, dep, SECURITY_MODELS[0])
         counts = sn.happiness_counts(m)
         assert sn._base is None and sn._np_base is not None
-        sp = DestinationSweep(pure_ctx, d, dep, SECURITY_MODELS[0])
-        assert sp._base is not None and sp._np_base is None
-        assert sp.happiness_counts(m) == counts
+        assert [counts] == oracle.counts([(m, d)], dep, SECURITY_MODELS[0])
 
 
-class TestArraysAreTheState:
-    """On a numpy context the arrays are the state: no numpy kernel
-    reads or writes the python scratch (the heap loop's working set),
-    and python records exist only inside a ``RoutingOutcome``.  A numpy
-    context never runs the heap loop and never allocates that scratch,
-    so after every entry point that accepts its input — stub simplex,
-    counts and full state — it answers like a scalar one and still
-    holds none of it."""
-
-    PY_SCRATCH = (
-        "_edges", "_fixed", "_key", "_cls", "_len", "_reach",
-        "_wire", "_sec", "_choice", "_endpoint", "_nhops",
-    )
+class TestFreshContext:
+    """A fresh context answers every entry point that accepts its input
+    — stub simplex, counts and full state — as the reference engine
+    does."""
 
     @pytest.mark.parametrize(
         "attack", [ONE_HOP_HIJACK, HONEST, FORGED_ORIGIN],
         ids=lambda a: a.token,
     )
-    def test_no_python_scratch_needed(self, graph, pure_ctx, attack):
-        bare = RoutingContext(graph, vectorized=True)
+    def test_every_entry_point_matches_the_reference(self, graph, oracle, attack):
+        bare = RoutingContext(graph)
         rnd = random.Random(f"vec/bare/{attack.token}")
         asns = graph.asns
         members = rnd.sample(asns, 60)
@@ -304,52 +351,48 @@ class TestArraysAreTheState:
             + [(m, many_d) for m in rnd.sample(others, 5)]
         )
         model = SECURITY_MODELS[1]
-        for ctx_counts in (
-            lambda ctx: rollout_happiness_counts(
-                ctx, pairs, chain, model, attack=attack
-            ),
-            lambda ctx: batch_happiness_counts(
-                ctx, pairs, chain[2], model, attack=attack
-            ),
-        ):
-            assert ctx_counts(bare) == ctx_counts(pure_ctx)
+        assert rollout_happiness_counts(
+            bare, pairs, chain, model, attack=attack
+        ) == oracle.chain(pairs, chain, model, attack)
+        assert batch_happiness_counts(
+            bare, pairs, chain[2], model, attack=attack
+        ) == oracle.counts(pairs, chain[2], model, attack)
         m = pairs[-1][0]
-        walkers = [
-            RolloutSweep(ctx, many_d, chain[0], model, attack=attack)
-            for ctx in (bare, pure_ctx)
-        ]
+        walker = RolloutSweep(bare, many_d, chain[0], model, attack=attack)
         for step in chain[1:]:
-            states = []
-            for w in walkers:
-                w.advance(step)
-                states.append((
-                    dict(w.baseline_outcome().routes),
-                    dict(w.outcome(m).routes),
-                    w.happiness_counts(m),
-                ))
-            assert states[0] == states[1]
-        assert walkers[0].last_delta_path == "dense"
-        for m, d in pairs:
-            kwargs = dict(
-                attacker=m, deployment=chain[-1], model=model, attack=attack
+            walker.advance(step)
+            assert (
+                dict(walker.baseline_outcome().routes),
+                dict(walker.outcome(m).routes),
+                walker.happiness_counts(m),
+            ) == (
+                oracle.outcome(many_d, None, step, model).routes,
+                oracle.outcome(many_d, m, step, model, attack).routes,
+                oracle.counts([(m, many_d)], step, model, attack)[0],
             )
-            got = compute_routing_outcome(bare, d, **kwargs)
-            want = compute_routing_outcome(pure_ctx, d, **kwargs)
-            assert dict(got.routes) == dict(want.routes)
-            assert got.count_happy() == want.count_happy()
-            assert got.count_secure_sources() == want.count_secure_sources()
-        for outcomes in (
-            lambda ctx: [normal_conditions(ctx, many_d, chain[-1], model)],
-            lambda ctx: batch_outcomes(ctx, pairs, chain[-1], model, attack),
-            lambda ctx: [
-                DestinationSweep(ctx, many_d, chain[-1], model, attack).outcome(m)
-            ],
+        assert walker.last_delta_path == "dense"
+        want = [oracle.outcome(d, m, chain[-1], model, attack) for m, d in pairs]
+        for (m, d), ref in zip(pairs, want):
+            got = compute_routing_outcome(
+                bare, d, attacker=m, deployment=chain[-1], model=model,
+                attack=attack,
+            )
+            assert dict(got.routes) == ref.routes
+            assert got.count_happy() == ref.count_happy()
+            assert got.count_secure_sources() == ref.count_secure_sources()
+        for got, want in (
+            (
+                [normal_conditions(bare, many_d, chain[-1], model)],
+                [oracle.outcome(many_d, None, chain[-1], model)],
+            ),
+            (batch_outcomes(bare, pairs, chain[-1], model, attack), want),
+            (
+                [DestinationSweep(bare, many_d, chain[-1], model, attack).outcome(m)],
+                [oracle.outcome(many_d, m, chain[-1], model, attack)],
+            ),
         ):
-            got, want = outcomes(bare), outcomes(pure_ctx)
-            assert [dict(o.routes) for o in got] == [dict(o.routes) for o in want]
-        assert bare.out_edges == pure_ctx.out_edges
-        assert all(getattr(bare, name, None) is None for name in self.PY_SCRATCH)
-        assert all(getattr(pure_ctx, name) is not None for name in self.PY_SCRATCH)
+            assert [dict(o.routes) for o in got] == [o.routes for o in want]
+        assert bare.out_edges == oracle.ctx.out_edges
 
 
 class TestLazyNextHopPairs:
@@ -360,7 +403,7 @@ class TestLazyNextHopPairs:
     MODEL = SECURITY_MODELS[0]
 
     def test_pairs_are_built_by_their_first_reader_only(
-        self, graph, pure_ctx, vec_ctx, count_calls
+        self, graph, oracle, vec_ctx, count_calls
     ):
         rnd = random.Random("vec/lazy")
         asns = graph.asns
@@ -377,7 +420,7 @@ class TestLazyNextHopPairs:
             + [(None, few_d)]
             + [(m, many_d) for m in rnd.sample(others, 5)]
         )
-        expected = rollout_happiness_counts(pure_ctx, pairs, chain, self.MODEL)
+        expected = oracle.chain(pairs, chain, self.MODEL)
         pair_sets = count_calls(RoutingContext, "_np_nhop_pairs")
         got = rollout_happiness_counts(vec_ctx, pairs, chain, self.MODEL)
         assert got == expected
@@ -393,8 +436,7 @@ class TestLazyNextHopPairs:
         assert pair_sets == [0]
         routes = dict(sweep.baseline_outcome().routes)
         assert pair_sets == [1]
-        want = DestinationSweep(pure_ctx, many_d, chain[-1], self.MODEL)
-        assert routes == dict(want.baseline_outcome().routes)
+        assert routes == oracle.outcome(many_d, None, chain[-1], self.MODEL).routes
         # ...and a snapshot that has pairs never computes them again.
         assert dict(sweep.baseline_outcome().routes) == routes
         assert pair_sets == [1]
@@ -404,7 +446,7 @@ class TestRowsKernel:
     """``_run_np`` takes K fixing passes as the rows of one bucket loop
     and ``jobs_happiness_counts`` feeds it every pair-step of every job
     that shares a model: a row must be the pass it would be alone — and
-    the scalar heap loop's — whatever shares its batch."""
+    the reference engine's — whatever shares its batch."""
 
     CASES = [(n, seed) for seed in (1, 2, 3, 4) for n in (60, 150, 300)][:8]
 
@@ -426,28 +468,14 @@ class TestRowsKernel:
         # a destination that starts signing mid-chain
         late = members[cuts[2] - 1]
         assert late not in chain[1] and late in chain[2]
-        return (
-            graph, rnd, chain, late,
-            RoutingContext(graph, vectorized=True),
-            RoutingContext(graph, vectorized=False),
-        )
-
-    @staticmethod
-    def _scalar_state(ctx):
-        return {
-            "fixed": list(ctx._fixed), "key": list(ctx._key),
-            "cls": list(ctx._cls), "len": list(ctx._len),
-            "reach": list(ctx._reach), "wire": list(ctx._wire),
-            "sec": list(ctx._sec), "choice": list(ctx._choice),
-            "endp": list(ctx._endpoint),
-        }
+        return graph, rnd, chain, late, RoutingContext(graph), RefOracle(graph)
 
     @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_batch_equals_rows_alone_equals_scalar(self, case):
-        graph, rnd, chain, late, vec, pure = self._setup(case)
+    def test_batch_equals_rows_alone_equals_reference(self, case):
+        graph, rnd, chain, late, vec, oracle = self._setup(case)
         asns = graph.asns
         for model in CLASSIC_MODELS + (lp2_variant(SECURITY_MODELS[1]),):
-            rows = []
+            rows, refs = [], []
             for attack in STRATEGIES:
                 for deployment in chain:
                     d = rnd.choice([late, rnd.choice(asns)])
@@ -456,38 +484,34 @@ class TestRowsKernel:
                         m = None
                     dest_i, att_i = vec._check_pair(d, m)
                     masks = vec.deployment_masks(deployment)
-                    resolved = pure._resolve_attack(
+                    resolved = vec._resolve_attack(
                         dest_i, att_i, *masks, model, attack
                     )
                     rows.append((dest_i, att_i, *masks, resolved))
+                    refs.append(oracle.outcome(d, m, deployment, model, attack))
             assert 1 < len(rows) <= vec.batch_rows
             assert any(row[1] < 0 for row in rows)
             assert {row[4].export_all for row in rows} == {True, False}
             batch = vec._run_np(rows, model)
-            for row, counts in zip(rows, batch):
-                dest_i, att_i, signing, ranking, resolved = row
-                pure._run(dest_i, att_i, signing, ranking, model, resolved)
-                assert counts == pure._last_counts
+            for row, ref, counts in zip(rows, refs, batch):
+                assert counts == oracle.pass_counts(ref)
                 assert vec._run_np([row], model) == [counts]
                 assert vec._run_np([row], model, state=True) == [counts]
                 assert vec._last_counts == counts
-                # the state call leaves the nine arrays where the
-                # scalar loop leaves its scratch
-                st, want = vec._np_scratch, self._scalar_state(pure)
-                fixed = want["fixed"]
-                roots = {dest_i, att_i}
-                for name in ("fixed", "reach", "wire", "sec", "choice", "endp"):
-                    assert st[name].tolist() == want[name], name
-                assert _last_keys(vec) == want["key"]
-                for v in range(vec.n):
-                    if fixed[v]:
-                        assert st["len"][v] == want["len"][v], v
-                        if v not in roots:
-                            assert st["cls"][v] == want["cls"][v], v
+                # the state call leaves the reference's state in its
+                # arrays (a reached AS's class is its route's)
+                st, want = vec._np_scratch, oracle.state(ref)
+                for name, values in want.items():
+                    assert st[name].tolist() == values, name
+                roots = {row[0], row[1]}
+                for v, asn in enumerate(oracle.asns):
+                    info = ref.routes.get(asn)
+                    if info is not None and v not in roots:
+                        assert st["cls"][v] == info.route_class, v
 
     @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_jobs_equal_one_job_calls_equal_scalar(self, case, count_rows):
-        graph, rnd, chain, late, vec, pure = self._setup(case)
+    def test_jobs_equal_one_job_calls_equal_reference(self, case, count_rows):
+        graph, rnd, chain, late, vec, oracle = self._setup(case)
         asns = graph.asns
 
         def pairs_at(d, attackers, normal=False):
@@ -513,7 +537,7 @@ class TestRowsKernel:
         batches = list(count_rows)
         # each distinct pass is one row, whichever rows ask for it
         passes = {
-            _kernel_pass(pure, model, deployment, m, d, attack)
+            _kernel_pass(vec, model, deployment, m, d, attack)
             for pairs, deployments, model, attack in jobs
             for deployment in deployments
             for m, d in pairs
@@ -531,15 +555,15 @@ class TestRowsKernel:
             for pairs, deployments, model, attack in jobs
         ]
         assert together == alone
-        assert together == jobs_happiness_counts(pure, jobs)
-        reference = [
+        assert together == oracle.jobs(jobs)
+        per_pair = [
             [
-                per_pair_counts(pure, pairs, deployment, model, attack=attack)
+                per_pair_counts(vec, pairs, deployment, model, attack=attack)
                 for deployment in deployments
             ]
             for pairs, deployments, model, attack in jobs
         ]
-        assert together == reference
+        assert together == per_pair
 
     @staticmethod
     def _rows(ctx, rnd, deployment, model, count):
@@ -586,41 +610,40 @@ class TestRowsKernel:
     def test_roots_of_every_scope_length_and_wire_share_a_batch(self):
         """Attackers whose roots differ in export scope, claimed length
         and wire relax from one batch, under LP2, on a graph with ASes
-        no route reaches: every row equals the scalar kernel's pass."""
+        no route reaches: every row equals the reference engine's pass."""
         graph = generate_topology(TopologyParams(n=150, seed=5)).graph
         asns = list(graph.asns)
         graph.add_customer_provider(max(asns) + 1, max(asns) + 2)  # an island
-        vec = RoutingContext(graph, vectorized=True)
-        pure = RoutingContext(graph, vectorized=False)
+        vec = RoutingContext(graph)
+        oracle = RefOracle(graph)
         model = lp2_variant(SECURITY_MODELS[1])
         rnd = random.Random("rows/roots")
         deployment = Deployment.of(rnd.sample(asns, 60)).with_simplex_stubs(graph)
         masks = vec.deployment_masks(deployment)
         signed = sorted(deployment.full | deployment.simplex)
-        rows = []
+        rows, refs = [], []
         for attack in (
             ONE_HOP_HIJACK, PathLengthHijack(2), CustomerScopeHijack(),
             FORGED_ORIGIN,
         ):
             for _ in range(3):
                 d = rnd.choice(signed)
-                dest_i, att_i = vec._check_pair(
-                    d, rnd.choice([a for a in asns if a != d])
-                )
+                m = rnd.choice([a for a in asns if a != d])
+                dest_i, att_i = vec._check_pair(d, m)
                 resolved = attack.resolve(dest_signed=True)
                 rows.append((dest_i, att_i, *masks, resolved))
+                refs.append(oracle.outcome(d, m, deployment, model, attack))
         roots = {(r[4].export_all, r[4].length, r[4].wire) for r in rows}
         assert len(roots) == 4
         batch = vec._run_np(rows, model)
-        for row, counts in zip(rows, batch):
-            pure._run(*row[:4], model, row[4])
-            assert counts == pure._last_counts
+        for ref, counts in zip(refs, batch):
+            assert counts == oracle.pass_counts(ref)
             assert counts[5] <= vec.n - 4  # the island is never fixed
 
     def test_rows_reject_an_unnested_chain_before_any_pass(
         self, graph, vec_ctx, count_calls
     ):
-        """A numpy context's groups are rows, equal to one pass a pair;
+        """A chain's groups are rows, equal to one pass a pair;
         a chain that does not nest is rejected before any pass."""
         passes = count_calls(RoutingContext, "_run_np")
         rnd = random.Random("rows/steps")
@@ -719,14 +742,40 @@ class TestBlindRows:
             differ += sum(g[:2] != w[:2] for g, w in zip(got, want))
         assert differ
 
+    def test_a_signed_claim_on_an_unsigned_destination_is_not_blind(
+        self, graph, oracle, vec_ctx
+    ):
+        """The rule's other clause: a claim with valid-looking signatures
+        makes a row sighted even where the destination does not sign, so
+        its counts are the reference engine's under the placement, which
+        differ from the baseline placement's somewhere."""
+        rnd = random.Random("vec/blind/signed-claim")
+        asns = graph.asns
+        deployment = Deployment.of(rnd.sample(asns, len(asns) // 3))
+        unsigned = [a for a in asns if a not in deployment.signing_members]
+        pairs = [
+            (m, d)
+            for d in rnd.sample(unsigned, 3)
+            for m in rnd.sample([a for a in asns if a != d], 2)
+        ]
+        attack = SignedClaimHijack()
+        differ = 0
+        for model in SECURITY_MODELS:
+            got = batch_happiness_counts(
+                vec_ctx, pairs, deployment, model, attack=attack
+            )
+            assert got == oracle.counts(pairs, deployment, model, attack)
+            blind = oracle.counts(pairs, deployment, _blind_model(model), attack)
+            differ += sum(g != b for g, b in zip(got, blind))
+        assert differ
+
     def test_a_chain_runs_each_distinct_pass_once(
-        self, graph, pure_ctx, vec_ctx, count_rows, count_calls
+        self, graph, oracle, vec_ctx, count_rows, count_calls
     ):
         """A destination that signs only at the last of four steps: its
         first three steps are one blind pass a pair, shared by the three
         placements, and its last step one pass a pair and placement —
-        as count rows on a numpy context, as heap passes on a scalar
-        one."""
+        all count rows, no state call."""
         rnd = random.Random("vec/blind/chain")
         asns = graph.asns
         d = rnd.choice(asns)
@@ -742,37 +791,30 @@ class TestBlindRows:
 
         def distinct(jobs):
             return {
-                _kernel_pass(pure_ctx, model, deployment, m, d, attack)
+                _kernel_pass(vec_ctx, model, deployment, m, d, attack)
                 for pairs, deployments, model, attack in jobs
                 for deployment in deployments
                 for m, d in pairs
             }
 
+        passes = count_calls(RoutingContext, "_run")
         for job in jobs:
             count_rows.clear()
             got = rollout_happiness_counts(vec_ctx, *job[:3], attack=job[3])
-            assert got == rollout_happiness_counts(pure_ctx, *job[:3], attack=job[3])
+            assert got == oracle.chain(*job)
             assert len(distinct([job])) == 2 * len(pairs)
             assert sum(rows for _, rows in count_rows) == 2 * len(pairs)
         count_rows.clear()
         got = jobs_happiness_counts(vec_ctx, jobs)
-        assert got == jobs_happiness_counts(pure_ctx, jobs)
+        assert got == oracle.jobs(jobs)
         assert len(distinct(jobs)) == 4 * len(pairs)
         assert sum(rows for _, rows in count_rows) == 4 * len(pairs)
-
-        passes = count_calls(RoutingContext, "_run")
-        for job in jobs:
-            passes[0] = 0
-            rollout_happiness_counts(pure_ctx, *job[:3], attack=job[3])
-            assert passes == [2 * len(pairs)]
-        passes[0] = 0
-        assert jobs_happiness_counts(pure_ctx, jobs) == got
-        assert passes == [4 * len(pairs)]
+        assert passes == [0]
 
 
 class TestEveryGroupIsRows:
-    """On a numpy context every destination group is count rows, however
-    many attackers it has and whatever its strategy: no sweep is built,
+    """Every destination group is count rows, however many attackers it
+    has and whatever its strategy: no sweep is built,
     and a ``needs_baseline`` strategy (``honest``) resolves each
     attacker from one attacker-free pass per ``(d, S_t)``."""
 
@@ -809,14 +851,12 @@ class TestEveryGroupIsRows:
         ids=["many-attackers", "honest", "many-forged-origin"],
     )
     def test_no_group_builds_a_sweep(
-        self, graph, pure_ctx, vec_ctx, count_calls, attackers, attack
+        self, graph, oracle, vec_ctx, count_calls, attackers, attack
     ):
         chain, pairs = self._chain_and_pairs(graph, attack.token, attackers)
         model = SECURITY_MODELS[1]
         for deployments in (chain, chain[:1]):
-            want = rollout_happiness_counts(
-                pure_ctx, pairs, deployments, model, attack=attack
-            )
+            want = oracle.chain(pairs, deployments, model, attack)
             snapshots = count_calls(DestinationSweep, "_take_baseline")
             got = rollout_happiness_counts(
                 vec_ctx, pairs, deployments, model, attack=attack
@@ -824,11 +864,11 @@ class TestEveryGroupIsRows:
             assert snapshots == [0]
             assert got == want
 
-    def test_rows_equal_scalar_per_pair_and_reference(self, graph, pure_ctx, vec_ctx):
+    def test_rows_equal_per_pair_and_reference(self, graph, oracle, vec_ctx):
         """``honest`` and many-attacker rows under every model, on 1-
-        and 4-step chains, in one call: equal to the scalar context's
-        walks, one full pass a pair-step (``batch_outcomes``) and, on a
-        sample, the reference engine."""
+        and 4-step chains, in one call: equal to the reference engine,
+        one pass a pair-step, and to one full state pass a pair-step
+        (``batch_outcomes``)."""
         chain, pairs = self._chain_and_pairs(graph, "oracles", self.MANY)
         jobs = [
             (pairs, deployments, model, attack)
@@ -837,45 +877,27 @@ class TestEveryGroupIsRows:
             for deployments in (chain, chain[2:3])
         ]
         got = jobs_happiness_counts(vec_ctx, jobs)
-        assert got == jobs_happiness_counts(pure_ctx, jobs)
-        ref_ctx = RefRoutingContext(graph)
-        rnd = random.Random("vec/groups/ref")
+        assert got == oracle.jobs(jobs)
         for (pairs, deployments, model, attack), job in zip(jobs, got):
             for deployment, step in zip(deployments, job):
                 assert step == per_pair_counts(
-                    pure_ctx, pairs, deployment, model, attack=attack
+                    vec_ctx, pairs, deployment, model, attack=attack
                 ), (model.label, attack.token)
-            t = rnd.randrange(len(deployments))
-            i = rnd.randrange(len(pairs) - 1)
-            m, d = pairs[i]
-            ref = ref_compute_routing_outcome(
-                ref_ctx, d, m, deployments[t], model, attack=attack
-            )
-            assert job[t][i] == (*ref.count_happy(), ref.num_sources)
 
     def test_honest_runs_one_attacker_free_pass_per_destination_step(
-        self, graph, pure_ctx, vec_ctx, count_calls, monkeypatch
+        self, graph, oracle, vec_ctx, count_calls, monkeypatch
     ):
         """One ``_run`` per ``(d, S_t)``, however many attackers share it
         and however the batches split its rows — for one destination
-        group, whose steps follow each other, and for two.  A scalar
-        context runs the same attacker-free passes, then one ``_run``
-        per distinct pass."""
+        group, whose steps follow each other, and for two."""
         from repro.core import routing
 
         chain, pairs = self._chain_and_pairs(graph, "passes", self.MANY)
         model = SECURITY_MODELS[0]
         passes = count_calls(RoutingContext, "_run")
         for group in (pairs[: self.MANY], pairs):
-            want = rollout_happiness_counts(
-                pure_ctx, group, chain, model, attack=HONEST
-            )
+            want = oracle.chain(group, chain, model, HONEST)
             destinations = len({d for _, d in group})
-            distinct = {
-                _kernel_pass(pure_ctx, model, deployment, m, d, HONEST)
-                for deployment in chain
-                for m, d in group
-            }
             for rows_a_call in (vec_ctx.batch_rows, 3):
                 monkeypatch.setattr(
                     routing, "NP_ROWS_BUDGET", rows_a_call * vec_ctx.n
@@ -886,12 +908,78 @@ class TestEveryGroupIsRows:
                 )
                 assert got == want
                 assert passes == [destinations * len(chain)], rows_a_call
-            passes[0] = 0
-            got = rollout_happiness_counts(
-                pure_ctx, group, chain, model, attack=HONEST
-            )
-            assert got == want
-            assert passes == [destinations * len(chain) + len(distinct)]
+
+
+class TestOneEngine:
+    """Every context runs the numpy kernel, however small: at ``tiny``
+    and on each hand-built gadget, the full-state and the count entry
+    points call ``_run_np`` only (``_run`` is its one-row state call),
+    and they answer what the reference engine does, route for route,
+    under every classic model."""
+
+    @staticmethod
+    def _check(ctx, pairs, deployment, model, attack, count_calls):
+        runs = count_calls(RoutingContext, "_run")
+        kernel = count_calls(RoutingContext, "_run_np")
+        oracle = RefOracle(ctx.graph)
+        # A ``needs_baseline`` strategy (``honest``) reads the attacker's
+        # record from one attacker-free state call per destination first.
+        for m, d in pairs:
+            runs[0] = kernel[0] = 0
+            got = compute_routing_outcome(ctx, d, m, deployment, model, attack)
+            calls = 2 if attack.needs_baseline and m is not None else 1
+            assert runs == kernel == [calls], (m, d)
+            want = oracle.outcome(d, m, deployment, model, attack)
+            assert dict(got.routes) == want.routes, (m, d)
+        runs[0] = kernel[0] = 0
+        got = jobs_happiness_counts(ctx, [(pairs, [deployment], model, attack)])
+        attacked = {d for m, d in pairs if m is not None}
+        assert runs == [len(attacked) if attack.needs_baseline else 0]
+        assert kernel[0] > runs[0]
+        assert got == [[oracle.counts(pairs, deployment, model, attack)]]
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        from repro.experiments.runner import make_context
+
+        with make_context("tiny") as ectx:
+            graph = ectx.graph
+            rnd = random.Random("one-engine/tiny")
+            asns = graph.asns
+            pairs = [tuple(rnd.sample(asns, 2)) for _ in range(4)]
+            deployment = Deployment.of(
+                rnd.sample(asns, len(asns) // 3)
+            ).with_simplex_stubs(graph)
+            yield ectx.graph_ctx, pairs + [(None, pairs[0][1])], deployment
+
+    @pytest.mark.parametrize("attack", STRATEGIES, ids=lambda a: a.token)
+    @pytest.mark.parametrize("model", CLASSIC_MODELS, ids=lambda m: m.label)
+    def test_tiny_runs_the_numpy_kernel(self, tiny, model, attack, count_calls):
+        ctx, pairs, deployment = tiny
+        self._check(ctx, pairs, deployment, model, attack, count_calls)
+
+    @pytest.mark.parametrize("model", CLASSIC_MODELS, ids=lambda m: m.label)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            gadgets.figure2_protocol_downgrade,
+            gadgets.figure1_wedgie,
+            gadgets.figure14_collateral,
+            gadgets.figure15_collateral_benefit,
+            gadgets.figure17_collateral_damage_sec1st,
+        ],
+        ids=lambda build: build.__name__,
+    )
+    def test_a_gadget_runs_the_numpy_kernel(self, build, model, count_calls):
+        gadget = build()
+        m, d = gadget.attacker, gadget.destination
+        others = sorted(a for a in gadget.graph.asns if a not in (m, d))
+        pairs = [(m, d), (None, d)] + [(m, a) for a in others[:3]]
+        deployment = Deployment(full=gadget.secure, simplex=gadget.simplex)
+        self._check(
+            RoutingContext(gadget.graph), pairs, deployment, model,
+            ONE_HOP_HIJACK, count_calls,
+        )
 
 
 class TestRowLayout:
@@ -923,7 +1011,7 @@ class TestRowLayout:
         ids=lambda build: build.__name__,
     )
     def test_gadget_rows_too(self, build):
-        self._check(RoutingContext(build().graph, vectorized=True))
+        self._check(RoutingContext(build().graph))
 
 
 def _ixp_graph():
@@ -932,9 +1020,10 @@ def _ixp_graph():
 
 
 class TestCsrBuild:
-    """A numpy context builds its CSR from arrays, and derives the
-    per-relationship index tuples only when a scalar reader asks: both
-    equal what the scalar context's per-AS loop builds."""
+    """A context builds its CSR from arrays, and derives the
+    per-relationship index tuples only when a reader asks: both equal
+    the reference engine's per-AS adjacency, row for row (providers,
+    peers, customers, each sorted)."""
 
     @pytest.mark.parametrize(
         "build",
@@ -967,28 +1056,39 @@ class TestCsrBuild:
             "medium", "empty", "one-edge", "compact-asns", "32-bit-asns",
         ],
     )
-    def test_numpy_csr_equals_scalar(self, build):
+    def test_numpy_csr_equals_reference(self, build):
         graph = build()
-        vec = RoutingContext(graph, vectorized=True)
-        pure = RoutingContext(graph, vectorized=False)
-        for name in ("adj_start", "adj_node", "adj_class", "adj_custflag"):
-            assert list(getattr(vec, name)) == list(getattr(pure, name)), name
-        assert vec._has_customers == pure._has_customers
-        assert vec._rel_idx is None
-        assert vec.providers_idx == pure.providers_idx
-        assert vec.customers_idx == pure.customers_idx
-        assert vec.peers_idx == pure.peers_idx
+        ctx = RoutingContext(graph)
+        ref = RefRoutingContext(graph)
+        asns = ctx.asns
+        assert asns == sorted(ref.asns)
+        start = ctx.adj_start.tolist()
+        assert start[0] == 0 and len(start) == len(asns) + 1
+        edges = list(zip(
+            [asns[v] for v in ctx.adj_node.tolist()],
+            ctx.adj_class.tolist(), ctx.adj_custflag.astype(bool).tolist(),
+        ))
+        for u, asn in enumerate(asns):
+            assert tuple(edges[start[u] : start[u + 1]]) == ref.out_edges[asn], asn
+        assert ctx._has_customers == bytes(bool(ref.customers_of[a]) for a in asns)
+        assert ctx._rel_idx is None
+        for name in ("providers", "customers", "peers"):
+            want = [
+                tuple(ctx.index_of[v] for v in getattr(ref, f"{name}_of")[a])
+                for a in asns
+            ]
+            assert getattr(ctx, f"{name}_idx") == want, name
 
     def test_one_as_graph_builds(self):
         graph = ASGraph()
         graph.add_as(7)
-        ctx = RoutingContext(graph, vectorized=True)
+        ctx = RoutingContext(graph)
         assert list(ctx.adj_start) == [0, 0] and ctx.providers_idx == [()]
 
     def test_counts_leave_the_index_tuples_unbuilt(self, graph):
         """The count path reads the CSR only: the O(V + E) python tuples
-        must not come back on a numpy context that runs nothing else."""
-        ctx = RoutingContext(graph, vectorized=True)
+        must not come back on a context that runs nothing else."""
+        ctx = RoutingContext(graph)
         (m, d, dep), *_ = _instances(graph, "csr/lazy")
         chain = [Deployment.empty(), dep.with_simplex_stubs(graph)]
         pairs = [(m, d), (None, d)]
@@ -1001,11 +1101,11 @@ class TestCsrBuild:
 
 class TestAdvance:
     """``RolloutSweep.advance(deployment)`` leaves the state a fresh
-    sweep of that deployment holds, on both contexts, after every step
-    — a step that gains nothing and one that gains the destination
-    included."""
+    sweep of that deployment holds — the reference engine's — after
+    every step, a step that gains nothing and one that gains the
+    destination included."""
 
-    def test_advance_equals_a_fresh_sweep(self, graph, pure_ctx, vec_ctx):
+    def test_advance_equals_a_fresh_sweep(self, graph, oracle, vec_ctx):
         rnd = random.Random("vec/step")
         asns = graph.asns
         d, m = rnd.sample(asns, 2)
@@ -1020,91 +1120,35 @@ class TestAdvance:
         ]
         model = SECURITY_MODELS[1]
         pairs = [(m, d), (None, d)]
-        states = {}
-        for ctx in (pure_ctx, vec_ctx):
-            walked = rollout_happiness_counts(ctx, pairs, chain, model)
-            sweep = RolloutSweep(ctx, d, chain[0], model)
-            for t in range(1, len(chain)):
-                sweep.advance(chain[t])
-                assert sweep.deployment is chain[t]
-                fresh = DestinationSweep(ctx, d, chain[t], model)
-                state = (
-                    dict(sweep.baseline_outcome().routes),
-                    sweep.baseline_counts(),
-                    sweep.happiness_counts(m),
-                )
-                assert state == (
-                    dict(fresh.baseline_outcome().routes),
-                    fresh.baseline_counts(),
-                    fresh.happiness_counts(m),
-                ), t
-                assert state[2] == walked[t][0], t
-                assert state[1] + (ctx.n - 1,) == walked[t][1], t
-                states.setdefault(t, state)
-                assert state == states[t], t
-
-
-class TestKernelSelection:
-    """The context is the only selector of the delta path, recorded in
-    :attr:`DestinationSweep.last_delta_path`: ``"pure"`` on every scalar
-    context, ``"dense"`` on every numpy one."""
-
-    def test_context_alone_selects_the_delta(self, graph, pure_ctx, vec_ctx):
-        """Every delta of a sweep, whatever its size, takes its
-        context's one path."""
-        insts = _instances(graph, "forced", k=4)
-        d, dep = insts[0][1], insts[0][2]
-        attackers = [m for m, _, _ in insts if m != d]
-        for ctx, want in ((pure_ctx, "pure"), (vec_ctx, "dense")):
-            s = DestinationSweep(ctx, d, dep, SECURITY_MODELS[1])
-            for m in attackers:
-                s.happiness_counts(m)
-                assert s.last_delta_path == want, m
+        ctx = vec_ctx
+        walked = rollout_happiness_counts(ctx, pairs, chain, model)
+        assert walked == oracle.chain(pairs, chain, model)
+        sweep = RolloutSweep(ctx, d, chain[0], model)
+        for t in range(1, len(chain)):
+            sweep.advance(chain[t])
+            assert sweep.deployment is chain[t]
+            fresh = DestinationSweep(ctx, d, chain[t], model)
+            state = (
+                dict(sweep.baseline_outcome().routes),
+                sweep.baseline_counts(),
+                sweep.happiness_counts(m),
+            )
+            assert state == (
+                dict(fresh.baseline_outcome().routes),
+                fresh.baseline_counts(),
+                fresh.happiness_counts(m),
+            ), t
+            assert state[0] == oracle.outcome(d, None, chain[t], model).routes, t
+            assert state[2] == walked[t][0], t
+            assert state[1] + (ctx.n - 1,) == walked[t][1], t
 
 
 class TestContextWiring:
-    """make_context's vectorized / stratified plumbing."""
+    """make_context's pool / stratified plumbing."""
 
-    def test_defaults_stay_pure_at_small_scales(self):
-        from repro.experiments.runner import make_context
-
-        with make_context("tiny") as ectx:
-            assert not ectx.graph_ctx.vectorized
-            # Fork shares the frozen CSR for free only while its buffers
-            # hold no per-element objects: a worker reading a list of
-            # ints writes refcounts and so copies its pages; one
-            # array / bytearray object per buffer has nothing to write.
-            assert type(ectx.graph_ctx.adj_start) is array
-            assert type(ectx.graph_ctx.adj_node) is array
-            assert type(ectx.graph_ctx.adj_class) is bytearray
-            assert type(ectx.graph_ctx.adj_custflag) is bytearray
-
-    def test_explicit_overrides(self):
-        from repro.experiments.runner import make_context
-
-        with make_context("tiny", vectorized=True) as ectx:
-            assert ectx.graph_ctx.vectorized
-        with make_context("medium", vectorized=False) as ectx:
-            assert not ectx.graph_ctx.vectorized
-
-    def test_default_kernel_per_scale(self):
-        """One size test, at the crossover ``tools/kernel_crossover.py``
-        measures: ``tiny`` keeps the scalar kernels, every larger
-        shipped scale defaults to the numpy ones."""
-        from repro.core.routing import VECTORIZED_MIN_N
-        from repro.experiments.config import SCALES
-        from repro.experiments.runner import make_context
-
-        assert SCALES["tiny"].n < VECTORIZED_MIN_N < SCALES["small"].n
-        for scale, numpy_kernels in (
-            ("tiny", False), ("small", True), ("medium", True),
-        ):
-            with make_context(scale) as ectx:
-                assert ectx.graph_ctx.vectorized is numpy_kernels, scale
-
-    def test_pooled_default_stores_the_scalar_kernels_records(self, tmp_path):
-        """Two pooled workers on a default (numpy) context store what
-        one process on the scalar kernels stores, byte for byte."""
+    def test_pooled_stores_the_serial_records(self, tmp_path):
+        """Two pooled workers store what one process stores, byte for
+        byte."""
         from dataclasses import replace
 
         from repro.experiments import ResultStore
@@ -1116,9 +1160,6 @@ class TestContextWiring:
         def records(root, **context_kwargs):
             store = ResultStore(root)
             with make_context(scale, **context_kwargs) as ectx:
-                assert ectx.graph_ctx.vectorized is (
-                    "vectorized" not in context_kwargs
-                )
                 run_experiments(ectx, ["baseline", "fig7a", "fig11"], store=store)
                 assert len(ectx.failure_log) == 0
             store.close()
@@ -1126,13 +1167,11 @@ class TestContextWiring:
 
         pooled = records(tmp_path / "pooled", processes=2)
         assert pooled
-        assert pooled == records(tmp_path / "serial", processes=1, vectorized=False)
+        assert pooled == records(tmp_path / "serial", processes=1)
 
-    @pytest.mark.parametrize("vectorized", [True, False], ids=["numpy", "scalar"])
-    def test_pool_forks_after_the_numpy_csr_exists(self, vectorized, monkeypatch):
+    def test_pool_forks_after_the_numpy_csr_exists(self, monkeypatch):
         """Workers and respawns inherit the int64 CSR views copy-on-write:
-        the parent builds them, once, before the pool forks — and a
-        scalar context never builds them."""
+        the parent builds them, once, before the pool forks."""
         from repro.experiments.runner import (
             SupervisedPool,
             make_context,
@@ -1156,12 +1195,12 @@ class TestContextWiring:
 
         monkeypatch.setattr(RoutingContext, "_np_adjacency", counted)
         monkeypatch.setattr(SupervisedPool, "__init__", observed)
-        with make_context("tiny", processes=2, vectorized=vectorized) as ectx:
+        with make_context("tiny", processes=2) as ectx:
             assert ectx.graph_ctx._np_adj is None  # not in set-up
             run_experiments(ectx, ["baseline"])
-            assert built_at_fork == [vectorized]
-            assert (ectx.graph_ctx._np_adj is not None) is vectorized
-        assert len(builds) == int(vectorized)
+            assert built_at_fork == [True]
+            assert ectx.graph_ctx._np_adj is not None
+        assert len(builds) == 1
 
     def test_stratified_scale_changes_baseline_pairs(self):
         from dataclasses import replace
