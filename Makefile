@@ -32,7 +32,8 @@ test-service:
 docs: doctest
 	$(PYTHON) tools/check_links.py
 
-## keep the module list in sync with tests/test_docs.py DOCTEST_MODULES
+## the module list must equal tests/test_docs.py DOCTEST_MODULES
+## (test_doctest_target_lists_the_tested_modules checks it)
 doctest:
 	$(PYTHON) -m pytest --doctest-modules -q \
 		src/repro/core/__init__.py \
@@ -71,9 +72,9 @@ bench-pairs:
 ## (tools/kernel_crossover.py; ~1 min): NP_ROWS_BUDGET of
 ## repro.core.routing — the kernel's ms per row at K rows a call — then
 ## the race behind every destination group being rows: ms per
-## pair-step of one group of A attackers as rows and as a walked
-## RolloutSweep.  Asserts no timing; exits nonzero only if the rows'
-## (or the two ways') results differ
+## pair-step of one group of A attackers as rows and as a fresh
+## DestinationSweep a chain step.  Asserts no timing; exits nonzero
+## only if the rows' (or the two ways') results differ
 crossover:
 	$(PYTHON) tools/kernel_crossover.py --rows
 	$(PYTHON) tools/kernel_crossover.py --groups

@@ -105,7 +105,6 @@ from .deployment import (
 from .routing import (
     DestinationSweep,
     Reach,
-    RolloutSweep,
     RouteInfo,
     RoutingContext,
     RoutingOutcome,
@@ -199,7 +198,6 @@ __all__ = [
     "top_tier2_and_stubs",
     # routing
     "DestinationSweep",
-    "RolloutSweep",
     "Reach",
     "RouteInfo",
     "RoutingContext",

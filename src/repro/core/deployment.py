@@ -70,8 +70,8 @@ class Deployment:
         Nesting is per membership mode: both the ranking set (``full``)
         and the signing set (``full ∪ simplex``) must grow
         monotonically; a simplex→full promotion is allowed (ranking
-        gains, signing keeps the member).  This mirrors
-        :meth:`repro.core.routing.RolloutSweep.advance`, and is what
+        gains, signing keeps the member).  This mirrors the chain check
+        of :func:`repro.core.routing.jobs_happiness_counts`, and is what
         :func:`repro.experiments.scenarios.detect_chains` chains by.
         Given the first condition, the second is ``simplex ∖
         other.simplex ⊆ other.full``, which builds no union.

@@ -37,10 +37,10 @@ adjacency as flat CSR ndarrays built by one sort (the per-relationship
 index tuples are derived only if a reader asks).  The fixing pass is a
 bucket kernel over int64 arrays (:meth:`RoutingContext._run_np`), with
 rank keys packed into single ints (:func:`repro.core.rank.pack_key`),
-and *the arrays are the state*: a sweep's snapshot is a dict of arrays,
-and the single crossing to python objects is :func:`_decode`, which
-builds the flat fields of a :class:`RoutingOutcome` for the callers
-that ask for full state.  :class:`RouteInfo` and the per-AS mapping
+and *the arrays are the state*: the single crossing to python objects
+is :func:`_decode`, which builds the flat fields of a
+:class:`RoutingOutcome` from the most recent state call for the
+callers that ask for full state.  :class:`RouteInfo` and the per-AS mapping
 :attr:`RoutingOutcome.routes` are a thin lazily-materialized view over
 those fields, so callers keep the seed API.  The pass is also the one
 unit of the count-only entry point (:func:`jobs_happiness_counts`):
@@ -267,8 +267,6 @@ class RoutingContext:
         "_np_scratch",
         "_np_rows",
         "_np_post",
-        "_neighbor_dicts",
-        "_out_edges",
         "_mask_cache",
         "_stub_simplex_ok",
         "_zero_mask",
@@ -299,8 +297,6 @@ class RoutingContext:
         self._np_rows: dict | None = None
         #: what :meth:`_np_nhop_pairs` needs of the most recent state pass
         self._np_post: tuple | None = None
-        self._neighbor_dicts: tuple[dict, dict, dict] | None = None
-        self._out_edges: dict | None = None
         self._mask_cache: dict = {}
         #: id → deployment that passed :meth:`require_stub_simplex`
         #: (weak: a dead deployment drops out, so ids cannot be recycled).
@@ -437,56 +433,6 @@ class RoutingContext:
             st["keyq"] = np.zeros(size, np.int64)
             st["fixed"] = np.zeros(size, np.bool_)
         return {name: arr[: rows * n] for name, arr in st.items()}
-
-    # ------------------------------------------------------------------
-    # ASN-keyed compatibility views (built lazily; the engine itself
-    # works in index space)
-    # ------------------------------------------------------------------
-    def _relationship_dicts(self) -> tuple[dict, dict, dict]:
-        built = self._neighbor_dicts
-        if built is None:
-            asn_of = self.asns
-            providers_of = {}
-            customers_of = {}
-            peers_of = {}
-            for u, asn in enumerate(asn_of):
-                providers_of[asn] = tuple(asn_of[i] for i in self.providers_idx[u])
-                customers_of[asn] = tuple(asn_of[i] for i in self.customers_idx[u])
-                peers_of[asn] = tuple(asn_of[i] for i in self.peers_idx[u])
-            built = self._neighbor_dicts = (providers_of, customers_of, peers_of)
-        return built
-
-    @property
-    def providers_of(self) -> dict[int, tuple[int, ...]]:
-        """ASN → sorted provider ASNs (compatibility view)."""
-        return self._relationship_dicts()[0]
-
-    @property
-    def customers_of(self) -> dict[int, tuple[int, ...]]:
-        """ASN → sorted customer ASNs (compatibility view)."""
-        return self._relationship_dicts()[1]
-
-    @property
-    def peers_of(self) -> dict[int, tuple[int, ...]]:
-        """ASN → sorted peer ASNs (compatibility view)."""
-        return self._relationship_dicts()[2]
-
-    @property
-    def out_edges(self) -> dict[int, tuple[tuple[int, int, bool], ...]]:
-        """ASN-keyed adjacency ``(v, class_for_v, v_is_customer)`` view."""
-        built = self._out_edges
-        if built is None:
-            asn_of = self.asns
-            start = list(map(int, self.adj_start))
-            edges = list(zip(
-                [asn_of[v] for v in self.adj_node],
-                map(int, self.adj_class), map(bool, self.adj_custflag),
-            ))
-            built = self._out_edges = {
-                asn: tuple(edges[start[u] : start[u + 1]])
-                for u, asn in enumerate(asn_of)
-            }
-        return built
 
     # ------------------------------------------------------------------
     # Deployment masks
@@ -835,11 +781,10 @@ class RoutingContext:
             )
         return counts
 
-    def _np_nhop_pairs(self, st: dict, post: tuple):
-        """Next-hop membership ``(us, vs)`` of one :meth:`_run_np`
-        pass, sorted by ``(v, u)``: ``st`` holds the pass's state arrays
-        (:attr:`_np_scratch` right after it, or a sweep's snapshot of
-        them at any later time) and ``post`` its :attr:`_np_post`.
+    def _np_nhop_pairs(self):
+        """Next-hop membership ``(us, vs)`` of the most recent state
+        call, sorted by ``(v, u)``, from :attr:`_np_scratch` and
+        :attr:`_np_post`.
 
         Membership is decided arithmetically instead of by accumulating
         lists during the sweep: ``u ∈ nhops[v]`` iff both are fixed,
@@ -850,8 +795,9 @@ class RoutingContext:
         reader of next-hop sets pays for it: count-only workloads never
         do.
         """
-        dest_i, att_i, att_active, att_exp, key_of, rank_np = post
+        dest_i, att_i, att_active, att_exp, key_of, rank_np = self._np_post
         _start, node, cls_e, cf_b, esrc, _cust = self._np_adjacency()
+        st = self._np_scratch
         fixed_s = st["fixed"]
         key_real = st["key"]
         cls_s = st["cls"]
@@ -896,7 +842,6 @@ class RoutingContext:
         resolved: ResolvedAttack = DEFAULT_RESOLVED,
     ) -> "RoutingOutcome":
         """The most recent state call as a :class:`RoutingOutcome`."""
-        st = self._np_scratch
         return RoutingOutcome(
             destination=destination,
             attacker=attacker,
@@ -908,7 +853,7 @@ class RoutingContext:
             _dest_i=dest_i,
             _att_i=att_i,
             _counts=self._last_counts,
-            **_decode(st, *self._np_nhop_pairs(st, self._np_post)),
+            **_decode(self),
         )
 
 
@@ -921,14 +866,16 @@ def _attacker_baseline(fixed, length, wire, att_i: int) -> AttackerBaseline:
     )
 
 
-def _decode(st: dict, us, vs) -> dict:
+def _decode(ctx: RoutingContext) -> dict:
     """The one crossing from numpy state to python objects: the flat
-    state fields of a :class:`RoutingOutcome` from nine per-node arrays
-    (:meth:`RoutingContext._run_np`'s scratch, or a sweep's baseline)
-    and their ``(v, u)``-sorted next-hop membership pairs.
+    state fields of a :class:`RoutingOutcome` from the most recent
+    state call's per-node arrays (:attr:`RoutingContext._np_scratch`)
+    and its ``(v, u)``-sorted next-hop membership pairs.
 
     Next-hop lists come out sorted by sender index.
     """
+    st = ctx._np_scratch
+    us, vs = ctx._np_nhop_pairs()
 
     def u8(name: str) -> bytes:
         return st[name].astype(np.uint8).tobytes()
@@ -1295,24 +1242,18 @@ def normal_conditions(
 
 
 # ----------------------------------------------------------------------
-# Destination-major sweeps
+# One destination's attackers, by hand (perfbench's probe)
 # ----------------------------------------------------------------------
 class DestinationSweep:
-    """Many attackers against one ``(d, deployment, model)``.
+    """Many attackers against one ``(d, deployment, model)``, each one
+    fixing pass (:meth:`RoutingContext._run`).
 
-    The sweep runs the attacker-free fixing pass **once** and keeps it
-    as its baseline: :meth:`baseline_counts` and :meth:`baseline_outcome`
-    read it, and so does a ``needs_baseline`` strategy (``honest``),
-    which resolves each attacker from the attacker's record there
-    instead of a second pass per attacker.  Each attacker is then one
-    fixing pass, :meth:`RoutingContext._run`.  The count path,
+    The constructor runs the attacker-free pass once and copies the
+    three arrays of it that a ``needs_baseline`` strategy (``honest``)
+    resolves each attacker from.  The count path,
     :func:`jobs_happiness_counts`, builds no sweep: it shares passes
-    across whole batches instead.
-
-    The baseline is a copy of the pass's state arrays, decoded into a
-    :class:`RoutingOutcome` when :meth:`baseline_outcome` first asks.
-    Like the context itself, a sweep is not thread-safe; fork workers
-    each own a clone.
+    across whole batches instead.  Like the context itself, a sweep is
+    not thread-safe.
 
     Example:
         One sweep answers many attackers against one destination and
@@ -1323,9 +1264,7 @@ class DestinationSweep:
         >>> for customer, provider in [(2, 1), (3, 1), (4, 2), (5, 3)]:
         ...     g.add_customer_provider(customer, provider)
         >>> sweep = DestinationSweep(g, destination=4)
-        >>> sweep.baseline_counts()   # attacker-free happy bounds
-        (4, 4)
-        >>> sweep.counts([5, 3, 1])   # (lower, upper, num_sources) each
+        >>> [sweep.happiness_counts(m) for m in (5, 3, 1)]
         [(2, 2, 3), (1, 2, 3), (1, 1, 3)]
         >>> [compute_routing_outcome(g, 4, attacker=m).count_happy()
         ...  for m in (5, 3, 1)]
@@ -1333,21 +1272,12 @@ class DestinationSweep:
     """
 
     __slots__ = (
-        "ctx",
-        "destination",
-        "deployment",
-        "model",
-        "attack",
-        "_dest_i",
-        "_signing",
-        "_ranking",
-        "_b_counts",
+        "_ctx", "_destination", "_model", "_attack", "_signing", "_ranking",
         "_base",
-        "_np_base",
     )
 
-    #: Every attacker pass and advance is one state call of the kernel
-    #: (read by perfbench's per-path tally).
+    #: Every attacker pass is one state call of the kernel (read by
+    #: perfbench's per-path tally).
     last_delta_path = "dense"
 
     def __init__(
@@ -1358,114 +1288,36 @@ class DestinationSweep:
         model: RankModel = BASELINE,
         attack: AttackStrategy = DEFAULT_ATTACK,
     ) -> None:
-        ctx = _as_context(topology)
-        self.ctx = ctx
-        self.destination = destination
-        self.deployment = deployment = deployment or _EMPTY_DEPLOYMENT
-        self.model = model
-        self.attack = attack
-        self._dest_i, _ = ctx._check_pair(destination, None)
-        self._signing, self._ranking = ctx.deployment_masks(deployment)
-        # The baseline fixing pass, run once per deployment.
-        ctx._run(self._dest_i, -1, self._signing, self._ranking, model)
-        self._take_baseline()
-
-    def _take_baseline(self) -> None:
-        """Keep the attacker-free pass that just ran as this sweep's
-        baseline (its arrays copied, not decoded: no python object per
-        AS until :meth:`baseline_outcome` asks)."""
-        ctx = self.ctx
-        self._b_counts = ctx._last_counts
+        ctx = self._ctx = _as_context(topology)
+        self._destination = destination
+        self._model = model
+        self._attack = attack
+        dest_i, _ = ctx._check_pair(destination, None)
+        signing, ranking = ctx.deployment_masks(deployment or _EMPTY_DEPLOYMENT)
+        self._signing, self._ranking = signing, ranking
+        ctx._run(dest_i, -1, signing, ranking, model)
+        # copies: the scratch belongs to whichever state call ran last
         st = ctx._np_scratch
-        base = {
-            name: st[name].copy()
-            for name in (
-                "fixed", "key", "cls", "len", "reach",
-                "wire", "sec", "choice", "endp",
-            )
-        }
-        base["post"] = ctx._np_post
-        self._np_base = base
-        self._base = None
-
-    # ------------------------------------------------------------------
-    @property
-    def num_sources(self) -> int:
-        """Sources per attack: |V| minus destination and attacker."""
-        return self.ctx.n - 2
-
-    def baseline_counts(self) -> tuple[int, int]:
-        """``(happy_lower, happy_upper)`` under normal conditions."""
-        return self._b_counts[0], self._b_counts[1]
-
-    def baseline_outcome(self) -> RoutingOutcome:
-        """The attacker-free :class:`RoutingOutcome` (``m = None``)."""
-        base = self._base
-        if base is None:
-            # next-hop pairs from the snapshot's own arrays and ``post``
-            # (the context's scratch belongs to whichever pass ran last)
-            st = self._np_base
-            base = self._base = RoutingOutcome(
-                destination=self.destination,
-                attacker=None,
-                deployment=self.deployment,
-                model=self.model,
-                attack=self.attack,
-                _resolved=DEFAULT_RESOLVED,
-                _ctx=self.ctx,
-                _dest_i=self._dest_i,
-                _att_i=-1,
-                _counts=self._b_counts,
-                **_decode(st, *self.ctx._np_nhop_pairs(st, st["post"])),
-            )
-        return base
+        self._base = tuple(st[name].copy() for name in ("fixed", "len", "wire"))
 
     def happiness_counts(self, attacker: int) -> tuple[int, int, int]:
         """``(happy_lower, happy_upper, num_sources)`` for one attacker."""
-        self._attack(attacker)
-        counts = self.ctx._last_counts
-        return counts[0], counts[1], self.ctx.n - 2
-
-    def counts(self, attackers: Sequence[int]) -> list[tuple[int, int, int]]:
-        """:meth:`happiness_counts` for many attackers in one sweep."""
-        return [self.happiness_counts(m) for m in attackers]
-
-    def outcome(self, attacker: int) -> RoutingOutcome:
-        """The full stable state for one attacker (API-compatible with
-        :func:`compute_routing_outcome`)."""
-        att_i, resolved = self._attack(attacker)
-        return self.ctx._snapshot(
-            self.destination, attacker, self.deployment, self.model,
-            self._dest_i, att_i, self.attack, resolved,
-        )
-
-    # ------------------------------------------------------------------
-    def _attack(self, attacker: int) -> tuple[int, ResolvedAttack]:
-        """Run ``attacker``'s pass; returns its index and the resolved
-        attack.  A ``needs_baseline`` strategy reads the attacker's
-        record in the sweep's baseline."""
-        att_i = self.ctx.index_of.get(attacker)
-        if att_i is None:
-            raise ValueError(f"attacker AS {attacker} not in graph")
-        if att_i == self._dest_i:
-            raise ValueError("attacker and destination must differ")
-        attack = self.attack
+        ctx = self._ctx
+        dest_i, att_i = ctx._check_pair(self._destination, attacker)
+        attack = self._attack
         baseline = None
         if attack.needs_baseline:
-            st = self._np_base
-            baseline = _attacker_baseline(st["fixed"], st["len"], st["wire"], att_i)
+            baseline = _attacker_baseline(*self._base, att_i)
         resolved = attack.resolve(
-            dest_signed=bool(self._signing[self._dest_i]), baseline=baseline
+            dest_signed=bool(self._signing[dest_i]), baseline=baseline
         )
-        self.ctx._run(
-            self._dest_i, att_i, self._signing, self._ranking, self.model,
-            resolved,
-        )
-        return att_i, resolved
+        ctx._run(dest_i, att_i, self._signing, self._ranking, self._model, resolved)
+        counts = ctx._last_counts
+        return counts[0], counts[1], ctx.n - 2
 
 
 # ----------------------------------------------------------------------
-# Rollout-major sweeps over nested-deployment chains
+# Count-only evaluation
 # ----------------------------------------------------------------------
 def _check_nested(old: Deployment, new: Deployment) -> None:
     """Raise ``ValueError`` unless ``old → new`` is a chain step: both
@@ -1475,58 +1327,6 @@ def _check_nested(old: Deployment, new: Deployment) -> None:
             "rollout chains must be nested: both the full set and "
             "the signing set may only grow between steps"
         )
-
-
-class RolloutSweep(DestinationSweep):
-    """A :class:`DestinationSweep` that walks a *nested-deployment
-    chain* ``S_0 ⊆ S_1 ⊆ … ⊆ S_T`` for one destination.
-
-    The paper's rollout figures (7a/7b/8/11) evaluate the same attackers
-    against the same destination under a chain of growing deployments.
-    :meth:`advance` moves the sweep to the next step in place: the new
-    deployment's masks, then its attacker-free pass, which becomes the
-    baseline every later attacker reads.
-
-    Chains must be nested *per membership mode*: both the ranking set
-    (``full``) and the signing set (``full ∪ simplex``) may only grow
-    (a simplex→full promotion is allowed).  :meth:`advance` raises
-    ``ValueError`` otherwise.  Results are bit-identical to building a
-    fresh sweep per step, which is what the differential tests enforce.
-
-    Example:
-        Walking a chain matches fresh per-step sweeps exactly:
-
-        >>> from repro.topology.graph import ASGraph
-        >>> g = ASGraph()
-        >>> for customer, provider in [(2, 1), (3, 1), (4, 2), (5, 3)]:
-        ...     g.add_customer_provider(customer, provider)
-        >>> chain = [Deployment.empty(), Deployment.of([1, 2]),
-        ...          Deployment.of([1, 2, 3, 4])]
-        >>> sweep = RolloutSweep(g, destination=4, deployment=chain[0])
-        >>> walked = [sweep.happiness_counts(5)]
-        >>> for step in chain[1:]:
-        ...     sweep.advance(step)
-        ...     walked.append(sweep.happiness_counts(5))
-        >>> fresh = [DestinationSweep(g, 4, s).happiness_counts(5)
-        ...          for s in chain]
-        >>> walked == fresh
-        True
-    """
-
-    __slots__ = ()
-
-    def advance(self, deployment: Deployment) -> None:
-        """Move the sweep's baseline to the next chain step in place
-        (``ValueError``, before anything changes, if ``deployment`` does
-        not nest the current one or has a transit simplex member)."""
-        masks = self.ctx.deployment_masks(deployment)
-        _check_nested(self.deployment, deployment)
-        self.deployment = deployment
-        self._signing, self._ranking = masks
-        self.ctx._run(
-            self._dest_i, -1, self._signing, self._ranking, self.model
-        )
-        self._take_baseline()
 
 
 def jobs_happiness_counts(
@@ -1688,30 +1488,17 @@ def batch_outcomes(
     model: RankModel = BASELINE,
     attack: AttackStrategy = DEFAULT_ATTACK,
 ) -> list[RoutingOutcome]:
-    """Stable states for many ``(attacker, destination)`` pairs at once.
-
-    Deployment masks are built once and the context's scratch buffers
-    are reused across the whole sweep, which is the engine's intended
-    hot path.  ``attacker`` may be None in a pair (normal conditions).
-    Pair ordering matches the metric convention ``(m, d)``.
+    """Stable states for many ``(attacker, destination)`` pairs, one
+    :func:`compute_routing_outcome` call per pair on one context (whose
+    deployment masks are cached), in input order.  ``attacker`` may be
+    None in a pair (normal conditions).  Pair ordering matches the
+    metric convention ``(m, d)``.
     """
     ctx = _as_context(topology)
-    deployment = deployment or _EMPTY_DEPLOYMENT
-    signing, ranking = ctx.deployment_masks(deployment)
-    out: list[RoutingOutcome] = []
-    for attacker, destination in pairs:
-        dest_i, att_i = ctx._check_pair(destination, attacker)
-        resolved = ctx._resolve_attack(
-            dest_i, att_i, signing, ranking, model, attack
-        )
-        ctx._run(dest_i, att_i, signing, ranking, model, resolved)
-        out.append(
-            ctx._snapshot(
-                destination, attacker, deployment, model, dest_i, att_i,
-                attack, resolved,
-            )
-        )
-    return out
+    return [
+        compute_routing_outcome(ctx, d, m, deployment, model, attack)
+        for m, d in pairs
+    ]
 
 
 def batch_happiness_counts(

@@ -45,6 +45,7 @@ from repro.core import (
     SHIPPED_STRATEGIES,
     AttackStrategy,
     batch_happiness_counts,
+    batch_outcomes,
     compute_routing_outcome,
     security_metric,
     strategy_from_token,
@@ -295,15 +296,18 @@ def test_honest_attacker_without_route_stays_silent():
     assert dict(out.routes) == ref.routes
 
 
-def test_sweep_outcomes_carry_the_strategy():
-    """Outcomes from a sweep report the sweep's threat model — including
-    the attacker-free baseline outcome."""
-    from repro.core import DestinationSweep
-
+def test_outcomes_carry_the_strategy():
+    """Outcomes report the threat model they were asked under —
+    including an attacker-free one."""
     graph, destination, attackers, deployment = make_instance(0)
-    sweep = DestinationSweep(graph, destination, deployment, BASELINE, HONEST)
-    assert sweep.baseline_outcome().attack is HONEST
-    assert sweep.outcome(attackers[0]).attack is HONEST
+    pairs = [(None, destination), (attackers[0], destination)]
+    for m, _ in pairs:
+        out = compute_routing_outcome(
+            graph, destination, m, deployment, BASELINE, attack=HONEST
+        )
+        assert out.attack is HONEST
+    outs = batch_outcomes(graph, pairs, deployment, BASELINE, HONEST)
+    assert [out.attack for out in outs] == [HONEST, HONEST]
 
 
 def test_honest_attacker_uses_its_real_route_attributes():

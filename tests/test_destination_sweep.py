@@ -28,12 +28,14 @@ from repro.core import (
     BASELINE,
     Deployment,
     DestinationSweep,
-    RolloutSweep,
+    HONEST,
+    ONE_HOP_HIJACK,
     RoutingContext,
     SECURITY_MODELS,
     batch_happiness_counts,
     batch_outcomes,
     compute_routing_outcome,
+    jobs_happiness_counts,
     lp2_variant,
     normal_conditions,
     rollout_happiness_counts,
@@ -127,7 +129,9 @@ def test_sweep_counts_match_refimpl(seed):
 
 @pytest.mark.parametrize("seed", SEEDS[:6])
 def test_sweep_outcomes_bit_identical(seed):
-    """Full RouteInfo records — not just counts — match both oracles."""
+    """Full RouteInfo records — not just counts — of the per-pair
+    engine, one context shared with a sweep, match the seed engine, and
+    the sweep's counts match them."""
     graph, destination, attackers, deployment = make_instance(seed, ixp=False)
     ctx = RoutingContext(graph)
     ref_ctx = RefRoutingContext(graph)
@@ -136,51 +140,65 @@ def test_sweep_outcomes_bit_identical(seed):
     for model in ALL_MODELS:
         sweep = DestinationSweep(ctx, destination, deployment, model)
         for m in sample:
-            incremental = sweep.outcome(m)
             direct = compute_routing_outcome(
-                graph, destination, attacker=m, deployment=deployment, model=model
+                ctx, destination, attacker=m, deployment=deployment, model=model
             )
             ref = ref_compute_routing_outcome(
                 ref_ctx, destination, attacker=m, deployment=deployment, model=model
             )
-            assert dict(incremental.routes) == dict(direct.routes), (model.label, m)
-            assert dict(incremental.routes) == ref.routes, (model.label, m)
-            assert incremental.count_happy() == direct.count_happy()
-            assert incremental.count_attacked() == direct.count_attacked()
-            assert incremental.count_secure_sources() == direct.count_secure_sources()
+            assert sweep.happiness_counts(m) == (
+                *direct.count_happy(), direct.num_sources
+            ), (model.label, m)
+            assert dict(direct.routes) == ref.routes, (model.label, m)
+            assert direct.count_happy() == ref.count_happy()
+            assert direct.count_attacked() == ref.count_attacked()
+            assert direct.count_secure_sources() == ref.count_secure_sources()
             for asn in graph.asns:
-                assert incremental.concrete_path(asn) == direct.concrete_path(asn)
+                assert direct.concrete_path(asn) == ref.concrete_path(asn)
 
 
-def test_restore_is_leak_free_across_attackers():
-    """Evaluating A, then B, then A again reproduces A exactly, and the
-    baseline outcome is unchanged afterwards."""
-    graph, destination, attackers, deployment = make_instance(3, ixp=False)
+#: ``honest`` resolves every attacker from the sweep's baseline copy;
+#: the hijack reads none of it.
+BASELINE_READERS = pytest.mark.parametrize(
+    "attack", [ONE_HOP_HIJACK, HONEST], ids=lambda a: a.token
+)
+
+
+@BASELINE_READERS
+def test_restore_is_leak_free_across_attackers(attack):
+    """Evaluating A, then B, then A again reproduces A exactly: each
+    answer is the seed engine's, however the attackers interleave (on
+    an instance whose attacker passes move ``honest``'s baseline
+    records)."""
+    graph, destination, attackers, deployment = make_instance(1, ixp=False)
     model = SECURITY_MODELS[1]
-    ctx = RoutingContext(graph)
-    sweep = DestinationSweep(ctx, destination, deployment, model)
-    baseline_before = dict(sweep.baseline_outcome().routes)
-    a, b = attackers[0], attackers[-1]
-    first = sweep.happiness_counts(a)
-    interleaved = [sweep.happiness_counts(m) for m in (b, a, b, a)]
-    assert interleaved[1] == first
-    assert interleaved[3] == first
-    assert dict(sweep.baseline_outcome().routes) == baseline_before
+    sweep = DestinationSweep(
+        RoutingContext(graph), destination, deployment, model, attack
+    )
+    order = attackers + attackers[::-1]
+    want = ref_pair_counts(
+        RefRoutingContext(graph), [(m, destination) for m in order],
+        deployment, model, attack,
+    )
+    assert [sweep.happiness_counts(m) for m in order] == want
 
 
-def test_sweep_resyncs_after_foreign_scratch_use():
+@BASELINE_READERS
+def test_sweep_resyncs_after_foreign_scratch_use(attack):
     """Another computation on the same context between attackers must
     not corrupt the sweep (its baseline is a copy of its own)."""
     graph, destination, attackers, deployment = make_instance(5, ixp=False)
     model = SECURITY_MODELS[0]
     ctx = RoutingContext(graph)
-    sweep = DestinationSweep(ctx, destination, deployment, model)
-    a = attackers[0]
-    want = sweep.happiness_counts(a)
-    # Trash the scratch buffers with unrelated pairs on the same context.
-    other_dest = attackers[-1]
-    compute_routing_outcome(ctx, other_dest, attacker=destination, model=model)
-    assert sweep.happiness_counts(a) == want
+    sweep = DestinationSweep(ctx, destination, deployment, model, attack)
+    want = ref_pair_counts(
+        RefRoutingContext(graph), [(m, destination) for m in attackers],
+        deployment, model, attack,
+    )
+    for m, counts in zip(attackers, want):
+        # Trash the scratch buffers with an unrelated pass on the context.
+        compute_routing_outcome(ctx, m, attacker=destination, model=model)
+        assert sweep.happiness_counts(m) == counts, m
 
 
 def test_mixed_destination_batch_with_normal_conditions():
@@ -235,14 +253,16 @@ WITNESS_PAIRS = [(4, 1), (3, 1)]
             g, pairs + [(5, 1), (2, 1)], [Deployment.empty(), dep], model
         ),
         lambda g, dep, model, pairs: DestinationSweep(g, 1, dep, model),
-        lambda g, dep, model, pairs: RolloutSweep(
-            g, 1, Deployment.empty(), model
-        ).advance(dep),
+        # a later job of the count plan: checked before the first runs
+        lambda g, dep, model, pairs: jobs_happiness_counts(g, [
+            (pairs, [None], model, DEFAULT_ATTACK),
+            (pairs, [dep], model, DEFAULT_ATTACK),
+        ]),
     ],
     ids=[
         "compute_routing_outcome", "normal_conditions", "batch_outcomes",
         "security_metric", "batch", "batch_single_attacker", "rollout",
-        "DestinationSweep", "RolloutSweep.advance",
+        "DestinationSweep", "jobs",
     ],
 )
 def test_every_entry_point_rejects_transit_simplex(entry):
@@ -255,8 +275,9 @@ def test_every_entry_point_rejects_transit_simplex(entry):
 @pytest.mark.parametrize("seed", SEEDS[:6])
 def test_delta_kernels_bit_identical(seed, ixp):
     """A sweep's attacker pass — one dense pass — replays the seed
-    engine exactly: counts for every attacker, full outcomes, and no
-    leak between them (verified by re-querying)."""
+    engine exactly: counts for every attacker, and no leak from the
+    full outcomes computed on its context in between (verified by
+    re-querying)."""
     graph, destination, attackers, deployment = make_instance(seed, ixp)
     ref_ctx = RefRoutingContext(graph)
     for model in ALL_MODELS + LP2_MODELS:
@@ -269,11 +290,12 @@ def test_delta_kernels_bit_identical(seed, ixp):
             ).routes
             for m in attackers[:3]
         ]
-        sweep = DestinationSweep(RoutingContext(graph), destination, deployment, model)
+        ctx = RoutingContext(graph)
+        sweep = DestinationSweep(ctx, destination, deployment, model)
+        assert sweep.last_delta_path == "dense"
         for m, counts in zip(attackers, want):
             assert sweep.happiness_counts(m) == counts, (model.label, m)
-            assert sweep.last_delta_path == "dense"
         for m, expected in zip(attackers, routes):
-            assert dict(sweep.outcome(m).routes) == expected, (model.label, m)
-            assert sweep.last_delta_path == "dense"
+            out = compute_routing_outcome(ctx, destination, m, deployment, model)
+            assert dict(out.routes) == expected, (model.label, m)
         assert sweep.happiness_counts(attackers[0]) == want[0], model.label

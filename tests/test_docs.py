@@ -3,9 +3,9 @@
 Two rot-prevention mechanisms, both also run by the CI ``docs`` job:
 
 * every runnable example in the documented public-API modules is
-  executed as a doctest (the same set CI runs via
-  ``pytest --doctest-modules``), so the examples in docstrings cannot
-  drift from the code they document;
+  executed as a doctest (the same set ``make doctest`` runs via
+  ``pytest --doctest-modules``, checked here), so the examples in
+  docstrings cannot drift from the code they document;
 * every internal markdown link in README.md, ``docs/`` and the verify
   skill must resolve to an existing file (and, for ``#fragments``, an
   existing heading), and every backticked ``repro.…`` name, repo path
@@ -30,8 +30,8 @@ import repro.experiments.store
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: The documented public-API modules whose examples must stay runnable.
-#: Keep in sync with the CI docs job's --doctest-modules file list.
+#: The documented public-API modules whose examples must stay runnable:
+#: the ``make doctest`` file list, as a test below checks.
 DOCTEST_MODULES = (
     repro.core,
     repro.core.attacks,
@@ -50,6 +50,19 @@ def test_doctests(module):
     results = doctest.testmod(module, verbose=False)
     assert results.attempted > 0, f"{module.__name__} lost its doctests"
     assert results.failed == 0, f"{results.failed} doctest(s) failed"
+
+
+def test_doctest_target_lists_the_tested_modules():
+    """``make doctest`` (the CI docs job) runs exactly these modules."""
+    makefile = (REPO_ROOT / "Makefile").read_text(encoding="utf-8")
+    recipe = makefile.split("\ndoctest:\n", 1)[1].split("\n\n", 1)[0]
+    listed = [
+        word for word in recipe.replace("\\", " ").split()
+        if word.endswith(".py")
+    ]
+    assert listed == [
+        str(Path(m.__file__).relative_to(REPO_ROOT)) for m in DOCTEST_MODULES
+    ]
 
 
 def _load_check_links():

@@ -17,10 +17,10 @@ theorems) with invariants of the *engine mechanics* on random inputs:
 * **batching is pure** — ``batch_outcomes`` over a pair sweep equals
   pair-at-a-time ``compute_routing_outcome`` even though the batch
   reuses scratch buffers and deployment masks;
-* **every sweep path is the same function** — a random nested
-  deployment chain walked by ``RolloutSweep`` (one pass an attacker or
-  advance) equals fresh sweeps per step, the per-pair engine and the
-  reference engine (the tier-1 seed of the standing differential
+* **every chain path is the same function** — along a random nested
+  deployment chain, the count path, a fresh sweep per step and the
+  per-pair engine equal the reference engine at every step, attacked
+  and attacker-free (the tier-1 seed of the standing differential
   fuzzer).
 """
 
@@ -37,10 +37,11 @@ from repro.core import (
     ONE_HOP_HIJACK,
     PathLengthHijack,
     Reach,
-    RolloutSweep,
     RoutingContext,
     batch_outcomes,
     compute_routing_outcome,
+    normal_conditions,
+    rollout_happiness_counts,
 )
 from repro.core.refimpl import ref_compute_routing_outcome
 from repro.topology.relationships import RouteClass
@@ -216,18 +217,16 @@ class TestSweepPathsAgree:
             )
             want.append(((*ref.count_happy(), sources), free.count_happy()))
         ctx = RoutingContext(graph)
-        walker = RolloutSweep(ctx, d, chain[0], model, attack)
+        planned = rollout_happiness_counts(ctx, [(m, d)], chain, model, attack=attack)
         for t, deployment in enumerate(chain):
             attacked, attacker_free = want[t]
-            if t:
-                walker.advance(deployment)
             fresh = DestinationSweep(ctx, d, deployment, model, attack)
             direct = compute_routing_outcome(
                 ctx, d, attacker=m, deployment=deployment, model=model,
                 attack=attack,
             )
+            free = normal_conditions(ctx, d, deployment, model)
+            assert planned[t] == [attacked], t
             assert (*direct.count_happy(), sources) == attacked, t
-            assert fresh.baseline_counts() == attacker_free, t
-            assert walker.baseline_counts() == attacker_free, t
+            assert free.count_happy() == attacker_free, t
             assert fresh.happiness_counts(m) == attacked, t
-            assert walker.happiness_counts(m) == attacked, t

@@ -1,7 +1,5 @@
-"""Differential tests for the rollout-major chain engine.
+"""Differential tests for nested-deployment chains.
 
-:class:`repro.core.routing.RolloutSweep` advances its attacker-free
-baseline across a nested-deployment chain, and
 :func:`repro.core.routing.rollout_happiness_counts` evaluates whole
 chains as their distinct fixing passes, each run once.  The tests here
 hold every step of a chain *bit-identical* to three independent
@@ -35,11 +33,11 @@ from repro.core import (
     HONEST,
     ONE_HOP_HIJACK,
     RolloutStep,
-    RolloutSweep,
     SECURITY_MODELS,
     batch_happiness_counts,
     deployment as deployment_module,
     lp2_variant,
+    normal_conditions,
     rollout_happiness,
     rollout_happiness_counts,
     strategy_from_token,
@@ -109,6 +107,8 @@ def assert_chain_matches_oracles(
         assert rollout[t] == dest_major, (model.label, attack.token, t)
         per_pair = per_pair_counts(ctx, pairs, deployment, model, attack)
         assert rollout[t] == per_pair, (model.label, attack.token, t)
+    # however long the chain, the mask cache stays at its cap
+    assert len(ctx._mask_cache) <= 8
     if refimpl_budget:
         ref_ctx = RefRoutingContext(graph)
         rnd = random.Random(1234)
@@ -335,111 +335,89 @@ def test_rollout_steps_equal_the_membership_walk(ixp, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# RolloutSweep unit behavior
+# A chain's count path against fresh per-step state
 # ----------------------------------------------------------------------
-class TestRolloutSweep:
-    def test_walk_matches_fresh_sweeps(self):
-        graph, tiers = make_topology(9)
-        chain = make_chain(graph, tiers, "tier12")
-        rnd = random.Random(9)
+def assert_chain_equals_fresh_steps(graph, d, attackers, chain, model, attack):
+    """The count path's chain, attacker rows and a ``None`` row, equals
+    per step a fresh sweep, ``normal_conditions`` and the seed engine;
+    however long the chain, the mask cache stays at its cap."""
+    ctx, ref_ctx = RoutingContext(graph), RefRoutingContext(graph)
+    pairs = [(m, d) for m in attackers]
+    walked = rollout_happiness_counts(
+        ctx, pairs + [(None, d)], chain, model, attack=attack
+    )
+    for t, step in enumerate(chain):
+        sweep = DestinationSweep(ctx, d, step, model, attack)
+        free = normal_conditions(ctx, d, step, model)
+        fresh = [sweep.happiness_counts(m) for m in attackers]
+        assert walked[t] == fresh + [free.count_happy() + (ctx.n - 1,)], t
+        assert fresh == ref_pair_counts(ref_ctx, pairs, step, model, attack), t
+    assert len(ctx._mask_cache) <= 8
+
+
+class TestChainWalk:
+    @pytest.mark.parametrize(
+        "seed, kind, model, attack, picks",
+        [
+            (9, "tier12", 0, ONE_HOP_HIJACK, [0, 1, 2, 3, 4, 5]),
+            (15, "tier12_dense", 0, HONEST, [0, 1, 2]),
+            (13, "tier12", 2, ONE_HOP_HIJACK, [0, 1, 0, 1, 0]),
+        ],
+        ids=["fresh_sweeps", "long_chain_honest", "interleaved_attackers"],
+    )
+    def test_walk_matches_fresh_steps(self, seed, kind, model, attack, picks):
+        graph, tiers = make_topology(seed)
+        chain = make_chain(graph, tiers, kind)
+        assert kind != "tier12_dense" or len(chain) > 8
+        rnd = random.Random(seed)
         d = rnd.choice(graph.asns)
-        attackers = rnd.sample([a for a in graph.asns if a != d], 6)
-        model = SECURITY_MODELS[0]
-        ctx = RoutingContext(graph)
-        sweep = RolloutSweep(ctx, d, chain[0], model)
-        for t, deployment in enumerate(chain):
-            if t:
-                sweep.advance(deployment)
-            fresh = DestinationSweep(ctx, d, deployment, model)
-            assert sweep.baseline_counts() == fresh.baseline_counts(), t
-            assert [sweep.happiness_counts(m) for m in attackers] == [
-                fresh.happiness_counts(m) for m in attackers
-            ], t
+        drawn = rnd.sample([a for a in graph.asns if a != d], max(picks) + 1)
+        assert_chain_equals_fresh_steps(
+            graph, d, [drawn[i] for i in picks], chain, SECURITY_MODELS[model], attack
+        )
 
-    def test_advance_rejects_non_nested(self):
-        graph, tiers = make_topology(10)
-        sweep = RolloutSweep(graph, graph.asns[0], Deployment.of(graph.asns[:5]))
-        with pytest.raises(ValueError, match="nested"):
-            sweep.advance(Deployment.of(graph.asns[3:8]))
+    def test_demoting_or_dropping_a_member_is_not_nested(self):
+        graph, _tiers = make_topology(10)
+        core = graph.asns[:5]
+        stub = next(a for a in graph.asns[5:] if graph.is_stub(a))
+        simplex = Deployment(full=frozenset(core), simplex=frozenset([stub]))
+        for old, new in (
+            (Deployment.of(core + [stub]), simplex),  # full set shrinks
+            (simplex, Deployment.of(core)),  # signing set shrinks
+        ):
+            with pytest.raises(ValueError, match="nested"):
+                rollout_happiness_counts(graph, [(stub, core[0])], [old, new])
 
-    def test_advance_allows_simplex_promotion(self):
+    def test_simplex_promotion_is_a_step(self):
         graph, _tiers = make_topology(11)
         stubs = [a for a in graph.asns[:-1] if graph.is_stub(a)][:3]
-        members = graph.asns[:3] + stubs
-        start = Deployment(full=frozenset(members[:3]), simplex=frozenset(stubs))
-        promoted = Deployment.of(members)  # simplex members promoted to full
-        d = graph.asns[-1]
-        sweep = RolloutSweep(graph, d, start)
-        sweep.advance(promoted)
-        assert sweep.baseline_counts() == DestinationSweep(
-            graph, d, promoted
-        ).baseline_counts()
+        start = Deployment(full=frozenset(graph.asns[:3]), simplex=frozenset(stubs))
+        chain = [start, Deployment.of(graph.asns[:3] + stubs)]  # promoted
+        assert_chain_equals_fresh_steps(
+            graph, graph.asns[-1], stubs + graph.asns[3:6], chain,
+            SECURITY_MODELS[0], HONEST,
+        )
 
-    def test_destination_signing_flip_rebuilds(self):
-        """A chain step that secures the destination itself changes the
-        root's announcement; the sweep rebuilds and still matches."""
+    @pytest.mark.parametrize("attack", [ONE_HOP_HIJACK, HONEST], ids=lambda a: a.token)
+    def test_destination_signing_flip(self, attack):
+        """A step that secures the destination itself changes the
+        root's announcement; every later step still matches."""
         graph, _tiers = make_topology(12)
-        rnd = random.Random(12)
-        d = rnd.choice(graph.asns)
+        d = random.Random(12).choice(graph.asns)
         m = next(a for a in graph.asns if a != d)
-        model = SECURITY_MODELS[1]
         chain = [
             Deployment.empty(),
-            Deployment.of([a for a in graph.asns[:8] if a != d and a != m]),
+            Deployment.of([a for a in graph.asns[:8] if a not in (d, m)]),
             Deployment.of([a for a in graph.asns[:12] if a != m] + [d]),
         ]
-        ctx = RoutingContext(graph)
-        sweep = RolloutSweep(ctx, d, chain[0], model)
-        for t, deployment in enumerate(chain):
-            if t:
-                sweep.advance(deployment)
-            fresh = DestinationSweep(ctx, d, deployment, model)
-            assert sweep.happiness_counts(m) == fresh.happiness_counts(m), t
-
-    def test_long_chains_hold_one_step_of_state(self):
-        """A walk keeps the current step only, however long the chain:
-        the context's mask cache stays at its cap of eight deployments,
-        and the baseline after the last advance is a fresh sweep's."""
-        graph, tiers = make_topology(15)
-        chain = make_chain(graph, tiers, "tier12_dense")
-        assert len(chain) > 8
-        rnd = random.Random(15)
-        d = rnd.choice(graph.asns)
-        m = next(a for a in graph.asns if a != d)
-        ctx = RoutingContext(graph)
-        sweep = RolloutSweep(ctx, d, chain[0], SECURITY_MODELS[0])
-        for deployment in chain[1:]:
-            sweep.advance(deployment)
-            sweep.happiness_counts(m)
-            assert len(ctx._mask_cache) <= 8
-        fresh = DestinationSweep(ctx, d, chain[-1], SECURITY_MODELS[0])
-        assert sweep.deployment is chain[-1]
-        assert sweep.baseline_counts() == fresh.baseline_counts()
-        assert dict(sweep.baseline_outcome().routes) == dict(
-            fresh.baseline_outcome().routes
+        assert_chain_equals_fresh_steps(
+            graph, d, [m], chain, SECURITY_MODELS[1], attack
         )
-        assert sweep.happiness_counts(m) == fresh.happiness_counts(m)
-
-    def test_interleaved_attackers_leak_free_across_advances(self):
-        graph, tiers = make_topology(13)
-        chain = make_chain(graph, tiers, "tier12")
-        rnd = random.Random(13)
-        d = rnd.choice(graph.asns)
-        a, b = rnd.sample([x for x in graph.asns if x != d], 2)
-        model = SECURITY_MODELS[2]
-        sweep = RolloutSweep(graph, d, chain[0], model)
-        for t, deployment in enumerate(chain):
-            if t:
-                sweep.advance(deployment)
-            first = sweep.happiness_counts(a)
-            sweep.happiness_counts(b)
-            assert sweep.happiness_counts(a) == first, t
 
 
 class TestDeltaKernelsOnChains:
-    """An advance runs its baseline pass on the same kernel as an
-    attacker's pass; at every step of a chain the walked state must be
-    the seed engine's, bit for bit."""
+    """At every step of a chain the attacker-free state and a fresh
+    sweep's counts must be the seed engine's, bit for bit."""
 
     @pytest.mark.parametrize("kind", ["tier12", "tier12_simplex", "tier2"])
     @pytest.mark.parametrize("seed", [3, 9])
@@ -449,41 +427,37 @@ class TestDeltaKernelsOnChains:
         pairs = chain_pairs(graph, seed, destinations=1, attackers=4)
         dest = pairs[0][1]
         ref_ctx = RefRoutingContext(graph)
+        ctx = RoutingContext(graph)
         for model in (SECURITY_MODELS[0], lp2_variant(SECURITY_MODELS[1])):
-            walker = RolloutSweep(RoutingContext(graph), dest, chain[0], model)
             for si, step in enumerate(chain):
-                if si:
-                    walker.advance(step)
-                    assert walker.last_delta_path == "dense", si
-                # the advanced baseline in full, then the counts
+                # the step's attacker-free state in full, then the counts
                 base = ref_compute_routing_outcome(ref_ctx, dest, None, step, model)
-                assert dict(walker.baseline_outcome().routes) == base.routes, si
-                got = [walker.happiness_counts(m) for m, _ in pairs]
+                free = normal_conditions(ctx, dest, step, model)
+                assert dict(free.routes) == base.routes, si
+                sweep = DestinationSweep(ctx, dest, step, model)
+                got = [sweep.happiness_counts(m) for m, _ in pairs]
                 assert got == ref_pair_counts(ref_ctx, pairs, step, model), si
 
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=lambda a: a.token)
     def test_attacker_chain_bit_identical(self, attack):
         """One attacker along a chain — a one-pair job of the count plan
-        and a walked sweep — counts what the seed engine does at every
-        step, for every strategy (nothing bars a ``needs_baseline`` one
-        such as ``honest`` from a chain)."""
+        and a fresh sweep per step — counts what the seed engine does at
+        every step, for every strategy (nothing bars a
+        ``needs_baseline`` one such as ``honest`` from a chain)."""
         graph, tiers = make_topology(5)
         chain = make_chain(graph, tiers, "tier12")
         pairs = chain_pairs(graph, 5, destinations=2, attackers=2)
         ctx, ref_ctx = RoutingContext(graph), RefRoutingContext(graph)
         for model in (BASELINE, SECURITY_MODELS[2]):
             for m, d in pairs[:4]:
-                sweep = RolloutSweep(ctx, d, chain[0], model, attack)
-                walked = []
-                for si, step in enumerate(chain):
-                    if si:
-                        sweep.advance(step)
-                    walked.append([sweep.happiness_counts(m)])
-                    assert sweep.last_delta_path == "dense", si
+                swept = [
+                    [DestinationSweep(ctx, d, step, model, attack).happiness_counts(m)]
+                    for step in chain
+                ]
                 planned = rollout_happiness_counts(
                     ctx, [(m, d)], chain, model, attack=attack
                 )
-                assert planned == walked, (m, d)
+                assert planned == swept, (m, d)
                 assert planned == [
                     ref_pair_counts(ref_ctx, [(m, d)], step, model, attack)
                     for step in chain

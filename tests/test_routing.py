@@ -318,9 +318,9 @@ class TestRoutingContext:
             a: i.next_hops for a, i in via_ctx.routes.items()
         } == {a: i.next_hops for a, i in direct.routes.items()}
 
-    def test_out_edges_cover_all_edges(self, small_graph):
+    def test_csr_covers_all_edges(self, small_graph):
         ctx = RoutingContext(small_graph)
-        total = sum(len(edges) for edges in ctx.out_edges.values())
+        total = len(ctx.adj_node)
         expected = 2 * (
             small_graph.num_customer_provider_links + small_graph.num_peer_links
         )

@@ -41,7 +41,6 @@ from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.core.routing import (
     _NP_INF,
     DestinationSweep,
-    RolloutSweep,
     RoutingContext,
     batch_happiness_counts,
     batch_outcomes,
@@ -286,9 +285,9 @@ class TestDifferentialGrid:
 
 
 class TestDeltaKernels:
-    """A sweep's attacker pass, its full outcome and its baseline must
-    be the reference engine's bit for bit, for every model and attacker
-    strategy."""
+    """A sweep's attacker pass must be the reference engine's bit for
+    bit, for every model and attacker strategy, whatever state calls
+    run on its context in between."""
 
     @pytest.mark.parametrize("attack", STRATEGIES, ids=lambda a: a.token)
     @pytest.mark.parametrize(
@@ -304,24 +303,27 @@ class TestDeltaKernels:
             sv = DestinationSweep(vec_ctx, d, dep, model, attack=attack)
             assert sv.happiness_counts(m) == counts
             assert sv.last_delta_path == "dense"
-            assert dict(sv.outcome(m).routes) == oracle.outcome(
-                d, m, dep, model, attack
-            ).routes
-            # Leak-freedom: neither the full-state answer nor a second
-            # attacker's pass leaves a trace in the baseline.
+            assert dict(compute_routing_outcome(
+                vec_ctx, d, m, dep, model, attack
+            ).routes) == oracle.outcome(d, m, dep, model, attack).routes
+            assert dict(normal_conditions(
+                vec_ctx, d, dep, model
+            ).routes) == oracle.outcome(d, None, dep, model).routes
+            # Leak-freedom: neither state call leaves a trace in the
+            # sweep's baseline.
             assert sv.happiness_counts(m) == counts
-            assert dict(sv.baseline_outcome().routes) == oracle.outcome(
-                d, None, dep, model
-            ).routes
 
     def test_numpy_snapshot_baseline(self, graph, oracle, vec_ctx):
-        """A sweep's snapshot is numpy arrays (no python-list decode, no
-        next-hop lists until asked); the counts match."""
+        """A sweep's baseline is numpy copies of the three arrays
+        ``honest`` reads, no view of the context's scratch; the counts
+        match."""
         m, d, dep = _instances(graph, "npsnap", k=1)[0]
-        sn = DestinationSweep(vec_ctx, d, dep, SECURITY_MODELS[0])
+        sn = DestinationSweep(vec_ctx, d, dep, SECURITY_MODELS[0], HONEST)
+        scratch = vec_ctx._np_scratch.values()
+        assert [a.dtype for a in sn._base] == [np.bool_, np.int64, np.int64]
+        assert not any(np.shares_memory(a, b) for a in sn._base for b in scratch)
         counts = sn.happiness_counts(m)
-        assert sn._base is None and sn._np_base is not None
-        assert [counts] == oracle.counts([(m, d)], dep, SECURITY_MODELS[0])
+        assert [counts] == oracle.counts([(m, d)], dep, SECURITY_MODELS[0], HONEST)
 
 
 class TestFreshContext:
@@ -358,19 +360,20 @@ class TestFreshContext:
             bare, pairs, chain[2], model, attack=attack
         ) == oracle.counts(pairs, chain[2], model, attack)
         m = pairs[-1][0]
-        walker = RolloutSweep(bare, many_d, chain[0], model, attack=attack)
         for step in chain[1:]:
-            walker.advance(step)
             assert (
-                dict(walker.baseline_outcome().routes),
-                dict(walker.outcome(m).routes),
-                walker.happiness_counts(m),
+                dict(normal_conditions(bare, many_d, step, model).routes),
+                dict(compute_routing_outcome(
+                    bare, many_d, m, step, model, attack
+                ).routes),
+                DestinationSweep(
+                    bare, many_d, step, model, attack
+                ).happiness_counts(m),
             ) == (
                 oracle.outcome(many_d, None, step, model).routes,
                 oracle.outcome(many_d, m, step, model, attack).routes,
                 oracle.counts([(m, many_d)], step, model, attack)[0],
             )
-        assert walker.last_delta_path == "dense"
         want = [oracle.outcome(d, m, chain[-1], model, attack) for m, d in pairs]
         for (m, d), ref in zip(pairs, want):
             got = compute_routing_outcome(
@@ -386,19 +389,14 @@ class TestFreshContext:
                 [oracle.outcome(many_d, None, chain[-1], model)],
             ),
             (batch_outcomes(bare, pairs, chain[-1], model, attack), want),
-            (
-                [DestinationSweep(bare, many_d, chain[-1], model, attack).outcome(m)],
-                [oracle.outcome(many_d, m, chain[-1], model, attack)],
-            ),
         ):
             assert [dict(o.routes) for o in got] == [o.routes for o in want]
-        assert bare.out_edges == oracle.ctx.out_edges
 
 
 class TestLazyNextHopPairs:
-    """A numpy sweep's next-hop pairs are built by their one reader,
-    ``baseline_outcome()``, from the sweep's own snapshot, once; the
-    count path, whose groups are rows, never builds them."""
+    """Next-hop pairs are built by their one reader, a full outcome,
+    once; the count path, whose groups are rows, and a sweep never
+    build them."""
 
     MODEL = SECURITY_MODELS[0]
 
@@ -412,7 +410,6 @@ class TestLazyNextHopPairs:
             Deployment.of(members[:k]).with_simplex_stubs(graph)
             for k in (0, 20, 40, 60)
         ]
-        # destinations outside the chain: no step rebuilds a sweep
         few_d, many_d = rnd.sample([a for a in asns if a not in members], 2)
         others = [a for a in asns if a not in (few_d, many_d)]
         pairs = (
@@ -425,20 +422,17 @@ class TestLazyNextHopPairs:
         got = rollout_happiness_counts(vec_ctx, pairs, chain, self.MODEL)
         assert got == expected
         assert pair_sets == [0]
-
-        # The first reader builds them, from the snapshot: by then the
-        # context's scratch holds some other sweep's pass.
-        sweep = RolloutSweep(vec_ctx, many_d, chain[0], self.MODEL)
-        for step in chain[1:]:
-            sweep.advance(step)
-            assert sweep.last_delta_path == "dense"
-        DestinationSweep(vec_ctx, few_d, chain[1], self.MODEL)
+        m = pairs[-1][0]
+        for step in chain:
+            DestinationSweep(vec_ctx, many_d, step, self.MODEL).happiness_counts(m)
         assert pair_sets == [0]
-        routes = dict(sweep.baseline_outcome().routes)
+
+        out = compute_routing_outcome(vec_ctx, many_d, m, chain[-1], self.MODEL)
+        routes = dict(out.routes)
         assert pair_sets == [1]
-        assert routes == oracle.outcome(many_d, None, chain[-1], self.MODEL).routes
-        # ...and a snapshot that has pairs never computes them again.
-        assert dict(sweep.baseline_outcome().routes) == routes
+        assert routes == oracle.outcome(many_d, m, chain[-1], self.MODEL).routes
+        # ...and an outcome that has its pairs never computes them again.
+        assert dict(out.routes) == routes
         assert pair_sets == [1]
 
 
@@ -857,11 +851,11 @@ class TestEveryGroupIsRows:
         model = SECURITY_MODELS[1]
         for deployments in (chain, chain[:1]):
             want = oracle.chain(pairs, deployments, model, attack)
-            snapshots = count_calls(DestinationSweep, "_take_baseline")
+            sweeps = count_calls(DestinationSweep, "__init__")
             got = rollout_happiness_counts(
                 vec_ctx, pairs, deployments, model, attack=attack
             )
-            assert snapshots == [0]
+            assert sweeps == [0]
             assert got == want
 
     def test_rows_equal_per_pair_and_reference(self, graph, oracle, vec_ctx):
@@ -1100,10 +1094,9 @@ class TestCsrBuild:
 
 
 class TestAdvance:
-    """``RolloutSweep.advance(deployment)`` leaves the state a fresh
-    sweep of that deployment holds — the reference engine's — after
-    every step, a step that gains nothing and one that gains the
-    destination included."""
+    """A chain step leaves the counts of a fresh sweep of that
+    deployment — the reference engine's — a step that gains nothing and
+    one that gains the destination included."""
 
     def test_advance_equals_a_fresh_sweep(self, graph, oracle, vec_ctx):
         rnd = random.Random("vec/step")
@@ -1123,24 +1116,12 @@ class TestAdvance:
         ctx = vec_ctx
         walked = rollout_happiness_counts(ctx, pairs, chain, model)
         assert walked == oracle.chain(pairs, chain, model)
-        sweep = RolloutSweep(ctx, d, chain[0], model)
-        for t in range(1, len(chain)):
-            sweep.advance(chain[t])
-            assert sweep.deployment is chain[t]
-            fresh = DestinationSweep(ctx, d, chain[t], model)
-            state = (
-                dict(sweep.baseline_outcome().routes),
-                sweep.baseline_counts(),
-                sweep.happiness_counts(m),
-            )
-            assert state == (
-                dict(fresh.baseline_outcome().routes),
-                fresh.baseline_counts(),
-                fresh.happiness_counts(m),
-            ), t
-            assert state[0] == oracle.outcome(d, None, chain[t], model).routes, t
-            assert state[2] == walked[t][0], t
-            assert state[1] + (ctx.n - 1,) == walked[t][1], t
+        for t, step in enumerate(chain):
+            fresh = DestinationSweep(ctx, d, step, model)
+            free = normal_conditions(ctx, d, step, model)
+            assert fresh.happiness_counts(m) == walked[t][0], t
+            assert free.count_happy() + (ctx.n - 1,) == walked[t][1], t
+            assert dict(free.routes) == oracle.outcome(d, None, step, model).routes, t
 
 
 class TestContextWiring:

@@ -22,9 +22,9 @@ some row's counts differ from the one-row call's.
 ``--groups`` sends, per size, one destination group of A attackers
 (A = 1, 4, 16, 32) along a 4-step nested chain (simplex stubs,
 ``security_2nd``), under ``hijack`` and under ``honest``, two ways on one
-context: through ``jobs_happiness_counts`` (count rows) and
-through a hand-walked ``RolloutSweep`` (``advance`` per step, then
-``happiness_counts`` per attacker).  It prints milliseconds per
+context: through ``jobs_happiness_counts`` (count rows) and through a
+fresh ``DestinationSweep`` per step (its attacker-free pass, then one
+``happiness_counts`` pass per attacker).  It prints milliseconds per
 pair-step, fastest of ``--repeats``, each with the spread (max − min)
 of its repeats, and beside each cell the ``_run_np`` rows that
 ``jobs_happiness_counts`` ran (``honest``'s attacker-free state passes
@@ -47,7 +47,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from repro.core import SECURITY_MODELS, Deployment, routing  # noqa: E402
 from repro.core.attacks import HONEST, ONE_HOP_HIJACK  # noqa: E402
 from repro.core.routing import (  # noqa: E402
-    RolloutSweep,
+    DestinationSweep,
     RoutingContext,
     rollout_happiness_counts,
 )
@@ -141,23 +141,21 @@ def kernel_rows(run) -> int:
     return rows[0]
 
 
-def walked_counts(ctx, pairs, chain, model, attack) -> list:
-    """One group's counts per chain step from a hand-walked sweep."""
-    sweep = RolloutSweep(ctx, pairs[0][1], chain[0], model, attack=attack)
+def swept_counts(ctx, pairs, chain, model, attack) -> list:
+    """One group's counts per chain step from a fresh sweep a step."""
     out = []
-    for t, deployment in enumerate(chain):
-        if t:
-            sweep.advance(deployment)
+    for deployment in chain:
+        sweep = DestinationSweep(ctx, pairs[0][1], deployment, model, attack)
         out.append([sweep.happiness_counts(m) for m, _ in pairs])
     return out
 
 
 def groups_table(sizes, repeats: int) -> int:
-    """``--groups``: ms per pair-step, rows against a walked sweep, by
-    (size, strategy, A); 1 if some cell's counts differ."""
+    """``--groups``: ms per pair-step, rows against a fresh sweep a
+    step, by (size, strategy, A); 1 if some cell's counts differ."""
     print(
         f"{'N':>6} {'attack':>7} {'A':>3}  {'rows ms':>8} {'±':>6}"
-        f"  {'sweep ms':>9} {'±':>6}  {'ratio':>6}  {'kernel rows':>11}"
+        f"  {'fresh ms':>9} {'±':>6}  {'ratio':>6}  {'kernel rows':>11}"
     )
     model = SECURITY_MODELS[1]
     wrong = []
@@ -183,10 +181,10 @@ def groups_table(sizes, repeats: int) -> int:
                     )
 
                 rows_walls, rows = walls_of(repeats, run)
-                sweep_walls, walked = walls_of(
-                    repeats, lambda: walked_counts(ctx, pairs, chain, model, attack)
+                sweep_walls, swept = walls_of(
+                    repeats, lambda: swept_counts(ctx, pairs, chain, model, attack)
                 )
-                if walked != rows:
+                if swept != rows:
                     wrong.append((n, attack.token, a))
                 pair_steps = a * len(chain)
                 per = pair_steps / 1e3  # a wall in s / per = ms a pair-step
@@ -202,11 +200,12 @@ def groups_table(sizes, repeats: int) -> int:
                 )
     print(
         "ms per pair-step (fastest of repeats; ± = max − min of them); "
-        "ratio = rows / sweep: below 1.00x rows are ahead; kernel rows = "
+        "fresh = a fresh DestinationSweep a step; ratio = rows / fresh: "
+        "below 1.00x rows are ahead; kernel rows = "
         "_run_np rows of one rows call / its pair-steps"
     )
     if wrong:
-        print(f"ROWS AND SWEEP DISAGREE at (N, attack, A): {wrong}")
+        print(f"ROWS AND FRESH SWEEPS DISAGREE at (N, attack, A): {wrong}")
     return 1 if wrong else 0
 
 
@@ -221,8 +220,8 @@ def main() -> int:
     )
     table.add_argument(
         "--groups", action="store_true",
-        help="rows against a walked sweep, one destination group of A "
-        "attackers along a 4-step chain",
+        help="rows against a fresh sweep a step, one destination group "
+        "of A attackers along a 4-step chain",
     )
     args = parser.parse_args()
     if args.rows:
