@@ -38,8 +38,9 @@ doctest:
 	$(PYTHON) -m pytest --doctest-modules -q \
 		src/repro/core/__init__.py \
 		src/repro/core/attacks.py \
+		src/repro/core/context.py \
+		src/repro/core/jobs.py \
 		src/repro/core/metrics.py \
-		src/repro/core/routing.py \
 		src/repro/experiments/faults.py \
 		src/repro/experiments/scenarios.py \
 		src/repro/experiments/store.py
@@ -70,7 +71,7 @@ bench-pairs:
 
 ## the measurements behind the numpy kernel's batching
 ## (tools/kernel_crossover.py; ~1 min): NP_ROWS_BUDGET of
-## repro.core.routing — the kernel's ms per row at K rows a call — then
+## repro.core.context — the kernel's ms per row at K rows a call — then
 ## the race behind every destination group being rows: ms per
 ## pair-step of one group of A attackers as rows and as a fresh
 ## DestinationSweep a chain step.  Asserts no timing; exits nonzero

@@ -1,6 +1,6 @@
 """Per-AS policy assignment for the simulator.
 
-The staged algorithm of :mod:`repro.core.routing` assumes every AS
+The staged algorithm of :mod:`repro.core.fixing` assumes every AS
 prioritizes security the same way — the consistency guideline the paper
 derives from its Wedgie analysis (Section 2.3).  The simulator makes the
 assignment *per AS* so that inconsistent placements (e.g. Figure 1's

@@ -10,7 +10,7 @@ It serves three purposes:
 
 * **cross-validation** — with a uniform policy assignment its fixed
   point must equal the staged computation of
-  :func:`repro.core.routing.compute_routing_outcome` (Theorem 2.1 says
+  :func:`repro.core.outcome.compute_routing_outcome` (Theorem 2.1 says
   the stable state is unique); the integration tests check this on
   hundreds of random instances;
 * **wedgies** — with *inconsistent* security placement it reproduces the

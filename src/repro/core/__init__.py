@@ -3,7 +3,8 @@
 The package exposes four layers (see ``docs/ARCHITECTURE.md`` for the
 full tour): rank models (:mod:`repro.core.rank`), attacker strategies
 (:mod:`repro.core.attacks`), the flat-array routing engine
-(:mod:`repro.core.routing`), and the security metric ``H_{M,D}(S)``
+(:mod:`repro.core.context`, :mod:`repro.core.fixing`,
+:mod:`repro.core.outcome`, :mod:`repro.core.jobs`), and the security metric ``H_{M,D}(S)``
 (:mod:`repro.core.metrics`), plus the analysis companions (partitions,
 downgrades, root causes, NP-hardness).
 
@@ -102,21 +103,23 @@ from .deployment import (
     tier2_rollout,
     top_tier2_and_stubs,
 )
-from .routing import (
-    DestinationSweep,
+from .context import RoutingContext
+from .outcome import (
     Reach,
     RouteInfo,
-    RoutingContext,
     RoutingOutcome,
-    batch_happiness_counts,
     batch_outcomes,
     compute_routing_outcome,
-    jobs_happiness_counts,
     normal_conditions,
+)
+from .jobs import (
+    DestinationSweep,
+    batch_happiness_counts,
+    jobs_happiness_counts,
     rollout_happiness_counts,
 )
 from .perceivable import (
-    AttackCloseures,
+    AttackClosures,
     ClassReach,
     attack_closures,
     perceivable_closures,
@@ -126,11 +129,7 @@ from .metrics import (
     AttackHappiness,
     Interval,
     MetricResult,
-    attack_happiness,
     batch_happiness,
-    metric_for_destination,
-    metric_improvement,
-    rollout_happiness,
     security_metric,
 )
 from .downgrade import (
@@ -210,7 +209,7 @@ __all__ = [
     "rollout_happiness_counts",
     # perceivable / partitions
     "ClassReach",
-    "AttackCloseures",
+    "AttackClosures",
     "perceivable_closures",
     "attack_closures",
     "Category",
@@ -221,12 +220,8 @@ __all__ = [
     "Interval",
     "AttackHappiness",
     "MetricResult",
-    "attack_happiness",
     "batch_happiness",
-    "rollout_happiness",
     "security_metric",
-    "metric_for_destination",
-    "metric_improvement",
     # downgrade / rootcause
     "DowngradeAnalysis",
     "SecureRouteFate",

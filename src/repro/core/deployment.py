@@ -71,7 +71,7 @@ class Deployment:
         and the signing set (``full ∪ simplex``) must grow
         monotonically; a simplex→full promotion is allowed (ranking
         gains, signing keeps the member).  This mirrors the chain check
-        of :func:`repro.core.routing.jobs_happiness_counts`, and is what
+        of :func:`repro.core.jobs.jobs_happiness_counts`, and is what
         :func:`repro.experiments.scenarios.detect_chains` chains by.
         Given the first condition, the second is ``simplex ∖
         other.simplex ⊆ other.full``, which builds no union.
@@ -261,7 +261,7 @@ def tier12_rollout_dense(
     scenarios dedupe; adjacent steps differ by one ISP and its stubs,
     so a pair whose destination signs at neither step, attacked by an
     unsigned announcement, is one blind pass shared by both
-    (:func:`repro.core.routing.jobs_happiness_counts`).
+    (:func:`repro.core.jobs.jobs_happiness_counts`).
     """
     t1 = tiers.members(Tier.TIER1)
     t2 = tiers.members(Tier.TIER2)

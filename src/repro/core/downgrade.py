@@ -20,7 +20,8 @@ from ..topology.graph import ASGraph
 from .deployment import Deployment
 from .partitions import Category, compute_partitions
 from .rank import RankModel
-from .routing import RoutingContext, RoutingOutcome, compute_routing_outcome
+from .context import RoutingContext, _as_context
+from .outcome import RoutingOutcome, compute_routing_outcome
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def downgrade_analysis(
         normal_outcome: optional precomputed normal-conditions outcome
             (reuse it when sweeping attackers against one destination).
     """
-    ctx = topology if isinstance(topology, RoutingContext) else RoutingContext(topology)
+    ctx = _as_context(topology)
     if normal_outcome is None:
         normal_outcome = compute_routing_outcome(
             ctx, destination, attacker=None, deployment=deployment, model=model
@@ -116,7 +117,7 @@ def secure_route_fate(
     model: RankModel,
 ) -> SecureRouteFate:
     """Figure 13 analysis for one destination, averaged over attackers."""
-    ctx = topology if isinstance(topology, RoutingContext) else RoutingContext(topology)
+    ctx = _as_context(topology)
     normal_outcome = compute_routing_outcome(
         ctx, destination, attacker=None, deployment=deployment, model=model
     )

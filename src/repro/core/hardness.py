@@ -21,7 +21,8 @@ from typing import Sequence
 from ..topology.graph import ASGraph, graph_from_edges
 from .deployment import Deployment
 from .rank import RankModel
-from .routing import RoutingContext, compute_routing_outcome
+from .context import RoutingContext, _as_context
+from .outcome import compute_routing_outcome
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def max_k_security_bruteforce(
     Returns:
         ``(best happy count, best secure set)``.
     """
-    ctx = topology if isinstance(topology, RoutingContext) else RoutingContext(topology)
+    ctx = _as_context(topology)
     pool = list(candidates) if candidates is not None else list(ctx.asns)
     if len(pool) > 25:
         raise ValueError(
@@ -173,7 +174,7 @@ def greedy_max_k_security(
     against brute force (docs/ARCHITECTURE.md, "Max-k-Security").
     Ties are broken toward the smallest ASN for determinism.
     """
-    ctx = topology if isinstance(topology, RoutingContext) else RoutingContext(topology)
+    ctx = _as_context(topology)
     pool = sorted(candidates) if candidates is not None else list(ctx.asns)
     chosen: set[int] = set()
     current = count_happy_lower(

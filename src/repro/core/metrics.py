@@ -26,12 +26,8 @@ from ..topology.graph import ASGraph
 from .attacks import DEFAULT_ATTACK, AttackStrategy
 from .deployment import Deployment
 from .rank import RankModel
-from .routing import (
-    RoutingContext,
-    batch_happiness_counts,
-    compute_routing_outcome,
-    rollout_happiness_counts,
-)
+from .context import RoutingContext, _as_context
+from .jobs import batch_happiness_counts
 
 
 @dataclass(frozen=True)
@@ -48,16 +44,12 @@ class Interval:
       genuinely independent.
     * :meth:`bound_delta` is the **bound-wise delta**
       ``sorted(a.lower − b.lower, a.upper − b.upper)`` used by
-      ``metric_improvement`` / ``EvalResults.delta``:
+      ``EvalResults.delta``:
       the paper's Figures 7-12 plot the increase of each *bound* of
       ``H_{M,D}``, not a conservative difference — under the common
       tiebreak conventions the lower bounds of both metrics refer to
       the *same* adversarial tiebreak, so subtracting bound-wise is the
       meaningful (and much tighter) quantity.
-
-    Historically ``metric_improvement`` computed the bound-wise delta
-    inline while ``__sub__`` sat unused with the other semantics — an
-    easy trap.  Both are now named, documented and tested.
     """
 
     lower: float
@@ -127,29 +119,6 @@ class MetricResult:
         return len(self.per_pair)
 
 
-def attack_happiness(
-    topology: ASGraph | RoutingContext,
-    attacker: int,
-    destination: int,
-    deployment: Deployment,
-    model: RankModel,
-    attack: AttackStrategy = DEFAULT_ATTACK,
-) -> AttackHappiness:
-    """Happy-source counts when ``attacker`` attacks ``destination``."""
-    outcome = compute_routing_outcome(
-        topology, destination, attacker=attacker, deployment=deployment,
-        model=model, attack=attack,
-    )
-    lower, upper = outcome.count_happy()
-    return AttackHappiness(
-        attacker=attacker,
-        destination=destination,
-        happy_lower=lower,
-        happy_upper=upper,
-        num_sources=outcome.num_sources,
-    )
-
-
 def security_metric(
     topology: ASGraph | RoutingContext,
     pairs: Sequence[tuple[int, int]],
@@ -189,10 +158,10 @@ def security_metric(
         >>> print(result.value)
         [0.5000, 1.0000]
     """
-    ctx = topology if isinstance(topology, RoutingContext) else RoutingContext(topology)
+    ctx = _as_context(topology)
     # Counts only, no outcome materialization: each distinct pass runs
     # once, a row of a batched bucket pass — see
-    # repro.core.routing.jobs_happiness_counts.
+    # repro.core.jobs.jobs_happiness_counts.
     pairs = list(pairs)  # consumed twice below; accept one-shot iterables
     return metric_of_counts(
         pairs, batch_happiness_counts(ctx, pairs, deployment, model, attack=attack)
@@ -203,7 +172,7 @@ def metric_of_counts(
     pairs: Sequence[tuple[int, int]], counts: Sequence[tuple[int, int, int]]
 ) -> MetricResult:
     """``H_{M,D}(S)`` from each pair's ``(lower, upper, num_sources)``
-    (:func:`repro.core.routing.batch_happiness_counts`' triples)."""
+    (:func:`repro.core.jobs.batch_happiness_counts`' triples)."""
     results = tuple(_as_happiness(pairs, counts))
     return MetricResult(value=_mean_interval(results), per_pair=results)
 
@@ -221,7 +190,7 @@ def batch_happiness(
     Amortizes deployment-mask construction and scratch-buffer reuse
     across the whole pair list, and runs each distinct pass once, as
     the rows of batched bucket passes (see
-    :func:`repro.core.routing.batch_happiness_counts`; results are in
+    :func:`repro.core.jobs.batch_happiness_counts`; results are in
     input pair order).  This is what each worker of
     :mod:`repro.experiments.runner` runs on its share of destination
     groups.
@@ -249,78 +218,9 @@ def _as_happiness(
     ]
 
 
-def rollout_happiness(
-    topology: ASGraph | RoutingContext,
-    pairs: Sequence[tuple[int, int]],
-    deployments: Sequence[Deployment],
-    model: RankModel,
-    *,
-    attack: AttackStrategy = DEFAULT_ATTACK,
-) -> list[list[AttackHappiness]]:
-    """Happy-source counts for many pairs under a nested-deployment
-    chain, rollout-major: ``result[t][i]`` is pair ``i`` under
-    ``deployments[t]``.
-
-    Every distinct pass of the chain runs once — a blind pair-step is
-    shared by every step that asks for it — as a row of a batched
-    bucket pass (see :func:`repro.core.routing.rollout_happiness_counts`); per-step
-    results are in input pair order and bit-identical to evaluating
-    every step independently through :func:`batch_happiness`.  This is
-    what each scheduler worker runs on its share of destination groups
-    when the scenario plane detects a nested-deployment chain.
-    """
-    pairs = list(pairs)
-    per_step = rollout_happiness_counts(
-        topology, pairs, deployments, model, attack=attack
-    )
-    return [_as_happiness(pairs, counts) for counts in per_step]
-
-
 def _mean_interval(results: Sequence[AttackHappiness]) -> Interval:
     if not results:
         return Interval(0.0, 0.0)
     lower = sum(r.fraction.lower for r in results) / len(results)
     upper = sum(r.fraction.upper for r in results) / len(results)
     return Interval(lower, upper)
-
-
-def metric_for_destination(
-    topology: ASGraph | RoutingContext,
-    attackers: Sequence[int],
-    destination: int,
-    deployment: Deployment,
-    model: RankModel,
-    attack: AttackStrategy = DEFAULT_ATTACK,
-) -> MetricResult:
-    """``H_{M,d}(S)``: the metric restricted to one destination (§5.2.3)."""
-    pairs = [(m, destination) for m in attackers if m != destination]
-    return security_metric(topology, pairs, deployment, model, attack=attack)
-
-
-def metric_improvement(
-    topology: ASGraph | RoutingContext,
-    pairs: Sequence[tuple[int, int]],
-    deployment: Deployment,
-    model: RankModel,
-    baseline: MetricResult | None = None,
-    attack: AttackStrategy = DEFAULT_ATTACK,
-) -> tuple[Interval, MetricResult, MetricResult]:
-    """``H_{M,D}(S) − H_{M,D}(∅)``, the paper's headline quantity.
-
-    The delta is computed *bound-wise* — lower(S) − lower(∅) and
-    upper(S) − upper(∅) — matching the paper's Figures 7-12, which
-    plot the increase of each bound rather than a conservative interval
-    difference.  Both sides are evaluated under the same attacker
-    strategy, so the delta isolates what the deployment buys against
-    that threat model.
-
-    Returns:
-        ``(delta, metric_with_S, metric_baseline)``.
-    """
-    ctx = topology if isinstance(topology, RoutingContext) else RoutingContext(topology)
-    if baseline is None:
-        baseline = security_metric(
-            ctx, pairs, Deployment.empty(), model, attack=attack
-        )
-    secured = security_metric(ctx, pairs, deployment, model, attack=attack)
-    return secured.value.bound_delta(baseline.value), secured, baseline

@@ -36,9 +36,10 @@ from dataclasses import dataclass
 
 from ..topology.graph import ASGraph
 from ..topology.relationships import RouteClass
-from .perceivable import AttackCloseures, attack_closures
+from .perceivable import AttackClosures, attack_closures
 from .rank import BASELINE, RankModel, SecurityModel
-from .routing import Reach, RoutingContext, RoutingOutcome, compute_routing_outcome
+from .context import RoutingContext, _as_context
+from .outcome import Reach, RoutingOutcome, compute_routing_outcome
 
 
 class Category(enum.Enum):
@@ -110,7 +111,7 @@ def compute_partitions(
     destination: int,
     model: RankModel,
     baseline_outcome: RoutingOutcome | None = None,
-    closures: AttackCloseures | None = None,
+    closures: AttackClosures | None = None,
 ) -> PartitionResult:
     """Partition all sources for ``(m, d)`` under the given model.
 
@@ -130,7 +131,7 @@ def compute_partitions(
     """
     if model.model is SecurityModel.BASELINE:
         raise ValueError("partitions are defined for the three security models")
-    ctx = topology if isinstance(topology, RoutingContext) else RoutingContext(topology)
+    ctx = _as_context(topology)
 
     if model.model is SecurityModel.THIRD:
         outcome = baseline_outcome or compute_routing_outcome(
@@ -247,7 +248,7 @@ def _partitions_security_first(
     ctx: RoutingContext,
     attacker: int,
     destination: int,
-    closures: AttackCloseures,
+    closures: AttackClosures,
     model: RankModel,
 ) -> PartitionResult:
     """Security 1st: Observations E.3/E.4; nearly everything is protectable."""

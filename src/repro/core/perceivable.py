@@ -34,7 +34,7 @@ from collections import deque
 
 from ..topology.graph import ASGraph
 from ..topology.relationships import RouteClass
-from .routing import RoutingContext
+from .context import RoutingContext, _as_context
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,6 @@ class ClassReach:
         return (
             asn in self.customer or asn in self.peer or asn in self.provider
         )
-
-
-def _as_context(topology: ASGraph | RoutingContext) -> RoutingContext:
-    if isinstance(topology, RoutingContext):
-        return topology
-    return RoutingContext(topology)
 
 
 def perceivable_closures(
@@ -148,7 +142,7 @@ def perceivable_closures(
 
 
 @dataclass(frozen=True)
-class AttackCloseures:
+class AttackClosures:
     """Both closures for one attacker/destination pair."""
 
     legitimate: ClassReach
@@ -157,10 +151,10 @@ class AttackCloseures:
 
 def attack_closures(
     topology: ASGraph | RoutingContext, attacker: int, destination: int
-) -> AttackCloseures:
+) -> AttackClosures:
     """Legitimate (to ``d``, avoiding ``m``) and attacked closures."""
     ctx = _as_context(topology)
-    return AttackCloseures(
+    return AttackClosures(
         legitimate=perceivable_closures(ctx, destination, avoid=attacker),
         attacked=perceivable_closures(ctx, attacker, avoid=destination),
     )

@@ -24,7 +24,7 @@ route through neighbor ``u``, the key of ``v``'s route is strictly larger
 than the key of ``u``'s (length grows; the LP class can only move toward
 provider because of the export rule ``Ex``; an insecure announcement can
 never become secure again).  Monotonicity is what lets a single
-Dijkstra-style fixing pass (:mod:`repro.core.routing`) implement all of
+Dijkstra-style fixing pass (:mod:`repro.core.fixing`) implement all of
 the staged BFS algorithms of Appendix B, and it is verified exhaustively
 in ``tests/test_rank.py``.
 """
@@ -113,7 +113,7 @@ _PACK_MASK = (1 << PACK_SHIFT) - 1
 def pack_key(key: RankKey) -> int:
     """Pack a rank key into one int, preserving lexicographic order.
 
-    The routing engine (:mod:`repro.core.routing`) keeps rank keys as
+    The routing engine (:mod:`repro.core.fixing`) keeps rank keys as
     single int64 values so its bucket kernel compares whole keys in one
     array operation.  Packing is order-preserving as
     long as ``key[1]`` and ``key[2]`` fit in :data:`PACK_SHIFT` bits,

@@ -26,7 +26,8 @@ from typing import Sequence
 from ..topology.graph import ASGraph
 from .deployment import Deployment
 from .rank import RankModel, SecurityModel
-from .routing import RoutingContext, compute_routing_outcome
+from .context import RoutingContext, _as_context
+from .outcome import compute_routing_outcome
 
 
 #: Table 3 of the paper: which phenomena are possible in which model.
@@ -105,7 +106,7 @@ def pair_root_cause(
 
     Happiness is the lower bound (tiebreak-adversarial), as in Figure 16.
     """
-    ctx = topology if isinstance(topology, RoutingContext) else RoutingContext(topology)
+    ctx = _as_context(topology)
     baseline_attack = compute_routing_outcome(
         ctx, destination, attacker=attacker, deployment=Deployment.empty(), model=model
     )
@@ -220,7 +221,7 @@ def root_cause_breakdown(
     model: RankModel,
 ) -> RootCauseBreakdown:
     """Average the per-pair root causes over ``pairs`` (Figure 16 bars)."""
-    ctx = topology if isinstance(topology, RoutingContext) else RoutingContext(topology)
+    ctx = _as_context(topology)
     num_sources = len(ctx.asns) - 2
     totals = {
         "secure_normal": 0,

@@ -9,7 +9,7 @@ of a batch are cut, destination group by destination group, into bins
 (:func:`~repro.experiments.scenarios.cut_bins`) that go over local
 ``fork`` processes in one pass, the topology shared with the workers
 for free (no per-task pickling of the graph).  A worker evaluates its
-bin with :func:`repro.core.routing.jobs_happiness_counts`, which runs
+bin with :func:`repro.core.jobs.jobs_happiness_counts`, which runs
 each distinct pass of the bin once, as rows of shared numpy kernel
 batches.  Forked workers
 each own a copy-on-write clone of the context, so scratch-buffer reuse
@@ -56,7 +56,8 @@ from ..core.attacks import DEFAULT_ATTACK, AttackStrategy, strategy_from_token
 from ..core.deployment import Deployment, ScenarioCatalog
 from ..core.metrics import MetricResult, metric_of_counts
 from ..core.rank import RankModel
-from ..core.routing import RoutingContext, jobs_happiness_counts
+from ..core.context import RoutingContext
+from ..core.jobs import jobs_happiness_counts
 from ..topology.generate import SyntheticTopology, TopologyParams, generate_topology
 from ..topology.ixp import augment_with_ixp_peering
 from ..topology.tiers import TierTable, classify_tiers
@@ -225,7 +226,7 @@ class SupervisedPool:
     * a **dead** worker (EOF on its result pipe, SIGKILL, segfault) is
       detected immediately, its shard re-enqueued, and a replacement
       forked from the parent — which still holds the warm
-      :class:`~repro.core.routing.RoutingContext`, so the respawn
+      :class:`~repro.core.context.RoutingContext`, so the respawn
       re-inherits everything for free;
     * a **hung** worker is declared dead when its shard's size-scaled
       deadline (:meth:`SupervisionPolicy.deadline_for`) expires, then
@@ -574,7 +575,7 @@ class _Job:
 
 
 #: A bin holds about one kernel batch of rows
-#: (:attr:`repro.core.routing.RoutingContext.batch_rows`), and never
+#: (:attr:`repro.core.context.RoutingContext.batch_rows`), and never
 #: under this many where that is few (one, at 80k ASes): every bin
 #: derives its chains' steps and deployment masks again.
 _MIN_BIN_ROWS = 32
@@ -958,7 +959,7 @@ def evaluate_requests(
 
     Raises ``ValueError`` before anything is evaluated when a request
     targets another topology than the context's, puts a transit AS
-    in simplex mode (:meth:`~repro.core.routing.RoutingContext.
+    in simplex mode (:meth:`~repro.core.context.RoutingContext.
     require_stub_simplex`), or — a request the store does not already
     hold — names a pair with an AS outside the graph or with
     ``m == d``.

@@ -26,7 +26,7 @@ stored scenario hash, so treat them as a stable format):
    equal pair *sets* collide onto one scenario; grouping by destination
    additionally hands the evaluation layer contiguous attacker runs per
    destination, which the count path
-   (:func:`repro.core.routing.jobs_happiness_counts`) groups by: its
+   (:func:`repro.core.jobs.jobs_happiness_counts`) groups by: its
    attacker-free passes are shared per destination.
 3. The deployment is stored as two sorted ASN tuples, ``full`` and
    ``simplex`` membership (the §5.3.2 modes rank differently, so they
@@ -43,7 +43,7 @@ stored scenario hash, so treat them as a stable format):
 6. The scenario hash is the SHA-256 of the compact, key-sorted JSON of
    :meth:`EvalRequest.canonical` (first 20 hex digits).  The canonical
    dict embeds two versions: :data:`SCENARIO_FORMAT` (this
-   representation) and :data:`repro.core.routing.ENGINE_VERSION` (the
+   representation) and :data:`repro.core.fixing.ENGINE_VERSION` (the
    routing *semantics* — an evaluation input like any other), so either
    kind of change invalidates old stores instead of silently serving
    stale results.
@@ -77,7 +77,7 @@ from ..core.metrics import (
     _mean_interval,
 )
 from ..core.rank import LocalPreference, RankModel, SecurityModel
-from ..core.routing import ENGINE_VERSION
+from ..core.fixing import ENGINE_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .runner import ExperimentContext

@@ -30,7 +30,7 @@ directory, so
 
 The store is append-only; the newest record for a hash wins (identical
 by construction — the hash covers every evaluation input, including the
-routing-semantics version :data:`repro.core.routing.ENGINE_VERSION`, so
+routing-semantics version :data:`repro.core.fixing.ENGINE_VERSION`, so
 engine behavior changes start cold automatically).  Delete the cache
 directory to reclaim space or force a cold run.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..core.partitions import Category, compute_partitions
 from ..core.perceivable import attack_closures
 from ..core.rank import RankModel, SecurityModel
-from ..core.routing import compute_routing_outcome
+from ..core.outcome import compute_routing_outcome
 from ..topology.tiers import Tier
 from .runner import ExperimentContext
 

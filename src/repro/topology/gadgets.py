@@ -9,7 +9,7 @@ route choices exactly (verified in ``tests/test_gadgets.py``), but the
 precise relationship set is inferred from the prose.
 
 Every gadget ships with the deployment set the paper's story uses, so it
-can be fed straight into :func:`repro.core.routing.compute_routing_outcome`
+can be fed straight into :func:`repro.core.outcome.compute_routing_outcome`
 or the message-passing simulator.
 """
 

@@ -2,7 +2,7 @@
 
 ``ASGraph`` stores, for every AS, the sets of its providers, customers and
 peers.  It is the substrate every other module operates on: the routing
-algorithms of :mod:`repro.core.routing`, the perceivable-route closures,
+algorithms of :mod:`repro.core.fixing`, the perceivable-route closures,
 the tier classifier and the message-passing simulator all read (never
 write) this structure.
 

@@ -1,6 +1,6 @@
 """Differential tests for the destination-major sweep.
 
-:class:`repro.core.routing.DestinationSweep` keeps one attacker-free
+:class:`repro.core.jobs.DestinationSweep` keeps one attacker-free
 baseline per destination and runs each attacker as one pass on the
 context's scratch, so the tests here hold it *bit-identical* to two
 independent oracles on every observable:

@@ -22,8 +22,9 @@ import pytest
 
 import repro.core
 import repro.core.attacks
+import repro.core.context
+import repro.core.jobs
 import repro.core.metrics
-import repro.core.routing
 import repro.experiments.faults
 import repro.experiments.scenarios
 import repro.experiments.store
@@ -35,8 +36,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCTEST_MODULES = (
     repro.core,
     repro.core.attacks,
+    repro.core.context,
+    repro.core.jobs,
     repro.core.metrics,
-    repro.core.routing,
     repro.experiments.faults,
     repro.experiments.scenarios,
     repro.experiments.store,

@@ -8,13 +8,22 @@ from repro.core import (
     Interval,
     SECURITY_FIRST,
     SECURITY_THIRD,
-    attack_happiness,
-    metric_for_destination,
-    metric_improvement,
+    AttackHappiness,
+    batch_happiness,
+    compute_routing_outcome,
     security_metric,
 )
 from repro.core.metrics import _mean_interval
 from repro.topology import graph_from_edges
+
+
+def per_pair(topology, pairs, deployment, model):
+    """Each pair's happiness from its own full routing outcome."""
+    out = []
+    for m, d in pairs:
+        outcome = compute_routing_outcome(topology, d, m, deployment, model)
+        out.append(AttackHappiness(m, d, *outcome.count_happy(), outcome.num_sources))
+    return out
 
 
 @pytest.fixture()
@@ -79,7 +88,7 @@ class TestInterval:
 
 class TestAttackHappiness:
     def test_counts_fraction(self, graph):
-        result = attack_happiness(graph, 666, 1, Deployment.empty(), BASELINE)
+        (result,) = batch_happiness(graph, [(666, 1)], Deployment.empty(), BASELINE)
         assert result.num_sources == 4
         # 3 is doomed (customer bogus); 2, 4, 5 are happy.
         assert result.happy_lower == 3
@@ -88,7 +97,7 @@ class TestAttackHappiness:
 
     def test_zero_sources_edge_case(self):
         g = graph_from_edges(customer_provider=[(2, 1)])
-        result = attack_happiness(g, 2, 1, Deployment.empty(), BASELINE)
+        (result,) = batch_happiness(g, [(2, 1)], Deployment.empty(), BASELINE)
         assert result.num_sources == 0
         assert result.fraction == Interval(0.0, 0.0)
 
@@ -114,44 +123,53 @@ class TestSecurityMetric:
         result = security_metric(small_ctx, pairs, Deployment.empty(), BASELINE)
         assert result.value.lower <= result.value.upper
 
+    def test_unknown_as_raises(self, graph):
+        with pytest.raises(ValueError, match="AS 999 not in graph"):
+            security_metric(graph, [(999, 1)], Deployment.empty(), BASELINE)
 
-class TestMetricForDestination:
-    def test_excludes_self_attack(self, graph):
-        result = metric_for_destination(
-            graph, [666, 1], 1, Deployment.empty(), BASELINE
-        )
-        assert result.num_pairs == 1  # the (1, 1) pair is dropped
+
+class TestPerDestination:
+    def test_one_destinations_metric_is_over_its_pairs(self, graph):
+        """``H_{M,d}(S)`` (§5.2.3) is the metric over ``d``'s pairs; an
+        attacker equal to ``d`` is not a pair."""
+        pairs = [(m, 1) for m in (666, 4, 5)]
+        result = security_metric(graph, pairs, Deployment.empty(), BASELINE)
+        assert result.num_pairs == 3
+        assert {r.destination for r in result.per_pair} == {1}
+        with pytest.raises(ValueError, match="must differ"):
+            security_metric(graph, [(1, 1)], Deployment.empty(), BASELINE)
 
 
 class TestBatchHappiness:
     def test_matches_per_pair_calls(self, graph):
-        from repro.core import batch_happiness
-
         pairs = [(666, 1), (666, 2), (4, 1)]
         dep = Deployment.of([1, 2, 3])
         batch = batch_happiness(graph, pairs, dep, SECURITY_FIRST)
-        singles = [
-            attack_happiness(graph, m, d, dep, SECURITY_FIRST) for m, d in pairs
-        ]
-        assert batch == singles
+        assert batch == per_pair(graph, pairs, dep, SECURITY_FIRST)
 
-    def test_security_metric_equals_per_pair_attack_happiness(self, small_ctx):
+    def test_security_metric_equals_per_pair_outcomes(self, small_ctx):
         asns = small_ctx.asns
         pairs = [(asns[-1], asns[0]), (asns[-2], asns[1]), (asns[-5], asns[7])]
         dep = Deployment.of(asns[: len(asns) // 4])
         fast = security_metric(small_ctx, pairs, dep, SECURITY_THIRD)
-        slow = tuple(
-            attack_happiness(small_ctx, m, d, dep, SECURITY_THIRD)
-            for m, d in pairs
-        )
+        slow = tuple(per_pair(small_ctx, pairs, dep, SECURITY_THIRD))
         assert fast.per_pair == slow
         assert fast.value == _mean_interval(slow)
 
 
-class TestMetricImprovement:
+class TestImprovement:
+    """``H(S) − H(∅)``, the paper's headline quantity: the bound-wise
+    delta of two metrics under one model and attacker strategy."""
+
+    @staticmethod
+    def _improvement(topology, pairs, deployment, model):
+        secured = security_metric(topology, pairs, deployment, model)
+        baseline = security_metric(topology, pairs, Deployment.empty(), model)
+        return secured.value.bound_delta(baseline.value), secured, baseline
+
     def test_full_deployment_improves_security_first(self, graph):
         deployment = Deployment.of(graph.asns)
-        delta, secured, baseline = metric_improvement(
+        delta, secured, baseline = self._improvement(
             graph, [(666, 1)], deployment, SECURITY_FIRST
         )
         # with everyone secure and security 1st, 3 still prefers... 3's
@@ -160,13 +178,18 @@ class TestMetricImprovement:
         assert delta.upper >= delta.lower
         assert secured.value.lower >= baseline.value.lower
 
-    def test_reuses_provided_baseline(self, graph):
-        pairs = [(666, 1)]
-        baseline = security_metric(graph, pairs, Deployment.empty(), SECURITY_THIRD)
-        delta, _, returned = metric_improvement(
-            graph, pairs, Deployment.of([1, 2]), SECURITY_THIRD, baseline=baseline
+    def test_delta_subtracts_bound_from_bound(self, small_ctx):
+        asns = small_ctx.asns
+        pairs = [(asns[-1], asns[4]), (asns[17], asns[60]), (asns[-3], asns[2])]
+        deployment = Deployment.of(asns[: len(asns) // 2])
+        delta, secured, baseline = self._improvement(
+            small_ctx, pairs, deployment, SECURITY_THIRD
         )
-        assert returned is baseline
+        bounds = sorted((
+            secured.value.lower - baseline.value.lower,
+            secured.value.upper - baseline.value.upper,
+        ))
+        assert (delta.lower, delta.upper) == tuple(bounds)
 
     def test_monotone_model_never_degrades(self, small_ctx):
         # Theorem 6.1: security 3rd is monotone, so the lower bound of
@@ -174,7 +197,7 @@ class TestMetricImprovement:
         asns = small_ctx.asns
         pairs = [(asns[-1], asns[4]), (asns[17], asns[60])]
         deployment = Deployment.of(asns[: len(asns) // 3])
-        delta, _, _ = metric_improvement(
+        delta, _, _ = self._improvement(
             small_ctx, pairs, deployment, SECURITY_THIRD
         )
         assert delta.lower >= -1e-12

@@ -1,6 +1,6 @@
 """Differential tests for nested-deployment chains.
 
-:func:`repro.core.routing.rollout_happiness_counts` evaluates whole
+:func:`repro.core.jobs.rollout_happiness_counts` evaluates whole
 chains as their distinct fixing passes, each run once.  The tests here
 hold every step of a chain *bit-identical* to three independent
 oracles:
@@ -36,9 +36,9 @@ from repro.core import (
     SECURITY_MODELS,
     batch_happiness_counts,
     deployment as deployment_module,
+    jobs_happiness_counts,
     lp2_variant,
     normal_conditions,
-    rollout_happiness,
     rollout_happiness_counts,
     strategy_from_token,
     stubs_of,
@@ -46,7 +46,8 @@ from repro.core import (
     tier12_rollout,
     tier12_rollout_dense,
 )
-from repro.core.routing import RoutingContext
+from repro.core import fixing
+from repro.core.context import RoutingContext
 from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.topology import TopologyParams, classify_tiers, generate_topology
 from repro.topology.ixp import augment_with_ixp_peering
@@ -250,14 +251,13 @@ def test_honest_chain_resolves_each_step_from_its_own_baseline():
     for i, (m, d) in enumerate(pairs):
         dest_i, att_i = ctx._check_pair(d, m)
         first, final = (
-            ctx._resolve_attack(
-                dest_i, att_i, *ctx.deployment_masks(s), model, HONEST
+            fixing._resolve_attack(
+                ctx, dest_i, att_i, *ctx.deployment_masks(s), model, HONEST
             )
             for s in (chain[0], chain[-1])
         )
         if first != final:
-            ctx._run(dest_i, att_i, *last, model, first)
-            stale[i] = ctx._last_counts[:2]
+            stale[i] = fixing._run(ctx, dest_i, att_i, *last, model, first).counts[:2]
     rollout = rollout_happiness_counts(ctx, pairs, chain, model, attack=HONEST)
     for t, deployment in enumerate(chain):
         assert rollout[t] == per_pair_counts(
@@ -275,7 +275,9 @@ class TestChainShape:
         graph, _tiers = make_topology(16)
         pairs = chain_pairs(graph, 16, destinations=2, attackers=2)
         assert rollout_happiness_counts(graph, pairs, []) == []
-        assert rollout_happiness(graph, pairs, [], BASELINE) == []
+        assert jobs_happiness_counts(
+            graph, [(pairs, [], BASELINE, ONE_HOP_HIJACK)]
+        ) == [[]]
 
     @pytest.mark.parametrize("with_pairs", [True, False], ids=["pairs", "no-pairs"])
     def test_non_nested_chain_raises_before_any_pass(
@@ -288,7 +290,7 @@ class TestChainShape:
             Deployment.of(graph.asns[:50]),
             Deployment.of(graph.asns[10:60]),
         ]
-        passes = count_calls(RoutingContext, "_run")
+        passes = count_calls(fixing, "_run")
         ctx = RoutingContext(graph)
         with pytest.raises(ValueError, match="nested"):
             rollout_happiness_counts(ctx, pairs if with_pairs else [], chain)

@@ -22,7 +22,8 @@ from repro.core import (
 from repro.core.attacks import SHIPPED_STRATEGIES
 from repro.core.metrics import AttackHappiness, MetricResult, _mean_interval
 from repro.core.rank import LP2, LocalPreference, RankModel, SecurityModel
-from repro.core.routing import Reach, RoutingContext, compute_routing_outcome
+from repro.core import fixing
+from repro.core.outcome import Reach, compute_routing_outcome
 from repro.experiments import (
     EvalRequest,
     ResultStore,
@@ -957,7 +958,7 @@ class TestScheduler:
         assert store.misses == cold.metric_evaluations
         # a brand-new context and store instance: only the JSONL persists.
         warm_store = ResultStore(tmp_path / "cache")
-        passes = [count_calls(RoutingContext, name) for name in ("_run", "_run_np")]
+        passes = [count_calls(fixing, name) for name in ("_run", "_run_np")]
         with make_context(scale="tiny", seed=2013) as warm:
             for eid in ids[-4:]:
                 assert len(get_experiment(eid).requests(warm)) > 0

@@ -1,6 +1,6 @@
 """Differential tests for the numpy routing kernel and its plumbing.
 
-The bucket kernel (:meth:`repro.core.routing.RoutingContext._run_np`)
+The bucket kernel (:func:`repro.core.fixing._run_np`)
 is a performance rewrite of the seed engine's fixing pass: Theorem
 2.1's unique stable state means every entry point must agree with the
 seed reference engine (:mod:`repro.core.refimpl`) **bit for bit** on
@@ -38,16 +38,19 @@ from repro.core.attacks import (
 )
 from repro.core.rank import RankModel, SecurityModel, pack_key
 from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
-from repro.core.routing import (
-    _NP_INF,
+from repro.core import context, fixing, outcome
+from repro.core.context import RoutingContext
+from repro.core.fixing import _NP_INF
+from repro.core.jobs import (
     DestinationSweep,
-    RoutingContext,
     batch_happiness_counts,
+    jobs_happiness_counts,
+    rollout_happiness_counts,
+)
+from repro.core.outcome import (
     batch_outcomes,
     compute_routing_outcome,
-    jobs_happiness_counts,
     normal_conditions,
-    rollout_happiness_counts,
 )
 from repro.topology import TopologyParams, gadgets, generate_topology
 from repro.topology.graph import ASGraph, graph_from_edges
@@ -104,7 +107,7 @@ class RefOracle:
 
     @staticmethod
     def pass_counts(ref):
-        """A pass's six counts (:attr:`RoutingContext._last_counts`)."""
+        """A pass's six counts (:attr:`repro.core.fixing.StatePass.counts`)."""
         return (
             *ref.count_happy(), *ref.count_attacked(),
             ref.count_secure_sources(), sum(1 for _ in ref.sources()),
@@ -169,14 +172,14 @@ def count_rows(monkeypatch):
     """The ``(kernel model, rows)`` of every count call of ``_run_np``
     until the test ends (state calls are not listed)."""
     calls = []
-    run_np = RoutingContext._run_np
+    run_np = fixing._run_np
 
-    def spying(self, rows, model, **kwargs):
+    def spying(ctx, rows, model, **kwargs):
         if not kwargs.get("state"):
             calls.append((model, len(rows)))
-        return run_np(self, rows, model, **kwargs)
+        return run_np(ctx, rows, model, **kwargs)
 
-    monkeypatch.setattr(RoutingContext, "_run_np", spying)
+    monkeypatch.setattr(fixing, "_run_np", spying)
     return calls
 
 
@@ -215,7 +218,7 @@ def _kernel_pass(ctx, model, deployment, m, d, attack):
     dest_i, att_i = ctx._check_pair(d, m)
     deployment = deployment or Deployment.empty()
     masks = ctx.deployment_masks(deployment)
-    resolved = ctx._resolve_attack(dest_i, att_i, *masks, model, attack)
+    resolved = fixing._resolve_attack(ctx, dest_i, att_i, *masks, model, attack)
     if _is_blind(model, (dest_i, att_i, *masks, resolved)):
         return _blind_model(model), dest_i, att_i, resolved
     return model, deployment, dest_i, att_i, resolved
@@ -235,7 +238,7 @@ class TestDifferentialGrid:
             )
             assert vec_ctx._np_scratch["key"].tolist() == oracle.keys(ref)
             assert dict(vec.routes) == ref.routes
-            assert vec_ctx._last_counts == oracle.pass_counts(ref)
+            assert vec._counts == oracle.pass_counts(ref)
             assert vec.count_happy() == ref.count_happy()
             assert vec.count_attacked() == ref.count_attacked()
             assert vec.count_secure_sources() == ref.count_secure_sources()
@@ -320,8 +323,9 @@ class TestDeltaKernels:
         m, d, dep = _instances(graph, "npsnap", k=1)[0]
         sn = DestinationSweep(vec_ctx, d, dep, SECURITY_MODELS[0], HONEST)
         scratch = vec_ctx._np_scratch.values()
-        assert [a.dtype for a in sn._base] == [np.bool_, np.int64, np.int64]
-        assert not any(np.shares_memory(a, b) for a in sn._base for b in scratch)
+        base = sn._base.values()
+        assert [a.dtype for a in base] == [np.bool_, np.int64, np.int64]
+        assert not any(np.shares_memory(a, b) for a in base for b in scratch)
         counts = sn.happiness_counts(m)
         assert [counts] == oracle.counts([(m, d)], dep, SECURITY_MODELS[0], HONEST)
 
@@ -418,7 +422,7 @@ class TestLazyNextHopPairs:
             + [(m, many_d) for m in rnd.sample(others, 5)]
         )
         expected = oracle.chain(pairs, chain, self.MODEL)
-        pair_sets = count_calls(RoutingContext, "_np_nhop_pairs")
+        pair_sets = count_calls(outcome, "_np_nhop_pairs")
         got = rollout_happiness_counts(vec_ctx, pairs, chain, self.MODEL)
         assert got == expected
         assert pair_sets == [0]
@@ -478,23 +482,23 @@ class TestRowsKernel:
                         m = None
                     dest_i, att_i = vec._check_pair(d, m)
                     masks = vec.deployment_masks(deployment)
-                    resolved = vec._resolve_attack(
-                        dest_i, att_i, *masks, model, attack
+                    resolved = fixing._resolve_attack(
+                        vec, dest_i, att_i, *masks, model, attack
                     )
                     rows.append((dest_i, att_i, *masks, resolved))
                     refs.append(oracle.outcome(d, m, deployment, model, attack))
             assert 1 < len(rows) <= vec.batch_rows
             assert any(row[1] < 0 for row in rows)
             assert {row[4].export_all for row in rows} == {True, False}
-            batch = vec._run_np(rows, model)
+            batch = fixing._run_np(vec, rows, model)
             for row, ref, counts in zip(rows, refs, batch):
                 assert counts == oracle.pass_counts(ref)
-                assert vec._run_np([row], model) == [counts]
-                assert vec._run_np([row], model, state=True) == [counts]
-                assert vec._last_counts == counts
-                # the state call leaves the reference's state in its
+                assert fixing._run_np(vec, [row], model) == [counts]
+                state = fixing._run(vec, *row[:4], model, row[4])
+                assert state.counts == counts
+                # the state call returns the reference's state in its
                 # arrays (a reached AS's class is its route's)
-                st, want = vec._np_scratch, oracle.state(ref)
+                st, want = state.arrays, oracle.state(ref)
                 for name, values in want.items():
                     assert st[name].tolist() == values, name
                 roots = {row[0], row[1]}
@@ -567,8 +571,8 @@ class TestRowsKernel:
         for _ in range(count):
             d, m = rnd.sample(asns, 2)
             dest_i, att_i = ctx._check_pair(d, m)
-            rows.append((dest_i, att_i, *masks, ctx._resolve_attack(
-                dest_i, att_i, *masks, model, ONE_HOP_HIJACK
+            rows.append((dest_i, att_i, *masks, fixing._resolve_attack(
+                ctx, dest_i, att_i, *masks, model, ONE_HOP_HIJACK
             )))
         return rows
 
@@ -578,27 +582,25 @@ class TestRowsKernel:
         rnd = random.Random("rows/oversize")
         model = SECURITY_MODELS[1]
         deployment = Deployment.of(rnd.sample(graph.asns, 100))
-        vec_ctx._run_np(self._rows(vec_ctx, rnd, deployment, model, 2), model)
+        fixing._run_np(vec_ctx, self._rows(vec_ctx, rnd, deployment, model, 2), model)
         rows = self._rows(vec_ctx, rnd, deployment, model, 112)
         assert len(rows) > vec_ctx.batch_rows
-        alone = [c for row in rows for c in vec_ctx._run_np([row], model)]
-        assert vec_ctx._run_np(rows, model) == alone
+        alone = [c for row in rows for c in fixing._run_np(vec_ctx, [row], model)]
+        assert fixing._run_np(vec_ctx, rows, model) == alone
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_count_call_leaves_the_state_call_alone(self, graph, vec_ctx, k):
-        """A count call, one row or many, touches none of what the last
-        state call left: its arrays, its ``post`` or its counts."""
+        """A count call, one row or many, leaves the arrays the last
+        state call returned as they were."""
         rnd = random.Random(f"rows/alone/{k}")
         model = SECURITY_MODELS[0]
         deployment = Deployment.of(rnd.sample(graph.asns, 100))
         (row,) = self._rows(vec_ctx, rnd, deployment, model, 1)
-        vec_ctx._run_np([row], model, state=True)
-        arrays = {name: a.copy() for name, a in vec_ctx._np_scratch.items()}
-        post, counts = vec_ctx._np_post, vec_ctx._last_counts
-        vec_ctx._run_np(self._rows(vec_ctx, rnd, deployment, model, k), model)
-        assert vec_ctx._np_post is post
-        assert vec_ctx._last_counts == counts
-        for name, a in vec_ctx._np_scratch.items():
+        state = fixing._run(vec_ctx, *row[:4], model, row[4])
+        arrays = {name: a.copy() for name, a in state.arrays.items()}
+        fixing._run_np(vec_ctx, self._rows(vec_ctx, rnd, deployment, model, k), model)
+        assert state.arrays is vec_ctx._np_scratch
+        for name, a in state.arrays.items():
             assert np.array_equal(a, arrays[name]), name
 
     def test_roots_of_every_scope_length_and_wire_share_a_batch(self):
@@ -629,7 +631,7 @@ class TestRowsKernel:
                 refs.append(oracle.outcome(d, m, deployment, model, attack))
         roots = {(r[4].export_all, r[4].length, r[4].wire) for r in rows}
         assert len(roots) == 4
-        batch = vec._run_np(rows, model)
+        batch = fixing._run_np(vec, rows, model)
         for ref, counts in zip(refs, batch):
             assert counts == oracle.pass_counts(ref)
             assert counts[5] <= vec.n - 4  # the island is never fixed
@@ -639,7 +641,7 @@ class TestRowsKernel:
     ):
         """A chain's groups are rows, equal to one pass a pair;
         a chain that does not nest is rejected before any pass."""
-        passes = count_calls(RoutingContext, "_run_np")
+        passes = count_calls(fixing, "_run_np")
         rnd = random.Random("rows/steps")
         asns = graph.asns
         members = rnd.sample(asns, 60)
@@ -686,8 +688,8 @@ class TestBlindRows:
                 if attack is SILENT:
                     resolved = SILENT
                 else:
-                    resolved = ctx._resolve_attack(
-                        dest_i, att_i, *masks, model, attack or ONE_HOP_HIJACK
+                    resolved = fixing._resolve_attack(
+                        ctx, dest_i, att_i, *masks, model, attack or ONE_HOP_HIJACK
                     )
                 rows.append((dest_i, att_i, *masks, resolved))
         return rows
@@ -707,14 +709,14 @@ class TestBlindRows:
             {False} if model.uses_security else {False, True}
         )
         base = _blind_model(model)
-        want = vec_ctx._run_np(self._baseline_rows(vec_ctx, blind), base)
+        want = fixing._run_np(vec_ctx, self._baseline_rows(vec_ctx, blind), base)
         assert want == [
             c for row in self._baseline_rows(vec_ctx, blind)
-            for c in vec_ctx._run_np([row], base)
+            for c in fixing._run_np(vec_ctx, [row], base)
         ]
-        together = vec_ctx._run_np(rows, model)  # K > 1, mixed with the rest
+        together = fixing._run_np(vec_ctx, rows, model)  # K > 1, mixed with the rest
         assert [c for row, c in zip(rows, together) if _is_blind(model, row)] == want
-        assert [vec_ctx._run_np([row], model)[0] for row in blind] == want
+        assert [fixing._run_np(vec_ctx, [row], model)[0] for row in blind] == want
 
     def test_a_signed_destination_is_not_blind(self, graph, vec_ctx):
         """The counter-case: under a security placement a signed
@@ -729,9 +731,9 @@ class TestBlindRows:
                 if not _is_blind(model, row)
             ]
             assert rows
-            got = vec_ctx._run_np(rows, model)
-            want = vec_ctx._run_np(
-                self._baseline_rows(vec_ctx, rows), _blind_model(model)
+            got = fixing._run_np(vec_ctx, rows, model)
+            want = fixing._run_np(
+                vec_ctx, self._baseline_rows(vec_ctx, rows), _blind_model(model)
             )
             differ += sum(g[:2] != w[:2] for g, w in zip(got, want))
         assert differ
@@ -791,7 +793,7 @@ class TestBlindRows:
                 for m, d in pairs
             }
 
-        passes = count_calls(RoutingContext, "_run")
+        passes = count_calls(fixing, "_run")
         for job in jobs:
             count_rows.clear()
             got = rollout_happiness_counts(vec_ctx, *job[:3], attack=job[3])
@@ -884,17 +886,15 @@ class TestEveryGroupIsRows:
         """One ``_run`` per ``(d, S_t)``, however many attackers share it
         and however the batches split its rows — for one destination
         group, whose steps follow each other, and for two."""
-        from repro.core import routing
-
         chain, pairs = self._chain_and_pairs(graph, "passes", self.MANY)
         model = SECURITY_MODELS[0]
-        passes = count_calls(RoutingContext, "_run")
+        passes = count_calls(fixing, "_run")
         for group in (pairs[: self.MANY], pairs):
             want = oracle.chain(group, chain, model, HONEST)
             destinations = len({d for _, d in group})
             for rows_a_call in (vec_ctx.batch_rows, 3):
                 monkeypatch.setattr(
-                    routing, "NP_ROWS_BUDGET", rows_a_call * vec_ctx.n
+                    context, "NP_ROWS_BUDGET", rows_a_call * vec_ctx.n
                 )
                 passes[0] = 0
                 got = rollout_happiness_counts(
@@ -913,8 +913,8 @@ class TestOneEngine:
 
     @staticmethod
     def _check(ctx, pairs, deployment, model, attack, count_calls):
-        runs = count_calls(RoutingContext, "_run")
-        kernel = count_calls(RoutingContext, "_run_np")
+        runs = count_calls(fixing, "_run")
+        kernel = count_calls(fixing, "_run_np")
         oracle = RefOracle(ctx.graph)
         # A ``needs_baseline`` strategy (``honest``) reads the attacker's
         # record from one attacker-free state call per destination first.

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""The measurements behind the numpy kernel's batching in
-``repro.core.routing``: with ``--rows``, the constant ``NP_ROWS_BUDGET``
+"""The measurements behind the numpy kernel's batching
+(``repro.core.fixing``): with ``--rows``, the constant ``NP_ROWS_BUDGET``
 — the bucket kernel at K rows a call against one — and, with
 ``--groups``, the race behind evaluating every destination group as
 rows.  One of the two is required.
@@ -10,7 +10,7 @@ rows.  One of the two is required.
 
 ``--rows`` runs, per size, the same ``ROWS`` fixing passes (sampled
 pairs, four nested deployments with simplex stubs, ``security_2nd``)
-through ``RoutingContext._run_np`` as count calls — the rows
+through ``fixing._run_np`` as count calls — the rows
 ``jobs_happiness_counts`` runs — K at a call for K = 1, 2, 4, … and
 prints milliseconds per row; ``*`` marks the K the budget gives that
 size (``RoutingContext.batch_rows``).  The budget belongs where the
@@ -44,13 +44,10 @@ import time
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from repro.core import SECURITY_MODELS, Deployment, routing  # noqa: E402
-from repro.core.attacks import HONEST, ONE_HOP_HIJACK  # noqa: E402
-from repro.core.routing import (  # noqa: E402
-    DestinationSweep,
-    RoutingContext,
-    rollout_happiness_counts,
-)
+from repro.core import SECURITY_MODELS, Deployment, context, fixing  # noqa: E402
+from repro.core.attacks import DEFAULT_RESOLVED, HONEST, ONE_HOP_HIJACK  # noqa: E402
+from repro.core.context import RoutingContext  # noqa: E402
+from repro.core.jobs import DestinationSweep, rollout_happiness_counts  # noqa: E402
 from repro.topology import TopologyParams, generate_topology  # noqa: E402
 
 DEFAULT_SIZES = (60, 120, 300, 600, 900, 1500, 2200, 4000)
@@ -81,14 +78,14 @@ def rows_table(sizes, repeats: int) -> int:
     """``--rows``: ms per row by (size, K); 1 if some counts differ."""
     print(f"{'N':>6} {'K*':>4}  " + " ".join(f"{f'K={k}':>7}" for k in ROW_KS))
     model = SECURITY_MODELS[1]
-    budget = routing.NP_ROWS_BUDGET
+    budget = context.NP_ROWS_BUDGET
     wrong = []
     for n in sizes:
         graph = generate_topology(TopologyParams(n=n, seed=2013)).graph
         ctx = RoutingContext(graph)
         given = max(1, budget // ctx.n)
         # room for the largest K measured, whatever the constant is
-        routing.NP_ROWS_BUDGET = max(ROW_KS) * ctx.n
+        context.NP_ROWS_BUDGET = max(ROW_KS) * ctx.n
         rnd = random.Random(f"rows/{n}")
         asns = graph.asns
         members = rnd.sample(asns, n // 2)
@@ -101,12 +98,12 @@ def rows_table(sizes, repeats: int) -> int:
             m, d = rnd.sample(asns, 2)
             dest_i, att_i = ctx._check_pair(d, m)
             masks = ctx.deployment_masks(rnd.choice(chain))
-            rows.append((dest_i, att_i, *masks, routing.DEFAULT_RESOLVED))
+            rows.append((dest_i, att_i, *masks, DEFAULT_RESOLVED))
         cells = []
         for k in ROW_KS:
             wall, counts = fastest(repeats, lambda: [
                 c for at in range(0, ROWS, k)
-                for c in ctx._run_np(rows[at : at + k], model)
+                for c in fixing._run_np(ctx, rows[at : at + k], model)
             ])
             if k == 1:
                 alone = counts
@@ -114,7 +111,7 @@ def rows_table(sizes, repeats: int) -> int:
                 wrong.append((n, k))
             cells.append(f"{wall / ROWS * 1e3:>6.3f}" + ("*" if k == given else " "))
         print(f"{n:>6} {given:>4}  " + " ".join(cells), flush=True)
-    routing.NP_ROWS_BUDGET = budget
+    context.NP_ROWS_BUDGET = budget
     print(
         "ms per row (fastest of repeats); K* = batch_rows under "
         "NP_ROWS_BUDGET, starred where it is a column"
@@ -125,19 +122,19 @@ def rows_table(sizes, repeats: int) -> int:
 
 
 def kernel_rows(run) -> int:
-    """How many rows ``RoutingContext._run_np`` ran during ``run()``."""
+    """How many rows ``fixing._run_np`` ran during ``run()``."""
     rows = [0]
-    run_np = RoutingContext._run_np
+    run_np = fixing._run_np
 
-    def counted(self, batch, *args, **kwargs):
+    def counted(ctx, batch, *args, **kwargs):
         rows[0] += len(batch)
-        return run_np(self, batch, *args, **kwargs)
+        return run_np(ctx, batch, *args, **kwargs)
 
-    RoutingContext._run_np = counted
+    fixing._run_np = counted
     try:
         run()
     finally:
-        RoutingContext._run_np = run_np
+        fixing._run_np = run_np
     return rows[0]
 
 
