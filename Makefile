@@ -43,7 +43,8 @@ doctest:
 		src/repro/core/metrics.py \
 		src/repro/experiments/faults.py \
 		src/repro/experiments/scenarios.py \
-		src/repro/experiments/store.py
+		src/repro/experiments/store.py \
+		src/repro/topology/graph.py
 
 ## the layered benchmark (perfbench/README.md): four workloads over
 ## the real entry points, end-to-end metrics then per-layer metrics;

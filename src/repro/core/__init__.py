@@ -12,12 +12,11 @@ Example:
     A five-AS topology — ``1`` provides transit to ``2`` and ``3``
     (who peer), with stubs ``4`` under ``2`` and ``5`` under ``3``:
 
-    >>> from repro.topology.graph import ASGraph
+    >>> from repro.topology.graph import graph_from_edges
     >>> from repro import core
-    >>> g = ASGraph()
-    >>> for customer, provider in [(2, 1), (3, 1), (4, 2), (5, 3)]:
-    ...     g.add_customer_provider(customer, provider)
-    >>> g.add_peering(2, 3)
+    >>> g = graph_from_edges(
+    ...     customer_provider=[(2, 1), (3, 1), (4, 2), (5, 3)], peerings=[(2, 3)]
+    ... )
 
     Under normal conditions everyone reaches the destination ``4``:
 

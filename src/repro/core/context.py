@@ -1,12 +1,12 @@
-"""The routing context: one graph's dense-indexed adjacency, its
-deployment masks and the scratch the fixing pass computes in.
+"""The routing context: one graph's adjacency, its deployment masks
+and the scratch the fixing pass computes in.
 
-:class:`RoutingContext` maps ASNs onto dense indices ``0..n-1`` once
-per graph and stores the adjacency as flat CSR ndarrays built by one
-sort (the per-relationship index tuples are derived only if a reader
-asks).  Everything that runs a pass takes one: the kernel
-(:mod:`repro.core.fixing`), the full-state entry points
-(:mod:`repro.core.outcome`) and the count jobs (:mod:`repro.core.jobs`).
+:class:`RoutingContext` adopts the graph's dense-indexed CSR arrays
+(:class:`~repro.topology.graph.ASGraph`) as they are and derives the
+per-relationship index tuples only if a reader asks.  Everything that
+runs a pass takes one: the kernel (:mod:`repro.core.fixing`), the
+full-state entry points (:mod:`repro.core.outcome`) and the count jobs
+(:mod:`repro.core.jobs`).
 
 The context's scratch arrays make routing computations *not*
 thread-safe per context; fork-based multiprocessing (the experiment
@@ -16,8 +16,6 @@ copy-on-write context.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import weakref
 
 import numpy as np
@@ -49,48 +47,34 @@ _EMPTY_DEPLOYMENT = Deployment.empty()
 
 
 class RoutingContext:
-    """Dense-indexed adjacency plus reusable scratch for routing passes.
+    """A graph's adjacency plus reusable scratch for routing passes.
 
-    Build once per graph.  ASNs are mapped onto contiguous indices
-    ``0..n-1`` via :meth:`ASGraph.dense_index` (sorted-ASN order, so
-    index tiebreaks equal ASN tiebreaks).  The adjacency is stored as
-    flat CSR ndarrays (:meth:`_build_csr_np`), which the kernels share
-    (:meth:`_np_adjacency`):
-
-    * ``adj_start`` — int64, length ``n + 1``; node ``u``'s out-edges
-      occupy slots ``adj_start[u]:adj_start[u+1]``;
-    * ``adj_node`` — int64 neighbor indices;
-    * ``adj_class`` — uint8; the LP class the *neighbor* assigns to a
-      route learned from ``u``;
-    * ``adj_custflag`` — uint8; 1 iff the neighbor is a customer of
-      ``u`` (the export rule lets non-customer routes flow only there).
-
-    **Row layout.**  Each row lists ``u``'s providers, then its peers,
-    then its customers (each group in index order), so ``adj_custflag``
-    reads ``0…0 1…1`` along a row and the edges a non-customer route
-    may be exported on are the row's last ``len(customers_idx[u])``
-    slots.  The kernel expands only that tail for a source that does
-    not export to everyone.
+    Build once per graph.  ASNs map onto the graph's dense indices
+    ``0..n-1`` (sorted-ASN order, so index tiebreaks equal ASN
+    tiebreaks), and the kernels read the graph's own CSR arrays
+    (:meth:`_np_csr`), not copies.  Each row lists ``u``'s
+    providers, then its peers, then its customers, so the edges a
+    non-customer route may be exported on are the row's tail from
+    ``cust_start[u]``: the kernel expands only that tail for a source
+    that does not export to everyone.
 
     Per-relationship index adjacency (``providers_idx`` etc.) serves
     the perceivable-closure and partition computations; the context
-    derives it lazily, as no kernel reads it.  The context never
-    mutates the graph; it also owns the scratch arrays of the fixing
-    pass, which makes a single context not thread-safe (fork workers
-    each get a copy-on-write clone, which is safe).
+    derives it lazily, as no kernel reads it.  The context also owns
+    the scratch arrays of the fixing pass, which makes a single context
+    not thread-safe (fork workers each get a copy-on-write clone, which
+    is safe).
 
     Args:
-        graph: the topology to index.
+        graph: the topology to route on.
 
     Example:
         Build one context per graph and reuse it for every computation
-        on that graph — the adjacency indexing is paid once:
+        on that graph:
 
-        >>> from repro.topology.graph import ASGraph
+        >>> from repro.topology.graph import graph_from_edges
         >>> from repro.core.outcome import compute_routing_outcome
-        >>> g = ASGraph()
-        >>> for customer, provider in [(2, 1), (3, 1), (4, 2)]:
-        ...     g.add_customer_provider(customer, provider)
+        >>> g = graph_from_edges(customer_provider=[(2, 1), (3, 1), (4, 2)])
         >>> ctx = RoutingContext(g)
         >>> ctx.n
         4
@@ -105,12 +89,7 @@ class RoutingContext:
         "asns",
         "index_of",
         "n",
-        "adj_start",
-        "adj_node",
-        "adj_class",
-        "adj_custflag",
         "_rel_idx",
-        "_has_customers",
         "_np_adj",
         "_np_scratch",
         "_np_rows",
@@ -121,21 +100,18 @@ class RoutingContext:
 
     def __init__(self, graph: ASGraph) -> None:
         self.graph = graph
-        asn_of, index_of = graph.dense_index()
-        n = len(asn_of)
+        n = len(graph)
         if n >= 1 << PACK_SHIFT:
             raise ValueError(
                 f"graph has {n} ASes; the packed-key engine supports up to "
                 f"{(1 << PACK_SHIFT) - 1}"
             )
-        # Copy: dense_index's lists are shared graph-wide caches, and
-        # ctx.asns has always been safe for callers to mutate.
-        self.asns: list[int] = list(asn_of)
-        self.index_of: dict[int, int] = index_of
+        #: a list of its own: callers may mutate it
+        self.asns: list[int] = graph.asns
+        self.index_of: dict[int, int] = graph.index_of
         self.n = n
 
         self._rel_idx: tuple | None = None  # see _relationship_idx
-        self._build_csr_np(graph)
         self._np_adj: tuple | None = None
         #: the arrays a state call computes in (:meth:`_np_ensure_scratch`)
         self._np_scratch: dict | None = None
@@ -149,64 +125,21 @@ class RoutingContext:
         )
         self._zero_mask = bytearray(n)
 
-    # ------------------------------------------------------------------
-    # Adjacency representations
-    # ------------------------------------------------------------------
-    def _build_csr_np(self, graph: ASGraph) -> None:
-        """The CSR ndarrays and their row layout (class docstring), from
-        one pass over the graph's adjacency maps: one sort of the packed
-        keys ``(u·3 + g)·n + v``, ``g`` = 0/1/2 for providers/peers/
-        customers, lays every row out."""
-        n = self.n
-        asns = self.asns
-        # ASN → dense index: a direct table where the ASN space is compact
-        # (ten times faster), else a binary search over the sorted ASNs.
-        if n and asns[-1] < 8 * n:
-            table = np.empty(asns[-1] + 1, np.int64)
-            table[asns] = np.arange(n)
-            index = table.take
-        else:
-            index = functools.partial(np.searchsorted, np.array(asns, np.int64))
-        providers, customers, peers = graph.adjacency()
-        groups = [list(map(m.__getitem__, asns)) for m in (providers, peers, customers)]
-        counts = np.stack([np.fromiter(map(len, g), np.int64, n) for g in groups], 1)
-        key = np.empty(int(counts.sum()), np.int64)
-        end = 0
-        for g, sets in enumerate(groups):
-            seg = key[end : end + int(counts[:, g].sum())]
-            end += len(seg)
-            seg[:] = np.repeat(np.arange(g, 3 * n, 3), counts[:, g])
-            seg *= n
-            nbrs = itertools.chain.from_iterable(sets)
-            seg += index(np.fromiter(nbrs, np.int64, len(seg)))
-        del groups
-        key.sort()
-        np.remainder(key, max(n, 1), out=key)
-        classes = np.array(
-            [RouteClass.CUSTOMER, RouteClass.PEER, RouteClass.PROVIDER], np.uint8
-        )
-        self.adj_start = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
-        self.adj_node = key
-        self.adj_class = np.repeat(np.tile(classes, n), counts.ravel())
-        self.adj_custflag = (self.adj_class == RouteClass.PROVIDER).view(np.uint8)
-        #: 1 per node that has a customer (:meth:`require_stub_simplex`)
-        self._has_customers = (counts[:, 2] > 0).tobytes()
-
     def _relationship_idx(self) -> tuple:
         """``(providers_idx, customers_idx, peers_idx)``, per node the
-        sorted indices of each relationship, derived from the CSR the
-        first time a reader asks."""
+        sorted indices of each relationship, derived from the graph's
+        rows the first time a reader asks."""
         rel = self._rel_idx
         if rel is None:
-            groups = []
-            # A neighbor assigns a route via its customer u the class
-            # CUSTOMER, so those are u's providers; peers, then customers.
-            for cls in (RouteClass.CUSTOMER, RouteClass.PROVIDER, RouteClass.PEER):
-                sel = self.adj_class == cls
-                nodes = self.adj_node[sel].tolist()
-                bounds = np.concatenate(([0], np.cumsum(sel)))[self.adj_start].tolist()
-                groups.append([tuple(nodes[i:j]) for i, j in zip(bounds, bounds[1:])])
-            rel = self._rel_idx = tuple(groups)
+            g = self.graph
+            node = g.adj_node.tolist()
+            bounds = (g.adj_start[:-1], g.peer_start, g.cust_start, g.adj_start[1:])
+            providers, customers, peers = [], [], []
+            for start, peer, cust, end in zip(*(b.tolist() for b in bounds)):
+                providers.append(tuple(node[start:peer]))
+                peers.append(tuple(node[peer:cust]))
+                customers.append(tuple(node[cust:end]))
+            rel = self._rel_idx = (providers, customers, peers)
         return rel
 
     providers_idx = property(lambda self: self._relationship_idx()[0])
@@ -223,20 +156,20 @@ class RoutingContext:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _np_adjacency(self):
-        """Int64/bool CSR views for the kernel (cached):
-        ``(start, node, cls_e, cf_b, esrc, cust_start)``, where row
-        ``u``'s customer edges are ``cust_start[u]:start[u + 1]``."""
+    def _np_csr(self):
+        """The graph's CSR as the kernel reads it (cached):
+        ``(start, node, cls_e, cf_b, esrc, cust_start)`` — ``start``,
+        ``node`` and ``cust_start`` the graph's own arrays, ``cls_e`` its
+        ``adj_class`` as int64, ``cf_b`` true on a customer slot and
+        ``esrc`` each slot's row; row ``u``'s customer edges are
+        ``cust_start[u]:start[u + 1]``."""
         adj = self._np_adj
         if adj is None:
-            start, node = self.adj_start, self.adj_node
-            cls_e = self.adj_class.astype(np.int64)
-            cf_b = self.adj_custflag.view(np.bool_)
-            esrc = np.repeat(
-                np.arange(self.n, dtype=np.int64), np.diff(start)
+            g = self.graph
+            adj = self._np_adj = (
+                g.adj_start, g.adj_node, g.adj_class.astype(np.int64),
+                g.adj_class == RouteClass.PROVIDER, g.slot_rows(), g.cust_start,
             )
-            cust_start = start[1:] - np.bincount(esrc[cf_b], minlength=self.n)
-            adj = self._np_adj = (start, node, cls_e, cf_b, esrc, cust_start)
         return adj
 
     @property
@@ -337,12 +270,12 @@ class RoutingContext:
         if checked.get(id(deployment)) is deployment:
             return
         get = self.index_of.get
-        has_customers = self._has_customers
-        transit = sorted(
-            asn
-            for asn in deployment.simplex
-            if (i := get(asn)) is not None and has_customers[i]
+        members = np.fromiter(
+            (i for asn in deployment.simplex if (i := get(asn)) is not None), np.int64
         )
+        g = self.graph
+        transit = members[g.cust_start[members] < g.adj_start[members + 1]]
+        transit = np.sort(g.asn_of[transit]).tolist()
         if transit:
             shown = ", ".join(map(str, transit[:10]))
             more = f" and {len(transit) - 10} more" if len(transit) > 10 else ""

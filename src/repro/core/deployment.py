@@ -21,6 +21,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..topology.graph import ASGraph
 from ..topology.tiers import Tier, TierTable
 
@@ -147,10 +149,13 @@ def stubs_of(graph: ASGraph, isps: Iterable[int]) -> frozenset[int]:
     ISPs "and all of their stubs": every direct customer with no
     customers of its own.
     """
-    customers_of = graph.adjacency()[1]
-    return frozenset(
-        [c for isp in isps for c in customers_of[isp] if not customers_of[c]]
-    )
+    start, cust_start, node = graph.adj_start, graph.cust_start, graph.adj_node
+    customers = np.concatenate([
+        node[cust_start[i] : start[i + 1]]
+        for i in map(graph.index_of.__getitem__, isps)
+    ] or [node[:0]])
+    stubs = customers[cust_start[customers] == start[customers + 1]]
+    return frozenset(graph.asn_of[stubs].tolist())
 
 
 def _isp_step(

@@ -283,7 +283,7 @@ def _run_np(
     n = ctx.n
     K = len(rows)
     int64, arange = np.int64, np.arange
-    start, node, cls_e, _cf_b, _esrc, cust_start = ctx._np_adjacency()
+    start, node, cls_e, _cf_b, _esrc, cust_start = ctx._np_csr()
     st = ctx._np_ensure_scratch(K, state)
     fills = {"keyq": _NP_INF, "key": _NP_INF, "choice": -1, "chacc": n}
     for name, arr in st.items():

@@ -38,11 +38,9 @@ class DestinationSweep:
         One sweep answers many attackers against one destination and
         is bit-identical to the per-pair engine:
 
-        >>> from repro.topology.graph import ASGraph
+        >>> from repro.topology.graph import graph_from_edges
         >>> from repro.core.outcome import compute_routing_outcome
-        >>> g = ASGraph()
-        >>> for customer, provider in [(2, 1), (3, 1), (4, 2), (5, 3)]:
-        ...     g.add_customer_provider(customer, provider)
+        >>> g = graph_from_edges(customer_provider=[(2, 1), (3, 1), (4, 2), (5, 3)])
         >>> sweep = DestinationSweep(g, destination=4)
         >>> [sweep.happiness_counts(m) for m in (5, 3, 1)]
         [(2, 2, 3), (1, 2, 3), (1, 1, 3)]

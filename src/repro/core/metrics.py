@@ -146,12 +146,10 @@ def security_metric(
         source falls for the one-hop lie except the attacker's provider,
         which sits one hop from both roots (a knife-edge tiebreak):
 
-        >>> from repro.topology.graph import ASGraph
+        >>> from repro.topology.graph import graph_from_edges
         >>> from repro.core.rank import BASELINE
         >>> from repro.core.deployment import Deployment
-        >>> g = ASGraph()
-        >>> for customer, provider in [(2, 1), (3, 2), (4, 1)]:
-        ...     g.add_customer_provider(customer, provider)
+        >>> g = graph_from_edges(customer_provider=[(2, 1), (3, 2), (4, 1)])
         >>> result = security_metric(
         ...     g, [(4, 3)], Deployment.empty(), BASELINE
         ... )

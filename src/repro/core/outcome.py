@@ -81,7 +81,7 @@ def _np_nhop_pairs(ctx: RoutingContext, state: fixing.StatePass):
     do.
     """
     dest_i, att_i, attack = state.dest_i, state.att_i, state.attack
-    _start, node, cls_e, cf_b, esrc, _cust = ctx._np_adjacency()
+    _start, node, cls_e, cf_b, esrc, _cust = ctx._np_csr()
     st = state.arrays
     fixed_s = st["fixed"]
     cls_s = st["cls"]

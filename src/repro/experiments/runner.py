@@ -700,7 +700,7 @@ class ExperimentContext:
         worker writes its own).
         """
         if self._pool is None:
-            self.graph_ctx._np_adjacency()
+            self.graph_ctx._np_csr()
             self._pool = SupervisedPool(
                 self, policy=self.supervision, failure_log=self.failure_log
             )
@@ -875,12 +875,13 @@ def make_context(
         attack = strategy_from_token(attack)
     if failure_log is None:
         failure_log = FailureLog()
-    # The build makes no reference cycles, but at 80k ASes it leaves
-    # ~110k tracked neighbour sets, and with the cyclic collector running
-    # their allocation triggers full collections that walk everything
-    # already resident (a previous trial's context, the service's cached
-    # ones).  Paused, one young collection afterwards walks the new sets
-    # once and promotes them, so the first evaluation pass does not.
+    # The build makes no reference cycles, but at 80k ASes the
+    # generator's draws allocate ~80k tracked neighbour sets, and with
+    # the cyclic collector running that triggers full collections that
+    # walk everything already resident (a previous trial's context, the
+    # service's cached ones).  Paused, one young collection afterwards
+    # walks what the build kept once and promotes it, so the first
+    # evaluation pass does not.
     with _BUILD_LOCK:
         gc_was_enabled = gc.isenabled()
         gc.disable()

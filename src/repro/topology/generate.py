@@ -26,7 +26,9 @@ import random
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
-from .graph import ASGraph
+import numpy as np
+
+from .graph import ASGraph, graph_from_edges
 from .tiers import PAPER_CONTENT_PROVIDERS
 
 #: Topologies at or above this many ASes draw transit providers from
@@ -120,12 +122,19 @@ def _pick_distinct(
 
 
 class _Builder:
-    """Stateful helper that assembles the synthetic graph."""
+    """Stateful helper that draws the synthetic graph's edges; its
+    :meth:`finish` builds the graph."""
 
     def __init__(self, params: TopologyParams) -> None:
         self.params = params
         self.rng = random.Random(params.seed)
-        self.graph = ASGraph()
+        #: what the draws read: each AS's neighbors of any annotation,
+        #: each provider's customer count
+        self.neighbors: dict[int, set[int]] = {}
+        self.customers: dict[int, int] = {}
+        #: the edges drawn, flat: customer, provider, … / peer, peer, …
+        self.c2p: list[int] = []
+        self.p2p: list[int] = []
         self.layer_of: dict[int, str] = {}
         self._next_asn = 1
         self._reserved = (
@@ -146,16 +155,34 @@ class _Builder:
         members = []
         asn = self._next_asn
         reserved = self._reserved
-        add_as = self.graph.add_as
         for _ in range(count):
             while asn in reserved:
                 asn += 1
-            add_as(asn)
             members.append(asn)
             asn += 1
         self._next_asn = asn
-        self.layer_of.update(dict.fromkeys(members, name))
+        self.add_layer(members, name)
         return members
+
+    def add_layer(self, members: list[int], name: str) -> None:
+        """Add ``members`` (no edges yet) as layer ``name``."""
+        self.neighbors.update((asn, set()) for asn in members)
+        self.layer_of.update(dict.fromkeys(members, name))
+
+    def add_p2p(self, a: int, b: int) -> None:
+        self.p2p += (a, b)
+        self.neighbors[a].add(b)
+        self.neighbors[b].add(a)
+
+    def finish(self) -> ASGraph:
+        """The graph of the edges drawn (every AS has one).  Drawing
+        ends: the neighbor sets go first, so the graph is not built on
+        top of them."""
+        self.neighbors.clear()
+        return graph_from_edges(
+            np.array(self.c2p, np.int64).reshape(-1, 2),
+            np.array(self.p2p, np.int64).reshape(-1, 2),
+        )
 
     def track(self, members: list[int]) -> None:
         """Start keeping a transit layer's attachment weights, ``1 +
@@ -163,21 +190,25 @@ class _Builder:
         PA table holding each member once per unit of weight (fast mode:
         a uniform index draw is a weighted draw), or one weight per
         member; :meth:`add_c2p` keeps either exact."""
+        customers = self.customers
         if self.fast:
             table: list[int] = []
             for m in members:
-                table.extend([m] * (1 + self.graph.customer_degree(m)))
+                table.extend([m] * (1 + customers.get(m, 0)))
                 self._pa_of[m] = table
         else:
-            weights = [1.0 + self.graph.customer_degree(m) for m in members]
+            weights = [1.0 + customers.get(m, 0) for m in members]
             for i, m in enumerate(members):
                 self._weight_of[m] = (weights, i)
 
     def add_c2p(self, customer: int, providers: list[int]) -> None:
         """Add customer-provider edges, keeping tracked weights exact."""
-        add = self.graph.add_customer_provider
+        neighbors, customers = self.neighbors, self.customers
         for provider in providers:
-            add(customer, provider)
+            self.c2p += (customer, provider)
+            neighbors[customer].add(provider)
+            neighbors[provider].add(customer)
+            customers[provider] = customers.get(provider, 0) + 1
             if self.fast:
                 self._pa_of[provider].append(provider)
             else:
@@ -198,11 +229,12 @@ class _Builder:
     def pick_weighted(self, layers: list[list[int]], k: int) -> list[int]:
         """Up to ``k`` distinct members of ``layers`` drawn by ``1 +
         customer_degree``: the kept weight lists in weighted mode, weights
-        read off the graph in fast mode (whose only weighted draw is a
-        content provider's, 17 per graph)."""
+        from the customer counts in fast mode (whose only weighted draw
+        is a content provider's, 17 per graph)."""
         population = list(chain.from_iterable(layers))
         if self.fast:
-            weights = [1.0 + self.graph.customer_degree(c) for c in population]
+            customers = self.customers
+            weights = [1.0 + customers.get(c, 0) for c in population]
         else:
             weights = chain.from_iterable(
                 self._weight_of[layer[0]][0] for layer in layers
@@ -227,15 +259,19 @@ class _Builder:
         n_counts = len(counts)
         bits = n_counts.bit_length()
         pick = self._pick_pa
-        add = self.graph.add_customer_provider
+        c2p, neighbors, customers = self.c2p, self.neighbors, self.customers
         pa_of = self._pa_of
         for asn in stubs:
             r = getrandbits(bits)  # choice(counts), as Random._randbelow
             while r >= n_counts:
                 r = getrandbits(bits)
             chosen = pick(tables, total, counts[r])
+            providers = neighbors[asn]
             for provider in chosen:
-                add(asn, provider)
+                c2p += (asn, provider)
+                providers.add(provider)
+                neighbors[provider].add(asn)
+                customers[provider] = customers.get(provider, 0) + 1
                 pa_of[provider].append(provider)
             total += len(chosen)
 
@@ -273,8 +309,8 @@ class _Builder:
         getrandbits = self.rng.getrandbits
         n_a, n_b = len(pool_a), len(pool_b)
         bits_a, bits_b = n_a.bit_length(), n_b.bit_length()
-        add = self.graph.add_peering
-        providers, customers, peers = self.graph.adjacency()
+        add = self.add_p2p
+        neighbors = self.neighbors
         added = 0
         attempts = 0
         while added < count and attempts < 30 * count + 100:
@@ -287,7 +323,7 @@ class _Builder:
             while r >= n_b:
                 r = getrandbits(bits_b)
             b = pool_b[r]
-            if a == b or b in peers[a] or b in providers[a] or b in customers[a]:
+            if a == b or b in neighbors[a]:
                 continue
             add(a, b)
             added += 1
@@ -318,7 +354,7 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
     for a in tier1:
         for c in tier1:
             if a < c:
-                b.graph.add_peering(a, c)
+                b.add_p2p(a, c)
 
     b.track(tier1)
     for asn in large:
@@ -326,7 +362,7 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
     # Every Tier 1 must have at least one customer or it would drop out
     # of the Table 1 Tier-1 bucket ("high customer degree & no providers").
     for t1 in tier1:
-        if not b.graph.customers(t1):
+        if not b.customers.get(t1):
             b.add_c2p(rng.choice(large), [t1])
     # Mid ISPs buy from the large (Tier-2-like) layer — real regional
     # ISPs rarely buy straight from a Tier 1.  Keeping the attacker's
@@ -347,8 +383,7 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
     cps: list[int] = []
     if params.include_content_providers:
         for asn in sorted(PAPER_CONTENT_PROVIDERS):
-            b.graph.add_as(asn)
-            b.layer_of[asn] = "cp"
+            b.add_layer([asn], "cp")
             cps.append(asn)
             # By weight in both modes: the PA-table scales' pinned bytes
             # include these draws.
@@ -360,7 +395,7 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
     # customer-degree ASes (the paper's Tier 2s) hold the bulk of the
     # stub attachments, which keeps the hierarchy shallow — a property
     # the Section 4.6 Tier-1 results depend on.
-    stub_count = n - len(b.graph)
+    stub_count = n - len(b.neighbors)
     stubs = b.make_layer("stub", max(0, stub_count))
     b.track(small)
     transit = [tier1, large, mid, small]
@@ -378,8 +413,8 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
     # CPs also peer among themselves (content "hyper-giants" interconnect).
     for i, a in enumerate(cps):
         for c in cps[i + 1 :]:
-            if rng.random() < 0.35 and not b.graph.has_edge(a, c):
-                b.graph.add_peering(a, c)
+            if rng.random() < 0.35 and c not in b.neighbors[a]:
+                b.add_p2p(a, c)
 
     stub_x = [s for s in stubs if rng.random() < params.stub_peering_frac]
     sx_budget = min(peer_budget // 5, len(stub_x) * 2)
@@ -399,6 +434,11 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
             pool_a, pool_b, max(0, round(peer_budget * share))
         )
 
+    graph = b.finish()
+    graph.validate()
+    if len(graph.connected_components()) > 1:  # pragma: no cover
+        raise AssertionError("generator produced a disconnected graph")
+
     # --- IXP membership lists (Appendix J input) ------------------------
     ixp_members: dict[str, tuple[int, ...]] = {}
     ixp_count = params.ixp_count
@@ -411,7 +451,7 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
         # draws bit-identical while dropping the per-draw cost from
         # O(|eligible|) to O(log |eligible|).
         cum_weights = list(
-            accumulate(1.0 + b.graph.peer_degree(a) for a in eligible)
+            accumulate(1.0 + graph.peer_degree(a) for a in eligible)
         )
         for i in range(ixp_count):
             size = min(len(eligible), 3 + int(rng.expovariate(1 / 8.0)))
@@ -419,13 +459,8 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
             if len(members) >= 2:
                 ixp_members[f"IXP{i}"] = tuple(sorted(members))
 
-    b.graph.validate()
-    components = b.graph.connected_components()
-    if len(components) > 1:  # pragma: no cover - generator guarantees this
-        raise AssertionError("generator produced a disconnected graph")
-
     return SyntheticTopology(
-        graph=b.graph,
+        graph=graph,
         params=params,
         content_providers=tuple(cps),
         ixp_members=ixp_members,

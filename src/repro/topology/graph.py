@@ -1,379 +1,310 @@
 """The annotated AS-level topology graph.
 
-``ASGraph`` stores, for every AS, the sets of its providers, customers and
-peers.  It is the substrate every other module operates on: the routing
-algorithms of :mod:`repro.core.fixing`, the perceivable-route closures,
-the tier classifier and the message-passing simulator all read (never
-write) this structure.
+``ASGraph`` is ``G = (V, E)`` of Section 2.2 of the paper, every edge
+annotated customer-to-provider or peer-to-peer: CSR arrays over dense
+indices ``0..n-1`` in sorted-ASN order (index tiebreaks are ASN
+tiebreaks), built once by :func:`graph_from_edges` and never changed.
+The routing context (:class:`repro.core.context.RoutingContext`)
+adopts the arrays as they are; everything else reads the same object.
 
-The graph corresponds to ``G = (V, E)`` of Section 2.2 of the paper, with
-every edge annotated customer-to-provider or peer-to-peer.
+Example:
+    >>> g = graph_from_edges(customer_provider=[(2, 1), (3, 1)], peerings=[(2, 3)])
+    >>> g
+    ASGraph(|V|=3, c2p=2, p2p=1)
+    >>> sorted(g.customers(1)), sorted(g.peers(2)), g.is_stub(2)
+    ([2, 3], [3], True)
+    >>> g.relationship(1, 2), g.has_edge(2, 3)
+    (<Relationship.CUSTOMER: 'customer'>, True)
+    >>> g.adj_start.tolist(), g.adj_node.tolist()  # rows: providers, peers, customers
+    ([0, 2, 4, 6], [1, 2, 0, 2, 0, 1])
+    >>> graph_from_edges(customer_provider=[(2, 1)], peerings=[(1, 2)])
+    Traceback (most recent call last):
+    ...
+    repro.topology.graph.TopologyError: edge 1-2 already exists with some annotation
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .relationships import Relationship
+import numpy as np
 
-#: The neighbor set of every AS with no neighbors of a kind: one shared
-#: immutable object instead of an empty ``set`` per AS and kind (most
-#: ASes are stubs, with no customers and often no peers).
-_NO_NEIGHBORS: frozenset[int] = frozenset()
+from .relationships import Relationship, RouteClass
 
-
-def _own(table: dict, asn: int) -> set[int]:
-    """``asn``'s neighbor set in ``table``, made a real ``set`` of its
-    own on the AS's first edge of that kind."""
-    nbrs = table[asn]
-    if not nbrs:
-        nbrs = table[asn] = set()
-    return nbrs
+#: Per row group (providers, peers, customers): the LP class the
+#: neighbor assigns to a route learned from the row's AS.
+_GROUP_CLASS = np.array(
+    [RouteClass.CUSTOMER, RouteClass.PEER, RouteClass.PROVIDER], np.uint8
+)
+#: The arrays a graph is, in its constructor's order.
+_ARRAYS = ("asn_of", "adj_start", "peer_start", "cust_start", "adj_node", "adj_class")
+#: Per slot class (``RouteClass`` value): the neighbor's relationship
+#: seen from the row's AS.
+_CLASS_RELATIONSHIP = (Relationship.PROVIDER, Relationship.PEER, Relationship.CUSTOMER)
 
 
 class TopologyError(ValueError):
-    """Raised when an operation would corrupt the topology invariants."""
+    """Raised when edge lists would make a graph break its invariants."""
 
 
 class ASGraph:
-    """Undirected AS graph with business-relationship edge annotations.
+    """Frozen AS graph with business-relationship edge annotations.
 
-    The three adjacency maps are exposed through read-only accessors;
-    mutation goes through :meth:`add_as`, :meth:`add_customer_provider`,
-    :meth:`add_peering` and :meth:`remove_edge` which maintain symmetry
-    and reject conflicting or duplicate edges.  Every AS is a key of all
-    three maps; one without neighbors of a kind maps to a shared empty
-    ``frozenset``, so a stray in-place update raises instead of reaching
-    every such AS.
+    Built by :func:`graph_from_edges`, from its arrays in
+    :data:`_ARRAYS` order.  They are read-only:
+
+    * ``asn_of`` — int64, the sorted ASNs (``index_of`` is its inverse);
+    * ``adj_start`` — int64, length ``n + 1``; row ``u`` is the slots
+      ``adj_start[u]:adj_start[u + 1]``;
+    * ``peer_start`` / ``cust_start`` — int64, length ``n``; where row
+      ``u``'s peers and customers begin;
+    * ``adj_node`` — int64 neighbor index of each slot;
+    * ``adj_class`` — uint8 LP class the neighbor assigns to a route
+      learned from ``u`` (``CUSTOMER`` on a provider slot, ``PEER``,
+      ``PROVIDER`` on a customer slot).
     """
 
-    __slots__ = ("_providers", "_customers", "_peers", "_index_cache")
+    __slots__ = (*_ARRAYS, "index_of", "_views", "_last_row")
 
-    def __init__(self) -> None:
-        self._providers: dict[int, set[int] | frozenset[int]] = {}
-        self._customers: dict[int, set[int] | frozenset[int]] = {}
-        self._peers: dict[int, set[int] | frozenset[int]] = {}
-        self._index_cache: tuple[list[int], dict[int, int]] | None = None
+    def __init__(self, *arrays: np.ndarray) -> None:
+        for name, array in zip(_ARRAYS, arrays, strict=True):
+            array.flags.writeable = False
+            setattr(self, name, array)
+        self.index_of: dict[int, int] = dict(zip(self.asn_of.tolist(), range(len(self))))
+        #: memoryviews of the arrays, for the per-AS reads: indexing one
+        #: gives a python int, a third of a numpy scalar read's cost.
+        self._views = tuple(map(memoryview, arrays))
+        self._last_row: tuple[int | None, dict[int, Relationship]] = (None, {})
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def add_as(self, asn: int) -> None:
-        """Add an AS with no links yet.  Adding twice is a no-op."""
-        if not isinstance(asn, int) or asn < 0:
-            raise TopologyError(f"ASN must be a non-negative int, got {asn!r}")
-        if asn not in self._providers:
-            self._providers[asn] = _NO_NEIGHBORS
-            self._customers[asn] = _NO_NEIGHBORS
-            self._peers[asn] = _NO_NEIGHBORS
-            self._index_cache = None
-
-    def add_customer_provider(self, customer: int, provider: int) -> None:
-        """Add a customer-to-provider edge (``customer`` pays ``provider``)."""
-        if customer == provider:
-            raise TopologyError(f"self-loop on AS {customer}")
-        providers, customers = self._providers, self._customers
-        if customer not in providers:
-            self.add_as(customer)
-        if provider not in providers:
-            self.add_as(provider)
-        provs = providers[customer]
-        if (
-            provider in provs
-            or provider in customers[customer]
-            or provider in self._peers[customer]
-        ):
-            raise TopologyError(
-                f"edge {customer}-{provider} already exists with some annotation"
-            )
-        # An AS's first edge of a kind replaces the shared empty set.
-        if not provs:
-            provs = providers[customer] = set()
-        provs.add(provider)
-        custs = customers[provider]
-        if not custs:
-            custs = customers[provider] = set()
-        custs.add(customer)
-
-    def add_peering(self, a: int, b: int) -> None:
-        """Add a peer-to-peer edge between ``a`` and ``b``."""
-        if a == b:
-            raise TopologyError(f"self-loop on AS {a}")
-        providers, peers = self._providers, self._peers
-        if a not in providers:
-            self.add_as(a)
-        if b not in providers:
-            self.add_as(b)
-        peers_a = peers[a]
-        if b in peers_a or b in providers[a] or b in self._customers[a]:
-            raise TopologyError(f"edge {a}-{b} already exists with some annotation")
-        if not peers_a:
-            peers_a = peers[a] = set()
-        peers_a.add(b)
-        peers_b = peers[b]
-        if not peers_b:
-            peers_b = peers[b] = set()
-        peers_b.add(a)
-
-    def remove_edge(self, a: int, b: int) -> None:
-        """Remove the (unique) edge between ``a`` and ``b``."""
-        if b in self._providers.get(a, ()):
-            self._providers[a].discard(b)
-            self._customers[b].discard(a)
-        elif b in self._customers.get(a, ()):
-            self._customers[a].discard(b)
-            self._providers[b].discard(a)
-        elif b in self._peers.get(a, ()):
-            self._peers[a].discard(b)
-            self._peers[b].discard(a)
-        else:
-            raise TopologyError(f"no edge {a}-{b} to remove")
-
-    def remove_as(self, asn: int) -> None:
-        """Remove an AS and all its edges."""
-        if asn not in self._providers:
-            raise TopologyError(f"AS {asn} not in graph")
-        for p in list(self._providers[asn]):
-            self.remove_edge(asn, p)
-        for c in list(self._customers[asn]):
-            self.remove_edge(asn, c)
-        for q in list(self._peers[asn]):
-            self.remove_edge(asn, q)
-        del self._providers[asn]
-        del self._customers[asn]
-        del self._peers[asn]
-        self._index_cache = None
+    def __reduce__(self):
+        return ASGraph, tuple(getattr(self, name) for name in _ARRAYS)
 
     # ------------------------------------------------------------------
     # Read access
     # ------------------------------------------------------------------
     def __contains__(self, asn: int) -> bool:
-        return asn in self._providers
+        return asn in self.index_of
 
     def __len__(self) -> int:
-        return len(self._providers)
+        return len(self.asn_of)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._providers)
+        return iter(self.index_of)
 
     @property
     def asns(self) -> list[int]:
-        """All ASNs, sorted (deterministic iteration order)."""
-        return list(self.dense_index()[0])
+        """All ASNs, sorted (a fresh list)."""
+        return list(self.index_of)
 
     def dense_index(self) -> tuple[list[int], dict[int, int]]:
-        """Map ASNs onto contiguous indices ``0..n-1`` (sorted-ASN order).
+        """The ASN at each dense index (a fresh list) and ``index_of``
+        (shared: do not mutate)."""
+        return self.asns, self.index_of
 
-        Returns ``(asn_of, index_of)`` where ``asn_of[i]`` is the ASN at
-        dense index ``i`` and ``index_of`` is its inverse.  The tables
-        are cached and invalidated when ASes are added or removed (edge
-        changes leave the AS set — and hence the index — intact).  Flat
-        per-AS buffers throughout the codebase (the routing engine's
-        scratch arrays, the perceivable-closure masks) are addressed by
-        these indices; because the order is sorted-ASN, ``min`` over
-        indices and ``min`` over ASNs agree, which the deterministic
-        lowest-ASN tiebreak relies on.
+    def _row(self, asn: int) -> tuple[int, int, int, int]:
+        """Row bounds of ``asn``: start, peers' start, customers' start,
+        end (``KeyError`` for an AS not in the graph)."""
+        i = self.index_of[asn]
+        _, start, peers, customers, _, _ = self._views
+        return start[i], peers[i], customers[i], start[i + 1]
 
-        Callers must not mutate the returned lists/dicts.
-        """
-        cache = self._index_cache
-        if cache is None:
-            asn_of = sorted(self._providers)
-            index_of = {asn: i for i, asn in enumerate(asn_of)}
-            cache = self._index_cache = (asn_of, index_of)
-        return cache
-
-    def adjacency(self) -> tuple[dict, dict, dict]:
-        """The three adjacency maps ``(providers, customers, peers)``,
-        ASN → neighbor set, for whole-graph passes that would otherwise
-        copy a frozenset per AS.  Callers must not mutate them."""
-        return self._providers, self._customers, self._peers
+    def _asns_at(self, lo: int, hi: int) -> frozenset[int]:
+        asn_of, _, _, _, node, _ = self._views
+        return frozenset(map(asn_of.__getitem__, node[lo:hi]))
 
     def providers(self, asn: int) -> frozenset[int]:
         """ASes that ``asn`` buys transit from."""
-        return frozenset(self._providers[asn])
+        start, peers, _, _ = self._row(asn)
+        return self._asns_at(start, peers)
 
     def customers(self, asn: int) -> frozenset[int]:
         """ASes that buy transit from ``asn``."""
-        return frozenset(self._customers[asn])
+        _, _, customers, end = self._row(asn)
+        return self._asns_at(customers, end)
 
     def peers(self, asn: int) -> frozenset[int]:
         """Settlement-free peers of ``asn``."""
-        return frozenset(self._peers[asn])
+        _, peers, customers, _ = self._row(asn)
+        return self._asns_at(peers, customers)
 
     def neighbors(self, asn: int) -> frozenset[int]:
         """All neighbors of ``asn`` regardless of relationship."""
-        return frozenset(
-            self._providers[asn] | self._customers[asn] | self._peers[asn]
-        )
+        i = self.index_of[asn]
+        asn_of, start, _, _, node, _ = self._views
+        return frozenset(map(asn_of.__getitem__, node[start[i] : start[i + 1]]))
+
+    def _relationships(self, asn: int) -> dict[int, Relationship]:
+        """``asn``'s neighbors → their relationship seen from ``asn``.
+        Whole-graph scans (the simulator's set-up, IXP meshing) ask row
+        by row, so the last row asked is kept."""
+        last, relationships = self._last_row
+        if last != asn:
+            i = self.index_of[asn]
+            asn_of, start, _, _, node, cls = self._views
+            lo, hi = start[i], start[i + 1]
+            relationships = dict(zip(
+                map(asn_of.__getitem__, node[lo:hi]),
+                map(_CLASS_RELATIONSHIP.__getitem__, cls[lo:hi]),
+            ))
+            self._last_row = (asn, relationships)
+        return relationships
 
     def relationship(self, asn: int, neighbor: int) -> Relationship:
         """Relationship of ``neighbor`` from ``asn``'s point of view."""
-        if neighbor in self._customers[asn]:
-            return Relationship.CUSTOMER
-        if neighbor in self._peers[asn]:
-            return Relationship.PEER
-        if neighbor in self._providers[asn]:
-            return Relationship.PROVIDER
-        raise TopologyError(f"AS {neighbor} is not a neighbor of AS {asn}")
+        last, relationships = self._last_row
+        if last != asn:
+            relationships = self._relationships(asn)
+        relationship = relationships.get(neighbor)
+        if relationship is None:
+            raise TopologyError(f"AS {neighbor} is not a neighbor of AS {asn}")
+        return relationship
 
     def has_edge(self, a: int, b: int) -> bool:
         """True if any edge (of any annotation) connects ``a`` and ``b``."""
-        providers = self._providers
-        return (
-            a in providers
-            and b in providers
-            and (b in providers[a] or b in self._customers[a] or b in self._peers[a])
-        )
+        return a in self.index_of and b in self._relationships(a)
 
     # Degree helpers --------------------------------------------------
     def customer_degree(self, asn: int) -> int:
-        return len(self._customers[asn])
+        _, _, customers, end = self._row(asn)
+        return end - customers
 
     def provider_degree(self, asn: int) -> int:
-        return len(self._providers[asn])
+        start, peers, _, _ = self._row(asn)
+        return peers - start
 
     def peer_degree(self, asn: int) -> int:
-        return len(self._peers[asn])
+        _, peers, customers, _ = self._row(asn)
+        return customers - peers
 
     def degree(self, asn: int) -> int:
-        return (
-            len(self._customers[asn])
-            + len(self._providers[asn])
-            + len(self._peers[asn])
-        )
+        start, _, _, end = self._row(asn)
+        return end - start
 
     def is_stub(self, asn: int) -> bool:
         """True if the AS has no customers (it never transits traffic)."""
-        return not self._customers[asn]
+        i = self.index_of[asn]
+        _, start, _, customers, _, _ = self._views
+        return customers[i] == start[i + 1]
 
     # Edge counts -----------------------------------------------------
     @property
     def num_customer_provider_links(self) -> int:
-        return sum(len(s) for s in self._providers.values())
+        return int((self.peer_start - self.adj_start[:-1]).sum())
 
     @property
     def num_peer_links(self) -> int:
-        return sum(len(s) for s in self._peers.values()) // 2
+        return int((self.cust_start - self.peer_start).sum()) // 2
 
     def edges(self) -> Iterator[tuple[int, int, Relationship]]:
-        """Iterate ``(a, b, relationship-of-b-seen-from-a)`` once per edge.
+        """Iterate ``(a, b, relationship-of-b-seen-from-a)`` once per edge,
+        by ``a``, then ``b``: customer-provider edges as ``(customer,
+        provider, PROVIDER)``, peerings as ``(min, max, PEER)``."""
+        src = self.slot_rows()
+        cls = self.adj_class
+        once = (cls == RouteClass.CUSTOMER) | (
+            (cls == RouteClass.PEER) & (self.adj_node > src)
+        )
+        asn_of = self.asn_of
+        return zip(
+            asn_of[src[once]].tolist(),
+            asn_of[self.adj_node[once]].tolist(),
+            map(_CLASS_RELATIONSHIP.__getitem__, cls[once].tolist()),
+        )
 
-        Customer-provider edges are yielded as ``(customer, provider,
-        PROVIDER)``; peerings as ``(min, max, PEER)``.
-        """
-        for asn in sorted(self._providers):
-            for p in sorted(self._providers[asn]):
-                yield asn, p, Relationship.PROVIDER
-            for q in sorted(self._peers[asn]):
-                if asn < q:
-                    yield asn, q, Relationship.PEER
+    def edge_lists(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(customer_provider, peerings)`` as :func:`graph_from_edges`
+        takes them: ``(m, 2)`` int64 ASN arrays, the ``(customer,
+        provider)`` pairs and the ``(min, max)`` peer pairs, each sorted."""
+        src = self.slot_rows()
+        cls, node = self.adj_class, self.adj_node
+        c2p = cls == RouteClass.CUSTOMER
+        p2p = (cls == RouteClass.PEER) & (node > src)
+        return tuple(
+            self.asn_of[np.stack([src[sel], node[sel]], axis=1)] for sel in (c2p, p2p)
+        )
+
+    def slot_rows(self) -> np.ndarray:
+        """The row (dense index) of every slot."""
+        return np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.adj_start))
 
     # ------------------------------------------------------------------
-    # Structure checks & utilities
+    # Structure checks
     # ------------------------------------------------------------------
-    def copy(self) -> "ASGraph":
-        """Deep copy of the graph."""
-        g = ASGraph()
-        for asn in self._providers:
-            g.add_as(asn)
-        for asn, provs in self._providers.items():
-            for p in provs:
-                _own(g._providers, asn).add(p)
-                _own(g._customers, p).add(asn)
-        for asn, prs in self._peers.items():
-            for q in prs:
-                _own(g._peers, asn).add(q)
-        return g
-
     def connected_components(self) -> list[set[int]]:
-        """Connected components (ignoring edge annotations), largest first."""
-        providers, customers, peers = self.adjacency()
-        seen: set[int] = set()
-        components: list[set[int]] = []
-        for start in providers:
-            if start in seen:
-                continue
-            component = {start}
-            frontier = {start}
-            while frontier:
-                reached: set[int] = set()
-                for u in frontier:
-                    reached |= providers[u]
-                    reached |= customers[u]
-                    reached |= peers[u]
-                reached -= component
-                component |= reached
-                frontier = reached
-            seen |= component
-            components.append(component)
-        components.sort(key=len, reverse=True)
-        return components
+        """Connected components (ignoring edge annotations), largest
+        first; equal sizes in order of their lowest ASN."""
+        n = len(self)
+        start, node = self.adj_start, self.adj_node
+        rows = np.flatnonzero(np.diff(start))
+        # Every AS takes its neighbors' lowest label, then follows
+        # labels to a fixed point; labels only fall, and stop once each
+        # component carries the lowest index in it.
+        label = np.arange(n, dtype=np.int64)
+        while True:
+            low = label.copy()
+            if len(node):
+                nearest = np.minimum.reduceat(label[node], start[rows])
+                low[rows] = np.minimum(low[rows], nearest)
+            while not np.array_equal(jumped := low[low], low):
+                low = jumped
+            if np.array_equal(low, label):
+                break
+            label = low
+        roots, sizes = np.unique(label, return_counts=True)
+        by_label = self.asn_of[np.argsort(label, kind="stable")]
+        members = np.split(by_label, np.cumsum(sizes)[:-1])
+        order = np.lexsort((roots, -sizes))
+        return [set(members[k].tolist()) for k in order.tolist()]
+
+    def _unpeeled(self) -> np.ndarray:
+        """Kahn's count, a layer at a time: the ASes left once every AS
+        whose customers have all peeled peels too.  Each has a customer
+        left, so they are exactly the customer→provider cycles and the
+        ASes above them."""
+        provider_slot = self.adj_class == RouteClass.CUSTOMER
+        customer = self.slot_rows()[provider_slot]
+        provider = self.adj_node[provider_slot]
+        left = np.bincount(provider, minlength=len(self))
+        peeled = left == 0
+        layer = peeled.copy()
+        while layer.any():
+            left -= np.bincount(provider[layer[customer]], minlength=len(self))
+            layer = (left == 0) & ~peeled
+            peeled |= layer
+        return ~peeled
 
     def find_customer_provider_cycle(self) -> list[int] | None:
-        """Find a cycle in the customer→provider digraph, if any.
+        """A cycle in the customer→provider digraph, if any.
 
         A sane AS-level topology is acyclic in its customer-provider
         hierarchy (nobody is transitively their own provider).  Returns a
-        cycle as a list of ASNs, or None if the hierarchy is a DAG.
+        cycle as a list of ASNs, each a customer of the next and the
+        last of the first, from its lowest ASN; None if the hierarchy is
+        a DAG.  The cycle is the one met walking from the lowest
+        unpeeled AS (:meth:`_unpeeled`) to its lowest unpeeled customer,
+        and on.
         """
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = dict.fromkeys(self._providers, WHITE)
-        parent: dict[int, int] = {}
-        for root in self._providers:
-            if color[root] != WHITE:
-                continue
-            stack: list[tuple[int, Iterator[int]]] = [
-                (root, iter(sorted(self._providers[root])))
-            ]
-            color[root] = GRAY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if color[nxt] == WHITE:
-                        color[nxt] = GRAY
-                        parent[nxt] = node
-                        stack.append((nxt, iter(sorted(self._providers[nxt]))))
-                        advanced = True
-                        break
-                    if color[nxt] == GRAY:
-                        # Unwind the DFS stack from `node` back to `nxt`;
-                        # the cycle is nxt -> ... -> node -> nxt.
-                        cycle = [node]
-                        cur = node
-                        while cur != nxt:
-                            cur = parent[cur]
-                            cycle.append(cur)
-                        cycle.reverse()
-                        return cycle
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return None
+        unpeeled = self._unpeeled()
+        if not unpeeled.any():
+            return None
+        node, cust_start, end = self.adj_node, self.cust_start, self.adj_start[1:]
+        walk = [int(np.argmax(unpeeled))]
+        seen = {walk[0]: 0}
+        while True:
+            u = walk[-1]
+            nxt = next(c for c in node[cust_start[u] : end[u]].tolist() if unpeeled[c])
+            if nxt in seen:
+                cycle = self.asn_of[walk[seen[nxt]:][::-1]].tolist()
+                low = cycle.index(min(cycle))
+                return cycle[low:] + cycle[:low]
+            seen[nxt] = len(walk)
+            walk.append(nxt)
 
     def validate(self) -> None:
-        """Raise :class:`TopologyError` if structural invariants are broken."""
-        for asn, provs in self._providers.items():
-            for p in provs:
-                if asn not in self._customers.get(p, ()):  # pragma: no cover
-                    raise TopologyError(f"asymmetric c2p edge {asn}->{p}")
-        for asn, prs in self._peers.items():
-            for q in prs:
-                if asn not in self._peers.get(q, ()):  # pragma: no cover
-                    raise TopologyError(f"asymmetric p2p edge {asn}-{q}")
-        # Kahn's count: a DAG iff every AS peels once its customers have;
-        # the DFS runs only to name a cycle known to exist.
-        left = dict(zip(self._customers, map(len, self._customers.values())))
-        peeled = [asn for asn, count in left.items() if not count]
-        for u in peeled:  # grows as it is walked
-            for p in self._providers[u]:
-                count = left[p] - 1
-                left[p] = count
-                if not count:
-                    peeled.append(p)
-        if len(peeled) < len(left):
-            cycle = self.find_customer_provider_cycle()
+        """Raise :class:`TopologyError` if the customer-provider
+        hierarchy has a cycle."""
+        cycle = self.find_customer_provider_cycle()
+        if cycle is not None:
             raise TopologyError(f"customer-provider cycle: {cycle}")
 
     def __repr__(self) -> str:
@@ -384,19 +315,89 @@ class ASGraph:
         )
 
 
+def _asn_array(values: Iterable, width: int) -> np.ndarray:
+    """``values`` — rows of ``width`` ASNs, or bare ASNs if ``width``
+    is 1 — as an int64 array; ``TopologyError`` naming the first value
+    with an ASN that is not a non-negative int."""
+    values = values if isinstance(values, np.ndarray) else list(values)
+    shape = (len(values), width) if width > 1 else (len(values),)
+    array = np.asarray(values)
+    if array.dtype.kind == "i" and array.shape == shape:
+        negative = array < 0
+        bad = np.flatnonzero(negative.any(axis=1) if width > 1 else negative)
+        if not len(bad):
+            return array.astype(np.int64, copy=False)
+        values = array[bad[:1]].tolist()
+    for value in values:
+        row = tuple(value) if width > 1 else (value,)
+        if len(row) != width or not all(isinstance(x, int) and x >= 0 for x in row):
+            raise TopologyError(
+                f"ASN must be a non-negative int, got {row if width > 1 else value!r}"
+            )
+    return np.array(values, np.int64).reshape(shape)
+
+
 def graph_from_edges(
     customer_provider: Iterable[tuple[int, int]] = (),
     peerings: Iterable[tuple[int, int]] = (),
+    asns: Iterable[int] = (),
 ) -> ASGraph:
-    """Convenience constructor from edge lists.
+    """Build the graph of these edges.
 
     Args:
-        customer_provider: iterable of ``(customer, provider)`` pairs.
-        peerings: iterable of ``(a, b)`` peer pairs.
+        customer_provider: ``(customer, provider)`` pairs.
+        peerings: ``(a, b)`` peer pairs.
+        asns: ASes to include beyond the edges' endpoints (ASes with no
+            edge at all).
+
+    Raises:
+        TopologyError: naming the first offending pair — an ASN that is
+            not a non-negative int, a self-loop, or a second edge
+            between two ASes (either orientation, any annotation;
+            customer-provider pairs come before peerings).
     """
-    g = ASGraph()
-    for customer, provider in customer_provider:
-        g.add_customer_provider(customer, provider)
-    for a, b in peerings:
-        g.add_peering(a, b)
-    return g
+    c2p = _asn_array(customer_provider, 2)
+    p2p = _asn_array(peerings, 2)
+    extra = _asn_array(asns, 1)
+    edges = np.concatenate([c2p, p2p])
+    loops = np.flatnonzero(edges[:, 0] == edges[:, 1])
+    if len(loops):
+        a, b = edges[loops[0]].tolist()
+        raise TopologyError(f"self-loop {a}-{b}")
+
+    asn_of = np.unique(np.concatenate([edges.ravel(), extra]))
+    n = len(asn_of)
+    u, v = np.searchsorted(asn_of, edges.T)
+    # Edges stable-sorted by their unordered pair: of two equal pairs,
+    # the later in the input is the duplicate.
+    key = np.minimum(u, v) * n + np.maximum(u, v)
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+    if len(repeats):
+        a, b = edges[repeats.min()].tolist()
+        raise TopologyError(f"edge {a}-{b} already exists with some annotation")
+
+    # One sort of the packed keys (u·3 + g)·n + v, g = 0/1/2 for
+    # providers/peers/customers, lays every row out.
+    m = len(c2p)
+    cust, prov = u[:m], v[:m]
+    left, right = u[m:], v[m:]
+    slot = np.concatenate([
+        (cust * 3 + 0) * n + prov,
+        (left * 3 + 1) * n + right,
+        (right * 3 + 1) * n + left,
+        (prov * 3 + 2) * n + cust,
+    ])
+    slot.sort()
+    counts = np.bincount(slot // max(n, 1), minlength=3 * n).reshape(n, 3)
+    np.remainder(slot, max(n, 1), out=slot)
+    adj_start = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
+    peer_start = adj_start[:-1] + counts[:, 0]
+    return ASGraph(
+        asn_of,
+        adj_start,
+        peer_start,
+        peer_start + counts[:, 1],
+        slot,
+        np.repeat(np.tile(_GROUP_CLASS, n), counts.ravel()),
+    )

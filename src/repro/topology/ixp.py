@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .graph import ASGraph
+import numpy as np
+
+from .graph import ASGraph, graph_from_edges
 
 
 @dataclass(frozen=True)
@@ -36,18 +38,17 @@ def augment_with_ixp_peering(
     graph: ASGraph,
     ixp_members: Mapping[str, Sequence[int]],
 ) -> IxpAugmentation:
-    """Fully mesh each IXP's members with p2p edges on a copy of ``graph``.
+    """Fully mesh each IXP's members with p2p edges in a new graph.
 
     Args:
-        graph: base topology (not modified).
+        graph: base topology.
         ixp_members: IXP name -> member ASNs.
 
     Returns:
-        An :class:`IxpAugmentation` with the augmented copy and an edge
+        An :class:`IxpAugmentation` with the augmented graph and an edge
         report.
     """
-    augmented = graph.copy()
-    added: list[tuple[int, int]] = []
+    added: dict[tuple[int, int], None] = {}
     skipped = 0
     unknown: set[int] = set()
 
@@ -55,20 +56,23 @@ def augment_with_ixp_peering(
         members = sorted(set(ixp_members[ixp]))
         present = []
         for asn in members:
-            if asn in augmented:
+            if asn in graph:
                 present.append(asn)
             else:
                 unknown.add(asn)
         for i, a in enumerate(present):
             for c in present[i + 1 :]:
-                if augmented.has_edge(a, c):
+                if (a, c) in added or graph.has_edge(a, c):
                     skipped += 1
                     continue
-                augmented.add_peering(a, c)
-                added.append((a, c))
+                added[a, c] = None
 
+    customer_provider, peerings = graph.edge_lists()
+    new_peerings = np.array(list(added), np.int64).reshape(-1, 2)
     return IxpAugmentation(
-        graph=augmented,
+        graph=graph_from_edges(
+            customer_provider, np.concatenate([peerings, new_peerings]), graph.asn_of
+        ),
         added_edges=tuple(added),
         skipped_existing=skipped,
         unknown_members=tuple(sorted(unknown)),

@@ -18,7 +18,8 @@ import io
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .graph import ASGraph
+from .graph import ASGraph, graph_from_edges
+from .relationships import Relationship
 
 
 class Serial2FormatError(ValueError):
@@ -36,46 +37,47 @@ def parse_serial2(lines: Iterable[str], strict: bool = True) -> ASGraph:
 
     Args:
         lines: an iterable of text lines (a file object works).
-        strict: if True, malformed lines and duplicate edges raise
-            :class:`Serial2FormatError`; if False they are skipped.
+        strict: if True, malformed lines, self-loops and duplicate edges
+            raise :class:`Serial2FormatError`; if False they are skipped.
 
     Returns:
         The parsed graph (not preprocessed; see
         :mod:`repro.topology.preprocess`).
     """
-    graph = ASGraph()
+    #: unordered pair -> the line's (provider or peer, customer or peer, code)
+    edges: dict[tuple[int, int], tuple[int, int, int]] = {}
     for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("|")
         if len(parts) < 3:
-            if strict:
-                raise Serial2FormatError(number, line, "expected a|b|rel")
-            continue
-        try:
-            a, c, rel = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            if strict:
-                raise Serial2FormatError(number, line, "non-integer field")
-            continue
-        try:
-            if rel == -1:
-                # serial-2 convention: <provider>|<customer>|-1
-                graph.add_customer_provider(customer=c, provider=a)
-            elif rel == 0:
-                graph.add_peering(a, c)
+            reason = "expected a|b|rel"
+        else:
+            try:
+                a, c, rel = int(parts[0]), int(parts[1]), int(parts[2])
+            except ValueError:
+                reason = "non-integer field"
             else:
-                if strict:
-                    raise Serial2FormatError(
-                        number, line, f"unsupported relationship code {rel}"
-                    )
-        except ValueError as exc:
-            if isinstance(exc, Serial2FormatError):
-                raise
-            if strict:
-                raise Serial2FormatError(number, line, str(exc)) from exc
-    return graph
+                pair = (a, c) if a < c else (c, a)
+                if rel not in (-1, 0):
+                    reason = f"unsupported relationship code {rel}"
+                elif pair[0] < 0:
+                    reason = f"ASN must be a non-negative int, got {(a, c)!r}"
+                elif a == c:
+                    reason = f"self-loop {a}-{c}"
+                elif pair in edges:
+                    reason = f"edge {a}-{c} already exists with some annotation"
+                else:
+                    edges[pair] = (a, c, rel)
+                    continue
+        if strict:
+            raise Serial2FormatError(number, line, reason)
+    # serial-2 convention: <provider>|<customer>|-1
+    return graph_from_edges(
+        [(c, a) for a, c, rel in edges.values() if rel == -1],
+        [(a, c) for a, c, rel in edges.values() if rel == 0],
+    )
 
 
 def load_serial2(path: str | Path, strict: bool = True) -> ASGraph:
@@ -89,12 +91,11 @@ def write_serial2(graph: ASGraph, out: TextIO, header: str | None = None) -> Non
     if header:
         for line in header.splitlines():
             out.write(f"# {line}\n")
-    for asn in graph.asns:
-        for provider in sorted(graph.providers(asn)):
-            out.write(f"{provider}|{asn}|-1\n")
-        for peer in sorted(graph.peers(asn)):
-            if asn < peer:
-                out.write(f"{asn}|{peer}|0\n")
+    for a, b, relationship in graph.edges():
+        if relationship is Relationship.PROVIDER:
+            out.write(f"{b}|{a}|-1\n")
+        else:
+            out.write(f"{a}|{b}|0\n")
 
 
 def dump_serial2(graph: ASGraph, path: str | Path, header: str | None = None) -> None:

@@ -23,6 +23,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .graph import ASGraph
 
 #: The paper's 17 content providers (Figure 13), ASN -> name.
@@ -163,46 +165,37 @@ def classify_tiers(
             a for a in sorted(PAPER_CONTENT_PROVIDERS) if a in graph
         )
 
-    tier_of: dict[int, Tier] = {}
-    providers, customers, peers = graph.adjacency()
-    asns = graph.asns
+    start = graph.adj_start
+    providers = graph.peer_start - start[:-1]
+    peers = graph.cust_start - graph.peer_start
+    customers = start[1:] - graph.cust_start
+    tiers = list(Tier)
+    tier = np.full(len(graph), -1)  # index into ``tiers``; -1 until taken
 
-    def take(members: list[int], tier: Tier) -> None:
-        for asn in members:
-            if asn not in tier_of:
-                tier_of[asn] = tier
+    def take(members: np.ndarray, t: Tier, count: int | None = None, by=None) -> None:
+        """The first ``count`` of ``members`` (dense indices, ranked by
+        ``by`` descending, ties by ASN) not yet taken join ``t``."""
+        members = members[tier[members] < 0]
+        if by is not None:
+            members = members[np.argsort(-by[members], kind="stable")]
+        tier[members[:count]] = tiers.index(t)
 
     # Tier 1: provider-less ASes with the highest customer degrees.
-    providerless = [a for a in asns if not providers[a] and customers[a]]
-    providerless.sort(key=lambda a: (-len(customers[a]), a))
-    take(providerless[: params.tier1_count], Tier.TIER1)
-
+    take(np.flatnonzero((providers == 0) & (customers > 0)), Tier.TIER1,
+         params.tier1_count, customers)
     # Tier 2 / Tier 3: top ASes by customer degree *with* providers.
-    with_providers = [
-        a for a in asns if providers[a] and customers[a] and a not in tier_of
-    ]
-    with_providers.sort(key=lambda a: (-len(customers[a]), a))
-    take(with_providers[: params.tier2_count], Tier.TIER2)
-    take(
-        with_providers[params.tier2_count : params.tier2_count + params.tier3_count],
-        Tier.TIER3,
-    )
-
+    with_providers = np.flatnonzero((providers > 0) & (customers > 0))
+    take(with_providers, Tier.TIER2, params.tier2_count, customers)
+    take(with_providers, Tier.TIER3, params.tier3_count, customers)
     # Content providers: explicit list.
-    take([a for a in content_providers if a in graph], Tier.CP)
-
+    index_of = graph.index_of
+    take(np.array([index_of[a] for a in content_providers if a in index_of], np.int64),
+         Tier.CP)
     # Small CPs: top ASes by peering degree among the rest.
-    by_peering = [a for a in asns if a not in tier_of and peers[a]]
-    by_peering.sort(key=lambda a: (-len(peers[a]), a))
-    take(by_peering[: params.small_cp_count], Tier.SMALL_CP)
-
+    take(np.flatnonzero(peers > 0), Tier.SMALL_CP, params.small_cp_count, peers)
     # Stubs-x / stubs / SMDG.
-    for asn in asns:
-        if asn in tier_of:
-            continue
-        if not customers[asn]:
-            tier_of[asn] = Tier.STUB_X if peers[asn] else Tier.STUB
-        else:
-            tier_of[asn] = Tier.SMDG
+    take(np.flatnonzero((customers == 0) & (peers > 0)), Tier.STUB_X)
+    take(np.flatnonzero(customers == 0), Tier.STUB)
+    take(np.arange(len(graph)), Tier.SMDG)
 
-    return TierTable(tier_of)
+    return TierTable(dict(zip(graph.asns, map(tiers.__getitem__, tier.tolist()))))

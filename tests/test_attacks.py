@@ -52,7 +52,7 @@ from repro.core import (
 )
 from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.topology import TopologyParams, generate_topology
-from repro.topology.graph import ASGraph
+from repro.topology.graph import graph_from_edges
 
 from test_destination_sweep import per_pair_counts
 
@@ -281,10 +281,8 @@ def test_honest_attacker_without_route_stays_silent():
     """An honest attacker disconnected from the victim announces
     nothing: everyone else routes as under normal conditions, and the
     attacker is still excluded from the source population."""
-    graph = ASGraph()
-    graph.add_customer_provider(customer=2, provider=1)
-    graph.add_customer_provider(customer=3, provider=2)
-    graph.add_as(9)  # the would-be attacker, fully isolated
+    # 9 is the would-be attacker, fully isolated
+    graph = graph_from_edges(customer_provider=[(2, 1), (3, 2)], asns=[9])
     out = compute_routing_outcome(graph, 3, attacker=9, attack=HONEST)
     normal = compute_routing_outcome(graph, 3)
     assert out.count_happy() == normal.count_happy()

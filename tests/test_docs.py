@@ -28,6 +28,7 @@ import repro.core.metrics
 import repro.experiments.faults
 import repro.experiments.scenarios
 import repro.experiments.store
+import repro.topology.graph
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,6 +43,7 @@ DOCTEST_MODULES = (
     repro.experiments.faults,
     repro.experiments.scenarios,
     repro.experiments.store,
+    repro.topology.graph,
 )
 
 

@@ -200,13 +200,15 @@ class TestInlineDraws:
         reference = random.Random(n)
         pool_a = list(range(n))
         pool_b = list(range(n, 2 * n))  # disjoint: every pair is one attempt
-        for asn in pool_a + pool_b:
-            b.graph.add_as(asn)
+        b.add_layer(pool_a + pool_b, "pools")
         for _ in range(self.DRAWS):
             assert b.add_random_peerings(pool_a, pool_b, 1) == 1
-            expected = (reference.choice(pool_a), reference.choice(pool_b))
-            assert b.graph.has_edge(*expected)
-            b.graph.remove_edge(*expected)  # the one edge added
+            a, c = reference.choice(pool_a), reference.choice(pool_b)
+            assert b.p2p[-2:] == [a, c] and b.neighbors[a] == {c}
+            # forget the one edge added
+            del b.p2p[-2:]
+            b.neighbors[a].clear()
+            b.neighbors[c].clear()
         assert b.rng.getstate() == reference.getstate()
 
 

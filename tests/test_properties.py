@@ -33,7 +33,9 @@ from repro.core import (
     compute_routing_outcome,
 )
 from repro.core.rank import LocalPreference, RankModel, SecurityModel
-from repro.topology import ASGraph, RouteClass, parse_serial2, dumps_serial2
+from repro.topology import (
+    ASGraph, RouteClass, dumps_serial2, graph_from_edges, parse_serial2,
+)
 
 from test_bgpsim import LifoSimulator
 
@@ -49,24 +51,22 @@ def layered_graphs(draw, min_n: int = 12, max_n: int = 40) -> ASGraph:
     """Small random layered AS graphs (valley-free, connected-ish)."""
     n = draw(st.integers(min_n, max_n))
     rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
-    graph = ASGraph()
-    tops = [1, 2]
-    graph.add_as(1)
-    graph.add_as(2)
-    graph.add_peering(1, 2)
+    c2p: list[tuple[int, int]] = []
+    p2p = [(1, 2)]
     for asn in range(3, n + 1):
-        graph.add_as(asn)
-        existing = [a for a in graph.asns if a != asn]
+        existing = list(range(1, asn))
         providers = rnd.sample(existing, k=min(len(existing), rnd.randint(1, 3)))
-        for p in providers:
-            graph.add_customer_provider(asn, p)
+        c2p += [(asn, p) for p in providers]
     # sprinkle peering among non-adjacent pairs.
+    linked = {frozenset(edge) for edge in c2p + p2p}
     attempts = rnd.randint(0, 2 * n)
-    asns = graph.asns
+    asns = list(range(1, n + 1))
     for _ in range(attempts):
         a, b = rnd.sample(asns, 2)
-        if not graph.has_edge(a, b):
-            graph.add_peering(a, b)
+        if frozenset((a, b)) not in linked:
+            linked.add(frozenset((a, b)))
+            p2p.append((a, b))
+    graph = graph_from_edges(c2p, p2p)
     graph.validate()
     return graph
 

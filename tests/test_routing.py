@@ -320,7 +320,7 @@ class TestRoutingContext:
 
     def test_csr_covers_all_edges(self, small_graph):
         ctx = RoutingContext(small_graph)
-        total = len(ctx.adj_node)
+        total = len(ctx.graph.adj_node)
         expected = 2 * (
             small_graph.num_customer_provider_links + small_graph.num_peer_links
         )
@@ -329,8 +329,7 @@ class TestRoutingContext:
 
 class TestDisconnected:
     def test_unreachable_as_absent_from_routes(self):
-        graph = graph_from_edges(customer_provider=[(2, 1)])
-        graph.add_as(9)  # isolated
+        graph = graph_from_edges(customer_provider=[(2, 1)], asns=[9])  # 9 isolated
         out = normal_conditions(graph, 1)
         assert 9 not in out.routes
         assert out.reaches(9) == Reach.NONE

@@ -46,9 +46,24 @@ class TestParsing:
         with pytest.raises(Serial2FormatError):
             parse_serial2(["1|2|7"])
 
-    def test_duplicate_edge_raises_in_strict_mode(self):
-        with pytest.raises(Serial2FormatError):
-            parse_serial2(["1|2|-1", "1|2|0"])
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ("1|2|0", "edge 1-2 already exists"),
+            ("2|1|-1", "edge 2-1 already exists"),
+            ("3|3|0", "self-loop 3-3"),
+            ("-4|5|-1", "non-negative int"),
+        ],
+        ids=["duplicate", "reverse duplicate", "self-loop", "negative"],
+    )
+    def test_bad_edge_raises_with_location_in_strict_mode(self, bad, reason):
+        with pytest.raises(Serial2FormatError, match=reason) as err:
+            parse_serial2(["# header", "1|2|-1", bad, "5|6|0"])
+        assert err.value.line_number == 3
+        graph = parse_serial2(["1|2|-1", bad, "5|6|0"], strict=False)
+        assert list(graph.edges()) == list(
+            graph_from_edges(customer_provider=[(2, 1)], peerings=[(5, 6)]).edges()
+        )
 
     def test_lenient_mode_skips_bad_lines(self):
         graph = parse_serial2(

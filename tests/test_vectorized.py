@@ -53,7 +53,7 @@ from repro.core.outcome import (
     normal_conditions,
 )
 from repro.topology import TopologyParams, gadgets, generate_topology
-from repro.topology.graph import ASGraph, graph_from_edges
+from repro.topology.graph import graph_from_edges
 from repro.topology.ixp import augment_with_ixp_peering
 
 from test_attacks import CustomerScopeHijack
@@ -607,9 +607,11 @@ class TestRowsKernel:
         """Attackers whose roots differ in export scope, claimed length
         and wire relax from one batch, under LP2, on a graph with ASes
         no route reaches: every row equals the reference engine's pass."""
-        graph = generate_topology(TopologyParams(n=150, seed=5)).graph
-        asns = list(graph.asns)
-        graph.add_customer_provider(max(asns) + 1, max(asns) + 2)  # an island
+        base = generate_topology(TopologyParams(n=150, seed=5)).graph
+        asns = base.asns
+        c2p, p2p = base.edge_lists()
+        island = [(max(asns) + 1, max(asns) + 2)]
+        graph = graph_from_edges(np.concatenate([c2p, island]), p2p)
         vec = RoutingContext(graph)
         oracle = RefOracle(graph)
         model = lp2_variant(SECURITY_MODELS[1])
@@ -982,10 +984,9 @@ class TestRowLayout:
 
     @staticmethod
     def _check(ctx):
-        start = ctx.adj_start
-        *_, cust_start = ctx._np_adjacency()
+        start, _node, _cls, cf_b, _esrc, cust_start = ctx._np_csr()
         for u in range(ctx.n):
-            row = bytes(ctx.adj_custflag[start[u]:start[u + 1]])
+            row = cf_b[start[u]:start[u + 1]].astype(np.uint8).tobytes()
             ncust = len(ctx.customers_idx[u])
             assert row == bytes(len(row) - ncust) + b"\x01" * ncust, u
             assert cust_start[u] == start[u + 1] - ncust, u
@@ -1014,10 +1015,10 @@ def _ixp_graph():
 
 
 class TestCsrBuild:
-    """A context builds its CSR from arrays, and derives the
-    per-relationship index tuples only when a reader asks: both equal
-    the reference engine's per-AS adjacency, row for row (providers,
-    peers, customers, each sorted)."""
+    """A graph is its CSR, built from edge lists; a context adopts it
+    and derives the per-relationship index tuples only when a reader
+    asks: both equal the reference engine's per-AS adjacency, row for
+    row (providers, peers, customers, each sorted)."""
 
     @pytest.mark.parametrize(
         "build",
@@ -1032,14 +1033,13 @@ class TestCsrBuild:
             lambda: gadgets.figure17_collateral_damage_sec1st().graph,
             _ixp_graph,
             lambda: generate_topology(TopologyParams(n=2200, seed=2013)).graph,
-            ASGraph,
+            graph_from_edges,
             lambda: graph_from_edges(customer_provider=[(5, 9)]),
-            # ASNs 1..n: the lookup table (the CPs' ASNs make the others
-            # too sparse for it below ~5 000 ASes)
+            # ASNs 1..n
             lambda: generate_topology(
                 TopologyParams(n=400, seed=3, include_content_providers=False)
             ).graph,
-            # too sparse an ASN space for a lookup table: binary search
+            # a sparse 32-bit ASN space
             lambda: graph_from_edges(
                 customer_provider=[(4_200_000_000, 7), (7, 13), (64_512, 13)],
                 peerings=[(13, 4_200_000_000), (7, 64_512)],
@@ -1056,15 +1056,17 @@ class TestCsrBuild:
         ref = RefRoutingContext(graph)
         asns = ctx.asns
         assert asns == sorted(ref.asns)
-        start = ctx.adj_start.tolist()
+        start = graph.adj_start.tolist()
         assert start[0] == 0 and len(start) == len(asns) + 1
         edges = list(zip(
-            [asns[v] for v in ctx.adj_node.tolist()],
-            ctx.adj_class.tolist(), ctx.adj_custflag.astype(bool).tolist(),
+            [asns[v] for v in graph.adj_node.tolist()],
+            graph.adj_class.tolist(), ctx._np_csr()[3].tolist(),
         ))
         for u, asn in enumerate(asns):
             assert tuple(edges[start[u] : start[u + 1]]) == ref.out_edges[asn], asn
-        assert ctx._has_customers == bytes(bool(ref.customers_of[a]) for a in asns)
+        assert [graph.is_stub(a) for a in asns] == [
+            not ref.customers_of[a] for a in asns
+        ]
         assert ctx._rel_idx is None
         for name in ("providers", "customers", "peers"):
             want = [
@@ -1074,10 +1076,21 @@ class TestCsrBuild:
             assert getattr(ctx, f"{name}_idx") == want, name
 
     def test_one_as_graph_builds(self):
-        graph = ASGraph()
-        graph.add_as(7)
+        ctx = RoutingContext(graph_from_edges(asns=[7]))
+        assert list(ctx.graph.adj_start) == [0, 0] and ctx.providers_idx == [()]
+
+    def test_context_adopts_the_graph_arrays(self, graph):
+        """One representation: the kernel reads the graph's own CSR
+        arrays, which nobody can write through."""
         ctx = RoutingContext(graph)
-        assert list(ctx.adj_start) == [0, 0] and ctx.providers_idx == [()]
+        start, node, cls_e, _cf_b, _esrc, cust_start = ctx._np_csr()
+        assert start is graph.adj_start and node is graph.adj_node
+        assert cust_start is graph.cust_start
+        assert np.shares_memory(start, graph.adj_start)
+        assert np.shares_memory(node, graph.adj_node)
+        assert np.array_equal(cls_e, graph.adj_class)
+        with pytest.raises(ValueError):
+            node[0] = 0
 
     def test_counts_leave_the_index_tuples_unbuilt(self, graph):
         """The count path reads the CSR only: the O(V + E) python tuples
@@ -1160,12 +1173,12 @@ class TestContextWiring:
         )
 
         builds = []  # the parent's: a worker appends to its own copy
-        real_adjacency = RoutingContext._np_adjacency
+        real_csr = RoutingContext._np_csr
 
         def counted(ctx):
             if ctx._np_adj is None:
                 builds.append(ctx)
-            return real_adjacency(ctx)
+            return real_csr(ctx)
 
         built_at_fork = []
         real_init = SupervisedPool.__init__
@@ -1174,7 +1187,7 @@ class TestContextWiring:
             built_at_fork.append(ectx.graph_ctx._np_adj is not None)
             real_init(pool, ectx, *args, **kwargs)
 
-        monkeypatch.setattr(RoutingContext, "_np_adjacency", counted)
+        monkeypatch.setattr(RoutingContext, "_np_csr", counted)
         monkeypatch.setattr(SupervisedPool, "__init__", observed)
         with make_context("tiny", processes=2) as ectx:
             assert ectx.graph_ctx._np_adj is None  # not in set-up
