@@ -875,13 +875,14 @@ def make_context(
         attack = strategy_from_token(attack)
     if failure_log is None:
         failure_log = FailureLog()
-    # The build makes no reference cycles, but at 80k ASes the
-    # generator's draws allocate ~80k tracked neighbour sets, and with
-    # the cyclic collector running that triggers full collections that
-    # walk everything already resident (a previous trial's context, the
-    # service's cached ones).  Paused, one young collection afterwards
-    # walks what the build kept once and promotes it, so the first
-    # evaluation pass does not.
+    # The build makes no reference cycles, so the cyclic collector is
+    # paused for it and one young collection afterwards walks what it
+    # kept.  The pause saves no full collection (with the collector on,
+    # an 80k build triggers one young collection and no full one); it
+    # stays because removing it was not shown free: without it,
+    # rollout_large read wall_s worse in 11 of 14 pairs of
+    # tools/alternate_bench.py (medians +8 % and +9 %, 2-vCPU VM) and
+    # peak RSS 3 MB lower, and one of its two trials read unresolved.
     with _BUILD_LOCK:
         gc_was_enabled = gc.isenabled()
         gc.disable()

@@ -1,4 +1,4 @@
-"""Always-on evaluation service (ROADMAP item 2).
+"""Always-on evaluation service (ROADMAP item 6).
 
 ``repro serve`` turns the batch CLI into a warm metric-serving HTTP
 API: resident :class:`~repro.experiments.runner.ExperimentContext`\\ s

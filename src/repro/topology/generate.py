@@ -121,6 +121,11 @@ def _pick_distinct(
     return chosen
 
 
+def _pair(a: int, b: int) -> int:
+    """The unordered pair ``{a, b}`` of 32-bit ASNs as one int."""
+    return a << 32 | b if a < b else b << 32 | a
+
+
 class _Builder:
     """Stateful helper that draws the synthetic graph's edges; its
     :meth:`finish` builds the graph."""
@@ -128,9 +133,9 @@ class _Builder:
     def __init__(self, params: TopologyParams) -> None:
         self.params = params
         self.rng = random.Random(params.seed)
-        #: what the draws read: each AS's neighbors of any annotation,
-        #: each provider's customer count
-        self.neighbors: dict[int, set[int]] = {}
+        #: what the draws read: each edge's :func:`_pair` key, and each
+        #: provider's customer count (until the stubs, in fast mode)
+        self.edges: set[int] = set()
         self.customers: dict[int, int] = {}
         #: the edges drawn, flat: customer, provider, … / peer, peer, …
         self.c2p: list[int] = []
@@ -166,19 +171,17 @@ class _Builder:
 
     def add_layer(self, members: list[int], name: str) -> None:
         """Add ``members`` (no edges yet) as layer ``name``."""
-        self.neighbors.update((asn, set()) for asn in members)
         self.layer_of.update(dict.fromkeys(members, name))
 
     def add_p2p(self, a: int, b: int) -> None:
         self.p2p += (a, b)
-        self.neighbors[a].add(b)
-        self.neighbors[b].add(a)
+        self.edges.add(_pair(a, b))
 
     def finish(self) -> ASGraph:
         """The graph of the edges drawn (every AS has one).  Drawing
-        ends: the neighbor sets go first, so the graph is not built on
-        top of them."""
-        self.neighbors.clear()
+        ends: the edge set goes first, so the graph is not built on top
+        of it."""
+        self.edges.clear()
         return graph_from_edges(
             np.array(self.c2p, np.int64).reshape(-1, 2),
             np.array(self.p2p, np.int64).reshape(-1, 2),
@@ -203,11 +206,10 @@ class _Builder:
 
     def add_c2p(self, customer: int, providers: list[int]) -> None:
         """Add customer-provider edges, keeping tracked weights exact."""
-        neighbors, customers = self.neighbors, self.customers
+        edges, customers = self.edges, self.customers
         for provider in providers:
             self.c2p += (customer, provider)
-            neighbors[customer].add(provider)
-            neighbors[provider].add(customer)
+            edges.add(_pair(customer, provider))
             customers[provider] = customers.get(provider, 0) + 1
             if self.fast:
                 self._pa_of[provider].append(provider)
@@ -245,8 +247,9 @@ class _Builder:
         """Attach each stub to ``choice((1, 1, 1, 2, 2, 3))`` providers as
         :meth:`attach_providers` would.  In fast mode the layers' PA
         tables and their running total carry across stubs, the count is
-        drawn inline and the edges land without :meth:`add_c2p`: the
-        same draws, without a call frame each."""
+        drawn inline and the edges land without :meth:`add_c2p` (and
+        without customer counts, which no later draw reads): the same
+        draws, without a call frame each."""
         counts = (1, 1, 1, 2, 2, 3)
         if not self.fast:
             choice = self.rng.choice
@@ -259,19 +262,15 @@ class _Builder:
         n_counts = len(counts)
         bits = n_counts.bit_length()
         pick = self._pick_pa
-        c2p, neighbors, customers = self.c2p, self.neighbors, self.customers
-        pa_of = self._pa_of
+        c2p, edges, pa_of = self.c2p, self.edges, self._pa_of
         for asn in stubs:
             r = getrandbits(bits)  # choice(counts), as Random._randbelow
             while r >= n_counts:
                 r = getrandbits(bits)
             chosen = pick(tables, total, counts[r])
-            providers = neighbors[asn]
             for provider in chosen:
                 c2p += (asn, provider)
-                providers.add(provider)
-                neighbors[provider].add(asn)
-                customers[provider] = customers.get(provider, 0) + 1
+                edges.add(_pair(asn, provider))
                 pa_of[provider].append(provider)
             total += len(chosen)
 
@@ -309,8 +308,7 @@ class _Builder:
         getrandbits = self.rng.getrandbits
         n_a, n_b = len(pool_a), len(pool_b)
         bits_a, bits_b = n_a.bit_length(), n_b.bit_length()
-        add = self.add_p2p
-        neighbors = self.neighbors
+        add, edges = self.add_p2p, self.edges
         added = 0
         attempts = 0
         while added < count and attempts < 30 * count + 100:
@@ -323,7 +321,7 @@ class _Builder:
             while r >= n_b:
                 r = getrandbits(bits_b)
             b = pool_b[r]
-            if a == b or b in neighbors[a]:
+            if a == b or _pair(a, b) in edges:
                 continue
             add(a, b)
             added += 1
@@ -395,7 +393,7 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
     # customer-degree ASes (the paper's Tier 2s) hold the bulk of the
     # stub attachments, which keeps the hierarchy shallow — a property
     # the Section 4.6 Tier-1 results depend on.
-    stub_count = n - len(b.neighbors)
+    stub_count = n - len(b.layer_of)
     stubs = b.make_layer("stub", max(0, stub_count))
     b.track(small)
     transit = [tier1, large, mid, small]
@@ -413,7 +411,7 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
     # CPs also peer among themselves (content "hyper-giants" interconnect).
     for i, a in enumerate(cps):
         for c in cps[i + 1 :]:
-            if rng.random() < 0.35 and c not in b.neighbors[a]:
+            if rng.random() < 0.35 and _pair(a, c) not in b.edges:
                 b.add_p2p(a, c)
 
     stub_x = [s for s in stubs if rng.random() < params.stub_peering_frac]

@@ -365,15 +365,16 @@ def graph_from_edges(
         a, b = edges[loops[0]].tolist()
         raise TopologyError(f"self-loop {a}-{b}")
 
-    asn_of = np.unique(np.concatenate([edges.ravel(), extra]))
+    asn_of, index = np.unique(
+        np.concatenate([edges.ravel(), extra]), return_inverse=True
+    )
     n = len(asn_of)
-    u, v = np.searchsorted(asn_of, edges.T)
-    # Edges stable-sorted by their unordered pair: of two equal pairs,
-    # the later in the input is the duplicate.
+    u, v = index[: edges.size].reshape(-1, 2).T
     key = np.minimum(u, v) * n + np.maximum(u, v)
-    order = np.argsort(key, kind="stable")
-    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
-    if len(repeats):
+    if not np.diff(np.sort(key)).all():
+        # Stable-sorted, the later of two equal pairs is the duplicate.
+        order = np.argsort(key, kind="stable")
+        repeats = order[1:][key[order[1:]] == key[order[:-1]]]
         a, b = edges[repeats.min()].tolist()
         raise TopologyError(f"edge {a}-{b} already exists with some annotation")
 

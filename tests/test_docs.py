@@ -147,6 +147,33 @@ def test_link_checker_catches_unknown_names_and_paths(tmp_path):
         assert sum(broken in e for e in errors) == 1, broken
 
 
+def test_link_checker_catches_stale_roadmap_citations(tmp_path):
+    """A "ROADMAP item N" in code or docs must name an open item (and a
+    lettered part one that item has); ROADMAP's closed or recent items
+    and ``perfbench/`` do not count."""
+    check_links = _load_check_links()
+    (tmp_path / "ROADMAP.md").write_text(
+        "# Roadmap\n\n## Open items\n\n1. **One.**\n\n2. **Two.** (a) part\n\n"
+        "## Recent\n\n5. **Done.**\n"
+    )
+    cite = "ROADMAP" + " item"  # split, so this file cites nothing itself
+    for path, text in {
+        "src/pkg/a.py": f'"""{cite} 1, {cite} 2a and {cite} 3."""\n',
+        "tests/test_a.py": f"# {cite} 5\n",
+        "tools/t.py": f"# {cite} 2b\n",
+        "docs/d.md": f"{cite}\n1 is open\n",
+        "Makefile": f"## {cite} 12\n",
+        "perfbench/p.py": f"# {cite} 9\n",
+    }.items():
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text(text)
+    errors = check_links.check_citations(tmp_path)
+    assert len(errors) == 4, errors
+    for stale in ("item 3'", "item 5'", "item 2b'", "item 12'"):
+        assert sum(stale in e for e in errors) == 1, stale
+    assert check_links.check_citations() == []
+
+
 def test_verify_skill_is_checked():
     files = _load_check_links().default_files(REPO_ROOT)
     assert REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md" in files

@@ -204,11 +204,11 @@ class TestInlineDraws:
         for _ in range(self.DRAWS):
             assert b.add_random_peerings(pool_a, pool_b, 1) == 1
             a, c = reference.choice(pool_a), reference.choice(pool_b)
-            assert b.p2p[-2:] == [a, c] and b.neighbors[a] == {c}
-            # forget the one edge added
+            pair = a << 32 | c  # a < c: pool_b lies above pool_a
+            assert b.p2p[-2:] == [a, c] and b.edges == {pair}
+            # forget the one edge added, so the next is the only one too
             del b.p2p[-2:]
-            b.neighbors[a].clear()
-            b.neighbors[c].clear()
+            b.edges.remove(pair)
         assert b.rng.getstate() == reference.getstate()
 
 

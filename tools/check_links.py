@@ -19,6 +19,11 @@ Scans the repo's user-facing markdown (README, everything under
   ``:line`` past the file's end, or a ``::name`` the file defines no
   ``def`` or ``class`` for.
 
+It also fails on a "ROADMAP item N" (or "item Na", a lettered part) in
+the ``.py`` and ``.md`` files under ``src/``, ``tests/``, ``tools/`` and
+``docs/``, the Makefile or README whose N is not an open item of
+``ROADMAP.md`` (or whose item has no "(a)" part).
+
 Used by the CI ``docs`` job and by ``tests/test_docs.py``, so a broken
 cross-reference fails tier-1 locally before it ever reaches CI::
 
@@ -56,6 +61,9 @@ _PATH_RE = re.compile(
     r"`((?:src|tests|tools|docs|examples|benchmarks)/[^\s:`]*)"
     r"(?::(\d+)|((?:::\w+)+))?(?=[\s`])"
 )
+#: A citation of a roadmap item, and an open item's first line.
+_CITE_RE = re.compile(r"ROADMAP\s+item\s+(\d+)([a-z]?)\b")
+_ITEM_RE = re.compile(r"^(\d+)\. \*\*", re.MULTILINE)
 
 
 def github_slug(heading: str) -> str:
@@ -141,6 +149,35 @@ def path_resolves(
     )
 
 
+def open_items(roadmap: Path) -> dict[str, str]:
+    """``roadmap``'s open items: number -> the item's text."""
+    text = roadmap.read_text(encoding="utf-8")
+    section = text.partition("\n## Open items")[2].partition("\n## ")[0]
+    parts = _ITEM_RE.split(section)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+def check_citations(root: Path = REPO_ROOT) -> list[str]:
+    """Every "ROADMAP item N" under ``root`` (``perfbench/`` left out)
+    that names no open item of ``root``'s ``ROADMAP.md``."""
+    items = open_items(root / "ROADMAP.md")
+    files = [root / "Makefile", root / "README.md"] + sorted(
+        path
+        for top in ("src", "tests", "tools", "docs")
+        for path in (root / top).rglob("*")
+        if path.suffix in (".py", ".md")
+    )
+    errors: list[str] = []
+    for path in files:
+        if not path.is_file():
+            continue
+        for match in _CITE_RE.finditer(path.read_text(encoding="utf-8")):
+            number, part = match.groups()
+            if number not in items or (part and f"({part})" not in items[number]):
+                errors.append(f"{path}: {match.group(0)!r} (no such open ROADMAP item)")
+    return errors
+
+
 def check_file(
     path: Path, targets: set[str] | None = None, root: Path = REPO_ROOT
 ) -> list[str]:
@@ -186,6 +223,7 @@ def main(argv: list[str]) -> int:
     errors: list[str] = []
     for path in files:
         errors.extend(check_file(path, targets))
+    errors.extend(check_citations())
     for error in errors:
         print(error, file=sys.stderr)
     print(f"checked {len(files)} markdown file(s): {len(errors)} broken reference(s)")
