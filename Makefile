@@ -42,6 +42,7 @@ doctest:
 		src/repro/core/jobs.py \
 		src/repro/core/metrics.py \
 		src/repro/experiments/faults.py \
+		src/repro/experiments/registry.py \
 		src/repro/experiments/scenarios.py \
 		src/repro/experiments/store.py \
 		src/repro/topology/graph.py

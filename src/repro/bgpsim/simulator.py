@@ -118,9 +118,9 @@ class BGPSimulator:
             asn: tuple(sorted(graph.neighbors(asn))) for asn in graph.asns
         }
         self._rel: dict[tuple[int, int], Relationship] = {}
-        for asn in graph.asns:
-            for nbr in self._neighbors[asn]:
-                self._rel[(asn, nbr)] = graph.relationship(asn, nbr)
+        for a, b, relationship in graph.edges():
+            self._rel[a, b] = relationship
+            self._rel[b, a] = relationship.inverse()
 
         #: RIB-in: receiver -> sender -> announcement.
         self.rib_in: dict[int, dict[int, Announcement]] = {a: {} for a in graph.asns}

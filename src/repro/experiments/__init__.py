@@ -31,7 +31,7 @@ from .runner import (
     run_experiment,
     run_experiments,
 )
-from .scenarios import EvalRequest, EvalResults, SweepSpec, request_for
+from .scenarios import EvalRequest, EvalResults, request_for
 from .store import (
     ResultStore,
     ResultStoreBase,
@@ -66,7 +66,6 @@ __all__ = [
     "run_experiments",
     "EvalRequest",
     "EvalResults",
-    "SweepSpec",
     "request_for",
     "ResultStore",
     "ResultStoreBase",

@@ -412,10 +412,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "store":
         return _store_command(args)
     if args.command == "list":
-        print(f"{'id':14s} {'paper ref':28s} {'ixp rerun':9s} title")
-        for eid, spec in all_experiments().items():
+        specs = all_experiments()
+        id_width = max(len(eid) for eid in specs)
+        ref_width = max(len(spec.paper_reference) for spec in specs.values())
+        print(f"{'id':{id_width}s} {'paper ref':{ref_width}s} ixp rerun title")
+        for eid, spec in specs.items():
             ixp = "yes" if spec.supports_ixp else "no"
-            print(f"{eid:14s} {spec.paper_reference:28s} {ixp:9s} {spec.title}")
+            print(
+                f"{eid:{id_width}s} {spec.paper_reference:{ref_width}s} "
+                f"{ixp:9s} {spec.title}"
+            )
         return 0
     _arm_faults(args)
     failure_log = FailureLog()

@@ -16,47 +16,39 @@ from __future__ import annotations
 from ..core.deployment import Deployment, tier12_rollout
 from ..core.rank import BASELINE, SECURITY_MODELS
 from . import report, sampling
-from .registry import ExperimentResult, ExperimentSpec, register
-from .runner import ExperimentContext, cached
-from .scenarios import EvalResults, SweepSpec, collect_requests, request_for
+from .registry import ExperimentSpec, register
+from .runner import ExperimentContext
+from .scenarios import EvalResults, request_for
 
 
 def _plan(ectx: ExperimentContext):
     """Per step: its label, deployment, non-stub count and
     ``(model, request)`` list."""
-
-    def build():
-        rng = ectx.rng("ablation-tiebreak")
-        attackers = sampling.nonstub_attackers(ectx.tiers)
-        pairs = sampling.sample_pairs(
-            rng, attackers, ectx.graph.asns, ectx.scale.rollout_pairs
-        )
-        steps = [("S=∅", Deployment.empty(), 0)] + [
-            (step.label, step.deployment, step.non_stub_count)
-            for step in tier12_rollout(ectx.graph, ectx.tiers)
+    rng = ectx.rng("ablation-tiebreak")
+    attackers = sampling.nonstub_attackers(ectx.tiers)
+    pairs = sampling.sample_pairs(
+        rng, attackers, ectx.graph.asns, ectx.scale.rollout_pairs
+    )
+    steps = [("S=∅", Deployment.empty(), 0)] + [
+        (step.label, step.deployment, step.non_stub_count)
+        for step in tier12_rollout(ectx.graph, ectx.tiers)
+    ]
+    plan = []
+    for label, deployment, non_stubs in steps:
+        models = (BASELINE,) if deployment.size == 0 else SECURITY_MODELS
+        requests = [
+            (model, request_for(ectx, pairs, deployment, model))
+            for model in models
         ]
-        plan = []
-        for label, deployment, non_stubs in steps:
-            models = (BASELINE,) if deployment.size == 0 else SECURITY_MODELS
-            requests = [
-                (model, request_for(ectx, pairs, deployment, model))
-                for model in models
-            ]
-            plan.append((label, deployment, non_stubs, requests))
-        return plan
-
-    return cached(ectx, "plan:ablation_tiebreak", build)
-
-
-def requests_tiebreak_ablation(ectx: ExperimentContext) -> SweepSpec:
-    return SweepSpec.of("ablation_tiebreak", collect_requests(_plan(ectx)))
+        plan.append((label, deployment, non_stubs, requests))
+    return plan
 
 
 def run_tiebreak_ablation(
-    ectx: ExperimentContext, results: EvalResults
-) -> ExperimentResult:
+    ectx: ExperimentContext, plan: list, results: EvalResults
+) -> tuple[list[dict], str]:
     rows = []
-    for label, deployment, non_stubs, requests in _plan(ectx):
+    for label, deployment, non_stubs, requests in plan:
         for model, request in requests:
             per_pair = results.for_request(request).per_pair
             knife = sum(r.happy_upper - r.happy_lower for r in per_pair)
@@ -86,7 +78,11 @@ def run_tiebreak_ablation(
         "\n\nknife-edge = sources whose equally-best routes reach both the"
         "\nattacker and the destination; exactly the upper-lower metric gap."
     )
-    return ExperimentResult(
+    return rows, table
+
+
+register(
+    ExperimentSpec(
         experiment_id="ablation_tiebreak",
         title="Ablation: tiebreak interval width along the Tier 1+2 rollout",
         paper_reference="Section 5.2.1 ('Tiebreaking can seal an AS's fate')",
@@ -95,18 +91,7 @@ def run_tiebreak_ablation(
             "50% deployment under security 1st) — it is inherent to "
             "partial deployment, not an artifact of any S"
         ),
-        rows=rows,
-        text=table,
-    )
-
-
-register(
-    ExperimentSpec(
-        experiment_id="ablation_tiebreak",
-        title="Tiebreak interval-width ablation",
-        paper_reference="Section 5.2.1",
-        paper_expectation="knife-edge population persists at scale",
         run=run_tiebreak_ablation,
-        requests=requests_tiebreak_ablation,
+        plan=_plan,
     )
 )

@@ -26,51 +26,43 @@ and where it flips:
 from __future__ import annotations
 
 from ..core.attacks import SHIPPED_STRATEGIES
-from ..core.deployment import Deployment
+from ..core.deployment import Deployment, tier12_rollout
 from ..core.metrics import Interval
 from ..core.rank import BASELINE, SECURITY_MODELS
 from . import report
 from .exp_rollouts import _rollout_pairs
-from .registry import ExperimentResult, ExperimentSpec, register
-from .runner import ExperimentContext, cached
-from .scenarios import EvalResults, SweepSpec, collect_requests, request_for
+from .registry import ExperimentSpec, register
+from .runner import ExperimentContext
+from .scenarios import EvalResults, request_for
 
 
 def _plan_attacks(ectx: ExperimentContext):
-    def build():
-        pairs = _rollout_pairs(ectx)
-        from ..core.deployment import tier12_rollout
-
-        steps = tier12_rollout(ectx.graph, ectx.tiers)
-        plan = {}
-        for strategy in SHIPPED_STRATEGIES:
-            baseline = request_for(
-                ectx, pairs, Deployment.empty(), BASELINE, attack=strategy
+    pairs = _rollout_pairs(ectx)
+    steps = tier12_rollout(ectx.graph, ectx.tiers)
+    plan = {}
+    for strategy in SHIPPED_STRATEGIES:
+        baseline = request_for(
+            ectx, pairs, Deployment.empty(), BASELINE, attack=strategy
+        )
+        step_plans = [
+            (
+                step,
+                {
+                    model.label: request_for(
+                        ectx, pairs, step.deployment, model, attack=strategy
+                    )
+                    for model in SECURITY_MODELS
+                },
             )
-            step_plans = [
-                (
-                    step,
-                    {
-                        model.label: request_for(
-                            ectx, pairs, step.deployment, model, attack=strategy
-                        )
-                        for model in SECURITY_MODELS
-                    },
-                )
-                for step in steps
-            ]
-            plan[strategy.token] = {"baseline": baseline, "steps": step_plans}
-        return plan
-
-    return cached(ectx, "plan:attacks", build)
+            for step in steps
+        ]
+        plan[strategy.token] = {"baseline": baseline, "steps": step_plans}
+    return plan
 
 
-def requests_attacks(ectx: ExperimentContext) -> SweepSpec:
-    return SweepSpec.of("attacks", collect_requests(_plan_attacks(ectx)))
-
-
-def run_attacks(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
-    plan = _plan_attacks(ectx)
+def run_attacks(
+    ectx: ExperimentContext, plan: dict, results: EvalResults
+) -> tuple[list[dict], str]:
     rows: list[dict] = []
     blocks: list[str] = []
     for token, strategy_plan in plan.items():
@@ -119,18 +111,7 @@ def run_attacks(ectx: ExperimentContext, results: EvalResults) -> ExperimentResu
         if flips
         else "model ranking matches the paper's threat model for every strategy"
     )
-    return ExperimentResult(
-        experiment_id="attacks",
-        title="Tier 1+2 rollout under alternative attacker strategies",
-        paper_reference="Figure 7(a) × threat models (arXiv:2408.15970, 2606.23071)",
-        paper_expectation=(
-            "hijack reproduces fig7a; forged_origin erases most of the "
-            "security models' gains; honest attraction blunts sec-1st; "
-            "khop padding compresses all deltas"
-        ),
-        rows=rows,
-        text="\n\n".join(blocks) + "\n\n" + verdict,
-    )
+    return rows, "\n\n".join(blocks) + "\n\n" + verdict
 
 
 def _final_order(rows: list[dict], token: str) -> tuple[str, ...]:
@@ -148,10 +129,14 @@ def _final_order(rows: list[dict], token: str) -> tuple[str, ...]:
 register(
     ExperimentSpec(
         experiment_id="attacks",
-        title="Rollout robustness across attacker strategies",
-        paper_reference="Figure 7(a) × threat models",
-        paper_expectation="ranking of deployments depends on the attack model",
+        title="Tier 1+2 rollout under alternative attacker strategies",
+        paper_reference="Figure 7(a) × threat models (arXiv:2408.15970, 2606.23071)",
+        paper_expectation=(
+            "hijack reproduces fig7a; forged_origin erases most of the "
+            "security models' gains; honest attraction blunts sec-1st; "
+            "khop padding compresses all deltas"
+        ),
         run=run_attacks,
-        requests=requests_attacks,
+        plan=_plan_attacks,
     )
 )

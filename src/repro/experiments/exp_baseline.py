@@ -13,48 +13,41 @@ from __future__ import annotations
 from ..core.deployment import Deployment
 from ..core.rank import BASELINE
 from . import report, sampling
-from .registry import ExperimentResult, ExperimentSpec, register
-from .runner import ExperimentContext, cached
-from .scenarios import EvalRequest, EvalResults, SweepSpec, request_for
+from .registry import ExperimentSpec, register
+from .runner import ExperimentContext
+from .scenarios import EvalRequest, EvalResults, request_for
 
 
 def _plan(ectx: ExperimentContext) -> dict[str, EvalRequest]:
     """The two H(∅) scenarios: all attackers, and non-stub attackers."""
+    rng = ectx.rng("baseline")
+    asns = ectx.graph.asns
 
-    def build() -> dict[str, EvalRequest]:
-        rng = ectx.rng("baseline")
-        asns = ectx.graph.asns
-
-        def draw(attackers):
-            if ectx.scale.stratified_pairs:
-                return sampling.sample_pairs_stratified(
-                    rng,
-                    attackers,
-                    asns,
-                    ectx.scale.pair_samples,
-                    ectx.graph.degree,
-                )
-            return sampling.sample_pairs(
-                rng, attackers, asns, ectx.scale.pair_samples
+    def draw(attackers):
+        if ectx.scale.stratified_pairs:
+            return sampling.sample_pairs_stratified(
+                rng,
+                attackers,
+                asns,
+                ectx.scale.pair_samples,
+                ectx.graph.degree,
             )
+        return sampling.sample_pairs(
+            rng, attackers, asns, ectx.scale.pair_samples
+        )
 
-        pairs = draw(asns)
-        pairs_ns = draw(sampling.nonstub_attackers(ectx.tiers))
-        empty = Deployment.empty()
-        return {
-            "all": request_for(ectx, pairs, empty, BASELINE),
-            "nonstub": request_for(ectx, pairs_ns, empty, BASELINE),
-        }
-
-    return cached(ectx, "plan:baseline", build)
-
-
-def requests(ectx: ExperimentContext) -> SweepSpec:
-    return SweepSpec.of("baseline", _plan(ectx).values())
+    pairs = draw(asns)
+    pairs_ns = draw(sampling.nonstub_attackers(ectx.tiers))
+    empty = Deployment.empty()
+    return {
+        "all": request_for(ectx, pairs, empty, BASELINE),
+        "nonstub": request_for(ectx, pairs_ns, empty, BASELINE),
+    }
 
 
-def run(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
-    plan = _plan(ectx)
+def run(
+    ectx: ExperimentContext, plan: dict[str, EvalRequest], results: EvalResults
+) -> tuple[list[dict], str]:
     result = results.for_request(plan["all"])
     result_ns = results.for_request(plan["nonstub"])
 
@@ -84,14 +77,7 @@ def run(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
         f"\n\n({graph_label}; the paper reports H(∅) >= 60% on the UCLA graph"
         " and >= 62% with IXP edges)"
     )
-    return ExperimentResult(
-        experiment_id="baseline",
-        title="Origin authentication baseline H(∅)",
-        paper_reference="Section 4.2",
-        paper_expectation="more than half of all sources are already happy with S = ∅",
-        rows=rows,
-        text=text,
-    )
+    return rows, text
 
 
 register(
@@ -99,8 +85,8 @@ register(
         experiment_id="baseline",
         title="Origin authentication baseline H(∅)",
         paper_reference="Section 4.2",
-        paper_expectation="H(∅) lower bound around or above 60%",
+        paper_expectation="more than half of all sources are already happy with S = ∅",
         run=run,
-        requests=requests,
+        plan=_plan,
     )
 )

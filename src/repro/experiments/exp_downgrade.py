@@ -13,22 +13,17 @@ from ..core.downgrade import secure_route_fate
 from ..topology.tiers import PAPER_CONTENT_PROVIDERS, Tier
 from ..core.rank import SECURITY_THIRD
 from . import report, sampling
-from .registry import ExperimentResult, ExperimentSpec, register
+from .registry import ExperimentSpec, register
 from .runner import ExperimentContext
 from .scenarios import EvalResults
 
 
-def run(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
+def run(
+    ectx: ExperimentContext, plan: None, results: EvalResults
+) -> tuple[list[dict], str]:
     cps = ectx.tiers.members(Tier.CP)
     if not cps:
-        return ExperimentResult(
-            experiment_id="fig13",
-            title="Secure-route fate at CP destinations",
-            paper_reference="Figure 13",
-            paper_expectation="n/a",
-            rows=[],
-            text="(no content providers in this topology)",
-        )
+        return [], "(no content providers in this topology)"
     deployment = ectx.catalog.get("t1_stubs_cp")
     rng = ectx.rng("fig13")
     attackers = sampling.sample_members(
@@ -73,7 +68,11 @@ def run(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
             f"routes lost to downgrades; {total_immune / total_secure:.0%} "
             "retained by immune sources"
         )
-    return ExperimentResult(
+    return rows, table + summary
+
+
+register(
+    ExperimentSpec(
         experiment_id="fig13",
         title="Secure-route fate at CP destinations (S = T1s+CPs+stubs, sec 3rd)",
         paper_reference="Figure 13 (Figure 21 for IXP)",
@@ -81,17 +80,6 @@ def run(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
             "most secure routes are lost to protocol downgrades; most "
             "surviving ones belong to immune sources"
         ),
-        rows=rows,
-        text=table + summary,
-    )
-
-
-register(
-    ExperimentSpec(
-        experiment_id="fig13",
-        title="Secure-route fate at CP destinations",
-        paper_reference="Figure 13",
-        paper_expectation="downgrades dominate; survivors are immune",
         run=run,
     )
 )

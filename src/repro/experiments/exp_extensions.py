@@ -24,7 +24,7 @@ from ..core.rank import SECURITY_FIRST, SECURITY_SECOND, SECURITY_THIRD
 from ..topology import gadgets
 from ..topology.tiers import Tier
 from . import report, sampling
-from .registry import ExperimentResult, ExperimentSpec, register
+from .registry import ExperimentSpec, register
 from .runner import ExperimentContext
 from .scenarios import EvalResults
 
@@ -64,7 +64,9 @@ def _downgrade_counts(
     return downgraded, unhappy
 
 
-def run_hysteresis(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
+def run_hysteresis(
+    ectx: ExperimentContext, plan: None, results: EvalResults
+) -> tuple[list[dict], str]:
     rows = []
 
     # Part 1: the Figure 2 gadget — the canonical downgrade, cured.
@@ -138,20 +140,12 @@ def run_hysteresis(ectx: ExperimentContext, results: EvalResults) -> ExperimentR
             for row in rows
         ],
     )
-    return ExperimentResult(
-        experiment_id="hysteresis",
-        title="§8 extension: secure-route hysteresis vs protocol downgrades",
-        paper_reference="Section 8 (proposed, not evaluated, in the paper)",
-        paper_expectation=(
-            "sticky secure routes should eliminate downgrades for sources "
-            "that had secure routes, shrinking the attacker's catch"
-        ),
-        rows=rows,
-        text=table,
-    )
+    return rows, table
 
 
-def run_islands(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
+def run_islands(
+    ectx: ExperimentContext, plan: None, results: EvalResults
+) -> tuple[list[dict], str]:
     """Island members pledge security-1st among themselves (§8)."""
     tiers = ectx.tiers
     island = set(tiers.members(Tier.TIER2)) | set(tiers.members(Tier.CP))
@@ -218,25 +212,18 @@ def run_islands(ectx: ExperimentContext, results: EvalResults) -> ExperimentResu
         "\n\n(island = all Tier 2s + CPs, fully secure; attacks on island "
         "destinations by outsiders; averages per attack)"
     )
-    return ExperimentResult(
-        experiment_id="islands",
-        title="§8 extension: security-1st islands",
-        paper_reference="Section 8 (proposed, not evaluated, in the paper)",
-        paper_expectation=(
-            "island members protect each other's destinations even while "
-            "the rest of the Internet stays security-3rd"
-        ),
-        rows=rows,
-        text=table,
-    )
+    return rows, table
 
 
 register(
     ExperimentSpec(
         experiment_id="hysteresis",
-        title="Secure-route hysteresis (§8 extension)",
-        paper_reference="Section 8",
-        paper_expectation="downgrades eliminated for secure-routed sources",
+        title="§8 extension: secure-route hysteresis vs protocol downgrades",
+        paper_reference="Section 8 (proposed, not evaluated, in the paper)",
+        paper_expectation=(
+            "sticky secure routes should eliminate downgrades for sources "
+            "that had secure routes, shrinking the attacker's catch"
+        ),
         run=run_hysteresis,
         supports_ixp=False,
     )
@@ -244,9 +231,12 @@ register(
 register(
     ExperimentSpec(
         experiment_id="islands",
-        title="Security-1st islands (§8 extension)",
-        paper_reference="Section 8",
-        paper_expectation="island destinations protected",
+        title="§8 extension: security-1st islands",
+        paper_reference="Section 8 (proposed, not evaluated, in the paper)",
+        paper_expectation=(
+            "island members protect each other's destinations even while "
+            "the rest of the Internet stays security-3rd"
+        ),
         run=run_islands,
         supports_ixp=False,
     )

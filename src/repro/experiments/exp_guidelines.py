@@ -14,17 +14,11 @@ from __future__ import annotations
 from ..core.deployment import Deployment
 from ..core.rank import BASELINE, SECURITY_MODELS
 from . import report, sampling
-from .registry import ExperimentResult, ExperimentSpec, register
-from .runner import ExperimentContext, cached
-from .scenarios import (
-    EvalRequest,
-    EvalResults,
-    SweepSpec,
-    collect_requests,
-    request_for,
-)
+from .registry import ExperimentSpec, register
+from .runner import ExperimentContext
+from .scenarios import EvalRequest, EvalResults, request_for
 
-#: One named deployment scenario: (label, baseline request, per-model requests).
+#: One named deployment scenario: (label, S, baseline request, per-model requests).
 ScenarioPlan = tuple[str, Deployment, EvalRequest, dict[str, EvalRequest]]
 
 
@@ -48,15 +42,9 @@ def _scenario_plan(
     return (label, deployment, baseline, by_model)
 
 
-def _guideline_result(
-    ectx: ExperimentContext,
-    results: EvalResults,
-    plans: list[ScenarioPlan],
-    experiment_id: str,
-    title: str,
-    paper_reference: str,
-    expectation: str,
-) -> ExperimentResult:
+def _run_deltas(
+    ectx: ExperimentContext, plans: list[ScenarioPlan], results: EvalResults
+) -> tuple[list[dict], str]:
     rows = []
     series = []
     for label, deployment, baseline, by_model in plans:
@@ -72,132 +60,77 @@ def _guideline_result(
                 }
             )
             series.append((f"{label:>16s} {model.label:14s}", delta))
-    return ExperimentResult(
-        experiment_id=experiment_id,
-        title=title,
-        paper_reference=paper_reference,
-        paper_expectation=expectation,
-        rows=rows,
-        text=report.interval_series(series),
-    )
+    return rows, report.interval_series(series)
 
 
 # ----------------------------------------------------------------------
-# Tier-1 early adopters
+# Tier-1 and Tier-2 early adopters
 # ----------------------------------------------------------------------
 
 def _plan_t1(ectx: ExperimentContext) -> list[ScenarioPlan]:
-    def build() -> list[ScenarioPlan]:
-        return [
-            _scenario_plan(
-                ectx, "T1+stubs", ectx.catalog.get("t1_stubs"),
-                "guideline_t1-T1+stubs",
-            ),
-            _scenario_plan(
-                ectx, "T1+stubs+CPs", ectx.catalog.get("t1_stubs_cp"),
-                "guideline_t1-T1+stubs+CPs",
-            ),
-        ]
+    return [
+        _scenario_plan(
+            ectx, "T1+stubs", ectx.catalog.get("t1_stubs"),
+            "guideline_t1-T1+stubs",
+        ),
+        _scenario_plan(
+            ectx, "T1+stubs+CPs", ectx.catalog.get("t1_stubs_cp"),
+            "guideline_t1-T1+stubs+CPs",
+        ),
+    ]
 
-    return cached(ectx, "plan:guideline_t1", build)
-
-
-def requests_t1(ectx: ExperimentContext) -> SweepSpec:
-    return SweepSpec.of("guideline_t1", collect_requests(_plan_t1(ectx)))
-
-
-def run_guideline_t1(
-    ectx: ExperimentContext, results: EvalResults
-) -> ExperimentResult:
-    return _guideline_result(
-        ectx,
-        results,
-        _plan_t1(ectx),
-        "guideline_t1",
-        "Early adoption at Tier 1s (ΔH over secure destinations)",
-        "Section 5.3.1",
-        "sec 2nd/3rd improvements are nearly imperceptible (paper <0.2%)",
-    )
-
-
-# ----------------------------------------------------------------------
-# Tier-2 early adopters
-# ----------------------------------------------------------------------
 
 def _plan_t2(ectx: ExperimentContext) -> list[ScenarioPlan]:
-    def build() -> list[ScenarioPlan]:
-        return [
-            _scenario_plan(
-                ectx, "top-13 T2+stubs", ectx.catalog.get("t2_top13_stubs"),
-                "guideline_t2-top-13 T2+stubs",
-            )
-        ]
-
-    return cached(ectx, "plan:guideline_t2", build)
-
-
-def requests_t2(ectx: ExperimentContext) -> SweepSpec:
-    return SweepSpec.of("guideline_t2", collect_requests(_plan_t2(ectx)))
-
-
-def run_guideline_t2(
-    ectx: ExperimentContext, results: EvalResults
-) -> ExperimentResult:
-    return _guideline_result(
-        ectx,
-        results,
-        _plan_t2(ectx),
-        "guideline_t2",
-        "Early adoption at the largest Tier 2s",
-        "Section 5.3.1",
-        "beats the Tier-1 deployment despite being smaller (paper ~1%)",
-    )
+    return [
+        _scenario_plan(
+            ectx, "top-13 T2+stubs", ectx.catalog.get("t2_top13_stubs"),
+            "guideline_t2-top-13 T2+stubs",
+        )
+    ]
 
 
 # ----------------------------------------------------------------------
 # All non-stubs secure (§5.2.4: worst-case ΔH over all destinations)
 # ----------------------------------------------------------------------
 
-def _plan_nonstubs(ectx: ExperimentContext):
-    def build():
-        deployment = ectx.catalog.get("nonstubs")
-        rng = ectx.rng("nonstubs")
-        attackers = sampling.nonstub_attackers(ectx.tiers)
-        pairs = sampling.sample_pairs(
-            rng, attackers, ectx.graph.asns, ectx.scale.rollout_pairs
-        )
-        baseline = request_for(ectx, pairs, Deployment.empty(), BASELINE)
-        by_model = {
-            model.label: request_for(ectx, pairs, deployment, model)
-            for model in SECURITY_MODELS
-        }
-        return (deployment, baseline, by_model)
-
-    return cached(ectx, "plan:nonstubs", build)
-
-
-def requests_nonstubs(ectx: ExperimentContext) -> SweepSpec:
-    return SweepSpec.of("nonstubs", collect_requests(_plan_nonstubs(ectx)))
-
-
-def run_nonstubs(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
+def _plan_nonstubs(ectx: ExperimentContext) -> list[ScenarioPlan]:
     """§5.2.4 quotes worst-case (lower-bound) ΔH_{M',V}: all destinations."""
-    deployment, baseline, by_model = _plan_nonstubs(ectx)
-    rows = []
-    series = []
-    for model in SECURITY_MODELS:
-        delta = results.delta(by_model[model.label], baseline)
-        rows.append(
-            {
-                "scenario": "all non-stubs",
-                "secured_fraction": deployment.size / len(ectx.graph),
-                "model": model.label,
-                "delta_lower": delta.lower,
-                "delta_upper": delta.upper,
-            }
-        )
-        series.append((f"{'all non-stubs':>16s} {model.label:14s}", delta))
-    return ExperimentResult(
+    deployment = ectx.catalog.get("nonstubs")
+    rng = ectx.rng("nonstubs")
+    attackers = sampling.nonstub_attackers(ectx.tiers)
+    pairs = sampling.sample_pairs(
+        rng, attackers, ectx.graph.asns, ectx.scale.rollout_pairs
+    )
+    baseline = request_for(ectx, pairs, Deployment.empty(), BASELINE)
+    by_model = {
+        model.label: request_for(ectx, pairs, deployment, model)
+        for model in SECURITY_MODELS
+    }
+    return [("all non-stubs", deployment, baseline, by_model)]
+
+
+register(
+    ExperimentSpec(
+        experiment_id="guideline_t1",
+        title="Early adoption at Tier 1s (ΔH over secure destinations)",
+        paper_reference="Section 5.3.1",
+        paper_expectation="sec 2nd/3rd improvements are nearly imperceptible (paper <0.2%)",
+        run=_run_deltas,
+        plan=_plan_t1,
+    )
+)
+register(
+    ExperimentSpec(
+        experiment_id="guideline_t2",
+        title="Early adoption at the largest Tier 2s",
+        paper_reference="Section 5.3.1",
+        paper_expectation="beats the Tier-1 deployment despite being smaller (paper ~1%)",
+        run=_run_deltas,
+        plan=_plan_t2,
+    )
+)
+register(
+    ExperimentSpec(
         experiment_id="nonstubs",
         title="Securing all non-stub ASes (ΔH over all destinations)",
         paper_reference="Section 5.2.4",
@@ -205,38 +138,7 @@ def run_nonstubs(ectx: ExperimentContext, results: EvalResults) -> ExperimentRes
             "worst-case ordering 1st > 2nd > 3rd (paper: 6.2 / 4.7 / "
             "2.2%); per-destination gaps close in Figure 12"
         ),
-        rows=rows,
-        text=report.interval_series(series),
-    )
-
-
-register(
-    ExperimentSpec(
-        experiment_id="guideline_t1",
-        title="Tier-1 early adopters",
-        paper_reference="Section 5.3.1",
-        paper_expectation="~no improvement for sec 2nd/3rd",
-        run=run_guideline_t1,
-        requests=requests_t1,
-    )
-)
-register(
-    ExperimentSpec(
-        experiment_id="guideline_t2",
-        title="Tier-2 early adopters",
-        paper_reference="Section 5.3.1",
-        paper_expectation="better than Tier-1 early adopters",
-        run=run_guideline_t2,
-        requests=requests_t2,
-    )
-)
-register(
-    ExperimentSpec(
-        experiment_id="nonstubs",
-        title="All non-stubs secure",
-        paper_reference="Section 5.2.4",
-        paper_expectation="sec2nd nearly reaches sec1st",
-        run=run_nonstubs,
-        requests=requests_nonstubs,
+        run=_run_deltas,
+        plan=_plan_nonstubs,
     )
 )

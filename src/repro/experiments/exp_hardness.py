@@ -15,7 +15,7 @@ from ..core.hardness import (
 )
 from ..core.rank import SECURITY_MODELS
 from . import report
-from .registry import ExperimentResult, ExperimentSpec, register
+from .registry import ExperimentSpec, register
 from .runner import ExperimentContext
 from .scenarios import EvalResults
 
@@ -45,7 +45,9 @@ INSTANCES = [
 ]
 
 
-def run(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
+def run(
+    ectx: ExperimentContext, plan: None, results: EvalResults
+) -> tuple[list[dict], str]:
     rows = []
     for name, universe, family, gamma, has_cover in INSTANCES:
         instance = build_set_cover_reduction(universe, dict(family))
@@ -95,7 +97,11 @@ def run(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
             for row in rows
         ],
     )
-    return ExperimentResult(
+    return rows, table
+
+
+register(
+    ExperimentSpec(
         experiment_id="hardness",
         title="Max-k-Security ≡ Set Cover on the Figure 18 gadget",
         paper_reference="Theorem 5.1 / Appendix I / Figure 18",
@@ -103,17 +109,6 @@ def run(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
             "securing k = n + γ + 1 ASes makes every source happy iff a "
             "γ-cover exists, in all three models"
         ),
-        rows=rows,
-        text=table,
-    )
-
-
-register(
-    ExperimentSpec(
-        experiment_id="hardness",
-        title="Max-k-Security reduction",
-        paper_reference="Theorem 5.1",
-        paper_expectation="cover ⟺ all-happy, all models",
         run=run,
         supports_ixp=False,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..core.rank import LP2, LocalPreference, RankModel, SecurityModel
 from ..topology.tiers import FIGURE_TIER_ORDER
 from . import report, sampling
-from .registry import ExperimentResult, ExperimentSpec, register
+from .registry import ExperimentSpec, register
 from .runner import ExperimentContext, cached
 from .scenarios import EvalResults
 from .sweeps import partition_sweep
@@ -24,7 +24,9 @@ LP2_MODELS = tuple(
 )
 
 
-def run_lp2(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
+def run_lp2(
+    ectx: ExperimentContext, plan: None, results: EvalResults
+) -> tuple[list[dict], str]:
     rng = ectx.rng("lp2")
     asns = ectx.graph.asns
     pairs = sampling.sample_pairs(rng, asns, asns, ectx.scale.pair_samples)
@@ -99,7 +101,11 @@ def run_lp2(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
         text += report.partition_bars(bar_rows_tier)
     rows.extend(tier_rows)
 
-    return ExperimentResult(
+    return rows, text
+
+
+register(
+    ExperimentSpec(
         experiment_id="lp2",
         title="Partitions under the LP2 local-preference variant",
         paper_reference="Appendix K, Figures 24-25",
@@ -108,23 +114,14 @@ def run_lp2(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
             "become mostly immune (short peer routes beat bogus customer "
             "routes)"
         ),
-        rows=rows,
-        text=text,
-    )
-
-
-register(
-    ExperimentSpec(
-        experiment_id="lp2",
-        title="LP2 policy variant partitions",
-        paper_reference="Appendix K",
-        paper_expectation="high tiers become immune; smaller gains",
         run=run_lp2,
     )
 )
 
 
-def run_lpk_sweep(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
+def run_lpk_sweep(
+    ectx: ExperimentContext, plan: None, results: EvalResults
+) -> tuple[list[dict], str]:
     """Appendix K.1: the LPk family for several k, including k → ∞.
 
     ``k = ∞`` (any window at least the graph diameter) is the variant
@@ -172,7 +169,11 @@ def run_lpk_sweep(ectx: ExperimentContext, results: EvalResults) -> ExperimentRe
                 f"{fractions.upper_bound - sweep.baseline_happy_lower:+6.1%}"
             )
         lines.append("")
-    return ExperimentResult(
+    return rows, "\n".join(lines).rstrip()
+
+
+register(
+    ExperimentSpec(
         experiment_id="lpk_sweep",
         title="Partitions across the LPk local-preference family",
         paper_reference="Appendix K.1",
@@ -181,17 +182,6 @@ def run_lpk_sweep(ectx: ExperimentContext, results: EvalResults) -> ExperimentRe
             "fractions fall for sec 2nd/3rd relative to classic LP; the "
             "k→∞ variant equalizes customer/peer routes"
         ),
-        rows=rows,
-        text="\n".join(lines).rstrip(),
-    )
-
-
-register(
-    ExperimentSpec(
-        experiment_id="lpk_sweep",
-        title="LPk family sweep (k = 1, 2, 3, ∞)",
-        paper_reference="Appendix K.1",
-        paper_expectation="doomed shrinks as k grows",
         run=run_lpk_sweep,
     )
 )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..core.rank import SECURITY_MODELS, SECURITY_SECOND, SECURITY_THIRD
 from ..topology.tiers import FIGURE_TIER_ORDER, Tier
 from . import report, sampling
-from .registry import ExperimentResult, ExperimentSpec, register
+from .registry import ExperimentSpec, register
 from .runner import ExperimentContext, cached
 from .scenarios import EvalResults
 from .sweeps import PartitionSweep, partition_sweep
@@ -67,7 +67,9 @@ def _attacker_tier_sweeps(ectx: ExperimentContext) -> dict[Tier, PartitionSweep]
     return cached(ectx, "partition_sweep_attacker_tier", build)
 
 
-def run_fig3(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
+def run_fig3(
+    ectx: ExperimentContext, plan: None, results: EvalResults
+) -> tuple[list[dict], str]:
     sweep = _all_pairs_sweep(ectx)
     rows = []
     bar_rows = []
@@ -102,29 +104,12 @@ def run_fig3(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
     )
     for row in rows:
         text += f"\n  {row['model']:14s} {row['max_gain_over_baseline']:+6.1%}"
-    return ExperimentResult(
-        experiment_id="fig3",
-        title="Partitions into doomed/protectable/immune, per model",
-        paper_reference="Figure 3 (Figure 19a for IXP)",
-        paper_expectation=(
-            "sec 1st ~all protectable; immune grows and max gain shrinks "
-            "as security priority drops (paper: <=15% gain for sec 3rd, "
-            "~29% for sec 2nd); sec-3rd immune tracks the baseline"
-        ),
-        rows=rows,
-        text=text,
-    )
+    return rows, text
 
 
 def _tier_figure(
-    ectx: ExperimentContext,
-    sweeps: dict[Tier, PartitionSweep],
-    model_label: str,
-    experiment_id: str,
-    title: str,
-    paper_reference: str,
-    expectation: str,
-) -> ExperimentResult:
+    sweeps: dict[Tier, PartitionSweep], model_label: str
+) -> tuple[list[dict], str]:
     rows = []
     bar_rows = []
     for tier in FIGURE_TIER_ORDER:
@@ -150,57 +135,30 @@ def _tier_figure(
                 sweep.baseline_happy_lower,
             )
         )
-    return ExperimentResult(
-        experiment_id=experiment_id,
-        title=title,
-        paper_reference=paper_reference,
-        paper_expectation=expectation,
-        rows=rows,
-        text=report.partition_bars(bar_rows),
-    )
+    return rows, report.partition_bars(bar_rows)
 
 
-def run_fig4(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
-    return _tier_figure(
-        ectx,
-        _dest_tier_sweeps(ectx),
-        SECURITY_THIRD.label,
-        "fig4",
-        "Partitions by destination tier (security 3rd)",
-        "Figure 4 (Figure 19b for IXP)",
-        "Tier-1 destinations are overwhelmingly doomed; other tiers have "
-        "modest protectable slices (~8-15%)",
-    )
+def run_fig4(
+    ectx: ExperimentContext, plan: None, results: EvalResults
+) -> tuple[list[dict], str]:
+    return _tier_figure(_dest_tier_sweeps(ectx), SECURITY_THIRD.label)
 
 
-def run_fig5(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
-    return _tier_figure(
-        ectx,
-        _dest_tier_sweeps(ectx),
-        SECURITY_SECOND.label,
-        "fig5",
-        "Partitions by destination tier (security 2nd)",
-        "Figure 5 (Figure 19c for IXP)",
-        "same Tier-1 pathology as security 3rd",
-    )
+def run_fig5(
+    ectx: ExperimentContext, plan: None, results: EvalResults
+) -> tuple[list[dict], str]:
+    return _tier_figure(_dest_tier_sweeps(ectx), SECURITY_SECOND.label)
 
 
-def run_fig6(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
-    result = _tier_figure(
-        ectx,
-        _attacker_tier_sweeps(ectx),
-        SECURITY_THIRD.label,
-        "fig6",
-        "Partitions by attacker tier (security 3rd)",
-        "Figure 6 (Figure 19d for IXP)",
-        "attacks grow stronger from stub to Tier-2 attackers; Tier-1 "
-        "attackers are strikingly weak (their bogus routes look like "
-        "provider routes)",
-    )
-    return result
+def run_fig6(
+    ectx: ExperimentContext, plan: None, results: EvalResults
+) -> tuple[list[dict], str]:
+    return _tier_figure(_attacker_tier_sweeps(ectx), SECURITY_THIRD.label)
 
 
-def run_source_tier(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
+def run_source_tier(
+    ectx: ExperimentContext, plan: None, results: EvalResults
+) -> tuple[list[dict], str]:
     sweep = _all_pairs_sweep(ectx)
     rows = []
     bar_rows = []
@@ -222,7 +180,58 @@ def run_source_tier(ectx: ExperimentContext, results: EvalResults) -> Experiment
         )
     # the paper quotes ~25/60/15 as roughly uniform across source tiers,
     # including the Tier 1s ("Tier 1s can still be protected as sources").
-    return ExperimentResult(
+    return rows, report.partition_bars(bar_rows)
+
+
+register(
+    ExperimentSpec(
+        experiment_id="fig3",
+        title="Partitions into doomed/protectable/immune, per model",
+        paper_reference="Figure 3 (Figure 19a for IXP)",
+        paper_expectation=(
+            "sec 1st ~all protectable; immune grows and max gain shrinks "
+            "as security priority drops (paper: <=15% gain for sec 3rd, "
+            "~29% for sec 2nd); sec-3rd immune tracks the baseline"
+        ),
+        run=run_fig3,
+    )
+)
+register(
+    ExperimentSpec(
+        experiment_id="fig4",
+        title="Partitions by destination tier (security 3rd)",
+        paper_reference="Figure 4 (Figure 19b for IXP)",
+        paper_expectation=(
+            "Tier-1 destinations are overwhelmingly doomed; other tiers have "
+            "modest protectable slices (~8-15%)"
+        ),
+        run=run_fig4,
+    )
+)
+register(
+    ExperimentSpec(
+        experiment_id="fig5",
+        title="Partitions by destination tier (security 2nd)",
+        paper_reference="Figure 5 (Figure 19c for IXP)",
+        paper_expectation="same Tier-1 pathology as security 3rd",
+        run=run_fig5,
+    )
+)
+register(
+    ExperimentSpec(
+        experiment_id="fig6",
+        title="Partitions by attacker tier (security 3rd)",
+        paper_reference="Figure 6 (Figure 19d for IXP)",
+        paper_expectation=(
+            "attacks grow stronger from stub to Tier-2 attackers; Tier-1 "
+            "attackers are strikingly weak (their bogus routes look like "
+            "provider routes)"
+        ),
+        run=run_fig6,
+    )
+)
+register(
+    ExperimentSpec(
         experiment_id="source_tier",
         title="Partitions by source tier (security 3rd)",
         paper_reference="Section 4.7 (figure omitted in the paper)",
@@ -230,53 +239,6 @@ def run_source_tier(ectx: ExperimentContext, results: EvalResults) -> Experiment
             "roughly uniform ~25% doomed / 60% immune / 15% protectable "
             "across source tiers, including Tier 1 sources"
         ),
-        rows=rows,
-        text=report.partition_bars(bar_rows),
-    )
-
-
-register(
-    ExperimentSpec(
-        experiment_id="fig3",
-        title="Partitions per security model",
-        paper_reference="Figure 3",
-        paper_expectation="max gains: 3rd ≪ 2nd ≪ 1st",
-        run=run_fig3,
-    )
-)
-register(
-    ExperimentSpec(
-        experiment_id="fig4",
-        title="Partitions by destination tier (sec 3rd)",
-        paper_reference="Figure 4",
-        paper_expectation="Tier-1 destinations mostly doomed",
-        run=run_fig4,
-    )
-)
-register(
-    ExperimentSpec(
-        experiment_id="fig5",
-        title="Partitions by destination tier (sec 2nd)",
-        paper_reference="Figure 5",
-        paper_expectation="Tier-1 destinations mostly doomed",
-        run=run_fig5,
-    )
-)
-register(
-    ExperimentSpec(
-        experiment_id="fig6",
-        title="Partitions by attacker tier (sec 3rd)",
-        paper_reference="Figure 6",
-        paper_expectation="Tier-1 attackers weakest",
-        run=run_fig6,
-    )
-)
-register(
-    ExperimentSpec(
-        experiment_id="source_tier",
-        title="Partitions by source tier (sec 3rd)",
-        paper_reference="Section 4.7",
-        paper_expectation="roughly uniform across source tiers",
         run=run_source_tier,
     )
 )

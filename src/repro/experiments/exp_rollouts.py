@@ -30,15 +30,9 @@ from ..core.metrics import Interval
 from ..core.rank import BASELINE, SECURITY_MODELS
 from ..topology.tiers import Tier
 from . import report, sampling
-from .registry import ExperimentResult, ExperimentSpec, register
+from .registry import ExperimentSpec, register
 from .runner import ExperimentContext, cached
-from .scenarios import (
-    EvalRequest,
-    EvalResults,
-    SweepSpec,
-    collect_requests,
-    request_for,
-)
+from .scenarios import EvalRequest, EvalResults, request_for
 
 #: One rollout step's scenarios: the step plus per-model requests.
 StepPlan = tuple[RolloutStep, dict[str, EvalRequest]]
@@ -113,35 +107,29 @@ def _render_series(rows: list[dict], note: str) -> str:
 # ----------------------------------------------------------------------
 
 def _plan_fig7a(ectx: ExperimentContext):
-    def build():
-        pairs = _rollout_pairs(ectx)
-        baseline = request_for(ectx, pairs, Deployment.empty(), BASELINE)
-        # One walk of each ISP's customers for both rollouts.
-        stubs_by_isp: dict[int, frozenset[int]] = {}
-        steps = _step_plans(
-            ectx,
-            tier12_rollout(ectx.graph, ectx.tiers, stubs_by_isp=stubs_by_isp),
-            pairs,
-        )
-        simplex = _step_plans(
-            ectx,
-            tier12_rollout(
-                ectx.graph, ectx.tiers, simplex_stubs=True,
-                stubs_by_isp=stubs_by_isp,
-            ),
-            pairs,
-        )
-        return {"baseline": baseline, "steps": steps, "simplex": simplex}
-
-    return cached(ectx, "plan:fig7a", build)
+    pairs = _rollout_pairs(ectx)
+    baseline = request_for(ectx, pairs, Deployment.empty(), BASELINE)
+    # One walk of each ISP's customers for both rollouts.
+    stubs_by_isp: dict[int, frozenset[int]] = {}
+    steps = _step_plans(
+        ectx,
+        tier12_rollout(ectx.graph, ectx.tiers, stubs_by_isp=stubs_by_isp),
+        pairs,
+    )
+    simplex = _step_plans(
+        ectx,
+        tier12_rollout(
+            ectx.graph, ectx.tiers, simplex_stubs=True,
+            stubs_by_isp=stubs_by_isp,
+        ),
+        pairs,
+    )
+    return {"baseline": baseline, "steps": steps, "simplex": simplex}
 
 
-def requests_fig7a(ectx: ExperimentContext) -> SweepSpec:
-    return SweepSpec.of("fig7a", collect_requests(_plan_fig7a(ectx)))
-
-
-def run_fig7a(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
-    plan = _plan_fig7a(ectx)
+def run_fig7a(
+    ectx: ExperimentContext, plan: dict, results: EvalResults
+) -> tuple[list[dict], str]:
     rows = _delta_rows(ectx, results, plan["steps"], plan["baseline"])
     # the simplex "error bars": same rollout with simplex stubs.
     simplex_rows = _delta_rows(ectx, results, plan["simplex"], plan["baseline"])
@@ -156,17 +144,7 @@ def run_fig7a(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult
             for row in rows
         )
     )
-    return ExperimentResult(
-        experiment_id="fig7a",
-        title="Tier 1+2 rollout: ΔH_{M',V}(S) with simplex error bars",
-        paper_reference="Figure 7(a) (Figure 20a for IXP)",
-        paper_expectation=(
-            "sec 1st largest (paper ~24% at 50% deployment); sec 2nd and "
-            "3rd meagre and similar; wide tiebreak gap; simplex ≈ no change"
-        ),
-        rows=rows,
-        text=_render_series(rows, note),
-    )
+    return rows, _render_series(rows, note)
 
 
 # ----------------------------------------------------------------------
@@ -187,28 +165,23 @@ def _secure_destination_pairs(
 
 
 def _plan_fig7b(ectx: ExperimentContext):
-    def build():
-        plan = []
-        for step in tier12_rollout(ectx.graph, ectx.tiers):
-            pairs = _secure_destination_pairs(ectx, step, "fig7b")
-            baseline = request_for(ectx, pairs, Deployment.empty(), BASELINE)
-            by_model = {
-                model.label: request_for(ectx, pairs, step.deployment, model)
-                for model in SECURITY_MODELS
-            }
-            plan.append((step, baseline, by_model))
-        return plan
-
-    return cached(ectx, "plan:fig7b", build)
+    plan = []
+    for step in tier12_rollout(ectx.graph, ectx.tiers):
+        pairs = _secure_destination_pairs(ectx, step, "fig7b")
+        baseline = request_for(ectx, pairs, Deployment.empty(), BASELINE)
+        by_model = {
+            model.label: request_for(ectx, pairs, step.deployment, model)
+            for model in SECURITY_MODELS
+        }
+        plan.append((step, baseline, by_model))
+    return plan
 
 
-def requests_fig7b(ectx: ExperimentContext) -> SweepSpec:
-    return SweepSpec.of("fig7b", collect_requests(_plan_fig7b(ectx)))
-
-
-def run_fig7b(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
+def run_fig7b(
+    ectx: ExperimentContext, plan: list, results: EvalResults
+) -> tuple[list[dict], str]:
     rows = []
-    for step, baseline, by_model in _plan_fig7b(ectx):
+    for step, baseline, by_model in plan:
         for model in SECURITY_MODELS:
             delta = results.delta(by_model[model.label], baseline)
             rows.append(
@@ -221,17 +194,7 @@ def run_fig7b(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult
                 }
             )
     note = "metric restricted to secure destinations d ∈ S (averaged)"
-    return ExperimentResult(
-        experiment_id="fig7b",
-        title="Tier 1+2 rollout: ΔH_{M',d}(S) averaged over d ∈ S",
-        paper_reference="Figure 7(b)",
-        paper_expectation=(
-            "sec 2nd pulls ahead of sec 3rd (paper: +13-20% by the last "
-            "step) but stays far below sec 1st"
-        ),
-        rows=rows,
-        text=_render_series(rows, note),
-    )
+    return rows, _render_series(rows, note)
 
 
 # ----------------------------------------------------------------------
@@ -239,26 +202,18 @@ def run_fig7b(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult
 # ----------------------------------------------------------------------
 
 def _plan_fig7a_dense(ectx: ExperimentContext):
-    def build():
-        pairs = _rollout_pairs(ectx)
-        # identical to fig7a's baseline request: deduped by the scheduler.
-        baseline = request_for(ectx, pairs, Deployment.empty(), BASELINE)
-        steps = _step_plans(
-            ectx, tier12_rollout_dense(ectx.graph, ectx.tiers), pairs
-        )
-        return {"baseline": baseline, "steps": steps}
-
-    return cached(ectx, "plan:fig7a_dense", build)
-
-
-def requests_fig7a_dense(ectx: ExperimentContext) -> SweepSpec:
-    return SweepSpec.of("fig7a_dense", collect_requests(_plan_fig7a_dense(ectx)))
+    pairs = _rollout_pairs(ectx)
+    # identical to fig7a's baseline request: deduped by the scheduler.
+    baseline = request_for(ectx, pairs, Deployment.empty(), BASELINE)
+    steps = _step_plans(
+        ectx, tier12_rollout_dense(ectx.graph, ectx.tiers), pairs
+    )
+    return {"baseline": baseline, "steps": steps}
 
 
 def run_fig7a_dense(
-    ectx: ExperimentContext, results: EvalResults
-) -> ExperimentResult:
-    plan = _plan_fig7a_dense(ectx)
+    ectx: ExperimentContext, plan: dict, results: EvalResults
+) -> tuple[list[dict], str]:
     rows = _delta_rows(ectx, results, plan["steps"], plan["baseline"])
     # The marginal value of each additional ISP: the per-step increment
     # of the lower bound — the quantity deployment-ordering studies
@@ -275,7 +230,92 @@ def run_fig7a_dense(
         f"model: {len(plan['steps'])} (evaluated rollout-major as one "
         "warm chain per destination)."
     )
-    return ExperimentResult(
+    return rows, _render_series(rows, note)
+
+
+# ----------------------------------------------------------------------
+# Figure 8: Tier 1+2+CP rollout over CP destinations
+# ----------------------------------------------------------------------
+
+def _plan_fig8(ectx: ExperimentContext):
+    cps = ectx.tiers.members(Tier.CP)
+    if not cps:
+        return None
+    rng = ectx.rng("fig8")
+    attackers = sampling.nonstub_attackers(ectx.tiers)
+    pairs = sampling.sample_pairs(
+        rng, attackers, cps, ectx.scale.rollout_pairs
+    )
+    baseline = request_for(ectx, pairs, Deployment.empty(), BASELINE)
+    steps = _step_plans(
+        ectx,
+        tier12_rollout(ectx.graph, ectx.tiers, include_cps=True),
+        pairs,
+    )
+    return {"cps": cps, "baseline": baseline, "steps": steps}
+
+
+def run_fig8(
+    ectx: ExperimentContext, plan: dict | None, results: EvalResults
+) -> tuple[list[dict], str]:
+    if plan is None:
+        return [], "(no content providers in this topology)"
+    rows = _delta_rows(ectx, results, plan["steps"], plan["baseline"])
+    note = (
+        f"metric over the {len(plan['cps'])} CP destinations only; CPs secure "
+        "at every step (paper: ≥26% / 9.4% / 4% for sec 1st/2nd/3rd)"
+    )
+    return rows, _render_series(rows, note)
+
+
+# ----------------------------------------------------------------------
+# Figure 11: Tier 2-only rollout
+# ----------------------------------------------------------------------
+
+def _plan_fig11(ectx: ExperimentContext):
+    pairs = _rollout_pairs(ectx)
+    # identical to fig7a's baseline request: deduped by the scheduler.
+    baseline = request_for(ectx, pairs, Deployment.empty(), BASELINE)
+    steps = _step_plans(ectx, tier2_rollout(ectx.graph, ectx.tiers), pairs)
+    return {"baseline": baseline, "steps": steps}
+
+
+def run_fig11(
+    ectx: ExperimentContext, plan: dict, results: EvalResults
+) -> tuple[list[dict], str]:
+    rows = _delta_rows(ectx, results, plan["steps"], plan["baseline"])
+    note = "Tier 2-only rollout (no Tier 1 participates)"
+    return rows, _render_series(rows, note)
+
+
+register(
+    ExperimentSpec(
+        experiment_id="fig7a",
+        title="Tier 1+2 rollout: ΔH_{M',V}(S) with simplex error bars",
+        paper_reference="Figure 7(a) (Figure 20a for IXP)",
+        paper_expectation=(
+            "sec 1st largest (paper ~24% at 50% deployment); sec 2nd and "
+            "3rd meagre and similar; wide tiebreak gap; simplex ≈ no change"
+        ),
+        run=run_fig7a,
+        plan=_plan_fig7a,
+    )
+)
+register(
+    ExperimentSpec(
+        experiment_id="fig7b",
+        title="Tier 1+2 rollout: ΔH_{M',d}(S) averaged over d ∈ S",
+        paper_reference="Figure 7(b)",
+        paper_expectation=(
+            "sec 2nd pulls ahead of sec 3rd (paper: +13-20% by the last "
+            "step) but stays far below sec 1st"
+        ),
+        run=run_fig7b,
+        plan=_plan_fig7b,
+    )
+)
+register(
+    ExperimentSpec(
         experiment_id="fig7a_dense",
         title="Tier 1+2 rollout at one-ISP granularity: ΔH_{M',V}(S)",
         paper_reference="Figure 7(a) (extension)",
@@ -284,93 +324,22 @@ def run_fig7a_dense(
             "(sec 1st ≫ 2nd ≈ 3rd); early Tier 2s contribute the "
             "largest marginal gains"
         ),
-        rows=rows,
-        text=_render_series(rows, note),
+        run=run_fig7a_dense,
+        plan=_plan_fig7a_dense,
     )
-
-
-# ----------------------------------------------------------------------
-# Figure 8: Tier 1+2+CP rollout over CP destinations
-# ----------------------------------------------------------------------
-
-def _plan_fig8(ectx: ExperimentContext):
-    def build():
-        cps = ectx.tiers.members(Tier.CP)
-        if not cps:
-            return None
-        rng = ectx.rng("fig8")
-        attackers = sampling.nonstub_attackers(ectx.tiers)
-        pairs = sampling.sample_pairs(
-            rng, attackers, cps, ectx.scale.rollout_pairs
-        )
-        baseline = request_for(ectx, pairs, Deployment.empty(), BASELINE)
-        steps = _step_plans(
-            ectx,
-            tier12_rollout(ectx.graph, ectx.tiers, include_cps=True),
-            pairs,
-        )
-        return {"cps": cps, "baseline": baseline, "steps": steps}
-
-    return cached(ectx, "plan:fig8", build)
-
-
-def requests_fig8(ectx: ExperimentContext) -> SweepSpec:
-    plan = _plan_fig8(ectx)
-    if plan is None:
-        return SweepSpec.empty("fig8")
-    return SweepSpec.of("fig8", collect_requests(plan))
-
-
-def run_fig8(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
-    plan = _plan_fig8(ectx)
-    if plan is None:
-        return ExperimentResult(
-            experiment_id="fig8",
-            title="Tier 1+2+CP rollout over CP destinations",
-            paper_reference="Figure 8",
-            paper_expectation="n/a",
-            rows=[],
-            text="(no content providers in this topology)",
-        )
-    rows = _delta_rows(ectx, results, plan["steps"], plan["baseline"])
-    note = (
-        f"metric over the {len(plan['cps'])} CP destinations only; CPs secure "
-        "at every step (paper: ≥26% / 9.4% / 4% for sec 1st/2nd/3rd)"
-    )
-    return ExperimentResult(
+)
+register(
+    ExperimentSpec(
         experiment_id="fig8",
         title="Tier 1+2+CP rollout: ΔH_{M',CP}(S)",
         paper_reference="Figure 8 (Figure 20b for IXP)",
         paper_expectation="same ordering as fig7a; CP baselines are high",
-        rows=rows,
-        text=_render_series(rows, note),
+        run=run_fig8,
+        plan=_plan_fig8,
     )
-
-
-# ----------------------------------------------------------------------
-# Figure 11: Tier 2-only rollout
-# ----------------------------------------------------------------------
-
-def _plan_fig11(ectx: ExperimentContext):
-    def build():
-        pairs = _rollout_pairs(ectx)
-        # identical to fig7a's baseline request: deduped by the scheduler.
-        baseline = request_for(ectx, pairs, Deployment.empty(), BASELINE)
-        steps = _step_plans(ectx, tier2_rollout(ectx.graph, ectx.tiers), pairs)
-        return {"baseline": baseline, "steps": steps}
-
-    return cached(ectx, "plan:fig11", build)
-
-
-def requests_fig11(ectx: ExperimentContext) -> SweepSpec:
-    return SweepSpec.of("fig11", collect_requests(_plan_fig11(ectx)))
-
-
-def run_fig11(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
-    plan = _plan_fig11(ectx)
-    rows = _delta_rows(ectx, results, plan["steps"], plan["baseline"])
-    note = "Tier 2-only rollout (no Tier 1 participates)"
-    return ExperimentResult(
+)
+register(
+    ExperimentSpec(
         experiment_id="fig11",
         title="Tier 2 rollout: ΔH_{M',V}(S)",
         paper_reference="Figure 11 (Figure 20c for IXP)",
@@ -378,58 +347,7 @@ def run_fig11(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult
             "grows more slowly than the Tier 1+2 rollout; smaller sec-1st "
             "gains, narrowing the 1st-vs-2nd gap"
         ),
-        rows=rows,
-        text=_render_series(rows, note),
-    )
-
-
-register(
-    ExperimentSpec(
-        experiment_id="fig7a",
-        title="Tier 1+2 rollout (ΔH over all destinations)",
-        paper_reference="Figure 7(a)",
-        paper_expectation="sec1st ≫ sec2nd ≈ sec3rd",
-        run=run_fig7a,
-        requests=requests_fig7a,
-    )
-)
-register(
-    ExperimentSpec(
-        experiment_id="fig7b",
-        title="Tier 1+2 rollout (ΔH over secure destinations)",
-        paper_reference="Figure 7(b)",
-        paper_expectation="sec2nd beats sec3rd for secure destinations",
-        run=run_fig7b,
-        requests=requests_fig7b,
-    )
-)
-register(
-    ExperimentSpec(
-        experiment_id="fig7a_dense",
-        title="Tier 1+2 rollout at one-ISP granularity",
-        paper_reference="Figure 7(a) (extension)",
-        paper_expectation="fig7a shape, densely sampled",
-        run=run_fig7a_dense,
-        requests=requests_fig7a_dense,
-    )
-)
-register(
-    ExperimentSpec(
-        experiment_id="fig8",
-        title="Tier 1+2+CP rollout over CP destinations",
-        paper_reference="Figure 8",
-        paper_expectation="ordering 1st > 2nd > 3rd",
-        run=run_fig8,
-        requests=requests_fig8,
-    )
-)
-register(
-    ExperimentSpec(
-        experiment_id="fig11",
-        title="Tier 2-only rollout",
-        paper_reference="Figure 11",
-        paper_expectation="slower growth than Tier 1+2 rollout",
         run=run_fig11,
-        requests=requests_fig11,
+        plan=_plan_fig11,
     )
 )

@@ -16,7 +16,7 @@ from ..core.rank import SECURITY_FIRST, SECURITY_MODELS, SECURITY_SECOND, SECURI
 from ..core.rootcause import PHENOMENA_POSSIBLE, pair_root_cause, root_cause_breakdown
 from ..topology import gadgets
 from . import report, sampling
-from .registry import ExperimentResult, ExperimentSpec, register
+from .registry import ExperimentSpec, register
 from .runner import ExperimentContext, cached
 from .scenarios import EvalResults
 
@@ -33,7 +33,9 @@ def _rootcause_pairs(ectx: ExperimentContext) -> list[tuple[int, int]]:
     return cached(ectx, "rootcause_pairs", build)
 
 
-def run_fig16(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
+def run_fig16(
+    ectx: ExperimentContext, plan: None, results: EvalResults
+) -> tuple[list[dict], str]:
     deployment = ectx.catalog.get("t12_full")
     pairs = _rootcause_pairs(ectx)
     rows = []
@@ -74,20 +76,12 @@ def run_fig16(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult
         "(max residual "
         f"{max(abs(r['identity_residual']) for r in rows):.2e})"
     )
-    return ExperimentResult(
-        experiment_id="fig16",
-        title="Root-cause decomposition of the metric change (T1+T2 rollout)",
-        paper_reference="Figure 16 (Figure 23 for IXP)",
-        paper_expectation=(
-            "sec 3rd: downgrades + wasted routes eat most secure routes; "
-            "sec 1st: no downgrades, larger metric change, small damages"
-        ),
-        rows=rows,
-        text=text,
-    )
+    return rows, text
 
 
-def run_table3(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
+def run_table3(
+    ectx: ExperimentContext, plan: None, results: EvalResults
+) -> tuple[list[dict], str]:
     deployment = ectx.catalog.get("t12_full")
     pairs = _rootcause_pairs(ectx)
 
@@ -173,7 +167,23 @@ def run_table3(ectx: ExperimentContext, results: EvalResults) -> ExperimentResul
     text = report.format_table(
         ["phenomenon", "security 1st", "security 2nd", "security 3rd"], table_rows
     )
-    return ExperimentResult(
+    return rows, text
+
+
+register(
+    ExperimentSpec(
+        experiment_id="fig16",
+        title="Root-cause decomposition of the metric change (T1+T2 rollout)",
+        paper_reference="Figure 16 (Figure 23 for IXP)",
+        paper_expectation=(
+            "sec 3rd: downgrades + wasted routes eat most secure routes; "
+            "sec 1st: no downgrades, larger metric change, small damages"
+        ),
+        run=run_fig16,
+    )
+)
+register(
+    ExperimentSpec(
         experiment_id="table3",
         title="Phenomena possible per security model",
         paper_reference="Table 3",
@@ -181,26 +191,6 @@ def run_table3(ectx: ExperimentContext, results: EvalResults) -> ExperimentResul
             "downgrades: 2nd & 3rd only (Thm 3.1); collateral benefits: "
             "all models; collateral damages: 1st & 2nd only (Thm 6.1)"
         ),
-        rows=rows,
-        text=text,
-    )
-
-
-register(
-    ExperimentSpec(
-        experiment_id="fig16",
-        title="Root-cause decomposition",
-        paper_reference="Figure 16",
-        paper_expectation="downgrades dominate sec3rd; absent sec1st",
-        run=run_fig16,
-    )
-)
-register(
-    ExperimentSpec(
-        experiment_id="table3",
-        title="Phenomena × model matrix",
-        paper_reference="Table 3",
-        paper_expectation="matches theorem-backed possibilities",
         run=run_table3,
     )
 )

@@ -18,7 +18,7 @@ from ..core.rank import SECURITY_FIRST, SECURITY_THIRD
 from ..topology import gadgets
 from ..bgpsim import BGPSimulator, PolicyAssignment
 from . import report
-from .registry import ExperimentResult, ExperimentSpec, register
+from .registry import ExperimentSpec, register
 from .runner import ExperimentContext
 from .scenarios import EvalResults
 
@@ -43,7 +43,9 @@ def _flap(
     return intended, sim.stable_state()
 
 
-def run(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
+def run(
+    ectx: ExperimentContext, plan: None, results: EvalResults
+) -> tuple[list[dict], str]:
     inconsistent = PolicyAssignment(
         default=SECURITY_THIRD, overrides={31283: SECURITY_FIRST}
     )
@@ -82,7 +84,11 @@ def run(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
             for row in rows
         ],
     )
-    return ExperimentResult(
+    return rows, table
+
+
+register(
+    ExperimentSpec(
         experiment_id="wedgie",
         title="S*BGP Wedgie on the Figure 1 gadget",
         paper_reference="Figure 1 / Section 2.3",
@@ -90,17 +96,6 @@ def run(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
             "inconsistent placement gets stuck after a link flap; "
             "consistent placement reverts (Theorem 2.1)"
         ),
-        rows=rows,
-        text=table,
-    )
-
-
-register(
-    ExperimentSpec(
-        experiment_id="wedgie",
-        title="S*BGP Wedgie (Figure 1)",
-        paper_reference="Figure 1 / Section 2.3",
-        paper_expectation="hysteresis only under inconsistent placement",
         run=run,
         supports_ixp=False,
     )

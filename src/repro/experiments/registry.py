@@ -1,27 +1,58 @@
 """Experiment registry: one runnable entry per table/figure of the paper.
 
-Every experiment is two declarative phases (see
-:mod:`repro.experiments.scenarios`):
+An experiment is declared once, by the :class:`ExperimentSpec` it
+registers: its title, paper reference and expected shape — what
+``list``, ``GET /v1/experiments`` and the write-up print — and two
+phases over the scenario plane (:mod:`repro.experiments.scenarios`):
 
-* ``requests(ectx)`` returns the :class:`SweepSpec` of metric scenarios
-  the experiment needs (empty for gadget/simulator experiments);
-* ``run(ectx, results)`` consumes the evaluated results mapping and
-  renders the figure.
+* ``plan(ectx)`` builds the experiment's plan: the metric scenarios it
+  needs, as :class:`~repro.experiments.scenarios.EvalRequest` leaves in
+  whatever nesting reads best (no plan for gadget/simulator
+  experiments);
+* ``run(ectx, plan, results)`` reads the plan's evaluated results and
+  returns the figure's ``(rows, text)``.
 
-The scheduler (:func:`repro.experiments.runner.run_experiments`) wires
-the phases together, deduping scenarios globally and caching them in
-the persistent store.  Multi-seed trials aggregate the per-trial
-:class:`ExperimentResult` rows into mean ± standard-error rows via
+The scheduler (:func:`repro.experiments.runner.run_experiments`) builds
+each plan once per context (:meth:`ExperimentSpec.planned`), dedupes
+the requests of all plans globally, caches them in the persistent store
+and wraps every ``(rows, text)`` into an :class:`ExperimentResult`
+carrying the spec's metadata.  Multi-seed trials aggregate the
+per-trial rows into mean ± standard-error rows via
 :func:`aggregate_trials`.
+
+Example:
+    A plan declares one request; ``run`` reads its result:
+
+    >>> from repro.core import BASELINE, Deployment
+    >>> from repro.experiments import evaluate_requests, make_context
+    >>> from repro.experiments.scenarios import request_for
+    >>> def plan(ectx):
+    ...     m, d = ectx.graph.asns[:2]
+    ...     return {"empty": request_for(ectx, [(m, d)], Deployment.empty(), BASELINE)}
+    >>> def run(ectx, plan, results):
+    ...     value = results.for_request(plan["empty"]).value
+    ...     return [{"H_lower": value.lower}], "one pair under S = ∅"
+    >>> spec = ExperimentSpec(
+    ...     "demo", "A demo", "Section 4.2", "a shape", run=run, plan=plan
+    ... )
+    >>> with make_context("tiny") as ectx:
+    ...     requests = spec.requests(ectx)
+    ...     results = evaluate_requests(ectx, requests)
+    ...     rows, text = spec.run(ectx, spec.planned(ectx), results)
+    >>> [request.model for request in requests], text
+    (['baseline'], 'one pair under S = ∅')
+    >>> 0.0 <= rows[0]["H_lower"] <= 1.0
+    True
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Callable
 
-from .scenarios import EvalResults, SweepSpec
+from .runner import cached
+from .scenarios import EvalRequest, EvalResults, collect_requests
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runner import ExperimentContext
@@ -72,24 +103,33 @@ class ExperimentResult:
         return header + "\n" + self.text.rstrip() + "\n"
 
 
-def _no_requests(ectx: "ExperimentContext") -> SweepSpec:
-    """Default declaration: the experiment needs no metric scenarios."""
-    return SweepSpec.empty("none")
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Registry entry for one experiment."""
+    """Registry entry for one experiment: the only place its metadata
+    and its phases are declared (see the module docs)."""
 
     experiment_id: str
     title: str
     paper_reference: str
     paper_expectation: str
-    run: Callable[["ExperimentContext", EvalResults], ExperimentResult]
-    #: phase-1 declaration of the metric scenarios the experiment needs.
-    requests: Callable[["ExperimentContext"], SweepSpec] = _no_requests
+    #: ``run(ectx, plan, results) -> (rows, text)``.
+    run: Callable[["ExperimentContext", Any, EvalResults], tuple[list[dict], str]]
+    #: ``plan(ectx)``: the experiment's requests in any nesting
+    #: :func:`~repro.experiments.scenarios.collect_requests` walks;
+    #: None when it needs no metric scenarios.
+    plan: Callable[["ExperimentContext"], Any] | None = None
     #: whether an Appendix J (IXP-augmented graph) rerun is meaningful.
     supports_ixp: bool = True
+
+    def planned(self, ectx: "ExperimentContext") -> Any:
+        """The plan on ``ectx``, built once per context (``plan:<id>``)."""
+        if self.plan is None:
+            return None
+        return cached(ectx, f"plan:{self.experiment_id}", lambda: self.plan(ectx))
+
+    def requests(self, ectx: "ExperimentContext") -> list[EvalRequest]:
+        """Every request of the plan on ``ectx``, in plan order."""
+        return collect_requests(self.planned(ectx))
 
 
 _REGISTRY: dict[str, ExperimentSpec] = {}
@@ -273,15 +313,10 @@ def aggregate_trials(
                 )
             )
         aggregated.append(
-            ExperimentResult(
-                experiment_id=base.experiment_id,
-                title=base.title,
-                paper_reference=base.paper_reference,
-                paper_expectation=base.paper_expectation,
+            replace(
+                base,
                 rows=mean_rows,
                 text=text,
-                seed=base.seed,
-                ixp=base.ixp,
                 trials=len(group),
                 trial_seeds=seeds,
                 row_stderr=stderr_rows,

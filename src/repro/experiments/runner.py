@@ -1055,49 +1055,50 @@ def run_experiments(
 
     Phase 1 collects every experiment's declared requests; phase 2
     evaluates the global dedupe of those requests (against the store if
-    given); phase 3 hands each experiment the shared results mapping.
+    given); phase 3 hands each experiment its plan and the shared
+    results mapping, and wraps what it returns in an
+    :class:`~repro.experiments.registry.ExperimentResult` carrying the
+    spec's metadata.
     """
-    from .registry import all_experiments, get_experiment
+    from .registry import ExperimentResult, all_experiments, get_experiment
 
     if experiment_ids is None:
         specs: list[ExperimentSpec] = list(all_experiments().values())
     else:
         specs = [get_experiment(eid) for eid in experiment_ids]
-    requests: list[EvalRequest] = []
-    for spec in specs:
-        requests.extend(spec.requests(ectx))
+    requests = [request for spec in specs for request in spec.requests(ectx)]
     results = evaluate_requests(ectx, requests, store=store, cancel=cancel)
     out = []
     for spec in specs:
         try:
-            result = spec.run(ectx, results)
+            rows, text = spec.run(ectx, spec.planned(ectx), results)
         except KeyError as exc:
-            # Only swallow the KeyError when a declared scenario really
-            # failed evaluation (recorded above); a KeyError on a fully
-            # evaluated run is an experiment bug and must surface.
-            if not ectx.failure_log.scenario_failures():
+            # Only swallow the KeyError when one of this experiment's
+            # own declared scenarios failed evaluation (recorded
+            # above); any other KeyError is an experiment bug.
+            if all(request in results for request in spec.requests(ectx)):
                 raise
-            from .registry import ExperimentResult
-
             ectx.failure_log.record(
                 "experiment_failed",
                 detail=f"{spec.experiment_id}: missing scenario ({exc})",
             )
-            result = ExperimentResult(
+            rows, text = [], (
+                "FAILED: one or more scenarios this experiment "
+                "depends on could not be evaluated (see the failure "
+                "summary)."
+            )
+        out.append(
+            ExperimentResult(
                 experiment_id=spec.experiment_id,
                 title=spec.title,
                 paper_reference=spec.paper_reference,
                 paper_expectation=spec.paper_expectation,
-                rows=[],
-                text=(
-                    "FAILED: one or more scenarios this experiment "
-                    "depends on could not be evaluated (see the failure "
-                    "summary)."
-                ),
+                rows=rows,
+                text=text,
+                seed=ectx.seed,
+                ixp=ectx.ixp,
             )
-        result.seed = ectx.seed
-        result.ixp = ectx.ixp
-        out.append(result)
+        )
     return out
 
 

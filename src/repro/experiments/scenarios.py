@@ -1,4 +1,4 @@
-"""The declarative scenario plane: evaluation requests and sweep specs.
+"""The declarative scenario plane: evaluation requests and their results.
 
 The paper's quantity ``H_{M,D}(S)`` is fully determined by six inputs:
 the topology (scale + seed + IXP augmentation), the pair set ``M × D``,
@@ -59,7 +59,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Iterable,
-    Iterator,
     Mapping,
     Sequence,
 )
@@ -527,33 +526,6 @@ def cut_bins(
     return bins
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A named collection of requests declared by one experiment."""
-
-    name: str
-    requests: tuple[EvalRequest, ...]
-
-    @classmethod
-    def empty(cls, name: str) -> "SweepSpec":
-        """An experiment that needs no metric scenarios (gadget/sim runs)."""
-        return cls(name=name, requests=())
-
-    @classmethod
-    def of(cls, name: str, requests: Iterable[EvalRequest]) -> "SweepSpec":
-        return cls(name=name, requests=tuple(requests))
-
-    def __iter__(self) -> Iterator[EvalRequest]:
-        return iter(self.requests)
-
-    def __len__(self) -> int:
-        return len(self.requests)
-
-    @property
-    def hashes(self) -> frozenset[str]:
-        return frozenset(r.scenario_hash for r in self.requests)
-
-
 class EvalResults:
     """The results mapping handed to every experiment's ``run`` phase."""
 
@@ -566,8 +538,8 @@ class EvalResults:
         except KeyError:
             raise KeyError(
                 f"scenario {request.scenario_hash} was not evaluated; "
-                "was it declared in the experiment's requests()? "
-                "(run experiments via repro.experiments.runner.run_experiments)"
+                "is it a leaf of the experiment's plan? (see "
+                "repro.experiments.registry.ExperimentSpec.requests)"
             ) from None
 
     def delta(self, request: EvalRequest, baseline: EvalRequest) -> Interval:

@@ -64,7 +64,7 @@ class ASGraph:
       ``PROVIDER`` on a customer slot).
     """
 
-    __slots__ = (*_ARRAYS, "index_of", "_views", "_last_row")
+    __slots__ = (*_ARRAYS, "index_of", "_views")
 
     def __init__(self, *arrays: np.ndarray) -> None:
         for name, array in zip(_ARRAYS, arrays, strict=True):
@@ -74,7 +74,6 @@ class ASGraph:
         #: memoryviews of the arrays, for the per-AS reads: indexing one
         #: gives a python int, a third of a numpy scalar read's cost.
         self._views = tuple(map(memoryview, arrays))
-        self._last_row: tuple[int | None, dict[int, Relationship]] = (None, {})
 
     def __reduce__(self):
         return ASGraph, tuple(getattr(self, name) for name in _ARRAYS)
@@ -133,35 +132,27 @@ class ASGraph:
         asn_of, start, _, _, node, _ = self._views
         return frozenset(map(asn_of.__getitem__, node[start[i] : start[i + 1]]))
 
-    def _relationships(self, asn: int) -> dict[int, Relationship]:
-        """``asn``'s neighbors → their relationship seen from ``asn``.
-        Whole-graph scans (the simulator's set-up, IXP meshing) ask row
-        by row, so the last row asked is kept."""
-        last, relationships = self._last_row
-        if last != asn:
-            i = self.index_of[asn]
-            asn_of, start, _, _, node, cls = self._views
-            lo, hi = start[i], start[i + 1]
-            relationships = dict(zip(
-                map(asn_of.__getitem__, node[lo:hi]),
-                map(_CLASS_RELATIONSHIP.__getitem__, cls[lo:hi]),
-            ))
-            self._last_row = (asn, relationships)
-        return relationships
+    def _class_of(self, asn: int, neighbor: int) -> int | None:
+        """The ``adj_class`` of ``neighbor``'s slot in ``asn``'s row; None
+        if no edge joins them (``KeyError`` for an ``asn`` not in the
+        graph)."""
+        i = self.index_of[asn]
+        _, start, _, _, node, cls = self._views
+        lo = start[i]
+        row = node[lo : start[i + 1]].tolist()
+        j = self.index_of.get(neighbor)
+        return cls[lo + row.index(j)] if j in row else None
 
     def relationship(self, asn: int, neighbor: int) -> Relationship:
         """Relationship of ``neighbor`` from ``asn``'s point of view."""
-        last, relationships = self._last_row
-        if last != asn:
-            relationships = self._relationships(asn)
-        relationship = relationships.get(neighbor)
-        if relationship is None:
+        route_class = self._class_of(asn, neighbor)
+        if route_class is None:
             raise TopologyError(f"AS {neighbor} is not a neighbor of AS {asn}")
-        return relationship
+        return _CLASS_RELATIONSHIP[route_class]
 
     def has_edge(self, a: int, b: int) -> bool:
         """True if any edge (of any annotation) connects ``a`` and ``b``."""
-        return a in self.index_of and b in self._relationships(a)
+        return a in self.index_of and self._class_of(a, b) is not None
 
     # Degree helpers --------------------------------------------------
     def customer_degree(self, asn: int) -> int:

@@ -61,8 +61,9 @@ def augment_with_ixp_peering(
             else:
                 unknown.add(asn)
         for i, a in enumerate(present):
+            neighbors = graph.neighbors(a)
             for c in present[i + 1 :]:
-                if (a, c) in added or graph.has_edge(a, c):
+                if (a, c) in added or c in neighbors:
                     skipped += 1
                     continue
                 added[a, c] = None

@@ -50,6 +50,21 @@ class TestMain:
         assert " no " in wedgie_line
         assert " yes " in fig3_line
 
+    def test_list_prints_every_reference_whole_in_its_column(self, capsys):
+        from repro.experiments import all_experiments
+
+        assert main(["list"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        specs = all_experiments()
+        assert len(lines) == len(specs)
+        column = header.index("ixp rerun")
+        for line, (eid, spec) in zip(lines, specs.items()):
+            assert line.split(" ", 1)[0] == eid
+            assert f" {spec.paper_reference} " in line[: column + 1], eid
+            assert line[column:].startswith(
+                "yes " if spec.supports_ixp else "no "
+            ), eid
+
     def test_run_single(self, capsys):
         assert main(["run", "hardness", "--scale", "tiny", "--no-cache"]) == 0
         out = capsys.readouterr().out

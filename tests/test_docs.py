@@ -26,6 +26,7 @@ import repro.core.context
 import repro.core.jobs
 import repro.core.metrics
 import repro.experiments.faults
+import repro.experiments.registry
 import repro.experiments.scenarios
 import repro.experiments.store
 import repro.topology.graph
@@ -41,6 +42,7 @@ DOCTEST_MODULES = (
     repro.core.jobs,
     repro.core.metrics,
     repro.experiments.faults,
+    repro.experiments.registry,
     repro.experiments.scenarios,
     repro.experiments.store,
     repro.topology.graph,

@@ -56,6 +56,16 @@ class TestAllRun:
             assert result.rows, eid
             assert result.render().startswith(f"== {result.experiment_id}")
 
+    def test_result_metadata_is_its_specs(self, results):
+        """The registry entry is the one declaration: ``list``, the
+        service and the write-up print the same strings."""
+        specs = all_experiments()
+        for eid, result in results.items():
+            spec = specs[eid]
+            assert (
+                result.title, result.paper_reference, result.paper_expectation
+            ) == (spec.title, spec.paper_reference, spec.paper_expectation), eid
+
 
 class TestShapes:
     """The paper's qualitative claims at tiny scale (seeded, stable)."""

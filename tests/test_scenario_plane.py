@@ -32,13 +32,17 @@ from repro.experiments import (
     run_experiments,
     sampling,
 )
+from repro.experiments import registry, runner
+from repro.experiments.failures import FailureLog
 from repro.experiments.registry import (
     ExperimentResult,
+    ExperimentSpec,
     aggregate_rows,
     aggregate_trials,
 )
 from repro.experiments.runner import evaluate_requests
 from repro.experiments.scenarios import (
+    EvalResults,
     detect_chains,
     model_from_token,
     model_token,
@@ -293,7 +297,7 @@ class TestOncePerDeployment:
         from collections import Counter
 
         from repro.core import deployment as deployment_module
-        from repro.experiments import exp_rollouts
+        from repro.experiments import get_experiment
 
         asked: Counter = Counter()
         real = deployment_module.stubs_of
@@ -304,7 +308,7 @@ class TestOncePerDeployment:
             return real(graph, isps)
 
         monkeypatch.setattr(deployment_module, "stubs_of", counted)
-        plan = exp_rollouts._plan_fig7a(make_context(scale="tiny", seed=2013))
+        plan = get_experiment("fig7a").plan(make_context(scale="tiny", seed=2013))
         isps = plan["simplex"][-1][0].deployment.full
         assert isps and set(isps) <= set(asked)
         assert set(asked.values()) == {1}
@@ -894,6 +898,58 @@ class TestScheduler:
             assert len(unique) < len(declared)
             run_experiments(ectx, ["fig7a", "fig11"])
             assert ectx.metric_evaluations == len(unique)
+
+    @staticmethod
+    def _register(monkeypatch, spec):
+        registry.all_experiments()  # the real entries first
+        monkeypatch.setitem(registry._REGISTRY, spec.experiment_id, spec)
+
+    def test_an_undeclared_read_raises_after_an_earlier_failure(
+        self, monkeypatch
+    ):
+        """A scenario lost in an earlier trial (the CLI and the service
+        share one log across contexts) must not turn an experiment bug
+        — reading a request it never declared — into a FAILED result."""
+        log = FailureLog()
+        log.record("scenario_failed", detail="lost", scenario="0" * 20)
+        with make_context(scale="tiny", seed=2013, failure_log=log) as ectx:
+            m, d = ectx.graph.asns[:2]
+            undeclared = request_for(ectx, [(m, d)], Deployment.empty(), BASELINE)
+
+            def run(ectx, plan, results):
+                return [], str(results.for_request(undeclared))
+
+            self._register(
+                monkeypatch, ExperimentSpec("undeclared", "t", "r", "e", run=run)
+            )
+            with pytest.raises(KeyError, match="was not evaluated"):
+                run_experiments(ectx, ["undeclared"])
+
+    def test_a_lost_declared_scenario_fails_only_its_experiment(
+        self, monkeypatch
+    ):
+        def plan(ectx):
+            m, d = ectx.graph.asns[:2]
+            return [request_for(ectx, [(m, d)], Deployment.empty(), BASELINE)]
+
+        def run(ectx, plan, results):
+            return [], str(results.for_request(plan[0]))
+
+        self._register(
+            monkeypatch,
+            ExperimentSpec("lost", "a title", "a ref", "a shape", run=run, plan=plan),
+        )
+        monkeypatch.setattr(
+            runner, "evaluate_requests", lambda *args, **kwargs: EvalResults({})
+        )
+        with make_context(scale="tiny", seed=2013) as ectx:
+            (result,) = run_experiments(ectx, ["lost"])
+        assert result.text.startswith("FAILED")
+        assert (
+            result.title, result.paper_reference, result.paper_expectation,
+            result.seed, result.ixp,
+        ) == ("a title", "a ref", "a shape", 2013, False)
+        assert ectx.failure_log.kinds() == {"experiment_failed"}
 
     def test_requests_reject_foreign_topology(self):
         with make_context(scale="tiny", seed=1) as ectx, \

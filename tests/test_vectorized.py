@@ -1199,16 +1199,17 @@ class TestContextWiring:
     def test_stratified_scale_changes_baseline_pairs(self):
         from dataclasses import replace
 
-        from repro.experiments import exp_baseline
+        from repro.experiments import get_experiment
         from repro.experiments.config import get_scale
         from repro.experiments.runner import make_context
 
+        plan = get_experiment("baseline").plan
         with make_context("tiny") as uniform:
-            plain = exp_baseline._plan(uniform)["all"].pairs
+            plain = plan(uniform)["all"].pairs
         strat_scale = replace(get_scale("tiny"), stratified_pairs=True)
         with make_context(strat_scale) as stratified:
             assert stratified.scale.stratified_pairs
-            strat = exp_baseline._plan(stratified)["all"].pairs
+            strat = plan(stratified)["all"].pairs
         assert len(strat) == len(plain)
         assert strat != plain  # the draw goes through the stratifier
 
