@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test fuzz test-service bench bench-check bench-pairs bench-micro crossover golden docs doctest
+.PHONY: test fuzz test-service mutants bench bench-check bench-pairs crossover golden docs doctest
 
 ## tier-1 test suite (the CI gate); its hypothesis profile is
 ## derandomized (tests/conftest.py), so every run draws the same examples
@@ -26,6 +26,15 @@ test-service:
 	$(PYTHON) -m pytest -q --durations=15 tests/test_service.py \
 		tests/test_service_chaos.py \
 		tests/test_store_backends.py tests/test_store_concurrency.py
+
+## the mutant-kill table: each hand-written mutant of tools/mutants.py
+## applied alone to a scratch copy of the tree, tier-1 run on it, and
+## the failing tests written to tests/MUTANTS.md (one tier-1 run a
+## mutant, two at a time: ~40 min on 2 vCPUs).  Exits nonzero if a
+## mutant survives; `tools/mutants.py --check` (the nightly job) also
+## fails on a stale table
+mutants:
+	$(PYTHON) tools/mutants.py
 
 ## the docs gate: doctests for the documented public API + internal
 ## markdown link check (also run inside tier-1 via tests/test_docs.py)
@@ -81,10 +90,6 @@ bench-pairs:
 crossover:
 	$(PYTHON) tools/kernel_crossover.py --rows
 	$(PYTHON) tools/kernel_crossover.py --groups
-
-## full pytest-benchmark microbenchmark harness
-bench-micro:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
 ## regenerate the golden metric fixtures (inspect the diff!)
 golden:

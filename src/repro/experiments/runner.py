@@ -711,7 +711,6 @@ class ExperimentContext:
         worker: Callable[["ExperimentContext", T, dict], object],
         items: Iterable[T],
         state: dict | None = None,
-        chunksize: int | None = None,
         min_parallel: int = 8,
     ) -> list:
         """Map ``worker(ectx, item, state)`` over ``items``.
@@ -727,7 +726,7 @@ class ExperimentContext:
         # (a list of pairs is len(item) units, an opaque item one).
         sizes = [len(item) if isinstance(item, Sized) else 1 for item in items]
         results: list = [None] * len(items)
-        args = (worker, items, state or {}, sizes, chunksize, min_parallel)
+        args = (worker, items, state or {}, sizes, None, min_parallel)
         with closing(self._run_tasks(*args)) as shards:
             for indices, values, error in shards:
                 if error is not None:

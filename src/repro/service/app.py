@@ -288,7 +288,6 @@ class Service:
         failure_log: FailureLog | None = None,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         default_deadline_ms: int | None = DEFAULT_DEADLINE_MS,
-        hot_cache_size: int = DEFAULT_HOT_CACHE,
         breaker: CircuitBreaker | None = None,
     ):
         if max_contexts < 1:
@@ -303,7 +302,6 @@ class Service:
         self.default_seed = default_seed
         self.max_inflight = max_inflight
         self.default_deadline_ms = default_deadline_ms
-        self.hot_cache_size = hot_cache_size
         # Explicit None checks: an *empty* FailureLog is falsy (it has
         # __len__), and a caller-provided log must win even when empty.
         if failure_log is None:
@@ -360,11 +358,9 @@ class Service:
         return result
 
     def _hot_put(self, scenario_hash: str, result) -> None:
-        if self.hot_cache_size < 1:
-            return
         self._hot.pop(scenario_hash, None)
         self._hot[scenario_hash] = result
-        while len(self._hot) > self.hot_cache_size:
+        while len(self._hot) > DEFAULT_HOT_CACHE:
             self._hot.pop(next(iter(self._hot)))
 
     # -- breaker-guarded store access ----------------------------------

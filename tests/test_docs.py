@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import doctest
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -71,13 +72,17 @@ def test_doctest_target_lists_the_tested_modules():
     ]
 
 
-def _load_check_links():
+def _load_tool(name: str):
     spec = importlib.util.spec_from_file_location(
-        "check_links", REPO_ROOT / "tools" / "check_links.py"
+        name, REPO_ROOT / "tools" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_check_links():
+    return _load_tool("check_links")
 
 
 def test_readme_and_docs_links_resolve():
@@ -184,3 +189,15 @@ def test_verify_skill_is_checked():
 def test_readme_links_architecture_guide():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     assert "docs/ARCHITECTURE.md" in readme
+
+
+def test_mutants_still_patch_the_tree_and_the_table_lists_them():
+    """Every mutant of ``tools/mutants.py`` finds its ``before`` text
+    exactly once in its file, and ``tests/MUTANTS.md`` lists exactly
+    those mutants, in order: a refactor that moves a mutated line, or
+    a new mutant, fails here instead of turning the table stale."""
+    mutants = _load_tool("mutants")
+    assert mutants.stale(REPO_ROOT) == []
+    table = (REPO_ROOT / mutants.TABLE).read_text(encoding="utf-8")
+    listed = re.findall(r"^\| `(\w+)` \| `src/", table, re.M)
+    assert listed == [m.name for m in mutants.MUTANTS]
