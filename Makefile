@@ -30,7 +30,7 @@ test-service:
 ## the mutant-kill table: each hand-written mutant of tools/mutants.py
 ## applied alone to a scratch copy of the tree, tier-1 run on it, and
 ## the failing tests written to tests/MUTANTS.md (one tier-1 run a
-## mutant, two at a time: ~40 min on 2 vCPUs).  Exits nonzero if a
+## mutant, two at a time: 33 min on 2 vCPUs).  Exits nonzero if a
 ## mutant survives; `tools/mutants.py --check` (the nightly job) also
 ## fails on a stale table
 mutants:
