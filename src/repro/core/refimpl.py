@@ -6,8 +6,9 @@ This is the seed repository's :mod:`repro.core.routing` kept verbatim
 * **differential testing** — ``tests/test_differential.py`` asserts the
   flat engine reproduces this engine AS-for-AS on random instances, so
   the rewrite is provably behavior-preserving;
-* **benchmark checks** — ``perfbench`` spot-checks every workload's
-  results against it.
+* **benchmarking** — ``benchmarks/test_bench_core.py`` (``make
+  bench-micro``) times this engine beside the flat one, and
+  ``perfbench`` spot-checks every workload's results against it.
 
 It allocates fresh dicts, heap tuples and a :class:`RouteInfo` per AS
 per (attacker, destination) pair, which is exactly the cost profile the

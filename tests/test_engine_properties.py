@@ -14,6 +14,9 @@ theorems) with invariants of the *engine mechanics* on random inputs:
   ``count_attacked()`` from the engine's run-time counters equal both a
   recount over the lazy route view and the seed reference engine's
   counts;
+* **batching is pure** — ``batch_outcomes`` over a pair sweep equals
+  pair-at-a-time ``compute_routing_outcome`` even though the batch
+  reuses scratch buffers and deployment masks;
 * **every chain path is the same function** — along a random nested
   deployment chain, the count path, a fresh sweep per step and the
   per-pair engine equal the reference engine at every step, attacked
@@ -35,6 +38,7 @@ from repro.core import (
     PathLengthHijack,
     Reach,
     RoutingContext,
+    batch_outcomes,
     compute_routing_outcome,
     normal_conditions,
     rollout_happiness_counts,
@@ -137,6 +141,24 @@ class TestEngineInvariants:
         assert out.count_happy() == ref.count_happy()
         assert out.count_attacked() == ref.count_attacked()
         assert out.count_secure_sources() == ref.count_secure_sources()
+
+    @DEFAULT_SETTINGS
+    @given(attack_instances())
+    def test_batch_outcomes_equal_individual_calls(self, instance):
+        graph, destination, attacker, deployment, model = instance
+        asns = graph.asns
+        pairs = [
+            (attacker, destination),
+            (None, destination),
+            (attacker, next(a for a in asns if a != attacker)),
+        ]
+        batch = batch_outcomes(graph, pairs, deployment, model)
+        for (m, d), got in zip(pairs, batch):
+            want = compute_routing_outcome(
+                graph, d, attacker=m, deployment=deployment, model=model
+            )
+            assert dict(got.routes) == dict(want.routes), (m, d)
+            assert got.count_happy() == want.count_happy()
 
 
 @st.composite

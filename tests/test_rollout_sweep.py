@@ -11,11 +11,12 @@ oracles:
   per pair), and
 * the seed reference engine (:mod:`repro.core.refimpl`).
 
-Grids: tier12 rollout chains (coarse and dense, prefixed with
-S = ∅) x the baseline and security placements x all four shipped
+Grids: full tier12/tier2 rollout chains (coarse, dense and
+simplex-stub variants, prefixed with S = ∅) x all rank models
+(baseline + three placements + LP2 variants) x ±IXP x all four shipped
 attacker strategies, with attacker sets that include destination
-neighbors, groups of two and four attackers (count rows, one per
-distinct pass), and a chain step that secures an attacker itself.
+neighbors, many-attacker groups (count rows, one per distinct pass),
+and a chain step that secures an attacker itself.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.core import (
     batch_happiness_counts,
     deployment as deployment_module,
     jobs_happiness_counts,
+    lp2_variant,
     normal_conditions,
     rollout_happiness_counts,
     strategy_from_token,
@@ -53,6 +55,7 @@ from repro.topology.ixp import augment_with_ixp_peering
 from test_destination_sweep import per_pair_counts, ref_pair_counts
 
 ALL_MODELS = (BASELINE,) + SECURITY_MODELS
+LP2_MODELS = tuple(lp2_variant(m) for m in ALL_MODELS)
 ALL_STRATEGIES = (ONE_HOP_HIJACK, HONEST, strategy_from_token("khop2"), FORGED_ORIGIN)
 
 
@@ -68,8 +71,12 @@ def make_chain(graph, tiers, kind: str) -> list[Deployment]:
     """A nested chain prefixed with S = ∅ (the hardest first advance)."""
     if kind == "tier12":
         steps = tier12_rollout(graph, tiers)
+    elif kind == "tier12_simplex":
+        steps = tier12_rollout(graph, tiers, simplex_stubs=True)
     elif kind == "tier12_dense":
         steps = tier12_rollout_dense(graph, tiers)
+    elif kind == "tier2":
+        steps = tier2_rollout(graph, tiers)
     else:  # pragma: no cover - test configuration error
         raise ValueError(kind)
     return [Deployment.empty()] + [step.deployment for step in steps]
@@ -89,7 +96,9 @@ def chain_pairs(graph, seed: int, destinations: int, attackers: int):
     return pairs
 
 
-def assert_chain_matches_oracles(graph, pairs, chain, model, attack, refimpl_budget):
+def assert_chain_matches_oracles(
+    graph, pairs, chain, model, attack, refimpl_budget=0
+):
     ctx = RoutingContext(graph)
     rollout = rollout_happiness_counts(ctx, pairs, chain, model, attack=attack)
     for t, deployment in enumerate(chain):
@@ -101,31 +110,74 @@ def assert_chain_matches_oracles(graph, pairs, chain, model, attack, refimpl_bud
         assert rollout[t] == per_pair, (model.label, attack.token, t)
     # however long the chain, the mask cache stays at its cap
     assert len(ctx._mask_cache) <= 8
-    ref_ctx = RefRoutingContext(graph)
-    rnd = random.Random(1234)
-    combos = [(t, i) for t in range(len(chain)) for i in range(len(pairs))]
-    for t, i in rnd.sample(combos, min(refimpl_budget, len(combos))):
-        m, d = pairs[i]
-        ref = ref_compute_routing_outcome(ref_ctx, d, m, chain[t], model, attack=attack)
-        lo, up, src = rollout[t][i]
-        assert ref.count_happy() == (lo, up), (model.label, t, m, d)
-        assert ref.num_sources == src
+    if refimpl_budget:
+        ref_ctx = RefRoutingContext(graph)
+        rnd = random.Random(1234)
+        combos = [(t, i) for t in range(len(chain)) for i in range(len(pairs))]
+        for t, i in rnd.sample(combos, min(refimpl_budget, len(combos))):
+            m, d = pairs[i]
+            ref = ref_compute_routing_outcome(
+                ref_ctx, d, m, chain[t], model, attack=attack
+            )
+            lo, up, src = rollout[t][i]
+            assert ref.count_happy() == (lo, up), (model.label, t, m, d)
+            assert ref.num_sources == src
+
+
+# ----------------------------------------------------------------------
+# The differential grid
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("ixp", [False, True], ids=["base", "ixp"])
+@pytest.mark.parametrize("kind", ["tier12", "tier12_simplex", "tier2"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chains_match_oracles_all_models(seed, kind, ixp):
+    graph, tiers = make_topology(seed, ixp=ixp)
+    chain = make_chain(graph, tiers, kind)
+    pairs = chain_pairs(graph, seed, destinations=3, attackers=2)
+    for model in ALL_MODELS:
+        assert_chain_matches_oracles(
+            graph, pairs, chain, model, ONE_HOP_HIJACK,
+            refimpl_budget=4 if not ixp else 0,
+        )
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_dense_chain_with_lp2_variants(seed):
+    graph, tiers = make_topology(seed)
+    chain = make_chain(graph, tiers, "tier12_dense")
+    pairs = chain_pairs(graph, seed, destinations=2, attackers=2)
+    for model in LP2_MODELS:
+        assert_chain_matches_oracles(graph, pairs, chain, model, ONE_HOP_HIJACK)
+
+
+@pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=lambda a: a.token)
+def test_chains_match_oracles_all_strategies(attack):
+    """All four shipped threat models, including ``honest`` (whose
+    resolution re-reads the attacker-free baseline of every step) and
+    ``forged_origin`` (whose resolution flips with the victim's signing
+    bit mid-chain)."""
+    graph, tiers = make_topology(5)
+    chain = make_chain(graph, tiers, "tier12")
+    pairs = chain_pairs(graph, 5, destinations=3, attackers=2)
+    for model in (BASELINE, SECURITY_MODELS[0], SECURITY_MODELS[1]):
+        assert_chain_matches_oracles(
+            graph, pairs, chain, model, attack, refimpl_budget=3
+        )
 
 
 @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=lambda a: a.token)
 def test_numpy_rows_match_oracles_all_strategies(attack):
-    """All four shipped threat models, every destination group count
-    rows: groups of two attackers and of four.  ``honest`` resolves all
-    of a group's attackers from one attacker-free pass per step;
-    ``forged_origin``'s resolution flips with the victim's signing bit
-    mid-chain."""
+    """The same four threat models, every destination group count rows:
+    groups of two attackers and of four (an ``honest`` group resolves
+    all of its attackers from one attacker-free pass per step)."""
     graph, tiers = make_topology(5)
     chain = make_chain(graph, tiers, "tier12")
     for attackers in (2, 4):
         pairs = chain_pairs(graph, 5, destinations=3, attackers=attackers)
         for model in (BASELINE, SECURITY_MODELS[0], SECURITY_MODELS[1]):
             assert_chain_matches_oracles(
-                graph, pairs, chain, model, attack, refimpl_budget=3
+                graph, pairs, chain, model, attack,
+                refimpl_budget=3,
             )
 
 
@@ -150,6 +202,38 @@ def test_chain_step_secures_an_attacker():
         assert_chain_matches_oracles(
             graph, pairs, chain, model, ONE_HOP_HIJACK, refimpl_budget=4
         )
+
+
+def test_many_attacker_groups_match_oracles():
+    """Groups of seven attackers, each distinct pass a count row, match
+    the oracles."""
+    graph, tiers = make_topology(7)
+    chain = make_chain(graph, tiers, "tier12_dense")
+    pairs = chain_pairs(
+        graph, 7, destinations=2, attackers=7
+    )
+    for model in ALL_MODELS:
+        assert_chain_matches_oracles(
+            graph, pairs, chain, model, ONE_HOP_HIJACK, refimpl_budget=3
+        )
+
+
+def test_none_attacker_rows_walk_with_the_chain():
+    graph, tiers = make_topology(8)
+    chain = make_chain(graph, tiers, "tier2")
+    rnd = random.Random(8)
+    d1, d2 = rnd.sample(graph.asns, 2)
+    m = next(a for a in graph.asns if a not in (d1, d2))
+    pairs = [(None, d1), (m, d1), (None, d2)]
+    ctx = RoutingContext(graph)
+    for model in ALL_MODELS:
+        rollout = rollout_happiness_counts(
+            ctx, pairs, chain, model, attack=ONE_HOP_HIJACK
+        )
+        for t, deployment in enumerate(chain):
+            assert rollout[t] == batch_happiness_counts(
+                ctx, pairs, deployment, model
+            ), (model.label, t)
 
 
 def test_honest_chain_resolves_each_step_from_its_own_baseline():
@@ -331,3 +415,52 @@ class TestChainWalk:
         assert_chain_equals_fresh_steps(
             graph, d, [m], chain, SECURITY_MODELS[1], attack
         )
+
+
+class TestDeltaKernelsOnChains:
+    """At every step of a chain the attacker-free state and a fresh
+    sweep's counts must be the seed engine's, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["tier12", "tier12_simplex", "tier2"])
+    @pytest.mark.parametrize("seed", [3, 9])
+    def test_rollout_advances_bit_identical(self, seed, kind):
+        graph, tiers = make_topology(seed, ixp=seed % 2 == 1)
+        chain = make_chain(graph, tiers, kind)
+        pairs = chain_pairs(graph, seed, destinations=1, attackers=4)
+        dest = pairs[0][1]
+        ref_ctx = RefRoutingContext(graph)
+        ctx = RoutingContext(graph)
+        for model in (SECURITY_MODELS[0], lp2_variant(SECURITY_MODELS[1])):
+            for si, step in enumerate(chain):
+                # the step's attacker-free state in full, then the counts
+                base = ref_compute_routing_outcome(ref_ctx, dest, None, step, model)
+                free = normal_conditions(ctx, dest, step, model)
+                assert dict(free.routes) == base.routes, si
+                sweep = DestinationSweep(ctx, dest, step, model)
+                got = [sweep.happiness_counts(m) for m, _ in pairs]
+                assert got == ref_pair_counts(ref_ctx, pairs, step, model), si
+
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=lambda a: a.token)
+    def test_attacker_chain_bit_identical(self, attack):
+        """One attacker along a chain — a one-pair job of the count plan
+        and a fresh sweep per step — counts what the seed engine does at
+        every step, for every strategy (nothing bars a
+        ``needs_baseline`` one such as ``honest`` from a chain)."""
+        graph, tiers = make_topology(5)
+        chain = make_chain(graph, tiers, "tier12")
+        pairs = chain_pairs(graph, 5, destinations=2, attackers=2)
+        ctx, ref_ctx = RoutingContext(graph), RefRoutingContext(graph)
+        for model in (BASELINE, SECURITY_MODELS[2]):
+            for m, d in pairs[:4]:
+                swept = [
+                    [DestinationSweep(ctx, d, step, model, attack).happiness_counts(m)]
+                    for step in chain
+                ]
+                planned = rollout_happiness_counts(
+                    ctx, [(m, d)], chain, model, attack=attack
+                )
+                assert planned == swept, (m, d)
+                assert planned == [
+                    ref_pair_counts(ref_ctx, [(m, d)], step, model, attack)
+                    for step in chain
+                ], (m, d)

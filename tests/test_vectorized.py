@@ -244,6 +244,24 @@ class TestDifferentialGrid:
             assert vec.count_secure_sources() == ref.count_secure_sources()
 
     @pytest.mark.parametrize("attack", STRATEGIES, ids=lambda a: a.token)
+    @pytest.mark.parametrize("model", CLASSIC_MODELS, ids=lambda m: m.label)
+    def test_vectorized_matches_reference_engine(self, graph, vec_ctx, model, attack):
+        ref_ctx = RefRoutingContext(graph)
+        for m, d, dep in _instances(graph, f"ref/{model.label}/{attack.token}", k=2):
+            vec = compute_routing_outcome(
+                vec_ctx, d, attacker=m, deployment=dep, model=model,
+                attack=attack,
+            )
+            ref = ref_compute_routing_outcome(
+                ref_ctx, d, attacker=m, deployment=dep, model=model,
+                attack=attack,
+            )
+            assert dict(vec.routes) == ref.routes
+            assert vec.count_happy() == ref.count_happy()
+            assert vec.count_attacked() == ref.count_attacked()
+            assert vec.count_secure_sources() == ref.count_secure_sources()
+
+    @pytest.mark.parametrize("attack", STRATEGIES, ids=lambda a: a.token)
     def test_counts_both_scheduling_modes(self, graph, oracle, vec_ctx, attack):
         insts = _instances(graph, f"counts/{attack.token}", k=4)
         pairs = [(m, d) for m, d, _ in insts] + [(None, insts[0][1])]
@@ -844,6 +862,26 @@ class TestEveryGroupIsRows:
             assert sweeps == [0]
             assert got == want
 
+    def test_rows_equal_per_pair_and_reference(self, graph, oracle, vec_ctx):
+        """``honest`` and many-attacker rows under every model, on 1-
+        and 4-step chains, in one call: equal to the reference engine,
+        one pass a pair-step, and to one full state pass a pair-step
+        (``batch_outcomes``)."""
+        chain, pairs = self._chain_and_pairs(graph, "oracles", self.MANY)
+        jobs = [
+            (pairs, deployments, model, attack)
+            for model in ALL_MODELS
+            for attack in (HONEST, ONE_HOP_HIJACK)
+            for deployments in (chain, chain[2:3])
+        ]
+        got = jobs_happiness_counts(vec_ctx, jobs)
+        assert got == oracle.jobs(jobs)
+        for (pairs, deployments, model, attack), job in zip(jobs, got):
+            for deployment, step in zip(deployments, job):
+                assert step == per_pair_counts(
+                    vec_ctx, pairs, deployment, model, attack=attack
+                ), (model.label, attack.token)
+
     def test_honest_runs_one_attacker_free_pass_per_destination_step(
         self, graph, oracle, vec_ctx, count_calls, monkeypatch
     ):
@@ -1066,6 +1104,37 @@ class TestCsrBuild:
             (pairs, chain, SECURITY_MODELS[0], HONEST),  # attacker-free passes
         ])
         assert ctx._rel_idx is None
+
+
+class TestAdvance:
+    """A chain step leaves the counts of a fresh sweep of that
+    deployment — the reference engine's — a step that gains nothing and
+    one that gains the destination included."""
+
+    def test_advance_equals_a_fresh_sweep(self, graph, oracle, vec_ctx):
+        rnd = random.Random("vec/step")
+        asns = graph.asns
+        d, m = rnd.sample(asns, 2)
+        members = rnd.sample([a for a in asns if a not in (d, m)], 40)
+        grow = [
+            Deployment.of(members[:k]).with_simplex_stubs(graph)
+            for k in (0, 15, 30)
+        ]
+        chain = grow + [
+            grow[-1],  # a step that gains nothing
+            Deployment.of(members + [d]).with_simplex_stubs(graph),  # gains d
+        ]
+        model = SECURITY_MODELS[1]
+        pairs = [(m, d), (None, d)]
+        ctx = vec_ctx
+        walked = rollout_happiness_counts(ctx, pairs, chain, model)
+        assert walked == oracle.chain(pairs, chain, model)
+        for t, step in enumerate(chain):
+            fresh = DestinationSweep(ctx, d, step, model)
+            free = normal_conditions(ctx, d, step, model)
+            assert fresh.happiness_counts(m) == walked[t][0], t
+            assert free.count_happy() + (ctx.n - 1,) == walked[t][1], t
+            assert dict(free.routes) == oracle.outcome(d, None, step, model).routes, t
 
 
 class TestContextWiring:

@@ -14,7 +14,7 @@ Scans the repo's user-facing markdown (README, everything under
 * an inline code span that is a dotted ``repro.…`` name does not import
   (a module, or an attribute of one), or
 * an inline code span that starts with a repo path (under ``src/``,
-  ``tests/``, ``tools/``, ``docs/`` or ``examples/``)
+  ``tests/``, ``tools/``, ``docs/``, ``examples/`` or ``benchmarks/``)
   names nothing: no such file or directory (a glob must match one), a
   ``:line`` past the file's end, or a ``::name`` the file defines no
   ``def`` or ``class`` for.
@@ -58,7 +58,7 @@ _NAME_RE = re.compile(r"`(repro(?:\.\w+)+)`")
 #: optional ``:line`` or ``::name[::name]`` suffix, then the end of the
 #: span or a space (arguments follow).
 _PATH_RE = re.compile(
-    r"`((?:src|tests|tools|docs|examples)/[^\s:`]*)"
+    r"`((?:src|tests|tools|docs|examples|benchmarks)/[^\s:`]*)"
     r"(?::(\d+)|((?:::\w+)+))?(?=[\s`])"
 )
 #: A citation of a roadmap item, and an open item's first line.
