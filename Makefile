@@ -11,7 +11,10 @@ test:
 
 ## random exploration: the two property files under the `fuzz` profile —
 ## fresh seeds, 20x the example budget, failures saved under the tracked
-## tests/fuzz-examples/ and replayed first next time (~1 min).  Until
+## tests/fuzz-examples/ and replayed first next time (~1 min); every
+## state pass of test_engine_properties.py is certified stable there
+## too (repro.core.certify, tests/conftest.py's `certified`), while
+## refimpl and bgpsim check what a certificate cannot see.  Until
 ## ROADMAP item 2a lands it is *expected* to fail on
 ## test_partitions_sound_for_sampled_deployment: compute_partitions is
 ## unsound under security_2nd and this finds the instance
@@ -47,6 +50,7 @@ doctest:
 	$(PYTHON) -m pytest --doctest-modules -q \
 		src/repro/core/__init__.py \
 		src/repro/core/attacks.py \
+		src/repro/core/certify.py \
 		src/repro/core/context.py \
 		src/repro/core/jobs.py \
 		src/repro/core/metrics.py \

@@ -68,8 +68,12 @@ in the context's state scratch, and returns a :class:`StatePass`: its
 counts and what next-hop membership is derived from, on demand.  Python
 objects per AS exist only in a :class:`repro.core.outcome.RoutingOutcome`.
 The count-only entry points (:mod:`repro.core.jobs`) run every distinct
-pass once, K of them to a call.  The original dict-based engine
-survives verbatim in :mod:`repro.core.refimpl` for differential testing.
+pass once, K of them to a call.  A state pass proves itself:
+:func:`repro.core.certify.certify` checks in O(E), sharing no code with
+this kernel, that no AS prefers a neighbour's offer to its route.  The
+dict-based seed engine (:mod:`repro.core.refimpl`) and
+:mod:`repro.bgpsim` stay the oracles for what it cannot see: a pass run
+under the wrong rank model, the attack's resolution, the decoding.
 """
 
 from __future__ import annotations

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import os
 import random
+import signal
+import subprocess
+import sys
 
 import pytest
 from hypothesis import settings
 from hypothesis.database import DirectoryBasedExampleDatabase
 
 from repro import core, topology
+from repro.core import certify, fixing
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 # Tier-1 is the gate, so it draws the same examples on every run: the
 # seed is derived from each test, and no example database carries
@@ -73,6 +79,47 @@ def count_calls(monkeypatch):
         return calls
 
     return wrap
+
+
+@pytest.fixture(scope="module")
+def certified():
+    """Certify every state call (``fixing._run``) of the module's tests
+    before its caller sees the pass (the engine-comparison files)."""
+    run = fixing._run
+
+    def certified_run(ctx, *args, **kwargs):
+        state = run(ctx, *args, **kwargs)
+        certify.certify(ctx, state)
+        return state
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fixing, "_run", certified_run)
+        yield
+
+
+@pytest.fixture()
+def spawn_child():
+    """``spawn_child(code, **fields)`` runs ``code.format(src=SRC,
+    **fields)`` in a child python (stdout piped as text) in a session of
+    its own; teardown, after the test's own asserts, SIGKILLs the
+    session, so a failed test leaves no pool worker behind."""
+    children = []
+
+    def spawn(code: str, **fields) -> subprocess.Popen:
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", code.format(src=SRC, **fields)],
+            stdout=subprocess.PIPE, text=True, start_new_session=True,
+        ))
+        return children[-1]
+
+    yield spawn
+    for child in children:
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        child.wait()
+        child.stdout.close()
 
 
 @pytest.fixture()

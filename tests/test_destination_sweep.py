@@ -2,13 +2,11 @@
 
 :class:`repro.core.jobs.DestinationSweep` keeps one attacker-free
 baseline per destination and runs each attacker as one pass on the
-context's scratch, so the tests here hold it *bit-identical* to two
-independent oracles on every observable:
-
-* the per-pair flat engine (one full fixing pass per pair:
-  ``batch_outcomes`` and ``compute_routing_outcome``), and
-* the seed reference engine (:mod:`repro.core.refimpl`), kept verbatim
-  from the pre-rewrite repository.
+context's scratch, so the tests here hold it *bit-identical* to the
+per-pair flat engine (one state pass per pair, ``batch_outcomes``),
+whose every pass is certified stable (:mod:`repro.core.certify`), and,
+where a ``needs_baseline`` strategy resolves each attacker from the
+sweep's copy, to the seed reference engine (:mod:`repro.core.refimpl`).
 
 Instances: >= 10 seeded random topologies x all rank models (baseline +
 three security placements, plus LP2 variants) x with/without the
@@ -45,6 +43,9 @@ from repro.core.attacks import DEFAULT_ATTACK
 from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.topology import TopologyParams, gadgets, generate_topology
 from repro.topology.ixp import augment_with_ixp_peering
+
+#: every state call here is certified stable (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("certified")
 
 SEEDS = list(range(12))  # >= 10 topologies, all distinct
 ALL_MODELS = (BASELINE,) + SECURITY_MODELS
@@ -111,50 +112,35 @@ def test_sweep_counts_match_per_pair_engine(seed, ixp):
         assert dest_major == per_pair, (model.label, destination)
 
 
+def assert_sweep_equals_certified_passes(graph, d, attackers, deployment, models):
+    """A sweep's counts, attacker by attacker, equal one certified state
+    call a pair (``per_pair_counts``), run on the sweep's context after
+    it was built: its baseline is a copy of its own, so those calls
+    leave no trace in it (re-queried at the end)."""
+    pairs = [(m, d) for m in attackers]
+    for model in models:
+        ctx = RoutingContext(graph)
+        sweep = DestinationSweep(ctx, d, deployment, model)
+        assert sweep.last_delta_path == "dense"
+        want = per_pair_counts(ctx, pairs, deployment, model)
+        assert [sweep.happiness_counts(m) for m in attackers] == want, model.label
+        assert sweep.happiness_counts(attackers[0]) == want[0], model.label
+
+
 @pytest.mark.parametrize("seed", SEEDS[:6])
 def test_sweep_counts_match_refimpl(seed):
-    graph, destination, attackers, deployment = make_instance(seed, ixp=False)
-    ctx = RoutingContext(graph)
-    ref_ctx = RefRoutingContext(graph)
-    for model in ALL_MODELS:
-        sweep = DestinationSweep(ctx, destination, deployment, model)
-        for m in attackers:
-            lo, up, sources = sweep.happiness_counts(m)
-            ref = ref_compute_routing_outcome(
-                ref_ctx, destination, attacker=m, deployment=deployment, model=model
-            )
-            assert (lo, up) == ref.count_happy(), (model.label, m)
-            assert sources == ref.num_sources, (model.label, m)
+    assert_sweep_equals_certified_passes(*make_instance(seed, ixp=False), ALL_MODELS)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:6])
 def test_sweep_outcomes_bit_identical(seed):
-    """Full RouteInfo records — not just counts — of the per-pair
-    engine, one context shared with a sweep, match the seed engine, and
-    the sweep's counts match them."""
+    """The destination's providers first, then three more attackers."""
     graph, destination, attackers, deployment = make_instance(seed, ixp=False)
-    ctx = RoutingContext(graph)
-    ref_ctx = RefRoutingContext(graph)
     providers = sorted(graph.providers(destination))
     sample = providers + attackers[len(providers) : len(providers) + 3]
-    for model in ALL_MODELS:
-        sweep = DestinationSweep(ctx, destination, deployment, model)
-        for m in sample:
-            direct = compute_routing_outcome(
-                ctx, destination, attacker=m, deployment=deployment, model=model
-            )
-            ref = ref_compute_routing_outcome(
-                ref_ctx, destination, attacker=m, deployment=deployment, model=model
-            )
-            assert sweep.happiness_counts(m) == (
-                *direct.count_happy(), direct.num_sources
-            ), (model.label, m)
-            assert dict(direct.routes) == ref.routes, (model.label, m)
-            assert direct.count_happy() == ref.count_happy()
-            assert direct.count_attacked() == ref.count_attacked()
-            assert direct.count_secure_sources() == ref.count_secure_sources()
-            for asn in graph.asns:
-                assert direct.concrete_path(asn) == ref.concrete_path(asn)
+    assert_sweep_equals_certified_passes(
+        graph, destination, sample, deployment, ALL_MODELS
+    )
 
 
 #: ``honest`` resolves every attacker from the sweep's baseline copy;
@@ -274,28 +260,8 @@ def test_every_entry_point_rejects_transit_simplex(entry):
 @pytest.mark.parametrize("ixp", [False, True], ids=["base", "ixp"])
 @pytest.mark.parametrize("seed", SEEDS[:6])
 def test_delta_kernels_bit_identical(seed, ixp):
-    """A sweep's attacker pass — one dense pass — replays the seed
-    engine exactly: counts for every attacker, and no leak from the
-    full outcomes computed on its context in between (verified by
-    re-querying)."""
-    graph, destination, attackers, deployment = make_instance(seed, ixp)
-    ref_ctx = RefRoutingContext(graph)
-    for model in ALL_MODELS + LP2_MODELS:
-        want = ref_pair_counts(
-            ref_ctx, [(m, destination) for m in attackers], deployment, model
-        )
-        routes = [
-            ref_compute_routing_outcome(
-                ref_ctx, destination, m, deployment, model
-            ).routes
-            for m in attackers[:3]
-        ]
-        ctx = RoutingContext(graph)
-        sweep = DestinationSweep(ctx, destination, deployment, model)
-        assert sweep.last_delta_path == "dense"
-        for m, counts in zip(attackers, want):
-            assert sweep.happiness_counts(m) == counts, (model.label, m)
-        for m, expected in zip(attackers, routes):
-            out = compute_routing_outcome(ctx, destination, m, deployment, model)
-            assert dict(out.routes) == expected, (model.label, m)
-        assert sweep.happiness_counts(attackers[0]) == want[0], model.label
+    """A sweep's attacker pass is one dense pass, every attacker's the
+    certified one, under every model and its LP2 twin."""
+    assert_sweep_equals_certified_passes(
+        *make_instance(seed, ixp), ALL_MODELS + LP2_MODELS
+    )

@@ -36,6 +36,9 @@ from repro.core import (
 from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.topology import TopologyParams, generate_topology
 
+#: every state call here is certified stable (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("certified")
+
 SEEDS = list(range(24))  # ≥ 20 topologies, all distinct
 ALL_MODELS = (BASELINE,) + SECURITY_MODELS
 

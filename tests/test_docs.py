@@ -23,6 +23,7 @@ import pytest
 
 import repro.core
 import repro.core.attacks
+import repro.core.certify
 import repro.core.context
 import repro.core.jobs
 import repro.core.metrics
@@ -39,6 +40,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCTEST_MODULES = (
     repro.core,
     repro.core.attacks,
+    repro.core.certify,
     repro.core.context,
     repro.core.jobs,
     repro.core.metrics,

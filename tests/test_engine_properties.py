@@ -3,29 +3,38 @@
 Complements ``tests/test_properties.py`` (which checks the *paper's*
 theorems) with invariants of the *engine mechanics* on random inputs:
 
-* **rank-key monotonicity along next hops** — every AS's key is
-  strictly larger than the key of each AS in its BPR next-hop set
-  (this is what makes the single fixing pass equal the staged BFS);
-* **no export-rule violations** — an AS never holds a route its next
-  hop was not allowed to export under ``Ex``;
+* **rank-key monotonicity along next hops** and **no export-rule
+  violations** — every state pass here is certified stable
+  (:func:`repro.core.certify.certify`, the ``certified`` fixture): each
+  AS holds the minimum key its neighbours' ``Ex``-legal offers give it,
+  so a next hop's key is strictly smaller than its own (this is what
+  makes the single fixing pass equal the staged BFS);
 * **bound ordering** — ``happy_lower ≤ happy_upper`` (and the same for
   the attacked counts), with both within ``[0, num_sources]``;
-* **old-vs-new count equality** — ``count_happy()`` /
-  ``count_attacked()`` from the engine's run-time counters equal both a
-  recount over the lazy route view and the seed reference engine's
-  counts;
+* **count equality** — the certificate recounts the six counts from
+  each pass's state, and the seed reference engine, run under the model
+  the caller asked for, counts the same (a pass run under the wrong
+  rank model is stable under that model: only an oracle sees it);
 * **batching is pure** — ``batch_outcomes`` over a pair sweep equals
   pair-at-a-time ``compute_routing_outcome`` even though the batch
   reuses scratch buffers and deployment masks;
 * **every chain path is the same function** — along a random nested
   deployment chain, the count path, a fresh sweep per step and the
-  per-pair engine equal the reference engine at every step, attacked
+  per-pair engine, each of its passes certified, equal the reference
+  engine, which resolves the attack on its own, at every step, attacked
   and attacker-free (the tier-1 seed of the standing differential
-  fuzzer).
+  fuzzer);
+* **the certificate rejects** a real pass with one field corrupted,
+  naming the AS, and imports nothing of the kernel it checks.
 """
 
 from __future__ import annotations
 
+import ast
+import random
+from pathlib import Path
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -36,79 +45,38 @@ from repro.core import (
     HONEST,
     ONE_HOP_HIJACK,
     PathLengthHijack,
-    Reach,
     RoutingContext,
     batch_outcomes,
     compute_routing_outcome,
     normal_conditions,
     rollout_happiness_counts,
 )
+from repro.core import SECURITY_SECOND, certify, fixing
 from repro.core.refimpl import ref_compute_routing_outcome
-from repro.topology.relationships import RouteClass
 
 from test_properties import DEFAULT_SETTINGS, attack_instances
 
-
-def _reference_counts(outcome):
-    """Recount happy/attacked bounds the way the seed engine did."""
-    happy = [0, 0]
-    attacked = [0, 0]
-    for asn, info in outcome.routes.items():
-        if not outcome.is_source(asn):
-            continue
-        if info.reaches == Reach.DEST:
-            happy[0] += 1
-            happy[1] += 1
-        elif info.reaches & Reach.DEST:
-            happy[1] += 1
-        if info.reaches == Reach.ATTACKER:
-            attacked[0] += 1
-            attacked[1] += 1
-        elif info.reaches & Reach.ATTACKER:
-            attacked[1] += 1
-    return tuple(happy), tuple(attacked)
+#: every state call here is certified stable (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("certified")
 
 
 class TestEngineInvariants:
     @DEFAULT_SETTINGS
     @given(attack_instances())
     def test_rank_key_monotone_along_next_hops(self, instance):
+        """The certificate's row minimum: each AS holds the best key its
+        neighbours offer, so a next hop's key is below its own."""
         graph, destination, attacker, deployment, model = instance
-        out = compute_routing_outcome(
-            graph, destination, attacker=attacker, deployment=deployment,
-            model=model,
-        )
-        roots = {destination, attacker}
-        for asn, info in out.routes.items():
-            if asn in roots:
-                continue
-            assert info.key is not None
-            for nh in info.next_hops:
-                if nh in roots:
-                    continue
-                assert out.routes[nh].key < info.key, (asn, nh)
+        compute_routing_outcome(graph, destination, attacker, deployment, model)
 
     @DEFAULT_SETTINGS
-    @given(attack_instances())
+    @given(attack_instances(simplex=True))
     def test_no_export_rule_violations(self, instance):
+        """The certificate's offers are the ones ``Ex`` lets through,
+        stub simplex members drawn too: signed, yet ranking their own
+        route insecure, and exporting it to no one."""
         graph, destination, attacker, deployment, model = instance
-        out = compute_routing_outcome(
-            graph, destination, attacker=attacker, deployment=deployment,
-            model=model,
-        )
-        roots = {destination, attacker}
-        for asn, info in out.routes.items():
-            if asn in roots:
-                continue
-            for nh in info.next_hops:
-                if nh in roots:
-                    continue  # origins announce to everyone
-                # Ex: nh may export to asn only a customer route, unless
-                # asn is nh's customer (customers receive everything).
-                assert (
-                    out.routes[nh].route_class is RouteClass.CUSTOMER
-                    or asn in graph.customers(nh)
-                ), (nh, asn)
+        compute_routing_outcome(graph, destination, attacker, deployment, model)
 
     @DEFAULT_SETTINGS
     @given(attack_instances())
@@ -126,14 +94,13 @@ class TestEngineInvariants:
     @DEFAULT_SETTINGS
     @given(attack_instances())
     def test_counts_match_view_and_reference_engine(self, instance):
+        """The certificate recounts a pass from its state; the reference
+        engine counts the same under the model asked for."""
         graph, destination, attacker, deployment, model = instance
         out = compute_routing_outcome(
             graph, destination, attacker=attacker, deployment=deployment,
             model=model,
         )
-        happy, attacked = _reference_counts(out)
-        assert out.count_happy() == happy
-        assert out.count_attacked() == attacked
         ref = ref_compute_routing_outcome(
             graph, destination, attacker=attacker, deployment=deployment,
             model=model,
@@ -230,3 +197,76 @@ class TestSweepPathsAgree:
             assert (*direct.count_happy(), sources) == attacked, t
             assert free.count_happy() == attacker_free, t
             assert fresh.happiness_counts(m) == attacked, t
+
+
+class TestCertificate:
+    """``certify`` rejects a real pass with one field corrupted, naming
+    the AS, and shares no code with the kernel it checks."""
+
+    @pytest.fixture(scope="class")
+    def picked(self, small_ctx):
+        """A security-2nd pass with a signed destination and most ASes
+        signing, stubs in simplex mode, copied out of the scratch; and
+        per corruption target its AS: a fixed transit AS, the
+        destination, and a neighbour of the destination."""
+        graph = small_ctx.graph
+        rnd = random.Random("certify")
+        d, m = rnd.sample(graph.asns, 2)
+        dep = Deployment.of([d, *rnd.sample(graph.asns, 250)]).with_simplex_stubs(graph)
+        dest_i, att_i = small_ctx._check_pair(d, m)
+        state = fixing._run(
+            small_ctx, dest_i, att_i, *small_ctx.deployment_masks(dep), SECURITY_SECOND
+        )
+        arrays = {name: a.copy() for name, a in state.arrays.items()}
+        transit = next(
+            v for v, asn in enumerate(small_ctx.asns)
+            if arrays["fixed"][v] and asn not in (d, m) and not graph.is_stub(asn)
+        )
+        neighbour = small_ctx.index_of[min(graph.neighbors(d) - {m})]
+        return small_ctx, state._replace(arrays=arrays), {
+            "transit": transit, "destination": dest_i, "neighbour": neighbour
+        }
+
+    @pytest.mark.parametrize("field, which, corrupt", [
+        ("key", "transit", lambda x: x + 1),
+        ("choice", "transit", lambda x: x + 1),
+        ("reach", "transit", lambda x: x ^ 3),
+        ("wire", "transit", lambda x: 1 - x),
+        ("sec", "transit", lambda x: 1 - x),
+        ("wire", "destination", lambda x: 1 - x),  # a root's wire
+        ("fixed", "neighbour", lambda x: False),  # offered, yet unfixed
+        ("counts", "destination", None),
+    ], ids=["key", "choice", "reach", "wire", "sec", "root-wire",
+            "unfixed-but-offered", "count"])
+    def test_rejects_a_corrupted_pass_naming_the_as(
+        self, picked, field, which, corrupt
+    ):
+        ctx, state, ases = picked
+        certify.certify(ctx, state)
+        i = ases[which]
+        if field == "counts":
+            bad = state._replace(counts=(state.counts[0] + 1, *state.counts[1:]))
+        else:
+            arrays = {name: a.copy() for name, a in state.arrays.items()}
+            arrays[field][i] = corrupt(arrays[field][i])
+            bad = state._replace(arrays=arrays)
+        with pytest.raises(AssertionError, match=rf"AS {ctx.asns[i]}\b"):
+            certify.certify(ctx, bad)
+
+    def test_imports_nothing_of_the_kernel(self):
+        """Only ``StatePass`` and ``_NP_INF`` come from the kernel's
+        module, and the context's CSR is never asked for: a kernel bug
+        cannot be copied into the check that proves the kernel."""
+        tree = ast.parse(Path(certify.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if (node.module or "").split(".")[-1] == "fixing":
+                    assert names <= {"StatePass", "_NP_INF"}, names
+                else:
+                    assert "fixing" not in names, node.module
+            elif isinstance(node, ast.Import):
+                assert not any("fixing" in alias.name for alias in node.names)
+            assert "_np_csr" not in (
+                getattr(node, "attr", None), getattr(node, "value", None)
+            ), ast.dump(node)

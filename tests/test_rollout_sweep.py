@@ -2,14 +2,11 @@
 
 :func:`repro.core.jobs.rollout_happiness_counts` evaluates whole
 chains as their distinct fixing passes, each run once.  The tests here
-hold every step of a chain *bit-identical* to three independent
-oracles:
-
-* the step-independent destination-major path
-  (``batch_happiness_counts`` with default flags),
-* the per-pair flat engine (``batch_outcomes``, one full fixing pass
-  per pair), and
-* the seed reference engine (:mod:`repro.core.refimpl`).
+hold every step of a chain *bit-identical* to the step-independent
+destination-major path (``batch_happiness_counts``) and to the
+per-pair flat engine (``batch_outcomes``), whose every state pass is
+certified stable (:mod:`repro.core.certify`); fresh steps are also
+held to the seed reference engine (:mod:`repro.core.refimpl`).
 
 Grids: full tier12/tier2 rollout chains (coarse, dense and
 simplex-stub variants, prefixed with S = ∅) x all rank models
@@ -48,11 +45,14 @@ from repro.core import (
 )
 from repro.core import fixing
 from repro.core.context import RoutingContext
-from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
+from repro.core.refimpl import RefRoutingContext
 from repro.topology import TopologyParams, classify_tiers, generate_topology
 from repro.topology.ixp import augment_with_ixp_peering
 
 from test_destination_sweep import per_pair_counts, ref_pair_counts
+
+#: every state call here is certified stable (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("certified")
 
 ALL_MODELS = (BASELINE,) + SECURITY_MODELS
 LP2_MODELS = tuple(lp2_variant(m) for m in ALL_MODELS)
@@ -96,9 +96,9 @@ def chain_pairs(graph, seed: int, destinations: int, attackers: int):
     return pairs
 
 
-def assert_chain_matches_oracles(
-    graph, pairs, chain, model, attack, refimpl_budget=0
-):
+def assert_chain_matches_oracles(graph, pairs, chain, model, attack):
+    """A chain's count rows equal, step by step, the destination-major
+    path and one certified state call a pair."""
     ctx = RoutingContext(graph)
     rollout = rollout_happiness_counts(ctx, pairs, chain, model, attack=attack)
     for t, deployment in enumerate(chain):
@@ -110,18 +110,6 @@ def assert_chain_matches_oracles(
         assert rollout[t] == per_pair, (model.label, attack.token, t)
     # however long the chain, the mask cache stays at its cap
     assert len(ctx._mask_cache) <= 8
-    if refimpl_budget:
-        ref_ctx = RefRoutingContext(graph)
-        rnd = random.Random(1234)
-        combos = [(t, i) for t in range(len(chain)) for i in range(len(pairs))]
-        for t, i in rnd.sample(combos, min(refimpl_budget, len(combos))):
-            m, d = pairs[i]
-            ref = ref_compute_routing_outcome(
-                ref_ctx, d, m, chain[t], model, attack=attack
-            )
-            lo, up, src = rollout[t][i]
-            assert ref.count_happy() == (lo, up), (model.label, t, m, d)
-            assert ref.num_sources == src
 
 
 # ----------------------------------------------------------------------
@@ -135,10 +123,7 @@ def test_chains_match_oracles_all_models(seed, kind, ixp):
     chain = make_chain(graph, tiers, kind)
     pairs = chain_pairs(graph, seed, destinations=3, attackers=2)
     for model in ALL_MODELS:
-        assert_chain_matches_oracles(
-            graph, pairs, chain, model, ONE_HOP_HIJACK,
-            refimpl_budget=4 if not ixp else 0,
-        )
+        assert_chain_matches_oracles(graph, pairs, chain, model, ONE_HOP_HIJACK)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -160,9 +145,7 @@ def test_chains_match_oracles_all_strategies(attack):
     chain = make_chain(graph, tiers, "tier12")
     pairs = chain_pairs(graph, 5, destinations=3, attackers=2)
     for model in (BASELINE, SECURITY_MODELS[0], SECURITY_MODELS[1]):
-        assert_chain_matches_oracles(
-            graph, pairs, chain, model, attack, refimpl_budget=3
-        )
+        assert_chain_matches_oracles(graph, pairs, chain, model, attack)
 
 
 @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=lambda a: a.token)
@@ -175,10 +158,7 @@ def test_numpy_rows_match_oracles_all_strategies(attack):
     for attackers in (2, 4):
         pairs = chain_pairs(graph, 5, destinations=3, attackers=attackers)
         for model in (BASELINE, SECURITY_MODELS[0], SECURITY_MODELS[1]):
-            assert_chain_matches_oracles(
-                graph, pairs, chain, model, attack,
-                refimpl_budget=3,
-            )
+            assert_chain_matches_oracles(graph, pairs, chain, model, attack)
 
 
 def test_chain_step_secures_an_attacker():
@@ -199,9 +179,7 @@ def test_chain_step_secures_an_attacker():
     )
     pairs = [(m, d) for d in destinations for m in attackers if m != d]
     for model in ALL_MODELS:
-        assert_chain_matches_oracles(
-            graph, pairs, chain, model, ONE_HOP_HIJACK, refimpl_budget=4
-        )
+        assert_chain_matches_oracles(graph, pairs, chain, model, ONE_HOP_HIJACK)
 
 
 def test_many_attacker_groups_match_oracles():
@@ -213,9 +191,7 @@ def test_many_attacker_groups_match_oracles():
         graph, 7, destinations=2, attackers=7
     )
     for model in ALL_MODELS:
-        assert_chain_matches_oracles(
-            graph, pairs, chain, model, ONE_HOP_HIJACK, refimpl_budget=3
-        )
+        assert_chain_matches_oracles(graph, pairs, chain, model, ONE_HOP_HIJACK)
 
 
 def test_none_attacker_rows_walk_with_the_chain():
@@ -419,7 +395,7 @@ class TestChainWalk:
 
 class TestDeltaKernelsOnChains:
     """At every step of a chain the attacker-free state and a fresh
-    sweep's counts must be the seed engine's, bit for bit."""
+    sweep's counts are certified state calls, bit for bit."""
 
     @pytest.mark.parametrize("kind", ["tier12", "tier12_simplex", "tier2"])
     @pytest.mark.parametrize("seed", [3, 9])
@@ -428,28 +404,24 @@ class TestDeltaKernelsOnChains:
         chain = make_chain(graph, tiers, kind)
         pairs = chain_pairs(graph, seed, destinations=1, attackers=4)
         dest = pairs[0][1]
-        ref_ctx = RefRoutingContext(graph)
         ctx = RoutingContext(graph)
         for model in (SECURITY_MODELS[0], lp2_variant(SECURITY_MODELS[1])):
             for si, step in enumerate(chain):
-                # the step's attacker-free state in full, then the counts
-                base = ref_compute_routing_outcome(ref_ctx, dest, None, step, model)
-                free = normal_conditions(ctx, dest, step, model)
-                assert dict(free.routes) == base.routes, si
+                normal_conditions(ctx, dest, step, model)
                 sweep = DestinationSweep(ctx, dest, step, model)
                 got = [sweep.happiness_counts(m) for m, _ in pairs]
-                assert got == ref_pair_counts(ref_ctx, pairs, step, model), si
+                assert got == per_pair_counts(ctx, pairs, step, model), si
 
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=lambda a: a.token)
     def test_attacker_chain_bit_identical(self, attack):
         """One attacker along a chain — a one-pair job of the count plan
-        and a fresh sweep per step — counts what the seed engine does at
-        every step, for every strategy (nothing bars a
+        and a fresh sweep per step — counts what a certified state call
+        does at every step, for every strategy (nothing bars a
         ``needs_baseline`` one such as ``honest`` from a chain)."""
         graph, tiers = make_topology(5)
         chain = make_chain(graph, tiers, "tier12")
         pairs = chain_pairs(graph, 5, destinations=2, attackers=2)
-        ctx, ref_ctx = RoutingContext(graph), RefRoutingContext(graph)
+        ctx = RoutingContext(graph)
         for model in (BASELINE, SECURITY_MODELS[2]):
             for m, d in pairs[:4]:
                 swept = [
@@ -460,7 +432,3 @@ class TestDeltaKernelsOnChains:
                     ctx, [(m, d)], chain, model, attack=attack
                 )
                 assert planned == swept, (m, d)
-                assert planned == [
-                    ref_pair_counts(ref_ctx, [(m, d)], step, model, attack)
-                    for step in chain
-                ], (m, d)

@@ -10,10 +10,7 @@ shutdown drain (reusing the leaked-worker pattern from
 
 import asyncio
 import json
-import os
 import signal
-import subprocess
-import sys
 import threading
 import time
 
@@ -832,34 +829,20 @@ sys.exit(asyncio.run(main()))
 """
 
 
-def test_sigterm_drains_and_takes_pool_workers_down(tmp_path, pid_alive):
+def test_sigterm_drains_and_takes_pool_workers_down(tmp_path, pid_alive, spawn_child):
     """SIGTERM on a serving process with a warm pool must drain
     gracefully: exit ``128+SIGTERM`` promptly and leave no pool worker
     behind (the pattern from ``test_vectorized.py``'s SIGTERM test,
     applied to the service)."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    child = _SHUTDOWN_CHILD.format(
-        src=os.path.abspath(src), cache=str(tmp_path / "cache")
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-c", child], stdout=subprocess.PIPE, text=True
-    )
-    try:
-        line = proc.stdout.readline().split()
-        assert line[0] == "READY" and len(line) == 4, line
-        worker_pids = [int(pid) for pid in line[2:]]
-        assert all(pid_alive(pid) for pid in worker_pids)
-        proc.send_signal(signal.SIGTERM)
-        signalled = time.monotonic()
-        returncode = proc.wait(timeout=60)
-        exit_s = time.monotonic() - signalled
-    finally:
-        if proc.poll() is None:  # pragma: no cover - cleanup on failure
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
-    assert returncode == 128 + signal.SIGTERM
-    assert exit_s < 5.0
+    proc = spawn_child(_SHUTDOWN_CHILD, cache=str(tmp_path / "cache"))
+    line = proc.stdout.readline().split()
+    assert line[0] == "READY" and len(line) == 4, line
+    worker_pids = [int(pid) for pid in line[2:]]
+    assert all(pid_alive(pid) for pid in worker_pids)
+    proc.send_signal(signal.SIGTERM)
+    signalled = time.monotonic()
+    assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    assert time.monotonic() - signalled < 5.0
     assert not any(pid_alive(pid) for pid in worker_pids)
 
 

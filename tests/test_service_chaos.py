@@ -21,8 +21,6 @@ import json
 import os
 import signal
 import socket
-import subprocess
-import sys
 import threading
 import time
 from pathlib import Path
@@ -681,35 +679,21 @@ def _read_chunked(rfile):
 
 
 def test_sigterm_mid_stream_finishes_stream_and_reaps_workers(
-    tmp_path, pid_alive
+    tmp_path, pid_alive, spawn_child
 ):
     """SIGTERM while a chunked NDJSON stream is mid-flight must *drain*:
     the stream runs to its ``done`` event and clean terminator, the
     process exits 128+SIGTERM promptly, and no pool worker survives."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    child = _DRAIN_CHILD.format(
-        src=os.path.abspath(src),
-        cache=str(tmp_path / "cache"),
-        seed=CHAOS_SEED,
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-c", child], stdout=subprocess.PIPE, text=True
-    )
-    sock = None
-    try:
-        line = proc.stdout.readline().split()
-        assert line[0] == "READY" and len(line) == 4, line
-        port = line[1]
-        worker_pids = [int(pid) for pid in line[2:]]
-        assert all(pid_alive(pid) for pid in worker_pids)
+    proc = spawn_child(_DRAIN_CHILD, cache=str(tmp_path / "cache"), seed=CHAOS_SEED)
+    line = proc.stdout.readline().split()
+    assert line[0] == "READY" and len(line) == 4, line
+    port = line[1]
+    worker_pids = [int(pid) for pid in line[2:]]
+    assert all(pid_alive(pid) for pid in worker_pids)
 
-        request = _request([2, 3])
-        body = json.dumps(
-            {"request": request.canonical(), "stream": True}
-        ).encode()
-        sock = socket.create_connection(
-            ("127.0.0.1", int(port)), timeout=60
-        )
+    request = _request([2, 3])
+    body = json.dumps({"request": request.canonical(), "stream": True}).encode()
+    with socket.create_connection(("127.0.0.1", int(port)), timeout=60) as sock:
         sock.settimeout(60)
         sock.sendall(
             (
@@ -734,22 +718,11 @@ def test_sigterm_mid_stream_finishes_stream_and_reaps_workers(
 
         events = _read_chunked(rfile)
         assert events[-1]["event"] == "done"
-        result_events = [
-            e for e in events if e.get("event") == "result"
-        ]
+        result_events = [e for e in events if e.get("event") == "result"]
         assert result_events and all(e["ok"] for e in result_events)
         assert rfile.readline() == b""  # draining: connection closed
         rfile.close()
 
-        returncode = proc.wait(timeout=60)
-        exit_s = time.monotonic() - signalled
-    finally:
-        if sock is not None:
-            sock.close()
-        if proc.poll() is None:  # pragma: no cover - cleanup on failure
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
-    assert returncode == 128 + signal.SIGTERM
-    assert exit_s < 5.0
+    assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    assert time.monotonic() - signalled < 5.0
     assert not any(pid_alive(pid) for pid in worker_pids)

@@ -6,8 +6,11 @@ is a performance rewrite of the seed engine's fixing pass: Theorem
 seed reference engine (:mod:`repro.core.refimpl`) **bit for bit** on
 every observable (counts, routes, rank keys, next-hop sets), for every
 rank model, attacker strategy and graph variant.  The grid here runs
-the full cross product at reduced scale; the reference engine is the
-oracle (:class:`RefOracle`).
+the full cross product at reduced scale.  Every state call is
+certified stable (:mod:`repro.core.certify`); the reference engine
+(:class:`RefOracle`) holds what a certificate cannot see: the rank
+model a pass ran under, the attack's resolution and the decoding into
+routes.
 
 The fork-teardown regression rides along: a SIGTERM'd run must not
 leave pool workers behind.
@@ -15,11 +18,8 @@ leave pool workers behind.
 
 from __future__ import annotations
 
-import os
 import random
 import signal
-import subprocess
-import sys
 import time
 from dataclasses import dataclass
 
@@ -36,11 +36,10 @@ from repro.core.attacks import (
     PathLengthHijack,
     ResolvedAttack,
 )
-from repro.core.rank import RankModel, SecurityModel, pack_key
+from repro.core.rank import RankModel, SecurityModel
 from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.core import context, fixing, outcome
 from repro.core.context import RoutingContext
-from repro.core.fixing import _NP_INF
 from repro.core.jobs import (
     DestinationSweep,
     batch_happiness_counts,
@@ -58,6 +57,9 @@ from repro.topology.ixp import augment_with_ixp_peering
 
 from test_attacks import CustomerScopeHijack
 from test_destination_sweep import per_pair_counts, ref_pair_counts
+
+#: every state call here is certified stable (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("certified")
 
 CLASSIC_MODELS = (BASELINE,) + SECURITY_MODELS
 ALL_MODELS = CLASSIC_MODELS + tuple(lp2_variant(m) for m in CLASSIC_MODELS)
@@ -85,8 +87,6 @@ class RefOracle:
 
     def __init__(self, graph):
         self.ctx = RefRoutingContext(graph)
-        self.asns = sorted(graph.asns)
-        self.index_of = {asn: i for i, asn in enumerate(self.asns)}
 
     def outcome(self, d, m, deployment, model, attack=ONE_HOP_HIJACK):
         return ref_compute_routing_outcome(
@@ -112,33 +112,6 @@ class RefOracle:
             *ref.count_happy(), *ref.count_attacked(),
             ref.count_secure_sources(), sum(1 for _ in ref.sources()),
         )
-
-    def keys(self, ref):
-        """Per dense index the packed rank key, ``_NP_INF`` where none
-        (a root, or an AS no route reaches)."""
-        return [
-            _NP_INF if info is None or info.key is None else pack_key(info.key)
-            for info in map(ref.routes.get, self.asns)
-        ]
-
-    def state(self, ref):
-        """Per dense index what a state call leaves in its arrays (``cls``
-        is left out: a root's is not a route's)."""
-        unreached = (False, 0, 0, False, False, None, 0)
-        rows = [
-            unreached if info is None else (
-                True, info.length, int(info.reaches), info.wire_secure,
-                info.secure, info.choice, int(info.endpoint),
-            )
-            for info in map(ref.routes.get, self.asns)
-        ]
-        fixed, length, reach, wire, sec, choice, endp = zip(*rows)
-        return {
-            "fixed": list(fixed), "len": list(length), "reach": list(reach),
-            "wire": [int(w) for w in wire], "sec": [int(x) for x in sec],
-            "choice": [-1 if c is None else self.index_of[c] for c in choice],
-            "endp": list(endp), "key": self.keys(ref),
-        }
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +209,6 @@ class TestDifferentialGrid:
                 vec_ctx, d, attacker=m, deployment=dep, model=model,
                 attack=attack,
             )
-            assert vec_ctx._np_scratch["key"].tolist() == oracle.keys(ref)
             assert dict(vec.routes) == ref.routes
             assert vec._counts == oracle.pass_counts(ref)
             assert vec.count_happy() == ref.count_happy()
@@ -246,20 +218,12 @@ class TestDifferentialGrid:
     @pytest.mark.parametrize("attack", STRATEGIES, ids=lambda a: a.token)
     @pytest.mark.parametrize("model", CLASSIC_MODELS, ids=lambda m: m.label)
     def test_vectorized_matches_reference_engine(self, graph, vec_ctx, model, attack):
-        ref_ctx = RefRoutingContext(graph)
+        """Every pass, under the model and its LP2 twin, is certified
+        stable (``certified``): the one state the reference engine
+        computes too."""
         for m, d, dep in _instances(graph, f"ref/{model.label}/{attack.token}", k=2):
-            vec = compute_routing_outcome(
-                vec_ctx, d, attacker=m, deployment=dep, model=model,
-                attack=attack,
-            )
-            ref = ref_compute_routing_outcome(
-                ref_ctx, d, attacker=m, deployment=dep, model=model,
-                attack=attack,
-            )
-            assert dict(vec.routes) == ref.routes
-            assert vec.count_happy() == ref.count_happy()
-            assert vec.count_attacked() == ref.count_attacked()
-            assert vec.count_secure_sources() == ref.count_secure_sources()
+            for mod in (model, lp2_variant(model)):
+                compute_routing_outcome(vec_ctx, d, m, dep, mod, attack)
 
     @pytest.mark.parametrize("attack", STRATEGIES, ids=lambda a: a.token)
     def test_counts_both_scheduling_modes(self, graph, oracle, vec_ctx, attack):
@@ -302,13 +266,14 @@ class TestDeltaKernels:
         for m, d, dep in _instances(
             graph, f"delta/{model.label}/{attack.token}", k=2
         ):
-            (counts,) = oracle.counts([(m, d)], dep, model, attack)
+            ref = oracle.outcome(d, m, dep, model, attack)
+            counts = (*ref.count_happy(), ref.num_sources)
             sv = DestinationSweep(vec_ctx, d, dep, model, attack=attack)
             assert sv.happiness_counts(m) == counts
             assert sv.last_delta_path == "dense"
             assert dict(compute_routing_outcome(
                 vec_ctx, d, m, dep, model, attack
-            ).routes) == oracle.outcome(d, m, dep, model, attack).routes
+            ).routes) == ref.routes
             assert dict(normal_conditions(
                 vec_ctx, d, dep, model
             ).routes) == oracle.outcome(d, None, dep, model).routes
@@ -494,18 +459,8 @@ class TestRowsKernel:
             for row, ref, counts in zip(rows, refs, batch):
                 assert counts == oracle.pass_counts(ref)
                 assert fixing._run_np(vec, [row], model) == [counts]
-                state = fixing._run(vec, *row[:4], model, row[4])
-                assert state.counts == counts
-                # the state call returns the reference's state in its
-                # arrays (a reached AS's class is its route's)
-                st, want = state.arrays, oracle.state(ref)
-                for name, values in want.items():
-                    assert st[name].tolist() == values, name
-                roots = {row[0], row[1]}
-                for v, asn in enumerate(oracle.asns):
-                    info = ref.routes.get(asn)
-                    if info is not None and v not in roots:
-                        assert st["cls"][v] == info.route_class, v
+                # a certified state call: its arrays are the stable state
+                assert fixing._run(vec, *row[:4], model, row[4]).counts == counts
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_jobs_equal_one_job_calls_equal_reference(self, case, count_rows):
@@ -862,11 +817,10 @@ class TestEveryGroupIsRows:
             assert sweeps == [0]
             assert got == want
 
-    def test_rows_equal_per_pair_and_reference(self, graph, oracle, vec_ctx):
+    def test_rows_equal_per_pair_and_reference(self, graph, vec_ctx):
         """``honest`` and many-attacker rows under every model, on 1-
-        and 4-step chains, in one call: equal to the reference engine,
-        one pass a pair-step, and to one full state pass a pair-step
-        (``batch_outcomes``)."""
+        and 4-step chains, in one call: equal to one certified state pass
+        a pair-step (``batch_outcomes``)."""
         chain, pairs = self._chain_and_pairs(graph, "oracles", self.MANY)
         jobs = [
             (pairs, deployments, model, attack)
@@ -875,7 +829,6 @@ class TestEveryGroupIsRows:
             for deployments in (chain, chain[2:3])
         ]
         got = jobs_happiness_counts(vec_ctx, jobs)
-        assert got == oracle.jobs(jobs)
         for (pairs, deployments, model, attack), job in zip(jobs, got):
             for deployment, step in zip(deployments, job):
                 assert step == per_pair_counts(
@@ -1108,10 +1061,10 @@ class TestCsrBuild:
 
 class TestAdvance:
     """A chain step leaves the counts of a fresh sweep of that
-    deployment — the reference engine's — a step that gains nothing and
+    deployment — certified state calls — a step that gains nothing and
     one that gains the destination included."""
 
-    def test_advance_equals_a_fresh_sweep(self, graph, oracle, vec_ctx):
+    def test_advance_equals_a_fresh_sweep(self, graph, vec_ctx):
         rnd = random.Random("vec/step")
         asns = graph.asns
         d, m = rnd.sample(asns, 2)
@@ -1128,13 +1081,11 @@ class TestAdvance:
         pairs = [(m, d), (None, d)]
         ctx = vec_ctx
         walked = rollout_happiness_counts(ctx, pairs, chain, model)
-        assert walked == oracle.chain(pairs, chain, model)
         for t, step in enumerate(chain):
             fresh = DestinationSweep(ctx, d, step, model)
             free = normal_conditions(ctx, d, step, model)
             assert fresh.happiness_counts(m) == walked[t][0], t
             assert free.count_happy() + (ctx.n - 1,) == walked[t][1], t
-            assert dict(free.routes) == oracle.outcome(d, None, step, model).routes, t
 
 
 class TestContextWiring:
@@ -1229,32 +1180,19 @@ while True:  # evaluate until killed
 """
 
 
-def test_sigterm_mid_run_leaks_nothing(pid_alive):
+def test_sigterm_mid_run_leaks_nothing(pid_alive, spawn_child):
     """Kill a multi-process run mid-evaluation: the SIGTERM handler +
     atexit teardown must take the pool workers down with the parent."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _TEARDOWN_CHILD.format(src=os.path.abspath(src))],
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-    try:
-        line = proc.stdout.readline().split()
-        assert line[0] == "WORKERS" and len(line) == 3, line
-        worker_pids = [int(pid) for pid in line[1:]]
-        assert all(pid_alive(pid) for pid in worker_pids)
-        time.sleep(1.0)  # let an evaluation start
-        proc.send_signal(signal.SIGTERM)
-        signalled = time.monotonic()
-        returncode = proc.wait(timeout=60)
-        exit_s = time.monotonic() - signalled
-    finally:
-        if proc.poll() is None:  # pragma: no cover - cleanup on failure
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
-    assert returncode == 128 + signal.SIGTERM
+    proc = spawn_child(_TEARDOWN_CHILD)
+    line = proc.stdout.readline().split()
+    assert line[0] == "WORKERS" and len(line) == 3, line
+    worker_pids = [int(pid) for pid in line[1:]]
+    assert all(pid_alive(pid) for pid in worker_pids)
+    time.sleep(1.0)  # let an evaluation start
+    proc.send_signal(signal.SIGTERM)
+    signalled = time.monotonic()
+    assert proc.wait(timeout=60) == 128 + signal.SIGTERM
     # Busy workers die on the pool's SIGTERM; none sits out the 10 s
     # kill fallback of SupervisedPool.join.
-    assert exit_s < 5.0
+    assert time.monotonic() - signalled < 5.0
     assert not any(pid_alive(pid) for pid in worker_pids)

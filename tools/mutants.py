@@ -129,6 +129,25 @@ MUTANTS = (
         "np.concatenate([np.frombuffer(rows[0][c], np.int8) for row in rows])",
         "every row of a K-row call reads the first row's deployment",
     ),
+    # -- the graph's CSR and the kernel's scratch -------------------------
+    Mutant(
+        "csr_peering_one_way", "src/repro/topology/graph.py",
+        "        (right * 3 + 1) * n + left,\n",
+        "",
+        "graph_from_edges lists a peering in one of its two rows only",
+    ),
+    Mutant(
+        "row_layout_customers_from_peers", "src/repro/topology/graph.py",
+        "        peer_start + counts[:, 1],\n",
+        "        peer_start,\n",
+        "a row's customer tail (cust_start) starts at its peers",
+    ),
+    Mutant(
+        "scratch_one_row_count_writes_state", "src/repro/core/context.py",
+        "        if state:\n            if self._np_scratch is None:",
+        "        if state or rows == 1:\n            if self._np_scratch is None:",
+        "a one-row count call computes in the state call's scratch",
+    ),
     # -- state decoding (outcome.py) --------------------------------------
     Mutant(
         "one_next_hop", OUTCOME,
