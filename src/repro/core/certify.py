@@ -1,29 +1,20 @@
 """A stability certificate for one state pass (Theorem 2.1).
 
-:func:`certify` checks that a :class:`~repro.core.fixing.StatePass` is
-stable — no AS prefers a route a neighbour offers it to the one it
-holds — in O(E) numpy operations over the graph's CSR rows, each row
-the offers one AS receives.  Theorem 2.1 makes the stable state unique,
-so a certified pass *is* the answer, whichever engine made it:
+:func:`certify` checks, in O(E) numpy operations over the graph's own
+CSR rows (row ``v`` holds the offers ``v`` receives), that a
+:class:`~repro.core.fixing.StatePass` is stable; the stable state is
+unique, so a certified pass *is* the answer.  Each fixed non-root AS
+holds the minimum key of its fixed neighbours' ``Ex``-legal offers, and
+an unfixed AS is offered none; ``reach``, ``choice``, ``endp``, ``sec``
+and ``wire`` follow the tying offerers (a stub's ``wire`` reaches no
+one, so it is only bounded); the roots carry the resolved attack; the
+six ``counts`` recount.  Keys come from :meth:`RankModel.key` and
+:func:`~repro.core.rank.pack_key`: no code is shared with the kernel.
+A pass run under the wrong rank model, the attack's resolution and the
+decoding into routes stay with :mod:`repro.core.refimpl` and
+:mod:`repro.bgpsim`.
 
-* a fixed AS other than the roots holds the minimum key over the
-  offers of its fixed neighbours that the export rule ``Ex`` lets
-  through, and an unfixed AS is offered nothing;
-* ``reach`` is the OR of the tying offerers' (the BPR set, §4.1),
-  ``choice`` the lowest tying offerer and ``endp`` its endpoint;
-  ``sec`` is the tying offers' security and ``wire`` theirs as the AS
-  signs it (a full member signs, a transit AS outside ``S`` does not;
-  a stub's own bit reaches no neighbour, so it is only bounded);
-* the roots carry the resolved attack, and the six ``counts`` recount.
-
-It shares no code with the kernel: it reads the graph's own arrays and
-mints keys with :meth:`RankModel.key` and :func:`~repro.core.rank.
-pack_key`.  What it cannot see stays with the oracles
-(:mod:`repro.core.refimpl`, :mod:`repro.bgpsim`): a pass run under the
-wrong rank model, the attack's resolution, the decoding into routes.
-
-Example:
-    The five-AS graph of :mod:`repro.core`; ``5`` attacks ``4``:
+Example, on the five-AS graph of :mod:`repro.core` (``5`` attacks ``4``):
 
     >>> from repro.core import BASELINE, RoutingContext, fixing
     >>> from repro.topology.graph import graph_from_edges
@@ -52,39 +43,22 @@ from .rank import pack_key
 
 
 def certify(ctx: RoutingContext, state: StatePass) -> None:
-    """Raise ``AssertionError`` naming an AS unless ``state`` is the
-    stable state of its pass (module docstring)."""
+    """Raise ``AssertionError`` naming the first unstable AS in fixing
+    order (roots first: a wrong field misleads the ASes it offers to)
+    unless ``state`` is the stable state of its pass."""
     g, n, st = ctx.graph, ctx.n, state.arrays
-    fixed, key, cls, ln, reach, wire, sec, endp = (
-        st[name]
-        for name in ("fixed", "key", "cls", "len", "reach", "wire", "sec", "endp")
-    )
+    fixed, key, cls, ln, reach, wire, sec, endp = (st[name] for name in (
+        "fixed", "key", "cls", "len", "reach", "wire", "sec", "endp"))
     d, m, attack, model = state.dest_i, state.att_i, state.attack, state.model
     rank = np.frombuffer(state.ranking, np.uint8).astype(np.int64)
     root = np.zeros(n, bool)
     root[[d, m] if m >= 0 else [d]] = True
     held = fixed & ~root
-    failed: list = []  # (flagged ASes, message) per check
-
-    def reject() -> None:
-        """Name the first flagged AS in fixing order (roots first): a
-        wrong field misleads the ASes it offers to, which fix later."""
-        flagged = np.flatnonzero(np.logical_or.reduce([bad for bad, _ in failed]))
-        if len(flagged):
-            i = int(flagged[np.argmin(np.where(root, -1, key)[flagged])])
-            what = next(what for bad, what in failed if bad[i])
-            more = len(flagged) - 1
-            more = f" ({more} more ASes flagged)" if more else ""
-            raise AssertionError(
-                f"unstable state: AS {g.asn_of[i]} {what(i)}{more}"
-            )
-
-    failed.append((
-        held & ((ln < 1) | (ln > n + attack.length) | (cls < 0) | (cls > 2)
-                | (sec < 0) | (sec > 1)),
-        lambda i: f"holds an impossible route: class {cls[i]}, length {ln[i]}",
-    ))
-    reject()
+    odd = np.flatnonzero(held & ((ln < 1) | (ln > n + attack.length) | (cls < 0)
+                                 | (cls > 2) | (sec < 0) | (sec > 1)))
+    if len(odd):
+        raise AssertionError(f"unstable state: AS {g.asn_of[odd[0]]} holds an "
+                             f"impossible route: {cls[odd[0]]}, {ln[odd[0]]}")
     lengths = np.flatnonzero(np.bincount(ln[held])).tolist()
     table = np.full((max([attack.length, *lengths]) + 2, 3, 2), _NP_INF)
     for length in {1, attack.length + 1, *lengths, *(x + 1 for x in lengths)}:
@@ -99,75 +73,62 @@ def certify(ctx: RoutingContext, state: StatePass) -> None:
     if m >= 0:
         sends[m], out_all[m] = attack.active, attack.export_all
         out_len[m], out_wire[m] = attack.length + 1, attack.wire
-    # Slot j of row v: v is offered u = node[j]'s announcement as a route
-    # of class ``got``; Ex lets it through if u exports to all or is v's
-    # provider.  Legal slots stay in row order, so each row's offers are
-    # one run of them.
+    # Slot j of row v offers v the announcement of u = adj_node[j] as a
+    # route of class ``as_class``, which Ex lets through if u exports to all
+    # or is v's provider.  Legal slots stay in row order.
     row = np.repeat(np.arange(n), np.diff(g.adj_start))
-    u = g.adj_node
-    from_provider = g.adj_class == RouteClass.CUSTOMER
-    at = np.flatnonzero(sends[u] & (out_all[u] | from_provider))
-    u, v = u[at], row[at]
-    got = RouteClass.PROVIDER - g.adj_class[at].astype(np.int64)
-    offer = table[out_len[u], got, out_wire[u] & rank[v]]
+    legal = np.flatnonzero(sends[g.adj_node] & (
+        out_all[g.adj_node] | (g.adj_class == RouteClass.CUSTOMER)))
+    u, v = g.adj_node[legal], row[legal]
+    as_class = RouteClass.PROVIDER - g.adj_class[legal].astype(np.int64)
+    offer = table[out_len[u], as_class, out_wire[u] & rank[v]]
 
-    def runs(rows):
-        """The rows of a sorted slot array and where each one's run starts."""
-        if not len(rows):
-            return rows, rows
-        heads = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        return rows[heads], heads
-
-    def per_row(ufunc, values, identity, run):
-        """``ufunc`` over each row's run of ``values``."""
+    def per_row(ufunc, rows, values, identity):
+        """``ufunc`` over each run of a sorted ``rows``' ``values``."""
         out = np.full(n, identity, np.int64)
-        if len(run[1]):
-            out[run[0]] = ufunc.reduceat(values, run[1])
+        if len(rows):
+            heads = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            out[rows[heads]] = ufunc.reduceat(values, heads)
         return out
 
-    best = per_row(np.minimum, offer, _NP_INF, runs(v))
+    best = per_row(np.minimum, v, offer, _NP_INF)
     tie = offer == best[v]
-    u, tied = u[tie], runs(v[tie])
-    t_choice = per_row(np.minimum, u, n, tied)
-    t_wire = per_row(np.minimum, out_wire[u], 1, tied)
+    u, v = u[tie], v[tie]
+    t_choice = per_row(np.minimum, v, u, n)
+    t_wire = per_row(np.minimum, v, out_wire[u], 1)
     stub = np.bincount(row[g.adj_class == RouteClass.PROVIDER], minlength=n) == 0
     want = {
         "fixed": (best < _NP_INF) | root, "key": best, "len": ln.copy(),
-        "reach": per_row(np.bitwise_or, reach[u], 0, tied), "choice": t_choice,
+        "reach": per_row(np.bitwise_or, v, reach[u], 0), "choice": t_choice,
         "endp": endp[np.minimum(t_choice, n - 1)],
         "sec": t_wire & rank if model.uses_security else np.zeros(n, np.int64),
     }
     lo, hi = t_wire & rank, t_wire & (rank | stub)
-    for i, ends, length, secure, low, high in [
-        (d, 1, 0, wire[d], rank[d], rank[d] | stub[d]),
-        *([(m, 2 * attack.active, attack.length, 0, attack.wire, attack.wire)]
-          if m >= 0 else []),
-    ]:
+    roots = [(d, 1, 0, wire[d], rank[d], rank[d] | stub[d])]
+    if m >= 0:
+        roots.append((m, 2 * attack.active, attack.length, 0, attack.wire, attack.wire))
+    for i, ends, length, secure, low, high in roots:
+        lo[i], hi[i] = low, high
         for name, value in (("key", _NP_INF), ("len", length), ("reach", ends),
                             ("choice", -1), ("endp", ends), ("sec", secure)):
             want[name][i] = value
-        lo[i], hi[i] = low, high
     at = np.where(held, (ln * 3 + cls) * 2 + sec, 0)  # held routes' keys
     ranks = np.where(held, table.ravel()[at], _NP_INF)
-    failed.append((held & (ranks != key),
-                   lambda i: f"holds key {key[i]}, but its route ranks {ranks[i]}"))
-    for name, values in want.items():
-        failed.append((
-            (fixed | (name == "fixed")) & (st[name] != values),
-            lambda i, name=name, values=values:
-            f"has {name} {st[name][i]}, its offers give {values[i]}",
-        ))
-    failed.append((
-        fixed & ((wire < lo) | (wire > hi)),
-        lambda i: f"has wire {wire[i]}, its offers and signing give {lo[i]}..{hi[i]}",
-    ))
-    reject()
+    bounded = np.clip(wire, lo, hi)
+    checks = [("key", held & (ranks != key), key, ranks),
+              ("wire", fixed & (wire != bounded), wire, bounded),
+              *((name, (fixed | (name == "fixed")) & (st[name] != values),
+                 st[name], values) for name, values in want.items())]
+    bad = np.flatnonzero(np.logical_or.reduce([c[1] for c in checks]))
+    if len(bad):
+        i = bad[np.argmin(np.where(root, -1, key)[bad])]
+        name, _, got, values = next(c for c in checks if c[1][i])
+        raise AssertionError(f"unstable state: AS {g.asn_of[i]} has "
+                             f"{name} {got[i]}, its offers give {values[i]}")
 
     happy, both, hit = (int(np.count_nonzero(reach[held] == x)) for x in (1, 3, 2))
     recount = (happy, happy + both, hit, hit + both,
                int(np.count_nonzero(sec[held])), int(np.count_nonzero(held)))
     if tuple(state.counts) != recount:
-        raise AssertionError(
-            f"unstable state: the pass to AS {g.asn_of[d]} counts "
-            f"{tuple(state.counts)}, its state {recount}"
-        )
+        raise AssertionError(f"unstable state: the pass to AS {g.asn_of[d]} "
+                             f"counts {tuple(state.counts)}, its state {recount}")

@@ -73,7 +73,8 @@ pass once, K of them to a call.  A state pass proves itself:
 this kernel, that no AS prefers a neighbour's offer to its route.  The
 dict-based seed engine (:mod:`repro.core.refimpl`) and
 :mod:`repro.bgpsim` stay the oracles for what it cannot see: a pass run
-under the wrong rank model, the attack's resolution, the decoding.
+under the wrong rank model, the attack's resolution, the decoding, and
+a stub's wire bit, which it only bounds.
 """
 
 from __future__ import annotations

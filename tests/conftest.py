@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 import signal
@@ -101,8 +102,11 @@ def certified():
 def spawn_child():
     """``spawn_child(code, **fields)`` runs ``code.format(src=SRC,
     **fields)`` in a child python (stdout piped as text) in a session of
-    its own; teardown, after the test's own asserts, SIGKILLs the
-    session, so a failed test leaves no pool worker behind."""
+    its own.  Teardown, after the test's own asserts, SIGKILLs the
+    session while it has a member — the child unreaped, or a pool
+    worker the test listed in ``child.workers`` still in it — so a
+    failed test leaves no worker behind and a recycled pid is never
+    signalled."""
     children = []
 
     def spawn(code: str, **fields) -> subprocess.Popen:
@@ -112,12 +116,16 @@ def spawn_child():
         ))
         return children[-1]
 
+    def group_of(pid: int) -> int | None:
+        with contextlib.suppress(ProcessLookupError):
+            return os.getpgid(pid)
+
     yield spawn
     for child in children:
-        try:
-            os.killpg(child.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
+        workers = getattr(child, "workers", ())
+        if child.poll() is None or child.pid in map(group_of, workers):
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
         child.wait()
         child.stdout.close()
 

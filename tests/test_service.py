@@ -837,7 +837,7 @@ def test_sigterm_drains_and_takes_pool_workers_down(tmp_path, pid_alive, spawn_c
     proc = spawn_child(_SHUTDOWN_CHILD, cache=str(tmp_path / "cache"))
     line = proc.stdout.readline().split()
     assert line[0] == "READY" and len(line) == 4, line
-    worker_pids = [int(pid) for pid in line[2:]]
+    proc.workers = worker_pids = [int(pid) for pid in line[2:]]
     assert all(pid_alive(pid) for pid in worker_pids)
     proc.send_signal(signal.SIGTERM)
     signalled = time.monotonic()

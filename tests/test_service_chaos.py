@@ -688,7 +688,7 @@ def test_sigterm_mid_stream_finishes_stream_and_reaps_workers(
     line = proc.stdout.readline().split()
     assert line[0] == "READY" and len(line) == 4, line
     port = line[1]
-    worker_pids = [int(pid) for pid in line[2:]]
+    proc.workers = worker_pids = [int(pid) for pid in line[2:]]
     assert all(pid_alive(pid) for pid in worker_pids)
 
     request = _request([2, 3])

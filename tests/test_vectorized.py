@@ -36,10 +36,11 @@ from repro.core.attacks import (
     PathLengthHijack,
     ResolvedAttack,
 )
-from repro.core.rank import RankModel, SecurityModel
+from repro.core.rank import RankModel, SecurityModel, pack_key
 from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.core import context, fixing, outcome
 from repro.core.context import RoutingContext
+from repro.core.fixing import _NP_INF
 from repro.core.jobs import (
     DestinationSweep,
     batch_happiness_counts,
@@ -87,6 +88,8 @@ class RefOracle:
 
     def __init__(self, graph):
         self.ctx = RefRoutingContext(graph)
+        self.asns = sorted(graph.asns)
+        self.index_of = {asn: i for i, asn in enumerate(self.asns)}
 
     def outcome(self, d, m, deployment, model, attack=ONE_HOP_HIJACK):
         return ref_compute_routing_outcome(
@@ -112,6 +115,33 @@ class RefOracle:
             *ref.count_happy(), *ref.count_attacked(),
             ref.count_secure_sources(), sum(1 for _ in ref.sources()),
         )
+
+    def keys(self, ref):
+        """Per dense index the packed rank key, ``_NP_INF`` where none
+        (a root, or an AS no route reaches)."""
+        return [
+            _NP_INF if info is None or info.key is None else pack_key(info.key)
+            for info in map(ref.routes.get, self.asns)
+        ]
+
+    def state(self, ref):
+        """Per dense index what a state call leaves in its arrays (``cls``
+        is left out: a root's is not a route's)."""
+        unreached = (False, 0, 0, False, False, None, 0)
+        rows = [
+            unreached if info is None else (
+                True, info.length, int(info.reaches), info.wire_secure,
+                info.secure, info.choice, int(info.endpoint),
+            )
+            for info in map(ref.routes.get, self.asns)
+        ]
+        fixed, length, reach, wire, sec, choice, endp = zip(*rows)
+        return {
+            "fixed": list(fixed), "len": list(length), "reach": list(reach),
+            "wire": [int(w) for w in wire], "sec": [int(x) for x in sec],
+            "choice": [-1 if c is None else self.index_of[c] for c in choice],
+            "endp": list(endp), "key": self.keys(ref),
+        }
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +239,7 @@ class TestDifferentialGrid:
                 vec_ctx, d, attacker=m, deployment=dep, model=model,
                 attack=attack,
             )
+            assert vec_ctx._np_scratch["key"].tolist() == oracle.keys(ref)
             assert dict(vec.routes) == ref.routes
             assert vec._counts == oracle.pass_counts(ref)
             assert vec.count_happy() == ref.count_happy()
@@ -218,12 +249,12 @@ class TestDifferentialGrid:
     @pytest.mark.parametrize("attack", STRATEGIES, ids=lambda a: a.token)
     @pytest.mark.parametrize("model", CLASSIC_MODELS, ids=lambda m: m.label)
     def test_vectorized_matches_reference_engine(self, graph, vec_ctx, model, attack):
-        """Every pass, under the model and its LP2 twin, is certified
-        stable (``certified``): the one state the reference engine
-        computes too."""
+        """The model's LP2 twin on instances of its own, whose only
+        oracle is ``certify`` (``certified``): a stable pass is the one
+        state the reference engine computes too, to which
+        ``test_outcomes_bit_identical`` holds every model."""
         for m, d, dep in _instances(graph, f"ref/{model.label}/{attack.token}", k=2):
-            for mod in (model, lp2_variant(model)):
-                compute_routing_outcome(vec_ctx, d, m, dep, mod, attack)
+            compute_routing_outcome(vec_ctx, d, m, dep, lp2_variant(model), attack)
 
     @pytest.mark.parametrize("attack", STRATEGIES, ids=lambda a: a.token)
     def test_counts_both_scheduling_modes(self, graph, oracle, vec_ctx, attack):
@@ -330,6 +361,7 @@ class TestFreshContext:
         ) == oracle.counts(pairs, chain[2], model, attack)
         m = pairs[-1][0]
         for step in chain[1:]:
+            ref = oracle.outcome(many_d, m, step, model, attack)
             assert (
                 dict(normal_conditions(bare, many_d, step, model).routes),
                 dict(compute_routing_outcome(
@@ -340,8 +372,7 @@ class TestFreshContext:
                 ).happiness_counts(m),
             ) == (
                 oracle.outcome(many_d, None, step, model).routes,
-                oracle.outcome(many_d, m, step, model, attack).routes,
-                oracle.counts([(m, many_d)], step, model, attack)[0],
+                ref.routes, (*ref.count_happy(), ref.num_sources),
             )
         want = [oracle.outcome(d, m, chain[-1], model, attack) for m, d in pairs]
         for (m, d), ref in zip(pairs, want):
@@ -459,8 +490,18 @@ class TestRowsKernel:
             for row, ref, counts in zip(rows, refs, batch):
                 assert counts == oracle.pass_counts(ref)
                 assert fixing._run_np(vec, [row], model) == [counts]
-                # a certified state call: its arrays are the stable state
-                assert fixing._run(vec, *row[:4], model, row[4]).counts == counts
+                state = fixing._run(vec, *row[:4], model, row[4])
+                assert state.counts == counts
+                # the state call returns the reference's state in its
+                # arrays (a reached AS's class is its route's)
+                st, want = state.arrays, oracle.state(ref)
+                for name, values in want.items():
+                    assert st[name].tolist() == values, name
+                roots = {row[0], row[1]}
+                for v, asn in enumerate(oracle.asns):
+                    info = ref.routes.get(asn)
+                    if info is not None and v not in roots:
+                        assert st["cls"][v] == info.route_class, v
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_jobs_equal_one_job_calls_equal_reference(self, case, count_rows):
@@ -1186,7 +1227,7 @@ def test_sigterm_mid_run_leaks_nothing(pid_alive, spawn_child):
     proc = spawn_child(_TEARDOWN_CHILD)
     line = proc.stdout.readline().split()
     assert line[0] == "WORKERS" and len(line) == 3, line
-    worker_pids = [int(pid) for pid in line[1:]]
+    proc.workers = worker_pids = [int(pid) for pid in line[1:]]
     assert all(pid_alive(pid) for pid in worker_pids)
     time.sleep(1.0)  # let an evaluation start
     proc.send_signal(signal.SIGTERM)
