@@ -6,9 +6,9 @@ CSR rows (row ``v`` holds the offers ``v`` receives), that a
 unique, so a certified pass *is* the answer.  Each fixed non-root AS
 holds the minimum key of its fixed neighbours' ``Ex``-legal offers, and
 an unfixed AS is offered none; ``reach``, ``choice``, ``endp``, ``sec``
-and ``wire`` follow the tying offerers (a stub's ``wire`` reaches no
-one, so it is only bounded); the roots carry the resolved attack; the
-six ``counts`` recount.  Keys come from :meth:`RankModel.key` and
+and ``wire`` follow the tying offerers (``wire`` also the AS's own
+signing bit); the roots carry the resolved attack; the six ``counts``
+recount.  Keys come from :meth:`RankModel.key` and
 :func:`~repro.core.rank.pack_key`: no code is shared with the kernel.
 A pass run under the wrong rank model, the attack's resolution and the
 decoding into routes stay with :mod:`repro.core.refimpl` and
@@ -50,7 +50,8 @@ def certify(ctx: RoutingContext, state: StatePass) -> None:
     fixed, key, cls, ln, reach, wire, sec, endp = (st[name] for name in (
         "fixed", "key", "cls", "len", "reach", "wire", "sec", "endp"))
     d, m, attack, model = state.dest_i, state.att_i, state.attack, state.model
-    rank = np.frombuffer(state.ranking, np.uint8).astype(np.int64)
+    rank, sign = (np.frombuffer(mask, np.uint8).astype(np.int64)
+                  for mask in (state.ranking, state.signing))
     root = np.zeros(n, bool)
     root[[d, m] if m >= 0 else [d]] = True
     held = fixed & ~root
@@ -96,27 +97,24 @@ def certify(ctx: RoutingContext, state: StatePass) -> None:
     u, v = u[tie], v[tie]
     t_choice = per_row(np.minimum, v, u, n)
     t_wire = per_row(np.minimum, v, out_wire[u], 1)
-    stub = np.bincount(row[g.adj_class == RouteClass.PROVIDER], minlength=n) == 0
     want = {
         "fixed": (best < _NP_INF) | root, "key": best, "len": ln.copy(),
         "reach": per_row(np.bitwise_or, v, reach[u], 0), "choice": t_choice,
         "endp": endp[np.minimum(t_choice, n - 1)],
         "sec": t_wire & rank if model.uses_security else np.zeros(n, np.int64),
+        "wire": t_wire & sign,
     }
-    lo, hi = t_wire & rank, t_wire & (rank | stub)
-    roots = [(d, 1, 0, wire[d], rank[d], rank[d] | stub[d])]
+    roots = [(d, 1, 0, sign[d], sign[d])]
     if m >= 0:
-        roots.append((m, 2 * attack.active, attack.length, 0, attack.wire, attack.wire))
-    for i, ends, length, secure, low, high in roots:
-        lo[i], hi[i] = low, high
+        roots.append((m, 2 * attack.active, attack.length, 0, attack.wire))
+    for i, ends, length, secure, signed in roots:
         for name, value in (("key", _NP_INF), ("len", length), ("reach", ends),
-                            ("choice", -1), ("endp", ends), ("sec", secure)):
+                            ("choice", -1), ("endp", ends), ("sec", secure),
+                            ("wire", signed)):
             want[name][i] = value
     at = np.where(held, (ln * 3 + cls) * 2 + sec, 0)  # held routes' keys
     ranks = np.where(held, table.ravel()[at], _NP_INF)
-    bounded = np.clip(wire, lo, hi)
     checks = [("key", held & (ranks != key), key, ranks),
-              ("wire", fixed & (wire != bounded), wire, bounded),
               *((name, (fixed | (name == "fixed")) & (st[name] != values),
                  st[name], values) for name, values in want.items())]
     bad = np.flatnonzero(np.logical_or.reduce([c[1] for c in checks]))

@@ -73,8 +73,7 @@ pass once, K of them to a call.  A state pass proves itself:
 this kernel, that no AS prefers a neighbour's offer to its route.  The
 dict-based seed engine (:mod:`repro.core.refimpl`) and
 :mod:`repro.bgpsim` stay the oracles for what it cannot see: a pass run
-under the wrong rank model, the attack's resolution, the decoding, and
-a stub's wire bit, which it only bounds.
+under the wrong rank model, the attack's resolution and the decoding.
 """
 
 from __future__ import annotations
@@ -152,10 +151,11 @@ class StatePass(NamedTuple):
     """What one state call (:func:`_run`) computed: its six ``counts``
     over the sources (the roots left out) — happy lower/upper, attacked
     lower/upper, secure, fixed — its per-node ``arrays``, and the
-    roots, resolved attack, model and ranking mask that next-hop
-    membership is derived from (:func:`repro.core.outcome.
-    _np_nhop_pairs`).  ``arrays`` is the context's state scratch,
-    valid until its next state call."""
+    roots, resolved attack and model, the signing mask the certificate
+    (:mod:`repro.core.certify`) checks each AS's ``wire`` against, and
+    the ranking mask that next-hop membership is derived from
+    (:func:`repro.core.outcome._np_nhop_pairs`).  ``arrays`` is the
+    context's state scratch, valid until its next state call."""
 
     counts: tuple[int, int, int, int, int, int]
     arrays: dict
@@ -163,6 +163,7 @@ class StatePass(NamedTuple):
     att_i: int
     attack: ResolvedAttack
     model: RankModel
+    signing: bytearray
     ranking: bytearray
 
 
@@ -216,7 +217,9 @@ def _run(
     (counts,) = _run_np(
         ctx, [(dest_i, att_i, signing, ranking, attack)], model, state=True
     )
-    return StatePass(counts, ctx._np_scratch, dest_i, att_i, attack, model, ranking)
+    return StatePass(
+        counts, ctx._np_scratch, dest_i, att_i, attack, model, signing, ranking
+    )
 
 
 def _seed_roots(rows: Sequence[tuple], n: int, st: dict, sign_np, state: bool):

@@ -34,10 +34,12 @@ from .tiers import PAPER_CONTENT_PROVIDERS
 #: Topologies at or above this many ASes draw transit providers from
 #: preferential-attachment tables, one uniform index per draw (the
 #: ``getrandbits`` rejection loop of ``randrange``, run inline); smaller
-#: ones draw by ``random.choices`` over the candidates' weights (``1 +``
-#: customer degree).  Both give the same attachment distribution but
-#: consume the RNG differently, and each stream pins its own scales'
-#: bytes (``tests/test_generate.py``), which is why both modes stay.
+#: ones draw by weight (``1 +`` customer degree), one ``random()`` per
+#: draw descending a prefix-sum tree per layer (:class:`_WeightTree`):
+#: ``random.choices``' value in O(log n).  Both give the same attachment
+#: distribution but consume the RNG differently, and each stream pins
+#: its own scales' bytes (``tests/test_generate.py``), which is why both
+#: modes stay.
 FAST_ATTACHMENT_MIN_N = 20_000
 
 
@@ -121,6 +123,53 @@ def _pick_distinct(
     return chosen
 
 
+class _WeightTree:
+    """A transit layer's attachment weights as a Fenwick (binary
+    indexed) tree of ints: one more customer for a member, and the draw,
+    each cost O(log |members|).  The weights are ints, so every prefix
+    sum is exact."""
+
+    __slots__ = ("members", "total", "_tree", "_top")
+
+    def __init__(self, members: list[int], weights: list[int]) -> None:
+        size = len(members)
+        tree = [0, *weights]
+        for i in range(1, size + 1):
+            parent = i + (i & -i)
+            if parent <= size:
+                tree[parent] += tree[i]
+        self.members = members
+        self.total = sum(weights)
+        self._tree = tree
+        self._top = 1 << (size.bit_length() - 1)
+
+    def add(self, i: int) -> None:
+        """Add 1 to member ``i``'s weight."""
+        tree = self._tree
+        end = len(tree)
+        i += 1
+        while i < end:
+            tree[i] += 1
+            i += i & -i
+        self.total += 1
+
+    def find(self, x: float, below: int) -> int:
+        """The first member whose prefix sum plus ``below`` exceeds ``x``
+        (which ``below + total`` does): ``bisect_right`` over the layer's
+        cumulative weights, as ``random.choices`` takes it.  Python
+        compares an int with a float exactly."""
+        tree = self._tree
+        size = len(tree) - 1
+        pos, step = 0, self._top
+        while step:
+            nxt = pos + step
+            if nxt <= size and below + tree[nxt] <= x:
+                pos = nxt
+                below += tree[nxt]
+            step >>= 1
+        return self.members[pos]
+
+
 def _pair(a: int, b: int) -> int:
     """The unordered pair ``{a, b}`` of 32-bit ASNs as one int."""
     return a << 32 | b if a < b else b << 32 | a
@@ -150,9 +199,9 @@ class _Builder:
         self.fast = params.n >= FAST_ATTACHMENT_MIN_N
         #: provider ASN -> its layer's PA table (fast mode only).
         self._pa_of: dict[int, list[int]] = {}
-        #: provider ASN -> its layer's weight list and its index in it
+        #: provider ASN -> its layer's weight tree and its index in it
         #: (weighted mode only).
-        self._weight_of: dict[int, tuple[list[float], int]] = {}
+        self._tree_of: dict[int, tuple[_WeightTree, int]] = {}
 
     def make_layer(self, name: str, count: int) -> list[int]:
         """``count`` fresh ASNs, skipping the reserved content-provider
@@ -191,8 +240,9 @@ class _Builder:
         """Start keeping a transit layer's attachment weights, ``1 +
         customer_degree`` per member, in the form its mode draws from: a
         PA table holding each member once per unit of weight (fast mode:
-        a uniform index draw is a weighted draw), or one weight per
-        member; :meth:`add_c2p` keeps either exact."""
+        a uniform index draw is a weighted draw), or a
+        :class:`_WeightTree` over the members; :meth:`add_c2p` keeps
+        either exact."""
         customers = self.customers
         if self.fast:
             table: list[int] = []
@@ -200,9 +250,9 @@ class _Builder:
                 table.extend([m] * (1 + customers.get(m, 0)))
                 self._pa_of[m] = table
         else:
-            weights = [1.0 + customers.get(m, 0) for m in members]
+            tree = _WeightTree(members, [1 + customers.get(m, 0) for m in members])
             for i, m in enumerate(members):
-                self._weight_of[m] = (weights, i)
+                self._tree_of[m] = (tree, i)
 
     def add_c2p(self, customer: int, providers: list[int]) -> None:
         """Add customer-provider edges, keeping tracked weights exact."""
@@ -214,8 +264,8 @@ class _Builder:
             if self.fast:
                 self._pa_of[provider].append(provider)
             else:
-                weights, i = self._weight_of[provider]
-                weights[i] += 1.0
+                tree, i = self._tree_of[provider]
+                tree.add(i)
 
     def attach_providers(self, asn: int, layers: list[list[int]], count: int) -> None:
         """Attach ``count`` providers drawn from the tracked ``layers``
@@ -230,49 +280,78 @@ class _Builder:
 
     def pick_weighted(self, layers: list[list[int]], k: int) -> list[int]:
         """Up to ``k`` distinct members of ``layers`` drawn by ``1 +
-        customer_degree``: the kept weight lists in weighted mode, weights
-        from the customer counts in fast mode (whose only weighted draw
-        is a content provider's, 17 per graph)."""
+        customer_degree``: from the kept weight trees in weighted mode,
+        by :func:`_pick_distinct` over weights from the customer counts in
+        fast mode (whose only weighted draw is a content provider's, 17
+        per graph)."""
+        if not self.fast:
+            trees = [self._tree_of[layer[0]][0] for layer in layers]
+            k = min(k, sum(map(len, layers)))
+            return self._pick_tree(trees, sum(tree.total for tree in trees), k)
         population = list(chain.from_iterable(layers))
-        if self.fast:
-            customers = self.customers
-            weights = [1.0 + customers.get(c, 0) for c in population]
-        else:
-            weights = chain.from_iterable(
-                self._weight_of[layer[0]][0] for layer in layers
-            )
+        customers = self.customers
+        weights = [1.0 + customers.get(c, 0) for c in population]
         return _pick_distinct(self.rng, population, list(accumulate(weights)), k)
 
     def attach_stubs(self, stubs: list[int], layers: list[list[int]]) -> None:
         """Attach each stub to ``choice((1, 1, 1, 2, 2, 3))`` providers as
-        :meth:`attach_providers` would.  In fast mode the layers' PA
-        tables and their running total carry across stubs, the count is
+        :meth:`attach_providers` would.  The layers' PA tables or weight
+        trees and their running total carry across stubs, the count is
         drawn inline and the edges land without :meth:`add_c2p` (and
         without customer counts, which no later draw reads): the same
         draws, without a call frame each."""
         counts = (1, 1, 1, 2, 2, 3)
-        if not self.fast:
-            choice = self.rng.choice
-            for asn in stubs:
-                self.attach_providers(asn, layers, choice(counts))
-            return
-        tables = [self._pa_of[layer[0]] for layer in layers]
-        total = sum(map(len, tables))
+        fast = self.fast
+        if fast:
+            sources = [self._pa_of[layer[0]] for layer in layers]
+            total = sum(map(len, sources))
+            pick = self._pick_pa
+        else:
+            sources = [self._tree_of[layer[0]][0] for layer in layers]
+            total = sum(tree.total for tree in sources)
+            pick = self._pick_tree
         getrandbits = self.rng.getrandbits
         n_counts = len(counts)
         bits = n_counts.bit_length()
-        pick = self._pick_pa
-        c2p, edges, pa_of = self.c2p, self.edges, self._pa_of
+        c2p, edges, pa_of, tree_of = self.c2p, self.edges, self._pa_of, self._tree_of
         for asn in stubs:
             r = getrandbits(bits)  # choice(counts), as Random._randbelow
             while r >= n_counts:
                 r = getrandbits(bits)
-            chosen = pick(tables, total, counts[r])
+            chosen = pick(sources, total, counts[r])
             for provider in chosen:
                 c2p += (asn, provider)
                 edges.add(_pair(asn, provider))
-                pa_of[provider].append(provider)
+                if fast:
+                    pa_of[provider].append(provider)
+                else:
+                    tree, i = tree_of[provider]
+                    tree.add(i)
             total += len(chosen)
+
+    def _pick_tree(self, trees: list[_WeightTree], total: int, k: int) -> list[int]:
+        """Up to ``k`` (at most the trees' members) distinct members drawn
+        across weight trees holding ``total`` weight, with
+        :func:`_pick_distinct`'s retries.  Each draw is ``random.choices``
+        over the trees' cumulative weights in order: one ``random()``,
+        the same value, in O(log n)."""
+        random = self.rng.random
+        chosen: list[int] = []
+        attempts = 0
+        while len(chosen) < k and attempts < 50 * k:
+            attempts += 1
+            # random() < 1 and total is an int, so x < total: choices'
+            # clamp to the last index never fires, and a tree is found.
+            x = random() * float(total)
+            below = 0
+            for tree in trees:
+                if x < below + tree.total:
+                    candidate = tree.find(x, below)
+                    break
+                below += tree.total
+            if candidate not in chosen:
+                chosen.append(candidate)
+        return chosen
 
     def _pick_pa(self, tables: list[list[int]], total: int, k: int) -> list[int]:
         """Up to ``k`` distinct providers drawn across PA tables holding

@@ -211,23 +211,38 @@ class TestCertificate:
         """A security-2nd pass with a signed destination and most ASes
         signing, stubs in simplex mode, copied out of the scratch; and
         per corruption target its AS: a fixed transit AS, the
-        destination, and a neighbour of the destination."""
+        destination, a neighbour of the destination, and a fixed
+        simplex stub and a fixed unsigned stub each offered only signed
+        announcements (a flipped wire bit there stays inside the bounds
+        ``t_wire & rank`` .. ``t_wire`` that a stub's ranking alone
+        gives: only its signing bit pins it)."""
         graph = small_ctx.graph
         rnd = random.Random("certify")
         d, m = rnd.sample(graph.asns, 2)
         dep = Deployment.of([d, *rnd.sample(graph.asns, 250)]).with_simplex_stubs(graph)
         dest_i, att_i = small_ctx._check_pair(d, m)
-        state = fixing._run(
-            small_ctx, dest_i, att_i, *small_ctx.deployment_masks(dep), SECURITY_SECOND
-        )
+        signing, ranking = small_ctx.deployment_masks(dep)
+        state = fixing._run(small_ctx, dest_i, att_i, signing, ranking, SECURITY_SECOND)
         arrays = {name: a.copy() for name, a in state.arrays.items()}
-        transit = next(
-            v for v, asn in enumerate(small_ctx.asns)
-            if arrays["fixed"][v] and asn not in (d, m) and not graph.is_stub(asn)
-        )
-        neighbour = small_ctx.index_of[min(graph.neighbors(d) - {m})]
+        fixed, wire, index_of = arrays["fixed"], arrays["wire"], small_ctx.index_of
+
+        def fixed_as(stub: bool, signs: bool = True) -> int:
+            """The first fixed non-root AS of the kind; a stub one whose
+            fixed neighbours, and so its tying offerers, all announce
+            signed."""
+            return next(
+                v for v, asn in enumerate(small_ctx.asns)
+                if fixed[v] and asn not in (d, m) and graph.is_stub(asn) == stub
+                and (not stub or (signing[v] == signs and not ranking[v] and all(
+                    wire[index_of[u]] for u in graph.neighbors(asn)
+                    if fixed[index_of[u]])))
+            )
+
+        neighbour = index_of[min(graph.neighbors(d) - {m})]
         return small_ctx, state._replace(arrays=arrays), {
-            "transit": transit, "destination": dest_i, "neighbour": neighbour
+            "transit": fixed_as(stub=False), "destination": dest_i,
+            "neighbour": neighbour, "simplex-stub": fixed_as(stub=True),
+            "unsigned-stub": fixed_as(stub=True, signs=False),
         }
 
     @pytest.mark.parametrize("field, which, corrupt", [
@@ -237,10 +252,13 @@ class TestCertificate:
         ("wire", "transit", lambda x: 1 - x),
         ("sec", "transit", lambda x: 1 - x),
         ("wire", "destination", lambda x: 1 - x),  # a root's wire
+        ("wire", "simplex-stub", lambda x: 1 - x),  # signed, drops it
+        ("wire", "unsigned-stub", lambda x: 1 - x),  # unsigned, claims it
         ("fixed", "neighbour", lambda x: False),  # offered, yet unfixed
         ("counts", "destination", None),
     ], ids=["key", "choice", "reach", "wire", "sec", "root-wire",
-            "unfixed-but-offered", "count"])
+            "simplex-stub-wire", "unsigned-stub-wire", "unfixed-but-offered",
+            "count"])
     def test_rejects_a_corrupted_pass_naming_the_as(
         self, picked, field, which, corrupt
     ):

@@ -123,6 +123,12 @@ class TestDeterminism:
                 "50a728dc1a6757d5ffcb2c7ed261cfdcdb8bb6bff9bc9d5cf1d4c88354217409",
             ),
             (
+                FAST_ATTACHMENT_MIN_N - 1,
+                2013,
+                "a015958388c5ebeb851331bf160c9bc5aeaa88d9146f15a9e602453927c13082",
+                "781e9284ea3b7af6c3d7b11b06d65df1813c850cd128277b41b271dea0a18739",
+            ),
+            (
                 FAST_ATTACHMENT_MIN_N,
                 2013,
                 "48476964e9cc40d190edb79d0c0bd4436cab226d664fc42969dcb741835b954e",
@@ -147,6 +153,7 @@ class TestDeterminism:
             "weighted-attachment",
             "weighted-2200-seed7",
             "weighted-4000",
+            "weighted-19999",
             "pa-tables",
             "pa-tables-20k-seed7",
             "pa-tables-80k",
@@ -156,8 +163,9 @@ class TestDeterminism:
         """Every seeded scale reproduces its graph byte for byte: a change
         to the order of the generator's RNG calls fails here.  Below
         ``FAST_ATTACHMENT_MIN_N`` the weighted-draw stream is pinned on
-        several sizes and two seeds, above it the PA-table stream (on two
-        seeds, and at 80 000: the ``large`` scale's graph)."""
+        several sizes up to its largest, one below it, and two seeds;
+        from it the PA-table stream (on two seeds, and at 80 000: the
+        ``large`` scale's graph)."""
         topo = generate_topology(TopologyParams(n=n, seed=seed))
         serial2 = dumps_serial2(topo.graph).encode()
         ixps = repr(sorted(topo.ixp_members.items())).encode()
@@ -177,10 +185,11 @@ DRAW_SIZES = [1, 2, 3, 6, 7, 8, 9, 2**16, 2**16 + 1, 80_013]
 
 class TestInlineDraws:
     """The generator draws uniform indices with ``getrandbits`` rejection
-    loops of its own instead of ``randrange`` / ``choice``.  They must be
-    those calls' exact values and leave the stream where they would, or
-    every pinned topology moves; a CPython change to ``_randbelow``
-    fails here by name."""
+    loops of its own instead of ``randrange`` / ``choice``, and weighted
+    ones by descending weight trees instead of ``random.choices``.  They
+    must be those calls' exact values and leave the stream where they
+    would, or every pinned topology moves; a CPython change to
+    ``_randbelow`` or ``choices`` fails here by name."""
 
     DRAWS = 25
 
@@ -210,6 +219,55 @@ class TestInlineDraws:
             del b.p2p[-2:]
             b.edges.remove(pair)
         assert b.rng.getstate() == reference.getstate()
+
+    def test_weighted_draws_are_choices(self):
+        """A weighted draw over the trees of several layers, in either
+        order, with +1s landing between draws, is ``random.choices``
+        over those layers' weights; and where ``random() * total`` lands
+        exactly on a cumulative weight (inside a layer or at a layer's
+        end) it takes the next member, as ``bisect_right`` does."""
+        b = _Builder(TopologyParams(n=FAST_ATTACHMENT_MIN_N - 1, seed=5))
+        reference, bumps = random.Random(5), random.Random("bumps")
+        layers = [list(range(1, 6)), list(range(6, 30)), list(range(30, 43))]
+        for layer in layers:
+            b.track(layer)
+        weight = dict.fromkeys(range(1, 43), 1)
+        for order in (layers, layers[::-1], [layers[1], layers[0]]):
+            population = [asn for layer in order for asn in layer]
+            for customer in range(1000, 1000 + self.DRAWS * 4):
+                (want,) = reference.choices(population, [weight[a] for a in population])
+                assert b.pick_weighted(order, 1) == [want]
+                for provider in (want, bumps.choice(population)):
+                    b.add_c2p(customer, [provider])
+                    weight[provider] += 1
+        assert b.rng.getstate() == reference.getstate()
+
+        class Exact:
+            """An RNG whose ``random()`` runs through ``values``."""
+
+            def __init__(self, values):
+                self.random = iter(values).__next__
+
+        # weights 1, 2 | 3, 1, 1 (total 8): every x in 0..7 is exact, and
+        # each order's cumulative weights below 8 are among them (1, 3, 6,
+        # 7 and 3, 4, 5, 6), a layer's end (3 and 5) included.
+        b = _Builder(TopologyParams(n=FAST_ATTACHMENT_MIN_N - 1, seed=5))
+        a_layer, b_layer = [1, 2], [3, 4, 5]
+        for layer in (a_layer, b_layer):
+            b.track(layer)
+        b.add_c2p(9, [2, 3])
+        b.add_c2p(10, [3])
+        weight = {1: 1, 2: 2, 3: 3, 4: 1, 5: 1}
+        fractions = [x / 8 for x in range(8)]
+        for order in ([a_layer, b_layer], [b_layer, a_layer]):
+            population = [asn for layer in order for asn in layer]
+            b.rng = Exact(fractions)
+            got = [b.pick_weighted(order, 1) for _ in fractions]
+            ties = Exact(fractions)
+            assert got == [
+                random.Random.choices(ties, population, [weight[a] for a in population])
+                for _ in fractions
+            ]
 
 
 class TestParams:

@@ -142,6 +142,14 @@ MUTANTS = (
         "        peer_start,\n",
         "a row's customer tail (cust_start) starts at its peers",
     ),
+    # -- the generator's weighted draw ------------------------------------
+    Mutant(
+        "weighted_find_bisect_left", "src/repro/topology/generate.py",
+        "if nxt <= size and below + tree[nxt] <= x:",
+        "if nxt <= size and below + tree[nxt] < x:",
+        "a weight-tree draw on a cumulative weight takes that member "
+        "(bisect_left), not the next",
+    ),
     Mutant(
         "scratch_one_row_count_writes_state", "src/repro/core/context.py",
         "        if state:\n            if self._np_scratch is None:",
