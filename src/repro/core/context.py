@@ -21,7 +21,6 @@ import weakref
 import numpy as np
 
 from ..topology.graph import ASGraph
-from ..topology.relationships import RouteClass
 from .deployment import Deployment
 from .rank import PACK_SHIFT
 
@@ -51,8 +50,8 @@ class RoutingContext:
 
     Build once per graph.  ASNs map onto the graph's dense indices
     ``0..n-1`` (sorted-ASN order, so index tiebreaks equal ASN
-    tiebreaks), and the kernels read the graph's own CSR arrays
-    (:meth:`_np_csr`), not copies.  Each row lists ``u``'s
+    tiebreaks), and the kernels read the graph's own CSR arrays as
+    they are, never a copy or a derived array.  Each row lists ``u``'s
     providers, then its peers, then its customers, so the edges a
     non-customer route may be exported on are the row's tail from
     ``cust_start[u]``: the kernel expands only that tail for a source
@@ -90,9 +89,9 @@ class RoutingContext:
         "index_of",
         "n",
         "_rel_idx",
-        "_np_adj",
         "_np_scratch",
         "_np_rows",
+        "_blind_counts",
         "_mask_cache",
         "_stub_simplex_ok",
         "_zero_mask",
@@ -112,11 +111,14 @@ class RoutingContext:
         self.n = n
 
         self._rel_idx: tuple | None = None  # see _relationship_idx
-        self._np_adj: tuple | None = None
         #: the arrays a state call computes in (:meth:`_np_ensure_scratch`)
         self._np_scratch: dict | None = None
         #: the flat state arrays of the kernel's K-row count calls
         self._np_rows: dict | None = None
+        #: ``(blind model, dest_i, att_i, resolved attack)`` → the
+        #: happy bounds of that blind pass (:mod:`repro.core.jobs`):
+        #: exact for the context's life, as its graph never changes
+        self._blind_counts: dict = {}
         self._mask_cache: dict = {}
         #: id → deployment that passed :meth:`require_stub_simplex`
         #: (weak: a dead deployment drops out, so ids cannot be recycled).
@@ -155,22 +157,6 @@ class RoutingContext:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _np_csr(self):
-        """The graph's CSR as the kernel reads it (cached):
-        ``(start, node, cls_e, cf_b, esrc, cust_start)`` — ``start``,
-        ``node`` and ``cust_start`` the graph's own arrays, ``cls_e`` its
-        ``adj_class`` as int64, ``cf_b`` true on a customer slot and
-        ``esrc`` each slot's row; row ``u``'s customer edges are
-        ``cust_start[u]:start[u + 1]``."""
-        adj = self._np_adj
-        if adj is None:
-            g = self.graph
-            adj = self._np_adj = (
-                g.adj_start, g.adj_node, g.adj_class.astype(np.int64),
-                g.adj_class == RouteClass.PROVIDER, g.slot_rows(), g.cust_start,
-            )
-        return adj
 
     @property
     def batch_rows(self) -> int:

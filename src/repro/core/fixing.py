@@ -28,8 +28,8 @@ and lower bounds disagree on.  A deterministic tiebreak (lowest next-hop
 ASN) is also tracked so outcomes can be cross-validated against the
 message-passing simulator in :mod:`repro.bgpsim`.
 
-**The kernel.**  :func:`_run_np` is a bucket kernel over the context's
-int64 CSR (:class:`repro.core.context.RoutingContext`), with rank keys
+**The kernel.**  :func:`_run_np` is a bucket kernel over the graph's
+own CSR arrays (:class:`repro.topology.graph.ASGraph`), with rank keys
 packed into single ints (:func:`repro.core.rank.pack_key`).  Rank keys
 are strictly monotone on every input it takes (LP buckets never shrink
 along an export-legal edge, length always grows, and the one sender
@@ -291,7 +291,8 @@ def _run_np(
     n = ctx.n
     K = len(rows)
     int64, arange = np.int64, np.arange
-    start, node, cls_e, _cf_b, _esrc, cust_start = ctx._np_csr()
+    g = ctx.graph  # the CSR as the graph holds it: no copy, no derived array
+    start, node, cls_e, cust_start = g.adj_start, g.adj_node, g.adj_class, g.cust_start
     st = ctx._np_ensure_scratch(K, state)
     fills = {"keyq": _NP_INF, "key": _NP_INF, "choice": -1, "chacc": n}
     for name, arr in st.items():
@@ -338,8 +339,10 @@ def _run_np(
         v = node[eidx]
         if K > 1:
             v += (F - u)[rep]
-        ok = ~fixed_s[v]
-        if not ok.any():
+        # Masks become indices before they select: a gather by index
+        # beats a boolean one over the same mask.
+        ok = np.flatnonzero(~fixed_s[v])
+        if not len(ok):
             return
         v = v[ok]
         rep = rep[ok]
@@ -355,8 +358,8 @@ def _run_np(
         old = keyq[v]  # gather (a copy): pre-round tentative keys
         np.minimum.at(keyq, v, k)
         new = keyq[v]  # post-round tentative keys, per edge
-        improved = new < old
-        if improved.any():
+        improved = np.flatnonzero(new < old)
+        if len(improved):
             # Strict improvement resets the accumulators of the
             # *target* (reach/wire/chacc re-accumulate from the
             # identity), as a new best route replaces the BPR set.
@@ -366,7 +369,7 @@ def _run_np(
             wire_s[iv] = 1
             if state:
                 chacc[iv] = n
-        tie = k == new
+        tie = np.flatnonzero(k == new)
         tv = v[tie]
         rep = rep[tie]
         np.maximum.at(reach_s, tv, reach_s[F][rep])

@@ -141,8 +141,9 @@ def jobs_happiness_counts(
     orders routes by ``(LP bucket, length)`` alike — is the baseline
     placement's pass of its local preference under no deployment, keyed
     ``(d, m, resolved attack)`` and shared by every step, placement and
-    job that asks for it; any other keeps its model, deployment and
-    resolved attack.  The distinct passes run as the rows of
+    job that asks for it, and by every later call on the same context,
+    which keeps its happy bounds; any other keeps its model, deployment
+    and resolved attack.  The distinct passes run as the rows of
     :func:`repro.core.fixing._run_np`, :attr:`RoutingContext.batch_rows`
     to a call.
 
@@ -222,17 +223,38 @@ def jobs_happiness_counts(
             passes.setdefault(kernel_model, {}).setdefault(
                 key, [(dest_i, att_i, *masks, resolved)]
             ).append(asked)
+    # A blind pass runs once per context: its happy bounds stay on the
+    # context for every later call (a bin of the same plan included).
+    # Only blind passes run under a model that ranks no security.
+    known = ctx._blind_counts
     for kernel_model, by_key in passes.items():
-        todo = list(by_key.values())
+        blind = not kernel_model.uses_security
+        todo = []
+        for key, entry in by_key.items():
+            bounds = known.get((kernel_model, *key)) if blind else None
+            if bounds is None:
+                todo.append((key, entry))
+            else:
+                _scatter(entry, bounds)
         size = ctx.batch_rows
         for at in range(0, len(todo), size):
             batch = todo[at : at + size]
-            counted = fixing._run_np(ctx, [entry[0] for entry in batch], kernel_model)
-            for entry, counts in zip(batch, counted):
-                for step_out, idxs, sources in entry[1:]:
-                    for i in idxs:
-                        step_out[i] = (counts[0], counts[1], sources)
+            counted = fixing._run_np(
+                ctx, [entry[0] for _, entry in batch], kernel_model
+            )
+            for (key, entry), counts in zip(batch, counted):
+                bounds = counts[:2]
+                if blind:
+                    known[(kernel_model, *key)] = bounds
+                _scatter(entry, bounds)
     return results
+
+
+def _scatter(entry: list, bounds: tuple[int, int]) -> None:
+    """Hand a pass's happy bounds to every pair-step that is it."""
+    for step_out, idxs, sources in entry[1:]:
+        for i in idxs:
+            step_out[i] = (*bounds, sources)
 
 
 def rollout_happiness_counts(

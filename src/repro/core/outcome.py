@@ -81,14 +81,15 @@ def _np_nhop_pairs(ctx: RoutingContext, state: fixing.StatePass):
     do.
     """
     dest_i, att_i, attack = state.dest_i, state.att_i, state.attack
-    _start, node, cls_e, cf_b, esrc, _cust = ctx._np_csr()
+    g = ctx.graph
+    cf_b = g.adj_class == RouteClass.PROVIDER  # a slot to a customer
     st = state.arrays
     fixed_s = st["fixed"]
     cls_s = st["cls"]
     len_s = st["len"]
     wire_s = st["wire"]
-    u = esrc
-    v = node
+    u = g.slot_rows()
+    v = g.adj_node
     exp = (cls_s[u] == 0) | cf_b
     # Root overrides: the origin exports to everyone; the attacker
     # per its resolved strategy (len_s/wire_s already hold the root
@@ -108,7 +109,8 @@ def _np_nhop_pairs(ctx: RoutingContext, state: fixing.StatePass):
     us = u[sel]
     vs = v[sel]
     offer = wire_s[us] & fixing._u8(state.ranking)[vs]
-    k = fixing._np_key_fn(state.model)(cls_e[sel], len_s[us] + 1, offer)
+    cls_e = g.adj_class[sel].astype(np.int64)
+    k = fixing._np_key_fn(state.model)(cls_e, len_s[us] + 1, offer)
     keep = k == st["key"][vs]
     us = us[keep]
     vs = vs[keep]

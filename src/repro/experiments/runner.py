@@ -21,9 +21,11 @@ Two layers live here:
 * :class:`ExperimentContext` — topology + tiers + budgets + a
   **persistent fork pool**: created lazily on the first parallel call
   and reused for every subsequent one (the pool's workers inherit the
-  routing context at fork time — including the int64 CSR views its
-  kernels read, built just before the fork; what a
+  routing context at fork time — the graph's own arrays, which its
+  kernels read as they are; what a
   bin needs besides — pairs, deployments, model — rides with its task).
+  :meth:`ExperimentContext.close` ends a context and releases its
+  topology.
 * the **scenario scheduler** (:func:`run_experiments`) — collects the
   :class:`~repro.experiments.scenarios.EvalRequest` declarations of all
   experiments in a run, dedupes identical scenarios globally (baselines
@@ -58,7 +60,7 @@ from ..core.metrics import MetricResult, metric_of_counts
 from ..core.rank import RankModel
 from ..core.context import RoutingContext
 from ..core.jobs import jobs_happiness_counts
-from ..topology.generate import SyntheticTopology, TopologyParams, generate_topology
+from ..topology.generate import TopologyParams, generate_topology
 from ..topology.ixp import augment_with_ixp_peering
 from ..topology.tiers import TierTable, classify_tiers
 from .config import DEFAULT_SEED, Scale, get_scale
@@ -639,7 +641,12 @@ class _Pass:
         return [metric_of_counts(job.pairs, cells) for cells in job.cells]
 
 
-@dataclass
+#: What :meth:`ExperimentContext.close` drops: the topology and all
+#: that was derived from it.
+_RELEASED = ("graph_ctx", "tiers", "catalog", "cache")
+
+
+@dataclass(eq=False)
 class ExperimentContext:
     """Everything an experiment needs: topology, tiers, budgets, caching.
 
@@ -649,18 +656,19 @@ class ExperimentContext:
     scale) via :func:`cached` so intermediates can never collide across
     contexts even if a cache dict is ever shared.
 
-    Contexts own OS resources once a parallel call has run (the
-    persistent fork pool): call :meth:`close` when done, or use the
-    context as a ``with`` block.
+    A context holds its topology and, once a parallel call has run, a
+    persistent fork pool, until :meth:`close` ends it: call it when
+    done, or use the context as a ``with`` block.  A closed context has
+    released both, so a name still bound to one holds no graph, and
+    using it raises ``RuntimeError``: build a new one.
     """
 
     scale: Scale
     seed: int
     ixp: bool
-    topo: SyntheticTopology
-    graph_ctx: RoutingContext
-    tiers: TierTable
-    catalog: ScenarioCatalog
+    graph_ctx: RoutingContext = field(repr=False)
+    tiers: TierTable = field(repr=False)
+    catalog: ScenarioCatalog = field(repr=False)
     processes: int = 1
     #: run-wide attacker strategy: the default threat model for every
     #: request declared without an explicit ``attack`` (CLI ``--attack``).
@@ -669,7 +677,7 @@ class ExperimentContext:
     supervision: SupervisionPolicy = field(default_factory=SupervisionPolicy)
     #: structured audit trail of every recovered (and fatal) incident.
     failure_log: FailureLog = field(default_factory=FailureLog)
-    cache: dict = field(default_factory=dict)
+    cache: dict = field(default_factory=dict, repr=False)
     #: scenarios evaluated through :meth:`metric` /
     #: :meth:`metric_chain` (the acceptance counter: a warm-store rerun
     #: must leave this at zero).
@@ -679,6 +687,17 @@ class ExperimentContext:
     )
     #: the plan in flight (:meth:`_planned`), None between plans
     _pass: "_Pass | None" = field(default=None, repr=False, compare=False)
+    #: set by :meth:`close`, which released the topology
+    closed: bool = field(default=False, init=False)
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: one that
+        # close() released, or none at all.
+        if name in _RELEASED and self.__dict__.get("closed"):
+            raise _closed_error(f"its {name} was released")
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     @property
     def graph(self):
@@ -694,13 +713,13 @@ class ExperimentContext:
     def _ensure_pool(self) -> SupervisedPool:
         """Fork the worker pool once; reuse it for every parallel call.
 
-        The context builds its int64 CSR views first, so workers and
-        respawns inherit them copy-on-write instead of each rebuilding
-        them on its first pass (the per-pass scratch stays lazy: every
-        worker writes its own).
+        Workers inherit the graph copy-on-write and read its arrays as
+        they are (the per-pass scratch stays lazy: every worker writes
+        its own).  A closed context forks none again.
         """
+        if self.closed:
+            raise _closed_error("it forks no pool")
         if self._pool is None:
-            self.graph_ctx._np_csr()
             self._pool = SupervisedPool(
                 self, policy=self.supervision, failure_log=self.failure_log
             )
@@ -754,9 +773,12 @@ class ExperimentContext:
         yield from self._ensure_pool().run(tasks, chunksize, sizes)
 
     def close(self) -> None:
-        """Release owned OS resources (idempotent).
+        """End the context (idempotent): shut down the persistent fork
+        pool (if one was forked) and release the topology — the routing
+        context with its scratch and masks, the tiers, the catalog and
+        the plan cache — so the graph is freed even while a name is
+        still bound to this context.
 
-        Shuts down the persistent fork pool (no-op if never forked).
         Runs on every exit path: ``with`` blocks and explicit calls on
         the happy path, the module atexit hook (which the CLI's SIGTERM
         handler reaches via ``SystemExit``) on interrupted ones.
@@ -765,6 +787,9 @@ class ExperimentContext:
             self._pool.terminate()
             self._pool.join()
             self._pool = None
+        for name in _RELEASED:
+            self.__dict__.pop(name, None)
+        self.closed = True
 
     def __enter__(self) -> "ExperimentContext":
         return self
@@ -843,6 +868,13 @@ class ExperimentContext:
             planned.stream.close()
 
 
+def _closed_error(why: str) -> RuntimeError:
+    return RuntimeError(
+        f"the experiment context is closed, so {why}; build a new one "
+        f"with make_context"
+    )
+
+
 def make_context(
     scale: str | Scale = "small",
     seed: int = DEFAULT_SEED,
@@ -895,7 +927,6 @@ def make_context(
                 scale=scale_obj,
                 seed=seed,
                 ixp=ixp,
-                topo=topo,
                 graph_ctx=RoutingContext(graph),
                 tiers=tiers,
                 catalog=ScenarioCatalog(graph, tiers),

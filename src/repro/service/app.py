@@ -48,6 +48,7 @@ Resilience invariants this module maintains:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import math
 import sqlite3
@@ -462,23 +463,42 @@ class Service:
                         self.executor, lambda: make_context(**kwargs)
                     )
         self._contexts[key] = ectx  # (re)insert at MRU position
-        await self._evict()
+        await self._evict(keep=key)
         return ectx, lock
 
-    async def _evict(self) -> None:
+    @contextlib.asynccontextmanager
+    async def resident(self, scale: str, seed: int, ixp: bool):
+        """The resident context of a topology (:meth:`context_for`),
+        its lock held for the block.  Another request's eviction can
+        close the context between the lookup and the lock, and a closed
+        context holds no topology: then it looks the key up again."""
+        while True:
+            ectx, lock = await self.context_for(scale, seed, ixp)
+            async with lock:
+                if not ectx.closed:
+                    yield ectx
+                    return
+
+    async def _evict(self, keep: tuple | None = None) -> None:
         """Close least-recently-used contexts beyond the cap (skipping
-        any whose pool is mid-evaluation)."""
+        any whose pool is mid-evaluation, and ``keep``, the one being
+        handed out).  Each closes under its key's lock, so a request
+        that looked it up before finds it closed (:meth:`resident`),
+        never half closed."""
         evictable = [
             key
             for key in self._contexts
-            if not self._lock_for(key).locked()
+            if key != keep and not self._lock_for(key).locked()
         ]
         excess = len(self._contexts) - self.max_contexts
         for key in evictable[:max(0, excess)]:
-            ectx = self._contexts.pop(key)
-            await asyncio.get_running_loop().run_in_executor(
-                self.executor, ectx.close
-            )
+            ectx = self._contexts.pop(key, None)
+            if ectx is None:  # evicted meanwhile by another request
+                continue
+            async with self._lock_for(key):
+                await asyncio.get_running_loop().run_in_executor(
+                    self.executor, ectx.close
+                )
 
     # -- admission ------------------------------------------------------
     def _retry_after_s(self) -> int:
@@ -621,10 +641,7 @@ class Service:
         loop = asyncio.get_running_loop()
         try:
             first = chain[0]
-            ectx, lock = await self.context_for(
-                first.scale, first.seed, first.ixp
-            )
-            async with lock:
+            async with self.resident(first.scale, first.seed, first.ixp) as ectx:
                 if not wanted():
                     # Every waiter detached (deadline or disconnect)
                     # while we queued for the context: the work is

@@ -279,10 +279,7 @@ class JobManager:
         try:
             if job._cancel.is_set():
                 raise EvaluationCancelled("cancelled before start")
-            ectx, lock = await service.context_for(
-                job.scale, job.seed, job.ixp
-            )
-            async with lock:
+            async with service.resident(job.scale, job.seed, job.ixp) as ectx:
                 if job._cancel.is_set():
                     raise EvaluationCancelled("cancelled before start")
                 job.state = "running"

@@ -1,17 +1,23 @@
 """Unit tests for the destination-group scheduler of the experiment
-runner: grouping, cutting a plan's chains into bins, and the
-order-preserving scatter/gather of ``ExperimentContext.metric``."""
+runner: grouping, cutting a plan's chains into bins, the
+order-preserving scatter/gather of ``ExperimentContext.metric``, and
+what a context holds over its lifetime."""
 
 from __future__ import annotations
 
+import gc
 import pickle
 import random
+import weakref
 
 import pytest
 
 from repro.core import BASELINE, SECURITY_SECOND, Deployment
 from repro.core.attacks import DEFAULT_ATTACK
+from repro.core import context, fixing
+from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.experiments import make_context
+from repro.experiments import runner as runner_module
 from repro.experiments.runner import _Pass
 from repro.experiments.scenarios import cut_bins, destination_groups
 
@@ -177,3 +183,72 @@ class TestMetricScheduling:
             assert [
                 (r.attacker, r.destination) for r in serial[t].per_pair
             ] == pairs  # input order preserved per step
+
+
+class TestContextLifetime:
+    """A context's memory follows its lifetime: ``close`` releases the
+    topology, and a closed context is never used again."""
+
+    def test_a_closed_context_releases_its_graph(self):
+        ectx = make_context(scale="tiny", seed=2013)
+        d, m = ectx.graph.asns[:2]
+        graph = weakref.ref(ectx.graph.adj_node)
+        ectx.close()
+        gc.collect()
+        assert graph() is None  # the name is still bound to the context
+        assert ectx.closed and "tiny" in repr(ectx)
+        ectx.close()  # idempotent
+        with pytest.raises(RuntimeError, match="closed"):
+            ectx.graph
+        with pytest.raises(RuntimeError, match="closed"):
+            ectx.metric([(m, d)], Deployment.empty(), BASELINE)
+        with pytest.raises(RuntimeError, match="closed"):
+            ectx._ensure_pool()
+        with pytest.raises(AttributeError):
+            ectx.no_such_field
+
+    def test_trials_hold_one_topology(self, monkeypatch):
+        """``run_trials`` keeps a name bound to the trial it closed; the
+        next trial's build starts with that trial's graph unreachable."""
+        from repro.experiments import run_trials, runner
+
+        real = runner.generate_topology
+        graphs, alive_at_build = [], []
+
+        def generate(params):
+            gc.collect()
+            alive_at_build.append([ref() is not None for ref in graphs])
+            topo = real(params)
+            graphs.append(weakref.ref(topo.graph.adj_node))
+            return topo
+
+        monkeypatch.setattr(runner, "generate_topology", generate)
+        run_trials(["baseline"], scale="tiny", trials=2)
+        assert alive_at_build == [[], [False]]
+
+    def test_bins_of_a_plan_share_a_blind_pass(self, monkeypatch, count_calls):
+        """Two bins of one plan that ask for one blind ``(d, m)`` (the
+        baseline placement, and an unsigned destination under a security
+        placement) run it once: the second reads the first's counts off
+        the context.  Both equal the reference engine's."""
+        ectx = make_context(scale="tiny", seed=2013)
+        graph = ectx.graph
+        d, m, *members = graph.asns[:40]
+        deployment = Deployment.of(members)
+        keys = [
+            (((m, d),), (Deployment.empty(),), BASELINE, DEFAULT_ATTACK),
+            (((m, d),), (deployment,), SECURITY_SECOND, DEFAULT_ATTACK),
+        ]
+        monkeypatch.setattr(context, "NP_ROWS_BUDGET", 1)  # a row a batch
+        monkeypatch.setattr(runner_module, "_MIN_BIN_ROWS", 1)
+        rows = count_calls(fixing, "_run_np")
+        with ectx._planned(keys):
+            assert len(ectx._pass.bins) == 2
+            got = [ectx.metric_chain(*key)[0] for key in keys]
+        assert rows == [1]
+        ref = RefRoutingContext(graph)
+        for (pairs, (dep,), model, attack), result in zip(keys, got):
+            want = ref_compute_routing_outcome(ref, d, m, dep, model, attack=attack)
+            (pair,) = result.per_pair
+            assert (pair.happy_lower, pair.happy_upper) == want.count_happy()
+        ectx.close()

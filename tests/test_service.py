@@ -543,6 +543,69 @@ class TestHealthAndStats:
 
         _run(scenario, tmp_path, max_contexts=2)
 
+    def test_a_full_cap_never_closes_the_context_it_hands_out(self, tmp_path):
+        """One context allowed and the resident one mid-evaluation (its
+        lock held): a request for another topology still evaluates, as
+        eviction skips the context being handed out."""
+
+        async def scenario(client, service, store):
+            _ectx, lock = await service.context_for("tiny", 1, False)
+            async with lock:
+                status, reply = await client.request(
+                    "POST",
+                    "/v1/metrics",
+                    {"request": _request([2], seed=2).canonical()},
+                )
+                assert status == 200 and reply["failed"] == 0
+            assert service.failure_log.count("chain_failed") == 0
+
+        _run(scenario, tmp_path, max_contexts=1)
+
+    def test_eviction_closes_under_the_key_lock(self, tmp_path):
+        """An evicted context closes while its key's lock is held, so a
+        request that looked it up first waits and then finds it closed,
+        never half closed."""
+
+        async def scenario(client, service, store):
+            ectx, lock = await service.context_for("tiny", 1, False)
+            locked = []
+            real_close = ectx.close
+
+            def close():
+                locked.append(lock.locked())
+                real_close()
+
+            ectx.close = close
+            await service.context_for("tiny", 2, False)
+            assert locked == [True] and ectx.closed and not lock.locked()
+
+        _run(scenario, tmp_path, max_contexts=1)
+
+    def test_a_closed_context_is_looked_up_again(self, tmp_path):
+        """``resident`` never hands out a closed context: it looks the
+        topology up again."""
+        from repro.experiments import make_context
+
+        async def scenario(client, service, store):
+            stale = make_context("tiny", seed=SEED)
+            stale.close()
+            real = service.context_for
+            keys = []
+
+            async def stale_first(*key):
+                keys.append(key)
+                if len(keys) == 1:
+                    return stale, service._lock_for(key)
+                return await real(*key)
+
+            service.context_for = stale_first
+            async with service.resident("tiny", SEED, False) as ectx:
+                assert ectx is not stale and not ectx.closed
+                assert ectx.graph_ctx.n == stale.scale.n
+            assert keys == [("tiny", SEED, False)] * 2
+
+        _run(scenario, tmp_path)
+
 
 class TestServiceRestart:
     def test_warm_across_service_restarts(self, tmp_path):
@@ -851,13 +914,14 @@ def test_pool_torn_down_right_after_fork_reaps_promptly(pid_alive):
     the fork holds SIGTERM blocked until a worker has reset the handler
     it inherited — here a no-op one, as an asyncio server installs —
     instead of the worker swallowing the signal and waiting out
-    ``join``'s 10 s kill."""
+    ``join``'s 10 s kill.  One context an iteration: a closed context
+    forks no pool again."""
     from repro.experiments import make_context
 
     previous = signal.signal(signal.SIGTERM, lambda *_: None)
     try:
-        with make_context("tiny", seed=2013, processes=2) as ectx:
-            for _ in range(8):
+        for _ in range(8):
+            with make_context("tiny", seed=2013, processes=2) as ectx:
                 pids = ectx._ensure_pool().worker_pids
                 started = time.monotonic()
                 ectx.close()

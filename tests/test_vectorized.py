@@ -55,6 +55,7 @@ from repro.core.outcome import (
 from repro.topology import TopologyParams, gadgets, generate_topology
 from repro.topology.graph import graph_from_edges
 from repro.topology.ixp import augment_with_ixp_peering
+from repro.topology.relationships import RouteClass
 
 from test_attacks import CustomerScopeHijack
 from test_destination_sweep import per_pair_counts, ref_pair_counts
@@ -769,7 +770,9 @@ class TestBlindRows:
         """A destination that signs only at the last of four steps: its
         first three steps are one blind pass a pair, shared by the three
         placements, and its last step one pass a pair and placement —
-        all count rows, no state call."""
+        all count rows, no state call.  Each call below runs on a fresh
+        context, as a context keeps its blind passes' counts: the same
+        jobs again on one runs only the sighted passes."""
         rnd = random.Random("vec/blind/chain")
         asns = graph.asns
         d = rnd.choice(asns)
@@ -794,15 +797,20 @@ class TestBlindRows:
         passes = count_calls(fixing, "_run")
         for job in jobs:
             count_rows.clear()
-            got = rollout_happiness_counts(vec_ctx, *job[:3], attack=job[3])
+            ctx = RoutingContext(graph)
+            got = rollout_happiness_counts(ctx, *job[:3], attack=job[3])
             assert got == oracle.chain(*job)
             assert len(distinct([job])) == 2 * len(pairs)
             assert sum(rows for _, rows in count_rows) == 2 * len(pairs)
         count_rows.clear()
-        got = jobs_happiness_counts(vec_ctx, jobs)
+        ctx = RoutingContext(graph)
+        got = jobs_happiness_counts(ctx, jobs)
         assert got == oracle.jobs(jobs)
         assert len(distinct(jobs)) == 4 * len(pairs)
         assert sum(rows for _, rows in count_rows) == 4 * len(pairs)
+        count_rows.clear()
+        assert jobs_happiness_counts(ctx, jobs) == got
+        assert sum(rows for _, rows in count_rows) == 3 * len(pairs)
         assert passes == [0]
 
 
@@ -978,7 +986,9 @@ class TestRowLayout:
 
     @staticmethod
     def _check(ctx):
-        start, _node, _cls, cf_b, _esrc, cust_start = ctx._np_csr()
+        g = ctx.graph
+        start, cust_start = g.adj_start, g.cust_start
+        cf_b = g.adj_class == RouteClass.PROVIDER
         for u in range(ctx.n):
             row = cf_b[start[u]:start[u + 1]].astype(np.uint8).tobytes()
             ncust = len(ctx.customers_idx[u])
@@ -1054,7 +1064,8 @@ class TestCsrBuild:
         assert start[0] == 0 and len(start) == len(asns) + 1
         edges = list(zip(
             [asns[v] for v in graph.adj_node.tolist()],
-            graph.adj_class.tolist(), ctx._np_csr()[3].tolist(),
+            graph.adj_class.tolist(),
+            (graph.adj_class == RouteClass.PROVIDER).tolist(),
         ))
         for u, asn in enumerate(asns):
             assert tuple(edges[start[u] : start[u + 1]]) == ref.out_edges[asn], asn
@@ -1074,17 +1085,29 @@ class TestCsrBuild:
         assert list(ctx.graph.adj_start) == [0, 0] and ctx.providers_idx == [()]
 
     def test_context_adopts_the_graph_arrays(self, graph):
-        """One representation: the kernel reads the graph's own CSR
-        arrays, which nobody can write through."""
+        """One representation: the kernel and the decode read the
+        graph's own CSR arrays, which nobody can write through; a
+        context that ran count and state calls keeps no per-slot array
+        of its own."""
         ctx = RoutingContext(graph)
-        start, node, cls_e, _cf_b, _esrc, cust_start = ctx._np_csr()
-        assert start is graph.adj_start and node is graph.adj_node
-        assert cust_start is graph.cust_start
-        assert np.shares_memory(start, graph.adj_start)
-        assert np.shares_memory(node, graph.adj_node)
-        assert np.array_equal(cls_e, graph.adj_class)
-        with pytest.raises(ValueError):
-            node[0] = 0
+        assert ctx.graph is graph
+        for name in ("adj_start", "adj_node", "adj_class", "cust_start"):
+            with pytest.raises(ValueError):
+                getattr(graph, name)[0] = 0
+        (m, d, dep), *_ = _instances(graph, "csr/adopt")
+        chain = [Deployment.empty(), dep.with_simplex_stubs(graph)]
+        jobs_happiness_counts(ctx, [([(m, d)], chain, SECURITY_MODELS[0], HONEST)])
+        compute_routing_outcome(ctx, d, attacker=m).routes[m]
+        held = [
+            arr
+            for name in RoutingContext.__slots__
+            if isinstance(value := getattr(ctx, name), dict)
+            for arr in value.values()
+            if isinstance(arr, np.ndarray)
+        ]
+        assert held  # the scratch: n or K·n long
+        assert all(len(arr) % ctx.n == 0 for arr in held)
+        assert len(graph.adj_node) % ctx.n
 
     def test_counts_leave_the_index_tuples_unbuilt(self, graph):
         """The count path reads the CSR only: the O(V + E) python tuples
@@ -1154,39 +1177,6 @@ class TestContextWiring:
         pooled = records(tmp_path / "pooled", processes=2)
         assert pooled
         assert pooled == records(tmp_path / "serial", processes=1)
-
-    def test_pool_forks_after_the_numpy_csr_exists(self, monkeypatch):
-        """Workers and respawns inherit the int64 CSR views copy-on-write:
-        the parent builds them, once, before the pool forks."""
-        from repro.experiments.runner import (
-            SupervisedPool,
-            make_context,
-            run_experiments,
-        )
-
-        builds = []  # the parent's: a worker appends to its own copy
-        real_csr = RoutingContext._np_csr
-
-        def counted(ctx):
-            if ctx._np_adj is None:
-                builds.append(ctx)
-            return real_csr(ctx)
-
-        built_at_fork = []
-        real_init = SupervisedPool.__init__
-
-        def observed(pool, ectx, *args, **kwargs):
-            built_at_fork.append(ectx.graph_ctx._np_adj is not None)
-            real_init(pool, ectx, *args, **kwargs)
-
-        monkeypatch.setattr(RoutingContext, "_np_csr", counted)
-        monkeypatch.setattr(SupervisedPool, "__init__", observed)
-        with make_context("tiny", processes=2) as ectx:
-            assert ectx.graph_ctx._np_adj is None  # not in set-up
-            run_experiments(ectx, ["baseline"])
-            assert built_at_fork == [True]
-            assert ectx.graph_ctx._np_adj is not None
-        assert len(builds) == 1
 
     def test_stratified_scale_changes_baseline_pairs(self):
         from dataclasses import replace
