@@ -2,12 +2,14 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test fuzz test-service mutants bench bench-check bench-pairs bench-micro crossover golden docs doctest
+.PHONY: test fuzz test-service mutants bench bench-check bench-pairs crossover golden docs doctest
 
 ## tier-1 test suite (the CI gate); its hypothesis profile is
-## derandomized (tests/conftest.py), so every run draws the same examples
+## derandomized (tests/conftest.py), so every run draws the same examples;
+## the 20 slowest tests close the log, so every CI run shows where its
+## time goes
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=20
 
 ## random exploration: the two property files under the `fuzz` profile —
 ## fresh seeds, 20x the example budget, failures saved under the tracked
@@ -33,7 +35,7 @@ test-service:
 ## the mutant-kill table: each hand-written mutant of tools/mutants.py
 ## applied alone to a scratch copy of the tree, tier-1 run on it, and
 ## the failing tests written to tests/MUTANTS.md (one tier-1 run a
-## mutant, two at a time: 50 min on 2 vCPUs).  Exits nonzero if a
+## mutant, two at a time: 41 min on 2 vCPUs).  Exits nonzero if a
 ## mutant survives; `tools/mutants.py --check` (the nightly job) also
 ## fails on a stale table
 mutants:
@@ -94,10 +96,6 @@ bench-pairs:
 crossover:
 	$(PYTHON) tools/kernel_crossover.py --rows
 	$(PYTHON) tools/kernel_crossover.py --groups
-
-## full pytest-benchmark microbenchmark harness
-bench-micro:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
 ## regenerate the golden metric fixtures (inspect the diff!)
 golden:

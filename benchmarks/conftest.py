@@ -1,12 +1,9 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures of the smoke tests under ``benchmarks/``.
 
-Run with::
-
-    pytest benchmarks/ --benchmark-only
-
-Benchmarks operate at the ``tiny`` scale so the whole harness finishes
-in about a minute; pass ``--scale`` knobs through the experiments CLI
-for paper-shape runs (see EXPERIMENTS.md).
+They are part of tier-1 (``make test``) and time nothing; the timing
+harness is ``perfbench/`` (``make bench``).  The core tests share one
+generated 600-AS topology; the per-figure tests run every registered
+experiment on one ``tiny``-scale experiment context.
 """
 
 from __future__ import annotations

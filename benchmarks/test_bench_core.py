@@ -1,161 +1,128 @@
-"""Microbenchmarks for the core engines.
+"""Smoke tests of the core primitives at n = 600, one call each.
 
-These time the primitives every experiment is built from: one routing
-computation is the unit the paper parallelized over (Appendix H), so
-`routing_outcome_*` governs the cost of every figure.
+These call once each primitive every experiment is built from: one
+routing computation is the unit the paper parallelized over (Appendix
+H), so ``routing_outcome_*`` is what every figure is made of.  Nothing
+here is timed; ``perfbench/`` is the repository's timing harness.
 """
 
 from repro import core, topology
 from repro.bgpsim import BGPSimulator, PolicyAssignment
 
 
-def test_routing_outcome_baseline(benchmark, bench_ctx, bench_pair):
+def test_routing_outcome_baseline(bench_ctx, bench_pair):
     attacker, destination = bench_pair
-    result = benchmark(
-        core.compute_routing_outcome, bench_ctx, destination, attacker
-    )
+    result = core.compute_routing_outcome(bench_ctx, destination, attacker)
     assert result.num_sources > 0
 
 
-def test_routing_outcome_security_second(
-    benchmark, bench_ctx, bench_pair, bench_deployment
-):
+def test_routing_outcome_security_second(bench_ctx, bench_pair, bench_deployment):
     attacker, destination = bench_pair
-    result = benchmark(
-        core.compute_routing_outcome,
-        bench_ctx,
-        destination,
-        attacker,
-        bench_deployment,
-        core.SECURITY_SECOND,
+    result = core.compute_routing_outcome(
+        bench_ctx, destination, attacker, bench_deployment, core.SECURITY_SECOND
     )
     assert result.count_happy()[0] >= 0
 
 
-def test_routing_outcome_seed_reference(benchmark, bench_graph, bench_pair, bench_deployment):
-    """The seed dict-based engine, for the perf-trajectory comparison."""
+def test_routing_outcome_seed_reference(bench_graph, bench_pair, bench_deployment):
+    """The seed dict-based engine on the same pair."""
     from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 
     attacker, destination = bench_pair
-    ref_ctx = RefRoutingContext(bench_graph)
-    result = benchmark(
-        ref_compute_routing_outcome,
-        ref_ctx,
-        destination,
-        attacker,
-        bench_deployment,
-        core.SECURITY_SECOND,
+    result = ref_compute_routing_outcome(
+        RefRoutingContext(bench_graph), destination, attacker,
+        bench_deployment, core.SECURITY_SECOND,
     )
     assert result.count_happy()[0] >= 0
 
 
-def test_batched_sweep_security_second(benchmark, bench_ctx, bench_pairs, bench_deployment):
-    """The batched fast path: one fixing pass per pair, shared scratch."""
-    result = benchmark(
-        core.batch_happiness_counts,
-        bench_ctx,
-        bench_pairs,
-        bench_deployment,
-        core.SECURITY_SECOND,
+def test_batched_sweep_security_second(bench_ctx, bench_pairs, bench_deployment):
+    """The batched count path: one fixing pass per pair, shared scratch."""
+    result = core.batch_happiness_counts(
+        bench_ctx, bench_pairs, bench_deployment, core.SECURITY_SECOND
     )
     assert len(result) == len(bench_pairs)
     assert all(lo <= up <= ns for lo, up, ns in result)
 
 
-def test_batched_sweep_outcomes_baseline(benchmark, bench_ctx, bench_pairs):
-    """Batched sweep materializing full outcomes (snapshot cost included)."""
-    result = benchmark(core.batch_outcomes, bench_ctx, bench_pairs)
+def test_batched_sweep_outcomes_baseline(bench_ctx, bench_pairs):
+    """Batched sweep materializing full outcomes."""
+    result = core.batch_outcomes(bench_ctx, bench_pairs)
     assert len(result) == len(bench_pairs)
 
 
-def test_routing_context_build(benchmark, bench_graph):
-    ctx = benchmark(core.RoutingContext, bench_graph)
+def test_routing_context_build(bench_graph):
+    ctx = core.RoutingContext(bench_graph)
     assert len(ctx.asns) == len(bench_graph)
 
 
-def test_perceivable_closures(benchmark, bench_ctx, bench_pair):
+def test_perceivable_closures(bench_ctx, bench_pair):
     attacker, destination = bench_pair
-    closures = benchmark(core.attack_closures, bench_ctx, attacker, destination)
+    closures = core.attack_closures(bench_ctx, attacker, destination)
     assert closures.legitimate.any()
 
 
-def test_partitions_security_third(benchmark, bench_ctx, bench_pair):
+def test_partitions_security_third(bench_ctx, bench_pair):
     attacker, destination = bench_pair
-    result = benchmark(
-        core.compute_partitions, bench_ctx, attacker, destination,
-        core.SECURITY_THIRD,
+    result = core.compute_partitions(
+        bench_ctx, attacker, destination, core.SECURITY_THIRD
     )
     assert result.counts().total > 0
 
 
-def test_partitions_security_first(benchmark, bench_ctx, bench_pair):
+def test_partitions_security_first(bench_ctx, bench_pair):
     attacker, destination = bench_pair
-    result = benchmark(
-        core.compute_partitions, bench_ctx, attacker, destination,
-        core.SECURITY_FIRST,
+    result = core.compute_partitions(
+        bench_ctx, attacker, destination, core.SECURITY_FIRST
     )
     assert result.counts().total > 0
 
 
-def test_downgrade_analysis(benchmark, bench_ctx, bench_pair, bench_deployment):
+def test_downgrade_analysis(bench_ctx, bench_pair, bench_deployment):
     attacker, destination = bench_pair
-    result = benchmark(
-        core.downgrade_analysis, bench_ctx, attacker, destination,
-        bench_deployment, core.SECURITY_THIRD,
+    result = core.downgrade_analysis(
+        bench_ctx, attacker, destination, bench_deployment, core.SECURITY_THIRD
     )
     assert result.secure_normal is not None
 
 
-def test_pair_root_cause(benchmark, bench_ctx, bench_pair, bench_deployment):
+def test_pair_root_cause(bench_ctx, bench_pair, bench_deployment):
     attacker, destination = bench_pair
-    result = benchmark(
-        core.pair_root_cause, bench_ctx, attacker, destination,
-        bench_deployment, core.SECURITY_THIRD,
+    result = core.pair_root_cause(
+        bench_ctx, attacker, destination, bench_deployment, core.SECURITY_THIRD
     )
     assert result.metric_change == result.gains - result.losses
 
 
-def test_simulator_convergence(benchmark, bench_graph, bench_pair, bench_deployment):
+def test_simulator_convergence(bench_graph, bench_pair, bench_deployment):
     attacker, destination = bench_pair
-
-    def run_sim():
-        sim = BGPSimulator(
-            bench_graph,
-            destination,
-            deployment=bench_deployment,
-            policies=PolicyAssignment.uniform(core.SECURITY_SECOND),
-            attacker=attacker,
-        )
-        return sim.run()
-
-    report = benchmark(run_sim)
-    assert report.converged
-
-
-def test_topology_generation(benchmark):
-    topo = benchmark(
-        topology.generate_topology, topology.TopologyParams(n=400, seed=1)
+    sim = BGPSimulator(
+        bench_graph,
+        destination,
+        deployment=bench_deployment,
+        policies=PolicyAssignment.uniform(core.SECURITY_SECOND),
+        attacker=attacker,
     )
+    assert sim.run().converged
+
+
+def test_topology_generation():
+    topo = topology.generate_topology(topology.TopologyParams(n=400, seed=1))
     assert len(topo.graph) == 400
 
 
-def test_tier_classification(benchmark, bench_graph):
-    tiers = benchmark(topology.classify_tiers, bench_graph)
+def test_tier_classification(bench_graph):
+    tiers = topology.classify_tiers(bench_graph)
     assert tiers.members(topology.Tier.TIER1)
 
 
-def test_ixp_augmentation(benchmark, bench_topo):
-    result = benchmark(
-        topology.augment_with_ixp_peering, bench_topo.graph, bench_topo.ixp_members
+def test_ixp_augmentation(bench_topo):
+    result = topology.augment_with_ixp_peering(
+        bench_topo.graph, bench_topo.ixp_members
     )
     assert result.added_count >= 0
 
 
-def test_serial2_roundtrip(benchmark, bench_graph):
-    def roundtrip():
-        return topology.parse_serial2(
-            topology.dumps_serial2(bench_graph).splitlines()
-        )
-
-    parsed = benchmark(roundtrip)
+def test_serial2_roundtrip(bench_graph):
+    parsed = topology.parse_serial2(topology.dumps_serial2(bench_graph).splitlines())
     assert len(parsed) == len(bench_graph)

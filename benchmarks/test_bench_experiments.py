@@ -1,11 +1,8 @@
-"""One benchmark per paper table/figure.
+"""One end-to-end run per paper table/figure.
 
-Each benchmark regenerates its experiment end to end at the ``tiny``
-scale (single round — these are second-scale workloads, not
-microbenchmarks): declare scenarios, evaluate them (no store, so the
-sweep cost is included), consume.  The assertion keeps every run
-honest: the experiment must produce data rows, so a timing without a
-reproduction cannot pass.
+Each test regenerates its experiment once at the ``tiny`` scale:
+declare scenarios, evaluate them (no store, so the sweep cost is
+included), consume.  The experiment must produce data rows or text.
 """
 
 import pytest
@@ -13,20 +10,7 @@ import pytest
 from repro.experiments import all_experiments, run_experiment
 
 
-def _run_once(benchmark, experiment_context, experiment_id):
-    result = benchmark.pedantic(
-        run_experiment,
-        args=(experiment_context, experiment_id),
-        rounds=1,
-        iterations=1,
-    )
+@pytest.mark.parametrize("experiment_id", sorted(all_experiments()))
+def test_experiment(experiment_context, experiment_id):
+    result = run_experiment(experiment_context, experiment_id)
     assert result.rows or result.text
-    return result
-
-
-@pytest.mark.parametrize(
-    "experiment_id",
-    sorted(all_experiments()),
-)
-def test_experiment(benchmark, experiment_context, experiment_id):
-    _run_once(benchmark, experiment_context, experiment_id)

@@ -6,9 +6,9 @@ This is the seed repository's :mod:`repro.core.routing` kept verbatim
 * **differential testing** — ``tests/test_differential.py`` asserts the
   flat engine reproduces this engine AS-for-AS on random instances, so
   the rewrite is provably behavior-preserving;
-* **benchmarking** — ``benchmarks/test_bench_core.py`` (``make
-  bench-micro``) times this engine beside the flat one, and
-  ``perfbench`` spot-checks every workload's results against it.
+* **spot checks** — ``perfbench`` checks every workload's results
+  against it, and ``benchmarks/test_bench_core.py`` runs it once on
+  the 600-AS topology its other smoke tests share.
 
 It allocates fresh dicts, heap tuples and a :class:`RouteInfo` per AS
 per (attacker, destination) pair, which is exactly the cost profile the

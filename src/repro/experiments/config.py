@@ -7,7 +7,7 @@ from seeded samples on synthetic graphs (see docs/ARCHITECTURE.md,
 and every sample budget so results are reproducible and the cost dial
 is explicit:
 
-* ``tiny``   — seconds; used by the test suite and pytest-benchmark;
+* ``tiny``   — seconds; used by the test suite and ``make bench-check``;
 * ``small``  — tens of seconds; quick interactive runs;
 * ``medium`` — minutes; the default for regenerating EXPERIMENTS.md;
 * ``large``  — hours; an internet-scale (~80k-AS, CAIDA-shaped) graph

@@ -25,6 +25,7 @@ from repro.experiments import (
     FailureLog,
     SupervisionPolicy,
     make_context,
+    runner,
 )
 from repro.experiments.cli import EXIT_SCENARIO_FAILURES
 from repro.experiments.cli import main as cli_main
@@ -81,6 +82,17 @@ def workload(ectx):
     pairs, deployment = _skewed_pairs(ectx)
     clean = ectx.metric(pairs, deployment, SECURITY_SECOND)
     return pairs, deployment, clean
+
+
+def assert_retries_back_off(log, kind, shard, policy):
+    """The ``kind`` incidents of ``shard``, one a failed pooled attempt,
+    are at least ``backoff * 2**(k - 1)`` apart before retry ``k``: the
+    pool waits out its backoff before it re-dispatches a shard."""
+    stamps = [i.timestamp for i in log.of_kind(kind) if i.shard == shard]
+    assert len(stamps) == policy.max_retries + 1, stamps
+    for k in range(1, len(stamps)):
+        wait = policy.backoff * 2 ** (k - 1)
+        assert stamps[k] - stamps[k - 1] >= wait, (k, stamps)
 
 
 def _run_with_faults(plan, policy=QUICK, processes=2, **ctx_kwargs):
@@ -284,6 +296,19 @@ class TestChaosRecovery:
         assert log.count("worker_dead") == QUICK.max_retries + 1
         assert not log.scenario_failures()
 
+    def test_retries_wait_out_their_backoff(self, workload):
+        """A shard that errors on every pooled attempt is re-dispatched
+        no sooner than its backoff allows (0.05, 0.1, then 0.2 s), then
+        degrades to the in-process fallback with the clean results."""
+        pairs, deployment, clean = workload
+        attempts = range(QUICK.max_retries + 1)
+        result, log = _run_with_faults(
+            FaultPlan([Fault(kind="worker_oom", shard=0, attempt=a) for a in attempts])
+        )
+        assert result.per_pair == clean.per_pair
+        assert log.count("shard_degraded") == 1
+        assert_retries_back_off(log, "worker_error", 0, QUICK)
+
     def test_unrecoverable_shard_raises_evaluation_failure(self, ectx):
         """When even the serial fallback fails, the pool raises
         EvaluationFailure (the scheduler's per-scenario signal)."""
@@ -479,6 +504,13 @@ class TestDurableStore:
 
 
 class TestCliExitContract:
+    @pytest.fixture(autouse=True)
+    def _quick_retries(self, monkeypatch):
+        """The CLI's context gets the default policy, whose backoff sits
+        0.5 + 1 + 2 s through a shard failing every attempt: give it
+        QUICK's instead."""
+        monkeypatch.setattr(runner, "SupervisionPolicy", lambda: QUICK)
+
     def test_clean_run_exits_zero(self, capsys):
         assert cli_main(
             ["run", "baseline", "--scale", "tiny", "--no-cache"]

@@ -49,7 +49,7 @@ from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.topology import TopologyParams, classify_tiers, generate_topology
 from repro.topology.ixp import augment_with_ixp_peering
 
-from test_destination_sweep import per_pair_counts, ref_pair_counts
+from test_destination_sweep import per_pair_counts, ref_pair_counts, share
 
 #: every state call here is certified stable (tests/conftest.py)
 pytestmark = pytest.mark.usefixtures("certified")
@@ -97,11 +97,14 @@ def chain_pairs(graph, seed: int, destinations: int, attackers: int):
 
 
 def assert_chain_matches_oracles(
-    graph, pairs, chain, model, attack, refimpl_budget=0
+    graph, pairs, chain, model, attack, refimpl_budget=0, steps=None
 ):
+    """The whole chain in one call equals, at each of ``steps`` (every
+    step by default), the step alone and one certified pass a pair."""
     ctx = RoutingContext(graph)
     rollout = rollout_happiness_counts(ctx, pairs, chain, model, attack=attack)
-    for t, deployment in enumerate(chain):
+    for t in range(len(chain)) if steps is None else steps:
+        deployment = chain[t]
         dest_major = batch_happiness_counts(
             ctx, pairs, deployment, model, attack=attack
         )
@@ -127,18 +130,23 @@ def assert_chain_matches_oracles(
 # ----------------------------------------------------------------------
 # The differential grid
 # ----------------------------------------------------------------------
+KINDS = ["tier12", "tier12_simplex", "tier2"]
+
+
 @pytest.mark.parametrize("ixp", [False, True], ids=["base", "ixp"])
-@pytest.mark.parametrize("kind", ["tier12", "tier12_simplex", "tier2"])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_chains_match_oracles_all_models(seed, kind, ixp):
+    """One model a case: the three seeds and kinds run all four with
+    and without the IXP peering."""
     graph, tiers = make_topology(seed, ixp=ixp)
     chain = make_chain(graph, tiers, kind)
     pairs = chain_pairs(graph, seed, destinations=3, attackers=2)
-    for model in ALL_MODELS:
-        assert_chain_matches_oracles(
-            graph, pairs, chain, model, ONE_HOP_HIJACK,
-            refimpl_budget=4 if not ixp else 0,
-        )
+    model = ALL_MODELS[(seed + KINDS.index(kind) + ixp) % len(ALL_MODELS)]
+    assert_chain_matches_oracles(
+        graph, pairs, chain, model, ONE_HOP_HIJACK,
+        refimpl_budget=4 if not ixp else 0,
+    )
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -205,15 +213,18 @@ def test_chain_step_secures_an_attacker():
 
 def test_many_attacker_groups_match_oracles():
     """Groups of seven attackers, each distinct pass a count row, match
-    the oracles."""
+    the oracles: each model's whole chain in one call, checked at every
+    fourth step from its own offset, so the four models check every
+    step between them."""
     graph, tiers = make_topology(7)
     chain = make_chain(graph, tiers, "tier12_dense")
     pairs = chain_pairs(
         graph, 7, destinations=2, attackers=7
     )
-    for model in ALL_MODELS:
+    for j, model in enumerate(ALL_MODELS):
         assert_chain_matches_oracles(
-            graph, pairs, chain, model, ONE_HOP_HIJACK, refimpl_budget=3
+            graph, pairs, chain, model, ONE_HOP_HIJACK, refimpl_budget=3,
+            steps=share(range(len(chain)), j, len(ALL_MODELS)),
         )
 
 
@@ -420,15 +431,18 @@ class TestDeltaKernelsOnChains:
     """At every step of a chain the attacker-free state and a fresh
     sweep's counts are certified state calls, bit for bit."""
 
-    @pytest.mark.parametrize("kind", ["tier12", "tier12_simplex", "tier2"])
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("seed", [3, 9])
     def test_rollout_advances_bit_identical(self, seed, kind):
+        """One of the two models a case, each on both seeds and kinds."""
         graph, tiers = make_topology(seed, ixp=seed % 2 == 1)
         chain = make_chain(graph, tiers, kind)
         pairs = chain_pairs(graph, seed, destinations=1, attackers=4)
         dest = pairs[0][1]
         ctx = RoutingContext(graph)
-        for model in (SECURITY_MODELS[0], lp2_variant(SECURITY_MODELS[1])):
+        models = (SECURITY_MODELS[0], lp2_variant(SECURITY_MODELS[1]))
+        case = 3 * [3, 9].index(seed) + KINDS.index(kind)
+        for model in share(models, case, 6):
             for si, step in enumerate(chain):
                 normal_conditions(ctx, dest, step, model)
                 sweep = DestinationSweep(ctx, dest, step, model)
@@ -445,8 +459,9 @@ class TestDeltaKernelsOnChains:
         chain = make_chain(graph, tiers, "tier12")
         pairs = chain_pairs(graph, 5, destinations=2, attackers=2)
         ctx = RoutingContext(graph)
+        case = ALL_STRATEGIES.index(attack)
         for model in (BASELINE, SECURITY_MODELS[2]):
-            for m, d in pairs[:4]:
+            for m, d in share(pairs[:4], case, 2):
                 swept = [
                     [DestinationSweep(ctx, d, step, model, attack).happiness_counts(m)]
                     for step in chain

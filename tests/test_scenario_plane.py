@@ -799,15 +799,18 @@ class TestOnePoolPass:
         from repro.experiments import FailureLog, SupervisionPolicy
         from repro.experiments.faults import Fault, FaultPlan, disarm
 
+        from test_faults import assert_retries_back_off
+
         plans = self._spy_on_bins(monkeypatch)
         store = ResultStore(tmp_path / "lossy")
         log = FailureLog()
         lost_bin = 1
+        policy = SupervisionPolicy(backoff=0.01)
         FaultPlan([Fault(kind="eval_error", shard=lost_bin, attempt=None)]).arm()
         try:
             with make_context(
                 scale="tiny", seed=2013, processes=2, failure_log=log,
-                supervision=SupervisionPolicy(backoff=0.01),
+                supervision=policy,
             ) as ectx:
                 requests = self._requests(ectx)
                 results = evaluate_requests(ectx, requests, store=store)
@@ -823,6 +826,7 @@ class TestOnePoolPass:
         failed = [i.scenario for i in log.of_kind("scenario_failed")]
         assert sorted(failed) == sorted(lost)
         assert log.count("shard_degraded") == 1
+        assert_retries_back_off(log, "worker_error", lost_bin, policy)
         assert {r.scenario_hash for r in requests if r in results} == {
             r.scenario_hash for r in requests
         } - lost

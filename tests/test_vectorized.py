@@ -58,7 +58,7 @@ from repro.topology.ixp import augment_with_ixp_peering
 from repro.topology.relationships import RouteClass
 
 from test_attacks import CustomerScopeHijack
-from test_destination_sweep import per_pair_counts, ref_pair_counts
+from test_destination_sweep import per_pair_counts, ref_pair_counts, share
 
 #: every state call here is certified stable (tests/conftest.py)
 pytestmark = pytest.mark.usefixtures("certified")
@@ -246,6 +246,12 @@ class TestDifferentialGrid:
             assert vec.count_happy() == ref.count_happy()
             assert vec.count_attacked() == ref.count_attacked()
             assert vec.count_secure_sources() == ref.count_secure_sources()
+        # a one-row count call (the reversed pair: another pass) computes
+        # in rows of its own, not in the last state call's arrays
+        state = {name: a.copy() for name, a in vec_ctx._np_scratch.items()}
+        batch_happiness_counts(vec_ctx, [(d, m)], dep, model)
+        for name, a in vec_ctx._np_scratch.items():
+            assert np.array_equal(a, state[name]), name
 
     @pytest.mark.parametrize("attack", STRATEGIES, ids=lambda a: a.token)
     @pytest.mark.parametrize("model", CLASSIC_MODELS, ids=lambda m: m.label)
@@ -653,8 +659,12 @@ class TestRowsKernel:
             for deployment in chain
         ]
         passes[0] = 0
-        with pytest.raises(ValueError, match="nested"):
-            rollout_happiness_counts(vec_ctx, pairs, chain[::-1], BASELINE)
+        # reversed, or a step that drops a simplex member
+        stub = next(a for a in asns if graph.is_stub(a) and a not in members)
+        simplex = Deployment(full=frozenset(members[:20]), simplex=frozenset([stub]))
+        for unnested in (chain[::-1], [simplex, chain[1]]):
+            with pytest.raises(ValueError, match="nested"):
+                rollout_happiness_counts(vec_ctx, pairs, unnested, BASELINE)
         assert passes == [0]
 
 
@@ -849,8 +859,9 @@ class TestEveryGroupIsRows:
             (4, ONE_HOP_HIJACK),
             (2, HONEST),
             (4, FORGED_ORIGIN),
+            (4, SignedClaimHijack()),
         ],
-        ids=["many-attackers", "honest", "many-forged-origin"],
+        ids=["many-attackers", "honest", "many-forged-origin", "signed-claim"],
     )
     def test_no_group_builds_a_sweep(
         self, graph, oracle, vec_ctx, count_calls, attackers, attack
@@ -866,17 +877,20 @@ class TestEveryGroupIsRows:
             assert sweeps == [0]
             assert got == want
 
-    def test_rows_equal_per_pair_and_reference(self, graph, vec_ctx):
-        """``honest`` and many-attacker rows under every model, on 1-
-        and 4-step chains, in one call: equal to one certified state pass
-        a pair-step (``batch_outcomes``)."""
+    def test_rows_equal_per_pair_and_reference(self, graph, vec_ctx, request):
+        """``honest`` and many-attacker rows, on 1- and 4-step chains,
+        in one call: equal to one certified state pass a pair-step
+        (``batch_outcomes``).  Each graph runs half the models, every
+        model a 1-step and a 4-step job, each with the other attack."""
         chain, pairs = self._chain_and_pairs(graph, "oracles", self.MANY)
-        jobs = [
-            (pairs, deployments, model, attack)
-            for model in ALL_MODELS
-            for attack in (HONEST, ONE_HOP_HIJACK)
-            for deployments in (chain, chain[2:3])
-        ]
+        models = share(ALL_MODELS, request.node.callspec.params["graph"], 2)
+        jobs = []
+        for j, model in enumerate(models):
+            attacks = (HONEST, ONE_HOP_HIJACK) if j % 2 else (ONE_HOP_HIJACK, HONEST)
+            jobs += [
+                (pairs, deployments, model, attack)
+                for attack, deployments in zip(attacks, (chain, chain[2:3]))
+            ]
         got = jobs_happiness_counts(vec_ctx, jobs)
         for (pairs, deployments, model, attack), job in zip(jobs, got):
             for deployment, step in zip(deployments, job):

@@ -283,6 +283,12 @@ MUTANTS = (
         "the JSONL store serves a record whose CRC disagrees",
     ),
     Mutant(
+        "retry_ignores_backoff", "src/repro/experiments/runner.py",
+        "shard.not_before = time.monotonic() + self._policy.backoff * (",
+        "shard.not_before = time.monotonic() + 0 * (",
+        "a failed shard is re-dispatched at once, not after its backoff",
+    ),
+    Mutant(
         "collect_scatter_shifted", "src/repro/experiments/runner.py",
         "for i, triple in zip(idxs, counts):",
         "for i, triple in zip(idxs[1:] + idxs[:1], counts):",
