@@ -353,14 +353,3 @@ def ref_compute_routing_outcome(
         total_ases=len(context.asns),
     )
 
-
-def ref_normal_conditions(
-    topology: ASGraph | RefRoutingContext,
-    destination: int,
-    deployment: Deployment | None = None,
-    model: RankModel = BASELINE,
-) -> RefRoutingOutcome:
-    """Routing to ``destination`` when nobody attacks (m = ∅)."""
-    return ref_compute_routing_outcome(
-        topology, destination, attacker=None, deployment=deployment, model=model
-    )

@@ -8,8 +8,9 @@ Two rot-prevention mechanisms, both also run by the CI ``docs`` job:
   docstrings cannot drift from the code they document;
 * every internal markdown link in README.md, ``docs/`` and the verify
   skill must resolve to an existing file (and, for ``#fragments``, an
-  existing heading), and every backticked ``repro.…`` name, repo path
-  and ``make`` target must exist, via :mod:`tools.check_links`.
+  existing heading), every backticked ``repro.…`` name, repo path
+  and ``make`` target must exist, and every measured number must cite
+  the PR that measured it, via :mod:`tools.check_links`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import doctest
 import importlib.util
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -203,3 +205,67 @@ def test_mutants_still_patch_the_tree_and_the_table_lists_them():
     table = (REPO_ROOT / mutants.TABLE).read_text(encoding="utf-8")
     listed = re.findall(r"^\| `(\w+)` \| `src/", table, re.M)
     assert listed == [m.name for m in mutants.MUTANTS]
+
+
+def test_link_checker_catches_unsourced_measurements(tmp_path):
+    """A number with a unit must cite, in its own sentence, a PR that
+    has a CHANGES.md entry; code spans and fenced blocks are code."""
+    check_links = _load_check_links()
+    (tmp_path / "CHANGES.md").write_text("PR 46: the change.\n")
+    cases = {
+        "A pass takes 12 ms at 80k.\n": ["'12 ms'"],
+        "A pass takes 12 ms at 80k (PR 46).\n": [],
+        "A pass takes 12 ms at 80k. Measured in\nPR 46).\n": ["'12 ms'"],
+        "A pass takes `12 ms` at 80k.\n\n```sh\nsleep 12 s\n```\n": [],
+        "A pass takes 12 ms (PR 999).\n": ["'PR 999'"],
+        "- 61–68 ms, then 1.2 → 0.9 s and 0.73x\n- (PR 46)\n": [
+            "'61–68 ms'", "'1.2 → 0.9 s'", "'0.73x'",
+        ],
+        "| 3 MB | PR 46 |\n| 5 % | |\n": ["'5 %'"],
+        "Seeds 7 and 2013, 6.4×10⁹ pairs, fig7a's 57 steps.\n": [],
+    }
+    for text, expected in cases.items():
+        source = tmp_path / "doc.md"
+        source.write_text(text)
+        errors = check_links.check_file(source, root=tmp_path)
+        assert len(errors) == len(expected), (text, errors)
+        for error, found in zip(errors, expected):
+            assert found in error, (text, error)
+    source.write_text("One line.\n\nA pass\ntakes 12 ms.\n")
+    assert check_links.check_file(source, root=tmp_path)[0].startswith(
+        f"{source}:4: unsourced measurement '12 ms'"
+    )
+
+
+def test_architecture_guide_stays_short():
+    lines = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
+    assert len(lines.splitlines()) <= 600
+
+
+def test_mutants_stop_on_a_failing_unmutated_run(monkeypatch, capsys):
+    """A failing unmutated tier-1 is named at once, no mutant starts
+    after it, and its tests are rerun alone to tell a flake."""
+    mutants = _load_tool("mutants")
+    calls = []
+    failing = {"tests/test_a.py::test_flaky", "tests/test_b.py::test_broken"}
+
+    def kills(tree, mutant):
+        calls.append(mutant)
+        if mutant is None:
+            return set(failing)
+        time.sleep(0.2)  # a mutant's run outlasts the unmutated one
+        return {"tests/test_c.py::test_kill"}
+
+    monkeypatch.setattr(mutants, "_copy", lambda root, dest: dest.mkdir())
+    monkeypatch.setattr(mutants, "_kills", kills)
+    monkeypatch.setattr(
+        mutants, "_failing", lambda tree, nodeids: {"tests/test_b.py::test_broken"}
+    )
+    with pytest.raises(SystemExit) as exit_:
+        mutants.run(REPO_ROOT)
+    assert len(calls) <= mutants.AT_ONCE
+    message = str(exit_.value.code)
+    assert "tests/test_a.py::test_flaky (passed)" in message
+    assert "tests/test_b.py::test_broken (fails again)" in message
+    printed = capsys.readouterr().out
+    assert all(nodeid in printed for nodeid in failing)

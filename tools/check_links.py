@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Check that internal references in README.md and docs/ resolve.
+"""Check that internal references in README.md and docs/ resolve, and
+that every measured number there cites the PR that measured it.
 
 Scans the repo's user-facing markdown (README, everything under
 ``docs/`` and the verify skill's notes) and fails when
@@ -19,13 +20,24 @@ Scans the repo's user-facing markdown (README, everything under
   ``:line`` past the file's end, or a ``::name`` the file defines no
   ``def`` or ``class`` for.
 
+A measured number — a number followed by a unit (``ns``, ``µs``,
+``us``, ``ms``, ``s``, ``min``, ``KB``, ``MB``, ``GB``, ``MiB``,
+``GiB``, ``%``) or with ``x`` / ``×`` attached (``0.73x``), ranges
+(``61–68 ms``) and arrows (``1.2 → 0.9 s``) included — must cite the
+PR that measured it: its sentence (ended by ``.``, ``!`` or ``?`` and
+whitespace, or by the end of its paragraph, list item or table row)
+holds a "PR N", and every "PR N" must have a CHANGES.md entry, a line
+starting with it.  Fenced blocks and inline code spans are code, not
+measurements.
+
 It also fails on a "ROADMAP item N" (or "item Na", a lettered part) in
 the ``.py`` and ``.md`` files under ``src/``, ``tests/``, ``tools/`` and
 ``docs/``, the Makefile or README whose N is not an open item of
 ``ROADMAP.md`` (or whose item has no "(a)" part).
 
 Used by the CI ``docs`` job and by ``tests/test_docs.py``, so a broken
-cross-reference fails tier-1 locally before it ever reaches CI::
+cross-reference or an unsourced number fails tier-1 locally before it
+ever reaches CI::
 
     python tools/check_links.py            # check the repo it lives in
     python tools/check_links.py README.md  # or explicit files
@@ -45,7 +57,7 @@ _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$", re.MULTILINE)
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
 #: Fenced code blocks, then inline code spans, of a markdown text.
-_FENCE_RE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+_FENCE_RE = re.compile(r"^[ \t]*```.*?^[ \t]*```", re.MULTILINE | re.DOTALL)
 _SPAN_RE = re.compile(r"`[^`\n]+`")
 #: ``make <target>``; a target is not an option (``-C``) or a variable
 #: assignment (``PARENT=...``).
@@ -61,6 +73,20 @@ _PATH_RE = re.compile(
     r"`((?:src|tests|tools|docs|examples|benchmarks)/[^\s:`]*)"
     r"(?::(\d+)|((?:::\w+)+))?(?=[\s`])"
 )
+#: A measured number: a number (``1 504`` style thousands allowed), a
+#: range or arrow chain of them, then a unit; or a ratio, ``x`` or
+#: ``×`` attached to the number.
+_NUM = r"\d+(?: \d{3}(?!\d))*(?:\.\d+)?"
+_MEASURE_RE = re.compile(
+    rf"(?<![\w.]){_NUM}(?:\s*(?:[–-]|→|->)\s*{_NUM})*"
+    r"(?:\s?(?:ns|µs|us|ms|s|min|KB|MB|GB|MiB|GiB)(?!\w)|\s?%|[x×](?!\w))"
+)
+#: A cited PR, and a CHANGES.md entry's first word.
+_PR_RE = re.compile(r"\bPR (\d+)\b")
+_ENTRY_RE = re.compile(r"^PR (\d+)\b", re.MULTILINE)
+#: Where a sentence ends inside a block, and the lines that start one.
+_SENTENCE_END_RE = re.compile(r"[.!?](?=\s)")
+_BLOCK_START_RE = re.compile(r"\s*(?:[-*+]|\d+\.)\s|\s*[|#]")
 #: A citation of a roadmap item, and an open item's first line.
 _CITE_RE = re.compile(r"ROADMAP\s+item\s+(\d+)([a-z]?)\b")
 _ITEM_RE = re.compile(r"^(\d+)\. \*\*", re.MULTILINE)
@@ -104,6 +130,66 @@ def code_fragments(text: str) -> list[str]:
 def inline_spans(text: str) -> list[str]:
     """The inline code spans (backticks included) outside fenced blocks."""
     return _SPAN_RE.findall(_FENCE_RE.sub("", text))
+
+
+def mask_code(text: str) -> str:
+    """``text`` with every fenced block blanked and every inline code
+    span filled with ``_``, offsets and line breaks kept."""
+    text = _FENCE_RE.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)), text)
+    return _SPAN_RE.sub(lambda m: "_" * len(m.group(0)), text)
+
+
+def sentences(text: str):
+    """``(offset, sentence)`` for each sentence of a code-masked text: a
+    blank line, a list item, a table row or a heading starts a block,
+    and a block splits after ``.``, ``!`` or ``?`` and whitespace."""
+    blocks: list[list[int]] = []
+    offset, joins = 0, False
+    for line in text.splitlines(keepends=True):
+        stripped = line.strip()
+        if stripped and joins and not _BLOCK_START_RE.match(line):
+            blocks[-1][1] = offset + len(line)
+        elif stripped:
+            blocks.append([offset, offset + len(line)])
+        joins = bool(stripped) and stripped[0] not in "|#"
+        offset += len(line)
+    for start, end in blocks:
+        cut = start
+        for stop in _SENTENCE_END_RE.finditer(text, start, end):
+            yield cut, text[cut : stop.end()]
+            cut = stop.end()
+        yield cut, text[cut:end]
+
+
+def changes_entries(root: Path = REPO_ROOT) -> set[str]:
+    """The PR numbers with an entry in ``root``'s CHANGES.md."""
+    changes = root / "CHANGES.md"
+    if not changes.exists():
+        return set()
+    return set(_ENTRY_RE.findall(changes.read_text(encoding="utf-8")))
+
+
+def check_sources(path: Path, text: str, root: Path = REPO_ROOT) -> list[str]:
+    """Every measured number of ``text`` whose sentence cites no PR, and
+    every cited PR with no CHANGES.md entry."""
+    entries = changes_entries(root)
+    masked = mask_code(text)
+    errors: list[str] = []
+    for offset, sentence in sentences(masked):
+        line = masked.count("\n", 0, offset) + 1
+        cited = _PR_RE.findall(sentence)
+        for number in cited:
+            if number not in entries:
+                errors.append(f"{path}:{line}: 'PR {number}' (no CHANGES.md entry)")
+        if cited:
+            continue
+        for match in _MEASURE_RE.finditer(sentence):
+            at = line + sentence.count("\n", 0, match.start())
+            errors.append(
+                f"{path}:{at}: unsourced measurement {match.group(0)!r} "
+                "(cite the PR that measured it, or delete it)"
+            )
+    return errors
 
 
 def name_resolves(dotted: str) -> bool:
@@ -181,9 +267,10 @@ def check_citations(root: Path = REPO_ROOT) -> list[str]:
 def check_file(
     path: Path, targets: set[str] | None = None, root: Path = REPO_ROOT
 ) -> list[str]:
-    """All broken internal references in one markdown file; ``make``
-    commands are checked against ``targets`` (the repo Makefile's by
-    default), repo paths against ``root``."""
+    """All broken internal references and unsourced measurements in one
+    markdown file; ``make`` commands are checked against ``targets``
+    (the repo Makefile's by default), repo paths and cited PRs against
+    ``root``."""
     if targets is None:
         targets = make_targets()
     errors: list[str] = []
@@ -214,7 +301,7 @@ def check_file(
                     f"{path}: broken anchor -> {target} "
                     f"(no heading #{fragment} in {dest.name})"
                 )
-    return errors
+    return errors + check_sources(path, text, root)
 
 
 def main(argv: list[str]) -> int:
@@ -226,7 +313,7 @@ def main(argv: list[str]) -> int:
     errors.extend(check_citations())
     for error in errors:
         print(error, file=sys.stderr)
-    print(f"checked {len(files)} markdown file(s): {len(errors)} broken reference(s)")
+    print(f"checked {len(files)} markdown file(s): {len(errors)} error(s)")
     return 1 if errors else 0
 
 

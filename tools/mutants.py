@@ -5,7 +5,8 @@ Each mutant below is one hand-written fault in a load-bearing source
 line, an exact ``before → after`` string patch on one file.  The tool
 copies the tree to a scratch directory (never patching the tree it
 reads), runs the unmutated tier-1 collection there once (every test
-must pass), then each mutant alone: patch, ``python -m pytest -q``
+must pass: a failure is printed as it lands, no mutant starts after
+it, and the failing tests are rerun alone), then each mutant alone: patch, ``python -m pytest -q``
 (no ``-x``), restore.  A test *kills* a mutant when it fails under the
 patch and fails again when the failures are rerun alone, so a flaky
 test cannot enter the table.  The result is ``tests/MUTANTS.md``,
@@ -32,6 +33,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -383,28 +385,45 @@ def stale(root: Path) -> list[str]:
 
 def run(root: Path) -> dict[str, set[str]]:
     """``{mutant name: killing node ids}``, after an unmutated run on
-    the same copies has passed."""
+    the same copies has passed.  An unmutated failure is printed as it
+    lands, every mutant not yet started is skipped, and the failing
+    tests are rerun alone to tell a flake from a real failure."""
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         trees: Queue = Queue()
         for j in range(AT_ONCE):
             _copy(root, Path(tmp) / str(j))
             trees.put(Path(tmp) / str(j))
+        broken = threading.Event()
 
         def one(mutant):
             tree = trees.get()
             try:
+                if broken.is_set():
+                    return set()
                 kills = _kills(tree, mutant)
             finally:
                 trees.put(tree)
             label = "unmutated" if mutant is None else mutant.name
             print(f"{label}: {len(kills)} failing", flush=True)
+            if mutant is None and kills:
+                broken.set()
+                print("  " + "\n  ".join(sorted(kills))
+                      + "\nskipping every mutant not yet started", flush=True)
             return kills
 
         with ThreadPoolExecutor(AT_ONCE) as pool:
             baseline, *kills = pool.map(one, [None, *MUTANTS])
+        if baseline:
+            rerun = sorted(baseline)
+            if any(nodeid.startswith("(") for nodeid in rerun):
+                again = baseline  # no node ids to rerun by
+            else:
+                again = _failing(trees.get(), rerun)
     if baseline:
-        sys.exit("tier-1 fails unmutated, so no kill means anything:\n  "
-                 + "\n  ".join(sorted(baseline)))
+        sys.exit("tier-1 fails unmutated, so no kill means anything; "
+                 "each failing test rerun alone:\n  " + "\n  ".join(
+                     f"{nodeid} ({'fails again' if nodeid in again else 'passed'})"
+                     for nodeid in sorted(baseline)))
     return {m.name: k for m, k in zip(MUTANTS, kills)}
 
 
