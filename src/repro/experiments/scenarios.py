@@ -175,7 +175,8 @@ class EvalRequest:
 
         The member tuples and their JSON come from ``deployment``'s
         memos, so every request declared over one deployment object
-        shares them: its members are sorted and encoded once.
+        shares them: its members are sorted and encoded once.  The
+        request keeps ``deployment`` itself, as :meth:`to_deployment`.
         """
         full, simplex = deployment.sorted_members
         request = cls(
@@ -195,10 +196,16 @@ class EvalRequest:
         )
         # Seed the cached property: the deployment encoded its members.
         request.__dict__["_members_json"] = deployment.members_json
+        request.__dict__["_deployment"] = deployment
         return request
 
     # -- the evaluation-side views ------------------------------------
     def to_deployment(self) -> Deployment:
+        """The deployment :meth:`build` was given, or (a request decoded
+        from its canonical form) a new one of the member tuples."""
+        deployment = self.__dict__.get("_deployment")
+        if deployment is not None:
+            return deployment
         return Deployment(
             full=frozenset(self.deployment_full),
             simplex=frozenset(self.deployment_simplex),
@@ -377,11 +384,13 @@ def collect_requests(*parts) -> list[EvalRequest]:
 # ----------------------------------------------------------------------
 
 def deployment_memo() -> Callable[[EvalRequest], Deployment]:
-    """``request → Deployment`` that builds one :class:`Deployment` per
-    distinct ``(full, simplex)`` member pair: the requests of one step
-    (one per model) get the same object, and with it whatever is
-    memoized on it — here and in the engine.  The memo lives as long as
-    the returned function (one :func:`detect_chains` or
+    """``request → Deployment`` that gives one :class:`Deployment` per
+    distinct ``(full, simplex)`` member pair, the first request's
+    :meth:`~EvalRequest.to_deployment`: the requests of one step (one
+    per model) get the same object, the plan's own if they were built
+    from it, and with it whatever is memoized on it — here and in the
+    engine.  The memo lives as long as the returned function (one
+    :func:`detect_chains` or
     :func:`~repro.experiments.runner.evaluate_requests` call)."""
     built: dict[tuple[tuple[int, ...], tuple[int, ...]], Deployment] = {}
 

@@ -13,8 +13,8 @@ Example:
     ASGraph(|V|=3, c2p=2, p2p=1)
     >>> sorted(g.customers(1)), sorted(g.peers(2)), g.is_stub(2)
     ([2, 3], [3], True)
-    >>> g.relationship(1, 2), g.has_edge(2, 3)
-    (<Relationship.CUSTOMER: 'customer'>, True)
+    >>> g.relationship(1, 2), g.has_edge(2, 3), g.component_count()
+    (<Relationship.CUSTOMER: 'customer'>, True, 1)
     >>> g.adj_start.tolist(), g.adj_node.tolist()  # rows: providers, peers, customers
     ([0, 2, 4, 6], [1, 2, 0, 2, 0, 1])
     >>> graph_from_edges(customer_provider=[(2, 1)], peerings=[(1, 2)])
@@ -221,9 +221,9 @@ class ASGraph:
     # ------------------------------------------------------------------
     # Structure checks
     # ------------------------------------------------------------------
-    def connected_components(self) -> list[set[int]]:
-        """Connected components (ignoring edge annotations), largest
-        first; equal sizes in order of their lowest ASN."""
+    def _component_labels(self) -> np.ndarray:
+        """Per AS, the lowest index in its connected component (edge
+        annotations ignored)."""
         n = len(self)
         start, node = self.adj_start, self.adj_node
         rows = np.flatnonzero(np.diff(start))
@@ -239,8 +239,19 @@ class ASGraph:
             while not np.array_equal(jumped := low[low], low):
                 low = jumped
             if np.array_equal(low, label):
-                break
+                return label
             label = low
+
+    def component_count(self) -> int:
+        """The number of connected components: the ASes that are the
+        lowest index in theirs."""
+        label = self._component_labels()
+        return int(np.count_nonzero(label == np.arange(len(label))))
+
+    def connected_components(self) -> list[set[int]]:
+        """Connected components (ignoring edge annotations), largest
+        first; equal sizes in order of their lowest ASN."""
+        label = self._component_labels()
         roots, sizes = np.unique(label, return_counts=True)
         by_label = self.asn_of[np.argsort(label, kind="stable")]
         members = np.split(by_label, np.cumsum(sizes)[:-1])
@@ -350,38 +361,60 @@ def graph_from_edges(
     c2p = _asn_array(customer_provider, 2)
     p2p = _asn_array(peerings, 2)
     extra = _asn_array(asns, 1)
-    edges = np.concatenate([c2p, p2p])
-    loops = np.flatnonzero(edges[:, 0] == edges[:, 1])
-    if len(loops):
-        a, b = edges[loops[0]].tolist()
-        raise TopologyError(f"self-loop {a}-{b}")
+    for pairs in (c2p, p2p):
+        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        if len(loops):
+            a, b = pairs[loops[0]].tolist()
+            raise TopologyError(f"self-loop {a}-{b}")
 
+    m, e = len(c2p), len(c2p) + len(p2p)
+    parts = (c2p.ravel(), p2p.ravel(), extra)
+    # ASNs are 32-bit (RFC 6793): as uint32, unique's copies of them
+    # take half the bytes.
+    narrow = max(part.max(initial=0) for part in parts) < 2**32
     asn_of, index = np.unique(
-        np.concatenate([edges.ravel(), extra]), return_inverse=True
+        np.concatenate(
+            parts, dtype=np.uint32 if narrow else np.int64, casting="unsafe"
+        ),
+        return_inverse=True,
     )
+    asn_of = asn_of.astype(np.int64)
     n = len(asn_of)
-    u, v = index[: edges.size].reshape(-1, 2).T
-    key = np.minimum(u, v) * n + np.maximum(u, v)
-    if not np.diff(np.sort(key)).all():
+    # Every edge's endpoints (c2p rows first), as views of ``index``.
+    u, v = index[0 : 2 * e : 2], index[1 : 2 * e : 2]
+    cust, prov, left, right = u[:m], v[:m], u[m:], v[m:]
+    # Per slot group: the rows, g = 0/1/2 for providers/peers/customers,
+    # and the neighbors, one slot per edge.
+    groups = ((cust, 0, prov), (left, 1, right), (right, 1, left), (prov, 2, cust))
+    slot = np.empty(sum(len(rows) for rows, _, _ in groups), np.int64)
+    # Until the edges are known distinct, the slots' first part holds
+    # each edge's pair key min·n + max = min·(n - 1) + u + v.
+    key = slot[:e]
+    np.minimum(u, v, out=key)
+    key *= n - 1
+    key += u
+    key += v
+    key.sort()
+    if (key[1:] == key[:-1]).any():
+        key = np.minimum(u, v) * n + np.maximum(u, v)
         # Stable-sorted, the later of two equal pairs is the duplicate.
         order = np.argsort(key, kind="stable")
-        repeats = order[1:][key[order[1:]] == key[order[:-1]]]
-        a, b = edges[repeats.min()].tolist()
+        first = order[1:][key[order[1:]] == key[order[:-1]]].min()
+        a, b = (c2p[first] if first < m else p2p[first - m]).tolist()
         raise TopologyError(f"edge {a}-{b} already exists with some annotation")
 
-    # One sort of the packed keys (u·3 + g)·n + v, g = 0/1/2 for
-    # providers/peers/customers, lays every row out.
-    m = len(c2p)
-    cust, prov = u[:m], v[:m]
-    left, right = u[m:], v[m:]
-    slot = np.concatenate([
-        (cust * 3 + 0) * n + prov,
-        (left * 3 + 1) * n + right,
-        (right * 3 + 1) * n + left,
-        (prov * 3 + 2) * n + cust,
-    ])
+    # One sort of the packed keys (row·3 + g)·n + neighbor, written in
+    # place, lays every row out; a bincount a group counts its slots.
+    counts = np.zeros((n, 3), np.int64)
+    at = 0
+    for rows, group, cols in groups:
+        packed = slot[at : at + len(rows)]
+        np.multiply(rows, 3 * n, out=packed)
+        packed += cols
+        packed += group * n
+        counts[:, group] += np.bincount(rows, minlength=n)
+        at += len(rows)
     slot.sort()
-    counts = np.bincount(slot // max(n, 1), minlength=3 * n).reshape(n, 3)
     np.remainder(slot, max(n, 1), out=slot)
     adj_start = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
     peer_start = adj_start[:-1] + counts[:, 0]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import doctest
 import importlib.util
 import re
+import threading
 import time
 from pathlib import Path
 
@@ -243,18 +244,20 @@ def test_architecture_guide_stays_short():
 
 
 def test_mutants_stop_on_a_failing_unmutated_run(monkeypatch, capsys):
-    """A failing unmutated tier-1 is named at once, no mutant starts
-    after it, and its tests are rerun alone to tell a flake."""
+    """A failing unmutated tier-1 is named at once, the mutant in flight
+    is stopped, no mutant starts after it, and its tests are rerun
+    alone to tell a flake."""
     mutants = _load_tool("mutants")
     calls = []
     failing = {"tests/test_a.py::test_flaky", "tests/test_b.py::test_broken"}
 
-    def kills(tree, mutant):
+    def kills(tree, mutant, stop=None):
         calls.append(mutant)
         if mutant is None:
+            time.sleep(0.2)  # a mutant's run outlasts the unmutated one
             return set(failing)
-        time.sleep(0.2)  # a mutant's run outlasts the unmutated one
-        return {"tests/test_c.py::test_kill"}
+        assert stop.wait(30), "the mutant in flight was not stopped"
+        return set()
 
     monkeypatch.setattr(mutants, "_copy", lambda root, dest: dest.mkdir())
     monkeypatch.setattr(mutants, "_kills", kills)
@@ -269,3 +272,22 @@ def test_mutants_stop_on_a_failing_unmutated_run(monkeypatch, capsys):
     assert "tests/test_b.py::test_broken (fails again)" in message
     printed = capsys.readouterr().out
     assert all(nodeid in printed for nodeid in failing)
+
+
+def test_mutants_stopped_run_ends_its_session(tmp_path):
+    """A tier-1 run is polled: setting its stop event kills it (and
+    whatever it started) within a poll, not when it ends."""
+    mutants = _load_tool("mutants")
+    (tmp_path / "test_sleeps.py").write_text(
+        "import time\n\n\ndef test_sleeps():\n    time.sleep(120)\n"
+    )
+    (tmp_path / f"{mutants._PLUGIN_NAME}.py").write_text(mutants._PLUGIN)
+    stop = threading.Event()
+    timer = threading.Timer(1.0, stop.set)
+    started = time.monotonic()
+    timer.start()
+    try:
+        assert mutants._failing(tmp_path, stop=stop) == set()
+    finally:
+        timer.cancel()
+    assert time.monotonic() - started < 1.0 + 10 * mutants.POLL_S

@@ -7,10 +7,12 @@ import pytest
 
 from repro.topology import (
     PAPER_CONTENT_PROVIDERS,
+    ASGraph,
     Tier,
     TopologyParams,
     classify_tiers,
     generate_topology,
+    graph_from_edges,
 )
 from repro.topology.generate import FAST_ATTACHMENT_MIN_N, _Builder
 from repro.topology.serial2 import dumps_serial2
@@ -214,7 +216,7 @@ class TestInlineDraws:
             assert b.add_random_peerings(pool_a, pool_b, 1) == 1
             a, c = reference.choice(pool_a), reference.choice(pool_b)
             pair = a << 32 | c  # a < c: pool_b lies above pool_a
-            assert b.p2p[-2:] == [a, c] and b.edges == {pair}
+            assert list(b.p2p[-2:]) == [a, c] and b.edges == {pair}
             # forget the one edge added, so the next is the only one too
             del b.p2p[-2:]
             b.edges.remove(pair)
@@ -268,6 +270,28 @@ class TestInlineDraws:
                 random.Random.choices(ties, population, [weight[a] for a in population])
                 for _ in fractions
             ]
+
+
+class TestConnectivityCheck:
+    def test_builds_no_components(self, monkeypatch):
+        """The check counts component labels; it builds no set of ASNs."""
+
+        def fail(self):
+            raise AssertionError("generate_topology built the components")
+
+        monkeypatch.setattr(ASGraph, "connected_components", fail)
+        generate_topology(TopologyParams(n=600, seed=3))
+
+    def test_a_disconnected_graph_is_rejected(self, monkeypatch):
+        finish = _Builder.finish
+
+        def with_a_lone_as(self):
+            c2p, p2p = finish(self).edge_lists()
+            return graph_from_edges(c2p, p2p, asns=[10**6])
+
+        monkeypatch.setattr(_Builder, "finish", with_a_lone_as)
+        with pytest.raises(AssertionError, match="disconnected"):
+            generate_topology(TopologyParams(n=600, seed=3))
 
 
 class TestParams:

@@ -14,6 +14,7 @@ from repro.topology import (
     generate_topology,
     graph_from_edges,
 )
+from repro.topology.graph import _ARRAYS
 
 
 class TestConstruction:
@@ -42,6 +43,16 @@ class TestConstruction:
         assert g.degree(7) == 0 and g.neighbors(7) == frozenset()
         assert len(graph_from_edges(asns=[5])) == 1
         assert len(graph_from_edges()) == 0
+
+    @pytest.mark.parametrize("big", [2**32 - 1, 2**32, 2**62])
+    def test_asns_of_any_width(self, big):
+        """ASNs sort as int64 whether or not they fit 32 bits."""
+        g = graph_from_edges(
+            customer_provider=[(big, 7)], peerings=[(big - 1, 7)], asns=[big - 2]
+        )
+        assert g.asn_of.dtype == np.int64
+        assert g.asns == [7, big - 2, big - 1, big]
+        assert g.customers(7) == {big} and g.peers(big - 1) == {7}
 
     def test_ases_without_edges_below_between_and_above(self):
         """Lone ASNs sort in among the edges' endpoints; the rows come
@@ -150,8 +161,8 @@ class TestFrozen:
     def test_peak_size_of_generating_a_graph(self):
         """The generator's draws keep one edge set, flat edge lists and
         a weight tree per transit layer, not a python container per AS:
-        a 1.22 MB traced peak at 2 200 ASes (1.24 MB with a weight list
-        per layer), where per-AS neighbour sets peaked at 1.56 MB."""
+        a 1.10 MB traced peak at 2 200 ASes, where per-AS neighbour sets
+        peaked at 1.56 MB."""
         generate_topology(TopologyParams(n=60, seed=1))  # lazy imports
         gc.collect()
         tracemalloc.start()
@@ -160,7 +171,26 @@ class TestFrozen:
             _retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.4e6
+        assert peak < 1.2e6
+
+    #: ``graph_from_edges``' peak over the bytes of the arrays it keeps:
+    #: 3.02 at 20 000 ASes, set inside ``np.unique``.  One more int64
+    #: temporary of a slot each (as ``adj_node``) adds ≈ 0.56.
+    PEAK_PER_KEPT_BYTE = 3.1
+
+    def test_peak_of_building_a_graph_is_a_pinned_multiple_of_what_it_keeps(self):
+        """tracemalloc's byte counts are the same on every run, so one
+        run shows a build that allocates more."""
+        graph = generate_topology(TopologyParams(n=20_000, seed=2013)).graph
+        c2p, p2p = graph.edge_lists()
+        tracemalloc.start()
+        try:
+            built = graph_from_edges(c2p, p2p)
+            _retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(getattr(built, name).nbytes for name in _ARRAYS)
+        assert peak <= self.PEAK_PER_KEPT_BYTE * kept, peak / kept
 
 
 class TestAccessors:
@@ -270,6 +300,7 @@ class TestStructure:
         components = g.connected_components()
         # equal sizes in order of their lowest ASN
         assert components == [{1, 2}, {3, 4}, {5, 6}]
+        assert g.component_count() == 3
 
     @pytest.mark.parametrize(
         "edges", [[(1, 2), (3, 4)], [(3, 4), (1, 2)]], ids=["low-first", "high-first"]
@@ -290,6 +321,7 @@ class TestStructure:
         assert g.connected_components() == [
             {1, 2, 3, 4, 5, 6, 7}, {8, 9}, {20, 21}, {22, 23}, {30}
         ]
+        assert g.component_count() == 5  # the lone AS 30 is one
 
     def test_long_path_is_one_component(self):
         path = [(i, i + 1) for i in range(1, 200)]

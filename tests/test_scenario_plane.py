@@ -112,6 +112,9 @@ class TestEvalRequest:
         dep = Deployment(full=frozenset([a]), simplex=frozenset([b]))
         req = _request(ectx, [(b, c)], dep, SECURITY_SECOND)
         assert req.to_deployment() == dep
+        assert req.to_deployment() is dep  # the one it was built over
+        decoded = EvalRequest.from_canonical(req.canonical()).to_deployment()
+        assert decoded == dep and decoded is not dep
         assert req.to_model() == SECURITY_SECOND
 
     def test_canonical_dict_is_json_stable(self, ectx):
@@ -279,18 +282,40 @@ class TestOncePerDeployment:
     """Deployment-sized work runs once per distinct deployment, not
     once per request or comparison (counted, not timed)."""
 
-    def test_evaluate_requests_builds_one_deployment_per_distinct_one(
-        self, ectx, count_calls
-    ):
+    @staticmethod
+    def _fig7a(ectx) -> tuple[list[EvalRequest], int]:
+        """fig7a's requests and how many distinct deployments they hold."""
         from repro.experiments import get_experiment
 
         requests = list(get_experiment("fig7a").requests(ectx))
         distinct = {(r.deployment_full, r.deployment_simplex) for r in requests}
         assert len(distinct) < len(requests)  # three models a step
+        return requests, len(distinct)
+
+    def test_requests_built_from_a_plan_build_no_deployment(
+        self, ectx, count_calls
+    ):
+        """A request keeps the deployment it was built over: evaluating
+        a plan's requests freezes no member set again."""
+        requests, _ = self._fig7a(ectx)
         built = count_calls(Deployment, "__post_init__")
         results = evaluate_requests(ectx, requests)
         assert len(results) == len(requests)
-        assert built[0] == len(distinct)
+        assert built[0] == 0
+
+    def test_decoded_requests_build_one_deployment_per_distinct_one(
+        self, ectx, count_calls
+    ):
+        requests, distinct = self._fig7a(ectx)
+        decoded = [
+            EvalRequest.from_canonical(json.loads(r.canonical_json()))
+            for r in requests
+        ]
+        assert decoded == requests
+        built = count_calls(Deployment, "__post_init__")
+        results = evaluate_requests(ectx, decoded)
+        assert len(results) == len(requests)
+        assert built[0] == distinct
 
     def test_plan_fig7a_walks_each_isps_customers_once(self, monkeypatch):
         """The full and simplex rollouts share one ISP → stubs memo."""

@@ -5,8 +5,9 @@ Each mutant below is one hand-written fault in a load-bearing source
 line, an exact ``before → after`` string patch on one file.  The tool
 copies the tree to a scratch directory (never patching the tree it
 reads), runs the unmutated tier-1 collection there once (every test
-must pass: a failure is printed as it lands, no mutant starts after
-it, and the failing tests are rerun alone), then each mutant alone: patch, ``python -m pytest -q``
+must pass: a failure is printed as it lands, the mutant in flight is
+stopped, no mutant starts after it, and the failing tests are rerun
+alone), then each mutant alone: patch, ``python -m pytest -q``
 (no ``-x``), restore.  A test *kills* a mutant when it fails under the
 patch and fails again when the failures are rerun alone, so a flaky
 test cannot enter the table.  The result is ``tests/MUTANTS.md``,
@@ -34,6 +35,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -45,6 +47,8 @@ TABLE = Path("tests/MUTANTS.md")
 #: a mutant that hangs the suite counts as killed by this pseudo-test
 TIMEOUT_NODE = "(tier-1 timed out)"
 TIMEOUT_S = 3600
+#: how often a running tier-1 checks whether the sweep was stopped
+POLL_S = 1.0
 #: mutants run at once: a tier-1 run is mostly one busy process
 AT_ONCE = 2
 #: the tier-1 check that every ``before`` text is in the tree: any
@@ -134,8 +138,8 @@ MUTANTS = (
     # -- the graph's CSR and the kernel's scratch -------------------------
     Mutant(
         "csr_peering_one_way", "src/repro/topology/graph.py",
-        "        (right * 3 + 1) * n + left,\n",
-        "",
+        "(left, 1, right), (right, 1, left), ",
+        "(left, 1, right), ",
         "graph_from_edges lists a peering in one of its two rows only",
     ),
     Mutant(
@@ -143,6 +147,13 @@ MUTANTS = (
         "        peer_start + counts[:, 1],\n",
         "        peer_start,\n",
         "a row's customer tail (cust_start) starts at its peers",
+    ),
+    Mutant(
+        "component_count_misses_edgeless_ases", "src/repro/topology/graph.py",
+        "return int(np.count_nonzero(label == np.arange(len(label))))",
+        "return len(np.unique(label[self.adj_node]))",
+        "component_count counts the components its slots reach: an AS "
+        "with no edge goes uncounted",
     ),
     # -- the generator's weighted draw ------------------------------------
     Mutant(
@@ -329,8 +340,11 @@ def _copy(root: Path, dest: Path) -> None:
     (dest / f"{_PLUGIN_NAME}.py").write_text(_PLUGIN)
 
 
-def _failing(tree: Path, nodeids=()) -> set[str]:
-    """Node ids that fail in tier-1 on ``tree`` (or among ``nodeids``)."""
+def _failing(
+    tree: Path, nodeids=(), stop: threading.Event | None = None
+) -> set[str]:
+    """Node ids that fail in tier-1 on ``tree`` (or among ``nodeids``);
+    none if ``stop`` is set first, which ends the run."""
     report = tree / ".mutants-failed"
     report.unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH="src", MUTANTS_FAILED=str(report))
@@ -341,10 +355,14 @@ def _failing(tree: Path, nodeids=()) -> set[str]:
         cwd=tree, env=env, stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL, start_new_session=True,
     )
+    stop = stop or threading.Event()
+    deadline = time.monotonic() + TIMEOUT_S
     try:
-        pytest.wait(timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return {TIMEOUT_NODE}
+        while pytest.poll() is None:
+            if stop.wait(POLL_S):
+                return set()
+            if time.monotonic() > deadline:
+                return {TIMEOUT_NODE}
     finally:
         # a test that fails under a mutant can leave its own subprocesses
         # (a server, pool workers) running: end the whole session
@@ -357,18 +375,21 @@ def _failing(tree: Path, nodeids=()) -> set[str]:
     return set(report.read_text().splitlines())
 
 
-def _kills(tree: Path, mutant: Mutant | None) -> set[str]:
-    """The tests that kill ``mutant`` (None: that fail unmutated)."""
+def _kills(
+    tree: Path, mutant: Mutant | None, stop: threading.Event | None = None
+) -> set[str]:
+    """The tests that kill ``mutant`` (None: that fail unmutated); none
+    if ``stop`` is set first."""
     if mutant is None:
         return _failing(tree)
     target = tree / mutant.path
     source = target.read_text(encoding="utf-8")
     target.write_text(source.replace(mutant.before, mutant.after), encoding="utf-8")
     try:
-        first = _failing(tree)
+        first = _failing(tree, stop=stop)
         if not first or any(nodeid.startswith("(") for nodeid in first):
             return first  # nothing to rerun, or no node ids to rerun by
-        return first & _failing(tree, sorted(first))
+        return first & _failing(tree, sorted(first), stop)
     finally:
         target.write_text(source, encoding="utf-8")
 
@@ -386,8 +407,9 @@ def stale(root: Path) -> list[str]:
 def run(root: Path) -> dict[str, set[str]]:
     """``{mutant name: killing node ids}``, after an unmutated run on
     the same copies has passed.  An unmutated failure is printed as it
-    lands, every mutant not yet started is skipped, and the failing
-    tests are rerun alone to tell a flake from a real failure."""
+    lands, the mutant in flight is stopped (its session killed), every
+    mutant not yet started is skipped, and the failing tests are rerun
+    alone to tell a flake from a real failure."""
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         trees: Queue = Queue()
         for j in range(AT_ONCE):
@@ -400,15 +422,18 @@ def run(root: Path) -> dict[str, set[str]]:
             try:
                 if broken.is_set():
                     return set()
-                kills = _kills(tree, mutant)
+                kills = _kills(tree, mutant, broken)
             finally:
                 trees.put(tree)
+            if broken.is_set():
+                return set()  # stopped: the sweep ends unmutated
             label = "unmutated" if mutant is None else mutant.name
             print(f"{label}: {len(kills)} failing", flush=True)
             if mutant is None and kills:
                 broken.set()
                 print("  " + "\n  ".join(sorted(kills))
-                      + "\nskipping every mutant not yet started", flush=True)
+                      + "\nstopping the mutant in flight and skipping "
+                      "every mutant not yet started", flush=True)
             return kills
 
         with ThreadPoolExecutor(AT_ONCE) as pool:
