@@ -25,12 +25,14 @@ fuzz:
 		tests/test_properties.py tests/test_engine_properties.py
 
 ## service plane: HTTP API, resilience chaos, store backends,
-## concurrency stress (the CI `service` job adds coverage >= 85% on
-## repro.service + the store)
+## concurrency stress, the CLI and the scenario plane — the six files
+## the CI `service` job runs (it adds coverage >= 85% on repro.service
+## + the store, which needs pytest-cov)
 test-service:
 	$(PYTHON) -m pytest -q --durations=15 tests/test_service.py \
 		tests/test_service_chaos.py \
-		tests/test_store_backends.py tests/test_store_concurrency.py
+		tests/test_store_backends.py tests/test_store_concurrency.py \
+		tests/test_cli.py tests/test_scenario_plane.py
 
 ## the mutant-kill table: each hand-written mutant of tools/mutants.py
 ## applied alone to a scratch copy of the tree, tier-1 run on it, and

@@ -34,23 +34,35 @@ routing-semantics version :data:`repro.core.fixing.ENGINE_VERSION`, so
 engine behavior changes start cold automatically).  Delete the cache
 directory to reclaim space or force a cold run.
 
-Opening a store does **not** parse it: a single scan builds an
+One record discipline
+---------------------
+:class:`ResultStoreBase` holds everything about records: it builds
+them (:func:`build_record`), writes them, decodes and verifies them
+(:func:`_decode`) and walks a hash's stored records newest first.  A
+backend supplies only its medium: the stored records of a hash, newest
+first (:meth:`~ResultStoreBase._stored`), an append, a torn append, and
+its view of which hashes it holds.  Reads are memoized per handle; a
+write memoizes nothing — it evicts its hash, and the next read takes
+the record back through the medium.
+
+Opening a JSONL store does **not** parse it: a single scan builds an
 in-memory ``hash → byte offset`` index (the record hash sits in a fixed
 prefix of each line, so indexing never JSON-decodes result payloads),
-and :meth:`ResultStore.get` seeks, reads and parses one line on demand,
-memoizing the decoded record.  Warm runs over large stores therefore
-pay one sequential scan plus one small read per scenario actually
-requested, instead of decoding every stored result up front.
+and a read seeks, reads and parses one line on demand.  Warm runs over
+large stores therefore pay one sequential scan plus one small read per
+scenario actually requested, instead of decoding every stored result
+up front.
 
 Durability
 ----------
-Every record written by :meth:`ResultStore.put` carries a CRC32
-trailer (a ``"crc"`` field computed over the rest of the line), so a
+Every record written by :meth:`ResultStoreBase.put` carries a CRC32
+trailer (a ``"crc"`` field computed over the rest of the record), so a
 record that decodes as JSON but was silently corrupted on disk is
-*detected* and treated as absent instead of served as wrong data —
-:meth:`get` then falls back to the newest older record for the hash,
-exactly as for undecodable corruption.  Records without a trailer
-(older stores, foreign writers) are accepted unverified.
+*detected* and treated as absent instead of served as wrong data — a
+read then falls back to the newest older record for the hash, exactly
+as for undecodable corruption (bytes that are not UTF-8 included).
+Records without a trailer (older stores, foreign writers) are accepted
+unverified.
 
 A run killed mid-``put`` leaves a **torn tail**: a final line with no
 newline.  The index already skips it (everything before it is intact —
@@ -92,21 +104,19 @@ FSYNC_POLICIES = ("never", "always", "close")
 #: Default cache directory, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Fixed line prefix written by :meth:`ResultStore.put` (the record dict
-#: is serialized with ``hash`` first), used for decode-free indexing.
+#: Fixed line prefix of every record :func:`build_record` writes (the
+#: record is serialized with ``hash`` first), used for decode-free
+#: indexing.
 _HASH_PREFIX = b'{"hash":"'
-
-#: Offset sentinel for records living in ``_parsed`` only (fresh puts).
-_IN_MEMORY = -1
 
 
 def _record_crc(record: dict) -> str:
     """CRC32 (8 hex chars) over the record's canonical payload bytes.
 
     Computed over the compact JSON of the ``hash``/``request``/
-    ``result`` fields in exactly the order :meth:`ResultStore.put`
-    writes them, so verification re-derives the very bytes that were
-    protected regardless of how a reader reordered the decoded dict.
+    ``result`` fields in exactly the order :func:`build_record` writes
+    them, so verification re-derives the very bytes that were protected
+    regardless of how a reader reordered the decoded dict.
     """
     body = json.dumps(
         {k: record[k] for k in ("hash", "request", "result") if k in record},
@@ -119,28 +129,73 @@ def _crc(body: str) -> str:
     return format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "08x")
 
 
-def _build_record(request: EvalRequest, result: MetricResult) -> tuple[dict, str]:
-    """The canonical record dict for one put, CRC trailer included, and
-    its compact JSON line: one serialisation, the CRC spliced in as the
-    last field (exactly ``json.dumps(record, separators=(",", ":"))``)."""
-    record = {
-        "hash": request.scenario_hash,
-        "request": request.canonical(),
-        "result": result_to_record(result),
-    }
-    # The request's JSON is spliced, not encoded from ``record``: its
-    # member arrays were encoded once for every request of the step.
+def build_record(
+    scenario_hash: str,
+    request: dict,
+    result: dict,
+    request_json: str | None = None,
+) -> tuple[dict, str]:
+    """The one record layout: ``{hash, request, result, crc}`` and its
+    compact JSON line.
+
+    The line is exactly ``json.dumps(record, separators=(",", ":"))``:
+    ``hash`` first (the JSONL index slices it out of the line's fixed
+    prefix), the CRC32 trailer over the first three fields spliced in
+    last.  ``request_json``, if given, is the request's compact JSON,
+    spliced in as is.
+    """
+    if request_json is None:
+        request_json = json.dumps(request, separators=(",", ":"))
     body = (
-        f'{{"hash":{json.dumps(record["hash"])},'
-        f'"request":{request.canonical_json()},'
-        f'"result":{json.dumps(record["result"], separators=(",", ":"))}}}'
+        f'{{"hash":{json.dumps(scenario_hash)},'
+        f'"request":{request_json},'
+        f'"result":{json.dumps(result, separators=(",", ":"))}}}'
     )
-    record["crc"] = crc = _crc(body)
+    crc = _crc(body)
+    record = dict(hash=scenario_hash, request=request, result=result, crc=crc)
     return record, f'{body[:-1]},"crc":"{crc}"}}'
 
 
+def _build_record(request: EvalRequest, result: MetricResult) -> tuple[dict, str]:
+    """The record of one evaluated scenario and its line (see
+    :func:`build_record`).  The request's JSON is spliced, not encoded
+    again: its member arrays were encoded once for every request of the
+    step."""
+    return build_record(
+        request.scenario_hash, request.canonical(), result_to_record(result),
+        request.canonical_json(),
+    )
+
+
+def _decode(blob: bytes | str) -> dict | None:
+    """The record stored in ``blob``, or ``None`` if it holds none.
+
+    Anything that is not a verified record reads as corruption: bytes
+    that are not UTF-8 or not JSON, a value without ``hash`` and
+    ``result``, or a CRC32 trailer that disagrees with the payload.
+    """
+    try:
+        record = json.loads(blob)
+    except ValueError:
+        return None
+    if not (
+        isinstance(record, dict)
+        and isinstance(record.get("hash"), str)
+        and "result" in record
+    ):
+        return None
+    crc = record.get("crc")
+    if crc is not None and crc != _record_crc(record):
+        # The CRC32 trailer disagrees: the record decodes as JSON but
+        # its payload was corrupted on disk.  Treat as absent — the
+        # read falls back to the newest older record for the hash —
+        # rather than serve silently wrong data.
+        return None
+    return record
+
+
 class ResultStoreBase(abc.ABC):
-    """The backend contract every result store implements.
+    """The record discipline, and the contract every medium fills in.
 
     A store is a content-addressed map from scenario hash to
     :class:`MetricResult` with these guarantees, held to by the shared
@@ -166,6 +221,12 @@ class ResultStoreBase(abc.ABC):
       corrupt earlier records, and the next writer (or reopen) must
       recover to a clean state.
 
+    The base class decodes, verifies and writes records; a backend
+    implements its medium: :meth:`_stored`, :meth:`_forget`,
+    :meth:`_append`, :meth:`_tear`, :meth:`refresh`, :meth:`hashes`,
+    ``__contains__`` and :meth:`close`.  ``_parsed`` is the read memo
+    (hash → decoded record); a write evicts its hash from it.
+
     ``hits``/``misses`` count scheduler lookups so runs can report
     cache effectiveness; they are bookkeeping, not part of the record
     state.
@@ -190,8 +251,27 @@ class ResultStoreBase(abc.ABC):
         self.failure_log = failure_log
         self.hits = 0
         self.misses = 0
+        #: hash → decoded record, filled by reads only.
+        self._parsed: dict[str, dict] = {}
+        self._puts = 0
 
-    # -- the contract ---------------------------------------------------
+    # -- the medium -----------------------------------------------------
+    @abc.abstractmethod
+    def _stored(self, scenario_hash: str) -> Iterable[bytes]:
+        """The stored records of a hash, newest first, undecoded."""
+
+    @abc.abstractmethod
+    def _forget(self, scenario_hash: str) -> None:
+        """No stored record of the hash decodes: leave it out of
+        :meth:`hashes`, ``in`` and ``len``."""
+
+    @abc.abstractmethod
+    def _append(self, scenario_hash: str, text: str) -> None:
+        """Store one record line; the hash's next read finds it."""
+
+    def _tear(self, scenario_hash: str, text: str) -> None:
+        """Leave what a writer killed while storing ``text`` leaves."""
+
     @abc.abstractmethod
     def refresh(self) -> None:
         """Make records committed by other processes since the last
@@ -199,34 +279,11 @@ class ResultStoreBase(abc.ABC):
         when nothing changed."""
 
     @abc.abstractmethod
-    def get(self, scenario_hash: str) -> MetricResult | None:
-        """The newest uncorrupted result for a hash, or ``None``."""
-
-    @abc.abstractmethod
-    def raw_record(self, scenario_hash: str) -> dict | None:
-        """The newest uncorrupted *record dict* for a hash (the
-        ``{hash, request, result, crc}`` shape) — the export primitive."""
-
-    @abc.abstractmethod
-    def put(self, request: EvalRequest, result: MetricResult) -> str:
-        """Persist one evaluated scenario; returns its hash."""
-
-    @abc.abstractmethod
-    def put_record(self, record: dict) -> str:
-        """Insert a record dict verbatim (the import primitive).
-
-        The record's stored bytes — including its ``crc`` and any
-        foreign ``format``/``engine`` provenance inside ``request`` —
-        are preserved, so an export/import round trip is
-        byte-identical.
-        """
-
-    @abc.abstractmethod
     def hashes(self) -> frozenset[str]:
         """Every servable scenario hash (no result payload is decoded)."""
 
     @abc.abstractmethod
-    def __len__(self) -> int: ...
+    def __contains__(self, scenario_hash: str) -> bool: ...
 
     @abc.abstractmethod
     def close(self) -> None:
@@ -237,11 +294,38 @@ class ResultStoreBase(abc.ABC):
     def closed(self) -> bool:
         """True when no OS handles are currently open."""
 
-    # -- shared behavior ------------------------------------------------
-    def __contains__(self, scenario_hash: str) -> bool:
-        if scenario_hash not in self.hashes():
-            self.refresh()
-        return scenario_hash in self.hashes()
+    # -- reads ----------------------------------------------------------
+    def get(self, scenario_hash: str) -> MetricResult | None:
+        """The newest uncorrupted result for a hash, or ``None``."""
+        record = self.raw_record(scenario_hash)
+        if record is None:
+            return None
+        return result_from_record(record["result"])
+
+    def raw_record(self, scenario_hash: str) -> dict | None:
+        """The newest uncorrupted *record dict* for a hash (the
+        ``{hash, request, result, crc}`` shape) — the export primitive.
+
+        A newest record that does not decode falls through to the older
+        ones it superseded; a hash none of whose records decodes is
+        forgotten, so ``hashes()``/``len()`` self-correct.
+        """
+        record = self._parsed.get(scenario_hash)
+        if record is not None:
+            return record
+        stored = False
+        for blob in self._stored(scenario_hash):
+            stored = True
+            record = _decode(blob)
+            if record is not None and record["hash"] == scenario_hash:
+                self._parsed[scenario_hash] = record
+                return record
+        if stored:
+            self._forget(scenario_hash)
+        return None
+
+    def __len__(self) -> int:
+        return len(self.hashes())
 
     def records(self) -> Iterator[dict]:
         """Newest valid record per hash, in sorted-hash order."""
@@ -250,6 +334,51 @@ class ResultStoreBase(abc.ABC):
             record = self.raw_record(scenario_hash)
             if record is not None:
                 yield record
+
+    # -- writes ---------------------------------------------------------
+    def put(self, request: EvalRequest, result: MetricResult) -> str:
+        """Persist one evaluated scenario; returns its hash.
+
+        The stored line is the compact record JSON with a CRC32 trailer
+        field spliced in (``{"hash":...,...,"crc":"xxxxxxxx"}``) — still
+        one line of plain JSON, so foreign readers are unaffected, but
+        bit-rot is detectable on read.  An armed fault plan may tear the
+        write (:meth:`~repro.experiments.faults.FaultPlan.torn_write`):
+        the record is then lost exactly as a writer killed mid-put
+        loses it.
+        """
+        _record, text = _build_record(request, result)
+        scenario_hash = request.scenario_hash
+        plan = active_plan()
+        fault = None if plan is None else plan.torn_write(self._puts)
+        self._puts += 1
+        if fault is None:
+            self._write(scenario_hash, text)
+            return scenario_hash
+        self._tear(scenario_hash, text)
+        if self.failure_log is not None:
+            self.failure_log.record(
+                "store_torn_write",
+                detail=f"injected torn write of {scenario_hash}",
+                scenario=scenario_hash,
+            )
+        return scenario_hash
+
+    def put_record(self, record: dict) -> str:
+        """Store a record dict verbatim (the import primitive).
+
+        The record's stored bytes — including its ``crc`` and any
+        foreign ``format``/``engine`` provenance inside ``request`` —
+        are preserved, so an export/import round trip is
+        byte-identical.  A CRC-corrupt import is detected on read, like
+        disk corruption.
+        """
+        self._write(record["hash"], json.dumps(record, separators=(",", ":")))
+        return record["hash"]
+
+    def _write(self, scenario_hash: str, text: str) -> None:
+        self._append(scenario_hash, text)
+        self._parsed.pop(scenario_hash, None)
 
     def __enter__(self) -> "ResultStoreBase":
         return self
@@ -262,10 +391,10 @@ class ResultStore(ResultStoreBase):
     """JSONL-backed map from scenario hash to :class:`MetricResult`.
 
     The file is scanned once at construction to build the offset index;
-    records decode lazily in :meth:`get`.  ``put`` appends immediately
-    (crash-safe incremental progress) and updates the index in memory.
-    ``hits``/``misses`` count lookups made through the scheduler so CLI
-    runs can report cache effectiveness.
+    records decode lazily on read.  ``put`` appends immediately
+    (crash-safe incremental progress); the next read of its hash
+    rescans the appended tail.  ``hits``/``misses`` count lookups made
+    through the scheduler so CLI runs can report cache effectiveness.
 
     Writes go through one persistent append handle per store (opened
     lazily on the first ``put``, closed by :meth:`close` or the context
@@ -305,20 +434,12 @@ class ResultStore(ResultStoreBase):
 
     FILENAME = "results.jsonl"
 
-    def __init__(
-        self,
-        root: str | Path = DEFAULT_CACHE_DIR,
-        fsync: str = "never",
-        failure_log: "FailureLog | None" = None,
-    ):
-        super().__init__(root, fsync=fsync, failure_log=failure_log)
-        #: hash → byte offset of its newest record line (or _IN_MEMORY).
+    def __init__(self, root: str | Path = DEFAULT_CACHE_DIR, **options):
+        super().__init__(root, **options)
+        #: hash → byte offset of its newest indexed record line.
         self._offsets: dict[str, int] = {}
-        #: hash → decoded record, filled lazily by get() and by put().
-        self._parsed: dict[str, dict] = {}
         self._handle = None
         self._reader = None
-        self._puts = 0
         #: Byte offset just past the last *complete* indexed line; the
         #: starting point for tail rescans (:meth:`refresh`).  A
         #: truncated trailing line never advances it, so an in-progress
@@ -337,13 +458,13 @@ class ResultStore(ResultStoreBase):
 
         The hash is sliced out of the fixed line prefix without JSON
         decoding — but only for lines that also look like complete
-        records (terminated by ``}``, carrying a ``"result"`` key);
-        lines in any other shape (foreign writers, corruption) fall
-        back to a full decode, and undecodable or record-shaped-but-
-        incomplete lines — e.g. the truncated tail of an interrupted
-        run — are skipped, so every indexed hash is one :meth:`get`
-        can actually serve.  Later records win, matching the
-        append-only newest-wins contract.
+        records (terminated by ``}``, carrying a ``"result"`` key) and
+        whose hash is ASCII; lines in any other shape (foreign writers,
+        corruption) fall back to a full decode, and undecodable or
+        record-shaped-but-incomplete lines — e.g. the truncated tail of
+        an interrupted run — are skipped, so every indexed hash is one
+        :meth:`get` can actually serve.  Later records win, matching
+        the append-only newest-wins contract.
         """
         if not self.path.exists():
             return
@@ -388,23 +509,23 @@ class ResultStore(ResultStoreBase):
                 # later tail rescan picks it up once finished.
                 continue
             complete = offset
+            scenario_hash = None
             if (
                 line.startswith(prefix)
                 and line.rstrip().endswith(b"}")
                 and b'"result"' in line
             ):
-                end = line.find(b'"', plen)
-                if end > plen:
-                    scenario_hash = line[plen:end].decode("ascii")
-                    self._offsets[scenario_hash] = start
-                    # Newest wins: an earlier fallback-decoded record
-                    # for this hash must not shadow this line.
-                    self._parsed.pop(scenario_hash, None)
+                raw = line[plen : line.find(b'"', plen)]
+                if raw and raw.isascii():
+                    scenario_hash = raw.decode("ascii")
+            if scenario_hash is None:
+                record = _decode(line)
+                if record is None:
                     continue
-            record = self._decode(line)
-            if record is not None:
-                self._offsets[record["hash"]] = start
-                self._parsed[record["hash"]] = record
+                scenario_hash = record["hash"]
+            self._offsets[scenario_hash] = start
+            # Newest wins: a record read earlier must not shadow this one.
+            self._parsed.pop(scenario_hash, None)
         return complete
 
     def refresh(self) -> None:
@@ -423,134 +544,59 @@ class ResultStore(ResultStoreBase):
             return
         if size <= self._indexed_size:
             return
-        reader = self._reader
-        if reader is None:
-            reader = self._reader = open(self.path, "rb")
+        reader = self._open_reader()
         reader.seek(self._indexed_size)
         self._indexed_size = self._scan(reader, self._indexed_size)
 
-    def _rescan_before(self, scenario_hash: str, bad_offset: int) -> dict | None:
-        """Newest decodable record for a hash strictly before an offset.
+    def _open_reader(self):
+        if self._reader is None:
+            self._reader = open(self.path, "rb")
+        return self._reader
 
-        Serves :meth:`get` when the indexed (newest) line for a hash
-        turns out to be undecodable: an older record it superseded is
-        still valid and must win over dropping the hash entirely.
-        Re-points the index at the record found, if any.
-        """
-        best = None
-        best_start = None
+    def _stored(self, scenario_hash: str) -> Iterator[bytes]:
+        """The indexed line of a hash, then every complete line before
+        it, newest first: the indexed line may be record-shaped
+        corruption that slipped past the prefix check, or the file may
+        have changed underneath the index, and a valid older record it
+        superseded must still win over dropping the hash."""
+        offset = self._offsets.get(scenario_hash)
+        if offset is None:
+            self.refresh()
+            offset = self._offsets.get(scenario_hash)
+        if offset is None:
+            return
+        reader = self._open_reader()
+        reader.seek(offset)
+        yield reader.readline()
+        starts = []
         pos = 0
         with open(self.path, "rb") as handle:
             for line in handle:
-                start = pos
-                pos += len(line)
-                if start >= bad_offset:
+                if pos >= offset:
                     break
-                if not line.endswith(b"\n"):
-                    continue
-                record = self._decode(line)
-                if record is not None and record["hash"] == scenario_hash:
-                    best = record
-                    best_start = start
-        if best is not None:
-            self._offsets[scenario_hash] = best_start
-        return best
+                if line.endswith(b"\n"):
+                    starts.append(pos)
+                pos += len(line)
+            for start in reversed(starts):
+                handle.seek(start)
+                yield handle.readline()
 
-    @staticmethod
-    def _decode(line: bytes) -> dict | None:
-        line = line.strip()
-        if not line:
-            return None
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        if not (
-            isinstance(record, dict) and "hash" in record and "result" in record
-        ):
-            return None
-        crc = record.get("crc")
-        if crc is not None and crc != _record_crc(record):
-            # The CRC32 trailer disagrees: the line decodes as JSON but
-            # its payload was corrupted on disk.  Treat as absent —
-            # get() falls back to the newest older record for the hash —
-            # rather than serve silently wrong data.
-            return None
-        return record
+    def _forget(self, scenario_hash: str) -> None:
+        self._offsets.pop(scenario_hash, None)
 
-    # -- mapping views --------------------------------------------------
     def __contains__(self, scenario_hash: str) -> bool:
         if scenario_hash not in self._offsets:
             self.refresh()
         return scenario_hash in self._offsets
-
-    def __len__(self) -> int:
-        self.refresh()
-        return len(self._offsets)
 
     def hashes(self) -> frozenset[str]:
         """Every stored scenario hash (no record is decoded)."""
         self.refresh()
         return frozenset(self._offsets)
 
-    def get(self, scenario_hash: str) -> MetricResult | None:
-        record = self._raw_record(scenario_hash)
-        if record is None:
-            return None
-        return result_from_record(record["result"])
-
-    def raw_record(self, scenario_hash: str) -> dict | None:
-        """The newest decodable record dict for a hash (CRC-checked)."""
-        return self._raw_record(scenario_hash)
-
-    def _raw_record(self, scenario_hash: str) -> dict | None:
-        record = self._parsed.get(scenario_hash)
-        if record is None:
-            offset = self._offsets.get(scenario_hash)
-            if offset is None:
-                self.refresh()
-                offset = self._offsets.get(scenario_hash)
-            if offset is None or offset == _IN_MEMORY:
-                return None
-            reader = self._reader
-            if reader is None:
-                reader = self._reader = open(self.path, "rb")
-            reader.seek(offset)
-            record = self._decode(reader.readline())
-            if record is None or record.get("hash") != scenario_hash:
-                # The indexed line no longer decodes to this record
-                # (record-shaped corruption slipped past the prefix
-                # check, or the file changed underneath us).  A valid
-                # older record this line superseded may still exist —
-                # newest-wins must not silently discard it — so re-find
-                # it before giving up; only when none exists is the hash
-                # dropped so len()/hashes() self-correct.
-                record = self._rescan_before(scenario_hash, offset)
-                if record is None:
-                    self._offsets.pop(scenario_hash, None)
-                    return None
-            self._parsed[scenario_hash] = record
-        return record
-
     # -- writes ---------------------------------------------------------
-    def put(self, request: EvalRequest, result: MetricResult) -> str:
-        """Persist one evaluated scenario; returns its hash.
-
-        The written line is the compact record JSON with a CRC32
-        trailer field spliced in (``{"hash":...,...,"crc":"xxxxxxxx"}``)
-        — still one line of plain JSON, so foreign readers are
-        unaffected, but bit-rot is detectable on read.
-        """
-        return self._write_record(*_build_record(request, result), faultable=True)
-
-    def put_record(self, record: dict) -> str:
-        """Append a record dict verbatim (the import primitive)."""
-        record = dict(record)
-        text = json.dumps(record, separators=(",", ":"))
-        return self._write_record(record, text, faultable=False)
-
-    def _write_record(self, record: dict, text: str, faultable: bool) -> str:
-        scenario_hash = record["hash"]
+    def _writer(self):
+        """The append handle, with any torn tail repaired first."""
         handle = self._handle
         if handle is None:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -559,41 +605,26 @@ class ResultStore(ResultStoreBase):
             handle = self._handle = open(self.path, "ab", buffering=0)
         if self._repair_pending:
             self._repair_tail(handle)
-        line = (text + "\n").encode("utf-8")
-        fault = None
-        if faultable:
-            plan = active_plan()
-            if plan is not None:
-                fault = plan.torn_write(self._puts)
-            self._puts += 1
-        if fault is not None:
-            # Injected crash mid-write: append only a prefix of the
-            # line and leave the record unindexed, exactly the state a
-            # SIGKILL between write() syscalls would leave behind; the
-            # next append (or the next store opened on this file) runs
-            # the torn-tail repair.
-            self._repair_to = os.fstat(handle.fileno()).st_size
-            handle.write(line[: max(1, len(line) // 2)])
-            self._repair_pending = True
-            if self.failure_log is not None:
-                self.failure_log.record(
-                    "store_torn_write",
-                    detail=f"injected torn write of {scenario_hash}",
-                    scenario=scenario_hash,
-                )
-            return scenario_hash
-        handle.write(line)
+        return handle
+
+    def _append(self, scenario_hash: str, text: str) -> None:
+        handle = self._writer()
+        handle.write((text + "\n").encode("utf-8"))
         if self.fsync == "always":
             os.fsync(handle.fileno())
-        # Memoize only servable records: an imported record whose CRC
-        # trailer does not verify (put_record is verbatim) must be
-        # *detected on read* like any other corruption — the next
-        # refresh() indexes its line and get() runs the fallback —
-        # instead of being served straight from the write-side memo.
-        if faultable or self._decode(line) is not None:
-            self._parsed[scenario_hash] = record
-            self._offsets[scenario_hash] = _IN_MEMORY
-        return scenario_hash
+        # Unindexed: the next read of the hash rescans the tail and
+        # finds the new line.
+        self._offsets.pop(scenario_hash, None)
+
+    def _tear(self, scenario_hash: str, text: str) -> None:
+        """Append only a prefix of the line, the state a SIGKILL between
+        write() syscalls leaves behind; the next append (or the next
+        store opened on this file) runs the torn-tail repair."""
+        handle = self._writer()
+        self._repair_to = os.fstat(handle.fileno()).st_size
+        line = (text + "\n").encode("utf-8")
+        handle.write(line[: max(1, len(line) // 2)])
+        self._repair_pending = True
 
     def _repair_tail(self, handle) -> None:
         """Truncate a torn tail so the next append starts a clean line.
@@ -648,10 +679,10 @@ class SqliteResultStore(ResultStoreBase):
     concurrent appends, but its torn-tail repair (``ftruncate``) and
     offset index assume a single repairer; an always-on service with
     several workers plus a batch CLI writing the same cache needs real
-    transactional isolation.  This backend keeps the exact record
-    discipline of the JSONL store — the same ``{hash, request, result,
-    crc}`` dicts, CRC32-verified on read, newest-wins with corruption
-    fallback to older records — inside a WAL-mode sqlite database:
+    transactional isolation.  This backend stores the records of
+    :class:`ResultStoreBase` — the same ``{hash, request, result, crc}``
+    lines, verified and walked newest first by the base class — as rows
+    of a WAL-mode sqlite database:
 
     * **WAL journal** — readers never block writers and vice versa;
       a reader always sees a consistent committed snapshot, so a
@@ -665,7 +696,9 @@ class SqliteResultStore(ResultStoreBase):
       locked`` never escapes to callers until the retries are exhausted.
     * **History preserved** — every put inserts a new row (monotonic
       rowid), so newest-wins reads fall back to older rows when the
-      newest fails its CRC, exactly like the JSONL index does.
+      newest fails its CRC, exactly like the JSONL index does.  Rows
+      are read as bytes (``CAST(record AS BLOB)``), so a row that is
+      not UTF-8 reads as corruption instead of failing the query.
 
     ``fsync`` maps onto ``PRAGMA synchronous``: ``never`` → ``OFF``
     (page-cache durability, the recomputable-cache default), ``close``
@@ -678,23 +711,16 @@ class SqliteResultStore(ResultStoreBase):
 
     FILENAME = "results.sqlite"
 
-    def __init__(
-        self,
-        root: str | Path = DEFAULT_CACHE_DIR,
-        fsync: str = "never",
-        failure_log: "FailureLog | None" = None,
-    ):
-        super().__init__(root, fsync=fsync, failure_log=failure_log)
+    def __init__(self, root: str | Path = DEFAULT_CACHE_DIR, **options):
+        super().__init__(root, **options)
         self._conn: sqlite3.Connection | None = None
         self._lock = threading.Lock()
-        self._parsed: dict[str, dict] = {}
         #: hashes whose every stored row failed to decode — excluded
         #: from :meth:`hashes`/:meth:`__len__` exactly as the JSONL
         #: backend drops an unservable hash from its offset index, and
         #: re-verified on access in case another writer re-put a valid
         #: record since.
         self._dead: set[str] = set()
-        self._puts = 0
         # Touch the database eagerly so opening a store surfaces an
         # unwritable cache directory immediately, like the JSONL scan.
         self._connect()
@@ -711,12 +737,8 @@ class SqliteResultStore(ResultStoreBase):
             )
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute(f"PRAGMA busy_timeout={SQLITE_BUSY_TIMEOUT_MS}")
-            conn.execute(
-                "PRAGMA synchronous="
-                + {"never": "OFF", "close": "NORMAL", "always": "FULL"}[
-                    self.fsync
-                ]
-            )
+            sync = {"never": "OFF", "close": "NORMAL", "always": "FULL"}
+            conn.execute(f"PRAGMA synchronous={sync[self.fsync]}")
             conn.execute(
                 "CREATE TABLE IF NOT EXISTS results ("
                 " id INTEGER PRIMARY KEY AUTOINCREMENT,"
@@ -757,103 +779,36 @@ class SqliteResultStore(ResultStoreBase):
                     )
                 time.sleep(0.05 * (2**attempt))
 
-    # -- the contract ---------------------------------------------------
+    # -- the medium -----------------------------------------------------
     def refresh(self) -> None:
         """No-op: every query reads the current committed snapshot, so
         other writers' records are visible the moment they commit."""
 
-    def get(self, scenario_hash: str) -> MetricResult | None:
-        record = self.raw_record(scenario_hash)
-        if record is None:
-            return None
-        return result_from_record(record["result"])
-
-    def raw_record(self, scenario_hash: str) -> dict | None:
-        record = self._parsed.get(scenario_hash)
-        if record is not None:
-            return record
+    def _stored(self, scenario_hash: str) -> list[bytes]:
+        # Every read re-diagnoses: the base class calls _forget again if
+        # no row decodes.
+        self._dead.discard(scenario_hash)
         rows = self._execute(
-            "SELECT record FROM results WHERE hash = ? ORDER BY id DESC",
+            "SELECT CAST(record AS BLOB) FROM results WHERE hash = ?"
+            " ORDER BY id DESC",
             (scenario_hash,),
         )
-        for (blob,) in rows:
-            record = self._decode(blob)
-            if record is not None and record.get("hash") == scenario_hash:
-                # Newest row first; a CRC-corrupt newest row falls
-                # through to the older rows it superseded, matching the
-                # JSONL backend's _rescan_before fallback.
-                self._parsed[scenario_hash] = record
-                self._dead.discard(scenario_hash)
-                return record
-        if rows:
-            # Rows exist but none decodes: the hash is unservable, so
-            # drop it from hashes()/len() — the JSONL backend pops the
-            # offset index in exactly this situation.
-            self._dead.add(scenario_hash)
-        return None
+        return [blob for (blob,) in rows]
 
-    @staticmethod
-    def _decode(blob: str) -> dict | None:
-        try:
-            record = json.loads(blob)
-        except (json.JSONDecodeError, TypeError):
-            return None
-        if not (
-            isinstance(record, dict) and "hash" in record and "result" in record
-        ):
-            return None
-        crc = record.get("crc")
-        if crc is not None and crc != _record_crc(record):
-            return None
-        return record
+    def _forget(self, scenario_hash: str) -> None:
+        self._dead.add(scenario_hash)
 
-    def put(self, request: EvalRequest, result: MetricResult) -> str:
-        record, text = _build_record(request, result)
-        scenario_hash = record["hash"]
-        fault = None
-        plan = active_plan()
-        if plan is not None:
-            fault = plan.torn_write(self._puts)
-        self._puts += 1
-        if fault is not None:
-            # Injected crash mid-put: under sqlite the never-committed
-            # transaction simply vanishes — the record is absent (the
-            # caller believes it wrote, exactly like the JSONL torn
-            # line), but no repair is needed: WAL isolation means no
-            # other reader ever saw partial bytes.
-            if self.failure_log is not None:
-                self.failure_log.record(
-                    "store_torn_write",
-                    detail=f"injected torn write of {scenario_hash}",
-                    scenario=scenario_hash,
-                )
-            return scenario_hash
-        self._insert(scenario_hash, text)
-        self._parsed[scenario_hash] = record
-        # A valid record supersedes any earlier corrupt-only diagnosis.
-        self._dead.discard(scenario_hash)
-        return scenario_hash
-
-    def put_record(self, record: dict) -> str:
-        """Insert a record dict verbatim (the import primitive)."""
-        record = dict(record)
-        self._insert(record["hash"], json.dumps(record, separators=(",", ":")))
-        # Not memoized: imported bytes are verified on first read, so a
-        # CRC-corrupt import is detected exactly like disk corruption.
-        # A *stale* memo from an earlier read must go, though — leaving
-        # it would serve the superseded record forever and break
-        # newest-wins on this handle (the next read re-queries and runs
-        # the normal corrupt-newest fallback over the rows).
-        self._parsed.pop(record["hash"], None)
-        self._dead.discard(record["hash"])
-        return record["hash"]
-
-    def _insert(self, scenario_hash: str, text: str) -> None:
+    def _append(self, scenario_hash: str, text: str) -> None:
         self._execute(
             "INSERT INTO results (hash, record) VALUES (?, ?)",
             (scenario_hash, text),
             commit=True,
         )
+        self._dead.discard(scenario_hash)
+
+    # _tear is the base no-op: under sqlite the never-committed
+    # transaction of a writer killed mid-put simply vanishes, and WAL
+    # isolation means no reader ever saw partial bytes.
 
     def __contains__(self, scenario_hash: str) -> bool:
         if scenario_hash in self._parsed:
@@ -874,9 +829,6 @@ class SqliteResultStore(ResultStoreBase):
             # never do): re-verify in case a valid record arrived.
             self.raw_record(scenario_hash)
         return frozenset(present - self._dead)
-
-    def __len__(self) -> int:
-        return len(self.hashes())
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -929,10 +881,8 @@ def open_store(
         )
     root = Path(root)
     if backend == "auto":
-        if (root / SqliteResultStore.FILENAME).exists():
-            backend = "sqlite"
-        else:
-            backend = "jsonl"
+        sqlite = (root / SqliteResultStore.FILENAME).exists()
+        backend = "sqlite" if sqlite else "jsonl"
     cls = SqliteResultStore if backend == "sqlite" else ResultStore
     return cls(root, fsync=fsync, failure_log=failure_log)
 
@@ -963,16 +913,16 @@ def import_jsonl(
     Records are inserted verbatim (:meth:`ResultStoreBase.put_record`),
     preserving their CRC trailers and any foreign provenance, so an
     export → import round trip reproduces every record byte-for-byte.
-    Undecodable or CRC-corrupt lines are skipped (and recorded in the
-    store's failure log, if any); records whose hash the store already
-    serves are skipped as duplicates.
+    Undecodable, non-UTF-8 or CRC-corrupt lines are skipped (and
+    recorded in the store's failure log, if any); records whose hash
+    the store already serves are skipped as duplicates.
     """
     if records is None:
         with open(path, "rb") as handle:
             lines = handle.read().splitlines()
         records = []
         for line in lines:
-            record = ResultStore._decode(line + b"\n")
+            record = _decode(line)
             if record is None:
                 if store.failure_log is not None:
                     store.failure_log.record(

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from ..experiments.failures import EvaluationCancelled
 from ..experiments.registry import ExperimentResult, get_experiment
 from ..experiments.runner import run_experiment
-from ..experiments.store import _record_crc
+from ..experiments.store import build_record
 from .http import HTTPError
 
 #: Allowed job states, in lifecycle order (``cancelled`` and ``failed``
@@ -107,21 +107,18 @@ class Job:
         return payload
 
     def record(self) -> dict:
-        """The durable store record for this job's current state (key
-        order matters: the JSONL backend's offset index fast-paths on
-        the ``{"hash": ...`` prefix)."""
-        record = {
-            "hash": f"{JOB_HASH_PREFIX}{self.id}",
-            "request": {
+        """The durable store record for this job's current state."""
+        record, _line = build_record(
+            f"{JOB_HASH_PREFIX}{self.id}",
+            {
                 "kind": "job",
                 "experiment_id": self.experiment_id,
                 "scale": self.scale,
                 "seed": self.seed,
                 "ixp": self.ixp,
             },
-            "result": self.payload(full=True),
-        }
-        record["crc"] = _record_crc(record)
+            self.payload(full=True),
+        )
         return record
 
 

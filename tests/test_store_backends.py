@@ -72,6 +72,29 @@ def _corrupt_record(request: EvalRequest, result) -> dict:
     return record
 
 
+def _not_utf8(line: str) -> bytes:
+    """A record line with one payload byte set to 0xff: still shaped
+    like a record (hash prefix, ``"result"``, closing brace), but not
+    UTF-8."""
+    raw = line.encode("utf-8")
+    at = raw.index(b"security_2nd")
+    return raw[:at] + b"\xff" + raw[at + 1 :]
+
+
+def _store_raw(store, scenario_hash: str, raw: bytes) -> None:
+    """Append undecoded bytes as one record of the store's medium."""
+    if isinstance(store, ResultStore):
+        store.close()
+        with open(store.path, "ab") as handle:
+            handle.write(raw + b"\n")
+    else:
+        store._execute(
+            "INSERT INTO results (hash, record) VALUES (?, CAST(? AS TEXT))",
+            (scenario_hash, raw),
+            commit=True,
+        )
+
+
 @pytest.fixture(params=BACKENDS, ids=BACKEND_IDS)
 def backend(request):
     return request.param
@@ -175,6 +198,48 @@ class TestConformance:
         assert request.scenario_hash not in reopened
         assert request.scenario_hash not in reopened.hashes()
         assert len(reopened) == 0
+
+    def test_non_utf8_record_reads_as_corruption(self, backend, tmp_path):
+        """A stored record that is not UTF-8 is corruption like any
+        other: a newer one falls back to the older record, and a hash
+        with no other record is absent from every read."""
+        rng = random.Random(17)
+        older, alone = _request(0), _request(1)
+        good = _result(rng, older.pairs)
+        store = backend(tmp_path / "cache")
+        store.put(older, good)
+        for request in (older, alone):
+            _record, line = _build_record(
+                request, _result(rng, request.pairs)
+            )
+            _store_raw(store, request.scenario_hash, _not_utf8(line))
+        store.close()
+        reopened = backend(tmp_path / "cache")
+        assert reopened.get(older.scenario_hash).value == good.value
+        assert reopened.get(alone.scenario_hash) is None
+        assert alone.scenario_hash not in reopened
+        assert reopened.hashes() == {older.scenario_hash}
+        assert len(reopened) == 1
+
+    def test_put_memoizes_nothing_and_newest_put_serves(
+        self, backend, tmp_path
+    ):
+        """A write leaves the read memo empty for its hash; put, get,
+        put again and get on one handle serves the newest record."""
+        rng = random.Random(18)
+        request = _request(0)
+        old, new = (_result(rng, request.pairs) for _ in range(2))
+        store = backend(tmp_path / "cache")
+        store.put(request, old)
+        assert store._parsed == {}
+        assert store.get(request.scenario_hash).value == old.value
+        store.put(request, new)
+        assert store._parsed == {}
+        assert store.get(request.scenario_hash).value == new.value
+        assert (
+            store.raw_record(request.scenario_hash)
+            == _build_record(request, new)[0]
+        )
 
     def test_corrupt_hash_resurrects_on_valid_put(self, backend, tmp_path):
         """After a corrupt-only hash was diagnosed dead, a later valid
@@ -407,6 +472,42 @@ class TestInterchange:
         # Re-import: the hash already serves, so nothing is added.
         assert import_jsonl(store, dump) == 0
         assert len(store) == 1
+
+
+    def test_import_skips_a_line_that_is_not_utf8(self, tmp_path):
+        rng = random.Random(4)
+        kept, bad = _request(0), _request(1)
+        dump = tmp_path / "dump.jsonl"
+        lines = [
+            _build_record(r, _result(rng, r.pairs))[1] for r in (kept, bad)
+        ]
+        dump.write_bytes(
+            lines[0].encode("utf-8") + b"\n" + _not_utf8(lines[1]) + b"\n"
+        )
+        log = FailureLog()
+        store = ResultStore(tmp_path / "jsonl", failure_log=log)
+        assert import_jsonl(store, dump) == 1
+        assert log.count("store_import_skipped") == 1
+        assert store.hashes() == {kept.scenario_hash}
+
+
+class TestJsonlIndex:
+    def test_reopen_with_a_corrupt_hash_prefix(self, tmp_path):
+        """A line whose hash holds a byte that is not ASCII, or is not a
+        string, is corruption: the store still opens and serves the
+        rest."""
+        rng = random.Random(5)
+        request = _request(0)
+        result = _result(rng, request.pairs)
+        with ResultStore(tmp_path / "cache") as store:
+            store.put(request, result)
+            line = store.path.read_bytes()
+        with open(store.path, "ab") as handle:
+            handle.write(line[:9] + b"\xff" + line[10:])
+            handle.write(b'{"hash":["x"],"result":{}}\n')
+        reopened = ResultStore(tmp_path / "cache")
+        assert reopened.hashes() == {request.scenario_hash}
+        assert reopened.get(request.scenario_hash).value == result.value
 
 
 class TestOpenStore:

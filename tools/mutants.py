@@ -290,10 +290,16 @@ MUTANTS = (
     ),
     Mutant(
         "store_skips_crc", "src/repro/experiments/store.py",
-        "        if crc is not None and crc != _record_crc(record):\n"
-        "            # The CRC32 trailer",
-        "        if False:\n            # The CRC32 trailer",
-        "the JSONL store serves a record whose CRC disagrees",
+        "    if crc is not None and crc != _record_crc(record):\n"
+        "        # The CRC32 trailer",
+        "    if False:\n        # The CRC32 trailer",
+        "the shared decoder passes a record whose CRC disagrees",
+    ),
+    Mutant(
+        "store_no_fallback", "src/repro/experiments/store.py",
+        "                return record\n        if stored:",
+        "                return record\n            break\n        if stored:",
+        "a read stops at the newest stored record even if it does not decode",
     ),
     Mutant(
         "retry_ignores_backoff", "src/repro/experiments/runner.py",
