@@ -17,9 +17,9 @@ test:
 ## state pass of test_engine_properties.py is certified stable there
 ## too (repro.core.certify, tests/conftest.py's `certified`), while
 ## refimpl and bgpsim check what a certificate cannot see.  Until
-## ROADMAP item 2a lands it is *expected* to fail on
-## test_partitions_sound_for_sampled_deployment: compute_partitions is
-## unsound under security_2nd and this finds the instance
+## ROADMAP item 2a lands it fails on every run: compute_partitions is
+## unsound under security_2nd, and this profile alone replays the
+## shrunk instance (test_partitions_sound_on_the_shrunk_counterexample)
 fuzz:
 	$(PYTHON) -m pytest -q --hypothesis-profile=fuzz \
 		tests/test_properties.py tests/test_engine_properties.py

@@ -53,7 +53,7 @@ def test_batched_sweep_outcomes_baseline(bench_ctx, bench_pairs):
 
 def test_routing_context_build(bench_graph):
     ctx = core.RoutingContext(bench_graph)
-    assert len(ctx.asns) == len(bench_graph)
+    assert len(ctx.graph.asns) == len(bench_graph)
 
 
 def test_perceivable_closures(bench_ctx, bench_pair):

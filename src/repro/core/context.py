@@ -77,16 +77,14 @@ class RoutingContext:
         >>> ctx = RoutingContext(g)
         >>> ctx.n
         4
-        >>> sorted(ctx.index_of)  # dense indices in sorted-ASN order
-        [1, 2, 3, 4]
+        >>> g.indices([1, 4]).tolist()  # dense indices in sorted-ASN order
+        [0, 3]
         >>> compute_routing_outcome(ctx, 4, attacker=3).count_happy()
         (1, 2)
     """
 
     __slots__ = (
         "graph",
-        "asns",
-        "index_of",
         "n",
         "_rel_idx",
         "_np_scratch",
@@ -105,9 +103,6 @@ class RoutingContext:
                 f"graph has {n} ASes; the packed-key engine supports up to "
                 f"{(1 << PACK_SHIFT) - 1}"
             )
-        #: a list of its own: callers may mutate it
-        self.asns: list[int] = graph.asns
-        self.index_of: dict[int, int] = graph.index_of
         self.n = n
 
         self._rel_idx: tuple | None = None  # see _relationship_idx
@@ -219,19 +214,13 @@ class RoutingContext:
         if entry is not None and entry[0] is deployment:
             return entry[1], entry[2]
         self.require_stub_simplex(deployment)
-        index_of = self.index_of
         signing = bytearray(self.n)
         ranking = bytearray(self.n)
-        get = index_of.get
-        for asn in deployment.full:
-            i = get(asn)
-            if i is not None:
-                signing[i] = 1
-                ranking[i] = 1
-        for asn in deployment.simplex:
-            i = get(asn)
-            if i is not None:
-                signing[i] = 1
+        full = self._present(deployment.full_asns)
+        np.frombuffer(ranking, np.uint8)[full] = 1
+        marks = np.frombuffer(signing, np.uint8)
+        marks[full] = 1
+        marks[self._present(deployment.simplex_asns)] = 1
         if len(cache) >= 8:
             cache.clear()
         cache[id(deployment)] = (deployment, signing, ranking)
@@ -250,15 +239,12 @@ class RoutingContext:
         ``evaluate_requests`` also call it before any work.  A
         deployment object that passed is remembered while it lives.
         """
-        if not deployment.simplex:
+        if not len(deployment.simplex_asns):
             return
         checked = self._stub_simplex_ok
         if checked.get(id(deployment)) is deployment:
             return
-        get = self.index_of.get
-        members = np.fromiter(
-            (i for asn in deployment.simplex if (i := get(asn)) is not None), np.int64
-        )
+        members = self._present(deployment.simplex_asns)
         g = self.graph
         transit = members[g.cust_start[members] < g.adj_start[members + 1]]
         transit = np.sort(g.asn_of[transit]).tolist()
@@ -272,17 +258,22 @@ class RoutingContext:
             )
         checked[id(deployment)] = deployment
 
+    def _present(self, asns: np.ndarray) -> np.ndarray:
+        """The dense indices of those of ``asns`` in the graph."""
+        i = self.graph.indices(asns)
+        return i[i >= 0]
+
     def _check_pair(self, destination: int, attacker: int | None) -> tuple[int, int]:
         """``(dest_i, att_i)`` of a pair (``att_i = -1`` for no
         attacker); ``ValueError`` for an AS outside the graph or
         ``m == d``."""
-        dest_i = self.index_of.get(destination)
-        if dest_i is None:
+        dest_i = self.graph.index(destination)
+        if dest_i < 0:
             raise ValueError(f"destination AS {destination} not in graph")
         if attacker is None:
             return dest_i, -1
-        att_i = self.index_of.get(attacker)
-        if att_i is None:
+        att_i = self.graph.index(attacker)
+        if att_i < 0:
             raise ValueError(f"attacker AS {attacker} not in graph")
         if att_i == dest_i:
             raise ValueError("attacker and destination must differ")

@@ -27,24 +27,82 @@ from ..topology.graph import ASGraph
 from ..topology.tiers import Tier, TierTable
 
 
-@dataclass(frozen=True)
+def _asn_array(asns: Iterable[int]) -> np.ndarray:
+    """``asns`` as a sorted, duplicate-free, read-only int64 array."""
+    if isinstance(asns, np.ndarray):
+        array = asns.astype(np.int64)
+    elif isinstance(asns, (set, frozenset)):
+        array = np.fromiter(asns, np.int64, len(asns))
+    else:
+        array = np.fromiter(asns, np.int64)
+    array.sort()
+    if len(array) > 1 and not (array[1:] > array[:-1]).all():
+        array = array[np.concatenate(([True], array[1:] != array[:-1]))]
+    array.flags.writeable = False
+    return array
+
+
+def _held(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Which members of the sorted array ``a`` the sorted array ``b``
+    holds, as a mask over ``a``."""
+    if not len(b):
+        return np.zeros(len(a), np.bool_)
+    return b[np.minimum(b.searchsorted(a), len(b) - 1)] == a
+
+
+def _subset(a: np.ndarray, b: np.ndarray) -> bool:
+    """Is every member of the sorted array ``a`` in the sorted array
+    ``b``?"""
+    return len(a) <= len(b) and bool(_held(a, b).all())
+
+
+def _of_bytes(full: bytes, simplex: bytes) -> "Deployment":
+    """A pickled :class:`Deployment`: its member arrays' bytes, already
+    sorted and disjoint."""
+    deployment = Deployment.__new__(Deployment)
+    deployment.full_asns = np.frombuffer(full, np.int64)
+    deployment.simplex_asns = np.frombuffer(simplex, np.int64)
+    return deployment
+
+
 class Deployment:
-    """The set of secure ASes, split by deployment mode.
+    """The set of secure ASes, split by deployment mode, as two sorted
+    int64 ASN arrays.  A deployment is a value (equal members, equal
+    deployments) and knows no graph: members absent from a graph are
+    ignored where it is routed on.
 
     Attributes:
-        full: ASes running full S*BGP (sign + validate + rank securely).
-        simplex: stub ASes running simplex S*BGP (sign own origin only).
+        full_asns: ASes running full S*BGP (sign + validate + rank
+            securely).
+        simplex_asns: stub ASes running simplex S*BGP (sign own origin
+            only).
+
+    Example:
+        >>> d = Deployment(full=[3, 1], simplex=[7])
+        >>> d.full_asns.tolist(), 7 in d, d.size, d.full
+        ([1, 3], True, 3, frozenset({1, 3}))
+        >>> Deployment.of([1]).is_nested_in(d), d == Deployment(full=(1, 3), simplex=(7,))
+        (True, True)
     """
 
-    full: frozenset[int] = frozenset()
-    simplex: frozenset[int] = frozenset()
+    def __init__(self, full: Iterable[int] = (), simplex: Iterable[int] = ()) -> None:
+        self.full_asns = _asn_array(full)
+        self.simplex_asns = _asn_array(simplex)
+        overlap = self.simplex_asns[_held(self.simplex_asns, self.full_asns)]
+        if len(overlap):
+            raise ValueError(f"ASes in both full and simplex mode: {overlap.tolist()}")
 
-    def __post_init__(self) -> None:
-        overlap = self.full & self.simplex
-        if overlap:
-            raise ValueError(f"ASes in both full and simplex mode: {sorted(overlap)}")
+    # -- membership views (frozensets built on access, for edge callers) --
+    @property
+    def full(self) -> frozenset[int]:
+        """:attr:`full_asns` as a frozenset."""
+        return frozenset(self.full_asns.tolist())
 
-    # -- membership views ------------------------------------------------
+    @property
+    def simplex(self) -> frozenset[int]:
+        """:attr:`simplex_asns` as a frozenset."""
+        return frozenset(self.simplex_asns.tolist())
+
     @property
     def ranking_members(self) -> frozenset[int]:
         """ASes that apply the ``SecP`` step when selecting routes."""
@@ -57,14 +115,31 @@ class Deployment:
 
     def is_secure_destination(self, asn: int) -> bool:
         """Can routes *to* this AS be secure (is its origin signed)?"""
-        return asn in self.full or asn in self.simplex
+        return asn in self
 
     @property
     def size(self) -> int:
-        return len(self.full) + len(self.simplex)
+        return len(self.full_asns) + len(self.simplex_asns)
 
     def __contains__(self, asn: int) -> bool:
-        return asn in self.full or asn in self.simplex
+        one = np.array([asn], np.int64)
+        return bool(_held(one, self.full_asns)[0] or _held(one, self.simplex_asns)[0])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Deployment):
+            return NotImplemented
+        return np.array_equal(self.full_asns, other.full_asns) and np.array_equal(
+            self.simplex_asns, other.simplex_asns
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.full_asns.tobytes(), self.simplex_asns.tobytes()))
+
+    def __repr__(self) -> str:
+        return (
+            f"Deployment(full={self.full_asns.tolist()}, "
+            f"simplex={self.simplex_asns.tolist()})"
+        )
 
     def is_nested_in(self, other: "Deployment") -> bool:
         """``self ⊑ other``: may a rollout advance from here to ``other``?
@@ -72,22 +147,21 @@ class Deployment:
         Nesting is per membership mode: both the ranking set (``full``)
         and the signing set (``full ∪ simplex``) must grow
         monotonically; a simplex→full promotion is allowed (ranking
-        gains, signing keeps the member).  This mirrors the chain check
-        of :func:`repro.core.jobs.jobs_happiness_counts`, and is what
+        gains, signing keeps the member).  This is the chain check of
+        :func:`repro.core.jobs.jobs_happiness_counts`, and what
         :func:`repro.experiments.scenarios.detect_chains` chains by.
         Given the first condition, the second is ``simplex ∖
         other.simplex ⊆ other.full``, which builds no union.
         """
-        return (
-            self.full <= other.full and self.simplex - other.simplex <= other.full
-        )
+        left = self.simplex_asns[~_held(self.simplex_asns, other.simplex_asns)]
+        return _subset(self.full_asns, other.full_asns) and _subset(left, other.full_asns)
 
     # -- canonical form (memoized per object, never pickled) --------------
     @functools.cached_property
     def sorted_members(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``(full, simplex)`` as sorted tuples, sorted once per object:
+        """``(full, simplex)`` as sorted tuples, built once per object:
         every scenario declared over this deployment shares them."""
-        return tuple(sorted(self.full)), tuple(sorted(self.simplex))
+        return tuple(self.full_asns.tolist()), tuple(self.simplex_asns.tolist())
 
     @functools.cached_property
     def members_json(self) -> tuple[str, str]:
@@ -98,10 +172,11 @@ class Deployment:
         full, simplex = self.sorted_members
         return encode(full), encode(simplex)
 
-    def __getstate__(self) -> dict:
-        # Only the fields cross a pickle (a bin's deployments travel to
-        # pool workers): the memos above stay with their object.
-        return {"full": self.full, "simplex": self.simplex}
+    def __reduce__(self):
+        # Only the members' bytes cross a pickle (a bin's deployments
+        # travel to pool workers): the memos above stay with their
+        # object, and the members need no sorting again.
+        return _of_bytes, (self.full_asns.tobytes(), self.simplex_asns.tobytes())
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -112,23 +187,27 @@ class Deployment:
     @classmethod
     def of(cls, asns: Iterable[int]) -> "Deployment":
         """Full S*BGP at exactly ``asns``."""
-        return cls(full=frozenset(asns))
+        return cls(full=asns)
 
     @classmethod
     def everywhere(cls, graph: ASGraph) -> "Deployment":
         """Full deployment at every AS (the prior literature's endgame)."""
-        return cls(full=frozenset(graph.asns))
+        return cls(full=graph.asn_of)
 
     def with_simplex_stubs(self, graph: ASGraph) -> "Deployment":
-        """Demote every stub in the deployment to simplex mode (§5.3.2)."""
-        stubs = frozenset(a for a in self.full if graph.is_stub(a))
-        return Deployment(full=self.full - stubs, simplex=self.simplex | stubs)
+        """Demote every stub in the deployment to simplex mode (§5.3.2);
+        a member absent from ``graph`` stays full."""
+        i = graph.indices(self.full_asns)
+        stub = (i >= 0) & (graph.cust_start[i] == graph.adj_start[i + 1])
+        return Deployment(
+            full=self.full_asns[~stub],
+            simplex=np.concatenate((self.simplex_asns, self.full_asns[stub])),
+        )
 
     def union(self, other: "Deployment") -> "Deployment":
-        return Deployment(
-            full=self.full | other.full,
-            simplex=(self.simplex | other.simplex) - (self.full | other.full),
-        )
+        full = _asn_array(np.concatenate((self.full_asns, other.full_asns)))
+        simplex = _asn_array(np.concatenate((self.simplex_asns, other.simplex_asns)))
+        return Deployment(full=full, simplex=simplex[~_held(simplex, full)])
 
 
 @dataclass(frozen=True)
@@ -149,13 +228,28 @@ def stubs_of(graph: ASGraph, isps: Iterable[int]) -> frozenset[int]:
     ISPs "and all of their stubs": every direct customer with no
     customers of its own.
     """
+    return frozenset(_stub_array(graph, _rows(graph, isps)).tolist())
+
+
+def _rows(graph: ASGraph, isps: Iterable[int]) -> np.ndarray:
+    """The dense indices of ``isps``; ``KeyError`` for one not in the
+    graph."""
+    isps = np.fromiter(isps, np.int64)
+    rows = graph.indices(isps)
+    if (rows < 0).any():
+        raise KeyError(isps[rows < 0][0].item())
+    return rows
+
+
+def _stub_array(graph: ASGraph, rows: np.ndarray) -> np.ndarray:
+    """The stub customers of the ASes at dense indices ``rows``, as a
+    sorted ASN array."""
     start, cust_start, node = graph.adj_start, graph.cust_start, graph.adj_node
-    customers = np.concatenate([
-        node[cust_start[i] : start[i + 1]]
-        for i in map(graph.index_of.__getitem__, isps)
-    ] or [node[:0]])
+    customers = np.concatenate(
+        [node[cust_start[i] : start[i + 1]] for i in rows.tolist()] or [node[:0]]
+    )
     stubs = customers[cust_start[customers] == start[customers + 1]]
-    return frozenset(graph.asn_of[stubs].tolist())
+    return _asn_array(graph.asn_of[stubs])
 
 
 def _isp_step(
@@ -164,32 +258,33 @@ def _isp_step(
     isps: Sequence[int],
     extra: Iterable[int] = (),
     simplex_stubs: bool = False,
-    stubs_by_isp: dict[int, frozenset[int]] | None = None,
+    stubs_by_isp: dict[int, np.ndarray] | None = None,
 ) -> RolloutStep:
     """Build 'these ISPs + their stubs (+ extras)' as a rollout step.
 
-    Every AS :func:`stubs_of` adds is a stub by construction, so only
-    the ISPs and extras themselves are asked ``is_stub``: that settles
-    the member set, the non-stub count and the simplex split at once.
-    A rollout's steps share one ``stubs_by_isp`` (ISP → its stub
+    Every AS :func:`_stub_array` adds is a stub by construction, so only
+    the ISPs and extras themselves are tested for customers: that
+    settles the member set, the non-stub count and the simplex split at
+    once.  A rollout's steps share one ``stubs_by_isp`` (ISP → its stub
     customers): their ISP sets are nested, so each ISP's customers are
     walked once a rollout, not once a step.
     """
-    isp_set = frozenset(isps) | frozenset(extra)
-    stub_isps = frozenset(a for a in isp_set if graph.is_stub(a))
+    isp_set = _asn_array((*isps, *extra))
+    rows = _rows(graph, isp_set)
+    is_stub = graph.cust_start[rows] == graph.adj_start[rows + 1]
     memo = {} if stubs_by_isp is None else stubs_by_isp
-    for isp in isp_set:
+    for isp, row in zip(isp_set.tolist(), rows.tolist()):
         if isp not in memo:
-            memo[isp] = stubs_of(graph, (isp,))
-    stubs = stub_isps.union(*(memo[isp] for isp in isp_set))
+            memo[isp] = _stub_array(graph, np.array([row]))
+    stubs = np.concatenate([isp_set[is_stub], *map(memo.__getitem__, isp_set.tolist())])
     if simplex_stubs:
-        deployment = Deployment(full=isp_set - stub_isps, simplex=stubs)
+        deployment = Deployment(full=isp_set[~is_stub], simplex=stubs)
     else:
-        deployment = Deployment.of(isp_set | stubs)
+        deployment = Deployment.of(np.concatenate((isp_set, stubs)))
     return RolloutStep(
         label=label,
         deployment=deployment,
-        non_stub_count=len(isp_set) - len(stub_isps),
+        non_stub_count=int(np.count_nonzero(~is_stub)),
     )
 
 
@@ -208,7 +303,7 @@ def tier12_rollout(
     tiers: TierTable,
     simplex_stubs: bool = False,
     include_cps: bool = False,
-    stubs_by_isp: dict[int, frozenset[int]] | None = None,
+    stubs_by_isp: dict[int, np.ndarray] | None = None,
 ) -> list[RolloutStep]:
     """The Tier 1 + Tier 2 rollout of §5.2.1 (Figures 7 and 8).
 
@@ -273,7 +368,7 @@ def tier12_rollout_dense(
     t2_ranked = sorted(t2, key=lambda a: (-graph.customer_degree(a), a))
     extra = tiers.members(Tier.CP) if include_cps else ()
     suffix = "+CP" if include_cps else ""
-    stubs_by_isp: dict[int, frozenset[int]] = {}
+    stubs_by_isp: dict[int, np.ndarray] = {}
     return [
         _isp_step(
             graph,
@@ -299,7 +394,7 @@ def tier2_rollout(
     """
     t2 = tiers.members(Tier.TIER2)
     t2_ranked = sorted(t2, key=lambda a: (-graph.customer_degree(a), a))
-    stubs_by_isp: dict[int, frozenset[int]] = {}
+    stubs_by_isp: dict[int, np.ndarray] = {}
     steps = []
     for y in _scaled_counts(len(t2_ranked), (13, 26, 50, 100), 100):
         steps.append(

@@ -142,7 +142,7 @@ def max_k_security_bruteforce(
         ``(best happy count, best secure set)``.
     """
     ctx = _as_context(topology)
-    pool = list(candidates) if candidates is not None else list(ctx.asns)
+    pool = list(candidates) if candidates is not None else ctx.graph.asns
     if len(pool) > 25:
         raise ValueError(
             f"brute force over {len(pool)} candidates is infeasible; "
@@ -175,7 +175,7 @@ def greedy_max_k_security(
     Ties are broken toward the smallest ASN for determinism.
     """
     ctx = _as_context(topology)
-    pool = sorted(candidates) if candidates is not None else list(ctx.asns)
+    pool = sorted(candidates) if candidates is not None else ctx.graph.asns
     chosen: set[int] = set()
     current = count_happy_lower(
         ctx, attacker, destination, Deployment.empty(), model

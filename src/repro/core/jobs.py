@@ -99,7 +99,7 @@ class DestinationSweep:
 def _check_nested(old: Deployment, new: Deployment) -> None:
     """Raise ``ValueError`` unless ``old → new`` is a chain step: both
     the full set and the signing set (full ∪ simplex) may only grow."""
-    if not (old.full <= new.full and old.simplex - new.simplex <= new.full):
+    if not old.is_nested_in(new):
         raise ValueError(
             "rollout chains must be nested: both the full set and "
             "the signing set may only grow between steps"

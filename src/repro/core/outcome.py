@@ -168,25 +168,19 @@ class _RouteView(Mapping):
         if info is not None:
             return info
         o = self._outcome
-        i = o._ctx.index_of.get(asn)
-        if i is None or not o._fixed[i]:
+        i = o._index(asn)
+        if i is None:
             raise KeyError(asn)
         info = o._build_info(i)
         self._cache[asn] = info
         return info
 
     def __contains__(self, asn: object) -> bool:
-        o = self._outcome
-        i = o._ctx.index_of.get(asn)  # type: ignore[arg-type]
-        return i is not None and bool(o._fixed[i])
+        return self._outcome._index(asn) is not None  # type: ignore[arg-type]
 
     def __iter__(self) -> Iterator[int]:
         o = self._outcome
-        fixed = o._fixed
-        asn_of = o._ctx.asns
-        for i in range(o._ctx.n):
-            if fixed[i]:
-                yield asn_of[i]
+        return iter(o._asns_where(np.frombuffer(o._fixed, np.bool_)))
 
     def __len__(self) -> int:
         o = self._outcome
@@ -264,8 +258,7 @@ class RoutingOutcome:
         return view
 
     def _build_info(self, i: int) -> RouteInfo:
-        ctx = self._ctx
-        asn_of = ctx.asns
+        asn_of = self._ctx.graph.asn_view
         if i == self._dest_i:
             signed = bool(self._sec[i])
             return RouteInfo(
@@ -305,7 +298,7 @@ class RoutingOutcome:
             route_class=route_class,
             length=length,
             key=self.model.key(route_class, length, secure),
-            next_hops=tuple(asn_of[j] for j in sorted(self._nhops[i])),
+            next_hops=tuple(map(asn_of.__getitem__, sorted(self._nhops[i]))),
             reaches=Reach(self._reach[i]),
             secure=secure,
             wire_secure=bool(self._wire[i]),
@@ -324,18 +317,25 @@ class RoutingOutcome:
 
     def sources(self) -> Iterator[int]:
         """All fixed ASes other than the roots."""
-        fixed = self._fixed
-        asn_of = self._ctx.asns
-        dest_i = self._dest_i
-        att_i = self._att_i
-        for i in range(self._ctx.n):
-            if fixed[i] and i != dest_i and i != att_i:
-                yield asn_of[i]
+        return iter(self._asns_where(self._source_mask(self._fixed)))
+
+    def _asns_where(self, mask: np.ndarray) -> list[int]:
+        """The ASNs at the dense indices ``mask`` marks."""
+        return self._ctx.graph.asn_of[mask].tolist()
+
+    def _source_mask(self, flags: bytes) -> np.ndarray:
+        """``flags`` (one byte per dense index) as a mask, the roots
+        cleared."""
+        mask = np.frombuffer(flags, np.uint8).astype(np.bool_)
+        mask[self._dest_i] = False
+        if self._att_i >= 0:
+            mask[self._att_i] = False
+        return mask
 
     # -- per-AS predicates -------------------------------------------------
     def _index(self, asn: int) -> int | None:
-        i = self._ctx.index_of.get(asn)
-        if i is None or not self._fixed[i]:
+        i = self._ctx.graph.index(asn)
+        if i < 0 or not self._fixed[i]:
             return None
         return i
 
@@ -373,15 +373,7 @@ class RoutingOutcome:
 
     def secure_sources(self) -> frozenset[int]:
         """The sources of :meth:`count_secure_sources`, as ASNs."""
-        sec = self._sec
-        asn_of = self._ctx.asns
-        dest_i = self._dest_i
-        att_i = self._att_i
-        return frozenset(
-            asn_of[i]
-            for i in range(self._ctx.n)
-            if sec[i] and i != dest_i and i != att_i
-        )
+        return frozenset(self._asns_where(self._source_mask(self._sec)))
 
     # -- concrete (deterministic tiebreak) view ----------------------------
     def concrete_endpoint(self, asn: int) -> Reach:
@@ -397,18 +389,18 @@ class RoutingOutcome:
         i = self._index(asn)
         if i is None:
             return ()
-        asn_of = self._ctx.asns
+        asn_of = self._ctx.graph.asn_view.__getitem__
         choice = self._choice
-        path = [asn_of[i]]
+        path = [asn_of(i)]
         seen = {i}
         while True:
             i = choice[i]
             if i < 0:
                 return tuple(path)
             if i in seen:  # pragma: no cover - defended against, impossible
-                raise RuntimeError(f"routing loop through AS {asn_of[i]}")
+                raise RuntimeError(f"routing loop through AS {asn_of(i)}")
             seen.add(i)
-            path.append(asn_of[i])
+            path.append(asn_of(i))
 
 
 def compute_routing_outcome(

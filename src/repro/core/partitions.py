@@ -176,7 +176,7 @@ def _partitions_from_bpr_endpoints(
     reach = outcome._reach
     fixed = outcome._fixed
     cat = _CATEGORY_OF_REACH
-    asn_of = ctx.asns
+    asn_of = ctx.graph.asns
     dest_i = outcome._dest_i
     att_i = outcome._att_i
     for i in range(ctx.n):
@@ -207,7 +207,7 @@ def _partitions_security_second(
     fixed = outcome._fixed
     cls = outcome._cls
     reach_arr = outcome._reach
-    asn_of = ctx.asns
+    asn_of = ctx.graph.asns
     dest_i = outcome._dest_i
     att_i = outcome._att_i
     cat = _CATEGORY_OF_REACH
@@ -255,7 +255,7 @@ def _partitions_security_first(
     category_of: dict[int, Category] = {}
     legitimate_any = closures.legitimate.any()
     attacked_any = closures.attacked.any()
-    for asn in ctx.asns:
+    for asn in ctx.graph.asns:
         if asn == attacker or asn == destination:
             continue
         has_legitimate = asn in legitimate_any

@@ -85,11 +85,11 @@ def perceivable_closures(
         A :class:`ClassReach`; the roots themselves are excluded.
     """
     ctx = _as_context(topology)
-    end_i = ctx.index_of.get(endpoint)
-    if end_i is None:
+    end_i = ctx.graph.index(endpoint)
+    if end_i < 0:
         raise ValueError(f"endpoint AS {endpoint} not in graph")
     n = ctx.n
-    avoid_i = ctx.index_of.get(avoid, -1) if avoid is not None else -1
+    avoid_i = ctx.graph.index(avoid) if avoid is not None else -1
     excluded = bytearray(n)
     excluded[end_i] = 1
     if avoid_i >= 0:
@@ -132,12 +132,12 @@ def perceivable_closures(
                 in_provider[c] = 1
                 provider.append(c)
                 queue.append(c)
-    asn_of = ctx.asns
+    asn_of = ctx.graph.asn_of
     return ClassReach(
         endpoint=endpoint,
-        customer=frozenset(asn_of[i] for i in customer),
-        peer=frozenset(asn_of[i] for i in peer),
-        provider=frozenset(asn_of[i] for i in provider),
+        customer=frozenset(asn_of[customer].tolist()),
+        peer=frozenset(asn_of[peer].tolist()),
+        provider=frozenset(asn_of[provider].tolist()),
     )
 
 

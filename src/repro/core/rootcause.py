@@ -130,7 +130,7 @@ def pair_root_cause(
 
     # All three outcomes share ctx's dense index space, so the per-AS
     # classification walks flat arrays instead of per-AS route lookups.
-    asn_of = ctx.asns
+    asn_of = ctx.graph.asns
     dest_i = deployed_attack._dest_i
     att_i = deployed_attack._att_i
     base_fixed = baseline_attack._fixed
@@ -222,7 +222,7 @@ def root_cause_breakdown(
 ) -> RootCauseBreakdown:
     """Average the per-pair root causes over ``pairs`` (Figure 16 bars)."""
     ctx = _as_context(topology)
-    num_sources = len(ctx.asns) - 2
+    num_sources = ctx.n - 2
     totals = {
         "secure_normal": 0,
         "downgraded": 0,

@@ -110,7 +110,7 @@ def _plan_fig7a(ectx: ExperimentContext):
     pairs = _rollout_pairs(ectx)
     baseline = request_for(ectx, pairs, Deployment.empty(), BASELINE)
     # One walk of each ISP's customers for both rollouts.
-    stubs_by_isp: dict[int, frozenset[int]] = {}
+    stubs_by_isp: dict = {}
     steps = _step_plans(
         ectx,
         tier12_rollout(ectx.graph, ectx.tiers, stubs_by_isp=stubs_by_isp),

@@ -697,8 +697,9 @@ class SqliteResultStore(ResultStoreBase):
     * **History preserved** — every put inserts a new row (monotonic
       rowid), so newest-wins reads fall back to older rows when the
       newest fails its CRC, exactly like the JSONL index does.  Rows
-      are read as bytes (``CAST(record AS BLOB)``), so a row that is
-      not UTF-8 reads as corruption instead of failing the query.
+      are read as bytes (``CAST(... AS BLOB)``), so a row whose record
+      or hash is not UTF-8 reads as corruption instead of failing the
+      query.
 
     ``fsync`` maps onto ``PRAGMA synchronous``: ``never`` → ``OFF``
     (page-cache durability, the recomputable-cache default), ``close``
@@ -822,8 +823,15 @@ class SqliteResultStore(ResultStoreBase):
         return bool(rows)
 
     def hashes(self) -> frozenset[str]:
-        rows = self._execute("SELECT DISTINCT hash FROM results")
-        present = {h for (h,) in rows}
+        # Read as bytes, like the records: a hash that is not UTF-8
+        # names no scenario, so its row is corruption and is left out.
+        rows = self._execute("SELECT DISTINCT CAST(hash AS BLOB) FROM results")
+        present = set()
+        for (blob,) in rows:
+            try:
+                present.add(blob.decode())
+            except UnicodeDecodeError:
+                continue
         for scenario_hash in list(self._dead & present):
             # Cheap only when dead hashes exist at all (they almost
             # never do): re-verify in case a valid record arrived.

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.partitions import Category, compute_partitions
 from ..core.perceivable import attack_closures
 from ..core.rank import RankModel, SecurityModel
@@ -57,7 +59,6 @@ class PartitionSweep:
 def _pair_partition_worker(ectx: ExperimentContext, pair: tuple[int, int], state: dict):
     ctx = ectx.graph_ctx
     models: tuple[RankModel, ...] = state["models"]
-    tier_of = ectx.tiers.tier_of
     attacker, destination = pair
     baseline_model = RankModel(SecurityModel.BASELINE, models[0].local_preference)
     baseline = compute_routing_outcome(
@@ -80,14 +81,17 @@ def _pair_partition_worker(ectx: ExperimentContext, pair: tuple[int, int], state
             baseline_outcome=baseline,
             closures=closures,
         )
-        bucket = counts.setdefault(model.label, [0, 0, 0, 0])
-        for asn, category in result.category_of.items():
-            index = _CATEGORY_INDEX[category]
-            bucket[index] += 1
-            tier_bucket = tier_counts.setdefault(
-                (model.label, tier_of[asn]), [0, 0, 0, 0]
-            )
-            tier_bucket[index] += 1
+        # Per (source tier, category), counted over dense indices.
+        category_of = result.category_of
+        size = len(category_of)
+        rows = ctx.graph.indices(np.fromiter(category_of, np.int64, size))
+        index = np.fromiter(
+            map(_CATEGORY_INDEX.__getitem__, category_of.values()), np.int64, size
+        )
+        counts[model.label] = np.bincount(index, minlength=len(_CATEGORY_INDEX)).tolist()
+        by_tier = ectx.tiers.tally(rows, index, len(_CATEGORY_INDEX))
+        for tier, row in by_tier.items():
+            tier_counts[(model.label, tier)] = row
     return happy_lower, happy_upper, baseline.num_sources, counts, tier_counts
 
 

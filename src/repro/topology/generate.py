@@ -91,10 +91,11 @@ class SyntheticTopology:
     content_providers: tuple[int, ...]
     #: IXP name -> member ASNs (input to :mod:`repro.topology.ixp`).
     ixp_members: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    #: generator layer of each AS ("t1", "large", "mid", "small", "cp",
-    #: "stub") — useful for tests; tier classification should be done with
+    #: generator layer ("t1", "large", "mid", "small", "cp", "stub") ->
+    #: its member ASNs, a sorted int64 array — useful for tests; tier
+    #: classification should be done with
     #: :func:`repro.topology.tiers.classify_tiers`.
-    layer_of: dict[int, str] = field(default_factory=dict)
+    layers: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def _pick_distinct(
@@ -191,7 +192,8 @@ class _Builder:
         #: peer, … (numpy reads them in place)
         self.c2p = array("q")
         self.p2p = array("q")
-        self.layer_of: dict[int, str] = {}
+        #: layer name -> its members, in the order they were added
+        self.layers: dict[str, list[int]] = {}
         self._next_asn = 1
         self._reserved = (
             set(PAPER_CONTENT_PROVIDERS)
@@ -221,8 +223,8 @@ class _Builder:
         return members
 
     def add_layer(self, members: list[int], name: str) -> None:
-        """Add ``members`` (no edges yet) as layer ``name``."""
-        self.layer_of.update(dict.fromkeys(members, name))
+        """Add ``members`` (no edges yet) to layer ``name``."""
+        self.layers.setdefault(name, []).extend(members)
 
     def add_p2p(self, a: int, b: int) -> None:
         self.p2p.append(a)
@@ -231,13 +233,19 @@ class _Builder:
 
     def finish(self) -> ASGraph:
         """The graph of the edges drawn (every AS has one).  Drawing
-        ends: the edge set goes first, so the graph is not built on top
-        of it."""
+        ends: the edge set and the attachment weights go first, so the
+        graph is not built on top of them, and the edge lists once it
+        is."""
         self.edges.clear()
-        return graph_from_edges(
+        self.customers.clear()
+        self._pa_of.clear()
+        self._tree_of.clear()
+        graph = graph_from_edges(
             np.frombuffer(self.c2p, np.int64).reshape(-1, 2),
             np.frombuffer(self.p2p, np.int64).reshape(-1, 2),
         )
+        self.c2p = self.p2p = None
+        return graph
 
     def track(self, members: list[int]) -> None:
         """Start keeping a transit layer's attachment weights, ``1 +
@@ -297,13 +305,21 @@ class _Builder:
         weights = [1.0 + customers.get(c, 0) for c in population]
         return _pick_distinct(self.rng, population, list(accumulate(weights)), k)
 
-    def attach_stubs(self, stubs: list[int], layers: list[list[int]]) -> None:
+    def attach_stubs(
+        self, stubs: list[int], layers: list[list[int]], peering: list[int]
+    ) -> None:
         """Attach each stub to ``choice((1, 1, 1, 2, 2, 3))`` providers as
         :meth:`attach_providers` would.  The layers' PA tables or weight
         trees and their running total carry across stubs, the count is
         drawn inline and the edges land without :meth:`add_c2p` (and
         without customer counts, which no later draw reads): the same
-        draws, without a call frame each."""
+        draws, without a call frame each.
+
+        Only the edges to ``peering`` (the ISPs the stubs later draw
+        peers among, the same list the caller hands
+        :meth:`add_random_peerings`) enter the edge set: no later draw
+        asks about a stub and any other provider.  At 80k ASes that
+        leaves 97k of the set's 238k pairs out."""
         counts = (1, 1, 1, 2, 2, 3)
         fast = self.fast
         if fast:
@@ -322,6 +338,7 @@ class _Builder:
         append, edges, pa_of, tree_of = (
             self.c2p.append, self.edges, self._pa_of, self._tree_of
         )
+        peering = set(peering)
         for asn in stubs:
             r = getrandbits(bits)  # choice(counts), as Random._randbelow
             while r >= n_counts:
@@ -330,7 +347,8 @@ class _Builder:
             for provider in chosen:
                 append(asn)
                 append(provider)
-                edges.add(_pair(asn, provider))
+                if provider in peering:
+                    edges.add(_pair(asn, provider))
                 if fast:
                     pa_of[provider].append(provider)
                 else:
@@ -481,11 +499,15 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
     # customer-degree ASes (the paper's Tier 2s) hold the bulk of the
     # stub attachments, which keeps the hierarchy shallow — a property
     # the Section 4.6 Tier-1 results depend on.
-    stub_count = n - len(b.layer_of)
+    stub_count = n - sum(map(len, b.layers.values()))
     stubs = b.make_layer("stub", max(0, stub_count))
     b.track(small)
     transit = [tier1, large, mid, small]
-    b.attach_stubs(stubs, transit)
+    # The ISPs the stubs that peer draw peers among (beside each other):
+    # one list for both calls, since the edge set keeps a stub's
+    # provider edges only to these.
+    stub_peers = small
+    b.attach_stubs(stubs, transit, stub_peers)
 
     # --- peering fabric -------------------------------------------------
     isps = large + mid + small
@@ -503,8 +525,9 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
                 b.add_p2p(a, c)
 
     stub_x = [s for s in stubs if rng.random() < params.stub_peering_frac]
+    del stubs
     sx_budget = min(peer_budget // 5, len(stub_x) * 2)
-    peer_budget -= b.add_random_peerings(stub_x, stub_x + small, max(0, sx_budget))
+    peer_budget -= b.add_random_peerings(stub_x, stub_x + stub_peers, max(0, sx_budget))
 
     # Remaining budget among the transit layers, densest at the top:
     # large (Tier-2-like) ISPs interconnect heavily in reality, and that
@@ -521,6 +544,8 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
         )
 
     graph = b.finish()
+    layers = {name: np.sort(members) for name, members in b.layers.items()}
+    del b
     graph.validate()
     if graph.component_count() > 1:
         raise AssertionError("generator produced a disconnected graph")
@@ -537,7 +562,7 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
         # draws bit-identical while dropping the per-draw cost from
         # O(|eligible|) to O(log |eligible|).
         peer_degree = graph.cust_start - graph.peer_start
-        rows = [graph.index_of[a] for a in eligible]
+        rows = graph.indices(eligible)
         cum_weights = list(accumulate((peer_degree[rows] + 1.0).tolist()))
         for i in range(ixp_count):
             size = min(len(eligible), 3 + int(rng.expovariate(1 / 8.0)))
@@ -550,5 +575,5 @@ def generate_topology(params: TopologyParams | None = None) -> SyntheticTopology
         params=params,
         content_providers=tuple(cps),
         ixp_members=ixp_members,
-        layer_of=b.layer_of,
+        layers=layers,
     )

@@ -15,6 +15,8 @@ Example:
     ([2, 3], [3], True)
     >>> g.relationship(1, 2), g.has_edge(2, 3), g.component_count()
     (<Relationship.CUSTOMER: 'customer'>, True, 1)
+    >>> g.index(3), g.indices([3, 7, 1]).tolist()  # -1: not in the graph
+    (2, [2, -1, 0])
     >>> g.adj_start.tolist(), g.adj_node.tolist()  # rows: providers, peers, customers
     ([0, 2, 4, 6], [1, 2, 0, 2, 0, 1])
     >>> graph_from_edges(customer_provider=[(2, 1)], peerings=[(1, 2)])
@@ -25,6 +27,7 @@ Example:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -53,7 +56,8 @@ class ASGraph:
     Built by :func:`graph_from_edges`, from its arrays in
     :data:`_ARRAYS` order.  They are read-only:
 
-    * ``asn_of`` — int64, the sorted ASNs (``index_of`` is its inverse);
+    * ``asn_of`` — int64, the sorted ASNs: an AS's dense index is its
+      position here (:meth:`index`, :meth:`indices`);
     * ``adj_start`` — int64, length ``n + 1``; row ``u`` is the slots
       ``adj_start[u]:adj_start[u + 1]``;
     * ``peer_start`` / ``cust_start`` — int64, length ``n``; where row
@@ -64,13 +68,12 @@ class ASGraph:
       ``PROVIDER`` on a customer slot).
     """
 
-    __slots__ = (*_ARRAYS, "index_of", "_views")
+    __slots__ = (*_ARRAYS, "_views")
 
     def __init__(self, *arrays: np.ndarray) -> None:
         for name, array in zip(_ARRAYS, arrays, strict=True):
             array.flags.writeable = False
             setattr(self, name, array)
-        self.index_of: dict[int, int] = dict(zip(self.asn_of.tolist(), range(len(self))))
         #: memoryviews of the arrays, for the per-AS reads: indexing one
         #: gives a python int, a third of a numpy scalar read's cost.
         self._views = tuple(map(memoryview, arrays))
@@ -81,29 +84,58 @@ class ASGraph:
     # ------------------------------------------------------------------
     # Read access
     # ------------------------------------------------------------------
+    def index(self, asn: int) -> int:
+        """The dense index of ``asn``; -1 if it is not in the graph.  A
+        bisection of :attr:`asn_of`, for per-pair callers: a per-AS loop
+        takes :meth:`indices` or iterates dense indices instead."""
+        asn_of = self._views[0]
+        try:
+            i = bisect_left(asn_of, asn)
+            return i if i < len(asn_of) and asn_of[i] == asn else -1
+        except TypeError:  # not a number: no AS has it
+            return -1
+
+    def indices(self, asns: Iterable[int]) -> np.ndarray:
+        """The dense index of each of ``asns`` (int64; -1 for an ASN not
+        in the graph)."""
+        asns = np.asarray(asns if isinstance(asns, np.ndarray) else list(asns), np.int64)
+        asn_of = self.asn_of
+        at = np.searchsorted(asn_of, asns)
+        found = at < len(asn_of)
+        found[found] = asn_of[at[found]] == asns[found]
+        return np.where(found, at, -1)
+
+    def _at(self, asn: int) -> int:
+        """:meth:`index`, with ``KeyError`` for an AS not in the graph."""
+        i = self.index(asn)
+        if i < 0:
+            raise KeyError(asn)
+        return i
+
     def __contains__(self, asn: int) -> bool:
-        return asn in self.index_of
+        return self.index(asn) >= 0
 
     def __len__(self) -> int:
         return len(self.asn_of)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.index_of)
+        return iter(self.asns)
 
     @property
     def asns(self) -> list[int]:
         """All ASNs, sorted (a fresh list)."""
-        return list(self.index_of)
+        return self.asn_of.tolist()
 
-    def dense_index(self) -> tuple[list[int], dict[int, int]]:
-        """The ASN at each dense index (a fresh list) and ``index_of``
-        (shared: do not mutate)."""
-        return self.asns, self.index_of
+    @property
+    def asn_view(self) -> memoryview:
+        """:attr:`asn_of` as a memoryview, for per-AS reads: indexing it
+        gives the ASN at a dense index as a python int."""
+        return self._views[0]
 
     def _row(self, asn: int) -> tuple[int, int, int, int]:
         """Row bounds of ``asn``: start, peers' start, customers' start,
         end (``KeyError`` for an AS not in the graph)."""
-        i = self.index_of[asn]
+        i = self._at(asn)
         _, start, peers, customers, _, _ = self._views
         return start[i], peers[i], customers[i], start[i + 1]
 
@@ -128,7 +160,7 @@ class ASGraph:
 
     def neighbors(self, asn: int) -> frozenset[int]:
         """All neighbors of ``asn`` regardless of relationship."""
-        i = self.index_of[asn]
+        i = self._at(asn)
         asn_of, start, _, _, node, _ = self._views
         return frozenset(map(asn_of.__getitem__, node[start[i] : start[i + 1]]))
 
@@ -136,11 +168,11 @@ class ASGraph:
         """The ``adj_class`` of ``neighbor``'s slot in ``asn``'s row; None
         if no edge joins them (``KeyError`` for an ``asn`` not in the
         graph)."""
-        i = self.index_of[asn]
+        i = self._at(asn)
         _, start, _, _, node, cls = self._views
         lo = start[i]
         row = node[lo : start[i + 1]].tolist()
-        j = self.index_of.get(neighbor)
+        j = self.index(neighbor)
         return cls[lo + row.index(j)] if j in row else None
 
     def relationship(self, asn: int, neighbor: int) -> Relationship:
@@ -152,7 +184,7 @@ class ASGraph:
 
     def has_edge(self, a: int, b: int) -> bool:
         """True if any edge (of any annotation) connects ``a`` and ``b``."""
-        return a in self.index_of and self._class_of(a, b) is not None
+        return a in self and self._class_of(a, b) is not None
 
     # Degree helpers --------------------------------------------------
     def customer_degree(self, asn: int) -> int:
@@ -173,7 +205,7 @@ class ASGraph:
 
     def is_stub(self, asn: int) -> bool:
         """True if the AS has no customers (it never transits traffic)."""
-        i = self.index_of[asn]
+        i = self._at(asn)
         _, start, _, customers, _, _ = self._views
         return customers[i] == start[i + 1]
 
@@ -369,15 +401,21 @@ def graph_from_edges(
 
     m, e = len(c2p), len(c2p) + len(p2p)
     parts = (c2p.ravel(), p2p.ravel(), extra)
-    # ASNs are 32-bit (RFC 6793): as uint32, unique's copies of them
-    # take half the bytes.
-    narrow = max(part.max(initial=0) for part in parts) < 2**32
-    asn_of, index = np.unique(
-        np.concatenate(
-            parts, dtype=np.uint32 if narrow else np.int64, casting="unsafe"
-        ),
-        return_inverse=True,
+    top = max(part.max(initial=0) for part in parts)
+    # ASNs are 32-bit (RFC 6793): as uint32, the sorted copy takes half
+    # the bytes.  A bisection finds each endpoint's index in a fraction
+    # of what ``np.unique``'s inverse allocates (and ``np.unique`` alone
+    # imports ``numpy.ma``, 0.7 MB, to ask whether the array is masked).
+    ends = np.concatenate(
+        parts, dtype=np.uint32 if top < 2**32 else np.int64, casting="unsafe"
     )
+    asn_of = np.sort(ends)
+    first = np.ones(len(asn_of), np.bool_)  # an ASN's first sorted copy
+    np.not_equal(asn_of[1:], asn_of[:-1], out=first[1:])
+    asn_of = asn_of[first]
+    del first
+    index = np.searchsorted(asn_of, ends)
+    del ends
     asn_of = asn_of.astype(np.int64)
     n = len(asn_of)
     # Every edge's endpoints (c2p rows first), as views of ``index``.

@@ -21,7 +21,7 @@ to smaller synthetic graphs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,6 +62,10 @@ class Tier(enum.Enum):
     SMDG = "SMDG"
 
 
+#: A tier's code in :attr:`TierTable.code` is its position here.
+_TIERS = tuple(Tier)
+_STUB, _STUB_X = _TIERS.index(Tier.STUB), _TIERS.index(Tier.STUB_X)
+
 #: Display order used by the paper's figures (left to right).
 FIGURE_TIER_ORDER = (
     Tier.STUB,
@@ -101,25 +105,43 @@ class TierParams:
         )
 
 
-@dataclass
 class TierTable:
-    """Result of classification: AS -> tier, with reverse lookup helpers."""
+    """Result of classification: one int8 tier code per dense index of
+    ``graph`` (a position in ``list(Tier)``), and each tier's dense
+    indices.  ASN views (:meth:`members`, :meth:`stubs`,
+    :meth:`non_stubs`) are built when a caller asks.
 
-    tier_of: dict[int, Tier]
-    _members: dict[Tier, tuple[int, ...]] = field(default_factory=dict, repr=False)
+    Example:
+        >>> from .graph import graph_from_edges
+        >>> tiers = classify_tiers(graph_from_edges(customer_provider=[(2, 1), (3, 1)]))
+        >>> tiers[1], tiers.members(Tier.STUB), tiers.code.tolist()
+        (<Tier.TIER1: 'T1'>, (2, 3), [0, 6, 6])
+    """
 
-    def __post_init__(self) -> None:
-        buckets: dict[Tier, list[int]] = {t: [] for t in Tier}
-        for asn in sorted(self.tier_of):
-            buckets[self.tier_of[asn]].append(asn)
-        self._members = {t: tuple(buckets[t]) for t in Tier}
+    __slots__ = ("graph", "code", "_index")
+
+    def __init__(self, graph: ASGraph, code: np.ndarray) -> None:
+        self.graph = graph
+        self.code = code.astype(np.int8)
+        self.code.flags.writeable = False
+        #: per tier, its members' dense indices, ascending (so by ASN)
+        self._index = {
+            t: np.flatnonzero(self.code == k).astype(np.int32)
+            for k, t in enumerate(_TIERS)
+        }
 
     def members(self, tier: Tier) -> tuple[int, ...]:
         """All ASes in ``tier``, sorted by ASN."""
-        return self._members[tier]
+        return tuple(self.graph.asn_of[self._index[tier]].tolist())
 
     def __getitem__(self, asn: int) -> Tier:
-        return self.tier_of[asn]
+        i = self.graph.index(asn)
+        if i < 0:
+            raise KeyError(asn)
+        return _TIERS[self.code[i]]
+
+    def _stub_mask(self) -> np.ndarray:
+        return (self.code == _STUB) | (self.code == _STUB_X)
 
     def stubs(self) -> tuple[int, ...]:
         """All ASes without customers (STUB and STUB-X buckets).
@@ -128,17 +150,23 @@ class TierTable:
         Table 1 precedence; this helper returns only the stub buckets,
         matching the paper's use of "stubs" for deployment rollouts.
         """
-        return tuple(
-            sorted(self.members(Tier.STUB) + self.members(Tier.STUB_X))
-        )
+        return tuple(self.graph.asn_of[self._stub_mask()].tolist())
 
     def non_stubs(self) -> tuple[int, ...]:
         """Every AS not in the STUB / STUB-X buckets (the paper's M')."""
-        stub_set = set(self.stubs())
-        return tuple(a for a in sorted(self.tier_of) if a not in stub_set)
+        return tuple(self.graph.asn_of[~self._stub_mask()].tolist())
 
     def counts(self) -> dict[Tier, int]:
-        return {t: len(self._members[t]) for t in Tier}
+        return {t: len(self._index[t]) for t in Tier}
+
+    def tally(self, rows: np.ndarray, column: np.ndarray, width: int) -> dict[Tier, list[int]]:
+        """Per tier, how many of the ASes at dense indices ``rows`` have
+        each ``column`` value (``0 .. width - 1``); tiers none of them
+        is in are left out, the rest come in ``Tier`` order."""
+        code = self.code[rows].astype(np.int64)
+        table = np.bincount(code * width + column, minlength=len(_TIERS) * width)
+        table = table.reshape(-1, width)
+        return {_TIERS[k]: table[k].tolist() for k in np.flatnonzero(table.any(axis=1)).tolist()}
 
 
 def classify_tiers(
@@ -169,8 +197,7 @@ def classify_tiers(
     providers = graph.peer_start - start[:-1]
     peers = graph.cust_start - graph.peer_start
     customers = start[1:] - graph.cust_start
-    tiers = list(Tier)
-    tier = np.full(len(graph), -1)  # index into ``tiers``; -1 until taken
+    tier = np.full(len(graph), -1)  # index into ``_TIERS``; -1 until taken
 
     def take(members: np.ndarray, t: Tier, count: int | None = None, by=None) -> None:
         """The first ``count`` of ``members`` (dense indices, ranked by
@@ -178,7 +205,7 @@ def classify_tiers(
         members = members[tier[members] < 0]
         if by is not None:
             members = members[np.argsort(-by[members], kind="stable")]
-        tier[members[:count]] = tiers.index(t)
+        tier[members[:count]] = _TIERS.index(t)
 
     # Tier 1: provider-less ASes with the highest customer degrees.
     take(np.flatnonzero((providers == 0) & (customers > 0)), Tier.TIER1,
@@ -188,9 +215,8 @@ def classify_tiers(
     take(with_providers, Tier.TIER2, params.tier2_count, customers)
     take(with_providers, Tier.TIER3, params.tier3_count, customers)
     # Content providers: explicit list.
-    index_of = graph.index_of
-    take(np.array([index_of[a] for a in content_providers if a in index_of], np.int64),
-         Tier.CP)
+    cps = graph.indices(content_providers)
+    take(cps[cps >= 0], Tier.CP)
     # Small CPs: top ASes by peering degree among the rest.
     take(np.flatnonzero(peers > 0), Tier.SMALL_CP, params.small_cp_count, peers)
     # Stubs-x / stubs / SMDG.
@@ -198,4 +224,4 @@ def classify_tiers(
     take(np.flatnonzero(customers == 0), Tier.STUB)
     take(np.arange(len(graph)), Tier.SMDG)
 
-    return TierTable(dict(zip(graph.asns, map(tiers.__getitem__, tier.tolist()))))
+    return TierTable(graph, tier)

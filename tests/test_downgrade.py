@@ -63,7 +63,7 @@ class TestDowngradeAnalysis:
 
     def test_theorem_31_no_downgrades_security_first(self, small_ctx):
         """Theorem 3.1 on sampled pairs of the shared small graph."""
-        asns = small_ctx.asns
+        asns = small_ctx.graph.asns
         deployment = Deployment.of(asns[: len(asns) // 2])
         for attacker, destination in [
             (asns[-1], asns[0]),

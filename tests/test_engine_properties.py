@@ -224,21 +224,21 @@ class TestCertificate:
         signing, ranking = small_ctx.deployment_masks(dep)
         state = fixing._run(small_ctx, dest_i, att_i, signing, ranking, SECURITY_SECOND)
         arrays = {name: a.copy() for name, a in state.arrays.items()}
-        fixed, wire, index_of = arrays["fixed"], arrays["wire"], small_ctx.index_of
+        fixed, wire, index_of = arrays["fixed"], arrays["wire"], graph.index
 
         def fixed_as(stub: bool, signs: bool = True) -> int:
             """The first fixed non-root AS of the kind; a stub one whose
             fixed neighbours, and so its tying offerers, all announce
             signed."""
             return next(
-                v for v, asn in enumerate(small_ctx.asns)
+                v for v, asn in enumerate(small_ctx.graph.asns)
                 if fixed[v] and asn not in (d, m) and graph.is_stub(asn) == stub
                 and (not stub or (signing[v] == signs and not ranking[v] and all(
-                    wire[index_of[u]] for u in graph.neighbors(asn)
-                    if fixed[index_of[u]])))
+                    wire[index_of(u)] for u in graph.neighbors(asn)
+                    if fixed[index_of(u)])))
             )
 
-        neighbour = index_of[min(graph.neighbors(d) - {m})]
+        neighbour = index_of(min(graph.neighbors(d) - {m}))
         return small_ctx, state._replace(arrays=arrays), {
             "transit": fixed_as(stub=False), "destination": dest_i,
             "neighbour": neighbour, "simplex-stub": fixed_as(stub=True),
@@ -271,7 +271,7 @@ class TestCertificate:
             arrays = {name: a.copy() for name, a in state.arrays.items()}
             arrays[field][i] = corrupt(arrays[field][i])
             bad = state._replace(arrays=arrays)
-        with pytest.raises(AssertionError, match=rf"AS {ctx.asns[i]}\b"):
+        with pytest.raises(AssertionError, match=rf"AS {ctx.graph.asns[i]}\b"):
             certify.certify(ctx, bad)
 
     def test_imports_nothing_of_the_kernel(self):

@@ -24,6 +24,21 @@ class TestConstruction:
         assert g.customers(20) == {10}
         assert g.peers(10) == frozenset()
 
+    def test_dense_and_sparse_asns_build_the_same_rows(self):
+        """Dense indices are ranks: ASNs spread far apart give the same
+        rows as consecutive ones."""
+        c2p, p2p = [(2, 1), (3, 1), (4, 2), (5, 3)], [(2, 3), (4, 5)]
+        dense = graph_from_edges(c2p, p2p, asns=[9])
+        far = 10**6
+        sparse = graph_from_edges(
+            [(a * far, b * far) for a, b in c2p],
+            [(a * far, b * far) for a, b in p2p],
+            asns=[9 * far],
+        )
+        assert sparse.asn_of.tolist() == [a * far for a in dense.asn_of.tolist()]
+        for name in _ARRAYS[1:]:
+            assert np.array_equal(getattr(dense, name), getattr(sparse, name)), name
+
     def test_peering_edge_symmetric(self):
         g = graph_from_edges(peerings=[(1, 2)])
         assert g.peers(1) == {2}
@@ -135,17 +150,19 @@ class TestFrozen:
         g = graph_from_edges(
             customer_provider=[(2, 1), (3, 2), (4, 2), (2, 5)], peerings=[(2, 6)]
         )
-        u = g.index_of[2]
+        u = g.index(2)
         start, end = g.adj_start[u], g.adj_start[u + 1]
         assert g.asn_of[g.adj_node[start:end]].tolist() == [1, 5, 6, 3, 4]
         assert g.adj_class[start:end].tolist() == [0, 0, 1, 2, 2]
         assert (g.peer_start[u], g.cust_start[u]) == (start + 2, start + 3)
 
     def test_retained_size_of_a_generated_graph(self):
-        """A generated graph keeps arrays and one ASN index, not a
-        python container per AS: 0.53 MB at 2 200 ASes, where a set
-        graph kept 1.53 MB.  Traced, the generation takes about 0.2 s
-        on a 2-vCPU VM (about 1 s with a weight list per layer)."""
+        """A generated graph keeps arrays (its CSR and one ASN array a
+        generator layer), not a python container per AS: 0.22 MB at
+        2 200 ASes, where an ASN → index dict and an ASN → layer dict
+        beside them kept 0.53 MB and a set graph 1.53 MB.  Traced, the
+        generation takes about 0.2 s on a 2-vCPU VM (about 1 s with a
+        weight list per layer)."""
         generate_topology(TopologyParams(n=60, seed=1))  # lazy imports
         gc.collect()
         tracemalloc.start()
@@ -156,13 +173,16 @@ class TestFrozen:
         finally:
             tracemalloc.stop()
         assert len(topo.graph) == 2200
-        assert retained < 0.8e6
+        assert retained < 0.25e6
 
     def test_peak_size_of_generating_a_graph(self):
-        """The generator's draws keep one edge set, flat edge lists and
-        a weight tree per transit layer, not a python container per AS:
-        a 1.10 MB traced peak at 2 200 ASes, where per-AS neighbour sets
-        peaked at 1.56 MB."""
+        """The generator's draws keep one edge set (of the pairs a later
+        draw can ask about), flat edge lists and a weight tree per
+        transit layer, not a python container per AS, and drop them as
+        the graph is built: a 0.59 MB traced peak at 2 200 ASes, where
+        every stub edge in the set, the weights kept through the build
+        and ``np.unique``'s inverse peaked at 1.10 MB, and per-AS
+        neighbour sets at 1.56 MB."""
         generate_topology(TopologyParams(n=60, seed=1))  # lazy imports
         gc.collect()
         tracemalloc.start()
@@ -171,12 +191,12 @@ class TestFrozen:
             _retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.2e6
+        assert peak < 0.65e6
 
     #: ``graph_from_edges``' peak over the bytes of the arrays it keeps:
-    #: 3.02 at 20 000 ASes, set inside ``np.unique``.  One more int64
-    #: temporary of a slot each (as ``adj_node``) adds ≈ 0.56.
-    PEAK_PER_KEPT_BYTE = 3.1
+    #: 1.87 at 20 000 ASes.  One more int64 temporary of a slot each (as
+    #: ``adj_node``) adds ≈ 0.56.
+    PEAK_PER_KEPT_BYTE = 2.0
 
     def test_peak_of_building_a_graph_is_a_pinned_multiple_of_what_it_keeps(self):
         """tracemalloc's byte counts are the same on every run, so one
@@ -243,8 +263,8 @@ class TestAccessors:
     def test_asns_sorted(self):
         g = graph_from_edges(customer_provider=[(9, 2), (5, 9)])
         assert g.asns == [2, 5, 9]
-        asn_of, index_of = g.dense_index()
-        assert asn_of == [2, 5, 9] and index_of == {2: 0, 5: 1, 9: 2}
+        assert [g.index(a) for a in (2, 5, 9, 1, 7, 10)] == [0, 1, 2, -1, -1, -1]
+        assert g.indices([9, 1, 2, 10, 5]).tolist() == [2, -1, 0, -1, 1]
 
     def test_edges_iteration(self):
         g = graph_from_edges(

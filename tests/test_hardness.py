@@ -118,7 +118,7 @@ class TestSolvers:
     def test_bruteforce_candidate_limit(self, small_ctx):
         with pytest.raises(ValueError):
             max_k_security_bruteforce(
-                small_ctx, small_ctx.asns[-1], small_ctx.asns[0], 3,
+                small_ctx, small_ctx.graph.asns[-1], small_ctx.graph.asns[0], 3,
                 SECURITY_THIRD,
             )
 
@@ -137,7 +137,7 @@ class TestSolvers:
         assert greedy <= best
 
     def test_greedy_returns_k_members(self, small_ctx):
-        asns = small_ctx.asns
+        asns = small_ctx.graph.asns
         happy, chosen = greedy_max_k_security(
             small_ctx, asns[-1], asns[0], 2, SECURITY_THIRD,
             candidates=asns[:6],

@@ -118,7 +118,7 @@ class TestSecurityMetric:
         assert result.value == Interval(0.0, 0.0)
 
     def test_bounds_ordered(self, small_ctx):
-        asns = small_ctx.asns
+        asns = small_ctx.graph.asns
         pairs = [(asns[-1], asns[0]), (asns[-2], asns[1]), (asns[-5], asns[7])]
         result = security_metric(small_ctx, pairs, Deployment.empty(), BASELINE)
         assert result.value.lower <= result.value.upper
@@ -148,7 +148,7 @@ class TestBatchHappiness:
         assert batch == per_pair(graph, pairs, dep, SECURITY_FIRST)
 
     def test_security_metric_equals_per_pair_outcomes(self, small_ctx):
-        asns = small_ctx.asns
+        asns = small_ctx.graph.asns
         pairs = [(asns[-1], asns[0]), (asns[-2], asns[1]), (asns[-5], asns[7])]
         dep = Deployment.of(asns[: len(asns) // 4])
         fast = security_metric(small_ctx, pairs, dep, SECURITY_THIRD)
@@ -179,7 +179,7 @@ class TestImprovement:
         assert secured.value.lower >= baseline.value.lower
 
     def test_delta_subtracts_bound_from_bound(self, small_ctx):
-        asns = small_ctx.asns
+        asns = small_ctx.graph.asns
         pairs = [(asns[-1], asns[4]), (asns[17], asns[60]), (asns[-3], asns[2])]
         deployment = Deployment.of(asns[: len(asns) // 2])
         delta, secured, baseline = self._improvement(
@@ -194,7 +194,7 @@ class TestImprovement:
     def test_monotone_model_never_degrades(self, small_ctx):
         # Theorem 6.1: security 3rd is monotone, so the lower bound of
         # the improvement over ∅ is non-negative for any S.
-        asns = small_ctx.asns
+        asns = small_ctx.graph.asns
         pairs = [(asns[-1], asns[4]), (asns[17], asns[60])]
         deployment = Deployment.of(asns[: len(asns) // 3])
         delta, _, _ = self._improvement(

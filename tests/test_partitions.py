@@ -151,7 +151,7 @@ class TestInvariantAgainstDeployments:
     @pytest.mark.parametrize("model", SECURITY_MODELS, ids=lambda m: m.label)
     def test_partitions_sound_on_small_graph(self, small_ctx, model):
         rnd = random.Random(4)
-        asns = small_ctx.asns
+        asns = small_ctx.graph.asns
         destination = asns[10]
         attacker = asns[-10]
         parts = compute_partitions(small_ctx, attacker, destination, model)

@@ -106,7 +106,7 @@ class TestConsistencyWithRouting:
         """Any route the engine fixes must be perceivable (sound closure)."""
         from repro.core import compute_routing_outcome
 
-        asns = small_ctx.asns
+        asns = small_ctx.graph.asns
         destination, attacker = asns[3], asns[-3]
         closures = attack_closures(small_ctx, attacker, destination)
         out = compute_routing_outcome(small_ctx, destination, attacker=attacker)

@@ -120,9 +120,7 @@ class TestFullPipeline:
         )
 
     def test_synthetic_graph_needs_no_cleanup(self, small_topo):
-        tier1 = frozenset(
-            a for a, layer in small_topo.layer_of.items() if layer == "t1"
-        )
+        tier1 = frozenset(small_topo.layers["t1"].tolist())
         cleaned, report = preprocess_graph(small_topo.graph, keep=tier1)
         assert report.broken_cycle_edges == []
         assert report.removed_disconnected == []

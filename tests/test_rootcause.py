@@ -87,7 +87,7 @@ class TestBreakdown:
         from repro.core import tier12_rollout
 
         deployment = tier12_rollout(small_ctx.graph, small_tiers)[-1].deployment
-        asns = small_ctx.asns
+        asns = small_ctx.graph.asns
         pairs = [(asns[-3], asns[2]), (asns[-9], asns[11]), (asns[50], asns[200])]
         for model in SECURITY_MODELS:
             breakdown = root_cause_breakdown(small_ctx, pairs, deployment, model)
@@ -100,7 +100,7 @@ class TestBreakdown:
         from repro.core import tier12_rollout
 
         deployment = tier12_rollout(small_ctx.graph, small_tiers)[-1].deployment
-        asns = small_ctx.asns
+        asns = small_ctx.graph.asns
         pairs = [(asns[-3], asns[2]), (asns[-9], asns[11])]
         breakdown = root_cause_breakdown(
             small_ctx, pairs, deployment, SECURITY_THIRD
@@ -111,7 +111,7 @@ class TestBreakdown:
         from repro.core import tier12_rollout
 
         deployment = tier12_rollout(small_ctx.graph, small_tiers)[-1].deployment
-        asns = small_ctx.asns
+        asns = small_ctx.graph.asns
         pairs = [(asns[-3], asns[2]), (asns[-9], asns[11])]
         breakdown = root_cause_breakdown(
             small_ctx, pairs, deployment, SECURITY_FIRST
@@ -121,7 +121,7 @@ class TestBreakdown:
         assert breakdown.downgrades == pytest.approx(0.0, abs=1e-3)
 
     def test_self_pairs_skipped(self, small_ctx):
-        asns = small_ctx.asns
+        asns = small_ctx.graph.asns
         breakdown = root_cause_breakdown(
             small_ctx, [(asns[0], asns[0])], Deployment.empty(), SECURITY_THIRD
         )

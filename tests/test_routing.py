@@ -318,6 +318,18 @@ class TestRoutingContext:
             a: i.next_hops for a, i in via_ctx.routes.items()
         } == {a: i.next_hops for a, i in direct.routes.items()}
 
+    def test_masks_ignore_members_absent_from_the_graph(self):
+        """An ASN the graph lacks marks no AS, wherever it would sort."""
+        ctx = RoutingContext(
+            graph_from_edges(customer_provider=[(2, 1), (3, 1), (4, 2)])
+        )
+        absent = Deployment(full=[0, 2, 5, 99], simplex=[3, 7])
+        present = Deployment(full=[2], simplex=[3])
+        assert ctx.deployment_masks(absent) == ctx.deployment_masks(present)
+        assert ctx.deployment_masks(present) == (
+            bytearray([0, 1, 1, 0]), bytearray([0, 1, 0, 0])
+        )
+
     def test_csr_covers_all_edges(self, small_graph):
         ctx = RoutingContext(small_graph)
         total = len(ctx.graph.adj_node)

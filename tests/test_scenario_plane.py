@@ -179,7 +179,7 @@ class TestEvalRequest:
         assert {"sorted_members", "members_json"} <= set(vars(dep))
         assert pickle.dumps(dep) == fresh
         clone = pickle.loads(fresh)
-        assert clone == dep and set(vars(clone)) == {"full", "simplex"}
+        assert clone == dep and set(vars(clone)) == {"full_asns", "simplex_asns"}
 
 
 _MODELS = [
@@ -298,7 +298,7 @@ class TestOncePerDeployment:
         """A request keeps the deployment it was built over: evaluating
         a plan's requests freezes no member set again."""
         requests, _ = self._fig7a(ectx)
-        built = count_calls(Deployment, "__post_init__")
+        built = count_calls(Deployment, "__init__")
         results = evaluate_requests(ectx, requests)
         assert len(results) == len(requests)
         assert built[0] == 0
@@ -312,7 +312,7 @@ class TestOncePerDeployment:
             for r in requests
         ]
         assert decoded == requests
-        built = count_calls(Deployment, "__post_init__")
+        built = count_calls(Deployment, "__init__")
         results = evaluate_requests(ectx, decoded)
         assert len(results) == len(requests)
         assert built[0] == distinct
@@ -325,14 +325,13 @@ class TestOncePerDeployment:
         from repro.experiments import get_experiment
 
         asked: Counter = Counter()
-        real = deployment_module.stubs_of
+        real = deployment_module._stub_array
 
-        def counted(graph, isps):
-            isps = tuple(isps)
-            asked.update(isps)
-            return real(graph, isps)
+        def counted(graph, rows):
+            asked.update(graph.asn_of[rows].tolist())
+            return real(graph, rows)
 
-        monkeypatch.setattr(deployment_module, "stubs_of", counted)
+        monkeypatch.setattr(deployment_module, "_stub_array", counted)
         plan = get_experiment("fig7a").plan(make_context(scale="tiny", seed=2013))
         isps = plan["simplex"][-1][0].deployment.full
         assert isps and set(isps) <= set(asked)

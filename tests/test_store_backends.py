@@ -510,6 +510,28 @@ class TestJsonlIndex:
         assert reopened.get(request.scenario_hash).value == result.value
 
 
+class TestSqliteHashColumn:
+    def test_a_hash_that_is_not_utf8_reads_as_corruption(self, tmp_path):
+        """A row whose ``hash`` column is not UTF-8 names no scenario:
+        ``hashes()``, ``len()`` and ``records()`` leave it out instead
+        of failing the query."""
+        rng = random.Random(23)
+        request = _request(0)
+        result = _result(rng, request.pairs)
+        store = SqliteResultStore(tmp_path / "cache")
+        store.put(request, result)
+        _record, line = _build_record(request, result)
+        store._execute(
+            "INSERT INTO results (hash, record) VALUES"
+            " (CAST(x'6162ff' AS TEXT), ?)",
+            (line,),
+            commit=True,
+        )
+        assert store.hashes() == {request.scenario_hash}
+        assert len(store) == 1
+        assert [r["hash"] for r in store.records()] == [request.scenario_hash]
+
+
 class TestOpenStore:
     def test_auto_prefers_existing_sqlite(self, tmp_path):
         SqliteResultStore(tmp_path / "cache").close()

@@ -1,5 +1,6 @@
 """Tests for the Table 1 tier classifier."""
 
+import numpy as np
 import pytest
 
 from repro.topology import (
@@ -73,7 +74,8 @@ class TestClassification:
 
     def test_every_as_classified(self, tiers):
         graph = build_reference_graph()
-        assert set(tiers.tier_of) == set(graph.asns)
+        assert len(tiers.code) == len(graph) and (tiers.code >= 0).all()
+        assert sum(tiers.counts().values()) == len(graph)
 
     def test_members_sorted_and_consistent(self, tiers):
         for tier in Tier:
@@ -94,6 +96,18 @@ class TestClassification:
     def test_counts_sum(self, tiers):
         graph = build_reference_graph()
         assert sum(tiers.counts().values()) == len(graph)
+
+    def test_tally_counts_each_value_per_tier(self, tiers):
+        graph = tiers.graph
+        asns = [61, 62, 60, 50, 61]
+        rows = graph.indices(asns)
+        by_tier = tiers.tally(rows, np.array([0, 2, 1, 1, 2]), 3)
+        expected = {}
+        for asn, value in zip(asns, [0, 2, 1, 1, 2]):
+            expected.setdefault(tiers[asn], [0, 0, 0])[value] += 1
+        assert by_tier == expected
+        # Tiers none of the rows is in are left out; the rest in Tier order.
+        assert list(by_tier) == [t for t in Tier if t in expected]
 
 
 class TestExplicitCpList:

@@ -568,7 +568,7 @@ class TestRowsKernel:
 
     @staticmethod
     def _rows(ctx, rnd, deployment, model, count):
-        asns = ctx.asns
+        asns = ctx.graph.asns
         masks = ctx.deployment_masks(deployment)
         rows = []
         for _ in range(count):
@@ -1072,7 +1072,7 @@ class TestCsrBuild:
         graph = build()
         ctx = RoutingContext(graph)
         ref = RefRoutingContext(graph)
-        asns = ctx.asns
+        asns = ctx.graph.asns
         assert asns == sorted(ref.asns)
         start = graph.adj_start.tolist()
         assert start[0] == 0 and len(start) == len(asns) + 1
@@ -1089,7 +1089,7 @@ class TestCsrBuild:
         assert ctx._rel_idx is None
         for name in ("providers", "customers", "peers"):
             want = [
-                tuple(ctx.index_of[v] for v in getattr(ref, f"{name}_of")[a])
+                tuple(map(graph.index, getattr(ref, f"{name}_of")[a]))
                 for a in asns
             ]
             assert getattr(ctx, f"{name}_idx") == want, name

@@ -251,8 +251,8 @@ MUTANTS = (
     ),
     Mutant(
         "check_nested_full_only", JOBS,
-        "if not (old.full <= new.full and old.simplex - new.simplex <= new.full):",
-        "if not old.full <= new.full:",
+        "if not old.is_nested_in(new):",
+        "if not Deployment(full=old.full_asns).is_nested_in(new):",
         "a chain step may drop a simplex member",
     ),
     Mutant(
@@ -264,16 +264,30 @@ MUTANTS = (
     # -- deployments ------------------------------------------------------
     Mutant(
         "simplex_guard_skipped", "src/repro/core/context.py",
-        "        if not deployment.simplex:\n            return\n"
+        "        if not len(deployment.simplex_asns):\n            return\n"
         "        checked = self._stub_simplex_ok",
         "        return\n        checked = self._stub_simplex_ok",
         "a transit simplex member is accepted (two stable states)",
     ),
     Mutant(
         "is_nested_strict_full", "src/repro/core/deployment.py",
-        "self.full <= other.full and self.simplex - other.simplex <= other.full",
-        "self.full < other.full and self.simplex - other.simplex <= other.full",
+        "return _subset(self.full_asns, other.full_asns) and _subset(",
+        "return len(self.full_asns) < len(other.full_asns) and _subset(\n"
+        "            self.full_asns, other.full_asns) and _subset(",
         "a step that keeps the full set is not nested",
+    ),
+    # -- dense indices ----------------------------------------------------
+    Mutant(
+        "indices_skips_membership_check", "src/repro/topology/graph.py",
+        "        return np.where(found, at, -1)",
+        "        return at",
+        "an ASN not in the graph maps to its insertion point, not -1",
+    ),
+    Mutant(
+        "tier_code_shifted", "src/repro/topology/tiers.py",
+        "t: np.flatnonzero(self.code == k).astype(np.int32)",
+        "t: np.flatnonzero(self.code == k + 1).astype(np.int32)",
+        "each tier's members are the next tier's",
     ),
     # -- the scenario plane, store and scheduler --------------------------
     Mutant(
