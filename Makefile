@@ -13,13 +13,12 @@ test:
 
 ## random exploration: the two property files under the `fuzz` profile —
 ## fresh seeds, 20x the example budget, failures saved under the tracked
-## tests/fuzz-examples/ and replayed first next time (~1 min); every
+## tests/fuzz-examples/ and replayed first next time (~1.5 min); every
 ## state pass of test_engine_properties.py is certified stable there
 ## too (repro.core.certify, tests/conftest.py's `certified`), while
-## refimpl and bgpsim check what a certificate cannot see.  Until
-## ROADMAP item 2a lands it fails on every run: compute_partitions is
-## unsound under security_2nd, and this profile alone replays the
-## shrunk instance (test_partitions_sound_on_the_shrunk_counterexample)
+## refimpl and bgpsim check what a certificate cannot see.  The
+## partition oracle (TestExhaustiveOracle) enumerates every deployment
+## of worlds up to 9 ASes here, up to 7 in tier-1
 fuzz:
 	$(PYTHON) -m pytest -q --hypothesis-profile=fuzz \
 		tests/test_properties.py tests/test_engine_properties.py

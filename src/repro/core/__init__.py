@@ -117,12 +117,7 @@ from .jobs import (
     jobs_happiness_counts,
     rollout_happiness_counts,
 )
-from .perceivable import (
-    AttackClosures,
-    ClassReach,
-    attack_closures,
-    perceivable_closures,
-)
+from .perceivable import Closure, perceivable_closure
 from .partitions import Category, PartitionCounts, PartitionResult, compute_partitions
 from .metrics import (
     AttackHappiness,
@@ -207,10 +202,8 @@ __all__ = [
     "jobs_happiness_counts",
     "rollout_happiness_counts",
     # perceivable / partitions
-    "ClassReach",
-    "AttackClosures",
-    "perceivable_closures",
-    "attack_closures",
+    "Closure",
+    "perceivable_closure",
     "Category",
     "PartitionCounts",
     "PartitionResult",

@@ -57,12 +57,10 @@ class RoutingContext:
     ``cust_start[u]``: the kernel expands only that tail for a source
     that does not export to everyone.
 
-    Per-relationship index adjacency (``providers_idx`` etc.) serves
-    the perceivable-closure and partition computations; the context
-    derives it lazily, as no kernel reads it.  The context also owns
-    the scratch arrays of the fixing pass, which makes a single context
-    not thread-safe (fork workers each get a copy-on-write clone, which
-    is safe).
+    The perceivable closure's walk is derived lazily, as no kernel
+    reads it.  The context also owns the scratch arrays of the fixing
+    pass, which makes a single context not thread-safe (fork workers
+    each get a copy-on-write clone, which is safe).
 
     Args:
         graph: the topology to route on.
@@ -86,7 +84,7 @@ class RoutingContext:
     __slots__ = (
         "graph",
         "n",
-        "_rel_idx",
+        "_walk",
         "_np_scratch",
         "_np_rows",
         "_blind_counts",
@@ -105,7 +103,8 @@ class RoutingContext:
             )
         self.n = n
 
-        self._rel_idx: tuple | None = None  # see _relationship_idx
+        #: the perceivable closure's walk (:mod:`repro.core.perceivable`)
+        self._walk: tuple | None = None
         #: the arrays a state call computes in (:meth:`_np_ensure_scratch`)
         self._np_scratch: dict | None = None
         #: the flat state arrays of the kernel's K-row count calls
@@ -121,27 +120,6 @@ class RoutingContext:
             weakref.WeakValueDictionary()
         )
         self._zero_mask = bytearray(n)
-
-    def _relationship_idx(self) -> tuple:
-        """``(providers_idx, customers_idx, peers_idx)``, per node the
-        sorted indices of each relationship, derived from the graph's
-        rows the first time a reader asks."""
-        rel = self._rel_idx
-        if rel is None:
-            g = self.graph
-            node = g.adj_node.tolist()
-            bounds = (g.adj_start[:-1], g.peer_start, g.cust_start, g.adj_start[1:])
-            providers, customers, peers = [], [], []
-            for start, peer, cust, end in zip(*(b.tolist() for b in bounds)):
-                providers.append(tuple(node[start:peer]))
-                peers.append(tuple(node[peer:cust]))
-                customers.append(tuple(node[cust:end]))
-            rel = self._rel_idx = (providers, customers, peers)
-        return rel
-
-    providers_idx = property(lambda self: self._relationship_idx()[0])
-    customers_idx = property(lambda self: self._relationship_idx()[1])
-    peers_idx = property(lambda self: self._relationship_idx()[2])
 
     # Called by perfbench/layers.py (close) and service_load.py (with).
     def close(self) -> None:
@@ -204,7 +182,9 @@ class RoutingContext:
         are ignored, matching the seed engine's set-membership checks.
         Every pass takes its masks from here, so a build is where every
         entry point rejects a transit simplex member
-        (:meth:`require_stub_simplex`).
+        (:meth:`require_stub_simplex`).  Readers never write a mask, so
+        a deployment with no simplex member in the graph gets one mask
+        twice.
         """
         if deployment.size == 0:
             zero = self._zero_mask
@@ -214,13 +194,12 @@ class RoutingContext:
         if entry is not None and entry[0] is deployment:
             return entry[1], entry[2]
         self.require_stub_simplex(deployment)
-        signing = bytearray(self.n)
-        ranking = bytearray(self.n)
-        full = self._present(deployment.full_asns)
-        np.frombuffer(ranking, np.uint8)[full] = 1
-        marks = np.frombuffer(signing, np.uint8)
-        marks[full] = 1
-        marks[self._present(deployment.simplex_asns)] = 1
+        ranking = signing = bytearray(self.n)
+        np.frombuffer(ranking, np.uint8)[self._present(deployment.full_asns)] = 1
+        simplex = self._present(deployment.simplex_asns)
+        if len(simplex):
+            signing = bytearray(ranking)
+            np.frombuffer(signing, np.uint8)[simplex] = 1
         if len(cache) >= 8:
             cache.clear()
         cache[id(deployment)] = (deployment, signing, ranking)

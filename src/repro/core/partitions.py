@@ -1,7 +1,7 @@
 """Doomed / protectable / immune partitions (Section 4.3, Appendix E).
 
 For a fixed attacker/destination pair ``(m, d)``, every source AS falls
-into exactly one of three categories *independently of which ASes deploy
+into one of three categories *independently of which ASes deploy
 S*BGP*:
 
 * **doomed** — routes through the attacker for every secure set ``S``;
@@ -12,21 +12,22 @@ Averaging the immune (resp. non-doomed) fractions over pairs gives the
 deployment-invariant lower (resp. upper) bounds on the security metric
 of Section 4.4 — the paper's Figure 3 family.
 
-The computation follows Appendix E exactly:
+Each model reads Appendix E's definitions off one array per dense index:
 
 * **security 3rd** (Corollary E.1): the best route's class *and length*
-  are deployment-invariant, so classify by the endpoints of the
-  baseline (``S = ∅``) BPR set;
-* **security 2nd** (Corollary E.2): only the best route's *class* is
-  invariant, so classify by the endpoints of every same-class route
-  that *survives* the FixRoutes pruning — i.e. routes through fixed
-  neighbors whose own BPR sets still offer them.  (A static
-  perceivable-route closure is not enough: a stub whose providers are
-  all doomed can only ever learn bogus routes, which is exactly why
-  most sources are doomed when a Tier 1 is attacked, §4.6);
-* **security 1st** (Observations E.3/E.4): doomed iff every perceivable
-  route leads to the attacker; immune iff none does; the paper treats
-  everything else (≈ all ASes) as protectable.
+  are deployment-invariant, so the endpoints of the ``S = ∅`` best
+  routes are the category;
+* **security 2nd** (Corollary E.2): only the class is invariant, so the
+  perceivable closure (:mod:`repro.core.perceivable`) admits each AS to
+  its ``S = ∅`` class only.  Doomed: no route to ``d``.  Immune: safe
+  (no route to ``m``, or a route to ``d`` shorter than any to ``m``
+  for every ``S``);
+* **security 1st** (Observations E.3/E.4): doomed iff no perceivable
+  route leads to ``d``, immune iff none leads to ``m``.
+
+Every call is sound: an immune AS is happy for every ``S``, a doomed one
+for none.  Doomed is exact under classic LP; immune is a subset, as the
+length rule may miss an AS whose route to ``m`` can never win.
 """
 
 from __future__ import annotations
@@ -34,22 +35,34 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..topology.graph import ASGraph
-from ..topology.relationships import RouteClass
-from .perceivable import AttackClosures, attack_closures
-from .rank import BASELINE, RankModel, SecurityModel
 from .context import RoutingContext, _as_context
-from .outcome import Reach, RoutingOutcome, compute_routing_outcome
+from .outcome import RoutingOutcome, compute_routing_outcome
+from .perceivable import perceivable_closure
+from .rank import RankModel, SecurityModel
 
 
 class Category(enum.Enum):
-    """Deployment-invariant fate of a source AS (Table 2)."""
+    """Deployment-invariant fate of a source AS (Table 2); its code is
+    its position in ``tuple(Category)``."""
 
     DOOMED = "doomed"
     PROTECTABLE = "protectable"
     IMMUNE = "immune"
     #: no perceivable route to either endpoint (disconnected inputs only).
     DISCONNECTED = "disconnected"
+
+
+_CATEGORIES = tuple(Category)
+#: the code of ``d`` and ``m``, which are no source
+ROOT = -1
+#: category code by reach bits (1: a route to ``d``, 2: to ``m``)
+_BY_REACH = np.array([_CATEGORIES.index(c) for c in (
+    Category.DISCONNECTED, Category.IMMUNE, Category.DOOMED, Category.PROTECTABLE,
+)], np.int8)
+_IMMUNE = _CATEGORIES.index(Category.IMMUNE)
 
 
 @dataclass(frozen=True)
@@ -77,32 +90,32 @@ class PartitionCounts:
         )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PartitionResult:
     """Per-source categories for one attacker/destination pair."""
 
     attacker: int
     destination: int
     model: RankModel
-    category_of: dict[int, Category]
+    graph: ASGraph
+    #: int8 per dense index: the category's code, :data:`ROOT` for the roots
+    codes: np.ndarray
 
     def counts(self) -> PartitionCounts:
-        doomed = protectable = immune = disconnected = 0
-        for category in self.category_of.values():
-            if category is Category.DOOMED:
-                doomed += 1
-            elif category is Category.PROTECTABLE:
-                protectable += 1
-            elif category is Category.IMMUNE:
-                immune += 1
-            else:
-                disconnected += 1
-        return PartitionCounts(doomed, protectable, immune, disconnected)
+        codes = self.codes
+        return PartitionCounts(*np.bincount(codes[codes >= 0], minlength=4).tolist())
+
+    def category(self, asn: int) -> Category:
+        """The category of source ``asn``; ``KeyError`` for a root or
+        an AS outside the graph."""
+        i = self.graph.index(asn)
+        if i < 0 or self.codes[i] == ROOT:
+            raise KeyError(asn)
+        return _CATEGORIES[self.codes[i]]
 
     def members(self, category: Category) -> frozenset[int]:
-        return frozenset(
-            asn for asn, cat in self.category_of.items() if cat is category
-        )
+        code = _CATEGORIES.index(category)
+        return frozenset(self.graph.asn_of[self.codes == code].tolist())
 
 
 def compute_partitions(
@@ -111,7 +124,6 @@ def compute_partitions(
     destination: int,
     model: RankModel,
     baseline_outcome: RoutingOutcome | None = None,
-    closures: AttackClosures | None = None,
 ) -> PartitionResult:
     """Partition all sources for ``(m, d)`` under the given model.
 
@@ -124,7 +136,6 @@ def compute_partitions(
         baseline_outcome: optional precomputed ``S = ∅`` attack outcome
             for this pair (shared across models — with no secure AS all
             models coincide).
-        closures: optional precomputed perceivable closures for the pair.
 
     Returns:
         A :class:`PartitionResult`.
@@ -132,140 +143,24 @@ def compute_partitions(
     if model.model is SecurityModel.BASELINE:
         raise ValueError("partitions are defined for the three security models")
     ctx = _as_context(topology)
-
-    if model.model is SecurityModel.THIRD:
+    dest_i, att_i = ctx._check_pair(destination, attacker)
+    if model.model is SecurityModel.FIRST:
+        reach = perceivable_closure(ctx, attacker, destination).reach
+        codes = _BY_REACH[np.bitwise_or.reduce(reach)]
+    else:
         outcome = baseline_outcome or compute_routing_outcome(
             ctx,
             destination,
             attacker=attacker,
             model=RankModel(SecurityModel.BASELINE, model.local_preference),
         )
-        return _partitions_from_bpr_endpoints(ctx, outcome, model)
-
-    if model.model is SecurityModel.SECOND:
-        outcome = baseline_outcome or compute_routing_outcome(
-            ctx,
-            destination,
-            attacker=attacker,
-            model=RankModel(SecurityModel.BASELINE, model.local_preference),
-        )
-        return _partitions_security_second(ctx, outcome, model)
-    closures = closures or attack_closures(ctx, attacker, destination)
-    return _partitions_security_first(ctx, attacker, destination, closures, model)
-
-
-_CATEGORY_OF_REACH = {
-    int(Reach.NONE): Category.DISCONNECTED,
-    int(Reach.DEST): Category.IMMUNE,
-    int(Reach.ATTACKER): Category.DOOMED,
-    int(Reach.BOTH): Category.PROTECTABLE,
-}
-
-
-def _partitions_from_bpr_endpoints(
-    ctx: RoutingContext, outcome: RoutingOutcome, model: RankModel
-) -> PartitionResult:
-    """Security 3rd: classify by the endpoints of the S=∅ BPR set.
-
-    Reads the outcome's flat reach array directly (one byte per AS)
-    instead of materializing per-AS route views.
-    """
-    category_of: dict[int, Category] = {}
-    attacker = outcome.attacker
-    destination = outcome.destination
-    reach = outcome._reach
-    fixed = outcome._fixed
-    cat = _CATEGORY_OF_REACH
-    asn_of = ctx.graph.asns
-    dest_i = outcome._dest_i
-    att_i = outcome._att_i
-    for i in range(ctx.n):
-        if i == dest_i or i == att_i:
-            continue
-        category_of[asn_of[i]] = cat[reach[i]] if fixed[i] else Category.DISCONNECTED
-    return PartitionResult(attacker, destination, model, category_of)  # type: ignore[arg-type]
-
-
-def _partitions_security_second(
-    ctx: RoutingContext,
-    outcome: RoutingOutcome,
-    model: RankModel,
-) -> PartitionResult:
-    """Security 2nd: endpoints of surviving same-class routes (Cor. E.2).
-
-    An AS stabilizes to a route of the same LP class as its ``S = ∅``
-    best routes, but — because security outranks length inside the class
-    — possibly via *any* neighbor still offering that class after the
-    FixRoutes pruning.  The endpoints it can be steered to are therefore
-    the union of its class-``C`` neighbors' own BPR endpoints.
-    """
-    category_of: dict[int, Category] = {}
-    attacker = outcome.attacker
-    destination = outcome.destination
-    assert attacker is not None
-    neighbor_sets = (ctx.customers_idx, ctx.peers_idx, ctx.providers_idx)
-    fixed = outcome._fixed
-    cls = outcome._cls
-    reach_arr = outcome._reach
-    asn_of = ctx.graph.asns
-    dest_i = outcome._dest_i
-    att_i = outcome._att_i
-    cat = _CATEGORY_OF_REACH
-    customer_cls = int(RouteClass.CUSTOMER)
-    provider_cls = int(RouteClass.PROVIDER)
-    for i in range(ctx.n):
-        if i == dest_i or i == att_i:
-            continue
-        if not fixed[i]:
-            category_of[asn_of[i]] = Category.DISCONNECTED
-            continue
-        route_class = cls[i]
-        from_provider = route_class == provider_cls
-        reach = 0
-        for nbr in neighbor_sets[route_class][i]:
-            if nbr == dest_i:
-                reach |= 1
-                continue
-            if nbr == att_i:
-                reach |= 2
-                continue
-            if not fixed[nbr]:
-                continue
-            # Ex: the neighbor offers its fixed route to ``asn`` only if
-            # it is a customer route or ``asn`` is its customer.
-            if cls[nbr] != customer_cls and not from_provider:
-                continue
-            reach |= reach_arr[nbr]
-            if reach == 3:
-                break
-        # reach == 0 would mean a fixed AS whose every neighbor
-        # withholds, which monotone fixing rules out (maps DISCONNECTED).
-        category_of[asn_of[i]] = cat[reach]
-    return PartitionResult(attacker, destination, model, category_of)
-
-
-def _partitions_security_first(
-    ctx: RoutingContext,
-    attacker: int,
-    destination: int,
-    closures: AttackClosures,
-    model: RankModel,
-) -> PartitionResult:
-    """Security 1st: Observations E.3/E.4; nearly everything is protectable."""
-    category_of: dict[int, Category] = {}
-    legitimate_any = closures.legitimate.any()
-    attacked_any = closures.attacked.any()
-    for asn in ctx.graph.asns:
-        if asn == attacker or asn == destination:
-            continue
-        has_legitimate = asn in legitimate_any
-        has_attacked = asn in attacked_any
-        if has_legitimate and has_attacked:
-            category_of[asn] = Category.PROTECTABLE
-        elif has_legitimate:
-            category_of[asn] = Category.IMMUNE
-        elif has_attacked:
-            category_of[asn] = Category.DOOMED
+        fixed = np.frombuffer(outcome._fixed, np.bool_)
+        if model.model is SecurityModel.THIRD:
+            codes = _BY_REACH[np.frombuffer(outcome._reach, np.uint8) * fixed]
         else:
-            category_of[asn] = Category.DISCONNECTED
-    return PartitionResult(attacker, destination, model, category_of)
+            route_class = np.where(fixed, np.frombuffer(outcome._cls, np.uint8), 3)
+            closure = perceivable_closure(ctx, attacker, destination, route_class)
+            codes = _BY_REACH[np.bitwise_or.reduce(closure.reach)]
+            codes[closure.safe] = _IMMUNE
+    codes[[dest_i, att_i]] = ROOT
+    return PartitionResult(attacker, destination, model, ctx.graph, codes)

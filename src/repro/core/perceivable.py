@@ -1,160 +1,154 @@
-"""Perceivable-route closures (Definition B.1 of the paper).
+"""Perceivable routes (Definition B.1), one attack pair at a time, on
+dense indices: the closure every partition of :mod:`repro.core.partitions`
+reads.
 
-A route is *perceivable* at an AS if it could propagate there under the
-export rule ``Ex`` — independent of anybody's route *selection*.  The
-partition framework of Section 4.3 classifies ASes by which endpoints
-(the legitimate destination ``d`` or the attacker ``m``) they have
-perceivable routes of each LP class to:
+A route is *perceivable* at an AS if the export rule ``Ex`` lets it
+propagate there, whatever anybody selects.  For one pair ``(m, d)``,
+:func:`perceivable_closure` seeds both roots and walks the context's
+relationship rows in three phases, one per LP class:
 
-* ``v`` has a perceivable **customer** route to ``x`` iff some customer
-  of ``v`` is ``x`` or itself has a perceivable customer route to ``x``;
-* ``v`` has a perceivable **peer** route to ``x`` iff some peer of ``v``
-  is ``x`` or has a perceivable customer route to ``x`` (``Ex``: only
-  customer routes cross a peering edge);
-* ``v`` has a perceivable **provider** route to ``x`` iff some provider
-  of ``v`` is ``x`` or has a perceivable route of *any* class to ``x``
-  (providers export everything to customers).
+* **customer** routes, bottom-up in peel order (every AS after its
+  customers): from a customer that is a root or has a customer route;
+* **peer** routes, one hop: from a peer that is a root or has a
+  customer route (only customer routes cross a peering edge);
+* **provider** routes, top-down: from a provider that is a root or has
+  a route of any class.
 
-Legitimate closures avoid the attacker (it never forwards legitimate
-routes while attacking) and attacked closures avoid the destination (it
-never forwards the bogus route), matching Observations E.3/E.4.
+Each phase records per AS which roots its routes of that class lead to
+(bit 1: ``d``, bit 2: ``m``).  A root forwards only its own route: the
+attacker drops legitimate routes, ``d`` the bogus one.  Unfiltered, a
+class row over-approximates Definition B.1's simple routes (a provider
+route may come back down through the AS itself), but the union of the
+rows does not: a valley-free walk to a root shortcuts to a path.
 
-The closures do not track per-AS loop freedom: an AS whose only
-downward path from the customer cone passes through itself is still
-included in the provider closure.  This makes the closures a slight
-*over*-approximation of Definition B.1's simple-route sets — harmless
-for their one consumer, the security-1st classifier, which already
-treats nearly everything as protectable (Appendix E.3).
+With ``route_class`` (each AS's ``S = ∅`` class, which security 2nd
+keeps for every ``S``), an AS joins its own class's phase only, so its
+row holds just the routes it may use under some ``S``.  In walk order
+the closure then carries, per AS, the most hops of any route to ``d``
+and the fewest of any route to ``m`` it may hold, and marks it *safe*
+when some offer is ``d`` itself, or comes from a safe AS whose longest
+route to ``d``, one hop on, is shorter than every offer of a route to
+``m``.  A safe AS routes only to ``d`` for every ``S``: a secure route
+never leads to ``m``, and without one it takes its shortest route,
+which is that offer or shorter, and all its offers of that length come
+from ASes with no route to ``m`` that short.  The same holds under
+``LPk``, whose buckets never rank a longer route of a class above a
+shorter one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from collections import deque
+from typing import NamedTuple
+
+import numpy as np
 
 from ..topology.graph import ASGraph
-from ..topology.relationships import RouteClass
 from .context import RoutingContext, _as_context
 
+#: more hops than any route has
+_FAR = 1 << 30
 
-@dataclass(frozen=True)
-class ClassReach:
-    """ASes with a perceivable route of each class to a fixed endpoint."""
 
-    endpoint: int
-    customer: frozenset[int]
-    peer: frozenset[int]
-    provider: frozenset[int]
+class Closure(NamedTuple):
+    """One pair's perceivable routes over dense indices."""
 
-    def by_class(self, route_class: RouteClass) -> frozenset[int]:
-        if route_class is RouteClass.CUSTOMER:
-            return self.customer
-        if route_class is RouteClass.PEER:
-            return self.peer
-        return self.provider
+    #: ``(3, n)`` uint8, one row per :class:`~repro.topology.
+    #: relationships.RouteClass`: bit 1 if the AS has a route of that
+    #: class to ``d``, bit 2 if to ``m``; the roots' columns are 0.
+    reach: np.ndarray
+    #: bool per AS, with ``route_class`` only: routes only to ``d``
+    #: for every ``S`` (the roots are False).
+    safe: np.ndarray | None
 
-    def any(self) -> frozenset[int]:
-        """ASes with a perceivable route of any class."""
-        return self.customer | self.peer | self.provider
 
-    def __contains__(self, asn: int) -> bool:
-        return (
-            asn in self.customer or asn in self.peer or asn in self.provider
+def _walk(ctx: RoutingContext) -> tuple:
+    """Per phase, its steps in walk order: ``(nodes, offerers,
+    starts)``, the ASes one step computes at once, the concatenation of
+    their relationship row slices and where each AS's slice starts.  A
+    step is a peel layer (customer phase bottom-up, provider phase
+    top-down: every AS is in a higher layer than its customers) or, for
+    the peer phase, every AS; an AS with an empty slice is left out."""
+    walk = ctx._walk
+    if walk is None:
+        g = ctx.graph
+        layers = g.peel_layers()
+        if sum(map(len, layers)) < ctx.n:
+            g.validate()
+        head, peer, cust, end = g.adj_start[:-1], g.peer_start, g.cust_start, g.adj_start[1:]
+
+        def step(nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
+            nodes = nodes[hi[nodes] > lo[nodes]]
+            size = hi[nodes] - lo[nodes]
+            starts = np.cumsum(size) - size
+            slots = np.repeat(lo[nodes] - starts, size) + np.arange(size.sum())
+            return nodes, g.adj_node[slots], starts
+
+        phases = (
+            [step(layer, cust, end) for layer in layers],
+            [step(np.arange(ctx.n), peer, cust)],
+            [step(layer, head, peer) for layer in reversed(layers)],
         )
+        walk = ctx._walk = tuple([s for s in steps if len(s[0])] for steps in phases)
+    return walk
 
 
-def perceivable_closures(
+def perceivable_closure(
     topology: ASGraph | RoutingContext,
-    endpoint: int,
-    avoid: int | None = None,
-) -> ClassReach:
-    """Compute the per-class perceivable-route closures toward ``endpoint``.
-
-    Runs in the routing context's dense index space: membership flags
-    live in flat bytearrays (one byte per AS) rather than hash sets, and
-    the per-relationship index adjacency replaces dict lookups, which
-    makes the closures cheap enough to evaluate per attack pair at
-    scale.  ASNs only reappear in the returned frozensets.
+    attacker: int,
+    destination: int,
+    route_class: np.ndarray | None = None,
+) -> Closure:
+    """The perceivable routes of every AS to ``d`` and to ``m``.
 
     Args:
         topology: the AS graph or a prebuilt routing context.
-        endpoint: the root the routes lead to (``d`` or ``m``).
-        avoid: an AS routes may never pass through (the other root).
+        attacker: the attacking AS ``m``.
+        destination: the victim AS ``d``.
+        route_class: per dense index, the class of the AS's ``S = ∅``
+            route (any other value: it has none), to admit each AS to
+            that class's phase only; None admits every AS to all three.
 
-    Returns:
-        A :class:`ClassReach`; the roots themselves are excluded.
+    Raises:
+        ValueError: for a pair outside the graph or ``m == d``.
+        TopologyError: if the customer-provider hierarchy has a cycle.
     """
     ctx = _as_context(topology)
-    end_i = ctx.graph.index(endpoint)
-    if end_i < 0:
-        raise ValueError(f"endpoint AS {endpoint} not in graph")
+    dest_i, att_i = ctx._check_pair(destination, attacker)
     n = ctx.n
-    avoid_i = ctx.graph.index(avoid) if avoid is not None else -1
-    excluded = bytearray(n)
-    excluded[end_i] = 1
-    if avoid_i >= 0:
-        excluded[avoid_i] = 1
-    providers_idx = ctx.providers_idx
-    peers_idx = ctx.peers_idx
-    customers_idx = ctx.customers_idx
-
-    # Customer closure: BFS upward from the endpoint along c2p edges.
-    in_customer = bytearray(n)
-    customer: list[int] = []
-    queue = deque((end_i,))
-    while queue:
-        u = queue.popleft()
-        for p in providers_idx[u]:
-            if not in_customer[p] and not excluded[p]:
-                in_customer[p] = 1
-                customer.append(p)
-                queue.append(p)
-
-    # Peer closure: one peering hop off the customer closure (or endpoint).
-    in_peer = bytearray(n)
-    peer: list[int] = []
-    for u in customer + [end_i]:
-        for q in peers_idx[u]:
-            if not in_peer[q] and not excluded[q]:
-                in_peer[q] = 1
-                peer.append(q)
-
-    # Provider closure: downward propagation from any reachable AS.
-    in_provider = bytearray(n)
-    provider: list[int] = []
-    queue = deque(customer)
-    queue.extend(peer)
-    queue.append(end_i)
-    while queue:
-        u = queue.popleft()
-        for c in customers_idx[u]:
-            if not in_provider[c] and not excluded[c]:
-                in_provider[c] = 1
-                provider.append(c)
-                queue.append(c)
-    asn_of = ctx.graph.asn_of
-    return ClassReach(
-        endpoint=endpoint,
-        customer=frozenset(asn_of[customer].tolist()),
-        peer=frozenset(asn_of[peer].tolist()),
-        provider=frozenset(asn_of[provider].tolist()),
-    )
-
-
-@dataclass(frozen=True)
-class AttackClosures:
-    """Both closures for one attacker/destination pair."""
-
-    legitimate: ClassReach
-    attacked: ClassReach
-
-
-def attack_closures(
-    topology: ASGraph | RoutingContext, attacker: int, destination: int
-) -> AttackClosures:
-    """Legitimate (to ``d``, avoiding ``m``) and attacked closures."""
-    ctx = _as_context(topology)
-    return AttackClosures(
-        legitimate=perceivable_closures(ctx, destination, avoid=attacker),
-        attacked=perceivable_closures(ctx, attacker, avoid=destination),
-    )
+    roots = [dest_i, att_i]
+    if route_class is None:
+        admit = np.ones((3, n), np.bool_)
+    else:
+        admit = np.asarray(route_class) == np.arange(3)[:, None]
+    admit[:, roots] = False
+    # rows 0-2 per class; row 3 every class: what an AS offers customers
+    reach = np.zeros((4, n), np.uint8)
+    reach[0, roots] = reach[3, roots] = (1, 2)
+    dmax = np.full(n, -1, np.int64)
+    mmin = np.full(n, _FAR, np.int64)
+    dsafe = np.full(n, _FAR, np.int64)  # dmax of the safe ASes
+    dmax[dest_i] = dsafe[dest_i] = 0
+    mmin[att_i] = 1  # "m d": one hop beyond m
+    for c, steps in enumerate(_walk(ctx)):
+        offered = reach[3 if c == 2 else 0]
+        for nodes, offerers, starts in steps:
+            sel = admit[c, nodes]
+            if not sel.any():
+                continue
+            r = offered[offerers]
+            none = r == 0
+            dl = np.maximum.reduceat(np.where(none, -1, dmax[offerers]), starts)[sel]
+            ml = np.minimum.reduceat(np.where(none, _FAR, mmin[offerers]), starts)[sel]
+            sl = np.minimum.reduceat(np.where(none, _FAR, dsafe[offerers]), starts)[sel]
+            v = nodes[sel]
+            reach[c, v] = np.bitwise_or.reduceat(r, starts)[sel]
+            reach[3, v] |= reach[c, v]
+            dmax[v] = np.where(dl >= 0, dl + 1, -1)
+            mmin[v] = np.minimum(ml + 1, _FAR)
+            dsafe[v] = np.where(sl < ml, dl + 1, _FAR)
+    reach[0, roots] = 0
+    safe = None
+    if route_class is not None:
+        safe = dsafe < _FAR
+        safe[dest_i] = False
+    return Closure(reach[:3], safe)

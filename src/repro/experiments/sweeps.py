@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.partitions import Category, compute_partitions
-from ..core.perceivable import attack_closures
+from ..core.partitions import compute_partitions
 from ..core.rank import RankModel, SecurityModel
 from ..core.outcome import compute_routing_outcome
 from ..topology.tiers import Tier
@@ -64,43 +63,22 @@ def _pair_partition_worker(ectx: ExperimentContext, pair: tuple[int, int], state
     baseline = compute_routing_outcome(
         ctx, destination, attacker=attacker, model=baseline_model
     )
-    # Closures are only needed by the security-1st classifier.
-    closures = None
-    if any(model.model is SecurityModel.FIRST for model in models):
-        closures = attack_closures(ctx, attacker, destination)
     happy_lower, happy_upper = baseline.count_happy()
 
     counts: dict[str, list[int]] = {}
     tier_counts: dict[tuple[str, Tier], list[int]] = {}
     for model in models:
-        result = compute_partitions(
-            ctx,
-            attacker,
-            destination,
-            model,
-            baseline_outcome=baseline,
-            closures=closures,
-        )
-        # Per (source tier, category), counted over dense indices.
-        category_of = result.category_of
-        size = len(category_of)
-        rows = ctx.graph.indices(np.fromiter(category_of, np.int64, size))
-        index = np.fromiter(
-            map(_CATEGORY_INDEX.__getitem__, category_of.values()), np.int64, size
-        )
-        counts[model.label] = np.bincount(index, minlength=len(_CATEGORY_INDEX)).tolist()
-        by_tier = ectx.tiers.tally(rows, index, len(_CATEGORY_INDEX))
+        codes = compute_partitions(
+            ctx, attacker, destination, model, baseline_outcome=baseline
+        ).codes
+        # Per (source tier, category code), over the sources' dense indices.
+        rows = np.flatnonzero(codes >= 0)
+        column = codes[rows]
+        counts[model.label] = np.bincount(column, minlength=4).tolist()
+        by_tier = ectx.tiers.tally(rows, column, 4)
         for tier, row in by_tier.items():
             tier_counts[(model.label, tier)] = row
     return happy_lower, happy_upper, baseline.num_sources, counts, tier_counts
-
-
-_CATEGORY_INDEX = {
-    Category.DOOMED: 0,
-    Category.PROTECTABLE: 1,
-    Category.IMMUNE: 2,
-    Category.DISCONNECTED: 3,
-}
 
 
 def partition_sweep(

@@ -290,22 +290,25 @@ class ASGraph:
         order = np.lexsort((roots, -sizes))
         return [set(members[k].tolist()) for k in order.tolist()]
 
-    def _unpeeled(self) -> np.ndarray:
-        """Kahn's count, a layer at a time: the ASes left once every AS
-        whose customers have all peeled peels too.  Each has a customer
-        left, so they are exactly the customer→provider cycles and the
-        ASes above them."""
+    def peel_layers(self) -> list[np.ndarray]:
+        """Kahn's count, a layer at a time: the dense indices of the ASes
+        with no customer, then of those whose customers have all peeled,
+        and on, so every AS sits in a higher layer than its customers.
+        Each AS left out has a customer left: they are exactly the
+        customer→provider cycles and the ASes above them."""
         provider_slot = self.adj_class == RouteClass.CUSTOMER
         customer = self.slot_rows()[provider_slot]
         provider = self.adj_node[provider_slot]
         left = np.bincount(provider, minlength=len(self))
-        peeled = left == 0
-        layer = peeled.copy()
+        layer = left == 0
+        peeled = layer.copy()
+        layers = []
         while layer.any():
+            layers.append(np.flatnonzero(layer))
             left -= np.bincount(provider[layer[customer]], minlength=len(self))
             layer = (left == 0) & ~peeled
             peeled |= layer
-        return ~peeled
+        return layers
 
     def find_customer_provider_cycle(self) -> list[int] | None:
         """A cycle in the customer→provider digraph, if any.
@@ -315,10 +318,12 @@ class ASGraph:
         cycle as a list of ASNs, each a customer of the next and the
         last of the first, from its lowest ASN; None if the hierarchy is
         a DAG.  The cycle is the one met walking from the lowest
-        unpeeled AS (:meth:`_unpeeled`) to its lowest unpeeled customer,
-        and on.
+        unpeeled AS (:meth:`peel_layers`) to its lowest unpeeled
+        customer, and on.
         """
-        unpeeled = self._unpeeled()
+        unpeeled = np.ones(len(self), np.bool_)
+        for layer in self.peel_layers():
+            unpeeled[layer] = False
         if not unpeeled.any():
             return None
         node, cust_start, end = self.adj_node, self.cust_start, self.adj_start[1:]

@@ -82,11 +82,11 @@ def test_the_detector_sees_a_container_per_as(medium):
     assert _large_containers({"held": {"deep": [by_asn]}}, n // 2) == [
         "held -> list -> dict: dict of 2200"
     ]
-    medium.graph_ctx._rel_idx = (medium.graph.asns,)
+    medium.graph_ctx._walk = (medium.graph.asns,)
     try:
         found = _large_containers({"graph_ctx": medium.graph_ctx}, n // 2)
     finally:
-        medium.graph_ctx._rel_idx = None
+        medium.graph_ctx._walk = None
     assert found == ["graph_ctx -> tuple -> list: list of 2200"]
 
 

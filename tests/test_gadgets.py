@@ -52,20 +52,20 @@ class TestFigure2ProtocolDowngrade:
             parts = compute_partitions(
                 gadget.graph, gadget.attacker, gadget.destination, model
             )
-            assert parts.category_of[3536] is Category.IMMUNE
+            assert parts.category(3536) is Category.IMMUNE
 
     def test_174_doomed_when_security_2nd_or_3rd(self, gadget):
         for model in (SECURITY_SECOND, SECURITY_THIRD):
             parts = compute_partitions(
                 gadget.graph, gadget.attacker, gadget.destination, model
             )
-            assert parts.category_of[174] is Category.DOOMED
+            assert parts.category(174) is Category.DOOMED
 
     def test_174_protectable_when_security_1st(self, gadget):
         parts = compute_partitions(
             gadget.graph, gadget.attacker, gadget.destination, SECURITY_FIRST
         )
-        assert parts.category_of[174] is Category.PROTECTABLE
+        assert parts.category(174) is Category.PROTECTABLE
 
     def test_bogus_route_shape(self, gadget, deployment):
         # 21740 sees a 4-hop insecure peer route via Cogent.
@@ -113,7 +113,7 @@ class TestFigure14Collateral:
             parts = compute_partitions(
                 gadget.graph, gadget.attacker, gadget.destination, model
             )
-            assert parts.category_of[10310] is Category.IMMUNE
+            assert parts.category(10310) is Category.IMMUNE
 
     def test_accounting_identity(self, rootcause):
         assert rootcause.metric_change == rootcause.gains - rootcause.losses

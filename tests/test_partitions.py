@@ -33,8 +33,10 @@ def attack_graph():
 class TestBasics:
     def test_roots_excluded(self, attack_graph):
         parts = compute_partitions(attack_graph, 666, 1, SECURITY_THIRD)
-        assert 1 not in parts.category_of
-        assert 666 not in parts.category_of
+        for root in (1, 666):
+            with pytest.raises(KeyError):
+                parts.category(root)
+            assert not any(root in parts.members(c) for c in Category)
 
     def test_baseline_model_rejected(self, attack_graph):
         with pytest.raises(ValueError):
@@ -51,7 +53,7 @@ class TestBasics:
         parts = compute_partitions(attack_graph, 666, 1, SECURITY_THIRD)
         for category in Category:
             for asn in parts.members(category):
-                assert parts.category_of[asn] is category
+                assert parts.category(asn) is category
 
 
 class TestSecurityThird:
@@ -59,12 +61,12 @@ class TestSecurityThird:
         # 3 prefers the bogus customer route over its provider route to
         # d for every S: doomed.
         parts = compute_partitions(attack_graph, 666, 1, SECURITY_THIRD)
-        assert parts.category_of[3] is Category.DOOMED
+        assert parts.category(3) is Category.DOOMED
 
     def test_immune_other_branch(self, attack_graph):
         parts = compute_partitions(attack_graph, 666, 1, SECURITY_THIRD)
-        assert parts.category_of[2] is Category.IMMUNE
-        assert parts.category_of[4] is Category.IMMUNE
+        assert parts.category(2) is Category.IMMUNE
+        assert parts.category(4) is Category.IMMUNE
 
     def test_protectable_on_tie(self):
         # 5 has equal (class, length) routes to both endpoints.
@@ -72,7 +74,7 @@ class TestSecurityThird:
             customer_provider=[(5, 2), (5, 3), (1, 7), (7, 2), (666, 3)]
         )
         parts = compute_partitions(graph, 666, 1, SECURITY_THIRD)
-        assert parts.category_of[5] is Category.PROTECTABLE
+        assert parts.category(5) is Category.PROTECTABLE
 
     def test_doom_propagates_through_pruning(self):
         # 4's only provider 3 is doomed, so 4 is doomed even though a
@@ -81,8 +83,8 @@ class TestSecurityThird:
             customer_provider=[(3, 1), (666, 3), (4, 3)]
         )
         parts = compute_partitions(graph, 666, 1, SECURITY_THIRD)
-        assert parts.category_of[3] is Category.DOOMED
-        assert parts.category_of[4] is Category.DOOMED
+        assert parts.category(3) is Category.DOOMED
+        assert parts.category(4) is Category.DOOMED
 
 
 class TestSecuritySecond:
@@ -96,7 +98,7 @@ class TestSecuritySecond:
         # also via 2 there is a second legit (2 hears from 8? no - 8 is
         # a customer of 2 with customer route to 1).
         parts = compute_partitions(graph, 666, 1, SECURITY_SECOND)
-        assert parts.category_of[5] is Category.PROTECTABLE
+        assert parts.category(5) is Category.PROTECTABLE
 
     def test_longer_same_class_route_rescues(self):
         # 5's best route is a 3-hop bogus provider route via 3; via 2 it
@@ -108,14 +110,14 @@ class TestSecuritySecond:
         )
         sec2 = compute_partitions(graph, 666, 1, SECURITY_SECOND)
         sec3 = compute_partitions(graph, 666, 1, SECURITY_THIRD)
-        assert sec3.category_of[5] is Category.DOOMED
-        assert sec2.category_of[5] is Category.PROTECTABLE
+        assert sec3.category(5) is Category.DOOMED
+        assert sec2.category(5) is Category.PROTECTABLE
 
     def test_class_dominance_still_dooms(self, attack_graph):
         # 3's bogus route is customer-class; no same-class legitimate
         # alternative exists: doomed in security 2nd too.
         parts = compute_partitions(attack_graph, 666, 1, SECURITY_SECOND)
-        assert parts.category_of[3] is Category.DOOMED
+        assert parts.category(3) is Category.DOOMED
 
 
 class TestSecurityFirst:
@@ -124,9 +126,9 @@ class TestSecurityFirst:
         # 3 could go either way depending on S; 2 and 4 can never even
         # hear the bogus route (it only propagates up from 3), so they
         # are genuinely immune per Observation E.4.
-        assert parts.category_of[3] is Category.PROTECTABLE
-        assert parts.category_of[2] is Category.IMMUNE
-        assert parts.category_of[4] is Category.IMMUNE
+        assert parts.category(3) is Category.PROTECTABLE
+        assert parts.category(2) is Category.IMMUNE
+        assert parts.category(4) is Category.IMMUNE
 
     def test_single_homed_stub_of_destination_immune(self):
         graph = graph_from_edges(
@@ -134,14 +136,14 @@ class TestSecurityFirst:
         )
         parts = compute_partitions(graph, 666, 1, SECURITY_FIRST)
         # 9 hangs off d only: no perceivable attacked route avoids d.
-        assert parts.category_of[9] is Category.IMMUNE
+        assert parts.category(9) is Category.IMMUNE
 
     def test_single_homed_stub_of_attacker_doomed(self):
         graph = graph_from_edges(
             customer_provider=[(3, 1), (666, 3), (9, 666)]
         )
         parts = compute_partitions(graph, 666, 1, SECURITY_FIRST)
-        assert parts.category_of[9] is Category.DOOMED
+        assert parts.category(9) is Category.DOOMED
 
 
 class TestInvariantAgainstDeployments:

@@ -1,9 +1,12 @@
-"""Tests for the perceivable-route closures (Definition B.1)."""
+"""Tests for the perceivable-route closure (Definition B.1)."""
 
+import numpy as np
 import pytest
 
-from repro.core import RoutingContext, attack_closures, perceivable_closures
-from repro.topology import graph_from_edges
+from repro.core import RoutingContext, perceivable_closure
+from repro.topology import RouteClass, graph_from_edges
+
+D, M = 1, 2  # reach bits: a route to d, a route to m
 
 
 @pytest.fixture()
@@ -20,102 +23,123 @@ def graph():
     return g
 
 
+def members(graph, closure, route_class, bit) -> set[int]:
+    """The ASes with a route of ``route_class`` whose reach has ``bit``."""
+    return set(graph.asn_of[(closure.reach[route_class] & bit) > 0].tolist())
+
+
 class TestCustomerClosure:
     def test_upward_reachability(self, graph):
-        reach = perceivable_closures(graph, endpoint=1)
-        assert reach.customer == {2, 4}
+        closure = perceivable_closure(graph, attacker=6, destination=1)
+        assert members(graph, closure, RouteClass.CUSTOMER, D) == {2, 4}
 
     def test_endpoint_excluded(self, graph):
-        reach = perceivable_closures(graph, endpoint=1)
-        assert 1 not in reach.customer
-        assert 1 not in reach.any()
+        closure = perceivable_closure(graph, attacker=6, destination=1)
+        for root in (1, 6):
+            assert not closure.reach[:, graph.index(root)].any()
 
     def test_avoid_blocks_traversal(self, graph):
-        reach = perceivable_closures(graph, endpoint=1, avoid=2)
-        assert reach.customer == frozenset()
+        # the attacker 2 drops the legitimate route of its customer 1
+        closure = perceivable_closure(graph, attacker=2, destination=1)
+        assert members(graph, closure, RouteClass.CUSTOMER, D) == set()
 
 
 class TestPeerClosure:
     def test_one_peering_hop_off_customer_cone(self, graph):
-        # 6's peer 5 has a customer route to... nothing below 5; but 5
-        # peers with 6 whose customer cone is empty. Use endpoint 1:
-        # customer cone of 1 = {2, 4}; peers of cone members: none.
-        reach = perceivable_closures(graph, endpoint=1)
-        assert reach.peer == frozenset()
+        # d's customer cone {2, 4} has no peer: nobody has a peer route
+        # to d (5 has one to m = 6, which peers with it).
+        closure = perceivable_closure(graph, attacker=6, destination=1)
+        assert members(graph, closure, RouteClass.PEER, D) == set()
+        assert members(graph, closure, RouteClass.PEER, M) == {5}
 
     def test_peer_of_endpoint_itself(self, graph):
-        reach = perceivable_closures(graph, endpoint=5)
-        assert 6 in reach.peer
+        closure = perceivable_closure(graph, attacker=1, destination=5)
+        assert 6 in members(graph, closure, RouteClass.PEER, D)
 
     def test_peer_route_via_customer_cone(self):
         g = graph_from_edges(
-            customer_provider=[(1, 2)], peerings=[(2, 3)]
+            customer_provider=[(1, 2), (9, 3)], peerings=[(2, 3)]
         )
-        reach = perceivable_closures(g, endpoint=1)
-        assert reach.peer == {3}
+        closure = perceivable_closure(g, attacker=9, destination=1)
+        assert members(g, closure, RouteClass.PEER, D) == {3}
+        assert members(g, closure, RouteClass.PEER, M) == {2}
 
 
 class TestProviderClosure:
     def test_downward_propagation(self, graph):
-        reach = perceivable_closures(graph, endpoint=1)
-        # everyone below the cone {2,4}: 5 under 2, 3/6 under 4
-        # (transitively).  2 itself is included because the closure does
-        # not track loop freedom (documented over-approximation).
-        assert reach.provider == {2, 3, 5, 6}
+        closure = perceivable_closure(graph, attacker=5, destination=1)
+        # everyone below d's customer cone {2, 4}: 3 and 6 under 4.  2
+        # itself is included because a class row does not track loop
+        # freedom (documented over-approximation).
+        assert members(graph, closure, RouteClass.PROVIDER, D) == {2, 3, 6}
 
     def test_any_union(self, graph):
-        reach = perceivable_closures(graph, endpoint=1)
-        assert reach.any() == {2, 3, 4, 5, 6}
-        assert 5 in reach
+        closure = perceivable_closure(graph, attacker=5, destination=1)
+        reach = np.bitwise_or.reduce(closure.reach)
+        assert set(graph.asn_of[(reach & D) > 0].tolist()) == {2, 3, 4, 6}
+        assert set(graph.asn_of[(reach & M) > 0].tolist()) == {2, 3, 4, 6}
 
     def test_by_class_accessor(self, graph):
-        from repro.topology import RouteClass
-
-        reach = perceivable_closures(graph, endpoint=1)
-        assert reach.by_class(RouteClass.CUSTOMER) == reach.customer
-        assert reach.by_class(RouteClass.PEER) == reach.peer
-        assert reach.by_class(RouteClass.PROVIDER) == reach.provider
+        """One row per route class, in ``RouteClass`` order."""
+        closure = perceivable_closure(graph, attacker=6, destination=1)
+        assert closure.reach.shape == (3, len(graph))
+        assert closure.reach[RouteClass.CUSTOMER, graph.index(2)] == D
+        assert closure.reach[RouteClass.PEER, graph.index(5)] == M
+        assert closure.reach[RouteClass.PROVIDER, graph.index(5)] == D | M
+        assert closure.safe is None
 
 
 class TestAttackClosures:
     def test_pair_closures_avoid_each_other(self, graph):
-        closures = attack_closures(graph, attacker=6, destination=1)
-        assert 6 not in closures.legitimate.any()
-        assert 1 not in closures.attacked.any()
+        # 1's only route out runs through the attacker 2, which drops
+        # it: nobody hears of d.
+        closure = perceivable_closure(graph, attacker=2, destination=1)
+        assert not (closure.reach & D).any()
+        # and d never forwards the bogus route
+        closure = perceivable_closure(graph, attacker=1, destination=2)
+        assert not (closure.reach & M).any()
 
     def test_attacked_closure_roots_at_attacker(self, graph):
-        closures = attack_closures(graph, attacker=6, destination=1)
+        closure = perceivable_closure(graph, attacker=6, destination=1)
         # 6's providers: 3, then 4: customer closure of the bogus route.
-        assert closures.attacked.customer == {3, 4}
+        assert members(graph, closure, RouteClass.CUSTOMER, M) == {3, 4}
         # 5 peers with 6 directly.
-        assert 5 in closures.attacked.peer
+        assert 5 in members(graph, closure, RouteClass.PEER, M)
 
     def test_context_reuse(self, graph):
         ctx = RoutingContext(graph)
-        a = perceivable_closures(ctx, endpoint=1)
-        b = perceivable_closures(graph, endpoint=1)
-        assert a == b
+        a = perceivable_closure(ctx, attacker=6, destination=1)
+        b = perceivable_closure(graph, attacker=6, destination=1)
+        assert np.array_equal(a.reach, b.reach)
+        assert ctx._walk is not None
+        c = perceivable_closure(ctx, attacker=6, destination=1)
+        assert np.array_equal(a.reach, c.reach)
 
     def test_unknown_endpoint(self, graph):
         with pytest.raises(ValueError):
-            perceivable_closures(graph, endpoint=404)
+            perceivable_closure(graph, attacker=6, destination=404)
 
 
 class TestConsistencyWithRouting:
     def test_fixed_routes_lie_inside_closures(self, small_ctx):
-        """Any route the engine fixes must be perceivable (sound closure)."""
-        from repro.core import compute_routing_outcome
+        """Any route the engine fixes must be perceivable (sound closure),
+        and with the ``S = ∅`` classes each AS sits in one row only."""
+        from repro.core import Reach, compute_routing_outcome
 
         asns = small_ctx.graph.asns
         destination, attacker = asns[3], asns[-3]
-        closures = attack_closures(small_ctx, attacker, destination)
+        closure = perceivable_closure(small_ctx, attacker, destination)
         out = compute_routing_outcome(small_ctx, destination, attacker=attacker)
-        from repro.core import Reach
-
+        route_class = np.full(small_ctx.n, 3)
         for asn, info in out.routes.items():
             if asn in (destination, attacker) or info.route_class is None:
                 continue
+            route_class[small_ctx.graph.index(asn)] = info.route_class
+            column = closure.reach[info.route_class, small_ctx.graph.index(asn)]
             if info.reaches == Reach.DEST:
-                assert asn in closures.legitimate.by_class(info.route_class)
+                assert column & D, asn
             elif info.reaches == Reach.ATTACKER:
-                assert asn in closures.attacked.by_class(info.route_class)
+                assert column & M, asn
+        filtered = perceivable_closure(small_ctx, attacker, destination, route_class)
+        assert ((filtered.reach > 0).sum(axis=0) <= 1).all()
+        assert not (filtered.reach & ~closure.reach).any()

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -35,9 +34,10 @@ from repro.core import (
     compute_partitions,
     compute_routing_outcome,
 )
-from repro.core.rank import LocalPreference, RankModel, SecurityModel
+from repro.core.rank import LocalPreference, RankModel, SecurityModel, lp2_variant
+from repro.core.refimpl import RefRoutingContext, ref_compute_routing_outcome
 from repro.topology import (
-    ASGraph, RouteClass, dumps_serial2, graph_from_edges, parse_serial2,
+    ASGraph, RouteClass, dumps_serial2, gadgets, graph_from_edges, parse_serial2,
 )
 
 from test_bgpsim import LifoSimulator
@@ -102,10 +102,10 @@ def security_2nd_counterexample():
     """The instance ROADMAP item 2a shrank from
     ``test_partitions_sound_for_sampled_deployment`` (19 ASes, d = 7,
     m = 5, S = {1..7}, security 2nd), as plain data: no hypothesis
-    version has to replay a blob.  ``compute_partitions`` classes AS 8
-    (and 14, 16) DOOMED, yet the engine and ``refimpl`` route it to d:
-    once S ≠ ∅ its peer 1 switches to a secure customer route of the
-    same class."""
+    version has to replay a blob.  Classing by the endpoints of the
+    routes that survive pruning at ``S = ∅`` put AS 8 (and 14, 16) in
+    DOOMED, yet the engine and ``refimpl`` route it to d: once S ≠ ∅
+    its peer 1 switches to a secure customer route of the same class."""
     graph = graph_from_edges(
         customer_provider=[
             (3, 1), (3, 2), (4, 1), (4, 3), (5, 1), (6, 3), (6, 4), (7, 2),
@@ -122,6 +122,36 @@ def security_2nd_counterexample():
         ],
     )
     return graph, 7, 5, Deployment.of(range(1, 8)), SECURITY_SECOND
+
+
+def figure14_with_a_customer():
+    """Figure 14's gadget plus X = 64512, a single-homed customer of the
+    collateral-damage AS 52142, at the gadget's own S, security 2nd.
+    There X follows 52142 to the attacker, so X is not immune; the
+    same pruning rule classed it IMMUNE, as every ``S = ∅`` route of
+    52142 leads to d."""
+    gadget = gadgets.figure14_collateral()
+    c2p, p2p = gadget.graph.edge_lists()
+    graph = graph_from_edges([*c2p.tolist(), (64512, 52142)], p2p.tolist())
+    deployment = Deployment.of(gadget.secure)
+    return graph, gadget.destination, gadget.attacker, deployment, SECURITY_SECOND
+
+
+def oracle_max_n() -> int:
+    """The exhaustive oracle's largest world: 2**n deployments a model,
+    so n <= 7 under tier-1's budget and 9 under any larger one (the
+    ``fuzz`` profile of ``make fuzz``)."""
+    tier1 = settings.get_profile("tier1").max_examples
+    return 7 if settings.default.max_examples <= tier1 else 9
+
+
+@st.composite
+def oracle_worlds(draw):
+    """(graph, destination, attacker) small enough to enumerate."""
+    graph = draw(layered_graphs(min_n=4, max_n=oracle_max_n()))
+    destination = draw(st.sampled_from(graph.asns))
+    attacker = draw(st.sampled_from([a for a in graph.asns if a != destination]))
+    return graph, destination, attacker
 
 
 class TestTheorem21CrossValidation:
@@ -245,13 +275,63 @@ class TestBoundsAndPartitions:
     def test_partitions_sound_for_sampled_deployment(self, instance):
         _assert_partitions_sound(instance)
 
-    def test_partitions_sound_on_the_shrunk_counterexample(self, request):
-        """Replayed by ``make fuzz`` only (the ``fuzz`` hypothesis
-        profile), where it fails until ROADMAP item 2a lands; tier-1
-        skips it."""
-        if request.config.getoption("hypothesis_profile", None) != "fuzz":
-            pytest.skip("the fuzz profile replays this (ROADMAP item 2a)")
+    def test_partitions_sound_on_the_shrunk_counterexample(self):
         _assert_partitions_sound(security_2nd_counterexample())
+
+    def test_partitions_sound_on_figure14_with_a_customer(self):
+        _assert_partitions_sound(figure14_with_a_customer())
+
+    @DEFAULT_SETTINGS
+    @given(attack_instances())
+    def test_doomed_is_exact_under_classic_lp(self, instance):
+        """Under classic LP a source is DOOMED iff it is unhappy even
+        when every AS but the attacker is secure, in every model."""
+        graph, destination, attacker, _, _ = instance
+        everyone = Deployment.of([a for a in graph.asns if a != attacker])
+        for model in SECURITY_MODELS:
+            parts = compute_partitions(graph, attacker, destination, model)
+            out = compute_routing_outcome(
+                graph, destination, attacker, everyone, model
+            )
+            unhappy = {a for a in out.sources() if not out.happy_upper(a)}
+            assert parts.members(Category.DOOMED) == unhappy, model.label
+
+
+class TestExhaustiveOracle:
+    """DOOMED and IMMUNE read literally: unhappy, or happy, for every
+    S ⊆ V, each S a ``refimpl`` pass, in all three models under
+    classic LP and LP2."""
+
+    MODELS = SECURITY_MODELS + tuple(map(lp2_variant, SECURITY_MODELS))
+
+    @DEFAULT_SETTINGS
+    @given(oracle_worlds())
+    def test_partitions_hold_for_every_deployment(self, world):
+        graph, destination, attacker = world
+        for model in self.MODELS:
+            parts = compute_partitions(graph, attacker, destination, model)
+            always, ever = _fates(graph, destination, attacker, model)
+            assert parts.members(Category.IMMUNE) <= always, model.label
+            assert not parts.members(Category.DOOMED) & ever, model.label
+            if model.local_preference.peer_window is None:
+                never = always.union(ever, parts.members(Category.DISCONNECTED))
+                sources = set(graph.asns) - {destination, attacker}
+                assert parts.members(Category.DOOMED) == sources - never, model.label
+
+
+def _fates(graph, destination, attacker, model) -> tuple[set[int], set[int]]:
+    """The sources happy for every S ⊆ V (``happy_lower``) and those
+    happy for some S (``happy_upper``)."""
+    ref = RefRoutingContext(graph)
+    asns = graph.asns
+    always = set(asns) - {destination, attacker}
+    ever: set[int] = set()
+    for mask in range(1 << len(asns)):
+        secure = Deployment.of(a for k, a in enumerate(asns) if mask >> k & 1)
+        out = ref_compute_routing_outcome(ref, destination, attacker, secure, model)
+        always = {a for a in always if out.happy_lower(a)}
+        ever.update(a for a in out.sources() if out.happy_upper(a))
+    return always, ever
 
 
 def _assert_partitions_sound(instance) -> None:

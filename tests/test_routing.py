@@ -330,6 +330,15 @@ class TestRoutingContext:
             bytearray([0, 1, 1, 0]), bytearray([0, 1, 0, 0])
         )
 
+    def test_one_mask_serves_both_without_simplex_members(self):
+        """Signing equals ranking when no simplex member is in the
+        graph, and the context keeps that mask once."""
+        ctx = RoutingContext(
+            graph_from_edges(customer_provider=[(2, 1), (3, 1), (4, 2)])
+        )
+        signing, ranking = ctx.deployment_masks(Deployment(full=[2], simplex=[7]))
+        assert signing is ranking == bytearray([0, 1, 0, 0])
+
     def test_csr_covers_all_edges(self, small_graph):
         ctx = RoutingContext(small_graph)
         total = len(ctx.graph.adj_node)

@@ -1005,7 +1005,7 @@ class TestRowLayout:
         cf_b = g.adj_class == RouteClass.PROVIDER
         for u in range(ctx.n):
             row = cf_b[start[u]:start[u + 1]].astype(np.uint8).tobytes()
-            ncust = len(ctx.customers_idx[u])
+            ncust = int(cf_b[start[u]:start[u + 1]].sum())
             assert row == bytes(len(row) - ncust) + b"\x01" * ncust, u
             assert cust_start[u] == start[u + 1] - ncust, u
 
@@ -1086,17 +1086,19 @@ class TestCsrBuild:
         assert [graph.is_stub(a) for a in asns] == [
             not ref.customers_of[a] for a in asns
         ]
-        assert ctx._rel_idx is None
-        for name in ("providers", "customers", "peers"):
-            want = [
-                tuple(map(graph.index, getattr(ref, f"{name}_of")[a]))
-                for a in asns
-            ]
-            assert getattr(ctx, f"{name}_idx") == want, name
+        assert ctx._walk is None
+        node = graph.adj_node.tolist()
+        bounds = (graph.adj_start[:-1], graph.peer_start, graph.cust_start,
+                  graph.adj_start[1:])
+        for asn, (a, p, c, e) in zip(asns, zip(*(b.tolist() for b in bounds))):
+            for name, lo, hi in (("providers", a, p), ("peers", p, c), ("customers", c, e)):
+                want = tuple(map(graph.index, getattr(ref, f"{name}_of")[asn]))
+                assert tuple(node[lo:hi]) == want, (name, asn)
 
     def test_one_as_graph_builds(self):
         ctx = RoutingContext(graph_from_edges(asns=[7]))
-        assert list(ctx.graph.adj_start) == [0, 0] and ctx.providers_idx == [()]
+        assert list(ctx.graph.adj_start) == [0, 0]
+        assert [layer.tolist() for layer in ctx.graph.peel_layers()] == [[0]]
 
     def test_context_adopts_the_graph_arrays(self, graph):
         """One representation: the kernel and the decode read the
@@ -1124,8 +1126,8 @@ class TestCsrBuild:
         assert len(graph.adj_node) % ctx.n
 
     def test_counts_leave_the_index_tuples_unbuilt(self, graph):
-        """The count path reads the CSR only: the O(V + E) python tuples
-        must not come back on a context that runs nothing else."""
+        """The count path reads the CSR only: the perceivable closure's
+        O(V + E) walk is not built on a context that runs nothing else."""
         ctx = RoutingContext(graph)
         (m, d, dep), *_ = _instances(graph, "csr/lazy")
         chain = [Deployment.empty(), dep.with_simplex_stubs(graph)]
@@ -1134,7 +1136,7 @@ class TestCsrBuild:
             (pairs, chain, BASELINE, ONE_HOP_HIJACK),  # rows
             (pairs, chain, SECURITY_MODELS[0], HONEST),  # attacker-free passes
         ])
-        assert ctx._rel_idx is None
+        assert ctx._walk is None
 
 
 class TestAdvance:

@@ -289,6 +289,19 @@ MUTANTS = (
         "t: np.flatnonzero(self.code == k + 1).astype(np.int32)",
         "each tier's members are the next tier's",
     ),
+    # -- the partitions (Appendix E) --------------------------------------
+    Mutant(
+        "safe_length_tie", "src/repro/core/perceivable.py",
+        "dsafe[v] = np.where(sl < ml, dl + 1, _FAR)",
+        "dsafe[v] = np.where(sl <= ml, dl + 1, _FAR)",
+        "a route to d as short as one to m counts as safe (immune)",
+    ),
+    Mutant(
+        "second_class_filter_dropped", "src/repro/core/perceivable.py",
+        "admit = np.asarray(route_class) == np.arange(3)[:, None]",
+        "admit = np.ones((3, n), np.bool_)",
+        "security 2nd admits every AS to every class, not its S = ∅ one",
+    ),
     # -- the scenario plane, store and scheduler --------------------------
     Mutant(
         "canonical_json_sorted", "src/repro/experiments/scenarios.py",
